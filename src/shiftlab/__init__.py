@@ -12,10 +12,10 @@ from .sampling import (RejectionBudgetError, SeedStream, Window,
                        sample_density_window, sample_window,
                        window_to_csv)
 from .markers import (MarkerDecomposition, decompose, good_intervals,
-                      good_prob, good_prob_lower, special_fillers)
+                      good_prob, good_prob_lower)
 from .matching import (ABSequence, MatchingAssignment, dominates,
                        flip_coupling, good_to_ab, matching_radius,
-                       meshalkin_match, required_d)
+                       meshalkin_match, partner_slots, required_d)
 from .factor import (FairBitStream, FactorResult, SplitCodeSpec, SplitTuples,
                      beta_for, bias_square_sum, extract_fair_bits, psi_split,
                      run_iid_factor, spread_bits)

@@ -146,9 +146,7 @@ def _cmd_factor(cfg: RunConfig) -> Report:
         {"name": "censor_fraction", "value": diag["censor_fraction"],
          "tolerance": 0.05, "pass": diag["censor_fraction"] < 0.05},
     ]
-    for t in diag["tests"]:
-        metrics.append({"name": t["name"], "statistic": t["statistic"],
-                        "p_value": t["p_value"], "pass": t["pass"]})
+    metrics.extend(diag["tests"])
     return _finish(cfg, metrics, [])
 
 
@@ -163,7 +161,7 @@ def _cmd_match(cfg: RunConfig) -> Report:
         dump.parent.mkdir(parents=True, exist_ok=True)
         window_to_csv(w, dump)
         artifacts.append(dump)
-    zprime, _ = matching.good_to_ab(w)
+    zprime, _ = matching.good_to_ab(w, markers.decompose(w))
     q = markers.good_prob_lower(m, (0, n - 1))
     d = matching.required_d(q)
     assignment = matching.meshalkin_match(zprime, d)
@@ -291,12 +289,29 @@ def run(config: RunConfig) -> Report:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_config_file(argv: list[str] | None) -> dict:
+    """The JSON object named by --config, or {}; read before the full
+    parse so that it can supply required options."""
+    pre = argparse.ArgumentParser(prog="shiftlab", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config", type=Path)
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    values = json.loads(path.read_text())
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return values
+
+
+def _build_parser(file_values: dict) -> argparse.ArgumentParser:
+    """The CLI parser, where ``file_values`` replace built-in defaults and
+    satisfy required options: flag > config file > default."""
     ap = argparse.ArgumentParser(
-        prog="shiftlab",
+        prog="shiftlab", allow_abbrev=False,
         description="nonsingular Bernoulli shift laboratory")
     ap.add_argument("--config", type=Path,
-                    help="JSON file of defaults; flags override")
+                    help="JSON file of option values; flags override")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -304,6 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, default=None)
         p.add_argument("--out", type=Path, default=None,
                        help="report path (default <out-dir>/<cmd>_report.json)")
+        for action in p._actions:
+            if action.dest in file_values:
+                action.required = False
+                # an append option would add its flags to a list default;
+                # _config_from_args fills it from the file instead
+                if not isinstance(action, argparse._AppendAction):
+                    action.default = file_values[action.dest]
 
     pm = sub.add_parser("measure").add_subparsers(dest="sub", required=True) \
         .add_parser("check")
@@ -350,14 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace,
+                      file_values: dict) -> RunConfig:
     params = {k: v for k, v in vars(args).items()
               if k not in {"command", "sub", "seed", "out_dir", "config"}
               and v is not None}
-    if args.config:
-        defaults = json.loads(Path(args.config).read_text())
-        for k, v in defaults.items():
-            params.setdefault(k, v)
+    for k, v in file_values.items():
+        params.setdefault(k, v)
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
     if "out" in params:
         params["out"] = str(params["out"])
@@ -367,11 +388,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _config_from_args(args)
+        file_values = _read_config_file(argv)
+        args = _build_parser(file_values).parse_args(argv)
+        config = _config_from_args(args, file_values)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError):
+    except (ValueError, OSError) as exc:
+        print(f"shiftlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         report = run(config)

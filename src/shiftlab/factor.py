@@ -28,7 +28,7 @@ import numpy as np
 from . import stattests
 from .markers import MarkerDecomposition, decompose, good_prob_lower
 from .matching import (MatchingAssignment, good_to_ab, meshalkin_match,
-                       required_d)
+                       partner_slots, required_d)
 from .measures import FiniteProductMeasure, sum_with_tail
 from .sampling import SeedStream, Window, sample_window
 
@@ -130,15 +130,10 @@ def bias_square_report(m: FiniteProductMeasure, N: int) -> dict:
             "tail_increment": tail}
 
 
-def extract_fair_bits(w: Window) -> FairBitStream:
-    """One bit per non-censored special filler, in index order."""
-    dec = decompose(w)
-    if not dec.special:
-        return FairBitStream(np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=np.uint8))
-    pos = np.array([p for p, _ in dec.special], dtype=np.int64)
-    bits = np.array([b for _, b in dec.special], dtype=np.uint8)
-    return FairBitStream(pos, bits)
+def extract_fair_bits(dec: MarkerDecomposition) -> FairBitStream:
+    """One bit per non-censored special filler of a decomposed window, in
+    index order."""
+    return FairBitStream(dec.special[:, 0], dec.special[:, 1].astype(np.uint8))
 
 
 def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
@@ -200,36 +195,16 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
     start = dec.start
     out = np.full(n, -1, dtype=np.int8)
 
-    pos = split.positions
-    rank_of = {int(p): k for k, p in enumerate(pos)}
-    cap = split.tuples.shape[1] - 1
-    if assignment.d > cap:
+    if assignment.d > split.tuples.shape[1] - 1:
         raise AssertionError("matching capacity exceeds tuple width - 1")
 
     ok_own = split.valid
-    out[pos[ok_own] - start] = split.tuples[ok_own, 0]
+    out[split.positions[ok_own] - start] = split.tuples[ok_own, 0]
 
-    if len(assignment.b_indices):
-        b = assignment.b_indices
-        a = assignment.a_indices
-        rank = np.array([rank_of.get(int(x), -1) for x in a], dtype=np.int64)
-        if np.any(rank < 0):
-            raise AssertionError("assignment references an unknown a-index")
-        order = np.lexsort((b, rank))
-        b, rank = b[order], rank[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(rank)) + 1])
-        lens = np.diff(np.concatenate([starts, [len(rank)]]))
-        slot = 1 + np.arange(len(rank)) - np.repeat(starts, lens)
-        if np.any(slot > cap):
-            raise AssertionError("tuple exhaustion: more partners than bits")
-        usable = split.valid[rank]
-        out[b[usable] - start] = split.tuples[rank[usable], slot[usable]]
-
+    b, rank, slot = partner_slots(assignment, split.positions)
+    usable = split.valid[rank]
+    out[b[usable] - start] = split.tuples[rank[usable], slot[usable]]
     return Window(start, out, None, "factor-output")
-
-
-def censored_mask(w: Window) -> np.ndarray:
-    return np.asarray(w.values) < 0
 
 
 @dataclass(frozen=True)
@@ -256,14 +231,13 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
 
     w = sample_window(m, span, seeds, label="factor-input")
     dec = decompose(w)
-    zprime, _z = good_to_ab(w)
+    zprime, _z = good_to_ab(w, dec)
     assignment = meshalkin_match(zprime, d)
     assignment.check_capacity()
-    stream = extract_fair_bits(w)
+    stream = extract_fair_bits(dec)
     split = psi_split(stream, spec, seeds)
     out = spread_bits(dec, assignment, split)
 
-    mask = censored_mask(out)
     n = len(out)
     margin = max(1, int(interior_fraction * n))
     inner = np.asarray(out.values[margin:n - margin])
@@ -275,7 +249,7 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
         "beta0": spec.beta0,
         "radius": radius,
         "specials": int(len(stream)),
-        "censor_fraction": float(mask.mean()),
+        "censor_fraction": float((out.values < 0).mean()),
         "interior_bits": int(len(inner)),
         "tests": tests,
     }

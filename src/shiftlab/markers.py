@@ -42,38 +42,34 @@ def find_marker_starts(bits) -> np.ndarray:
 class MarkerDecomposition:
     """Partition of a window into markers, fillers and censored edges.
 
-    Intervals are inclusive (lo, hi) pairs of absolute indices.  ``special``
-    lists (initial index, bit) for the length-2 fillers 10 and 01.
+    ``markers``, ``fillers`` and ``censored`` are int64 arrays of shape
+    (k, 2), one inclusive (lo, hi) pair of absolute indices per row, in
+    index order.  ``special`` is an int64 array of shape (s, 2) holding
+    (initial index, bit) for the length-2 fillers 10 and 01.
     ``boundary_flags`` = (left, right) marks whether the corresponding edge
     interval was censored (nonempty and unclassifiable).
     """
 
     start: int
     length: int
-    markers: tuple[tuple[int, int], ...]
-    fillers: tuple[tuple[int, int], ...]
-    special: tuple[tuple[int, int], ...]
+    markers: np.ndarray
+    fillers: np.ndarray
+    special: np.ndarray
     boundary_flags: tuple[bool, bool]
-    censored: tuple[tuple[int, int], ...]
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-    def special_positions(self) -> np.ndarray:
-        return np.array([p for p, _ in self.special], dtype=np.int64)
+    censored: np.ndarray
 
     def to_json(self) -> dict:
-        labels = [("marker", iv) for iv in self.markers]
-        labels += [("special" if iv in {(p, p + 1) for p, _ in self.special}
-                    else "filler", iv) for iv in self.fillers]
-        labels += [("censored", iv) for iv in self.censored]
-        labels.sort(key=lambda t: t[1][0])
+        special = set(self.special[:, 0].tolist())
+        labels = [("marker", lo, hi) for lo, hi in self.markers.tolist()]
+        labels += [("special" if lo in special else "filler", lo, hi)
+                   for lo, hi in self.fillers.tolist()]
+        labels += [("censored", lo, hi) for lo, hi in self.censored.tolist()]
+        labels.sort(key=lambda t: t[1])
         return {
             "start": self.start,
             "length": self.length,
-            "intervals": [{"label": lab, "lo": iv[0], "hi": iv[1]}
-                          for lab, iv in labels],
+            "intervals": [{"label": lab, "lo": lo, "hi": hi}
+                          for lab, lo, hi in labels],
         }
 
 
@@ -82,41 +78,29 @@ def decompose(w) -> MarkerDecomposition:
     bits = _as_bits(w.values)
     start = w.start
     n = len(bits)
-    mk = find_marker_starts(bits)
-    if len(mk) == 0:
-        censored = ((start, start + n - 1),) if n else ()
-        return MarkerDecomposition(start, n, (), (), (), (True, True), censored)
+    lo = find_marker_starts(bits) + start
+    if len(lo) == 0:
+        none = np.empty((0, 2), dtype=np.int64)
+        censored = np.array([(start, start + n - 1)] if n else [],
+                            dtype=np.int64).reshape(-1, 2)
+        return MarkerDecomposition(start, n, none, none, none, (True, True),
+                                   censored)
 
-    markers = tuple((start + int(s), start + int(s) + 2) for s in mk)
-    fillers = []
-    special = []
-    for (a_lo, a_hi), (b_lo, _) in zip(markers[:-1], markers[1:]):
-        if b_lo - a_hi <= 1:
-            continue  # adjacent markers, empty gap
-        gap = (a_hi + 1, b_lo - 1)
-        fillers.append(gap)
-        if gap[1] - gap[0] == 1:
-            x0 = bits[gap[0] - start]
-            x1 = bits[gap[1] - start]
-            if (x0, x1) == (1, 0):
-                special.append((gap[0], 1))
-            elif (x0, x1) == (0, 1):
-                special.append((gap[0], 0))
+    # the gap after each marker but the last, dropped when empty
+    gaps = np.column_stack((lo[:-1] + 3, lo[1:] - 1))
+    fillers = gaps[gaps[:, 1] >= gaps[:, 0]]
+    # a length-2 filler is special when its two symbols differ; the bit is
+    # its first symbol (1 for 10, 0 for 01)
+    two = fillers[fillers[:, 1] == fillers[:, 0] + 1, 0]
+    first = bits[two - start]
+    differ = first != bits[two + 1 - start]
+    special = np.column_stack((two[differ], first[differ]))
 
-    censored = []
-    left = markers[0][0] > start
-    if left:
-        censored.append((start, markers[0][0] - 1))
-    right = markers[-1][1] < start + n - 1
-    if right:
-        censored.append((markers[-1][1] + 1, start + n - 1))
-    return MarkerDecomposition(start, n, markers, tuple(fillers),
-                               tuple(special), (left, right), tuple(censored))
-
-
-def special_fillers(d: MarkerDecomposition) -> list[tuple[int, int]]:
-    """(initial index, bit) for each special filler, in index order."""
-    return list(d.special)
+    edges = np.array([(start, lo[0] - 1), (lo[-1] + 3, start + n - 1)])
+    nonempty = edges[:, 1] >= edges[:, 0]
+    return MarkerDecomposition(start, n, np.column_stack((lo, lo + 2)),
+                               fillers, special, tuple(nonempty.tolist()),
+                               edges[nonempty])
 
 
 def good_intervals(w, offset: int = 0) -> list[int]:

@@ -20,34 +20,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .markers import decompose, good_intervals
+from .markers import MarkerDecomposition, good_intervals
 
 
 @dataclass(frozen=True)
 class ABSequence:
-    """A finite {a, b}-valued sequence anchored at an integer index."""
+    """A finite {a, b}-valued sequence anchored at an integer index:
+    ``isa[i]`` is True where index start + i holds an a."""
 
     start: int
-    letters: str
-
-    def __post_init__(self):
-        if set(self.letters) - {"a", "b"}:
-            raise ValueError("letters must be over {a, b}")
+    isa: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def isa(self) -> np.ndarray:
-        return np.frombuffer(self.letters.encode(), dtype=np.uint8) == ord("a")
+        return len(self.isa)
 
     @classmethod
-    def from_bools(cls, start: int, isa) -> "ABSequence":
-        arr = np.asarray(isa, dtype=bool)
-        return cls(start, "".join("a" if x else "b" for x in arr))
-
-    def shifted(self, delta: int) -> "ABSequence":
-        return ABSequence(self.start + delta, self.letters)
+    def from_letters(cls, start: int, word: str) -> "ABSequence":
+        """The sequence written in the paper's notation, e.g. "abba"."""
+        if set(word) - {"a", "b"}:
+            raise ValueError("word must be over {a, b}")
+        isa = np.frombuffer(word.encode(), dtype=np.uint8) == ord("a")
+        return cls(start, isa)
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,36 @@ class MatchingAssignment:
         return {int(x): int(c) for x, c in zip(a, cnt)}
 
     def check_capacity(self) -> None:
-        if len(self.b_indices) != len(set(self.b_indices.tolist())):
+        if np.any(np.diff(np.sort(self.b_indices)) == 0):
             raise AssertionError("a b was matched twice")
-        if self.multiplicity and max(self.multiplicity.values()) > self.d:
+        a = self.a_indices
+        if len(a) and np.bincount(a - a.min()).max() > self.d:
             raise AssertionError("an a exceeded its capacity")
+
+
+def partner_slots(assignment: MatchingAssignment, a_positions: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay the matched b's out as tuple slots of their a's.
+
+    ``a_positions`` lists every a-index in ascending order.  Returns the
+    b's, the rank of each b's a in ``a_positions`` and the b's slot: slot
+    0 of each a's tuple is its own, its partners take slots 1, 2, ... in
+    ascending b order.  Rows come sorted by (rank, b).
+    """
+    b, a = assignment.b_indices, assignment.a_indices
+    rank = np.searchsorted(a_positions, a)
+    if len(a) and (rank.max() >= len(a_positions)
+                   or np.any(a_positions[rank] != a)):
+        raise AssertionError("assignment references an unknown a-index")
+    order = np.lexsort((b, rank))
+    b, rank = b[order], rank[order]
+    at = np.arange(len(rank))
+    first = np.ones(len(rank), dtype=bool)
+    first[1:] = rank[1:] != rank[:-1]
+    slot = 1 + at - np.maximum.accumulate(np.where(first, at, 0))
+    if np.any(slot > assignment.d):
+        raise AssertionError("tuple exhaustion: more partners than bits")
+    return b, rank, slot
 
 
 def required_d(q: float) -> int:
@@ -155,23 +174,21 @@ def flip_coupling(z: ABSequence, prob: float, rng: np.random.Generator) -> ABSeq
     isa = z.isa.copy()
     bs = np.flatnonzero(~isa)
     isa[bs[rng.random(len(bs)) < prob]] = True
-    return ABSequence.from_bools(z.start, isa)
+    return ABSequence(z.start, isa)
 
 
-def good_to_ab(w) -> tuple[ABSequence, ABSequence]:
+def good_to_ab(w, dec: MarkerDecomposition) -> tuple[ABSequence, ABSequence]:
     """Build the two {a, b} sequences a binary window induces.
 
     The first (zprime) marks every non-censored special-filler initial
     index; the second (z) marks only the positions 8n + 3 that sit inside a
-    good 8-block of the offset-0 partition.  zprime dominates z.
+    good 8-block of the offset-0 partition.  zprime dominates z.  ``dec``
+    is the window's decomposition.
     """
-    dec = decompose(w)
     n = len(w.values)
     isa_prime = np.zeros(n, dtype=bool)
-    for p, _bit in dec.special:
-        isa_prime[p - w.start] = True
+    isa_prime[dec.special[:, 0] - w.start] = True
     isa = np.zeros(n, dtype=bool)
-    for s in good_intervals(w, offset=0):
-        isa[s + 3 - w.start] = True
-    return (ABSequence.from_bools(w.start, isa_prime),
-            ABSequence.from_bools(w.start, isa))
+    good = np.array(good_intervals(w, offset=0), dtype=np.int64)
+    isa[good + 3 - w.start] = True
+    return ABSequence(w.start, isa_prime), ABSequence(w.start, isa)

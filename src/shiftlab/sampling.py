@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .markers import find_marker_starts
-
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # doubles per Philox counter block
 
@@ -182,10 +180,6 @@ def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
     """Many independent draws from the single density at index n."""
     u = seeds.generator(label, n).random(count)
     return _piecewise_inverse_cdf(d.piece_edges(n), d.piece_values(n), u)
-
-
-def _window_has_marker(bits: np.ndarray) -> bool:
-    return len(find_marker_starts(bits)) > 0
 
 
 def sample_conditioned_filler(m, span: tuple[int, int], seeds: SeedStream,

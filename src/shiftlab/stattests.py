@@ -110,7 +110,13 @@ def uniformity_suite(bits, p_one: float, *, alpha: float = 0.001,
                      lags: int = 8) -> list[dict]:
     """The three-part acceptance suite for a claimed i.i.d. bit law:
     per-symbol frequency (z test), 3-block chi-square, and lag-1..lags
-    serial correlations.  Returns one record per test."""
+    serial correlations.  Returns one record per test; on no bits at all
+    every record fails and carries a reason."""
+    if len(bits) == 0:
+        return [{"name": name, "statistic": None, "p_value": None,
+                 "pass": False, "reason": "no bits to test"}
+                for name in ("frequency", "chi_square_3_blocks",
+                             "serial_correlation")]
     z = frequency_zscore(bits, p_one)
     stat3, p3, _ = block_chi_square(bits, 3, p_one)
     rs = serial_correlations(bits, lags)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import ABSequence, meshalkin_match
+from .matching import ABSequence, meshalkin_match, partner_slots
 from .measures import DensityFamily, log_damped
 from .sampling import Window
 
@@ -320,23 +320,12 @@ def erase_negative_side(w: Window, zone: tuple[float, float],
     shares = _digit_shares(t, d + 1, bits_per)
     scale = float(1 << bits_per)
 
-    z = ABSequence.from_bools(0, is_safe)
-    assignment = meshalkin_match(z, d)
+    assignment = meshalkin_match(ABSequence(0, is_safe), d)
 
     replaced = np.full(len(neg_pos), np.nan)
-    safe_rank = {int(s): k for k, s in enumerate(np.flatnonzero(is_safe))}
     replaced[is_safe] = -1.0 + (shares[:, 0] + 0.5) / scale
-
-    if len(assignment.b_indices):
-        b = assignment.b_indices
-        a = assignment.a_indices
-        rank = np.array([safe_rank[int(x)] for x in a], dtype=np.int64)
-        order = np.lexsort((b, rank))
-        b, rank = b[order], rank[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(rank)) + 1])
-        lens = np.diff(np.concatenate([starts, [len(rank)]]))
-        slot = 1 + np.arange(len(rank)) - np.repeat(starts, lens)
-        replaced[b] = -1.0 + (shares[rank, slot] + 0.5) / scale
+    b, rank, slot = partner_slots(assignment, np.flatnonzero(is_safe))
+    replaced[b] = -1.0 + (shares[rank, slot] + 0.5) / scale
 
     info["censored"] = int(np.isnan(replaced).sum())
     out[neg_pos] = replaced

@@ -1,8 +1,8 @@
 """Command-line entry points: reports, artifacts, exit codes, determinism."""
 import json
 
-from shiftlab.cli import (EXIT_CONFIG, EXIT_OK, emit_plot_data, main,
-                          parse_plot_data)
+from shiftlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
+                          emit_plot_data, main, parse_plot_data)
 
 
 def run_cli(tmp_path, *argv):
@@ -41,6 +41,17 @@ class TestFactorRun:
         for expected in ("q", "d", "beta0", "censor_fraction", "frequency",
                          "chi_square_3_blocks", "serial_correlation"):
             assert expected in names
+
+    def test_empty_interior_fails_with_reason(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
+                       "--n", "100")
+        assert code == EXIT_CHECK_FAILED
+        by_name = {m["name"]: m
+                   for m in json.loads(capsys.readouterr().out)["metrics"]}
+        for name in ("frequency", "chi_square_3_blocks",
+                     "serial_correlation"):
+            assert by_name[name]["pass"] is False
+            assert by_name[name]["reason"]
 
     def test_bad_measure_is_config_error(self, tmp_path):
         code = run_cli(tmp_path, "factor", "run", "--measure", "bogus:1",
@@ -117,6 +128,50 @@ class TestConfigHandling:
         report = json.loads(capsys.readouterr().out)
         # explicit flag wins over the config file
         assert report["config"]["params"]["n"] == 500
+
+    def test_config_file_beats_builtin_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radius": 8}))
+        main(["--config", str(cfg), "factor", "run", "--measure", "iid:0.3",
+              "--n", "100", "--out-dir", str(tmp_path)])
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["params"]["radius"] == 8
+
+    def test_config_file_supplies_required_options(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "iid", "p0": 0.4, "n": 500,
+                                   "seed": 3}))
+        code = main(["--config", str(cfg), "measure", "check",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["params"]["n"] == 500
+        assert report["config"]["seed"] == 3
+
+    def test_config_list_option_yields_to_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ks": [1, 2]}))
+        argv = ["--config", str(cfg), "measure", "check", "--family", "iid",
+                "--p0", "0.4", "--n", "500", "--out-dir", str(tmp_path)]
+        main(argv)
+        assert json.loads(capsys.readouterr().out)[
+            "config"]["params"]["ks"] == [1, 2]
+        main(argv + ["--k", "4"])
+        assert json.loads(capsys.readouterr().out)[
+            "config"]["params"]["ks"] == [4]
+
+    def test_config_file_errors_are_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        for path in (bad, listed, tmp_path / "missing.json"):
+            code = main(["--config", str(path), "measure", "check",
+                         "--family", "iid", "--p0", "0.4", "--n", "500",
+                         "--out-dir", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("shiftlab: config error: ")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))

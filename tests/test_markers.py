@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from shiftlab import (SeedStream, Window, decompose, good_intervals,
                       good_prob, good_prob_lower, iid_binary, make_nu_c,
-                      sample_window, special_fillers)
+                      sample_window)
 from shiftlab.markers import find_marker_starts
 
 
@@ -17,25 +17,100 @@ def bits(s: str) -> Window:
     return Window(0, np.array([int(c) for c in s], dtype=np.uint8))
 
 
+def rows(a: np.ndarray) -> tuple:
+    """An (k, 2) array as a tuple of pairs."""
+    return tuple(map(tuple, a.tolist()))
+
+
+def decompose_oracle(w) -> dict:
+    """Reference decomposition by a loop over the markers, in tuples of
+    Python ints, with the JSON export built from those tuples."""
+    values = np.asarray(w.values).tolist()
+    start, n = w.start, len(values)
+    mk = [j for j in range(n - 2)
+          if (values[j], values[j + 1], values[j + 2]) == (0, 1, 1)]
+    if not mk:
+        markers, fillers, special = (), (), ()
+        flags = (True, True)
+        censored = ((start, start + n - 1),) if n else ()
+    else:
+        markers = tuple((start + s, start + s + 2) for s in mk)
+        fillers, special = [], []
+        for (a_lo, a_hi), (b_lo, _) in zip(markers[:-1], markers[1:]):
+            if b_lo - a_hi <= 1:
+                continue
+            gap = (a_hi + 1, b_lo - 1)
+            fillers.append(gap)
+            if gap[1] - gap[0] == 1:
+                x0, x1 = values[gap[0] - start], values[gap[1] - start]
+                if (x0, x1) == (1, 0):
+                    special.append((gap[0], 1))
+                elif (x0, x1) == (0, 1):
+                    special.append((gap[0], 0))
+        fillers, special = tuple(fillers), tuple(special)
+        censored = []
+        left = markers[0][0] > start
+        if left:
+            censored.append((start, markers[0][0] - 1))
+        right = markers[-1][1] < start + n - 1
+        if right:
+            censored.append((markers[-1][1] + 1, start + n - 1))
+        flags, censored = (left, right), tuple(censored)
+    labels = [("marker", iv) for iv in markers]
+    labels += [("special" if iv in {(p, p + 1) for p, _ in special}
+                else "filler", iv) for iv in fillers]
+    labels += [("censored", iv) for iv in censored]
+    labels.sort(key=lambda t: t[1][0])
+    return {"markers": markers, "fillers": fillers, "special": special,
+            "boundary_flags": flags, "censored": censored,
+            "json": {"start": start, "length": n,
+                     "intervals": [{"label": lab, "lo": iv[0], "hi": iv[1]}
+                                   for lab, iv in labels]}}
+
+
+def assert_matches_oracle(w) -> None:
+    got, want = decompose(w), decompose_oracle(w)
+    for field in ("markers", "fillers", "special", "censored"):
+        arr = getattr(got, field)
+        assert arr.dtype == np.int64 and arr.shape == (len(want[field]), 2)
+        assert rows(arr) == want[field], field
+    assert got.boundary_flags == want["boundary_flags"]
+    assert got.to_json() == want["json"]
+
+
+class TestDecomposeOracle:
+    def test_every_word_up_to_length_14(self):
+        for L in range(15):
+            for word in itertools.product((0, 1), repeat=L):
+                w = Window(0, np.array(word, dtype=np.uint8))
+                assert_matches_oracle(w)
+
+    @given(st.integers(-10 ** 6, 10 ** 6),
+           st.lists(st.integers(0, 1), min_size=0, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_random_windows_and_offsets(self, start, word):
+        assert_matches_oracle(Window(start, np.array(word, dtype=np.uint8)))
+
+
 class TestDecompose:
     def test_sample_realization(self):
         d = decompose(bits("01101011"))
-        assert d.markers == ((0, 2), (5, 7))
-        assert d.fillers == ((3, 4),)
-        assert d.special == ((3, 0),)
+        assert rows(d.markers) == ((0, 2), (5, 7))
+        assert rows(d.fillers) == ((3, 4),)
+        assert rows(d.special) == ((3, 0),)
         assert d.boundary_flags == (False, False)
 
     def test_no_markers_is_one_censored_interval(self):
         d = decompose(bits("000000"))
-        assert d.markers == ()
-        assert d.fillers == ()
-        assert d.censored == ((0, 5),)
+        assert rows(d.markers) == ()
+        assert rows(d.fillers) == ()
+        assert rows(d.censored) == ((0, 5),)
         assert d.boundary_flags == (True, True)
 
     def test_adjacent_markers_empty_gap(self):
         d = decompose(bits("011011"))
-        assert d.markers == ((0, 2), (3, 5))
-        assert d.fillers == ()
+        assert rows(d.markers) == ((0, 2), (3, 5))
+        assert rows(d.fillers) == ()
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
@@ -46,10 +121,10 @@ class TestDecompose:
         for L in range(3, 12):
             for word in itertools.product("01", repeat=L):
                 d = decompose(bits("".join(word)))
-                if not d.markers:
+                if not len(d.markers):
                     continue
                 covered = []
-                for lo, hi in list(d.markers) + list(d.fillers):
+                for lo, hi in rows(d.markers) + rows(d.fillers):
                     covered.extend(range(lo, hi + 1))
                 lo0, hi0 = d.markers[0][0], d.markers[-1][1]
                 assert sorted(covered) == list(range(lo0, hi0 + 1))
@@ -62,9 +137,10 @@ class TestDecompose:
         d0 = decompose(w)
         d1 = decompose(w.shifted(start))
         shift = lambda ivs: tuple((lo + start, hi + start) for lo, hi in ivs)
-        assert d1.markers == shift(d0.markers)
-        assert d1.fillers == shift(d0.fillers)
-        assert d1.special == tuple((p + start, b) for p, b in d0.special)
+        assert rows(d1.markers) == shift(rows(d0.markers))
+        assert rows(d1.fillers) == shift(rows(d0.fillers))
+        assert rows(d1.special) == tuple((p + start, b)
+                                         for p, b in rows(d0.special))
 
     def test_export_labels(self):
         rec = decompose(bits("0011010110")).to_json()
@@ -74,17 +150,17 @@ class TestDecompose:
 
 class TestSpecialFillers:
     def test_bit_convention(self):
-        assert special_fillers(decompose(bits("01101011"))) == [(3, 0)]
-        assert special_fillers(decompose(bits("01110011"))) == [(3, 1)]
+        assert list(rows(decompose(bits("01101011")).special)) == [(3, 0)]
+        assert list(rows(decompose(bits("01110011")).special)) == [(3, 1)]
 
     def test_length_two_00_not_special(self):
         d = decompose(bits("01100011"))
-        assert d.fillers == ((3, 4),)
-        assert d.special == ()
+        assert rows(d.fillers) == ((3, 4),)
+        assert rows(d.special) == ()
 
     def test_order(self):
         d = decompose(bits("0110101101110011"))
-        assert [p for p, _ in special_fillers(d)] == [3, 11]
+        assert [p for p, _ in rows(d.special)] == [3, 11]
 
 
 class TestGoodIntervals:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (ABSequence, SeedStream, Window, dominates,
-                      flip_coupling, good_to_ab, iid_binary, matching_radius,
-                      meshalkin_match, required_d, sample_window)
+from shiftlab import (ABSequence, MatchingAssignment, SeedStream, Window,
+                      decompose, dominates, flip_coupling, good_to_ab,
+                      iid_binary, matching_radius, meshalkin_match,
+                      partner_slots, required_d, sample_window)
 
 
 def match_oracle(letters: str, d: int):
@@ -42,29 +43,29 @@ class TestRequiredD:
 
 class TestMeshalkinMatch:
     def test_ba(self):
-        a = meshalkin_match(ABSequence(0, "ba"), 1)
+        a = meshalkin_match(ABSequence.from_letters(0, "ba"), 1)
         assert a.pairs == {0: 1}
         assert list(a.rounds) == [1]
 
     def test_bba_two_rounds(self):
-        a = meshalkin_match(ABSequence(0, "bba"), 2)
+        a = meshalkin_match(ABSequence.from_letters(0, "bba"), 2)
         assert a.pairs == {0: 2, 1: 2}
         assert sorted(a.rounds.tolist()) == [1, 2]
         assert a.multiplicity == {2: 2}
 
     def test_all_b_censored(self):
-        a = meshalkin_match(ABSequence(0, "bbb"), 3)
+        a = meshalkin_match(ABSequence.from_letters(0, "bbb"), 3)
         assert a.pairs == {}
         assert list(a.unmatched) == [0, 1, 2]
 
     def test_capacity_saturation(self):
         # with d = 1 the single a takes one partner and leaves
-        a = meshalkin_match(ABSequence(0, "bba"), 1)
+        a = meshalkin_match(ABSequence.from_letters(0, "bba"), 1)
         assert a.pairs == {1: 2}
         assert list(a.unmatched) == [0]
 
     def test_absolute_indexing(self):
-        a = meshalkin_match(ABSequence(100, "ba"), 1)
+        a = meshalkin_match(ABSequence.from_letters(100, "ba"), 1)
         assert a.pairs == {100: 101}
 
     def test_exhaustive_against_oracle(self):
@@ -72,7 +73,8 @@ class TestMeshalkinMatch:
             for word in itertools.product("ab", repeat=L):
                 letters = "".join(word)
                 for d in (1, 2, 3):
-                    got = meshalkin_match(ABSequence(0, letters), d)
+                    got = meshalkin_match(
+                        ABSequence.from_letters(0, letters), d)
                     got.check_capacity()
                     assert got.pairs == match_oracle(letters, d), (letters, d)
 
@@ -80,28 +82,29 @@ class TestMeshalkinMatch:
            st.integers(1, 4), st.integers(-50, 50))
     @settings(max_examples=250, deadline=None)
     def test_equivariance(self, letters, d, shift):
-        base = meshalkin_match(ABSequence(0, letters), d)
-        moved = meshalkin_match(ABSequence(shift, letters), d)
+        base = meshalkin_match(ABSequence.from_letters(0, letters), d)
+        moved = meshalkin_match(ABSequence.from_letters(shift, letters), d)
         assert moved.pairs == {b + shift: a + shift for b, a in base.pairs.items()}
 
 
 class TestMatchingRadius:
     def test_ba(self):
-        assert matching_radius(ABSequence(0, "ba"), 1, 0) == 1
+        assert matching_radius(ABSequence.from_letters(0, "ba"), 1, 0) == 1
 
     def test_all_b_censored(self):
-        assert matching_radius(ABSequence(0, "bbbb"), 2, 1) is None
+        assert matching_radius(ABSequence.from_letters(0, "bbbb"), 2,
+                               1) is None
 
     def test_rejects_a_position(self):
         with pytest.raises(ValueError):
-            matching_radius(ABSequence(0, "ab"), 1, 0)
+            matching_radius(ABSequence.from_letters(0, "ab"), 1, 0)
 
     def test_exhaustive_first_nonnegative_oracle(self):
         for L in range(1, 13):
             for word in itertools.product("ab", repeat=L):
                 letters = "".join(word)
                 for d in (1, 2, 3):
-                    z = ABSequence(0, letters)
+                    z = ABSequence.from_letters(0, letters)
                     for m, c in enumerate(letters):
                         if c != "b":
                             continue
@@ -121,7 +124,7 @@ class TestMatchingRadius:
             for word in itertools.product("ab", repeat=L):
                 letters = "".join(word)
                 for d in (1, 2, 3):
-                    z = ABSequence(0, letters)
+                    z = ABSequence.from_letters(0, letters)
                     assignment = meshalkin_match(z, d)
                     for m, c in enumerate(letters):
                         if c != "b":
@@ -136,18 +139,21 @@ class TestMatchingRadius:
 
 class TestDomination:
     def test_reflexive(self):
-        z = ABSequence(0, "abba")
+        z = ABSequence.from_letters(0, "abba")
         assert dominates(z, z)
 
     def test_all_b_dominated_by_everything(self):
-        assert dominates(ABSequence(0, "bbb"), ABSequence(0, "aba"))
+        assert dominates(ABSequence.from_letters(0, "bbb"),
+                         ABSequence.from_letters(0, "aba"))
 
     def test_counterexample(self):
-        assert not dominates(ABSequence(0, "ab"), ABSequence(0, "ba"))
+        assert not dominates(ABSequence.from_letters(0, "ab"),
+                             ABSequence.from_letters(0, "ba"))
 
     def test_range_mismatch(self):
         with pytest.raises(ValueError):
-            dominates(ABSequence(0, "ab"), ABSequence(1, "ab"))
+            dominates(ABSequence.from_letters(0, "ab"),
+                      ABSequence.from_letters(1, "ab"))
 
     def test_monotone_coupling_sample(self):
         # flipping random b's to a never slows any surviving b down
@@ -155,16 +161,62 @@ class TestDomination:
         d = 3
         for trial in range(400):
             letters = "".join(rng.choice(["a", "b"], p=[0.18, 0.82], size=120))
-            z = ABSequence(0, letters)
+            z = ABSequence.from_letters(0, letters)
             z2 = flip_coupling(z, 0.3, rng)
             assert dominates(z, z2)
             m1 = meshalkin_match(z, d)
             m2 = meshalkin_match(z2, d)
             for b, a in m1.pairs.items():
-                if z2.letters[b] != "b":
+                if z2.isa[b]:
                     continue
                 assert b in m2.pairs
                 assert m2.pairs[b] - b <= a - b
+
+
+def slots_oracle(assignment, a_positions) -> dict:
+    """b -> (rank of its a, slot), counting each a's partners one by one
+    in ascending b order from slot 1."""
+    out = {}
+    for rank, a in enumerate(a_positions.tolist()):
+        partners = sorted(b for b, x in assignment.pairs.items() if x == a)
+        for slot, b in enumerate(partners, start=1):
+            out[b] = (rank, slot)
+    return out
+
+
+class TestPartnerSlots:
+    def test_against_per_a_counter(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            start = int(rng.integers(-100, 100))
+            isa = rng.random(int(rng.integers(1, 80))) < rng.uniform(0.05, 0.6)
+            d = int(rng.integers(1, 5))
+            assignment = meshalkin_match(ABSequence(start, isa), d)
+            a_positions = np.flatnonzero(isa) + start
+            b, rank, slot = partner_slots(assignment, a_positions)
+            got = {int(x): (int(r), int(k)) for x, r, k in zip(b, rank, slot)}
+            assert got == slots_oracle(assignment, a_positions)
+            assert list(zip(rank.tolist(), b.tolist())) == \
+                sorted(zip(rank.tolist(), b.tolist()))
+
+    def test_empty_assignment(self):
+        assignment = meshalkin_match(ABSequence.from_letters(0, "abbb"), 2)
+        b, rank, slot = partner_slots(assignment, np.array([0]))
+        assert len(b) == len(rank) == len(slot) == 0
+
+    def test_unknown_a_index(self):
+        assignment = meshalkin_match(ABSequence.from_letters(0, "bab"), 1)
+        for a_positions in ([0, 2], [], [5]):
+            a_positions = np.array(a_positions, dtype=np.int64)
+            with pytest.raises(AssertionError, match="unknown a-index"):
+                partner_slots(assignment, a_positions)
+
+    def test_tuple_exhaustion(self):
+        assignment = MatchingAssignment(
+            d=1, b_indices=np.array([0, 1]), a_indices=np.array([2, 2]),
+            rounds=np.array([2, 1]), unmatched=np.array([], dtype=np.int64))
+        with pytest.raises(AssertionError, match="tuple exhaustion"):
+            partner_slots(assignment, np.array([2]))
 
 
 class TestGoodToAB:
@@ -173,27 +225,28 @@ class TestGoodToAB:
         return Window(0, np.array([int(c) for c in s], dtype=np.uint8))
 
     def test_realization_rows(self):
-        zp, z = good_to_ab(self.realization())
-        assert [i for i, c in enumerate(zp.letters) if c == "a"] == [3, 16, 27]
+        w = self.realization()
+        zp, z = good_to_ab(w, decompose(w))
+        assert np.flatnonzero(zp.isa).tolist() == [3, 16, 27]
         # the aligned partition misses the special filler at 16
-        assert [i for i, c in enumerate(z.letters) if c == "a"] == [3, 27]
+        assert np.flatnonzero(z.isa).tolist() == [3, 27]
 
     def test_no_markers_all_b(self):
         w = Window(0, np.zeros(32, dtype=np.uint8))
-        zp, z = good_to_ab(w)
-        assert set(zp.letters) == {"b"} and set(z.letters) == {"b"}
+        zp, z = good_to_ab(w, decompose(w))
+        assert not zp.isa.any() and not z.isa.any()
 
     def test_every_block_good(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 5, dtype=np.uint8))
-        zp, z = good_to_ab(w)
-        assert [i for i, c in enumerate(z.letters) if c == "a"] == \
+        zp, z = good_to_ab(w, decompose(w))
+        assert np.flatnonzero(z.isa).tolist() == \
             [8 * n + 3 for n in range(5)]
 
     def test_domination_invariant(self):
         m = iid_binary(0.4)
         for seed in range(5):
             w = sample_window(m, (0, 4999), SeedStream(seed))
-            zp, z = good_to_ab(w)
+            zp, z = good_to_ab(w, decompose(w))
             assert dominates(z, zp)
 
     def test_censored_fraction_shrinks_with_window(self):
@@ -207,7 +260,7 @@ class TestGoodToAB:
         fracs = []
         for N in (10 ** 4, 10 ** 5, 4 * 10 ** 5):
             w = sample_window(m, (0, N - 1), SeedStream(99))
-            _, z = good_to_ab(w)
+            _, z = good_to_ab(w, decompose(w))
             assignment = meshalkin_match(z, d)
             lo, hi = N // 6, 5 * N // 6
             inner = [b for b in assignment.unmatched if lo <= b < hi]
