@@ -379,6 +379,10 @@ def _config_from_args(args: argparse.Namespace,
               and v is not None}
     for k, v in file_values.items():
         params.setdefault(k, v)
+    for key in ("n", "samples"):
+        value = params.get(key, 1)
+        if not isinstance(value, int) or value <= 0:
+            raise ValueError(f"--{key} must be a positive integer")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
     if "out" in params:
         params["out"] = str(params["out"])

@@ -1,7 +1,8 @@
 """Product measures on bi-infinite sequence spaces.
 
-Measures are given by lazy marginal families: a callable ``n -> probability
-vector`` over a fixed finite alphabet (no infinite data is ever stored).
+Measures are given by lazy marginal families: a callable
+``(start, length) -> (length, A) array`` of probability vectors over a fixed
+finite alphabet of size A (no infinite data is ever stored).
 Index ranges are always explicit, inclusive ``(lo, hi)`` pairs, and every
 diagnostic that truncates a sum over the integers reports the partial sum
 together with its last-decade increment so convergence can be audited.
@@ -41,36 +42,29 @@ def _as_vector(v) -> np.ndarray:
 class FiniteProductMeasure:
     """Product measure with finitely many symbols per coordinate.
 
-    ``marginal`` maps an integer index to a probability vector aligned with
-    ``alphabet``.  ``marginal_block``, when provided, returns the stacked
-    vectors for a contiguous index range in one call; the built-in families
-    supply vectorized blocks so that sampling a 10^6-coordinate window does
-    not pay one Python call per coordinate.
+    ``marginals(start, length)`` returns the probability vectors of the
+    indices ``start .. start+length-1``, aligned with ``alphabet``, as one
+    (length, A) array.  It is the only definition of the family: every
+    diagnostic reads whole index ranges, so sampling a 10^6-coordinate
+    window or summing over |n| <= 10^6 pays no Python call per coordinate.
 
     ``doeblin_delta`` is a claimed uniform lower bound on all marginal
     masses (0 means "unknown"); it is re-checked on every queried index.
     """
 
     alphabet: tuple
-    marginal: Callable[[int], Sequence[float]]
+    marginals: Callable[[int, int], np.ndarray]
     doeblin_delta: float = 0.0
     description: str = ""
-    marginal_block: Callable[[int, int], np.ndarray] | None = None
 
     def probs(self, n: int) -> np.ndarray:
-        p = _as_vector(self.marginal(n))
-        self._validate(p.reshape(1, -1), n)
-        return p
+        return self.block(n, 1)[0]
 
     def block(self, start: int, length: int) -> np.ndarray:
         """Marginals for indices ``start .. start+length-1`` as an (L, A) array."""
         if length < 0:
             raise ValueError("length must be nonnegative")
-        if self.marginal_block is not None:
-            p = np.asarray(self.marginal_block(start, length), dtype=float)
-        else:
-            p = np.stack([_as_vector(self.marginal(start + i)) for i in range(length)]) \
-                if length else np.empty((0, len(self.alphabet)))
+        p = np.asarray(self.marginals(start, length), dtype=float)
         self._validate(p, start)
         return p
 
@@ -144,41 +138,43 @@ class DensityFamily:
 class SequenceSpec:
     """A base probability ``p`` plus a perturbation sequence ``a(n)``.
 
-    Marginals built from a spec clamp back to ``p`` whenever the perturbed
-    value leaves the open interval (0, 1); the closed endpoints are clamped
-    too, so no marginal mass can reach 0.
+    ``a`` maps an int array of indices to the float array of their
+    perturbations.  Marginals built from a spec clamp back to ``p`` whenever
+    the perturbed value leaves the open interval (0, 1); the closed
+    endpoints are clamped too, so no marginal mass can reach 0.
     """
 
     p: float
-    a: Callable[[int], float]
+    a: Callable[[np.ndarray], np.ndarray]
     description: str = ""
 
-    def marginal_zero(self, n: int, c: float = 1.0) -> float:
-        v = self.p + c * self.a(n)
-        return v if 0.0 < v < 1.0 else self.p
+    def marginal_zero(self, n, c: float = 1.0) -> np.ndarray:
+        """P(0) = p + c a_n under the clamp rule, vectorized over ``n``."""
+        v = self.p + c * self.a(np.asarray(n))
+        return np.where((v > 0.0) & (v < 1.0), v, self.p)
 
     def check_decay(self, lo: int, hi: int) -> bool:
         """Loose decay probe: |a| at the range ends is <= its interior max."""
-        vals = np.abs(self.a_block(lo, hi - lo + 1))
+        vals = np.abs(self.a(np.arange(lo, hi + 1)))
         if len(vals) < 3:
             return True
         return bool(max(vals[0], vals[-1]) <= vals.max() + 1e-15)
-
-    def a_block(self, start: int, length: int) -> np.ndarray:
-        return np.array([self.a(start + i) for i in range(length)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def inverse_sqrt(n: int) -> float:
-    """a_n = 1/sqrt(n) for n >= 1, else 0."""
-    return 1.0 / math.sqrt(n) if n >= 1 else 0.0
+def inverse_sqrt(n) -> np.ndarray:
+    """a_n = 1/sqrt(n) for n >= 1, else 0, vectorized over ``n``."""
+    n = np.asarray(n, dtype=float)
+    pos = n >= 1
+    return np.where(pos, 1.0 / np.sqrt(np.where(pos, n, 1.0)), 0.0)
 
 
 def log_damped(n: int) -> float:
-    """a_n = 1/((n+4) log(n+4)) for n >= 2, else 0."""
+    """a_n = 1/((n+4) log(n+4)) for n >= 2, else 0.  Scalar on purpose: its
+    callers (``TypeIIISpec``, ``HMapSpec``) evaluate one n at a time."""
     return 1.0 / ((n + 4) * math.log(n + 4)) if n >= 2 else 0.0
 
 
@@ -192,10 +188,9 @@ def iid(vector) -> FiniteProductMeasure:
 
     return FiniteProductMeasure(
         alphabet=alphabet,
-        marginal=lambda n: v,
+        marginals=block,
         doeblin_delta=float(v.min()) if v.min() > 0 else 0.0,
         description=f"iid{tuple(round(x, 12) for x in v)}",
-        marginal_block=block,
     )
 
 
@@ -222,20 +217,15 @@ def make_nu_c(c: float) -> FiniteProductMeasure:
     if c <= 0:
         raise ValueError("c must be positive")
 
-    def marg(n: int):
-        a = nu_c_zero_mass(np.array([n]), c)[0]
-        return (0.5 + a, 0.5 - a)
-
     def block(start: int, length: int) -> np.ndarray:
         a = nu_c_zero_mass(np.arange(start, start + length), c)
         return np.column_stack([0.5 + a, 0.5 - a])
 
     return FiniteProductMeasure(
         alphabet=(0, 1),
-        marginal=marg,
+        marginals=block,
         doeblin_delta=0.0,
         description=f"nu_c(c={c})",
-        marginal_block=block,
     )
 
 
@@ -245,21 +235,15 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
     if not 0.0 < spec.p < 1.0:
         raise ValueError("spec.p must lie in (0, 1)")
 
-    def marg(n: int):
-        m0 = spec.marginal_zero(n, c)
-        return (m0, 1.0 - m0)
-
     def block(start: int, length: int) -> np.ndarray:
-        raw = spec.p + c * spec.a_block(start, length)
-        m0 = np.where((raw > 0.0) & (raw < 1.0), raw, spec.p)
+        m0 = spec.marginal_zero(np.arange(start, start + length), c)
         return np.column_stack([m0, 1.0 - m0])
 
     return FiniteProductMeasure(
         alphabet=(0, 1),
-        marginal=marg,
+        marginals=block,
         doeblin_delta=0.0,
         description=f"mu(p={spec.p},c={c})",
-        marginal_block=block,
     )
 
 
@@ -350,7 +334,7 @@ def log_rn_swap(m, i: int, j: int, xi, xj) -> float:
 def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
     """Randomized product measure: each coordinate keeps m with probability
     p and is replaced by an independent alpha-draw otherwise, so
-    marginal(n) = p * m.marginal(n) + (1-p) * alpha, exactly."""
+    marginal(n) = p * m_n + (1-p) * alpha, exactly."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     av = _as_vector(alpha)
@@ -362,10 +346,9 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
 
     return FiniteProductMeasure(
         alphabet=m.alphabet,
-        marginal=lambda n: p * np.asarray(m.probs(n)) + (1.0 - p) * av,
+        marginals=block,
         doeblin_delta=0.0,
         description=f"rpm({m.description},p={p})",
-        marginal_block=block,
     )
 
 
@@ -386,11 +369,9 @@ def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
 
     return FiniteProductMeasure(
         alphabet=alphabet,
-        marginal=lambda n: np.concatenate(
-            [p * np.asarray(m.probs(n)), (1.0 - p) * av]),
+        marginals=block,
         doeblin_delta=0.0,
         description=f"ri({m.description},p={p})",
-        marginal_block=block,
     )
 
 
@@ -409,11 +390,9 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
 
     return FiniteProductMeasure(
         alphabet=base_alphabet,
-        marginal=lambda n: np.asarray(mri.probs(n))[:half]
-        + np.asarray(mri.probs(n))[half:],
+        marginals=block,
         doeblin_delta=0.0,
         description=f"forget_coin({mri.description})",
-        marginal_block=block,
     )
 
 

@@ -221,7 +221,7 @@ def dissipativity_partial(c: float, K: int, support_mult: int = 10) -> Dissipati
 # ---------------------------------------------------------------------------
 
 def rpm_scaling_identity(p: float, q: float, c: float, dsmall: float,
-                         a: Callable[[int], float] = inverse_sqrt,
+                         a: Callable[[np.ndarray], np.ndarray] = inverse_sqrt,
                          N: int = 1000, tol: float = 1e-15) -> dict:
     """Check the two coordinatewise mixing identities
 

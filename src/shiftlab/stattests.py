@@ -105,27 +105,39 @@ def frequency_zscore(bits, p_one: float) -> float:
     return (float(bits.mean()) - p_one) / se
 
 
+def _failed(name: str, reason: str) -> dict:
+    return {"name": name, "statistic": None, "p_value": None, "pass": False,
+            "reason": reason}
+
+
 def uniformity_suite(bits, p_one: float, *, alpha: float = 0.001,
                      freq_sigmas: float = 4.0, max_abs_r: float = 0.01,
                      lags: int = 8) -> list[dict]:
     """The three-part acceptance suite for a claimed i.i.d. bit law:
     per-symbol frequency (z test), 3-block chi-square, and lag-1..lags
-    serial correlations.  Returns one record per test; on no bits at all
-    every record fails and carries a reason."""
+    serial correlations.  Returns one record per test; a test that the
+    input is too short or too regular to carry out fails with a reason."""
     if len(bits) == 0:
-        return [{"name": name, "statistic": None, "p_value": None,
-                 "pass": False, "reason": "no bits to test"}
-                for name in ("frequency", "chi_square_3_blocks",
-                             "serial_correlation")]
+        return [_failed(name, "no bits to test") for name in
+                ("frequency", "chi_square_3_blocks", "serial_correlation")]
     z = frequency_zscore(bits, p_one)
-    stat3, p3, _ = block_chi_square(bits, 3, p_one)
-    rs = serial_correlations(bits, lags)
-    rmax = float(np.max(np.abs(rs))) if len(rs) else 0.0
-    return [
-        {"name": "frequency", "statistic": z, "p_value": None,
-         "pass": bool(abs(z) <= freq_sigmas)},
-        {"name": "chi_square_3_blocks", "statistic": stat3, "p_value": p3,
-         "pass": bool(p3 >= alpha)},
-        {"name": "serial_correlation", "statistic": rmax, "p_value": None,
-         "pass": bool(rmax < max_abs_r)},
-    ]
+    records = [{"name": "frequency", "statistic": z, "p_value": None,
+                "pass": bool(abs(z) <= freq_sigmas)}]
+    stat3, p3, dof3 = block_chi_square(bits, 3, p_one)
+    if dof3 == 0:
+        records.append(_failed("chi_square_3_blocks",
+                               "pooling leaves no degrees of freedom"))
+    else:
+        records.append({"name": "chi_square_3_blocks", "statistic": stat3,
+                        "p_value": p3, "pass": bool(p3 >= alpha)})
+    if len(bits) <= lags:
+        records.append(_failed("serial_correlation",
+                               f"{len(bits)} bits; need more than {lags}"))
+    elif np.ptp(bits) == 0:
+        records.append(_failed("serial_correlation", "all bits are equal"))
+    else:
+        rs = serial_correlations(bits, lags)
+        rmax = float(np.max(np.abs(rs))) if len(rs) else 0.0
+        records.append({"name": "serial_correlation", "statistic": rmax,
+                        "p_value": None, "pass": bool(rmax < max_abs_r)})
+    return records

@@ -420,7 +420,7 @@ def test_a12b_dissipativity_tail_exponent():
 def test_a13_rpm_identities():
     # Example 15 formula, on a family with a clamped head
     p, qmix = 0.3, 0.6
-    bumpy = sl.SequenceSpec(p, lambda n: 3.0 if n == 2 else sl.inverse_sqrt(n))
+    bumpy = sl.SequenceSpec(p, lambda n: np.where(n == 2, 3.0, sl.inverse_sqrt(n)))
     m = sl.make_mu_pc(bumpy, 1.0)
     mixed = sl.rpm(m, qmix, (p, 1.0 - p))
     worst = 0.0

@@ -1,6 +1,8 @@
 """Command-line entry points: reports, artifacts, exit codes, determinism."""
 import json
 
+import pytest
+
 from shiftlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, parse_plot_data)
 
@@ -114,6 +116,9 @@ class TestPlotData:
         assert path.read_bytes() == b"series,x,y\n"
 
 
+TYPEIII = ["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime", "0.5"]
+
+
 class TestConfigHandling:
     def test_unknown_command_is_config_error(self, tmp_path):
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -172,6 +177,26 @@ class TestConfigHandling:
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("shiftlab: config error: ")
+
+    @pytest.mark.parametrize("command, option", [
+        (["measure", "check", "--family", "iid", "--p0", "0.4"], "n"),
+        (["factor", "run", "--measure", "iid:0.3"], "n"),
+        (["match", "run", "--measure", "iid:0.5"], "n"),
+        (TYPEIII, "n"),
+        (TYPEIII + ["--n", "10"], "samples"),
+    ])
+    def test_nonpositive_sizes_are_config_errors(self, tmp_path, capsys,
+                                                  command, option):
+        cfg = tmp_path / "cfg.json"
+        for value in (0, -5):
+            cfg.write_text(json.dumps({option: value}))
+            # the value as a flag, then from the config file
+            for argv in (command + [f"--{option}", str(value)],
+                         ["--config", str(cfg)] + command):
+                assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+                assert capsys.readouterr().err == (
+                    f"shiftlab: config error: --{option} must be a positive "
+                    "integer\n")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))

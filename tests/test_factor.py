@@ -13,7 +13,7 @@ from shiftlab import (FairBitStream, SeedStream, SequenceSpec, SplitCodeSpec,
                       spread_bits)
 from shiftlab.factor import LOG2, bias_square_report, binary_entropy
 from shiftlab.measures import FiniteProductMeasure
-from shiftlab.stattests import serial_correlations
+from shiftlab.stattests import serial_correlations, uniformity_suite
 
 # Bisection oracle for H(beta) = (log 2)/2, recorded to full precision.
 BETA_HALF_BIT = 0.11002786443835952
@@ -27,7 +27,9 @@ class TestBiasSquareSum:
     def test_single_perturbation(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginal=lambda n: (0.6, 0.4) if n == 0 else (0.5, 0.5),
+            marginals=lambda start, length: np.where(
+                (np.arange(start, start + length) == 0)[:, None],
+                (0.6, 0.4), (0.5, 0.5)),
             description="one-bump")
         # the bonds (-1, 0) and (0, 1) each contribute 0.01
         assert bias_square_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
@@ -38,8 +40,9 @@ class TestBiasSquareSum:
         assert abs(rec["tail_increment"]) < 1e-4 * rec["value"]
 
     def test_degenerate_marginals_raise(self):
-        m = FiniteProductMeasure(alphabet=(0, 1),
-                                 marginal=lambda n: (1.0, 0.0))
+        m = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
         with pytest.raises(ZeroDivisionError):
             bias_square_sum(m, 5)
 
@@ -197,10 +200,26 @@ class TestSpreadBits:
         assert set(np.unique(out.values)) <= {-1, 0, 1}
 
 
+class TestUniformitySuiteSmallInputs:
+    @pytest.mark.parametrize("bits, failing", [
+        ([1, 1], {"chi_square_3_blocks", "serial_correlation"}),
+        ([1], {"chi_square_3_blocks", "serial_correlation"}),
+        ([1] * 1000, {"frequency", "chi_square_3_blocks", "serial_correlation"}),
+    ])
+    def test_untestable_inputs_fail_with_reason(self, bits, failing):
+        by_name = {r["name"]: r for r in uniformity_suite(bits, 0.5)}
+        assert {n for n, r in by_name.items() if not r["pass"]} == failing
+        # a test that could not be carried out says why
+        assert by_name["serial_correlation"]["reason"]
+        if len(bits) < 3:
+            assert by_name["chi_square_3_blocks"]["reason"]
+
+
 class TestRunIidFactor:
     def test_doeblin_violation_rejected(self):
-        m = FiniteProductMeasure(alphabet=(0, 1),
-                                 marginal=lambda n: (1.0, 0.0))
+        m = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
         with pytest.raises(ValueError, match="Doeblin"):
             run_iid_factor(m, (0, 999), SeedStream(7))
 
@@ -236,6 +255,6 @@ class TestRunIidFactor:
         assert all(t["pass"] for t in res.diagnostics["tests"])
 
     def test_perturbed_family_accepted(self):
-        m = make_mu_pc(SequenceSpec(0.4, lambda n: 0.5 if n in (3, 4) else 0.0), 0.5)
+        m = make_mu_pc(SequenceSpec(0.4, lambda n: np.where(np.isin(n, (3, 4)), 0.5, 0.0)), 0.5)
         res = run_iid_factor(m, (0, 10 ** 5 - 1), SeedStream(7), radius=16)
         assert res.diagnostics["censor_fraction"] < 0.1

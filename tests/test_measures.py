@@ -1,5 +1,6 @@
 """Product-measure families, RN diagnostics, and the RI/RPM operations."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,34 @@ from shiftlab.typeiii import TypeIIISpec
 KAKUTANI_NU01_K1_N1E5 = 0.011163742489553473
 
 
+# One instance of every built-in family; mu clamps at n = 1 (p + a_1 = 1.5).
+BUILTIN_FAMILIES = {
+    "iid": iid((0.2, 0.3, 0.5)),
+    "nu_c": make_nu_c(0.2),
+    "mu": make_mu_pc(SequenceSpec(0.5, inverse_sqrt), 1.0),
+    "rpm": rpm(make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5), 0.6, (0.2, 0.8)),
+    "ri": ri(make_nu_c(0.2), 0.6, (0.2, 0.8)),
+    "forget_coin": forget_coin(ri(make_nu_c(0.2), 0.6, (0.2, 0.8))),
+}
+
+
+@pytest.mark.parametrize("case", [*BUILTIN_FAMILIES, "inverse_sqrt"])
+def test_block_matches_pointwise(case):
+    """Each vectorized definition equals its per-index value, bit for bit,
+    and raises no numpy warning (non-positive indices included)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case == "inverse_sqrt":
+            k = np.arange(-10 ** 5, 10 ** 5)
+            got = inverse_sqrt(k)
+            want = [1 / math.sqrt(i) if i >= 1 else 0.0 for i in k.tolist()]
+        else:
+            m = BUILTIN_FAMILIES[case]
+            got = m.block(-5, 20)
+            want = [m.probs(n) for n in range(-5, 15)]
+    assert np.array_equal(got, want)
+
+
 class TestNuC:
     def test_indicator_active(self):
         m = make_nu_c(1 / 6)
@@ -31,12 +60,6 @@ class TestNuC:
         assert m.probs(0)[0] == pytest.approx(0.5, abs=0)
         assert m.probs(-37)[0] == pytest.approx(0.5, abs=0)
 
-    def test_block_matches_pointwise(self):
-        m = make_nu_c(0.2)
-        blk = m.block(-5, 20)
-        for i in range(20):
-            assert blk[i] == pytest.approx(m.probs(-5 + i), abs=0)
-
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ValueError):
             make_nu_c(0.0)
@@ -50,7 +73,7 @@ class TestMuPC:
         assert m.probs(1)[0] == pytest.approx(0.5, abs=0)
 
     def test_unperturbed(self):
-        m = make_mu_pc(SequenceSpec(0.3, lambda n: 0.0), 1.0)
+        m = make_mu_pc(SequenceSpec(0.3, lambda n: np.zeros(np.shape(n))), 1.0)
         for n in (-4, 0, 9):
             assert tuple(m.probs(n)) == pytest.approx((0.3, 0.7), abs=1e-15)
 
@@ -60,7 +83,7 @@ class TestMuPC:
 
     def test_boundary_values_clamp(self):
         # p + c a_n = 1 exactly is clamped (closed condition keeps masses positive)
-        spec = SequenceSpec(0.5, lambda n: 0.5 if n == 3 else 0.0)
+        spec = SequenceSpec(0.5, lambda n: np.where(n == 3, 0.5, 0.0))
         m = make_mu_pc(spec, 1.0)
         assert m.probs(3)[0] == pytest.approx(0.5, abs=0)
 
@@ -107,7 +130,9 @@ class TestKakutaniShiftSum:
         m = iid_binary(0.5)
         periodic = type(m)(
             alphabet=(0, 1),
-            marginal=lambda n: (period[n % 3], 1 - period[n % 3]),
+            marginals=lambda start, length: np.column_stack(
+                [period[np.arange(start, start + length) % 3],
+                 1 - period[np.arange(start, start + length) % 3]]),
             description="3-periodic")
         assert kakutani_shift_sum(periodic, 3, 200) == 0.0
         assert kakutani_shift_sum(periodic, 1, 200) > 0.0
@@ -174,7 +199,7 @@ class TestRPMAndRI:
         # perturbed family mixed back toward its base: p + q a_n off the
         # clamp set of the original family, exactly
         p, qmix = 0.3, 0.25
-        spec = SequenceSpec(p, lambda n: 2.9 if n == 5 else inverse_sqrt(n))
+        spec = SequenceSpec(p, lambda n: np.where(n == 5, 2.9, inverse_sqrt(n)))
         m = make_mu_pc(spec, 1.0)
         mixed = rpm(m, qmix, (p, 1.0 - p))
         for n in range(-3, 10):
@@ -231,7 +256,7 @@ class TestRPMAndRI:
 class TestBuiltinSequences:
     def test_perturbations_decay_on_queried_ranges(self):
         from shiftlab import log_damped
-        for a in (inverse_sqrt, log_damped):
+        for a in (inverse_sqrt, np.vectorize(log_damped, otypes=[float])):
             spec = SequenceSpec(0.4, a)
             assert spec.check_decay(-500, 500)
             assert spec.a(10 ** 6) < 1e-2
@@ -257,14 +282,16 @@ class TestParseMeasure:
 class TestInvariants:
     def test_normalization_enforced(self):
         from shiftlab import FiniteProductMeasure
-        bad = FiniteProductMeasure(alphabet=(0, 1),
-                                   marginal=lambda n: (0.5, 0.499))
+        bad = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.tile((0.5, 0.499), (length, 1)))
         with pytest.raises(ValueError, match="sums to"):
             bad.probs(0)
 
     def test_negative_mass_rejected(self):
         from shiftlab import FiniteProductMeasure
-        bad = FiniteProductMeasure(alphabet=(0, 1),
-                                   marginal=lambda n: (-0.1, 1.1))
+        bad = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.tile((-0.1, 1.1), (length, 1)))
         with pytest.raises(ValueError, match="negative"):
             bad.probs(0)

@@ -153,7 +153,9 @@ class TestConditionedFiller:
         from shiftlab import FiniteProductMeasure
         crafted = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginal=lambda n: (1.0, 0.0) if n % 3 == 0 else (0.0, 1.0),
+            marginals=lambda start, length: np.where(
+                (np.arange(start, start + length) % 3 == 0)[:, None],
+                (1.0, 0.0), (0.0, 1.0)),
             description="forced-011")
         with pytest.raises(RejectionBudgetError) as exc:
             sample_conditioned_filler(crafted, (0, 2), SeedStream(4), budget=100)

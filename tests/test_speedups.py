@@ -68,7 +68,8 @@ class TestZetaPi:
         counts = np.bincount(pat, minlength=4)
         kap = kappa_marginal(
             type(iid_binary(0.5))(alphabet=(0, 1),
-                                  marginal=lambda m: (g0, 1 - g0)), k, 0)
+                                  marginals=lambda start, length: np.tile(
+                                      (g0, 1 - g0), (length, 1))), k, 0)
         _, p = stats.chisquare(counts, kap * M)
         assert p > 0.001
 
