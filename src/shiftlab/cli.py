@@ -88,20 +88,30 @@ def _measure_from_params(params: dict) -> measures.FiniteProductMeasure:
     if params.get("measure"):
         return measures.parse_measure(params["measure"])
     family = params.get("family")
-    if family == "nu_c":
-        return measures.make_nu_c(params["c"])
-    if family == "iid":
-        return measures.iid_binary(params["p0"])
-    if family == "mu":
-        return measures.make_mu_pc(
-            measures.SequenceSpec(params["p"], measures.inverse_sqrt),
-            params["c"])
+    try:
+        if family == "nu_c":
+            return measures.make_nu_c(params["c"])
+        if family == "iid":
+            return measures.iid_binary(params["p0"])
+        if family == "mu":
+            return measures.make_mu_pc(
+                measures.SequenceSpec(params["p"], measures.inverse_sqrt),
+                params["c"])
+    except KeyError as exc:
+        raise ValueError(f"--family {family} needs --{exc.args[0]}") from None
     raise ValueError(f"no measure specified (family={family!r})")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+def _tail_metric(name: str, terms: np.ndarray) -> dict:
+    """A truncated sum's record: passes when its last-decade tail is small."""
+    value, tail = measures.sum_with_tail(terms)
+    return {"name": name, "value": value, "tail_increment": tail,
+            "pass": abs(tail) <= max(1e-4 * value, 1e-15)}
+
 
 def _cmd_measure(cfg: RunConfig) -> Report:
     m = _measure_from_params(cfg.params)
@@ -111,23 +121,16 @@ def _cmd_measure(cfg: RunConfig) -> Report:
     delta = measures.doeblin_delta(m, (-n, n))
     metrics.append({"name": "doeblin_delta", "value": delta,
                     "pass": delta > 0.0})
+    decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
     series = {}
     for k in ks:
-        rec = measures.shift_sum_report(m, k, n)
-        small = abs(rec["tail_increment"]) <= max(1e-4 * rec["value"], 1e-15)
-        metrics.append({"name": f"kakutani_shift_sum_k{k}",
-                        "value": rec["value"],
-                        "tail_increment": rec["tail_increment"],
-                        "pass": small})
-        decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
+        terms = measures.kakutani_terms(m, k, n)
+        metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = [
-            (dn, measures.kakutani_shift_sum(m, k, dn)) for dn in decades]
+            (dn, measures.centred_sum(terms, dn)) for dn in decades]
     if len(m.alphabet) == 2:
-        rec = factor_mod.bias_square_report(m, n)
-        metrics.append({"name": "bias_square_sum", "value": rec["value"],
-                        "tail_increment": rec["tail_increment"],
-                        "pass": abs(rec["tail_increment"])
-                        <= max(1e-4 * rec["value"], 1e-15)})
+        metrics.append(_tail_metric("bias_square_sum",
+                                    factor_mod.bias_square_terms(m, n)))
     art = emit_plot_data(series, cfg.out_dir / "measure_check.csv")
     return _finish(cfg, metrics, [art])
 
@@ -379,10 +382,11 @@ def _config_from_args(args: argparse.Namespace,
               and v is not None}
     for k, v in file_values.items():
         params.setdefault(k, v)
-    for key in ("n", "samples"):
-        value = params.get(key, 1)
-        if not isinstance(value, int) or value <= 0:
-            raise ValueError(f"--{key} must be a positive integer")
+    for key, least in (("n", 1), ("samples", 1), ("kmax", 1), ("radius", 0)):
+        value = params.get(key, least)
+        if not isinstance(value, int) or value < least:
+            sign = "positive" if least else "non-negative"
+            raise ValueError(f"--{key} must be a {sign} integer")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
     if "out" in params:
         params["out"] = str(params["out"])

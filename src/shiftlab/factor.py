@@ -29,7 +29,7 @@ from . import stattests
 from .markers import MarkerDecomposition, decompose, good_prob_lower
 from .matching import (MatchingAssignment, good_to_ab, meshalkin_match,
                        partner_slots, required_d)
-from .measures import FiniteProductMeasure, sum_with_tail
+from .measures import FiniteProductMeasure
 from .sampling import SeedStream, Window, sample_window
 
 LOG2 = math.log(2.0)
@@ -109,8 +109,8 @@ class SplitTuples:
     valid: np.ndarray            # bool mask (False near stream edges)
 
 
-def bias_square_sum(m: FiniteProductMeasure, N: int) -> float:
-    """Sum over |i| <= N of (r_i - 1/2)^2 where r_i is the conditional
+def bias_square_terms(m: FiniteProductMeasure, N: int) -> np.ndarray:
+    """(r_i - 1/2)^2 for i = -N .. N, where r_i is the conditional
     probability of 01 against {01, 10} across the bond (i, i+1)."""
     if len(m.alphabet) != 2:
         raise ValueError("two-symbol alphabet required")
@@ -121,13 +121,12 @@ def bias_square_sum(m: FiniteProductMeasure, N: int) -> float:
     if np.any(den == 0.0):
         i = -N + int(np.argwhere(den == 0.0)[0][0])
         raise ZeroDivisionError(f"degenerate marginals at bond ({i}, {i + 1})")
-    return float(np.sum((p01 / den - 0.5) ** 2))
+    return (p01 / den - 0.5) ** 2
 
 
-def bias_square_report(m: FiniteProductMeasure, N: int) -> dict:
-    value, tail = sum_with_tail(lambda nn: bias_square_sum(m, nn), N)
-    return {"family": m.description, "N": N, "value": value,
-            "tail_increment": tail}
+def bias_square_sum(m: FiniteProductMeasure, N: int) -> float:
+    """Sum over |i| <= N of the bias-square terms."""
+    return float(np.sum(bias_square_terms(m, N)))
 
 
 def extract_fair_bits(dec: MarkerDecomposition) -> FairBitStream:

@@ -103,23 +103,19 @@ def decompose(w) -> MarkerDecomposition:
                                edges[nonempty])
 
 
-def good_intervals(w, offset: int = 0) -> list[int]:
+def good_intervals(w, offset: int = 0) -> np.ndarray:
     """Starts 8n + offset, fully inside the window, whose 8 symbols form
-    one of the two good blocks."""
+    one of the two good blocks, as an int64 array."""
     bits = _as_bits(w.values)
-    n = len(bits)
-    if n < GOOD_WIDTH:
-        return []
     first = w.start + ((offset - w.start) % 8)
-    starts = np.arange(first, w.start + n - GOOD_WIDTH + 1, 8, dtype=np.int64)
-    if len(starts) == 0:
-        return []
+    starts = np.arange(first, w.start + len(bits) - GOOD_WIDTH + 1, 8,
+                       dtype=np.int64)
     rel = starts - w.start
     block = np.stack([bits[rel + j] for j in range(GOOD_WIDTH)], axis=1)
     ok = np.zeros(len(starts), dtype=bool)
     for g in GOOD_BLOCKS:
         ok |= (block == np.array(g, dtype=np.uint8)).all(axis=1)
-    return [int(s) for s in starts[ok]]
+    return starts[ok]
 
 
 def good_prob(m, i: int) -> float:

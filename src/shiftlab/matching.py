@@ -189,6 +189,5 @@ def good_to_ab(w, dec: MarkerDecomposition) -> tuple[ABSequence, ABSequence]:
     isa_prime = np.zeros(n, dtype=bool)
     isa_prime[dec.special[:, 0] - w.start] = True
     isa = np.zeros(n, dtype=bool)
-    good = np.array(good_intervals(w, offset=0), dtype=np.int64)
-    isa[good + 3 - w.start] = True
+    isa[good_intervals(w, offset=0) + 3 - w.start] = True
     return ABSequence(w.start, isa_prime), ABSequence(w.start, isa)

@@ -12,7 +12,7 @@ The module provides:
   * the built-in marginal families (half-stationary ``nu_c``, perturbed
     ``mu^(p,c)``, plain i.i.d.),
   * log Radon-Nikodym partial sums for shifts and transpositions,
-  * Kakutani-style squared-distance sums,
+  * Kakutani-style squared-distance terms and their centred partial sums,
   * the random-insertion (RI) and randomized-product-measure (RPM)
     operations, which mix a measure coordinatewise with an external
     i.i.d. source.
@@ -266,37 +266,38 @@ def doeblin_delta(m: FiniteProductMeasure, span: tuple[int, int]) -> float:
     return float(p.min())
 
 
+def kakutani_terms(m: FiniteProductMeasure, k: int, N: int) -> np.ndarray:
+    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from one
+    block over the indices n and n-k reach (k = 0 gives exact zeros)."""
+    if len(m.alphabet) != 2:
+        raise ValueError("kakutani_shift_sum needs a two-symbol alphabet")
+    lead, L = max(k, 0), 2 * N + 1
+    p = m.block(-N - lead, L + abs(k))[:, 0]
+    cur, lag = p[lead:lead + L], p[lead - k:lead - k + L]
+    return (cur - lag) ** 2
+
+
 def kakutani_shift_sum(m: FiniteProductMeasure, k: int, N: int) -> float:
     """Sum over |n| <= N of (marginal(n)(0) - marginal(n-k)(0))^2.
 
     Nondecreasing in N; identically zero for i.i.d. measures and for k = 0.
     """
-    if len(m.alphabet) != 2:
-        raise ValueError("kakutani_shift_sum needs a two-symbol alphabet")
-    if k == 0:
-        return 0.0
-    cur = m.block(-N, 2 * N + 1)[:, 0]
-    lag = m.block(-N - k, 2 * N + 1)[:, 0]
-    return float(np.sum((cur - lag) ** 2))
+    return float(np.sum(kakutani_terms(m, k, N)))
 
 
-def sum_with_tail(partial: Callable[[int], float], N: int) -> tuple[float, float]:
-    """Evaluate a truncated sum at N and report (value, last-decade increment)."""
-    value = partial(N)
-    prev = partial(max(N // 10, 1))
-    return value, value - prev
+def centred_sum(terms: np.ndarray, n: int) -> float:
+    """Sum over |index| <= n of a centred term array (index -N .. N)."""
+    N = len(terms) // 2
+    if not 0 <= n <= N:
+        raise ValueError(f"partial sum at {n} outside 0 .. {N}")
+    return float(np.sum(terms[N - n:N + n + 1]))
 
 
-def shift_sum_report(m: FiniteProductMeasure, k: int, N: int) -> dict:
-    """JSON-ready record for the Kakutani shift diagnostic."""
-    value, tail = sum_with_tail(lambda nn: kakutani_shift_sum(m, k, nn), N)
-    return {
-        "family": m.description,
-        "k": k,
-        "N": N,
-        "value": value,
-        "tail_increment": tail,
-    }
+def sum_with_tail(terms: np.ndarray) -> tuple[float, float]:
+    """(sum at N, that minus the sum at max(N//10, 1)) of 2N+1 terms, N >= 1."""
+    N = len(terms) // 2
+    value = centred_sum(terms, N)
+    return value, value - centred_sum(terms, max(N // 10, 1))
 
 
 def log_rn_shift(m, k: int, w) -> float:

@@ -1,4 +1,5 @@
 """Command-line entry points: reports, artifacts, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,43 @@ class TestMeasureCheck:
         assert "kakutani_shift_sum_k1" in names
         assert "bias_square_sum" in names
         assert (tmp_path / "measure_check.csv").exists()
+
+    def test_mu_golden_outputs(self, tmp_path, capsys):
+        # CSV digest and metric values recorded from the two-block sums
+        # that preceded the term-array implementation
+        code = run_cli(tmp_path, "measure", "check", "--measure", "mu:0.3,0.5",
+                       "--n", "10000")
+        assert code == EXIT_OK
+        csv_bytes = (tmp_path / "measure_check.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == (
+            "22535ffbfe886a3a6a85250a6a659e157e65f2ca2548051b541c6c8b40d183d2")
+        got = {m["name"]: (m["value"], m.get("tail_increment"), m["pass"])
+               for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert got == {
+            "doeblin_delta": (0.19999999999999996, None, True),
+            "kakutani_shift_sum_k1":
+                (0.27909356192946194, 3.0937497064176256e-08, True),
+            "kakutani_shift_sum_k2":
+                (0.4409038239942172, 1.2387501568955628e-07, True),
+            "kakutani_shift_sum_k4":
+                (0.6473584051532143, 4.965030132586534e-07, True),
+            "kakutani_shift_sum_k8":
+                (0.8910684672271258, 1.9940796109896297e-06, True),
+            "bias_square_sum":
+                (0.20304602461050097, 4.1777547726828956e-08, True),
+        }
+
+    @pytest.mark.parametrize("params, missing", [
+        (["--family", "mu", "--p", "0.3"], "--family mu needs --c"),
+        (["--family", "mu", "--c", "0.5"], "--family mu needs --p"),
+        (["--family", "iid"], "--family iid needs --p0"),
+        (["--family", "nu_c"], "--family nu_c needs --c"),
+    ])
+    def test_missing_family_parameter_is_named(self, tmp_path, capsys,
+                                               params, missing):
+        code = run_cli(tmp_path, "measure", "check", *params, "--n", "100")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"shiftlab: config error: {missing}\n"
 
     def test_byte_determinism(self, tmp_path, capsys):
         argv = ["measure", "check", "--family", "nu_c", "--c", "0.2",
@@ -184,18 +222,23 @@ class TestConfigHandling:
         (["match", "run", "--measure", "iid:0.5"], "n"),
         (TYPEIII, "n"),
         (TYPEIII + ["--n", "10"], "samples"),
+        (["index", "scan", "--c", "0.5", "--d-assumed", "1.0"], "kmax"),
+        (["factor", "run", "--measure", "iid:0.3", "--n", "1000"], "radius"),
     ])
     def test_nonpositive_sizes_are_config_errors(self, tmp_path, capsys,
                                                   command, option):
+        # a radius of 0 is legal, so only a radius must be non-negative
+        least, sign = ((0, "non-negative") if option == "radius"
+                       else (1, "positive"))
         cfg = tmp_path / "cfg.json"
-        for value in (0, -5):
+        for value in (least - 1, -5):
             cfg.write_text(json.dumps({option: value}))
             # the value as a flag, then from the config file
             for argv in (command + [f"--{option}", str(value)],
                          ["--config", str(cfg)] + command):
                 assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
                 assert capsys.readouterr().err == (
-                    f"shiftlab: config error: --{option} must be a positive "
+                    f"shiftlab: config error: --{option} must be a {sign} "
                     "integer\n")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):

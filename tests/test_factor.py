@@ -11,8 +11,8 @@ from shiftlab import (FairBitStream, SeedStream, SequenceSpec, SplitCodeSpec,
                       iid_binary, make_mu_pc, make_nu_c, meshalkin_match,
                       psi_split, required_d, run_iid_factor, sample_window,
                       spread_bits)
-from shiftlab.factor import LOG2, bias_square_report, binary_entropy
-from shiftlab.measures import FiniteProductMeasure
+from shiftlab.factor import LOG2, bias_square_terms, binary_entropy
+from shiftlab.measures import FiniteProductMeasure, sum_with_tail
 from shiftlab.stattests import serial_correlations, uniformity_suite
 
 # Bisection oracle for H(beta) = (log 2)/2, recorded to full precision.
@@ -35,9 +35,9 @@ class TestBiasSquareSum:
         assert bias_square_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
 
     def test_nu_sixth_converges(self):
-        rec = bias_square_report(make_nu_c(1 / 6), 10 ** 5)
-        assert rec["value"] > 0.0
-        assert abs(rec["tail_increment"]) < 1e-4 * rec["value"]
+        value, tail = sum_with_tail(bias_square_terms(make_nu_c(1 / 6), 10 ** 5))
+        assert value > 0.0
+        assert abs(tail) < 1e-4 * value
 
     def test_degenerate_marginals_raise(self):
         m = FiniteProductMeasure(

@@ -10,7 +10,9 @@ from shiftlab import (SeedStream, SequenceSpec, Window, ZeroMassError,
                       inverse_sqrt, kakutani_shift_sum, log_rn_shift,
                       log_rn_swap, make_mu_pc, make_nu_c, parse_measure, ri,
                       rpm, sample_window)
-from shiftlab.measures import nu_c_zero_mass, shift_sum_report
+from shiftlab.factor import bias_square_terms
+from shiftlab.measures import (centred_sum, kakutani_terms, nu_c_zero_mass,
+                               sum_with_tail)
 from shiftlab.typeiii import TypeIIISpec
 
 # Brute-force oracle value: sum over |n| <= 1e5 of the squared marginal
@@ -138,8 +140,67 @@ class TestKakutaniShiftSum:
         assert kakutani_shift_sum(periodic, 1, 200) > 0.0
 
     def test_report_has_tail(self):
-        rec = shift_sum_report(make_nu_c(0.1), 1, 1000)
-        assert rec["value"] >= rec["tail_increment"] >= 0.0
+        value, tail = sum_with_tail(kakutani_terms(make_nu_c(0.1), 1, 1000))
+        assert value >= tail >= 0.0
+
+    def test_partial_sum_beyond_terms_is_refused(self):
+        terms = kakutani_terms(make_nu_c(0.1), 1, 10)
+        assert centred_sum(terms, 0) == terms[10]
+        with pytest.raises(ValueError, match="outside"):
+            centred_sum(terms, 11)
+
+
+def kakutani_two_blocks(m, k, N):
+    """Oracle: one block at the current indices and one at the lagged ones."""
+    if k == 0:
+        return 0.0
+    cur = m.block(-N, 2 * N + 1)[:, 0]
+    lag = m.block(-N - k, 2 * N + 1)[:, 0]
+    return float(np.sum((cur - lag) ** 2))
+
+
+def bias_square_at(m, N):
+    """Oracle: the bias-square sum evaluated at N alone."""
+    p = m.block(-N, 2 * N + 2)[:, 0]
+    p01 = p[:-1] * (1.0 - p[1:])
+    p10 = (1.0 - p[:-1]) * p[1:]
+    return float(np.sum((p01 / (p01 + p10) - 0.5) ** 2))
+
+
+TERM_MEASURES = {
+    "nu_c(0.1)": make_nu_c(0.1),
+    "nu_c(0.3)": make_nu_c(0.3),
+    "mu(0.3,0.5)": make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5),
+    "mu(0.6,-0.2)": make_mu_pc(SequenceSpec(0.6, inverse_sqrt), -0.2),
+    "iid(0.3)": iid_binary(0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_MEASURES))
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 8])
+def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
+    """Every partial sum `measure check` reads off the term array (value,
+    tail, decade series) equals the two-block sum at that N exactly."""
+    m = TERM_MEASURES[name]
+    for N in (1, 9, 10, 999, 10 ** 5):
+        terms = kakutani_terms(m, k, N)
+        assert len(terms) == 2 * N + 1
+        value, tail = sum_with_tail(terms)
+        assert value == kakutani_two_blocks(m, k, N)
+        assert value == kakutani_shift_sum(m, k, N)
+        assert tail == value - kakutani_two_blocks(m, k, max(N // 10, 1))
+        decades = [10 ** e for e in range(1, int(math.log10(N)) + 1)]
+        for dn in decades:
+            assert centred_sum(terms, dn) == kakutani_two_blocks(m, k, dn)
+
+
+@pytest.mark.parametrize("name", sorted(TERM_MEASURES))
+def test_bias_square_partial_sums_equal_oracle(name):
+    m = TERM_MEASURES[name]
+    for N in (1, 9, 10, 999, 10 ** 5):
+        value, tail = sum_with_tail(bias_square_terms(m, N))
+        assert value == bias_square_at(m, N)
+        assert tail == value - bias_square_at(m, max(N // 10, 1))
 
 
 class TestLogRN:
