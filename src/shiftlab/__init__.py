@@ -7,10 +7,9 @@ from .measures import (DensityFamily, FiniteProductMeasure, SequenceSpec,
                        iid_binary, inverse_sqrt, kakutani_shift_sum,
                        log_damped, log_rn_shift, log_rn_swap, make_mu_pc,
                        make_nu_c, parse_measure, ri, rpm)
-from .sampling import (RejectionBudgetError, SeedStream, Window,
-                       sample_conditioned_filler, sample_density_iid,
-                       sample_density_window, sample_window,
-                       window_to_csv)
+from .sampling import (SeedStream, Window, sample_conditioned_filler,
+                       sample_density_iid, sample_density_window,
+                       sample_window, window_to_csv)
 from .markers import (MarkerDecomposition, decompose, good_intervals,
                       good_prob, good_prob_lower)
 from .matching import (ABSequence, MatchingAssignment, dominates,
@@ -19,11 +18,10 @@ from .matching import (ABSequence, MatchingAssignment, dominates,
 from .factor import (FairBitStream, FactorResult, SplitCodeSpec, SplitTuples,
                      beta_for, bias_square_sum, extract_fair_bits, psi_split,
                      run_iid_factor, spread_bits)
-from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_density,
-                      f_family, g_closed_form, g_family, h_apply,
-                      lift_lambda_on_negative, mix_disjoint,
-                      pushforward_density, ratio_profile, safe_zone,
-                      shift_family)
+from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
+                      g_family, h_apply, lift_lambda_on_negative,
+                      mix_disjoint, pushforward_density, ratio_profile,
+                      safe_zone, shift_family)
 from .speedups import (BlockedWindow, block_kakutani_sum, de_interleave,
                        dissipativity_partial, eta_marginal, gamma_marginal,
                        hellinger_S, index_report, kappa_marginal,

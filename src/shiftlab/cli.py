@@ -201,8 +201,8 @@ def _cmd_typeiii(cfg: RunConfig) -> Report:
     lam_prime = cfg.params["lam_prime"]
     n_max = cfg.params["n"]
     samples = cfg.params["samples"]
-    spec = typeiii.TypeIIISpec(lam)
     hspec = typeiii.HMapSpec(lam, lam_prime)
+    pieces = hspec.support_pieces()
     rng = SeedStream(cfg.seed).generator("typeiii-ratios")
 
     log_lp = math.log(lam_prime)
@@ -210,11 +210,10 @@ def _cmd_typeiii(cfg: RunConfig) -> Report:
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(0, n_max))
-        pieces = hspec.support_pieces()
         lo, hi = pieces[int(rng.integers(0, len(pieces)))]
         v = float(rng.uniform(lo, hi))
         try:
-            r = typeiii.ratio_profile(spec, hspec, n, v)
+            r = typeiii.ratio_profile(hspec, n, v)
         except ValueError:
             continue
         lr = math.log(r)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -88,50 +88,50 @@ class FiniteProductMeasure:
     def point_mass(self, n: int, symbol) -> float:
         return float(self.probs(n)[self.alphabet.index(symbol)])
 
-    def symbol_index(self, symbol) -> int:
-        return self.alphabet.index(symbol)
-
 
 @dataclass(frozen=True)
 class DensityFamily:
     """Indexed family of piecewise-constant probability densities.
 
-    ``density(n, u)`` accepts scalars or numpy arrays for ``u``;
-    ``breakpoints(n)`` lists the interior discontinuities in increasing
-    order.  Between consecutive breakpoints the density is constant, which
-    makes integration and inverse-CDF sampling exact.
+    ``pieces(n)`` returns the table ``(edges, values)`` of generation n:
+    increasing edges from ``support[0]`` to ``support[1]`` and one value
+    per piece (zero-length pieces are allowed).  The table is the only
+    definition of the family; densities, integrals and exact inverse-CDF
+    sampling all read it.
     """
 
     support: tuple[float, float]
-    density: Callable[[int, np.ndarray], np.ndarray]
-    breakpoints: Callable[[int], Sequence[float]]
+    pieces: Callable[[int], tuple[np.ndarray, np.ndarray]]
     description: str = ""
 
-    def piece_edges(self, n: int) -> np.ndarray:
-        lo, hi = self.support
-        inner = [b for b in self.breakpoints(n) if lo < b < hi]
-        return np.array([lo, *inner, hi], dtype=float)
-
-    def piece_values(self, n: int) -> np.ndarray:
-        edges = self.piece_edges(n)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return np.asarray(self.density(n, mids), dtype=float)
+    def density(self, n: int, u) -> np.ndarray:
+        """Table lookup at ``u`` (scalar or array): right-continuous, and
+        0 off the support, including at its right end."""
+        edges, values = self.pieces(n)
+        u = np.asarray(u, dtype=float)
+        idx = np.searchsorted(edges, u, side="right") - 1
+        inside = (idx >= 0) & (idx < len(values))
+        return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
 
     def integral(self, n: int) -> float:
         """Exact integral (sum of value * length over the pieces)."""
-        edges = self.piece_edges(n)
-        return float(np.dot(self.piece_values(n), np.diff(edges)))
+        edges, values = self.pieces(n)
+        return float(np.dot(values, np.diff(edges)))
 
     def validate(self, n: int) -> None:
-        vals = self.piece_values(n)
-        if np.any(vals < 0):
+        edges, values = self.pieces(n)
+        if len(values) != len(edges) - 1 or np.any(np.diff(edges) < 0) \
+                or (edges[0], edges[-1]) != tuple(self.support):
+            raise ValueError(f"piece table at index {n} does not tile "
+                             f"the support {self.support}")
+        if np.any(values < 0):
             raise ValueError(f"negative density at index {n}")
         total = self.integral(n)
         if abs(total - 1.0) > DENSITY_TOL:
             raise ValueError(f"density at index {n} integrates to {total!r}")
 
     def point_mass(self, n: int, u: float) -> float:
-        return float(self.density(n, np.asarray(u, dtype=float)))
+        return float(self.density(n, u))
 
 
 @dataclass(frozen=True)

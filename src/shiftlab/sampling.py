@@ -18,18 +18,6 @@ _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # doubles per Philox counter block
 
 
-class RejectionBudgetError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
-
-    def __init__(self, attempts: int, accepted: int):
-        self.attempts = attempts
-        self.accepted = accepted
-        self.acceptance_rate = accepted / attempts if attempts else 0.0
-        super().__init__(
-            f"rejection budget exhausted after {attempts} attempts "
-            f"(acceptance rate {self.acceptance_rate:.3g})")
-
-
 @dataclass(frozen=True)
 class SeedStream:
     """Root of a family of independent, reproducible substreams.
@@ -91,11 +79,6 @@ class Window:
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.stop - 1)
-
-    def value_at(self, n: int):
-        if not self.start <= n < self.stop:
-            raise IndexError(f"index {n} outside window {self.span}")
-        return self.values[n - self.start]
 
     def items(self):
         for i, v in enumerate(self.values):
@@ -168,9 +151,7 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
     u = seeds.uniforms(label, lo, length)[:, 0]
     out = np.empty(length, dtype=float)
     for i in range(length):
-        n = lo + i
-        edges = d.piece_edges(n)
-        vals = d.piece_values(n)
+        edges, vals = d.pieces(lo + i)
         out[i] = _piecewise_inverse_cdf(edges, vals, u[i:i + 1])[0]
     return Window(lo, out, seeds.root_seed, d.description)
 
@@ -179,39 +160,52 @@ def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
                        label: str = "density-iid") -> np.ndarray:
     """Many independent draws from the single density at index n."""
     u = seeds.generator(label, n).random(count)
-    return _piecewise_inverse_cdf(d.piece_edges(n), d.piece_values(n), u)
+    return _piecewise_inverse_cdf(*d.pieces(n), u)
+
+
+# States of the automaton that reads a word and rejects it at its first
+# 011: the longest suffix read so far that is a prefix of 011 ("", "0",
+# "01"), plus the dead state 3 entered on completing 011, from which no
+# word is accepted.  _STEP[s][x] is the state after reading bit x in
+# state s < 3.
+_STEP = ((1, 0), (1, 2), (1, 3))
 
 
 def sample_conditioned_filler(m, span: tuple[int, int], seeds: SeedStream,
-                              budget: int = 10 ** 6,
                               label: str = "filler") -> Window:
     """Sample the product law conditioned on containing no 011 block.
 
-    Plain rejection: windows are drawn from the unconditioned product law
-    until one avoids 011.  Ranges of length < 3 need no conditioning and
-    are accepted immediately.
+    Exact backward filtering / forward sampling on the 3-state automaton
+    that avoids 011: ``beta[i][s]`` is proportional to the probability that
+    bits i.. complete no 011 from state s, rescaled at each step so that
+    long windows do not underflow.  Each bit is then drawn from its
+    marginal reweighted by ``beta`` of the state it leads to.  O(length),
+    one uniform per coordinate.  Raises ``ValueError`` when no window of
+    positive probability avoids 011.
     """
     if len(m.alphabet) != 2:
         raise ValueError("conditioned filler sampling needs two symbols")
     lo, _ = span
     length = _span_length(span)
-    p0 = m.block(lo, length)[:, 0]
-    gen = seeds.generator(label, lo)
-    attempts = 0
-    chunk = 8
-    while attempts < budget:
-        take = min(chunk, budget - attempts)
-        chunk = min(chunk * 4, 4096)
-        u = gen.random((take, length))
-        bits = (u >= p0).astype(np.uint8)
-        attempts += take
-        if length < 3:
-            return Window(lo, bits[0], seeds.root_seed,
-                          f"filler({m.description})")
-        ok = ~np.any((bits[:, :-2] == 0) & (bits[:, 1:-1] == 1)
-                     & (bits[:, 2:] == 1), axis=1)
-        hit = np.flatnonzero(ok)
-        if len(hit):
-            return Window(lo, bits[hit[0]], seeds.root_seed,
-                          f"filler({m.description})")
-    raise RejectionBudgetError(attempts, 0)
+    p0 = m.block(lo, length)[:, 0].tolist()
+    beta = [[1.0, 1.0, 1.0, 0.0]] * (length + 1)
+    for i in range(length - 1, -1, -1):
+        nxt = beta[i + 1]
+        row = [p0[i] * nxt[z] + (1.0 - p0[i]) * nxt[o] for z, o in _STEP]
+        top = max(row) or 1.0
+        beta[i] = [b / top for b in row] + [0.0]
+    if beta[0][0] == 0.0:
+        raise ValueError(
+            f"no window on {span} avoids 011 under {m.description}: "
+            "the conditioning event has probability 0")
+    u = seeds.generator(label, lo).random(length).tolist()
+    bits = np.empty(length, dtype=np.uint8)
+    s = 0
+    for i in range(length):
+        z, o = _STEP[s]
+        w0 = p0[i] * beta[i + 1][z]
+        w1 = (1.0 - p0[i]) * beta[i + 1][o]
+        one = u[i] * (w0 + w1) >= w0
+        bits[i] = one
+        s = o if one else z
+    return Window(lo, bits, seeds.root_seed, f"filler({m.description})")

@@ -1,4 +1,4 @@
-"""Shared statistical acceptance tests (chi-square, KS, serial correlation).
+"""Shared statistical acceptance tests (chi-square, serial correlation).
 
 Chi-square helpers pool low-expectation categories (Cochran rule) before
 computing the statistic, which matters for the heavily skewed block laws
@@ -66,13 +66,6 @@ def serial_correlations(x, lags: int = 8) -> np.ndarray:
         return np.zeros(lags)
     return np.array([float(np.dot(xc[:-k], xc[k:]) / den)
                      for k in range(1, lags + 1)])
-
-
-def ks_uniform(values, lo: float, hi: float) -> tuple[float, float]:
-    """Kolmogorov-Smirnov test of values against Uniform(lo, hi)."""
-    u = (np.asarray(values, dtype=float) - lo) / (hi - lo)
-    res = stats.kstest(u, "uniform")
-    return float(res.statistic), float(res.pvalue)
 
 
 def block_chi_square(bits, block_len: int, p_one: float,

@@ -57,26 +57,17 @@ class TypeIIISpec:
         return (0.0, a), (1.0 - self.lam * a, 1.0)
 
 
-def f_density(spec: TypeIIISpec, n: int, u) -> np.ndarray:
-    """Evaluate the base density at index n (vectorized over u)."""
-    u = np.asarray(u, dtype=float)
-    a = spec.a_n(n)
-    out = np.ones_like(u)
-    if a > 0.0:
-        out = np.where((u > 0.0) & (u < a), spec.lam, out)
-        out = np.where((u > 1.0 - spec.lam * a) & (u < 1.0), 1.0 / spec.lam, out)
-    return out
-
-
 def f_family(spec: TypeIIISpec) -> DensityFamily:
-    def breaks(n: int):
-        a = spec.a_n(n)
-        return [a, 1.0 - spec.lam * a] if a > 0.0 else []
+    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+        a, lam = spec.a_n(n), spec.lam
+        if a == 0.0:
+            return np.array([0.0, 1.0]), np.array([1.0])
+        return (np.array([0.0, a, 1.0 - lam * a, 1.0]),
+                np.array([lam, 1.0, 1.0 / lam]))
 
     return DensityFamily(
         support=(0.0, 1.0),
-        density=lambda n, u: f_density(spec, n, u),
-        breakpoints=breaks,
+        pieces=pieces,
         description=f"{spec.description}(lam={spec.lam})",
     )
 
@@ -148,13 +139,13 @@ def h_apply(spec: HMapSpec, x) -> np.ndarray:
     return out
 
 
-def pushforward_density(spec: TypeIIISpec, hspec: HMapSpec, n: int, v) -> np.ndarray:
+def pushforward_density(hspec: HMapSpec, n: int, v) -> np.ndarray:
     """Density of h(U) for U distributed per the re-indexed base family:
-    sum of f(u)/|h'(u)| over the at most two preimage branches."""
-    if abs(spec.lam - hspec.lam) > 1e-15:
-        raise ValueError("spec and hspec must share lambda")
+    sum of f(u)/|h'(u)| over the at most two preimage branches.  This
+    change-of-variables route is independent of the ``g_pieces`` listing
+    and serves as its cross-check."""
     v = np.asarray(v, dtype=float)
-    fam = hspec.family()
+    f = f_family(hspec.family()).density
     a1, p, lam = hspec.a1, hspec.p, hspec.lam
     out = np.zeros_like(v)
 
@@ -163,17 +154,17 @@ def pushforward_density(spec: TypeIIISpec, hspec: HMapSpec, n: int, v) -> np.nda
     in_b1_dom = (v > a1) & (v < a1 + p * a1)
     in_b2_dom = (v > hi - p * a1) & (v < hi)
     ident = ~(in_b1_dom | in_b2_dom)
-    out[ident] += f_density(fam, n, v[ident])
+    out[ident] += f(n, v[ident])
 
     # branch 1 preimage: v in (0, a1)  <-  u = a1 + p v, |h'| = 1/p
     img1 = (v > 0.0) & (v < a1)
     u1 = a1 + p * v[img1]
-    out[img1] += f_density(fam, n, u1) * p
+    out[img1] += f(n, u1) * p
 
     # branch 2 preimage: v in (1 - lam a1, 1)  <-  u = hi - p (v - hi)/lam
     img2 = (v > hi) & (v < 1.0)
     u2 = hi - p * (v[img2] - hi) / lam
-    out[img2] += f_density(fam, n, u2) * (p / lam)
+    out[img2] += f(n, u2) * (p / lam)
     return out
 
 
@@ -193,39 +184,29 @@ def g_pieces(hspec: HMapSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(edges), np.array(vals)
 
 
-def g_closed_form(hspec: HMapSpec, n: int, v) -> np.ndarray:
-    """Piecewise listing of the pushforward density (independent of the
-    change-of-variables computation; used as its cross-check)."""
-    v = np.asarray(v, dtype=float)
-    edges, vals = g_pieces(hspec, n)
-    idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(vals) - 1)
-    out = vals[idx]
-    return np.where((v <= edges[0]) | (v >= edges[-1]), 0.0, out)
-
-
 def g_family(hspec: HMapSpec) -> DensityFamily:
     return DensityFamily(
         support=(0.0, 1.0),
-        density=lambda n, v: g_closed_form(hspec, n, v),
-        breakpoints=lambda n: [float(e) for e in g_pieces(hspec, n)[0][1:-1]],
+        pieces=lambda n: g_pieces(hspec, n),
         description=f"g-family(lam={hspec.lam},lam'={hspec.lam_prime})",
     )
 
 
-def ratio_profile(spec: TypeIIISpec, hspec: HMapSpec, n: int, v: float) -> float:
-    """g_{n-1}(v) / g_n(v), defined on the support away from breakpoints;
-    always one of {lambda', 1, 1/lambda'}."""
+def ratio_profile(hspec: HMapSpec, n: int, v: float) -> float:
+    """g_{n-1}(v) / g_n(v), read from the two ``g_pieces`` tables; defined
+    on the support away from breakpoints, and always one of
+    {lambda', 1, 1/lambda'}."""
     v = float(v)
     pieces = hspec.support_pieces()
     if not any(lo < v < hi for lo, hi in pieces):
         raise ValueError(f"{v} is outside the support of the pushforwards")
+    values = []
     for m in (n - 1, n):
-        edges, _ = g_pieces(hspec, m)
+        edges, vals = g_pieces(hspec, m)
         if np.any(np.abs(edges - v) < 1e-13):
             raise ValueError(f"{v} sits on a breakpoint of generation {m}")
-    num = float(pushforward_density(spec, hspec, n - 1, v))
-    den = float(pushforward_density(spec, hspec, n, v))
-    return num / den
+        values.append(float(vals[np.searchsorted(edges, v, side="right") - 1]))
+    return values[0] / values[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +214,34 @@ def ratio_profile(spec: TypeIIISpec, hspec: HMapSpec, n: int, v: float) -> float
 # ---------------------------------------------------------------------------
 
 def shift_family(fam: DensityFamily, delta: float) -> DensityFamily:
+    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+        edges, values = fam.pieces(n)
+        return edges + delta, values
+
     lo, hi = fam.support
     return DensityFamily(
         support=(lo + delta, hi + delta),
-        density=lambda n, u: fam.density(n, np.asarray(u, dtype=float) - delta),
-        breakpoints=lambda n: [b + delta for b in fam.breakpoints(n)],
+        pieces=pieces,
         description=f"{fam.description}{delta:+g}",
     )
 
 
 def mix_disjoint(rho: DensityFamily, nu: DensityFamily) -> DensityFamily:
-    """Equal-weight mixture of a family on [0, 1] and one on [-1, 0)."""
+    """Equal-weight mixture of a family on [0, 1] and one on [-1, 0): the
+    two tables joined with weights 1/2, a gap between the supports
+    becoming a zero-valued piece."""
     if nu.support[1] > rho.support[0] + 1e-15:
         raise ValueError("supports overlap")
 
-    def dens(n: int, u):
-        u = np.asarray(u, dtype=float)
-        neg = u < rho.support[0]
-        out = np.empty_like(u)
-        out[neg] = 0.5 * np.asarray(nu.density(n, u[neg]), dtype=float)
-        out[~neg] = 0.5 * np.asarray(rho.density(n, u[~neg]), dtype=float)
-        return out
+    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+        (e_nu, v_nu), (e_rho, v_rho) = nu.pieces(n), rho.pieces(n)
+        gap = [0.0] if e_rho[0] > e_nu[-1] else []
+        edges = np.concatenate([e_nu, e_rho if gap else e_rho[1:]])
+        return edges, 0.5 * np.concatenate([v_nu, gap, v_rho])
 
     return DensityFamily(
         support=(nu.support[0], rho.support[1]),
-        density=dens,
-        breakpoints=lambda n: sorted(
-            list(nu.breakpoints(n)) + [rho.support[0]] + list(rho.breakpoints(n))),
+        pieces=pieces,
         description=f"mix({nu.description},{rho.description})",
     )
 
@@ -344,13 +326,9 @@ def lift_lambda_on_negative(w: Window, hspec: HMapSpec) -> Window:
 def generation_log_ratios(fam: DensityFamily, n: int) -> list[float]:
     """All log density ratios between generations n-1 and n, computed
     exactly from the common refinement of their pieces."""
-    lo, hi = fam.support
-    edges = sorted(set([lo, hi])
-                   | {b for b in fam.breakpoints(n - 1) if lo < b < hi}
-                   | {b for b in fam.breakpoints(n) if lo < b < hi})
-    mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
-    v_prev = np.asarray(fam.density(n - 1, mids), dtype=float)
-    v_cur = np.asarray(fam.density(n, mids), dtype=float)
+    edges = np.union1d(fam.pieces(n - 1)[0], fam.pieces(n)[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    v_prev, v_cur = fam.density(n - 1, mids), fam.density(n, mids)
     keep = (v_prev > 0) & (v_cur > 0)
     ratios = np.log(v_prev[keep]) - np.log(v_cur[keep])
     return sorted(set(np.round(ratios, 12).tolist()))

@@ -258,7 +258,6 @@ def test_a07_full_factor_pipeline():
 # -- A08 ---------------------------------------------------------------------
 
 def test_a08_pushforward_exactness():
-    spec = sl.TypeIIISpec(LAM)
     hspec = sl.HMapSpec(LAM, LAMP)
     assert hspec.p == pytest.approx(0.5, abs=1e-15)
     worst = 0.0
@@ -270,8 +269,8 @@ def test_a08_pushforward_exactness():
             if hi - lo < 1e-12:
                 continue
             for v in (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)):
-                diff = abs(float(sl.pushforward_density(spec, hspec, n, v))
-                           - float(sl.g_closed_form(hspec, n, v)))
+                diff = abs(float(sl.pushforward_density(hspec, n, v))
+                           - float(sl.g_family(hspec).density(n, v)))
                 worst = max(worst, diff)
     symbolic_ok = worst <= 1e-12
 
@@ -307,7 +306,7 @@ def test_a09_ratio_set_quantization():
         lo, hi = pieces[int(rng.integers(0, len(pieces)))]
         v = float(rng.uniform(lo, hi))
         try:
-            r = sl.ratio_profile(spec, hspec, n, v)
+            r = sl.ratio_profile(hspec, n, v)
         except ValueError:
             continue
         worst_g = max(worst_g, float(np.min(np.abs(targets - r))))

@@ -129,6 +129,21 @@ class TestTypeIIIRatios:
         by_name = {m["name"]: m for m in report["metrics"]}
         assert by_name["lattice_deviation"]["value"] <= 1e-9
 
+    def test_golden_outputs(self, tmp_path, capsys):
+        # CSV digest and metric values recorded from the change-of-variables
+        # ratios that preceded the table reads
+        code = run_cli(tmp_path, "typeiii", "ratios", "--lambda", "0.25",
+                       "--lambda-prime", "0.5", "--n", "30",
+                       "--samples", "2000")
+        assert code == EXIT_OK
+        csv_bytes = (tmp_path / "typeiii_log_rn.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == (
+            "c21719a8bc3df9713be371a2959eaab264076a047dbbc2bb09bf4dbfa5b14c53")
+        got = {m["name"]: (m["value"], m["pass"])
+               for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert got == {"lattice_deviation": (0.0, True),
+                       "sampled_ratios": (2000, True)}
+
 
 class TestIndexScan:
     def test_scan_csv(self, tmp_path, capsys):

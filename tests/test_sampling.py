@@ -1,15 +1,17 @@
 """Seeded window sampling: determinism, marginal fidelity, conditioning."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from shiftlab import (DensityFamily, RejectionBudgetError, SeedStream,
+from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
                       sample_conditioned_filler, sample_density_iid,
                       sample_density_window, sample_window)
 from shiftlab.markers import find_marker_starts
+from shiftlab.stattests import chi_square_pooled
 
 ALPHA = 0.001  # conservative significance for the statistical checks
 
@@ -83,8 +85,9 @@ class TestSampleWindow:
 
 class TestSampleDensityWindow:
     def test_uniform_ks(self):
-        uni = DensityFamily((0.0, 1.0), lambda n, u: np.ones_like(np.asarray(u, dtype=float)),
-                            lambda n: [], "uniform")
+        uni = DensityFamily((0.0, 1.0),
+                            lambda n: (np.array([0.0, 1.0]), np.array([1.0])),
+                            "uniform")
         w = sample_density_window(uni, (0, 10 ** 4 - 1), SeedStream(13))
         _, p = stats.kstest(np.asarray(w.values), "uniform")
         assert p > 0.01
@@ -110,8 +113,8 @@ class TestSampleDensityWindow:
     def test_inverse_cdf_is_exact_on_pieces(self):
         # closed-form check: a two-piece density with masses 0.25 / 0.75
         fam = DensityFamily((0.0, 1.0),
-                            lambda n, u: np.where(np.asarray(u) < 0.5, 0.5, 1.5),
-                            lambda n: [0.5], "two-step")
+                            lambda n: (np.array([0.0, 0.5, 1.0]),
+                                       np.array([0.5, 1.5])), "two-step")
         x = sample_density_iid(fam, 0, 10 ** 5, SeedStream(23))
         left = float(np.mean(x < 0.5))
         assert abs(left - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 10 ** 5)
@@ -144,23 +147,44 @@ class TestConditionedFiller:
         assert p > ALPHA
 
     def test_all_ones_accepts_immediately(self):
-        w = sample_conditioned_filler(iid((0.0, 1.0)), (0, 9), SeedStream(2),
-                                      budget=1)
+        w = sample_conditioned_filler(iid((0.0, 1.0)), (0, 9), SeedStream(2))
         assert np.all(w.values == 1)
 
-    def test_budget_error_reports_rate(self):
+    def test_impossible_conditioning_raises(self):
         # a family that deterministically emits 011 can never be accepted
-        from shiftlab import FiniteProductMeasure
         crafted = FiniteProductMeasure(
             alphabet=(0, 1),
             marginals=lambda start, length: np.where(
                 (np.arange(start, start + length) % 3 == 0)[:, None],
                 (1.0, 0.0), (0.0, 1.0)),
             description="forced-011")
-        with pytest.raises(RejectionBudgetError) as exc:
-            sample_conditioned_filler(crafted, (0, 2), SeedStream(4), budget=100)
-        assert exc.value.attempts == 100
-        assert exc.value.acceptance_rate == 0.0
+        with pytest.raises(ValueError, match="probability 0"):
+            sample_conditioned_filler(crafted, (0, 2), SeedStream(4))
+
+    @pytest.mark.parametrize("length", [4, 7, 12])
+    def test_exact_law_by_enumeration(self, length):
+        # oracle: the product law of a non-stationary measure on all words,
+        # restricted to the 011-free ones and renormalized
+        m = make_nu_c(0.45)
+        p0 = m.block(1, length)[:, 0]
+        words = np.array(list(itertools.product((0, 1), repeat=length)))
+        law = np.prod(np.where(words == 0, p0, 1.0 - p0), axis=1)
+        law[[len(find_marker_starts(w)) > 0 for w in words]] = 0.0
+        law /= law.sum()
+        n_draws = 20000
+        weights = 1 << np.arange(length - 1, -1, -1)
+        counts = np.zeros(len(words), dtype=int)
+        for i in range(n_draws):
+            w = sample_conditioned_filler(m, (1, length), SeedStream(i))
+            counts[int(np.dot(w.values, weights))] += 1
+        assert np.all(counts[law == 0.0] == 0)
+        _, p, _ = chi_square_pooled(counts[law > 0], n_draws * law[law > 0])
+        assert p > ALPHA
+
+    def test_long_window_needs_no_budget(self):
+        # plain rejection exhausted 10^6 attempts here
+        w = sample_conditioned_filler(iid_binary(0.3), (0, 79), SeedStream(5))
+        assert len(w) == 80 and len(find_marker_starts(w.values)) == 0
 
     def test_accepted_windows_never_contain_marker(self):
         m = iid_binary(0.4)

@@ -1,13 +1,14 @@
 """Step densities, the piecewise-linear coordinate map, and its pushforward."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from shiftlab import (HMapSpec, SeedStream, TypeIIISpec, erase_negative_side,
-                      f_density, f_family, g_closed_form, h_apply,
-                      lift_lambda_on_negative, mix_disjoint,
+from shiftlab import (HMapSpec, SeedStream, TypeIIISpec, ZeroMassError,
+                      erase_negative_side, f_family, g_family, h_apply,
+                      lift_lambda_on_negative, log_rn_swap, mix_disjoint,
                       pushforward_density, ratio_profile, safe_zone,
                       sample_density_iid, sample_density_window, shift_family)
 from shiftlab.sampling import Window
@@ -41,14 +42,15 @@ class TestBaseFamily:
 
     def test_density_values(self, spec):
         a5 = spec.a_n(5)
-        assert f_density(spec, 5, 0.5 * a5) == LAM
-        assert f_density(spec, 5, 1.0 - 0.5 * LAM * a5) == 1 / LAM
-        assert f_density(spec, 5, 0.5) == 1.0
+        f = f_family(spec).density
+        assert f(5, 0.5 * a5) == LAM
+        assert f(5, 1.0 - 0.5 * LAM * a5) == 1 / LAM
+        assert f(5, 0.5) == 1.0
 
     def test_flat_generations(self, spec):
         for n in (-3, 0, 1):
             u = np.linspace(0.001, 0.999, 11)
-            assert np.all(f_density(spec, n, u) == 1.0)
+            assert np.all(f_family(spec).density(n, u) == 1.0)
 
     def test_exact_normalization(self, spec):
         fam = f_family(spec)
@@ -97,26 +99,26 @@ class TestHMap:
 
 class TestPushforward:
     @pytest.mark.parametrize("n", [-2, 0, 1, 2, 5, 20])
-    def test_matches_closed_form_everywhere(self, spec, hspec, n):
+    def test_matches_closed_form_everywhere(self, hspec, n):
         edges, _ = g_pieces(hspec, n)
         probes = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo > 1e-12:  # skip degenerate pieces (n = 1 has two)
                 probes.extend([lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)])
-        got = pushforward_density(spec, hspec, n, np.array(probes))
-        want = g_closed_form(hspec, n, np.array(probes))
+        got = pushforward_density(hspec, n, np.array(probes))
+        want = g_family(hspec).density(n, np.array(probes))
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_a_piece_value(self, spec, hspec):
+    def test_a_piece_value(self, hspec):
         an = hspec.a(5)
         v = 0.5 * an
-        assert float(pushforward_density(spec, hspec, 5, v)) == pytest.approx(
+        assert float(pushforward_density(hspec, 5, v)) == pytest.approx(
             LAM + hspec.p, abs=1e-15)
 
-    def test_vanishing_piece(self, spec, hspec):
+    def test_vanishing_piece(self, hspec):
         a1, p = hspec.a1, hspec.p
         v = a1 + 0.5 * p * a1
-        assert float(pushforward_density(spec, hspec, 5, v)) == 0.0
+        assert float(pushforward_density(hspec, 5, v)) == 0.0
 
     @pytest.mark.parametrize("n", [0, 2, 5])
     def test_exact_unit_mass(self, hspec, n):
@@ -139,17 +141,17 @@ class TestPushforward:
 
 
 class TestRatioProfile:
-    def test_three_cases(self, spec, hspec):
+    def test_three_cases(self, hspec):
         n = 5
         an, an1 = hspec.a(n), hspec.a(n - 1)
         a1, lam = hspec.a1, hspec.lam
-        assert ratio_profile(spec, hspec, n, 0.5 * an) == pytest.approx(1.0, rel=1e-12)
-        assert ratio_profile(spec, hspec, n, 0.5 * (an + an1)) == pytest.approx(
+        assert ratio_profile(hspec, n, 0.5 * an) == pytest.approx(1.0, rel=1e-12)
+        assert ratio_profile(hspec, n, 0.5 * (an + an1)) == pytest.approx(
             LAMP, rel=1e-12)
         v = 1.0 - 0.5 * lam * (an + an1)
-        assert ratio_profile(spec, hspec, n, v) == pytest.approx(1 / LAMP, rel=1e-12)
+        assert ratio_profile(hspec, n, v) == pytest.approx(1 / LAMP, rel=1e-12)
 
-    def test_membership_random(self, spec, hspec):
+    def test_membership_random(self, hspec):
         rng = np.random.default_rng(42)
         targets = np.array([LAMP, 1.0, 1.0 / LAMP])
         pieces = hspec.support_pieces()
@@ -159,20 +161,38 @@ class TestRatioProfile:
             lo, hi = pieces[int(rng.integers(0, len(pieces)))]
             v = float(rng.uniform(lo, hi))
             try:
-                r = ratio_profile(spec, hspec, n, v)
+                r = ratio_profile(hspec, n, v)
             except ValueError:
                 continue
             assert np.min(np.abs(targets - r)) < 1e-9
             checked += 1
 
-    def test_outside_support_raises(self, spec, hspec):
+    def test_matches_change_of_variables(self, hspec):
+        # the table-read ratio against the independent pushforward route, at
+        # two interior probes per piece of the common refinement
+        pieces = hspec.support_pieces()
+        checked = 0
+        for n in range(-3, 61):
+            edges = np.union1d(g_pieces(hspec, n - 1)[0], g_pieces(hspec, n)[0])
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                for v in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
+                    if not any(a < v < b for a, b in pieces):
+                        continue
+                    want = (float(pushforward_density(hspec, n - 1, v))
+                            / float(pushforward_density(hspec, n, v)))
+                    assert ratio_profile(hspec, n, v) == pytest.approx(
+                        want, rel=1e-12)
+                    checked += 1
+        assert checked > 64 * 6
+
+    def test_outside_support_raises(self, hspec):
         a1, p = hspec.a1, hspec.p
         with pytest.raises(ValueError, match="outside the support"):
-            ratio_profile(spec, hspec, 4, a1 + 0.5 * p * a1)
+            ratio_profile(hspec, 4, a1 + 0.5 * p * a1)
 
-    def test_breakpoint_raises(self, spec, hspec):
+    def test_breakpoint_raises(self, hspec):
         with pytest.raises(ValueError, match="breakpoint"):
-            ratio_profile(spec, hspec, 4, hspec.a(4))
+            ratio_profile(hspec, 4, hspec.a(4))
 
 
 class TestMixDisjoint:
@@ -184,8 +204,7 @@ class TestMixDisjoint:
     def test_half_mass_per_side(self):
         mixed = self.make_mix()
         for n in (0, 2, 7):
-            edges = mixed.piece_edges(n)
-            vals = mixed.piece_values(n)
+            edges, vals = mixed.pieces(n)
             neg = edges[:-1] < 0
             lens = np.diff(edges)
             assert float((vals * lens)[neg].sum()) == pytest.approx(0.5, abs=1e-12)
@@ -204,6 +223,57 @@ class TestMixDisjoint:
         for n in (3, 4, 10):
             for r in generation_log_ratios(mixed, n):
                 assert min(abs(r - g) for g in grid) < 1e-9
+
+
+def families(hspec):
+    f = f_family(TypeIIISpec(LAM))
+    nu = shift_family(f_family(TypeIIISpec(0.4)), -1.0)
+    return {"f": f, "g": g_family(hspec), "shifted": nu,
+            "mix": mix_disjoint(f, nu),
+            "gapped": mix_disjoint(f, shift_family(f, -2.0))}
+
+
+class TestOffSupport:
+    @pytest.mark.parametrize("n", [-1, 1, 2, 5])
+    def test_density_and_point_mass_vanish(self, hspec, n):
+        for name, fam in families(hspec).items():
+            lo, hi = fam.support
+            probes = [lo - 0.5, lo - 1e-9, hi, hi + 1e-9, hi + 0.5]
+            assert np.all(fam.density(n, np.array(probes)) == 0.0), name
+            for u in probes:
+                assert fam.point_mass(n, u) == 0.0, (name, u)
+
+    def test_gap_between_supports_is_a_zero_piece(self, hspec):
+        gapped = families(hspec)["gapped"]
+        for n in (0, 2, 7):
+            gapped.validate(n)
+            assert np.all(gapped.density(n, np.linspace(-0.99, -0.01, 9)) == 0.0)
+
+    def test_pushforward_agrees_with_table(self, hspec):
+        v = np.array([-0.5, -1e-9, 1.0, 1.0 + 1e-9, 1.5])
+        for n in (0, 1, 5):
+            got = pushforward_density(hspec, n, v)
+            assert np.array_equal(got, g_family(hspec).density(n, v))
+            assert np.all(got == 0.0)
+
+    def test_swap_off_support_raises(self):
+        fam = f_family(TypeIIISpec(LAM))
+        with pytest.raises(ZeroMassError):
+            log_rn_swap(fam, 2, 9, 1.5, 0.5)
+
+
+class TestGoldenWindows:
+    @pytest.mark.parametrize("name, digest", [
+        ("f", "73075844d596de6930bcec9cc8bca36ae8b85d4db63f4026f43e3aceca20c468"),
+        ("g", "d644cc516fe9509a268ff74aaf5cc6e96fc1f03972e35e571eeabf27ffc51eb5"),
+        ("mix", "f594e5dd29cd19bb24ffd7815f354990e2e40f308a4037f09ff2bbe5d758f3b9"),
+    ])
+    def test_window_digest(self, hspec, name, digest):
+        # recorded from the density/breakpoint families that preceded the
+        # piece tables
+        w = sample_density_window(families(hspec)[name], (2, 401),
+                                  SeedStream(7))
+        assert hashlib.sha256(w.values.tobytes()).hexdigest() == digest
 
 
 class TestEraseNegativeSide:
@@ -293,4 +363,4 @@ class TestSafeZone:
         lo, hi = safe_zone(ell_spec)
         probes = np.linspace(lo + 1e-9, hi - 1e-9, 25)
         for n in range(-2, 40):
-            assert np.all(f_density(ell_spec, n, probes) == 1.0)
+            assert np.all(f_family(ell_spec).density(n, probes) == 1.0)
