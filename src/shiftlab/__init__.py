@@ -4,20 +4,21 @@ __version__ = "0.1.0"
 
 from .measures import (DensityFamily, FiniteProductMeasure, SequenceSpec,
                        ZeroMassError, doeblin_delta, forget_coin, iid,
-                       iid_binary, inverse_sqrt, kakutani_shift_sum,
-                       log_damped, log_rn_shift, log_rn_swap, make_mu_pc,
-                       make_nu_c, parse_measure, ri, rpm)
+                       iid_binary, inverse_sqrt, log_damped, log_rn_shift,
+                       log_rn_swap, make_mu_pc, make_nu_c, parse_measure, ri,
+                       rpm)
 from .sampling import (SeedStream, Window, sample_conditioned_filler,
                        sample_density_iid, sample_density_window,
-                       sample_window, window_to_csv)
+                       sample_window)
 from .markers import (MarkerDecomposition, decompose, good_intervals,
                       good_prob, good_prob_lower)
 from .matching import (ABSequence, MatchingAssignment, dominates,
-                       flip_coupling, good_to_ab, matching_radius,
-                       meshalkin_match, partner_slots, required_d)
+                       flip_coupling, good_block_sequence, matching_radius,
+                       meshalkin_match, partner_slots, required_d,
+                       special_sequence)
 from .factor import (FairBitStream, FactorResult, SplitCodeSpec, SplitTuples,
-                     beta_for, bias_square_sum, extract_fair_bits, psi_split,
-                     run_iid_factor, spread_bits)
+                     beta_for, extract_fair_bits, psi_split, run_iid_factor,
+                     spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       g_family, h_apply, lift_lambda_on_negative,
                       mix_disjoint, pushforward_density, ratio_profile,

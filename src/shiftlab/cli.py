@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import factor as factor_mod
 from . import markers, matching, measures, speedups, typeiii
-from .sampling import SeedStream, sample_window, window_to_csv
+from .sampling import SeedStream, sample_window
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,6 +29,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 DEFAULT_SEED = 7
+CSV_CHUNK = 1 << 16
 
 
 @dataclass
@@ -58,18 +59,31 @@ class Report:
         return all(m.get("pass", True) for m in self.metrics)
 
 
+def write_csv(path: Path, header, columns) -> Path:
+    """Write the ``header`` line, then one row per position of the
+    equal-length ``columns``, each line ending in a bare newline.  A cell
+    is the ``str`` of a ``.tolist()`` value, which is a float's ``repr``.
+    Rows are joined ``CSV_CHUNK`` at a time, so 10^6 rows never hold all
+    their strings at once."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), CSV_CHUNK):
+            cells = [map(str, c[i:i + CSV_CHUNK].tolist()) for c in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+    return path
+
+
 def emit_plot_data(series: dict[str, list[tuple[float, float]]],
                    path: Path) -> Path:
     """Write named (x, y) series as CSV with header ``series,x,y``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "x", "y"])
-        for name in sorted(series):
-            for x, y in series[name]:
-                writer.writerow([name, repr(float(x)), repr(float(y))])
-    return path
+    names = sorted(series)
+    return write_csv(path, ("series", "x", "y"), (
+        [name for name in names for _ in series[name]],
+        [float(x) for name in names for x, _ in series[name]],
+        [float(y) for name in names for _, y in series[name]]))
 
 
 def parse_plot_data(path: Path) -> dict[str, list[tuple[float, float]]]:
@@ -117,20 +131,23 @@ def _cmd_measure(cfg: RunConfig) -> Report:
     m = _measure_from_params(cfg.params)
     n = cfg.params["n"]
     ks = cfg.params.get("ks") or [1, 2, 4, 8]
+    # one block over the Kakutani lags n - k and the last bias bond n + 1
+    lo, hi = -n - max(0, max(ks)), n + max(1, -min(ks))
+    p = m.block(lo, hi - lo + 1)
     metrics = []
-    delta = measures.doeblin_delta(m, (-n, n))
+    delta = measures.doeblin_delta(measures.block_rows(p, lo, -n, n), -n)
     metrics.append({"name": "doeblin_delta", "value": delta,
                     "pass": delta > 0.0})
     decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
     series = {}
     for k in ks:
-        terms = measures.kakutani_terms(m, k, n)
+        terms = measures.kakutani_terms(p, lo, k, n)
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = [
             (dn, measures.centred_sum(terms, dn)) for dn in decades]
     if len(m.alphabet) == 2:
         metrics.append(_tail_metric("bias_square_sum",
-                                    factor_mod.bias_square_terms(m, n)))
+                                    factor_mod.bias_square_terms(p, lo, n)))
     art = emit_plot_data(series, cfg.out_dir / "measure_check.csv")
     return _finish(cfg, metrics, [art])
 
@@ -160,24 +177,18 @@ def _cmd_match(cfg: RunConfig) -> Report:
     w = sample_window(m, (0, n - 1), seeds, label="match-input")
     artifacts = []
     if cfg.params.get("dump_window"):
-        dump = cfg.out_dir / str(cfg.params["dump_window"])
-        dump.parent.mkdir(parents=True, exist_ok=True)
-        window_to_csv(w, dump)
-        artifacts.append(dump)
-    zprime, _ = matching.good_to_ab(w, markers.decompose(w))
+        artifacts.append(write_csv(
+            cfg.out_dir / str(cfg.params["dump_window"]), ("index", "value"),
+            (np.arange(w.start, w.stop), w.values)))
+    zprime = matching.special_sequence(markers.decompose(w))
     q = markers.good_prob_lower(m, (0, n - 1))
     d = matching.required_d(q)
     assignment = matching.meshalkin_match(zprime, d)
     assignment.check_capacity()
-
-    out_rows = cfg.out_dir / "matching_assignment.csv"
-    out_rows.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_rows, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["b_index", "a_index", "round"])
-        for b, a, r in zip(assignment.b_indices, assignment.a_indices,
-                           assignment.rounds):
-            writer.writerow([int(b), int(a), int(r)])
+    out_rows = write_csv(
+        cfg.out_dir / "matching_assignment.csv",
+        ("b_index", "a_index", "round"),
+        (assignment.b_indices, assignment.a_indices, assignment.rounds))
 
     dist = assignment.a_indices - assignment.b_indices
     hist = np.bincount(dist.astype(np.int64)) if len(dist) else np.zeros(1, int)
@@ -236,18 +247,12 @@ def _cmd_typeiii(cfg: RunConfig) -> Report:
 def _cmd_index(cfg: RunConfig) -> Report:
     rep = speedups.index_report(cfg.params["c"], cfg.params["d_assumed"],
                                 cfg.params["kmax"])
-    rows_path = cfg.out_dir / "index_scan.csv"
-    rows_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(rows_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "c_scaled", "S", "partial_dissip",
-                         "tail_slope", "classification"])
-        for row in rep.rows:
-            writer.writerow([
-                row.k, repr(row.c_scaled), repr(row.hellinger),
-                repr(row.dissipativity_partial), repr(row.tail_slope),
-                "conservative-proxy" if row.conservative_proxy
-                else "dissipative-proxy"])
+    rows = [(r.k, r.c_scaled, r.hellinger, r.dissipativity_partial,
+             r.tail_slope, "conservative-proxy" if r.conservative_proxy
+             else "dissipative-proxy") for r in rep.rows]
+    rows_path = write_csv(cfg.out_dir / "index_scan.csv", (
+        "k", "c_scaled", "S", "partial_dissip", "tail_slope",
+        "classification"), list(zip(*rows)))
     metrics = [
         {"name": "implied_index", "value": rep.implied_index, "pass": True},
         {"name": "kmax", "value": cfg.params["kmax"], "pass": True},

@@ -27,12 +27,13 @@ import numpy as np
 
 from . import stattests
 from .markers import MarkerDecomposition, decompose, good_prob_lower
-from .matching import (MatchingAssignment, good_to_ab, meshalkin_match,
-                       partner_slots, required_d)
-from .measures import FiniteProductMeasure
+from .matching import (MatchingAssignment, meshalkin_match, partner_slots,
+                       required_d, special_sequence)
+from .measures import FiniteProductMeasure, block_rows
 from .sampling import SeedStream, Window, sample_window
 
 LOG2 = math.log(2.0)
+BALANCE_TOL = 1e-10   # |(d+1) H(beta0) - log 2| a split code may leave
 
 
 def binary_entropy(b: float) -> float:
@@ -50,13 +51,18 @@ def beta_for(dplus1: int) -> float:
         return 0.5  # H is flat at 1/2, bisection would stall short of it
     target = LOG2 / dplus1
     lo, hi = 0.0, 0.5
-    while hi - lo > 1e-15:
+    while True:
         mid = 0.5 * (lo + hi)
+        # a width of 1e-15 leaves a small beta (large dplus1) unbalanced:
+        # go on until the balance holds or the midpoint stops moving
+        if hi - lo <= 1e-15 and (
+                abs(dplus1 * binary_entropy(mid) - LOG2) <= BALANCE_TOL
+                or mid in (lo, hi)):
+            return mid
         if binary_entropy(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class SplitCodeSpec:
     def __post_init__(self):
         if not 0.0 < self.beta0 <= 0.5:
             raise ValueError("beta0 must lie in (0, 1/2]")
-        if abs((self.d + 1) * binary_entropy(self.beta0) - LOG2) > 1e-10:
+        if abs((self.d + 1) * binary_entropy(self.beta0) - LOG2) > BALANCE_TOL:
             raise ValueError("entropy balance (d+1) H(beta0) = log 2 violated")
 
     @classmethod
@@ -109,24 +115,20 @@ class SplitTuples:
     valid: np.ndarray            # bool mask (False near stream edges)
 
 
-def bias_square_terms(m: FiniteProductMeasure, N: int) -> np.ndarray:
+def bias_square_terms(p: np.ndarray, lo: int, N: int) -> np.ndarray:
     """(r_i - 1/2)^2 for i = -N .. N, where r_i is the conditional
-    probability of 01 against {01, 10} across the bond (i, i+1)."""
-    if len(m.alphabet) != 2:
+    probability of 01 against {01, 10} across the bond (i, i+1), read from
+    the rows -N .. N+1 of a binary marginal block whose row 0 is index lo."""
+    if p.shape[1] != 2:
         raise ValueError("two-symbol alphabet required")
-    p = m.block(-N, 2 * N + 2)[:, 0]   # P(0) at indices -N .. N+1
-    p01 = p[:-1] * (1.0 - p[1:])
-    p10 = (1.0 - p[:-1]) * p[1:]
+    p0 = block_rows(p, lo, -N, N + 1)[:, 0]
+    p01 = p0[:-1] * (1.0 - p0[1:])
+    p10 = (1.0 - p0[:-1]) * p0[1:]
     den = p01 + p10
     if np.any(den == 0.0):
         i = -N + int(np.argwhere(den == 0.0)[0][0])
         raise ZeroDivisionError(f"degenerate marginals at bond ({i}, {i + 1})")
     return (p01 / den - 0.5) ** 2
-
-
-def bias_square_sum(m: FiniteProductMeasure, N: int) -> float:
-    """Sum over |i| <= N of the bias-square terms."""
-    return float(np.sum(bias_square_terms(m, N)))
 
 
 def extract_fair_bits(dec: MarkerDecomposition) -> FairBitStream:
@@ -218,20 +220,13 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     """Compose the full factor map on a sampled window and report
     diagnostics: q, d, beta0, censoring fraction and the three-part
     uniformity suite on the interior output."""
-    lo, hi = span
-    probs = m.block(lo, hi - lo + 1)
-    if probs.min() <= 0.0:
-        raise ValueError("measure violates the Doeblin condition on the range")
     q = good_prob_lower(m, span)
-    if q <= 0.0:
-        raise ValueError("good-block probability vanishes on the range")
     d = required_d(q)
     spec = SplitCodeSpec.for_capacity(d, radius)
 
     w = sample_window(m, span, seeds, label="factor-input")
     dec = decompose(w)
-    zprime, _z = good_to_ab(w, dec)
-    assignment = meshalkin_match(zprime, d)
+    assignment = meshalkin_match(special_sequence(dec), d)
     assignment.check_capacity()
     stream = extract_fair_bits(dec)
     split = psi_split(stream, spec, seeds)

@@ -129,9 +129,18 @@ def good_prob(m, i: int) -> float:
 
 
 def good_prob_lower(m, span: tuple[int, int]) -> float:
-    """Infimum of good_prob over block starts in the inclusive range."""
+    """Infimum of good_prob over block starts in the inclusive range; a
+    non-binary measure, or a zero mass on the range (no Doeblin bound), is
+    refused."""
+    if len(m.alphabet) != 2:
+        raise ValueError(f"good blocks need a two-symbol alphabet, not "
+                         f"{len(m.alphabet)} symbols")
     lo, hi = span
     p = m.block(lo, hi - lo + GOOD_WIDTH)
+    zero = np.argwhere(p[:hi - lo + 1] <= 0.0)
+    if len(zero):
+        raise ValueError("measure violates the Doeblin condition at index "
+                         f"{lo + int(zero[0][0])}")
     q = np.zeros(hi - lo + 1)
     for g in GOOD_BLOCKS:
         prod = np.ones(hi - lo + 1)

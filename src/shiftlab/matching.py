@@ -177,17 +177,18 @@ def flip_coupling(z: ABSequence, prob: float, rng: np.random.Generator) -> ABSeq
     return ABSequence(z.start, isa)
 
 
-def good_to_ab(w, dec: MarkerDecomposition) -> tuple[ABSequence, ABSequence]:
-    """Build the two {a, b} sequences a binary window induces.
+def special_sequence(dec: MarkerDecomposition) -> ABSequence:
+    """The {a, b} sequence the pipelines match: an a at every non-censored
+    special-filler initial index of the decomposed window."""
+    isa = np.zeros(dec.length, dtype=bool)
+    isa[dec.special[:, 0] - dec.start] = True
+    return ABSequence(dec.start, isa)
 
-    The first (zprime) marks every non-censored special-filler initial
-    index; the second (z) marks only the positions 8n + 3 that sit inside a
-    good 8-block of the offset-0 partition.  zprime dominates z.  ``dec``
-    is the window's decomposition.
-    """
-    n = len(w.values)
-    isa_prime = np.zeros(n, dtype=bool)
-    isa_prime[dec.special[:, 0] - w.start] = True
-    isa = np.zeros(n, dtype=bool)
+
+def good_block_sequence(w) -> ABSequence:
+    """The sequence of Lemma 8: an a only at the positions 8n + 3 that sit
+    inside a good 8-block of the offset-0 partition.  The special-filler
+    sequence of the same window dominates it."""
+    isa = np.zeros(len(w.values), dtype=bool)
     isa[good_intervals(w, offset=0) + 3 - w.start] = True
-    return ABSequence(w.start, isa_prime), ABSequence(w.start, isa)
+    return ABSequence(w.start, isa)

@@ -251,14 +251,24 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def doeblin_delta(m: FiniteProductMeasure, span: tuple[int, int]) -> float:
-    """Infimum of all marginal masses over the inclusive index range.
+def block_rows(p: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
+    """Rows for indices ``first .. last`` of a marginal block whose row 0 is
+    index ``lo``; raises ``ValueError`` naming the indices it misses."""
+    hi = lo + len(p) - 1
+    gaps = ((first, min(last, lo - 1)), (max(first, hi + 1), last))
+    missing = [f"{a} .. {b}" for a, b in gaps if a <= b]
+    if missing:
+        raise ValueError(f"block over indices {lo} .. {hi} misses "
+                         f"{' and '.join(missing)}")
+    return p[first - lo:last - lo + 1]
+
+
+def doeblin_delta(p: np.ndarray, lo: int) -> float:
+    """Infimum of all masses of a marginal block whose row 0 is index ``lo``.
 
     Returns 0 (with a warning naming the first offending index) if some
-    mass vanishes on the range.
+    mass vanishes in the block.
     """
-    lo, hi = span
-    p = m.block(lo, hi - lo + 1)
     if np.any(p == 0.0):
         n = lo + int(np.argwhere(p == 0.0)[0][0])
         warnings.warn(f"zero marginal mass at index {n}", RuntimeWarning)
@@ -266,23 +276,16 @@ def doeblin_delta(m: FiniteProductMeasure, span: tuple[int, int]) -> float:
     return float(p.min())
 
 
-def kakutani_terms(m: FiniteProductMeasure, k: int, N: int) -> np.ndarray:
-    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from one
-    block over the indices n and n-k reach (k = 0 gives exact zeros)."""
-    if len(m.alphabet) != 2:
-        raise ValueError("kakutani_shift_sum needs a two-symbol alphabet")
+def kakutani_terms(p: np.ndarray, lo: int, k: int, N: int) -> np.ndarray:
+    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from the
+    rows of a binary marginal block (row 0 is index ``lo``) that n and n-k
+    reach (k = 0 gives exact zeros)."""
+    if p.shape[1] != 2:
+        raise ValueError("kakutani_terms needs a two-symbol alphabet")
     lead, L = max(k, 0), 2 * N + 1
-    p = m.block(-N - lead, L + abs(k))[:, 0]
-    cur, lag = p[lead:lead + L], p[lead - k:lead - k + L]
+    p0 = block_rows(p, lo, -N - lead, N - min(k, 0))[:, 0]
+    cur, lag = p0[lead:lead + L], p0[lead - k:lead - k + L]
     return (cur - lag) ** 2
-
-
-def kakutani_shift_sum(m: FiniteProductMeasure, k: int, N: int) -> float:
-    """Sum over |n| <= N of (marginal(n)(0) - marginal(n-k)(0))^2.
-
-    Nondecreasing in N; identically zero for i.i.d. measures and for k = 0.
-    """
-    return float(np.sum(kakutani_terms(m, k, N)))
 
 
 def centred_sum(terms: np.ndarray, n: int) -> float:

@@ -90,16 +90,6 @@ class Window:
                       f"{self.source}>>{delta}" if self.source else "")
 
 
-def window_to_csv(w: Window, path) -> None:
-    """Export a window as ``index,value`` rows."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for n, v in w.items():
-            writer.writerow([n, repr(v) if isinstance(v, float) else int(v)])
-
-
 def _span_length(span: tuple[int, int]) -> int:
     lo, hi = span
     if hi < lo:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 
 def pool_expected(counts, expected, min_expected: float = 5.0):
@@ -45,7 +45,7 @@ def chi_square_pooled(counts, expected, min_expected: float = 5.0):
     pe = pe * pc.sum() / pe.sum()
     stat = float(np.sum((pc - pe) ** 2 / pe))
     dof = len(pc) - 1
-    return stat, float(stats.chi2.sf(stat, dof)), dof
+    return stat, float(chdtrc(dof, stat)), dof
 
 
 def chi_square_fair_bits(bits) -> tuple[float, float]:

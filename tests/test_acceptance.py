@@ -127,7 +127,7 @@ def test_a02_good_block_probability():
     m = sl.make_nu_c(1 / 6)
     bits = _sample_long(m, 8 * n_blocks, "a02-nu")
     freq = _good_block_freq(bits)
-    delta = sl.doeblin_delta(m, (0, 8 * n_blocks - 1))
+    delta = sl.doeblin_delta(m.block(0, 8 * n_blocks), 0)
     assert delta == pytest.approx(1 / 3, abs=1e-12)
     sigma = math.sqrt(freq * (1 - freq) / n_blocks)
     ok = freq >= delta ** 8 - 4 * sigma
@@ -209,8 +209,9 @@ def extracted_bits():
 
 
 def test_a05a_fair_bit_chi_square(extracted_bits):
+    from shiftlab.factor import bias_square_terms
     m = sl.iid_binary(0.3)
-    summand = sl.bias_square_sum(m, 100)
+    summand = float(np.sum(bias_square_terms(m.block(-100, 202), -100, 100)))
     assert summand == 0.0  # stationarity makes the bond bias exactly zero
     _, p = chi_square_fair_bits(extracted_bits.bits)
     report("A05a fair-bits-chi-square", p > 0.001,
@@ -234,7 +235,8 @@ def test_a05b_fair_bit_lag_correlations(extracted_bits):
 def test_a06_bias_square_sum_converges():
     from shiftlab.factor import bias_square_terms
     from shiftlab.measures import sum_with_tail
-    value, tail = sum_with_tail(bias_square_terms(sl.make_nu_c(1 / 6), 10 ** 6))
+    p = sl.make_nu_c(1 / 6).block(-10 ** 6, 2 * 10 ** 6 + 2)
+    value, tail = sum_with_tail(bias_square_terms(p, -10 ** 6, 10 ** 6))
     ok = abs(tail) < 1e-4 * value
     report("A06 eq2-diagnostic", ok,
            f"total {value:.6f}, last-decade {tail:.2e}")

@@ -2,14 +2,58 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from shiftlab import DensityFamily, SeedStream, sample_density_window
 from shiftlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
-                          emit_plot_data, main, parse_plot_data)
+                          emit_plot_data, main, parse_plot_data, write_csv)
+from shiftlab.measures import FiniteProductMeasure
 
 
 def run_cli(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBlockReads:
+    """Each command evaluates its measure's marginals as few times as its
+    stages need: once for `measure check`, once to bound q and once to
+    sample for `factor run`."""
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        calls = []
+        block = FiniteProductMeasure.block
+
+        def counted(self, start, length):
+            calls.append((start, length))
+            return block(self, start, length)
+
+        monkeypatch.setattr(FiniteProductMeasure, "block", counted)
+        return calls
+
+    @pytest.mark.parametrize("ks, lo, hi", [
+        ([], -10008, 10001),               # default ks 1, 2, 4, 8
+        (["--k", "-3", "--k", "2"], -10002, 10003),
+        (["--k", "0"], -10000, 10001),
+    ])
+    def test_measure_check_reads_one_block(self, tmp_path, capsys,
+                                           block_calls, ks, lo, hi):
+        # the union of the ranges the Doeblin bound, the Kakutani sums and
+        # the bias sum read
+        assert run_cli(tmp_path, "measure", "check", "--measure",
+                       "mu:0.3,0.5", "--n", "10000", *ks) == EXIT_OK
+        assert block_calls == [(lo, hi - lo + 1)]
+
+    def test_factor_run_reads_two_blocks(self, tmp_path, capsys,
+                                         block_calls):
+        run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
+                "--n", "2000")
+        assert len(block_calls) == 2
 
 
 class TestMeasureCheck:
@@ -93,6 +137,39 @@ class TestFactorRun:
             assert by_name[name]["pass"] is False
             assert by_name[name]["reason"]
 
+    def test_golden_outputs(self, tmp_path, capsys):
+        # metric values recorded before the marginals were read once
+        code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
+                       "--n", "200000", "--radius", "16")
+        assert code == EXIT_OK
+        got = {m["name"]: (m["value"] if "value" in m else m["statistic"],
+                           m.get("p_value"), m["pass"])
+               for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert got == {
+            "q": (0.009075779999999997, None, True),
+            "d": (882, None, True),
+            "beta0": (7.475180793869995e-05, None, True),
+            "censor_fraction": (0.01944, None, True),
+            "frequency": (0.8560113872462569, None, True),
+            "chi_square_3_blocks":
+                (1.108856561749848, 0.2923306417324023, True),
+            "serial_correlation": (5.6255976898706076e-05, None, True),
+        }
+
+    def test_large_capacity_runs(self, tmp_path, capsys):
+        # d = 25 233: the split code's entropy balance holds, and a window
+        # too short for any coded tuple fails its checks with reasons
+        code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.06",
+                       "--n", "100000")
+        assert code == EXIT_CHECK_FAILED
+        by_name = {m["name"]: m
+                   for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert by_name["d"]["value"] == 25233
+        for name in ("frequency", "chi_square_3_blocks",
+                     "serial_correlation"):
+            assert by_name[name]["pass"] is False
+            assert by_name[name]["reason"]
+
     def test_bad_measure_is_config_error(self, tmp_path):
         code = run_cli(tmp_path, "factor", "run", "--measure", "bogus:1",
                        "--n", "1000")
@@ -108,6 +185,40 @@ class TestMatchRun:
         hist = parse_plot_data(tmp_path / "radius_histogram.csv")
         assert "radius_histogram" in hist
 
+    def test_golden_outputs(self, tmp_path, capsys):
+        # CSV digests and metric values recorded from the csv.writer loops
+        # and the two-sequence good_to_ab that preceded the shared writer
+        code = run_cli(tmp_path, "match", "run", "--measure", "nu_c:0.1",
+                       "--n", "50000", "--dump-window", "window.csv")
+        assert code == EXIT_OK
+        got = {m["name"]: (m["value"], m["pass"])
+               for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert got == {
+            "q": (0.004905600622485743, True),
+            "d": (1631, True),
+            "matched_pairs": (49401, True),
+            "censored_b_fraction": (0.004814665592264303, True),
+        }
+        assert {name: sha256_of(tmp_path / name) for name in (
+            "matching_assignment.csv", "radius_histogram.csv",
+            "window.csv")} == {
+            "matching_assignment.csv":
+                "dcc136c72909f9383db1820c0002948c"
+                "9b4b964e436863af121b43b52a5d696f",
+            "radius_histogram.csv":
+                "4c4c06200c282379561bfa8d66108a9b"
+                "60e7507236679944d0c3bc12f208fbb8",
+            "window.csv":
+                "f49b4daa10a7f1bb36ccd889ff22cd2a"
+                "dcab25ea2ab073d88964ddcbf2b5abf8",
+        }
+
+    def test_doeblin_violation_is_config_error(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "match", "run", "--measure", "iid:1.0",
+                       "--n", "1000")
+        assert code == EXIT_CONFIG
+        assert "Doeblin condition at index 0" in capsys.readouterr().err
+
 
 class TestWindowDump:
     def test_dump_window_csv(self, tmp_path, capsys):
@@ -117,6 +228,20 @@ class TestWindowDump:
         lines = (tmp_path / "window.csv").read_text().splitlines()
         assert lines[0] == "index,value"
         assert len(lines) == 501
+
+    def test_float_window_reads_back(self, tmp_path):
+        # every cell must be a plain number; under numpy 2 the repr of an
+        # np.float64 is "np.float64(...)"
+        family = DensityFamily((0.0, 1.0), lambda n: (
+            np.array([0.0, 0.5, 1.0]), np.array([0.5, 1.5])))
+        w = sample_density_window(family, (-5, 194), SeedStream(7))
+        path = write_csv(tmp_path / "window.csv", ("index", "value"),
+                         (np.arange(w.start, w.stop), w.values))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "index,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(-5, 195))
+        assert [float(v) for _, v in rows] == w.values.tolist()
 
 
 class TestTypeIIIRatios:
@@ -156,6 +281,9 @@ class TestIndexScan:
         lines = (tmp_path / "index_scan.csv").read_text().splitlines()
         assert lines[0] == "k,c_scaled,S,partial_dissip,tail_slope,classification"
         assert len(lines) == 5
+        # recorded from the csv.writer loop that preceded the shared writer
+        assert sha256_of(tmp_path / "index_scan.csv") == (
+            "25ffddba146a5e40c6a3c9930955667d859bcf0cee13b7b565ce636ff7da749f")
 
 
 class TestPlotData:

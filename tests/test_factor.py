@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from shiftlab import (FairBitStream, SeedStream, SequenceSpec, SplitCodeSpec,
-                      Window, beta_for, bias_square_sum, decompose,
-                      extract_fair_bits, good_prob_lower, good_to_ab,
-                      iid_binary, make_mu_pc, make_nu_c, meshalkin_match,
-                      psi_split, required_d, run_iid_factor, sample_window,
-                      spread_bits)
+                      Window, beta_for, decompose, extract_fair_bits,
+                      good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
+                      meshalkin_match, psi_split, required_d, run_iid_factor,
+                      sample_window, special_sequence, spread_bits)
 from shiftlab.factor import LOG2, bias_square_terms, binary_entropy
 from shiftlab.measures import FiniteProductMeasure, sum_with_tail
 from shiftlab.stattests import serial_correlations, uniformity_suite
@@ -19,10 +18,15 @@ from shiftlab.stattests import serial_correlations, uniformity_suite
 BETA_HALF_BIT = 0.11002786443835952
 
 
+def bias_sum(m, N):
+    """The bias-square sum over |i| <= N, from the block it reads."""
+    return float(np.sum(bias_square_terms(m.block(-N, 2 * N + 2), -N, N)))
+
+
 class TestBiasSquareSum:
     def test_iid_is_exactly_zero(self):
         for p in (0.2, 0.5, 0.77):
-            assert bias_square_sum(iid_binary(p), 1000) == 0.0
+            assert bias_sum(iid_binary(p), 1000) == 0.0
 
     def test_single_perturbation(self):
         m = FiniteProductMeasure(
@@ -32,10 +36,11 @@ class TestBiasSquareSum:
                 (0.6, 0.4), (0.5, 0.5)),
             description="one-bump")
         # the bonds (-1, 0) and (0, 1) each contribute 0.01
-        assert bias_square_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
+        assert bias_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
 
     def test_nu_sixth_converges(self):
-        value, tail = sum_with_tail(bias_square_terms(make_nu_c(1 / 6), 10 ** 5))
+        p = make_nu_c(1 / 6).block(-10 ** 5, 2 * 10 ** 5 + 2)
+        value, tail = sum_with_tail(bias_square_terms(p, -10 ** 5, 10 ** 5))
         assert value > 0.0
         assert abs(tail) < 1e-4 * value
 
@@ -44,7 +49,13 @@ class TestBiasSquareSum:
             alphabet=(0, 1),
             marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
         with pytest.raises(ZeroDivisionError):
-            bias_square_sum(m, 5)
+            bias_sum(m, 5)
+
+    def test_short_block_is_refused(self):
+        # N = 5 reads indices -5 .. 6
+        p = make_nu_c(0.1).block(-5, 11)
+        with pytest.raises(ValueError, match=r"misses 6 \.\. 6$"):
+            bias_square_terms(p, -5, 5)
 
 
 class TestExtractFairBits:
@@ -97,6 +108,17 @@ class TestBetaFor:
         with pytest.raises(ValueError, match="entropy balance"):
             SplitCodeSpec(d=7, beta0=0.3)
         SplitCodeSpec.for_capacity(7)  # does not raise
+
+    def test_every_capacity_balances(self):
+        # a bisection stopped at an absolute width of 1e-15 leaves 3 209 of
+        # these unbalanced, the first at d = 17 651
+        for d in range(1, 30001):
+            SplitCodeSpec.for_capacity(d)
+
+    def test_balanced_capacities_keep_their_beta(self):
+        # values of the 1e-15 bisection, which balanced these
+        assert beta_for(883) == 7.475180793869995e-05
+        assert beta_for(1025) == 6.340163470719418e-05
 
 
 def fair_stream(n: int, seed: int, start: int = 0) -> FairBitStream:
@@ -168,8 +190,7 @@ def run_stages(w: Window, q: float, radius: int = 16):
     """The post-sampling pipeline stages, returned as the output window."""
     d = required_d(q)
     dec = decompose(w)
-    zprime, _ = good_to_ab(w, dec)
-    assignment = meshalkin_match(zprime, d)
+    assignment = meshalkin_match(special_sequence(dec), d)
     assignment.check_capacity()
     stream = extract_fair_bits(dec)
     split = psi_split(stream, SplitCodeSpec.for_capacity(d, radius),
@@ -249,7 +270,7 @@ class TestRunIidFactor:
         # non-stationary input: the bond-bias sum stays finite and the
         # interior output still passes the uniformity suite
         m = make_nu_c(1 / 6)
-        assert bias_square_sum(m, 10 ** 4) < 0.1
+        assert bias_sum(m, 10 ** 4) < 0.1
         res = run_iid_factor(m, (1, 2 * 10 ** 5), SeedStream(7), radius=16)
         assert res.diagnostics["censor_fraction"] < 0.05
         assert all(t["pass"] for t in res.diagnostics["tests"])

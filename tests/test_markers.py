@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (SeedStream, Window, decompose, good_intervals,
-                      good_prob, good_prob_lower, iid_binary, make_nu_c,
-                      sample_window)
+from shiftlab import (FiniteProductMeasure, SeedStream, Window, decompose,
+                      good_intervals, good_prob, good_prob_lower, iid,
+                      iid_binary, make_nu_c, sample_window)
 from shiftlab.markers import find_marker_starts
 
 
@@ -203,6 +203,20 @@ class TestGoodProb:
         q = good_prob_lower(m, (-50, 50))
         probe = min(good_prob(m, i) for i in range(-50, 51))
         assert q == pytest.approx(probe, rel=1e-12)
+
+    def test_lower_bound_refuses_non_binary(self):
+        # read as binary, columns 0 and 1 of this measure give q = 3.9e-05
+        with pytest.raises(ValueError, match="two-symbol"):
+            good_prob_lower(iid([0.2, 0.3, 0.5]), (0, 999))
+
+    def test_lower_bound_refuses_zero_mass(self):
+        m = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.where(
+                (np.arange(start, start + length) == 5)[:, None],
+                (1.0, 0.0), (0.5, 0.5)))
+        with pytest.raises(ValueError, match="Doeblin condition at index 5"):
+            good_prob_lower(m, (0, 99))
 
 
 class TestLinearGrowthOfSpecials:

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (ABSequence, MatchingAssignment, SeedStream, Window,
-                      decompose, dominates, flip_coupling, good_to_ab,
-                      iid_binary, matching_radius, meshalkin_match,
-                      partner_slots, required_d, sample_window)
+                      decompose, dominates, flip_coupling,
+                      good_block_sequence, iid_binary, matching_radius,
+                      meshalkin_match, partner_slots, required_d,
+                      sample_window, special_sequence)
 
 
 def match_oracle(letters: str, d: int):
@@ -226,19 +227,19 @@ class TestGoodToAB:
 
     def test_realization_rows(self):
         w = self.realization()
-        zp, z = good_to_ab(w, decompose(w))
+        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
         assert np.flatnonzero(zp.isa).tolist() == [3, 16, 27]
         # the aligned partition misses the special filler at 16
         assert np.flatnonzero(z.isa).tolist() == [3, 27]
 
     def test_no_markers_all_b(self):
         w = Window(0, np.zeros(32, dtype=np.uint8))
-        zp, z = good_to_ab(w, decompose(w))
+        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
         assert not zp.isa.any() and not z.isa.any()
 
     def test_every_block_good(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 5, dtype=np.uint8))
-        zp, z = good_to_ab(w, decompose(w))
+        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
         assert np.flatnonzero(z.isa).tolist() == \
             [8 * n + 3 for n in range(5)]
 
@@ -246,7 +247,7 @@ class TestGoodToAB:
         m = iid_binary(0.4)
         for seed in range(5):
             w = sample_window(m, (0, 4999), SeedStream(seed))
-            zp, z = good_to_ab(w, decompose(w))
+            zp, z = special_sequence(decompose(w)), good_block_sequence(w)
             assert dominates(z, zp)
 
     def test_censored_fraction_shrinks_with_window(self):
@@ -260,7 +261,7 @@ class TestGoodToAB:
         fracs = []
         for N in (10 ** 4, 10 ** 5, 4 * 10 ** 5):
             w = sample_window(m, (0, N - 1), SeedStream(99))
-            _, z = good_to_ab(w, decompose(w))
+            z = good_block_sequence(w)
             assignment = meshalkin_match(z, d)
             lo, hi = N // 6, 5 * N // 6
             inner = [b for b in assignment.unmatched if lo <= b < hi]

@@ -7,9 +7,8 @@ import pytest
 
 from shiftlab import (SeedStream, SequenceSpec, Window, ZeroMassError,
                       doeblin_delta, forget_coin, f_family, iid, iid_binary,
-                      inverse_sqrt, kakutani_shift_sum, log_rn_shift,
-                      log_rn_swap, make_mu_pc, make_nu_c, parse_measure, ri,
-                      rpm, sample_window)
+                      inverse_sqrt, log_rn_shift, log_rn_swap, make_mu_pc,
+                      make_nu_c, parse_measure, ri, rpm, sample_window)
 from shiftlab.factor import bias_square_terms
 from shiftlab.measures import (centred_sum, kakutani_terms, nu_c_zero_mass,
                                sum_with_tail)
@@ -92,7 +91,7 @@ class TestMuPC:
 
 class TestDoeblin:
     def test_iid_constant(self):
-        assert doeblin_delta(iid_binary(0.3), (-50, 50)) == pytest.approx(0.3)
+        assert doeblin_delta(iid_binary(0.3).block(-50, 101), -50) == pytest.approx(0.3)
 
     def test_nu_sixth_over_million(self):
         # enumeration oracle: the minimum mass of nu^{1/6} sits at n = 1
@@ -101,30 +100,40 @@ class TestDoeblin:
         a = nu_c_zero_mass(n, 1 / 6)
         oracle = float(np.minimum(0.5 + a, 0.5 - a).min())
         assert oracle == pytest.approx(1 / 3, abs=1e-15)
-        assert doeblin_delta(m, (-10 ** 6, 10 ** 6)) == pytest.approx(oracle, abs=0)
+        assert doeblin_delta(m.block(-10 ** 6, 2 * 10 ** 6 + 1), -10 ** 6) == pytest.approx(oracle, abs=0)
 
     def test_zero_mass_flags(self):
         m = iid((1.0, 0.0))
         with pytest.warns(RuntimeWarning, match="zero marginal mass"):
-            assert doeblin_delta(m, (0, 5)) == 0.0
+            assert doeblin_delta(m.block(0, 6), 0) == 0.0
+
+
+def terms_of(m, k, N):
+    """kakutani_terms over a block of exactly the indices n and n-k reach."""
+    lo = -N - max(k, 0)
+    return kakutani_terms(m.block(lo, 2 * N + 1 + abs(k)), lo, k, N)
+
+
+def kakutani_sum(m, k, N):
+    return float(np.sum(terms_of(m, k, N)))
 
 
 class TestKakutaniShiftSum:
     def test_iid_is_zero(self):
         m = iid_binary(0.42)
         for k in (1, 3, 7):
-            assert kakutani_shift_sum(m, k, 500) == 0.0
+            assert kakutani_sum(m, k, 500) == 0.0
 
     def test_k_zero(self):
-        assert kakutani_shift_sum(make_nu_c(0.3), 0, 100) == 0.0
+        assert kakutani_sum(make_nu_c(0.3), 0, 100) == 0.0
 
     def test_frozen_oracle_value(self):
-        val = kakutani_shift_sum(make_nu_c(0.1), 1, 10 ** 5)
+        val = kakutani_sum(make_nu_c(0.1), 1, 10 ** 5)
         assert val == pytest.approx(KAKUTANI_NU01_K1_N1E5, abs=5e-12)
 
     def test_monotone_in_N(self):
         m = make_nu_c(0.3)
-        vals = [kakutani_shift_sum(m, 2, N) for N in (10, 100, 1000, 10000)]
+        vals = [kakutani_sum(m, 2, N) for N in (10, 100, 1000, 10000)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_zero_iff_k_periodic(self):
@@ -136,18 +145,29 @@ class TestKakutaniShiftSum:
                 [period[np.arange(start, start + length) % 3],
                  1 - period[np.arange(start, start + length) % 3]]),
             description="3-periodic")
-        assert kakutani_shift_sum(periodic, 3, 200) == 0.0
-        assert kakutani_shift_sum(periodic, 1, 200) > 0.0
+        assert kakutani_sum(periodic, 3, 200) == 0.0
+        assert kakutani_sum(periodic, 1, 200) > 0.0
 
     def test_report_has_tail(self):
-        value, tail = sum_with_tail(kakutani_terms(make_nu_c(0.1), 1, 1000))
+        value, tail = sum_with_tail(terms_of(make_nu_c(0.1), 1, 1000))
         assert value >= tail >= 0.0
 
     def test_partial_sum_beyond_terms_is_refused(self):
-        terms = kakutani_terms(make_nu_c(0.1), 1, 10)
+        terms = terms_of(make_nu_c(0.1), 1, 10)
         assert centred_sum(terms, 0) == terms[10]
         with pytest.raises(ValueError, match="outside"):
             centred_sum(terms, 11)
+
+    def test_short_block_is_refused(self):
+        # k = 2, N = 10 reads indices -12 .. 10
+        m = make_nu_c(0.1)
+        with pytest.raises(ValueError, match=r"misses -12 \.\. -12$"):
+            kakutani_terms(m.block(-11, 22), -11, 2, 10)
+        with pytest.raises(ValueError, match=r"misses -12 \.\. -10 and "
+                                             r"10 \.\. 10$"):
+            kakutani_terms(m.block(-9, 19), -9, 2, 10)
+        with pytest.raises(ValueError, match="two-symbol"):
+            kakutani_terms(iid((0.2, 0.3, 0.5)).block(-12, 23), -12, 2, 10)
 
 
 def kakutani_two_blocks(m, k, N):
@@ -183,11 +203,11 @@ def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
     tail, decade series) equals the two-block sum at that N exactly."""
     m = TERM_MEASURES[name]
     for N in (1, 9, 10, 999, 10 ** 5):
-        terms = kakutani_terms(m, k, N)
+        terms = terms_of(m, k, N)
         assert len(terms) == 2 * N + 1
         value, tail = sum_with_tail(terms)
         assert value == kakutani_two_blocks(m, k, N)
-        assert value == kakutani_shift_sum(m, k, N)
+        assert value == kakutani_sum(m, k, N)
         assert tail == value - kakutani_two_blocks(m, k, max(N // 10, 1))
         decades = [10 ** e for e in range(1, int(math.log10(N)) + 1)]
         for dn in decades:
@@ -198,7 +218,8 @@ def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
 def test_bias_square_partial_sums_equal_oracle(name):
     m = TERM_MEASURES[name]
     for N in (1, 9, 10, 999, 10 ** 5):
-        value, tail = sum_with_tail(bias_square_terms(m, N))
+        p = m.block(-N, 2 * N + 2)
+        value, tail = sum_with_tail(bias_square_terms(p, -N, N))
         assert value == bias_square_at(m, N)
         assert tail == value - bias_square_at(m, max(N // 10, 1))
 
