@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,8 @@ CSV_CHUNK = 1 << 16
 class RunConfig:
     command: str
     params: dict
-    seed: int = DEFAULT_SEED
-    out_dir: Path = field(default_factory=lambda: Path(
-        os.environ.get("SHIFTLAB_OUT", ".")))
+    seed: int
+    out_dir: Path
 
 
 @dataclass
@@ -98,24 +97,6 @@ def parse_plot_data(path: Path) -> dict[str, list[tuple[float, float]]]:
     return out
 
 
-def _measure_from_params(params: dict) -> measures.FiniteProductMeasure:
-    if params.get("measure"):
-        return measures.parse_measure(params["measure"])
-    family = params.get("family")
-    try:
-        if family == "nu_c":
-            return measures.make_nu_c(params["c"])
-        if family == "iid":
-            return measures.iid_binary(params["p0"])
-        if family == "mu":
-            return measures.make_mu_pc(
-                measures.SequenceSpec(params["p"], measures.inverse_sqrt),
-                params["c"])
-    except KeyError as exc:
-        raise ValueError(f"--family {family} needs --{exc.args[0]}") from None
-    raise ValueError(f"no measure specified (family={family!r})")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -128,7 +109,7 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
 
 
 def _cmd_measure(cfg: RunConfig) -> Report:
-    m = _measure_from_params(cfg.params)
+    m = measures.parse_measure(cfg.params["measure"])
     n = cfg.params["n"]
     ks = cfg.params.get("ks") or [1, 2, 4, 8]
     # one block over the Kakutani lags n - k and the last bias bond n + 1
@@ -153,11 +134,11 @@ def _cmd_measure(cfg: RunConfig) -> Report:
 
 
 def _cmd_factor(cfg: RunConfig) -> Report:
-    m = _measure_from_params(cfg.params)
+    m = measures.parse_measure(cfg.params["measure"])
     n = cfg.params["n"]
     seeds = SeedStream(cfg.seed)
     result = factor_mod.run_iid_factor(m, (0, n - 1), seeds,
-                                       radius=cfg.params.get("radius", 64))
+                                       radius=cfg.params["radius"])
     diag = result.diagnostics
     metrics = [
         {"name": "q", "value": diag["q"], "pass": diag["q"] > 0},
@@ -171,7 +152,7 @@ def _cmd_factor(cfg: RunConfig) -> Report:
 
 
 def _cmd_match(cfg: RunConfig) -> Report:
-    m = _measure_from_params(cfg.params)
+    m = measures.parse_measure(cfg.params["measure"])
     n = cfg.params["n"]
     seeds = SeedStream(cfg.seed)
     w = sample_window(m, (0, n - 1), seeds, label="match-input")
@@ -336,11 +317,8 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
 
     pm = sub.add_parser("measure").add_subparsers(dest="sub", required=True) \
         .add_parser("check")
-    pm.add_argument("--family", choices=["iid", "nu_c", "mu"])
-    pm.add_argument("--measure", help="compact spec, e.g. iid:0.3")
-    pm.add_argument("--c", type=float)
-    pm.add_argument("--p0", type=float)
-    pm.add_argument("--p", type=float)
+    pm.add_argument("--measure", required=True,
+                    help="compact spec, e.g. iid:0.3")
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--k", type=int, action="append", dest="ks")
     common(pm)
@@ -349,7 +327,7 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
         .add_parser("run")
     pf.add_argument("--measure", required=True)
     pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--radius", type=int, default=64,
+    pf.add_argument("--radius", type=int, default=factor_mod.DEFAULT_RADIUS,
                     help="fair-bit half-window of the split code")
     common(pf)
 
@@ -381,19 +359,24 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace,
                       file_values: dict) -> RunConfig:
-    params = {k: v for k, v in vars(args).items()
-              if k not in {"command", "sub", "seed", "out_dir", "config"}
-              and v is not None}
-    for k, v in file_values.items():
-        params.setdefault(k, v)
+    options = set(vars(args)) - {"command", "sub", "config"}
+    unknown = sorted(set(file_values) - options)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)} for "
+                         f"{args.command} {args.sub}")
+    # an append option (--k) takes no default from the file: fill it here
+    params = {}
+    for k in options - {"seed", "out_dir"}:
+        v = getattr(args, k)
+        v = file_values.get(k) if v is None else v
+        if v is not None:
+            params[k] = v
     for key, least in (("n", 1), ("samples", 1), ("kmax", 1), ("radius", 0)):
         value = params.get(key, least)
         if not isinstance(value, int) or value < least:
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
-    if "out" in params:
-        params["out"] = str(params["out"])
     return RunConfig(command=args.command, params=params, seed=args.seed,
                      out_dir=out_dir)
 

@@ -29,11 +29,13 @@ from . import stattests
 from .markers import MarkerDecomposition, decompose, good_prob_lower
 from .matching import (MatchingAssignment, meshalkin_match, partner_slots,
                        required_d, special_sequence)
-from .measures import FiniteProductMeasure, block_rows
+from .measures import FiniteProductMeasure, ZeroMassError, block_rows
 from .sampling import SeedStream, Window, sample_window
 
 LOG2 = math.log(2.0)
 BALANCE_TOL = 1e-10   # |(d+1) H(beta0) - log 2| a split code may leave
+DEFAULT_RADIUS = 64   # fair-bit half-window of the split code
+INTERIOR_FRACTION = 0.1   # output share cut from each end before testing
 
 
 def binary_entropy(b: float) -> float:
@@ -93,7 +95,7 @@ class SplitCodeSpec:
 
     d: int
     beta0: float
-    radius: int = 64
+    radius: int = DEFAULT_RADIUS
 
     def __post_init__(self):
         if not 0.0 < self.beta0 <= 0.5:
@@ -102,7 +104,8 @@ class SplitCodeSpec:
             raise ValueError("entropy balance (d+1) H(beta0) = log 2 violated")
 
     @classmethod
-    def for_capacity(cls, d: int, radius: int = 64) -> "SplitCodeSpec":
+    def for_capacity(cls, d: int,
+                     radius: int = DEFAULT_RADIUS) -> "SplitCodeSpec":
         return cls(d=d, beta0=beta_for(d + 1), radius=radius)
 
 
@@ -127,7 +130,7 @@ def bias_square_terms(p: np.ndarray, lo: int, N: int) -> np.ndarray:
     den = p01 + p10
     if np.any(den == 0.0):
         i = -N + int(np.argwhere(den == 0.0)[0][0])
-        raise ZeroDivisionError(f"degenerate marginals at bond ({i}, {i + 1})")
+        raise ZeroMassError(f"degenerate marginals at bond ({i}, {i + 1})")
     return (p01 / den - 0.5) ** 2
 
 
@@ -215,8 +218,8 @@ class FactorResult:
 
 
 def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
-                   seeds: SeedStream, radius: int = 64,
-                   interior_fraction: float = 0.1) -> FactorResult:
+                   seeds: SeedStream,
+                   radius: int = DEFAULT_RADIUS) -> FactorResult:
     """Compose the full factor map on a sampled window and report
     diagnostics: q, d, beta0, censoring fraction and the three-part
     uniformity suite on the interior output."""
@@ -233,7 +236,7 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     out = spread_bits(dec, assignment, split)
 
     n = len(out)
-    margin = max(1, int(interior_fraction * n))
+    margin = max(1, int(INTERIOR_FRACTION * n))
     inner = np.asarray(out.values[margin:n - margin])
     inner = inner[inner >= 0].astype(np.uint8)
     tests = stattests.uniformity_suite(inner, 1.0 - spec.beta0)

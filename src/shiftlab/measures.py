@@ -31,7 +31,7 @@ DENSITY_TOL = 1e-10
 
 
 class ZeroMassError(ValueError):
-    """A log-RN evaluation hit a symbol with zero marginal mass."""
+    """A log-RN or bias evaluation hit zero marginal mass."""
 
 
 def _as_vector(v) -> np.ndarray:
@@ -72,9 +72,11 @@ class FiniteProductMeasure:
         if p.shape[-1] != len(self.alphabet):
             raise ValueError(
                 f"marginal length {p.shape[-1]} != alphabet size {len(self.alphabet)}")
-        if np.any(p < 0):
-            n = start + int(np.argwhere(p < 0)[0][0])
-            raise ValueError(f"negative mass in marginal at index {n}")
+        bad = ~(np.isfinite(p) & (p >= 0))
+        if np.any(bad):
+            n = start + int(np.argwhere(bad)[0][0])
+            raise ValueError(
+                f"non-finite or negative mass in marginal at index {n}")
         s = p.sum(axis=-1)
         if np.any(np.abs(s - 1.0) > PROB_TOL):
             n = start + int(np.argmax(np.abs(s - 1.0)))
@@ -407,20 +409,23 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
 def parse_measure(text: str) -> FiniteProductMeasure:
     """Build a measure from a compact textual spec.
 
-    Formats:
+    Formats (every number finite):
       ``iid:<p0>``        i.i.d. binary with P(0) = p0
       ``nu_c:<c>``        half-stationary family with parameter c
       ``mu:<p>,<c>``      p + c/sqrt(n) family (clamped)
     """
     name, _, rest = text.partition(":")
     try:
+        args = [float(s) for s in rest.split(",")]
+        if not all(math.isfinite(v) for v in args):
+            raise ValueError("every number must be finite")
         if name == "iid":
-            return iid_binary(float(rest))
+            return iid_binary(*args)
         if name == "nu_c":
-            return make_nu_c(float(rest))
+            return make_nu_c(*args)
         if name == "mu":
-            p_str, c_str = rest.split(",")
-            return make_mu_pc(SequenceSpec(float(p_str), inverse_sqrt), float(c_str))
+            p, c = args
+            return make_mu_pc(SequenceSpec(p, inverse_sqrt), c)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad measure spec {text!r}: {exc}") from exc
     raise ValueError(f"unknown measure family {name!r}")

@@ -25,6 +25,8 @@ from .measures import (FiniteProductMeasure, SequenceSpec, inverse_sqrt,
 from .sampling import Window
 
 MAX_BLOCK_WIDTH = 20
+SUPPORT_MULT = 10   # perturbation support, in multiples of the largest lag
+DIAG_K = 100        # lag range of the index scan's diagnostics
 
 
 @dataclass(frozen=True)
@@ -193,17 +195,17 @@ def _hellinger_all_k(c: float, K: int, support: int) -> np.ndarray:
     return 2.0 * A - 2.0 * ac[1:K + 1]
 
 
-def dissipativity_partial(c: float, K: int, support_mult: int = 10) -> DissipativityReport:
+def dissipativity_partial(c: float, K: int) -> DissipativityReport:
     """Partial sums of sum_k exp(-S(k, c)/2) with a tail-exponent fit.
 
-    S is computed with the perturbation truncated at support_mult * K,
-    which leaves a relative error O(1/support_mult^2) in the exponents.
+    S is computed with the perturbation truncated at SUPPORT_MULT * K,
+    which leaves a relative error O(1/SUPPORT_MULT^2) in the exponents.
     The tail slope is the least-squares slope of log summand against
     log k over k in [K/10, K].
     """
     if K < 10:
         raise ValueError("K must be at least 10")
-    S = _hellinger_all_k(c, K, support_mult * K)
+    S = _hellinger_all_k(c, K, SUPPORT_MULT * K)
     summands = np.exp(-S / 2.0)
     partial = np.cumsum(summands)
     lo = max(K // 10, 1)
@@ -282,8 +284,7 @@ class IndexReport:
     implied_index: int
 
 
-def index_report(c: float, d_assumed: float, kmax: int,
-                 diag_K: int = 100) -> IndexReport:
+def index_report(c: float, d_assumed: float, kmax: int) -> IndexReport:
     """Classify each power k <= kmax by comparing c sqrt(k) against an
     assumed critical value, with Hellinger/dissipativity diagnostics for
     the rescaled parameter.  The implied ergodic index is the largest k
@@ -294,12 +295,12 @@ def index_report(c: float, d_assumed: float, kmax: int,
     rows = []
     for k in range(1, kmax + 1):
         ck = c * math.sqrt(k)
-        rep = dissipativity_partial(ck, diag_K)
+        rep = dissipativity_partial(ck, DIAG_K)
         rows.append(IndexRow(
             k=k,
             c_scaled=ck,
             conservative_proxy=bool(ck < d_assumed),
-            hellinger=float(hellinger_S(ck, diag_K, 10 * diag_K)),
+            hellinger=float(hellinger_S(ck, DIAG_K, SUPPORT_MULT * DIAG_K)),
             dissipativity_partial=rep.partial,
             tail_slope=rep.tail_slope,
         ))

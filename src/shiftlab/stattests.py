@@ -11,10 +11,17 @@ import math
 import numpy as np
 from scipy.special import chdtrc
 
+# Acceptance thresholds of the uniformity suite, fixed for every caller.
+MIN_EXPECTED = 5.0    # Cochran's rule: pool cells until each expects >= 5
+ALPHA = 0.001         # least p-value a chi-square test may show
+FREQ_SIGMAS = 4.0     # largest |z| of the frequency of ones
+MAX_ABS_R = 0.01      # bound on every |r_k|, k = 1 .. LAGS
+LAGS = 8
 
-def pool_expected(counts, expected, min_expected: float = 5.0):
+
+def pool_expected(counts, expected):
     """Merge categories (ascending by expectation) until all pooled cells
-    have expectation >= min_expected.  Returns (counts, expected) arrays."""
+    have expectation >= MIN_EXPECTED.  Returns (counts, expected) arrays."""
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     order = np.argsort(expected)
@@ -23,7 +30,7 @@ def pool_expected(counts, expected, min_expected: float = 5.0):
     for i in order:
         acc_c += counts[i]
         acc_e += expected[i]
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             pc.append(acc_c)
             pe.append(acc_e)
             acc_c = acc_e = 0.0
@@ -36,9 +43,9 @@ def pool_expected(counts, expected, min_expected: float = 5.0):
     return np.array(pc), np.array(pe)
 
 
-def chi_square_pooled(counts, expected, min_expected: float = 5.0):
+def chi_square_pooled(counts, expected):
     """Chi-square GOF with category pooling; returns (stat, p_value, dof)."""
-    pc, pe = pool_expected(counts, expected, min_expected)
+    pc, pe = pool_expected(counts, expected)
     if len(pc) < 2:
         return 0.0, 1.0, 0
     # rescale to identical totals (pooling keeps them equal up to rounding)
@@ -57,7 +64,7 @@ def chi_square_fair_bits(bits) -> tuple[float, float]:
     return stat, p
 
 
-def serial_correlations(x, lags: int = 8) -> np.ndarray:
+def serial_correlations(x, lags: int = LAGS) -> np.ndarray:
     """Pearson autocorrelations r_1..r_lags of a numeric sequence."""
     x = np.asarray(x, dtype=float)
     xc = x - x.mean()
@@ -68,8 +75,7 @@ def serial_correlations(x, lags: int = 8) -> np.ndarray:
                      for k in range(1, lags + 1)])
 
 
-def block_chi_square(bits, block_len: int, p_one: float,
-                     min_expected: float = 5.0):
+def block_chi_square(bits, block_len: int, p_one: float):
     """Chi-square of non-overlapping blocks against the i.i.d. block law."""
     bits = np.asarray(bits, dtype=np.int64)
     nb = len(bits) // block_len
@@ -87,7 +93,7 @@ def block_chi_square(bits, block_len: int, p_one: float,
             bit = (b >> (block_len - 1 - j)) & 1
             pr *= p_one if bit else (1.0 - p_one)
         probs[b] = pr
-    return chi_square_pooled(counts, probs * nb, min_expected)
+    return chi_square_pooled(counts, probs * nb)
 
 
 def frequency_zscore(bits, p_one: float) -> float:
@@ -103,11 +109,9 @@ def _failed(name: str, reason: str) -> dict:
             "reason": reason}
 
 
-def uniformity_suite(bits, p_one: float, *, alpha: float = 0.001,
-                     freq_sigmas: float = 4.0, max_abs_r: float = 0.01,
-                     lags: int = 8) -> list[dict]:
+def uniformity_suite(bits, p_one: float) -> list[dict]:
     """The three-part acceptance suite for a claimed i.i.d. bit law:
-    per-symbol frequency (z test), 3-block chi-square, and lag-1..lags
+    per-symbol frequency (z test), 3-block chi-square, and lag-1..LAGS
     serial correlations.  Returns one record per test; a test that the
     input is too short or too regular to carry out fails with a reason."""
     if len(bits) == 0:
@@ -115,22 +119,22 @@ def uniformity_suite(bits, p_one: float, *, alpha: float = 0.001,
                 ("frequency", "chi_square_3_blocks", "serial_correlation")]
     z = frequency_zscore(bits, p_one)
     records = [{"name": "frequency", "statistic": z, "p_value": None,
-                "pass": bool(abs(z) <= freq_sigmas)}]
+                "pass": bool(abs(z) <= FREQ_SIGMAS)}]
     stat3, p3, dof3 = block_chi_square(bits, 3, p_one)
     if dof3 == 0:
         records.append(_failed("chi_square_3_blocks",
                                "pooling leaves no degrees of freedom"))
     else:
         records.append({"name": "chi_square_3_blocks", "statistic": stat3,
-                        "p_value": p3, "pass": bool(p3 >= alpha)})
-    if len(bits) <= lags:
+                        "p_value": p3, "pass": bool(p3 >= ALPHA)})
+    if len(bits) <= LAGS:
         records.append(_failed("serial_correlation",
-                               f"{len(bits)} bits; need more than {lags}"))
+                               f"{len(bits)} bits; need more than {LAGS}"))
     elif np.ptp(bits) == 0:
         records.append(_failed("serial_correlation", "all bits are equal"))
     else:
-        rs = serial_correlations(bits, lags)
+        rs = serial_correlations(bits)
         rmax = float(np.max(np.abs(rs))) if len(rs) else 0.0
         records.append({"name": "serial_correlation", "statistic": rmax,
-                        "p_value": None, "pass": bool(rmax < max_abs_r)})
+                        "p_value": None, "pass": bool(rmax < MAX_ABS_R)})
     return records

@@ -27,6 +27,9 @@ from .measures import DensityFamily, log_damped
 from .sampling import Window
 
 _REINDEX_SEARCH_LIMIT = 10_000
+# Matching capacity of the erasure: 51 mantissa bits split into d + 1 = 3
+# shares keep 17 digit bits per share, far below any test's resolution.
+ERASE_CAPACITY = 2
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,18 @@ def f_family(spec: TypeIIISpec) -> DensityFamily:
 
 @dataclass(frozen=True)
 class HMapSpec:
-    """Slope data for the coordinate map h, with the perturbation sequence
-    re-indexed so that a_1 (1 + p) < 1/2 and a_n = 0 for n <= 0."""
+    """Slope data for the coordinate map h, with ``log_damped`` re-indexed
+    by the least ``shift`` that gives a_1 (1 + p) < 1/2; a_n = 0 for
+    n <= 0."""
 
     lam: float
     lam_prime: float
-    a_base: Callable[[int], float] = log_damped
-    shift: int = field(default=-1)
+    shift: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < self.lam_prime < 1.0:
             raise ValueError("need 0 < lambda < lambda' < 1")
-        if self.shift < 0:
-            object.__setattr__(self, "shift", self._find_shift())
-        head = self.a_base(1 + self.shift)
-        if head <= 0 or head * (1.0 + self.p) >= 0.5:
-            raise ValueError("re-indexing failed to produce a_1 (1+p) < 1/2")
+        object.__setattr__(self, "shift", self._find_shift())
 
     @property
     def p(self) -> float:
@@ -98,14 +97,14 @@ class HMapSpec:
     def _find_shift(self) -> int:
         p = self.p
         for s in range(_REINDEX_SEARCH_LIMIT):
-            head = self.a_base(1 + s)
+            head = log_damped(1 + s)
             if head > 0 and head * (1.0 + p) < 0.5:
                 return s
         raise ValueError("no admissible re-indexing found")
 
     def a(self, n: int) -> float:
-        """Re-indexed sequence: a(n) = a_base(n + shift) for n >= 1, else 0."""
-        return float(self.a_base(n + self.shift)) if n >= 1 else 0.0
+        """Re-indexed sequence: log_damped(n + shift) for n >= 1, else 0."""
+        return float(log_damped(n + self.shift)) if n >= 1 else 0.0
 
     @property
     def a1(self) -> float:
@@ -265,19 +264,20 @@ def _digit_shares(t: np.ndarray, shares: int, bits_per: int) -> np.ndarray:
     return out
 
 
-def erase_negative_side(w: Window, zone: tuple[float, float],
-                        d: int = 2) -> tuple[Window, dict]:
+def erase_negative_side(w: Window,
+                        zone: tuple[float, float]) -> tuple[Window, dict]:
     """Replace every negative coordinate by a uniform [-1, 0) value.
 
     Coordinates landing in the safe zone are uniform there; their binary
-    digits are split into d+1 equal shares.  Each safe coordinate keeps one
-    share for itself and hands the others to the negative coordinates the
-    Meshalkin matching (capacity d, run on the subsequence of negative
-    indices) assigns to it.  Unresolved coordinates come back as NaN.
+    digits are split into d+1 equal shares, d = ERASE_CAPACITY.  Each safe
+    coordinate keeps one share for itself and hands the others to the
+    negative coordinates the Meshalkin matching (capacity d, run on the
+    subsequence of negative indices) assigns to it.  Unresolved
+    coordinates come back as NaN.
 
-    The map is deterministic and commutes with index translation; d = 2
-    keeps 17 digit bits per share, far below any test's resolution.
+    The map is deterministic and commutes with index translation.
     """
+    d = ERASE_CAPACITY
     lo, hi = zone
     if not -1.0 <= lo < hi <= 0.0:
         raise ValueError("safe zone must be a subinterval of [-1, 0)")

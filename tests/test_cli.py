@@ -58,8 +58,8 @@ class TestBlockReads:
 
 class TestMeasureCheck:
     def test_runs_and_reports(self, tmp_path, capsys):
-        code = run_cli(tmp_path, "measure", "check", "--family", "nu_c",
-                       "--c", "0.1", "--n", "100000")
+        code = run_cli(tmp_path, "measure", "check", "--measure", "nu_c:0.1",
+                       "--n", "100000")
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         names = {m["name"] for m in report["metrics"]}
@@ -92,20 +92,8 @@ class TestMeasureCheck:
                 (0.20304602461050097, 4.1777547726828956e-08, True),
         }
 
-    @pytest.mark.parametrize("params, missing", [
-        (["--family", "mu", "--p", "0.3"], "--family mu needs --c"),
-        (["--family", "mu", "--c", "0.5"], "--family mu needs --p"),
-        (["--family", "iid"], "--family iid needs --p0"),
-        (["--family", "nu_c"], "--family nu_c needs --c"),
-    ])
-    def test_missing_family_parameter_is_named(self, tmp_path, capsys,
-                                               params, missing):
-        code = run_cli(tmp_path, "measure", "check", *params, "--n", "100")
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"shiftlab: config error: {missing}\n"
-
     def test_byte_determinism(self, tmp_path, capsys):
-        argv = ["measure", "check", "--family", "nu_c", "--c", "0.2",
+        argv = ["measure", "check", "--measure", "nu_c:0.2",
                 "--n", "1000", "--seed", "5"]
         run_cli(tmp_path, *argv)
         first = (tmp_path / "measure_report.json").read_bytes()
@@ -307,8 +295,8 @@ class TestConfigHandling:
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 1000}))
-        code = main(["--config", str(cfg), "measure", "check", "--family",
-                     "iid", "--p0", "0.4", "--n", "500",
+        code = main(["--config", str(cfg), "measure", "check", "--measure",
+                     "iid:0.4", "--n", "500",
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -325,7 +313,7 @@ class TestConfigHandling:
 
     def test_config_file_supplies_required_options(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"family": "iid", "p0": 0.4, "n": 500,
+        cfg.write_text(json.dumps({"measure": "iid:0.4", "n": 500,
                                    "seed": 3}))
         code = main(["--config", str(cfg), "measure", "check",
                      "--out-dir", str(tmp_path)])
@@ -333,12 +321,28 @@ class TestConfigHandling:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["params"]["n"] == 500
         assert report["config"]["seed"] == 3
+        assert "seed" not in report["config"]["params"]
+
+    @pytest.mark.parametrize("values, unknown", [
+        ({"seed": 3, "nn": 5, "radius": 8}, "nn, radius"),
+        ({"family": "iid", "p0": 0.4}, "family, p0"),
+    ])
+    def test_unknown_config_keys_are_config_errors(self, tmp_path, capsys,
+                                                   values, unknown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(["--config", str(cfg), "measure", "check", "--measure",
+                     "iid:0.4", "--n", "500", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: unknown config key(s) {unknown} for "
+            "measure check\n")
 
     def test_config_list_option_yields_to_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ks": [1, 2]}))
-        argv = ["--config", str(cfg), "measure", "check", "--family", "iid",
-                "--p0", "0.4", "--n", "500", "--out-dir", str(tmp_path)]
+        argv = ["--config", str(cfg), "measure", "check", "--measure",
+                "iid:0.4", "--n", "500", "--out-dir", str(tmp_path)]
         main(argv)
         assert json.loads(capsys.readouterr().out)[
             "config"]["params"]["ks"] == [1, 2]
@@ -353,14 +357,14 @@ class TestConfigHandling:
         listed.write_text("[1, 2]")
         for path in (bad, listed, tmp_path / "missing.json"):
             code = main(["--config", str(path), "measure", "check",
-                         "--family", "iid", "--p0", "0.4", "--n", "500",
+                         "--measure", "iid:0.4", "--n", "500",
                          "--out-dir", str(tmp_path)])
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("shiftlab: config error: ")
 
     @pytest.mark.parametrize("command, option", [
-        (["measure", "check", "--family", "iid", "--p0", "0.4"], "n"),
+        (["measure", "check", "--measure", "iid:0.4"], "n"),
         (["factor", "run", "--measure", "iid:0.3"], "n"),
         (["match", "run", "--measure", "iid:0.5"], "n"),
         (TYPEIII, "n"),
@@ -386,7 +390,34 @@ class TestConfigHandling:
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))
-        code = main(["measure", "check", "--family", "iid", "--p0", "0.5",
+        code = main(["measure", "check", "--measure", "iid:0.5",
                      "--n", "200"])
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "measure_report.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "check", "--measure", "nu_c:nan"],
+        ["measure", "check", "--measure", "nu_c:inf"],
+        ["measure", "check", "--measure", "mu:0.3,nan"],
+        ["measure", "check", "--measure", "iid:nan"],
+        ["factor", "run", "--measure", "iid:nan"],
+    ])
+    def test_non_finite_measure_is_config_error(self, tmp_path, capsys,
+                                                argv):
+        assert run_cli(tmp_path, *argv, "--n", "100") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"shiftlab: config error: bad measure spec {argv[3]!r}: ")
+
+    @pytest.mark.parametrize("spec", ["iid:0", "iid:1"])
+    def test_degenerate_bond_is_config_error(self, tmp_path, capsys, spec):
+        code = run_cli(tmp_path, "measure", "check", "--measure", spec,
+                       "--n", "10")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "shiftlab: config error: degenerate marginals at bond (-10, -9)\n")
+
+    def test_family_flags_are_gone(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "measure", "check", "--family", "nu_c",
+                       "--c", "0.1", "--n", "100")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err

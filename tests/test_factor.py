@@ -11,7 +11,8 @@ from shiftlab import (FairBitStream, SeedStream, SequenceSpec, SplitCodeSpec,
                       meshalkin_match, psi_split, required_d, run_iid_factor,
                       sample_window, special_sequence, spread_bits)
 from shiftlab.factor import LOG2, bias_square_terms, binary_entropy
-from shiftlab.measures import FiniteProductMeasure, sum_with_tail
+from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
+                               sum_with_tail)
 from shiftlab.stattests import serial_correlations, uniformity_suite
 
 # Bisection oracle for H(beta) = (log 2)/2, recorded to full precision.
@@ -48,7 +49,8 @@ class TestBiasSquareSum:
         m = FiniteProductMeasure(
             alphabet=(0, 1),
             marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroMassError,
+                           match=r"degenerate marginals at bond \(-5, -4\)"):
             bias_sum(m, 5)
 
     def test_short_block_is_refused(self):

@@ -15,17 +15,21 @@ from shiftlab import (ABSequence, MatchingAssignment, SeedStream, Window,
 
 def match_oracle(letters: str, d: int):
     """Literal inductive simulation: match each surviving b immediately
-    followed by a surviving a, drop matched b's and saturated a's, repeat."""
-    partner = {}
+    followed by a surviving a, drop matched b's and saturated a's, repeat.
+    Returns b -> a, b -> its round (from 1) and the unmatched b's."""
+    partner, round_of = {}, {}
     mult = {i: 0 for i, c in enumerate(letters) if c == "a"}
     active = list(range(len(letters)))
-    while True:
+    for rnd in itertools.count(1):
         pairs = [(m, n) for m, n in zip(active, active[1:])
                  if letters[m] == "b" and letters[n] == "a" and m not in partner]
         if not pairs:
-            return partner
+            unmatched = [i for i, c in enumerate(letters)
+                         if c == "b" and i not in partner]
+            return partner, round_of, unmatched
         for m, n in pairs:
             partner[m] = n
+            round_of[m] = rnd
             mult[n] += 1
         gone = {m for m, _ in pairs} | {n for n in mult if mult[n] >= d}
         active = [i for i in active if i not in gone]
@@ -77,7 +81,11 @@ class TestMeshalkinMatch:
                     got = meshalkin_match(
                         ABSequence.from_letters(0, letters), d)
                     got.check_capacity()
-                    assert got.pairs == match_oracle(letters, d), (letters, d)
+                    pairs, rounds, unmatched = match_oracle(letters, d)
+                    assert got.pairs == pairs, (letters, d)
+                    assert dict(zip(got.b_indices.tolist(),
+                                    got.rounds.tolist())) == rounds, (letters, d)
+                    assert got.unmatched.tolist() == unmatched, (letters, d)
 
     @given(st.text(alphabet="ab", min_size=1, max_size=40),
            st.integers(1, 4), st.integers(-50, 50))

@@ -273,6 +273,6 @@ class TestIndexReport:
         assert rep.rows[0].conservative_proxy
 
     def test_monotone_in_c(self):
-        idx = [index_report(c, 1.0, 8, diag_K=20 if False else 100).implied_index
+        idx = [index_report(c, 1.0, 8).implied_index
                for c in (0.3, 0.45, 0.6, 0.8, 1.1)]
         assert all(b <= a for a, b in zip(idx, idx[1:]))
