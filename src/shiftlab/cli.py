@@ -292,6 +292,22 @@ def _read_config_file(argv: list[str] | None) -> dict:
     return values
 
 
+def _check_file_value(action: argparse.Action, value) -> None:
+    """Refuse a config-file value that is not the text of a flag: one
+    string or number, or a list of them for an append option; never a
+    boolean, null or nested value."""
+    def scalar(v):
+        return isinstance(v, (str, int, float)) and not isinstance(v, bool)
+    if isinstance(action, argparse._AppendAction):
+        ok, shape = isinstance(value, list) and all(map(scalar, value)), \
+            "a list of strings or numbers"
+    else:
+        ok, shape = scalar(value), "a string or a number"
+    if not ok:
+        raise ValueError(f"config value {json.dumps(value)} for "
+                         f"{action.option_strings[0]}: expected {shape}")
+
+
 def _build_parser(file_values: dict) -> argparse.ArgumentParser:
     """The CLI parser, where ``file_values`` replace built-in defaults and
     satisfy required options: flag > config file > default."""
@@ -309,11 +325,14 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
                        help="report path (default <out-dir>/<cmd>_report.json)")
         for action in p._actions:
             if action.dest in file_values:
+                _check_file_value(action, file_values[action.dest])
                 action.required = False
-                # an append option would add its flags to a list default;
-                # _config_from_args fills it from the file instead
+                # argparse converts a string default through the option's
+                # type, as it does a flag's text.  An append option would
+                # add its flags to a list default; _config_from_args fills
+                # it from the file instead
                 if not isinstance(action, argparse._AppendAction):
-                    action.default = file_values[action.dest]
+                    action.default = str(file_values[action.dest])
 
     pm = sub.add_parser("measure").add_subparsers(dest="sub", required=True) \
         .add_parser("check")
@@ -364,16 +383,17 @@ def _config_from_args(args: argparse.Namespace,
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)} for "
                          f"{args.command} {args.sub}")
-    # an append option (--k) takes no default from the file: fill it here
-    params = {}
-    for k in options - {"seed", "out_dir"}:
-        v = getattr(args, k)
-        v = file_values.get(k) if v is None else v
-        if v is not None:
-            params[k] = v
+    params = {k: getattr(args, k) for k in options - {"seed", "out_dir"}
+              if getattr(args, k) is not None}
+    # the append option --k takes no default from the file: fill it here
+    if "ks" in options and "ks" not in params and "ks" in file_values:
+        try:
+            params["ks"] = [int(str(v)) for v in file_values["ks"]]
+        except ValueError:
+            raise ValueError(f"config value {json.dumps(file_values['ks'])} "
+                             f"for --k: invalid int value") from None
     for key, least in (("n", 1), ("samples", 1), ("kmax", 1), ("radius", 0)):
-        value = params.get(key, least)
-        if not isinstance(value, int) or value < least:
+        if params.get(key, least) < least:
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))

@@ -208,7 +208,7 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
     b, rank, slot = partner_slots(assignment, split.positions)
     usable = split.valid[rank]
     out[b[usable] - start] = split.tuples[rank[usable], slot[usable]]
-    return Window(start, out, None, "factor-output")
+    return Window(start, out)
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,10 @@ class FiniteProductMeasure:
     (length, A) array.  It is the only definition of the family: every
     diagnostic reads whole index ranges, so sampling a 10^6-coordinate
     window or summing over |n| <= 10^6 pays no Python call per coordinate.
-
-    ``doeblin_delta`` is a claimed uniform lower bound on all marginal
-    masses (0 means "unknown"); it is re-checked on every queried index.
     """
 
     alphabet: tuple
     marginals: Callable[[int, int], np.ndarray]
-    doeblin_delta: float = 0.0
-    description: str = ""
 
     def probs(self, n: int) -> np.ndarray:
         return self.block(n, 1)[0]
@@ -81,11 +76,6 @@ class FiniteProductMeasure:
         if np.any(np.abs(s - 1.0) > PROB_TOL):
             n = start + int(np.argmax(np.abs(s - 1.0)))
             raise ValueError(f"marginal at index {n} sums to {s.max()!r}, not 1")
-        if self.doeblin_delta > 0 and np.any(p < self.doeblin_delta - 1e-15):
-            n = start + int(np.argwhere(p < self.doeblin_delta - 1e-15)[0][0])
-            raise ValueError(
-                f"marginal mass at index {n} falls below claimed Doeblin "
-                f"bound {self.doeblin_delta}")
 
     def point_mass(self, n: int, symbol) -> float:
         return float(self.probs(n)[self.alphabet.index(symbol)])
@@ -104,7 +94,6 @@ class DensityFamily:
 
     support: tuple[float, float]
     pieces: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    description: str = ""
 
     def density(self, n: int, u) -> np.ndarray:
         """Table lookup at ``u`` (scalar or array): right-continuous, and
@@ -148,7 +137,6 @@ class SequenceSpec:
 
     p: float
     a: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
 
     def marginal_zero(self, n, c: float = 1.0) -> np.ndarray:
         """P(0) = p + c a_n under the clamp rule, vectorized over ``n``."""
@@ -188,12 +176,7 @@ def iid(vector) -> FiniteProductMeasure:
     def block(start: int, length: int) -> np.ndarray:
         return np.tile(v, (length, 1))
 
-    return FiniteProductMeasure(
-        alphabet=alphabet,
-        marginals=block,
-        doeblin_delta=float(v.min()) if v.min() > 0 else 0.0,
-        description=f"iid{tuple(round(x, 12) for x in v)}",
-    )
+    return FiniteProductMeasure(alphabet, block)
 
 
 def iid_binary(p0: float) -> FiniteProductMeasure:
@@ -223,12 +206,7 @@ def make_nu_c(c: float) -> FiniteProductMeasure:
         a = nu_c_zero_mass(np.arange(start, start + length), c)
         return np.column_stack([0.5 + a, 0.5 - a])
 
-    return FiniteProductMeasure(
-        alphabet=(0, 1),
-        marginals=block,
-        doeblin_delta=0.0,
-        description=f"nu_c(c={c})",
-    )
+    return FiniteProductMeasure((0, 1), block)
 
 
 def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
@@ -241,12 +219,7 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
         m0 = spec.marginal_zero(np.arange(start, start + length), c)
         return np.column_stack([m0, 1.0 - m0])
 
-    return FiniteProductMeasure(
-        alphabet=(0, 1),
-        marginals=block,
-        doeblin_delta=0.0,
-        description=f"mu(p={spec.p},c={c})",
-    )
+    return FiniteProductMeasure((0, 1), block)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +323,7 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
     def block(start: int, length: int) -> np.ndarray:
         return p * m.block(start, length) + (1.0 - p) * av
 
-    return FiniteProductMeasure(
-        alphabet=m.alphabet,
-        marginals=block,
-        doeblin_delta=0.0,
-        description=f"rpm({m.description},p={p})",
-    )
+    return FiniteProductMeasure(m.alphabet, block)
 
 
 def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
@@ -373,12 +341,7 @@ def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
         base = m.block(start, length)
         return np.hstack([p * base, (1.0 - p) * np.tile(av, (length, 1))])
 
-    return FiniteProductMeasure(
-        alphabet=alphabet,
-        marginals=block,
-        doeblin_delta=0.0,
-        description=f"ri({m.description},p={p})",
-    )
+    return FiniteProductMeasure(alphabet, block)
 
 
 def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
@@ -394,12 +357,7 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
         full = mri.block(start, length)
         return full[:, :half] + full[:, half:]
 
-    return FiniteProductMeasure(
-        alphabet=base_alphabet,
-        marginals=block,
-        doeblin_delta=0.0,
-        description=f"forget_coin({mri.description})",
-    )
+    return FiniteProductMeasure(base_alphabet, block)
 
 
 # ---------------------------------------------------------------------------

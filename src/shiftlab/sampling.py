@@ -54,19 +54,13 @@ class SeedStream:
         """A bulk generator for sequential use (rejection loops, MC)."""
         return Generator(Philox(key=self._key(f"{label}#{index}")))
 
-    def matrix(self, label: str, rows: int, cols: int) -> np.ndarray:
-        """Bulk (rows, cols) uniform draws from one labelled stream."""
-        return self.generator(label).random((rows, cols))
-
 
 @dataclass(frozen=True)
 class Window:
-    """A finite sample together with its index range and provenance."""
+    """A finite sample anchored at index ``start``."""
 
     start: int
     values: np.ndarray
-    seed: int | None = None
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.values)
@@ -86,8 +80,7 @@ class Window:
 
     def shifted(self, delta: int) -> "Window":
         """Same content anchored ``delta`` indices later."""
-        return Window(self.start + delta, self.values, self.seed,
-                      f"{self.source}>>{delta}" if self.source else "")
+        return Window(self.start + delta, self.values)
 
 
 def _span_length(span: tuple[int, int]) -> int:
@@ -113,7 +106,7 @@ def sample_window(m, span: tuple[int, int], seeds: SeedStream,
         values = sym
     else:
         values = np.array([m.alphabet[s] for s in sym])
-    return Window(lo, values, seeds.root_seed, m.description)
+    return Window(lo, values)
 
 
 def _piecewise_inverse_cdf(edges: np.ndarray, vals: np.ndarray,
@@ -143,7 +136,7 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
     for i in range(length):
         edges, vals = d.pieces(lo + i)
         out[i] = _piecewise_inverse_cdf(edges, vals, u[i:i + 1])[0]
-    return Window(lo, out, seeds.root_seed, d.description)
+    return Window(lo, out)
 
 
 def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
@@ -186,7 +179,7 @@ def sample_conditioned_filler(m, span: tuple[int, int], seeds: SeedStream,
         beta[i] = [b / top for b in row] + [0.0]
     if beta[0][0] == 0.0:
         raise ValueError(
-            f"no window on {span} avoids 011 under {m.description}: "
+            f"no window on {span} avoids 011: "
             "the conditioning event has probability 0")
     u = seeds.generator(label, lo).random(length).tolist()
     bits = np.empty(length, dtype=np.uint8)
@@ -198,4 +191,4 @@ def sample_conditioned_filler(m, span: tuple[int, int], seeds: SeedStream,
         one = u[i] * (w0 + w1) >= w0
         bits[i] = one
         s = o if one else z
-    return Window(lo, bits, seeds.root_seed, f"filler({m.description})")
+    return Window(lo, bits)

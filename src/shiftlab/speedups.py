@@ -62,7 +62,7 @@ def zeta(w: Window, k: int) -> BlockedWindow:
 
 
 def unblock(bw: BlockedWindow) -> Window:
-    return Window(bw.start * bw.k, bw.blocks.reshape(-1), None, "unblocked")
+    return Window(bw.start * bw.k, bw.blocks.reshape(-1))
 
 
 def pi_interleave(ws: list[Window]) -> BlockedWindow:
@@ -75,8 +75,7 @@ def pi_interleave(ws: list[Window]) -> BlockedWindow:
 
 
 def de_interleave(bw: BlockedWindow) -> list[Window]:
-    return [Window(bw.start, bw.blocks[:, i].copy(), None, f"component-{i}")
-            for i in range(bw.k)]
+    return [Window(bw.start, bw.blocks[:, i].copy()) for i in range(bw.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +289,8 @@ def index_report(c: float, d_assumed: float, kmax: int) -> IndexReport:
     the rescaled parameter.  The implied ergodic index is the largest k
     whose rescaled parameter stays below the assumed critical value
     (0 when even k = 1 falls outside)."""
-    if c <= 0 or d_assumed <= 0:
-        raise ValueError("c and d_assumed must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (c, d_assumed)):
+        raise ValueError("c and d_assumed must be positive and finite")
     rows = []
     for k in range(1, kmax + 1):
         ck = c * math.sqrt(k)

@@ -30,6 +30,9 @@ _REINDEX_SEARCH_LIMIT = 10_000
 # Matching capacity of the erasure: 51 mantissa bits split into d + 1 = 3
 # shares keep 17 digit bits per share, far below any test's resolution.
 ERASE_CAPACITY = 2
+# The widest generation of the default sequence: log_damped(n) vanishes for
+# n <= 1 and decreases from n = 2 on.
+SAFE_ZONE_INDEX = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class TypeIIISpec:
 
     lam: float
     a: Callable[[int], float] = log_damped
-    description: str = "f-family"
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -61,58 +63,50 @@ class TypeIIISpec:
 
 
 def f_family(spec: TypeIIISpec) -> DensityFamily:
+    """Pieces A_n, the middle and B_n; where a_n = 0 the outer two have
+    zero length."""
     def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
         a, lam = spec.a_n(n), spec.lam
-        if a == 0.0:
-            return np.array([0.0, 1.0]), np.array([1.0])
         return (np.array([0.0, a, 1.0 - lam * a, 1.0]),
                 np.array([lam, 1.0, 1.0 / lam]))
 
-    return DensityFamily(
-        support=(0.0, 1.0),
-        pieces=pieces,
-        description=f"{spec.description}(lam={spec.lam})",
-    )
+    return DensityFamily((0.0, 1.0), pieces)
 
 
 @dataclass(frozen=True)
 class HMapSpec:
     """Slope data for the coordinate map h, with ``log_damped`` re-indexed
     by the least ``shift`` that gives a_1 (1 + p) < 1/2; a_n = 0 for
-    n <= 0."""
+    n <= 0.  ``p``, ``shift`` and ``a1`` depend on lambda and lambda'
+    only, so they are computed once."""
 
     lam: float
     lam_prime: float
+    p: float = field(init=False)
     shift: int = field(init=False)
+    a1: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < self.lam_prime < 1.0:
             raise ValueError("need 0 < lambda < lambda' < 1")
-        object.__setattr__(self, "shift", self._find_shift())
-
-    @property
-    def p(self) -> float:
-        return (self.lam_prime - self.lam) / (1.0 - self.lam_prime)
-
-    def _find_shift(self) -> int:
-        p = self.p
+        p = (self.lam_prime - self.lam) / (1.0 - self.lam_prime)
         for s in range(_REINDEX_SEARCH_LIMIT):
             head = log_damped(1 + s)
             if head > 0 and head * (1.0 + p) < 0.5:
-                return s
-        raise ValueError("no admissible re-indexing found")
+                break
+        else:
+            raise ValueError("no admissible re-indexing found")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "shift", s)
+        object.__setattr__(self, "a1", float(head))
 
     def a(self, n: int) -> float:
         """Re-indexed sequence: log_damped(n + shift) for n >= 1, else 0."""
         return float(log_damped(n + self.shift)) if n >= 1 else 0.0
 
-    @property
-    def a1(self) -> float:
-        return self.a(1)
-
     def family(self) -> TypeIIISpec:
         """The base family expressed in the re-indexed numbering."""
-        return TypeIIISpec(self.lam, self.a, description="f-family-reindexed")
+        return TypeIIISpec(self.lam, self.a)
 
     def support_pieces(self) -> list[tuple[float, float]]:
         """Closure components of the common support of the pushforwards."""
@@ -168,27 +162,19 @@ def pushforward_density(hspec: HMapSpec, n: int, v) -> np.ndarray:
 
 
 def g_pieces(hspec: HMapSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form piece edges and values of the pushforward at index n."""
+    """Closed-form piece edges and values of the pushforward at index n;
+    where a_n = 0 the first and last pieces have zero length."""
     a1, p, lam = hspec.a1, hspec.p, hspec.lam
     an = hspec.a(n)
-    if an > 0.0:
-        edges = [0.0, an, a1, a1 + p * a1, 1.0 - (lam + p) * a1,
-                 1.0 - lam * a1, 1.0 - lam * an, 1.0]
-        vals = [lam + p, 1.0 + p, 0.0, 1.0, 0.0,
-                1.0 + p / lam, (1.0 + p) / lam]
-    else:
-        edges = [0.0, a1, a1 + p * a1, 1.0 - (lam + p) * a1,
-                 1.0 - lam * a1, 1.0]
-        vals = [1.0 + p, 0.0, 1.0, 0.0, 1.0 + p / lam]
+    edges = [0.0, an, a1, a1 + p * a1, 1.0 - (lam + p) * a1,
+             1.0 - lam * a1, 1.0 - lam * an, 1.0]
+    vals = [lam + p, 1.0 + p, 0.0, 1.0, 0.0,
+            1.0 + p / lam, (1.0 + p) / lam]
     return np.array(edges), np.array(vals)
 
 
 def g_family(hspec: HMapSpec) -> DensityFamily:
-    return DensityFamily(
-        support=(0.0, 1.0),
-        pieces=lambda n: g_pieces(hspec, n),
-        description=f"g-family(lam={hspec.lam},lam'={hspec.lam_prime})",
-    )
+    return DensityFamily((0.0, 1.0), lambda n: g_pieces(hspec, n))
 
 
 def ratio_profile(hspec: HMapSpec, n: int, v: float) -> float:
@@ -218,11 +204,7 @@ def shift_family(fam: DensityFamily, delta: float) -> DensityFamily:
         return edges + delta, values
 
     lo, hi = fam.support
-    return DensityFamily(
-        support=(lo + delta, hi + delta),
-        pieces=pieces,
-        description=f"{fam.description}{delta:+g}",
-    )
+    return DensityFamily((lo + delta, hi + delta), pieces)
 
 
 def mix_disjoint(rho: DensityFamily, nu: DensityFamily) -> DensityFamily:
@@ -238,17 +220,13 @@ def mix_disjoint(rho: DensityFamily, nu: DensityFamily) -> DensityFamily:
         edges = np.concatenate([e_nu, e_rho if gap else e_rho[1:]])
         return edges, 0.5 * np.concatenate([v_nu, gap, v_rho])
 
-    return DensityFamily(
-        support=(nu.support[0], rho.support[1]),
-        pieces=pieces,
-        description=f"mix({nu.description},{rho.description})",
-    )
+    return DensityFamily((nu.support[0], rho.support[1]), pieces)
 
 
-def safe_zone(spec: TypeIIISpec, start_index: int = 2) -> tuple[float, float]:
+def safe_zone(spec: TypeIIISpec) -> tuple[float, float]:
     """Largest interval on which every density of the family equals 1:
     the complement of A_n and B_n at the widest generation."""
-    (_, a_hi), (b_lo, _) = spec.intervals(start_index)
+    (_, a_hi), (b_lo, _) = spec.intervals(SAFE_ZONE_INDEX)
     return (a_hi, b_lo)
 
 
@@ -287,7 +265,7 @@ def erase_negative_side(w: Window,
     info = {"nu_indices": int(len(neg_pos)), "safe_hits": 0,
             "censored": 0, "capacity": d}
     if len(neg_pos) == 0:
-        return Window(w.start, out, w.seed, f"erased({w.source})"), info
+        return Window(w.start, out), info
 
     sub_vals = values[neg_pos]
     is_safe = (sub_vals >= lo) & (sub_vals < hi)
@@ -295,7 +273,7 @@ def erase_negative_side(w: Window,
     if not is_safe.any():
         out[neg_pos] = np.nan
         info["censored"] = int(len(neg_pos))
-        return Window(w.start, out, w.seed, f"erased({w.source})"), info
+        return Window(w.start, out), info
 
     bits_per = 51 // (d + 1)
     t = (sub_vals[is_safe] - lo) / (hi - lo)
@@ -311,7 +289,7 @@ def erase_negative_side(w: Window,
 
     info["censored"] = int(np.isnan(replaced).sum())
     out[neg_pos] = replaced
-    return Window(w.start, out, w.seed, f"erased({w.source})"), info
+    return Window(w.start, out), info
 
 
 def lift_lambda_on_negative(w: Window, hspec: HMapSpec) -> Window:
@@ -320,7 +298,7 @@ def lift_lambda_on_negative(w: Window, hspec: HMapSpec) -> Window:
     out = values.copy()
     neg = values < 0.0
     out[neg] = h_apply(hspec, values[neg] + 1.0) - 1.0
-    return Window(w.start, out, w.seed, f"lifted({w.source})")
+    return Window(w.start, out)
 
 
 def generation_log_ratios(fam: DensityFamily, n: int) -> list[float]:

@@ -347,7 +347,8 @@ def test_a10_speedup_blocking():
     m = sl.make_nu_c(0.2)
     k, nblocks, M = 2, 3, 10 ** 5
     p0 = m.block(0, k * nblocks)[:, 0]
-    u = sl.SeedStream(SEED).matrix("a10-blocking", M, k * nblocks)
+    u = sl.SeedStream(SEED).generator("a10-blocking").random(
+        (M, k * nblocks))
     bits = (u >= p0).astype(int)
     law_ok = True
     for start in range(nblocks):

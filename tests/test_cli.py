@@ -362,6 +362,51 @@ class TestConfigHandling:
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("shiftlab: config error: ")
+        # a file value is converted as its flag's text would be, and must
+        # be one string or number (a list of them for --k)
+        for values, reason in (
+                ({"ks": 3}, "config error: config value 3 for --k: "
+                            "expected a list"),
+                ({"ks": [0.5]}, "config error: config value [0.5] for --k: "
+                                "invalid int"),
+                ({"measure": 5}, "config error: bad measure spec '5'"),
+                ({"n": True}, "config error: config value true for --n: "
+                              "expected a string"),
+                ({"n": None}, "config error: config value null for --n: "
+                              "expected a string"),
+                ({"n": [500]}, "config error: config value [500] for --n: "
+                               "expected a"),
+                ({"n": 500.5}, "error: argument --n: invalid int value: "
+                               "'500.5'")):
+            listed.write_text(json.dumps(values))
+            code = main(["--config", str(listed), "measure", "check",
+                         "--out-dir", str(tmp_path)]
+                        + ([] if "n" in values else ["--n", "500"])
+                        + ([] if "measure" in values
+                           else ["--measure", "iid:0.4"]))
+            assert code == EXIT_CONFIG
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["measure", "check", "--measure", "iid:0.4", "--n", "200"],
+        ["index", "scan", "--c", "0.5", "--d-assumed", "1.0", "--kmax", "3"],
+        TYPEIII + ["--n", "10", "--samples", "20"],
+    ])
+    def test_config_file_sets_report_paths(self, tmp_path, capsys, command):
+        # every command's parser reads the file; a path value is converted
+        # once per command, not once per parser
+        name = command[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "d")}))
+        assert main(["--config", str(cfg), *command]) == EXIT_OK
+        assert (tmp_path / "d" / f"{name}_report.json").exists()
+        cfg.write_text(json.dumps({"out": str(tmp_path / "r.json")}))
+        assert main(["--config", str(cfg), *command,
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["config"]["command"] == name
+        assert not (tmp_path / f"{name}_report.json").exists()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command, option", [
         (["measure", "check", "--measure", "iid:0.4"], "n"),
@@ -407,6 +452,20 @@ class TestConfigHandling:
         assert run_cli(tmp_path, *argv, "--n", "100") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
             f"shiftlab: config error: bad measure spec {argv[3]!r}: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--c", "nan", "--d-assumed", "1.0"],
+        ["--c", "inf", "--d-assumed", "1.0"],
+        ["--c", "0.5", "--d-assumed", "nan"],
+    ])
+    def test_non_finite_index_scan_is_config_error(self, tmp_path, capsys,
+                                                   flags):
+        assert run_cli(tmp_path, "index", "scan", *flags,
+                       "--kmax", "3") == EXIT_CONFIG
+        assert capsys.readouterr().err == ("shiftlab: config error: c and "
+                                           "d_assumed must be positive and "
+                                           "finite\n")
+        assert not (tmp_path / "index_report.json").exists()
 
     @pytest.mark.parametrize("spec", ["iid:0", "iid:1"])
     def test_degenerate_bond_is_config_error(self, tmp_path, capsys, spec):

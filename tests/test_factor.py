@@ -34,8 +34,7 @@ class TestBiasSquareSum:
             alphabet=(0, 1),
             marginals=lambda start, length: np.where(
                 (np.arange(start, start + length) == 0)[:, None],
-                (0.6, 0.4), (0.5, 0.5)),
-            description="one-bump")
+                (0.6, 0.4), (0.5, 0.5)))
         # the bonds (-1, 0) and (0, 1) each contribute 0.01
         assert bias_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
 

@@ -143,8 +143,7 @@ class TestKakutaniShiftSum:
             alphabet=(0, 1),
             marginals=lambda start, length: np.column_stack(
                 [period[np.arange(start, start + length) % 3],
-                 1 - period[np.arange(start, start + length) % 3]]),
-            description="3-periodic")
+                 1 - period[np.arange(start, start + length) % 3]]))
         assert kakutani_sum(periodic, 3, 200) == 0.0
         assert kakutani_sum(periodic, 1, 200) > 0.0
 

@@ -86,8 +86,7 @@ class TestSampleWindow:
 class TestSampleDensityWindow:
     def test_uniform_ks(self):
         uni = DensityFamily((0.0, 1.0),
-                            lambda n: (np.array([0.0, 1.0]), np.array([1.0])),
-                            "uniform")
+                            lambda n: (np.array([0.0, 1.0]), np.array([1.0])))
         w = sample_density_window(uni, (0, 10 ** 4 - 1), SeedStream(13))
         _, p = stats.kstest(np.asarray(w.values), "uniform")
         assert p > 0.01
@@ -114,7 +113,7 @@ class TestSampleDensityWindow:
         # closed-form check: a two-piece density with masses 0.25 / 0.75
         fam = DensityFamily((0.0, 1.0),
                             lambda n: (np.array([0.0, 0.5, 1.0]),
-                                       np.array([0.5, 1.5])), "two-step")
+                                       np.array([0.5, 1.5])))
         x = sample_density_iid(fam, 0, 10 ** 5, SeedStream(23))
         left = float(np.mean(x < 0.5))
         assert abs(left - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 10 ** 5)
@@ -156,8 +155,7 @@ class TestConditionedFiller:
             alphabet=(0, 1),
             marginals=lambda start, length: np.where(
                 (np.arange(start, start + length) % 3 == 0)[:, None],
-                (1.0, 0.0), (0.0, 1.0)),
-            description="forced-011")
+                (1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(ValueError, match="probability 0"):
             sample_conditioned_filler(crafted, (0, 2), SeedStream(4))
 

@@ -62,7 +62,7 @@ class TestZetaPi:
         c, k, n = 0.2, 2, 1
         g0 = gamma_marginal(spec, c, k, n)[0]
         M = 10 ** 5
-        u = SeedStream(5).matrix("pi-blocks", M, k)
+        u = SeedStream(5).generator("pi-blocks").random((M, k))
         bits = (u >= g0).astype(int)
         pat = bits[:, 0] * 2 + bits[:, 1]
         counts = np.bincount(pat, minlength=4)
@@ -145,7 +145,7 @@ class TestBlockKakutani:
         m = make_nu_c(0.2)
         k, nblocks, M = 2, 3, 2 * 10 ** 4
         p0 = m.block(0, k * nblocks)[:, 0]
-        u = SeedStream(3).matrix("blocking", M, k * nblocks)
+        u = SeedStream(3).generator("blocking").random((M, k * nblocks))
         bits = (u >= p0).astype(int)
         for start in range(nblocks):
             for length in range(1, nblocks - start + 1):
