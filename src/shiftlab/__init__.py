@@ -16,9 +16,8 @@ from .matching import (ABSequence, MatchingAssignment, dominates,
                        flip_coupling, good_block_sequence, matching_radius,
                        meshalkin_match, partner_slots, required_d,
                        special_sequence)
-from .factor import (FairBitStream, FactorResult, SplitCodeSpec, SplitTuples,
-                     beta_for, extract_fair_bits, psi_split, run_iid_factor,
-                     spread_bits)
+from .factor import (FactorResult, SplitCodeSpec, SplitTuples, beta_for,
+                     psi_split, run_iid_factor, spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       g_family, h_apply, lift_lambda_on_negative,
                       mix_disjoint, pushforward_density, ratio_profile,

@@ -324,7 +324,9 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="report path (default <out-dir>/<cmd>_report.json)")
         for action in p._actions:
-            if action.dest in file_values:
+            # --help's default is SUPPRESS: it is no option to configure
+            if (action.dest in file_values
+                    and action.default is not argparse.SUPPRESS):
                 _check_file_value(action, file_values[action.dest])
                 action.required = False
                 # argparse converts a string default through the option's

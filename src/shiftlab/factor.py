@@ -1,15 +1,17 @@
 """End-to-end i.i.d. factor construction for binary product windows.
 
 Stages:
-  1. special fillers carry one fair bit each (1 for content 10, 0 for 01);
-  2. each fair-bit position is expanded into d+1 low-entropy bits by a
-     bounded-window code calibrated so (d+1) H(beta) = log 2;
+  1. special fillers carry one fair bit each (1 for content 10, 0 for 01):
+     row k of a decomposition's ``special`` array is (position, bit);
+  2. each fair bit is expanded into d+1 low-entropy bits by a
+     bounded-window code whose bias beta follows from the capacity d alone,
+     (d+1) H(beta) = log 2;
   3. the Meshalkin matching assigns every other integer to a special
      filler, which hands each partner one unused bit of its tuple and
      keeps one for itself.
 
-The split code reads a window of 2*radius+1 fair bits around each stream
-position, compresses it through a keyed hash into a uniform value, and
+The split code reads only the bit column: a window of 2*radius+1 fair bits
+around each one, compresses it through a keyed hash into a uniform value, and
 decodes that value through the exact inverse CDF of the product law
 Bernoulli(1-beta)^(d+1).  Each tuple therefore has exactly the target
 joint law; distinct tuples share window bits, and the hash is what keeps
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,52 +70,29 @@ def beta_for(dplus1: int) -> float:
 
 
 @dataclass(frozen=True)
-class FairBitStream:
-    """Fair bits in window order: bit k sits at special-filler initial
-    position positions[k]."""
-
-    positions: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.bits):
-            raise ValueError("positions and bits must align")
-        if len(self.positions) > 1 and np.any(np.diff(self.positions) <= 0):
-            raise ValueError("positions must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
 class SplitCodeSpec:
     """Parameters of the entropy-splitting code.
 
-    d is the matching capacity (tuples have d+1 bits), beta0 the bit bias,
-    radius the half-width of the fair-bit window each tuple reads.
+    d is the matching capacity (tuples have d+1 bits), radius the
+    half-width of the fair-bit window each tuple reads; the bit bias beta0
+    follows from d by the balance (d+1) H(beta0) = log 2.
     """
 
     d: int
-    beta0: float
     radius: int = DEFAULT_RADIUS
+    beta0: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.beta0 <= 0.5:
-            raise ValueError("beta0 must lie in (0, 1/2]")
-        if abs((self.d + 1) * binary_entropy(self.beta0) - LOG2) > BALANCE_TOL:
+        beta0 = beta_for(self.d + 1)
+        if abs((self.d + 1) * binary_entropy(beta0) - LOG2) > BALANCE_TOL:
             raise ValueError("entropy balance (d+1) H(beta0) = log 2 violated")
-
-    @classmethod
-    def for_capacity(cls, d: int,
-                     radius: int = DEFAULT_RADIUS) -> "SplitCodeSpec":
-        return cls(d=d, beta0=beta_for(d + 1), radius=radius)
+        object.__setattr__(self, "beta0", beta0)
 
 
 @dataclass(frozen=True)
 class SplitTuples:
-    """Per-special-filler coded tuples; rows align with stream positions."""
+    """Per-special-filler coded tuples; rows align with the fair bits."""
 
-    positions: np.ndarray        # special-filler initial indices
     tuples: np.ndarray           # (K, d+1) uint8; rows only valid where mask
     valid: np.ndarray            # bool mask (False near stream edges)
 
@@ -132,12 +111,6 @@ def bias_square_terms(p: np.ndarray, lo: int, N: int) -> np.ndarray:
         i = -N + int(np.argwhere(den == 0.0)[0][0])
         raise ZeroMassError(f"degenerate marginals at bond ({i}, {i + 1})")
     return (p01 / den - 0.5) ** 2
-
-
-def extract_fair_bits(dec: MarkerDecomposition) -> FairBitStream:
-    """One bit per non-censored special filler of a decomposed window, in
-    index order."""
-    return FairBitStream(dec.special[:, 0], dec.special[:, 1].astype(np.uint8))
 
 
 def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
@@ -163,15 +136,16 @@ def _decode_tuples(u: np.ndarray, dplus1: int, beta0: float) -> np.ndarray:
     return out
 
 
-def psi_split(z: FairBitStream, spec: SplitCodeSpec,
+def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
               seeds: SeedStream) -> SplitTuples:
-    """Expand each fair bit into a (d+1)-tuple of beta0-biased bits.
+    """Expand each fair bit (``dec.special[:, 1]``) into a (d+1)-tuple of
+    beta0-biased bits.
 
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
     commutes with translation of the stream.
     """
-    K = len(z)
+    K = len(bits)
     dplus1 = spec.d + 1
     tuples = np.zeros((K, dplus1), dtype=np.uint8)
     valid = np.zeros(K, dtype=bool)
@@ -179,33 +153,32 @@ def psi_split(z: FairBitStream, spec: SplitCodeSpec,
         key = hashlib.blake2b(
             int(seeds.root_seed).to_bytes(8, "little") + b"|split-code",
             digest_size=16).digest()
-        u = _window_uniforms(np.asarray(z.bits, dtype=np.uint8),
+        u = _window_uniforms(np.asarray(bits, dtype=np.uint8),
                              spec.radius, key)
         tuples[spec.radius:K - spec.radius] = _decode_tuples(
             u, dplus1, spec.beta0)
         valid[spec.radius:K - spec.radius] = True
-    return SplitTuples(np.asarray(z.positions, dtype=np.int64), tuples, valid)
+    return SplitTuples(tuples, valid)
 
 
 def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
                 split: SplitTuples) -> Window:
     """Hand one coded bit to every matched integer.
 
-    Each special filler keeps bit 0 of its own tuple; its matched partners
-    take bits 1, 2, ... in ascending index order.  Positions with no
-    resolved source are censored and encoded as -1.
+    Each special filler (row k of ``dec.special``) keeps bit 0 of tuple k;
+    its matched partners take bits 1, 2, ... in ascending index order.
+    Positions with no resolved source are censored and encoded as -1.
     """
-    n = dec.length
     start = dec.start
-    out = np.full(n, -1, dtype=np.int8)
+    out = np.full(dec.length, -1, dtype=np.int8)
 
     if assignment.d > split.tuples.shape[1] - 1:
         raise AssertionError("matching capacity exceeds tuple width - 1")
 
-    ok_own = split.valid
-    out[split.positions[ok_own] - start] = split.tuples[ok_own, 0]
+    a_pos = dec.special[:, 0]
+    out[a_pos[split.valid] - start] = split.tuples[split.valid, 0]
 
-    b, rank, slot = partner_slots(assignment, split.positions)
+    b, rank, slot = partner_slots(assignment, a_pos)
     usable = split.valid[rank]
     out[b[usable] - start] = split.tuples[rank[usable], slot[usable]]
     return Window(start, out)
@@ -225,14 +198,13 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     uniformity suite on the interior output."""
     q = good_prob_lower(m, span)
     d = required_d(q)
-    spec = SplitCodeSpec.for_capacity(d, radius)
+    spec = SplitCodeSpec(d, radius)
 
     w = sample_window(m, span, seeds, label="factor-input")
     dec = decompose(w)
     assignment = meshalkin_match(special_sequence(dec), d)
     assignment.check_capacity()
-    stream = extract_fair_bits(dec)
-    split = psi_split(stream, spec, seeds)
+    split = psi_split(dec.special[:, 1], spec, seeds)
     out = spread_bits(dec, assignment, split)
 
     n = len(out)
@@ -245,7 +217,7 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
         "d": d,
         "beta0": spec.beta0,
         "radius": radius,
-        "specials": int(len(stream)),
+        "specials": int(len(dec.special)),
         "censor_fraction": float((out.values < 0).mean()),
         "interior_bits": int(len(inner)),
         "tests": tests,

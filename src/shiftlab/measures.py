@@ -364,6 +364,13 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
 # Textual family specs (CLI / config entry point)
 # ---------------------------------------------------------------------------
 
+_MEASURE_FAMILIES = {
+    "iid": iid_binary,
+    "nu_c": make_nu_c,
+    "mu": lambda p, c: make_mu_pc(SequenceSpec(p, inverse_sqrt), c),
+}
+
+
 def parse_measure(text: str) -> FiniteProductMeasure:
     """Build a measure from a compact textual spec.
 
@@ -373,17 +380,13 @@ def parse_measure(text: str) -> FiniteProductMeasure:
       ``mu:<p>,<c>``      p + c/sqrt(n) family (clamped)
     """
     name, _, rest = text.partition(":")
+    if name not in _MEASURE_FAMILIES:
+        raise ValueError(f"bad measure spec {text!r}: unknown measure "
+                         f"family {name!r}")
     try:
         args = [float(s) for s in rest.split(",")]
         if not all(math.isfinite(v) for v in args):
             raise ValueError("every number must be finite")
-        if name == "iid":
-            return iid_binary(*args)
-        if name == "nu_c":
-            return make_nu_c(*args)
-        if name == "mu":
-            p, c = args
-            return make_mu_pc(SequenceSpec(p, inverse_sqrt), c)
+        return _MEASURE_FAMILIES[name](*args)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad measure spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown measure family {name!r}")

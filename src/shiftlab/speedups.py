@@ -35,11 +35,14 @@ class BlockedWindow:
 
     start: int
     blocks: np.ndarray
-    k: int
 
     def __post_init__(self):
-        if self.blocks.ndim != 2 or self.blocks.shape[1] != self.k:
+        if self.blocks.ndim != 2:
             raise ValueError("blocks must be an (N, k) array")
+
+    @property
+    def k(self) -> int:
+        return self.blocks.shape[1]
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -53,12 +56,10 @@ def zeta(w: Window, k: int) -> BlockedWindow:
     lo, hi = w.span
     n_lo = math.ceil(lo / k)
     n_hi = math.floor((hi - k + 1) / k)
-    if n_hi < n_lo:
-        return BlockedWindow(n_lo, np.empty((0, k), dtype=np.asarray(w.values).dtype), k)
-    vals = np.asarray(w.values)
     rel = n_lo * k - lo
-    count = n_hi - n_lo + 1
-    return BlockedWindow(n_lo, vals[rel:rel + count * k].reshape(count, k), k)
+    count = max(n_hi - n_lo + 1, 0)
+    vals = np.asarray(w.values)[rel:rel + count * k]
+    return BlockedWindow(n_lo, vals.reshape(count, k))
 
 
 def unblock(bw: BlockedWindow) -> Window:
@@ -71,7 +72,7 @@ def pi_interleave(ws: list[Window]) -> BlockedWindow:
     if len(spans) != 1:
         raise ValueError("windows must share an index range")
     vals = np.stack([np.asarray(w.values) for w in ws], axis=1)
-    return BlockedWindow(ws[0].start, vals, len(ws))
+    return BlockedWindow(ws[0].start, vals)
 
 
 def de_interleave(bw: BlockedWindow) -> list[Window]:

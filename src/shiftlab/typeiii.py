@@ -262,18 +262,8 @@ def erase_negative_side(w: Window,
     values = np.asarray(w.values, dtype=float)
     out = values.copy()
     neg_pos = np.flatnonzero(values < 0.0)
-    info = {"nu_indices": int(len(neg_pos)), "safe_hits": 0,
-            "censored": 0, "capacity": d}
-    if len(neg_pos) == 0:
-        return Window(w.start, out), info
-
     sub_vals = values[neg_pos]
     is_safe = (sub_vals >= lo) & (sub_vals < hi)
-    info["safe_hits"] = int(is_safe.sum())
-    if not is_safe.any():
-        out[neg_pos] = np.nan
-        info["censored"] = int(len(neg_pos))
-        return Window(w.start, out), info
 
     bits_per = 51 // (d + 1)
     t = (sub_vals[is_safe] - lo) / (hi - lo)
@@ -287,8 +277,9 @@ def erase_negative_side(w: Window,
     b, rank, slot = partner_slots(assignment, np.flatnonzero(is_safe))
     replaced[b] = -1.0 + (shares[rank, slot] + 0.5) / scale
 
-    info["censored"] = int(np.isnan(replaced).sum())
     out[neg_pos] = replaced
+    info = {"nu_indices": int(len(neg_pos)), "safe_hits": int(is_safe.sum()),
+            "censored": int(np.isnan(replaced).sum()), "capacity": d}
     return Window(w.start, out), info
 
 

@@ -158,10 +158,14 @@ class TestFactorRun:
             assert by_name[name]["pass"] is False
             assert by_name[name]["reason"]
 
-    def test_bad_measure_is_config_error(self, tmp_path):
-        code = run_cli(tmp_path, "factor", "run", "--measure", "bogus:1",
-                       "--n", "1000")
-        assert code == EXIT_CONFIG
+    def test_bad_measure_is_config_error(self, tmp_path, capsys):
+        # the family is looked up before any number is converted
+        for spec, family in (("bogus:1", "bogus"), ("5", "5")):
+            code = run_cli(tmp_path, "factor", "run", "--measure", spec,
+                           "--n", "1000")
+            assert code == EXIT_CONFIG
+            assert f"unknown measure family '{family}'" in \
+                capsys.readouterr().err
 
 
 class TestMatchRun:
@@ -326,6 +330,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("values, unknown", [
         ({"seed": 3, "nn": 5, "radius": 8}, "nn, radius"),
         ({"family": "iid", "p0": 0.4}, "family, p0"),
+        ({"help": "x"}, "help"),
     ])
     def test_unknown_config_keys_are_config_errors(self, tmp_path, capsys,
                                                    values, unknown):

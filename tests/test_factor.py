@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from shiftlab import (FairBitStream, SeedStream, SequenceSpec, SplitCodeSpec,
-                      Window, beta_for, decompose, extract_fair_bits,
-                      good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
+from shiftlab import (SeedStream, SequenceSpec, SplitCodeSpec, Window,
+                      beta_for, decompose, good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
                       meshalkin_match, psi_split, required_d, run_iid_factor,
                       sample_window, special_sequence, spread_bits)
 from shiftlab.factor import LOG2, bias_square_terms, binary_entropy
@@ -62,31 +61,21 @@ class TestBiasSquareSum:
 class TestExtractFairBits:
     def test_sample_realization(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8))
-        z = extract_fair_bits(decompose(w))
-        assert list(z.positions) == [3] and list(z.bits) == [0]
+        z = decompose(w).special
+        assert z.tolist() == [[3, 0]]
 
     def test_no_specials_empty(self):
         w = Window(0, np.ones(20, dtype=np.uint8))
-        z = extract_fair_bits(decompose(w))
+        z = decompose(w).special
         assert len(z) == 0
-
-    def test_positions_are_special_initials(self):
-        w = sample_window(iid_binary(0.3), (0, 49999), SeedStream(8))
-        dec = decompose(w)
-        z = extract_fair_bits(dec)
-        assert list(z.positions) == [p for p, _ in dec.special.tolist()]
 
     def test_bits_fair_even_for_biased_input(self):
         # stationarity makes P(10) = P(01), so the extracted bits are fair
         from shiftlab.stattests import chi_square_fair_bits
         w = sample_window(iid_binary(0.3), (0, 10 ** 5 - 1), SeedStream(21))
-        z = extract_fair_bits(decompose(w))
-        _, p = chi_square_fair_bits(z.bits)
+        z = decompose(w).special
+        _, p = chi_square_fair_bits(z[:, 1])
         assert p > 0.001
-
-    def test_misordered_positions_rejected(self):
-        with pytest.raises(ValueError):
-            FairBitStream(np.array([5, 3]), np.array([0, 1]))
 
 
 class TestBetaFor:
@@ -106,15 +95,13 @@ class TestBetaFor:
                 LOG2, abs=1e-10)
 
     def test_spec_validates_balance(self):
-        with pytest.raises(ValueError, match="entropy balance"):
-            SplitCodeSpec(d=7, beta0=0.3)
-        SplitCodeSpec.for_capacity(7)  # does not raise
+        assert SplitCodeSpec(7).beta0 == beta_for(8)
 
     def test_every_capacity_balances(self):
         # a bisection stopped at an absolute width of 1e-15 leaves 3 209 of
         # these unbalanced, the first at d = 17 651
         for d in range(1, 30001):
-            SplitCodeSpec.for_capacity(d)
+            SplitCodeSpec(d)
 
     def test_balanced_capacities_keep_their_beta(self):
         # values of the 1e-15 bisection, which balanced these
@@ -122,15 +109,14 @@ class TestBetaFor:
         assert beta_for(1025) == 6.340163470719418e-05
 
 
-def fair_stream(n: int, seed: int, start: int = 0) -> FairBitStream:
-    bits = (SeedStream(seed).uniforms("stream", 0, n)[:, 0] < 0.5).astype(np.uint8)
-    return FairBitStream(np.arange(start, start + n, dtype=np.int64), bits)
+def fair_stream(n: int, seed: int) -> np.ndarray:
+    return (SeedStream(seed).uniforms("stream", 0, n)[:, 0] < 0.5).astype(np.uint8)
 
 
 class TestPsiSplit:
     def test_determinism(self):
         z = fair_stream(500, 3)
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         t1 = psi_split(z, spec, SeedStream(7))
         t2 = psi_split(z, spec, SeedStream(7))
         assert np.array_equal(t1.tuples, t2.tuples)
@@ -138,29 +124,20 @@ class TestPsiSplit:
 
     def test_seed_changes_output(self):
         z = fair_stream(500, 3)
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         assert not np.array_equal(psi_split(z, spec, SeedStream(1)).tuples,
                                   psi_split(z, spec, SeedStream(2)).tuples)
 
     def test_edges_censored(self):
         z = fair_stream(100, 3)
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         out = psi_split(z, spec, SeedStream(7))
         assert not out.valid[:16].any() and not out.valid[-16:].any()
         assert out.valid[16:-16].all()
 
-    def test_translation_equivariance(self):
-        z0 = fair_stream(400, 5, start=0)
-        z1 = FairBitStream(z0.positions + 13, z0.bits)
-        spec = SplitCodeSpec.for_capacity(5, radius=8)
-        t0 = psi_split(z0, spec, SeedStream(7))
-        t1 = psi_split(z1, spec, SeedStream(7))
-        assert np.array_equal(t0.tuples, t1.tuples)
-        assert np.array_equal(t1.positions, t0.positions + 13)
-
     def test_output_law_frequency(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         out = psi_split(fair_stream(n, 11), spec, SeedStream(7))
         bits = out.tuples[out.valid]
         target = 1.0 - spec.beta0
@@ -169,7 +146,7 @@ class TestPsiSplit:
 
     def test_within_tuple_independence(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         out = psi_split(fair_stream(n, 23), spec, SeedStream(7))
         T = out.tuples[out.valid].astype(float)
         worst = 0.0
@@ -180,7 +157,7 @@ class TestPsiSplit:
 
     def test_cross_tuple_decorrelation(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec.for_capacity(7, radius=16)
+        spec = SplitCodeSpec(7, radius=16)
         out = psi_split(fair_stream(n, 17), spec, SeedStream(7))
         T = out.tuples[out.valid].astype(float)
         for col in range(T.shape[1]):
@@ -193,8 +170,7 @@ def run_stages(w: Window, q: float, radius: int = 16):
     dec = decompose(w)
     assignment = meshalkin_match(special_sequence(dec), d)
     assignment.check_capacity()
-    stream = extract_fair_bits(dec)
-    split = psi_split(stream, SplitCodeSpec.for_capacity(d, radius),
+    split = psi_split(dec.special[:, 1], SplitCodeSpec(d, radius),
                       SeedStream(7))
     return spread_bits(dec, assignment, split)
 
@@ -206,7 +182,7 @@ class TestSpreadBits:
         out = run_stages(w, q=1 / 128, radius=4)
         mask = out.values < 0
         # all censoring is explained by the code radius at the stream edges
-        specials = extract_fair_bits(decompose(w)).positions
+        specials = decompose(w).special[:, 0]
         lo, hi = specials[4], specials[-5]
         inner = slice(int(lo), int(hi))
         assert not mask[inner].any()

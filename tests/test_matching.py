@@ -82,9 +82,11 @@ class TestMeshalkinMatch:
                         ABSequence.from_letters(0, letters), d)
                     got.check_capacity()
                     pairs, rounds, unmatched = match_oracle(letters, d)
-                    assert got.pairs == pairs, (letters, d)
-                    assert dict(zip(got.b_indices.tolist(),
-                                    got.rounds.tolist())) == rounds, (letters, d)
+                    # rows in ascending b order, as the assignment CSV
+                    bs = sorted(pairs)
+                    assert got.b_indices.tolist() == bs, (letters, d)
+                    assert got.a_indices.tolist() == [pairs[b] for b in bs]
+                    assert got.rounds.tolist() == [rounds[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
 
     @given(st.text(alphabet="ab", min_size=1, max_size=40),
