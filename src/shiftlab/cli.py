@@ -61,17 +61,23 @@ class Report:
 def write_csv(path: Path, header, columns) -> Path:
     """Write the ``header`` line, then one row per position of the
     equal-length ``columns``, each line ending in a bare newline.  A cell
-    is the ``str`` of a ``.tolist()`` value, which is a float's ``repr``.
-    Rows are joined ``CSV_CHUNK`` at a time, so 10^6 rows never hold all
+    is the ``%s`` of a ``.tolist()`` value, which is a float's ``repr``.
+    Rows are formatted ``CSV_CHUNK`` at a time, the chunk's cells
+    interleaved row-major into one flat list, so 10^6 rows never hold all
     their strings at once."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c) for c in columns]
+    k = len(columns)
+    row = ",".join(["%s"] * k) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(columns[0]), CSV_CHUNK):
-            cells = [map(str, c[i:i + CSV_CHUNK].tolist()) for c in columns]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            chunk = [c[i:i + CSV_CHUNK].tolist() for c in columns]
+            flat = [None] * (k * len(chunk[0]))
+            for j, cells in enumerate(chunk):
+                flat[j::k] = cells
+            fh.write(row * len(chunk[0]) % tuple(flat))
     return path
 
 

@@ -1,11 +1,17 @@
 """Shift-equivariant Meshalkin matching of b's to a's.
 
-The scheme runs in rounds: in each round every surviving b immediately
-followed (among survivors) by a surviving a is matched to it; matched b's
-leave, and a's that have reached their capacity d leave.  Rounds repeat
-until nothing matches.  Within a finite window a b that is still unmatched
-at the fixpoint is censored (its resolution may depend on symbols beyond
-the edge), not failed.
+The inductive scheme runs in rounds: in each round every surviving b
+immediately followed (among survivors) by a surviving a is matched to it;
+matched b's leave, and a's that have reached their capacity d leave.
+Rounds repeat until nothing matches.  Within a finite window a b that is
+still unmatched at the fixpoint is censored (its resolution may depend on
+symbols beyond the edge), not failed.
+
+The scheme is bracket matching, with each b a "(" and each a d copies of
+")", so ``meshalkin_match`` computes it in one left-to-right scan over a
+stack of runs of unmatched b's; ``rounds`` still reports the round of the
+inductive scheme in which each b is matched.  The test suite checks the
+scan against a literal simulation of the rounds.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -69,6 +75,10 @@ class MatchingAssignment:
     def check_capacity(self) -> None:
         if np.any(np.diff(np.sort(self.b_indices)) == 0):
             raise AssertionError("a b was matched twice")
+        if np.any(self.a_indices <= self.b_indices):
+            raise AssertionError("a b was matched to an a on its left")
+        if np.isin(self.unmatched, self.b_indices).any():
+            raise AssertionError("a b is both matched and unmatched")
         a = self.a_indices
         if len(a) and np.bincount(a - a.min()).max() > self.d:
             raise AssertionError("an a exceeded its capacity")
@@ -109,40 +119,67 @@ def required_d(q: float) -> int:
 
 
 def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
-    """Run matching rounds to the fixpoint (at most window-length rounds)."""
+    """Match as brackets in one left-to-right scan.
+
+    The stack holds runs ``[lo, hi, carry]`` of unmatched b's, nearest on
+    top; ``carry`` is the largest round matched between the run and what
+    sits above it.  An a takes up to d b's off the top, nearest first.  A
+    run's top b meets the a once everything above it has left, so its
+    round is one past the larger of the run's carry and the a's last
+    round, and each further b of the run comes one round later.  These
+    are the rounds of the inductive scheme, b for b.
+    """
     if d < 1:
         raise ValueError("capacity d must be positive")
     isa = z.isa
-    L = len(isa)
-    partner = np.full(L, -1, dtype=np.int64)
-    round_of = np.zeros(L, dtype=np.int64)
-    mult = np.zeros(L, dtype=np.int64)
-    active = np.arange(L)
-    for rnd in range(1, L + 1):
-        if len(active) < 2:
-            break
-        al = isa[active]
-        adj = (~al[:-1]) & al[1:]
-        if not adj.any():
-            break
-        b_slots = active[:-1][adj]
-        a_slots = active[1:][adj]
-        partner[b_slots] = a_slots
-        round_of[b_slots] = rnd
-        mult[a_slots] += 1
-        drop = np.zeros(len(active), dtype=bool)
-        drop[:-1][adj] = True
-        a_pos_in_active = np.flatnonzero(adj) + 1
-        drop[a_pos_in_active[mult[a_slots] >= d]] = True
-        active = active[~drop]
+    stack: list[list[int]] = []
+    # one row per slice [lo, hi) an a takes from a run: its b at j is
+    # matched to ``a`` in round ``top - j``
+    los, his, tops, partners = [], [], [], []
+    prev = -1
+    for a in np.flatnonzero(isa).tolist():
+        if a > prev + 1:
+            stack.append([prev + 1, a, 0])
+        prev = a
+        need, base = d, 0
+        while need and stack:
+            run = stack[-1]
+            lo, hi, carry = run
+            base = max(base, carry)
+            k = min(need, hi - lo)
+            los.append(hi - k)
+            his.append(hi)
+            tops.append(base + hi)
+            partners.append(a)
+            base += k
+            need -= k
+            if k < hi - lo:
+                run[1] = hi - k
+            else:
+                stack.pop()
+        if stack:
+            stack[-1][2] = max(stack[-1][2], base)
 
-    matched = partner >= 0
+    # the slices are disjoint, so ordering them by lo orders the b's
+    order = np.argsort(los)
+    los, his, tops, partners = (np.array(x, dtype=np.int64)[order]
+                                for x in (los, his, tops, partners))
+    lens = his - los
+    b = (np.arange(lens.sum(), dtype=np.int64)
+         + np.repeat(los - (np.cumsum(lens) - lens), lens))
+    rounds = np.repeat(tops, lens)
+    rounds -= b
+    unmatched = ~isa
+    unmatched[b] = False
+    b += z.start
+    a_indices = np.repeat(partners, lens)
+    a_indices += z.start
     return MatchingAssignment(
         d=d,
-        b_indices=np.flatnonzero(matched) + z.start,
-        a_indices=partner[matched] + z.start,
-        rounds=round_of[matched],
-        unmatched=np.flatnonzero(~matched & ~isa) + z.start,
+        b_indices=b,
+        a_indices=a_indices,
+        rounds=rounds,
+        unmatched=np.flatnonzero(unmatched) + z.start,
     )
 
 

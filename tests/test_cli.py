@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftlab import DensityFamily, SeedStream, sample_density_window
-from shiftlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
+from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, parse_plot_data, write_csv)
 from shiftlab.measures import FiniteProductMeasure
 
@@ -234,6 +234,45 @@ class TestWindowDump:
         rows = [line.split(",") for line in lines[1:]]
         assert [int(i) for i, _ in rows] == list(range(-5, 195))
         assert [float(v) for _, v in rows] == w.values.tolist()
+
+
+def joined_csv(header, columns) -> bytes:
+    """The row-by-row reference: each cell the ``str`` of its ``.tolist()``
+    value, joined by commas, each row ending in a bare newline."""
+    cells = [map(str, np.asarray(c).tolist()) for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestWriteCsv:
+    def columns(self, rows):
+        rng = np.random.default_rng(3)
+        ints = rng.integers(-2 ** 62, 2 ** 62, rows, dtype=np.int64)
+        ints[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+        floats[:5] = 0.1, 1e-05, 1e+16, -0.0, np.nan
+        words = np.array(["a", "bc", "d-e", "", "%s"])[np.arange(rows) % 5]
+        return ints, floats, words
+
+    def test_bytes_equal_joined_rows(self, tmp_path):
+        rows = CSV_CHUNK + 123
+        header = ("i", "x", "w")
+        cols = self.columns(rows)
+        path = write_csv(tmp_path / "t.csv", header, cols)
+        data = path.read_bytes()
+        assert data == joined_csv(header, cols)
+        lines = data.decode().splitlines()
+        assert len(lines) == rows + 1
+        assert [line.split(",")[1] for line in lines[1:6]] == \
+            ["0.1", "1e-05", "1e+16", "-0.0", "nan"]
+        assert lines[1].startswith("-9223372036854775808,")
+        assert lines[5].endswith(",%s")
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK])
+    def test_single_column(self, tmp_path, rows):
+        col = np.arange(rows, dtype=np.int64) - 7
+        path = write_csv(tmp_path / "t.csv", ("k",), (col,))
+        assert path.read_bytes() == joined_csv(("k",), (col,))
 
 
 class TestTypeIIIRatios:

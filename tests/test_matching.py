@@ -1,4 +1,5 @@
-"""Meshalkin matching: rounds, walk radius, domination, AB extraction."""
+"""Meshalkin matching: bracket scan against the round loop, walk radius,
+domination, AB extraction."""
 import itertools
 
 import numpy as np
@@ -33,6 +34,43 @@ def match_oracle(letters: str, d: int):
             mult[n] += 1
         gone = {m for m, _ in pairs} | {n for n in mult if mult[n] >= d}
         active = [i for i in active if i not in gone]
+
+
+def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
+    """The inductive scheme as vectorised rounds over the surviving sites
+    (at most window-length rounds), with the assignment's arrays."""
+    isa = z.isa
+    L = len(isa)
+    partner = np.full(L, -1, dtype=np.int64)
+    round_of = np.zeros(L, dtype=np.int64)
+    mult = np.zeros(L, dtype=np.int64)
+    active = np.arange(L)
+    for rnd in range(1, L + 1):
+        if len(active) < 2:
+            break
+        al = isa[active]
+        adj = (~al[:-1]) & al[1:]
+        if not adj.any():
+            break
+        b_slots = active[:-1][adj]
+        a_slots = active[1:][adj]
+        partner[b_slots] = a_slots
+        round_of[b_slots] = rnd
+        mult[a_slots] += 1
+        drop = np.zeros(len(active), dtype=bool)
+        drop[:-1][adj] = True
+        a_pos_in_active = np.flatnonzero(adj) + 1
+        drop[a_pos_in_active[mult[a_slots] >= d]] = True
+        active = active[~drop]
+
+    matched = partner >= 0
+    return MatchingAssignment(
+        d=d,
+        b_indices=np.flatnonzero(matched) + z.start,
+        a_indices=partner[matched] + z.start,
+        rounds=round_of[matched],
+        unmatched=np.flatnonzero(~matched & ~isa) + z.start,
+    )
 
 
 class TestRequiredD:
@@ -89,6 +127,23 @@ class TestMeshalkinMatch:
                     assert got.rounds.tolist() == [rounds[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
 
+    def test_random_against_round_loop(self):
+        # deep stacks with many partly used runs, beyond the exhaustive
+        # words' reach
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            start = int(rng.integers(-100, 100))
+            isa = rng.random(int(rng.integers(1, 5000))) < \
+                rng.uniform(0.005, 0.6)
+            d = int(rng.integers(1, 40))
+            z = ABSequence(start, isa)
+            got, want = meshalkin_match(z, d), round_loop_match(z, d)
+            got.check_capacity()
+            for field in ("b_indices", "a_indices", "rounds", "unmatched"):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(want, field),
+                    err_msg=f"{field}, trial {trial}, d = {d}")
+
     @given(st.text(alphabet="ab", min_size=1, max_size=40),
            st.integers(1, 4), st.integers(-50, 50))
     @settings(max_examples=250, deadline=None)
@@ -96,6 +151,29 @@ class TestMeshalkinMatch:
         base = meshalkin_match(ABSequence.from_letters(0, letters), d)
         moved = meshalkin_match(ABSequence.from_letters(shift, letters), d)
         assert moved.pairs == {b + shift: a + shift for b, a in base.pairs.items()}
+
+
+def hand_built(b, a, unmatched=()) -> MatchingAssignment:
+    return MatchingAssignment(
+        d=2, b_indices=np.array(b), a_indices=np.array(a),
+        rounds=np.ones(len(b), dtype=np.int64),
+        unmatched=np.array(unmatched, dtype=np.int64))
+
+
+class TestCheckCapacity:
+    def test_valid(self):
+        hand_built([0, 1, 3], [2, 2, 4], [5]).check_capacity()
+
+    @pytest.mark.parametrize("b,a,unmatched,message", [
+        ([0, 0], [2, 3], [], "matched twice"),
+        ([0, 4], [2, 2], [], "on its left"),
+        ([2], [2], [], "on its left"),
+        ([0, 1], [2, 2], [1], "both matched and unmatched"),
+        ([0, 1, 3], [4, 4, 4], [], "capacity"),
+    ])
+    def test_rejects(self, b, a, unmatched, message):
+        with pytest.raises(AssertionError, match=message):
+            hand_built(b, a, unmatched).check_capacity()
 
 
 class TestMatchingRadius:
