@@ -14,8 +14,7 @@ from .markers import (MarkerDecomposition, decompose, good_intervals,
                       good_prob, good_prob_lower)
 from .matching import (ABSequence, MatchingAssignment, dominates,
                        flip_coupling, good_block_sequence, matching_radius,
-                       meshalkin_match, partner_slots, required_d,
-                       special_sequence)
+                       meshalkin_match, required_d, special_sequence)
 from .factor import (FactorResult, SplitCodeSpec, SplitTuples, beta_for,
                      psi_split, run_iid_factor, spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,

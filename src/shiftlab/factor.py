@@ -7,8 +7,8 @@ Stages:
      bounded-window code whose bias beta follows from the capacity d alone,
      (d+1) H(beta) = log 2;
   3. the Meshalkin matching assigns every other integer to a special
-     filler, which hands each partner one unused bit of its tuple and
-     keeps one for itself.
+     filler, which keeps bit 0 of its tuple and hands each partner the bit
+     of the slot the matching scan gave it (1, 2, ... in index order).
 
 The split code reads only the bit column: a window of 2*radius+1 fair bits
 around each one, compresses it through a keyed hash into a uniform value, and
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import stattests
 from .markers import MarkerDecomposition, decompose, good_prob_lower
-from .matching import (MatchingAssignment, meshalkin_match, partner_slots,
-                       required_d, special_sequence)
+from .matching import (MatchingAssignment, meshalkin_match, required_d,
+                       special_sequence)
 from .measures import FiniteProductMeasure, ZeroMassError, block_rows
 from .sampling import SeedStream, Window, sample_window
 
@@ -125,15 +125,29 @@ def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
     return out
 
 
-def _decode_tuples(u: np.ndarray, dplus1: int, beta0: float) -> np.ndarray:
-    """Exact inverse CDF of Bernoulli(1-beta0)^dplus1 applied to uniforms."""
-    out = np.empty((len(u), dplus1), dtype=np.uint8)
-    uu = u.copy()
-    for j in range(dplus1):
-        zero = uu < beta0
-        out[:, j] = np.where(zero, 0, 1)
-        uu = np.where(zero, uu / beta0, (uu - beta0) / (1.0 - beta0))
-    return out
+def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
+    """Exact inverse CDF of Bernoulli(1-beta0)^(d+1) applied to uniforms,
+    written into the (len(u), d+1) array ``out``.
+
+    A bit is 0 where its running uniform is below beta0, about (d+1) beta0
+    times per tuple (0.07 at d = 882).  So ``out`` is filled with ones and
+    only the zeros are written, and only their uniforms are rescaled by
+    1/beta0; every value sees the same float operations as when whole
+    columns were rescaled both ways and merged.
+    """
+    out.fill(1)
+    uu, nxt = u.copy(), np.empty_like(u)
+    zero = np.empty(len(u), dtype=bool)
+    rest = 1.0 - beta0
+    for j in range(out.shape[1]):
+        np.less(uu, beta0, out=zero)
+        np.subtract(uu, beta0, out=nxt)
+        np.divide(nxt, rest, out=nxt)
+        at = np.flatnonzero(zero)
+        if len(at):
+            out[at, j] = 0
+            nxt[at] = uu[at] / beta0
+        uu, nxt = nxt, uu
 
 
 def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
@@ -155,8 +169,7 @@ def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
             digest_size=16).digest()
         u = _window_uniforms(np.asarray(bits, dtype=np.uint8),
                              spec.radius, key)
-        tuples[spec.radius:K - spec.radius] = _decode_tuples(
-            u, dplus1, spec.beta0)
+        _decode_tuples(u, spec.beta0, tuples[spec.radius:K - spec.radius])
         valid[spec.radius:K - spec.radius] = True
     return SplitTuples(tuples, valid)
 
@@ -166,7 +179,8 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
     """Hand one coded bit to every matched integer.
 
     Each special filler (row k of ``dec.special``) keeps bit 0 of tuple k;
-    its matched partners take bits 1, 2, ... in ascending index order.
+    its matched partners take the bits of their matching slots 1, 2, ...,
+    in ascending index order.
     Positions with no resolved source are censored and encoded as -1.
     """
     start = dec.start
@@ -178,9 +192,10 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
     a_pos = dec.special[:, 0]
     out[a_pos[split.valid] - start] = split.tuples[split.valid, 0]
 
-    b, rank, slot = partner_slots(assignment, a_pos)
-    usable = split.valid[rank]
-    out[b[usable] - start] = split.tuples[rank[usable], slot[usable]]
+    rank = assignment.a_ranks(a_pos)
+    bits = split.tuples[rank, assignment.slots].view(np.int8)
+    bits[~split.valid[rank]] = -1   # the b's a has no tuple: censored
+    out[assignment.b_indices - start] = bits
     return Window(start, out)
 
 

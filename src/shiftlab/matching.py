@@ -10,8 +10,10 @@ symbols beyond the edge), not failed.
 The scheme is bracket matching, with each b a "(" and each a d copies of
 ")", so ``meshalkin_match`` computes it in one left-to-right scan over a
 stack of runs of unmatched b's; ``rounds`` still reports the round of the
-inductive scheme in which each b is matched.  The test suite checks the
-scan against a literal simulation of the rounds.
+inductive scheme in which each b is matched.  The same scan hands out the
+tuple slots: an a's partners take slots 1, 2, ... of its coded tuple in
+ascending b order.  The test suite checks the scan against a literal
+simulation of the rounds and the slots against a per-a counter.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -53,14 +55,17 @@ class ABSequence:
 class MatchingAssignment:
     """Capacity-bounded map from b-indices to a-indices.
 
-    ``b_indices[i]`` is matched to ``a_indices[i]`` in round ``rounds[i]``;
-    ``unmatched`` lists the censored b-indices.  All indices are absolute.
+    ``b_indices[i]`` is matched to ``a_indices[i]`` in round ``rounds[i]``
+    and takes slot ``slots[i]`` of its a's tuple (slot 0 is the a's own);
+    rows come in ascending b order.  ``unmatched`` lists the censored
+    b-indices.  All indices are absolute.
     """
 
     d: int
     b_indices: np.ndarray
     a_indices: np.ndarray
     rounds: np.ndarray
+    slots: np.ndarray
     unmatched: np.ndarray
 
     @cached_property
@@ -73,40 +78,37 @@ class MatchingAssignment:
         return {int(x): int(c) for x, c in zip(a, cnt)}
 
     def check_capacity(self) -> None:
-        if np.any(np.diff(np.sort(self.b_indices)) == 0):
-            raise AssertionError("a b was matched twice")
-        if np.any(self.a_indices <= self.b_indices):
+        b, a = self.b_indices, self.a_indices
+        if np.any(np.diff(b) <= 0):
+            raise AssertionError(
+                "a b was matched twice, or rows are not in ascending b order")
+        if np.any(a <= b):
             raise AssertionError("a b was matched to an a on its left")
-        if np.isin(self.unmatched, self.b_indices).any():
-            raise AssertionError("a b is both matched and unmatched")
+        if len(b):
+            at = np.searchsorted(b, self.unmatched).clip(max=len(b) - 1)
+            if np.any(b[at] == self.unmatched):
+                raise AssertionError("a b is both matched and unmatched")
+            if np.bincount(a - a.min()).max() > self.d:
+                raise AssertionError("an a exceeded its capacity")
+        if np.any((self.slots < 1) | (self.slots > self.d)):
+            raise AssertionError("tuple exhaustion: a slot outside 1..d")
+
+    def a_ranks(self, a_positions: np.ndarray) -> np.ndarray:
+        """The rank of each row's a in ``a_positions``, which lists every
+        a-index in ascending order.
+
+        An a's partners are few runs of consecutive rows (one run each on
+        the lab's windows), so each run is looked up once.
+        """
         a = self.a_indices
-        if len(a) and np.bincount(a - a.min()).max() > self.d:
-            raise AssertionError("an a exceeded its capacity")
-
-
-def partner_slots(assignment: MatchingAssignment, a_positions: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay the matched b's out as tuple slots of their a's.
-
-    ``a_positions`` lists every a-index in ascending order.  Returns the
-    b's, the rank of each b's a in ``a_positions`` and the b's slot: slot
-    0 of each a's tuple is its own, its partners take slots 1, 2, ... in
-    ascending b order.  Rows come sorted by (rank, b).
-    """
-    b, a = assignment.b_indices, assignment.a_indices
-    rank = np.searchsorted(a_positions, a)
-    if len(a) and (rank.max() >= len(a_positions)
-                   or np.any(a_positions[rank] != a)):
-        raise AssertionError("assignment references an unknown a-index")
-    order = np.lexsort((b, rank))
-    b, rank = b[order], rank[order]
-    at = np.arange(len(rank))
-    first = np.ones(len(rank), dtype=bool)
-    first[1:] = rank[1:] != rank[:-1]
-    slot = 1 + at - np.maximum.accumulate(np.where(first, at, 0))
-    if np.any(slot > assignment.d):
-        raise AssertionError("tuple exhaustion: more partners than bits")
-    return b, rank, slot
+        new = np.ones(len(a), dtype=bool)
+        np.not_equal(a[1:], a[:-1], out=new[1:])
+        heads = np.flatnonzero(new)
+        rank = np.searchsorted(a_positions, a[heads])
+        if len(a) and (rank.max() >= len(a_positions)
+                       or np.any(a_positions[rank] != a[heads])):
+            raise AssertionError("assignment references an unknown a-index")
+        return np.repeat(rank, np.diff(heads, append=len(a)))
 
 
 def required_d(q: float) -> int:
@@ -128,14 +130,18 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
     round is one past the larger of the run's carry and the a's last
     round, and each further b of the run comes one round later.  These
     are the rounds of the inductive scheme, b for b.
+
+    The b's an a takes nearest first are its partners in descending b
+    order, so once the scan knows an a's total m, a b at j in a slice
+    [lo, hi) taken after ``taken`` others gets slot m - taken - (hi-1-j).
     """
     if d < 1:
         raise ValueError("capacity d must be positive")
     isa = z.isa
     stack: list[list[int]] = []
-    # one row per slice [lo, hi) an a takes from a run: its b at j is
-    # matched to ``a`` in round ``top - j``
-    los, his, tops, partners = [], [], [], []
+    # one row per slice [lo, hi) an a takes from a run, after ``taken``
+    # b's: its b at j is matched to ``a`` in round ``top - j``
+    los, his, tops, partners, taken = [], [], [], [], []
     prev = -1
     for a in np.flatnonzero(isa).tolist():
         if a > prev + 1:
@@ -151,6 +157,7 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
             his.append(hi)
             tops.append(base + hi)
             partners.append(a)
+            taken.append(d - need)
             base += k
             need -= k
             if k < hi - lo:
@@ -160,15 +167,24 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
         if stack:
             stack[-1][2] = max(stack[-1][2], base)
 
+    los, his, tops, partners, taken = (np.array(x, dtype=np.int64)
+                                       for x in (los, his, tops, partners,
+                                                 taken))
+    lens = his - los
+    # an a's slices are consecutive and its last one ends at its total m,
+    # so the b at j of a slice takes slot j + offset
+    last = np.searchsorted(partners, partners, side="right") - 1
+    offsets = (taken + lens)[last] - taken - his + 1
     # the slices are disjoint, so ordering them by lo orders the b's
     order = np.argsort(los)
-    los, his, tops, partners = (np.array(x, dtype=np.int64)[order]
-                                for x in (los, his, tops, partners))
-    lens = his - los
+    los, lens, tops, partners, offsets = (
+        x[order] for x in (los, lens, tops, partners, offsets))
     b = (np.arange(lens.sum(), dtype=np.int64)
          + np.repeat(los - (np.cumsum(lens) - lens), lens))
     rounds = np.repeat(tops, lens)
     rounds -= b
+    slots = np.repeat(offsets, lens)
+    slots += b
     unmatched = ~isa
     unmatched[b] = False
     b += z.start
@@ -179,6 +195,7 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
         b_indices=b,
         a_indices=a_indices,
         rounds=rounds,
+        slots=slots,
         unmatched=np.flatnonzero(unmatched) + z.start,
     )
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import ABSequence, meshalkin_match, partner_slots
+from .matching import ABSequence, meshalkin_match
 from .measures import DensityFamily, log_damped
 from .sampling import Window
 
@@ -274,8 +274,10 @@ def erase_negative_side(w: Window,
 
     replaced = np.full(len(neg_pos), np.nan)
     replaced[is_safe] = -1.0 + (shares[:, 0] + 0.5) / scale
-    b, rank, slot = partner_slots(assignment, np.flatnonzero(is_safe))
-    replaced[b] = -1.0 + (shares[rank, slot] + 0.5) / scale
+    assignment.check_capacity()
+    rank = assignment.a_ranks(np.flatnonzero(is_safe))
+    replaced[assignment.b_indices] = -1.0 + (
+        shares[rank, assignment.slots] + 0.5) / scale
 
     out[neg_pos] = replaced
     info = {"nu_indices": int(len(neg_pos)), "safe_hits": int(is_safe.sum()),

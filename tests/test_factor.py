@@ -1,4 +1,5 @@
 """Fair-bit extraction, the entropy-splitting code, and the full factor."""
+import hashlib
 import itertools
 import math
 
@@ -7,9 +8,11 @@ import pytest
 
 from shiftlab import (SeedStream, SequenceSpec, SplitCodeSpec, Window,
                       beta_for, decompose, good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
-                      meshalkin_match, psi_split, required_d, run_iid_factor,
-                      sample_window, special_sequence, spread_bits)
-from shiftlab.factor import LOG2, bias_square_terms, binary_entropy
+                      meshalkin_match, parse_measure, psi_split, required_d,
+                      run_iid_factor, sample_window, special_sequence,
+                      spread_bits)
+from shiftlab.factor import (LOG2, _decode_tuples, bias_square_terms,
+                             binary_entropy)
 from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
                                sum_with_tail)
 from shiftlab.stattests import serial_correlations, uniformity_suite
@@ -109,6 +112,18 @@ class TestBetaFor:
         assert beta_for(1025) == 6.340163470719418e-05
 
 
+def column_decode(u: np.ndarray, dplus1: int, beta0: float) -> np.ndarray:
+    """The inverse-CDF decoder one whole column at a time, both branches
+    computed and merged: the reference for the in-place decoder."""
+    out = np.empty((len(u), dplus1), dtype=np.uint8)
+    uu = u.copy()
+    for j in range(dplus1):
+        zero = uu < beta0
+        out[:, j] = np.where(zero, 0, 1)
+        uu = np.where(zero, uu / beta0, (uu - beta0) / (1.0 - beta0))
+    return out
+
+
 def fair_stream(n: int, seed: int) -> np.ndarray:
     return (SeedStream(seed).uniforms("stream", 0, n)[:, 0] < 0.5).astype(np.uint8)
 
@@ -154,6 +169,25 @@ class TestPsiSplit:
             r = np.corrcoef(T[:, i], T[:, j])[0, 1]
             worst = max(worst, abs(float(r)))
         assert worst < 0.01
+
+    @pytest.mark.parametrize("d, radius, digest", [
+        (7, 16, "50415501570253ccb15290741cc5048d1498fb1436827c6c377d29239f64e51b"),
+        (882, 64, "46a6a63728854bb6c991d32f49ddd4b518352dde5a202a5205610a7dd24fd8ee"),
+    ])
+    def test_tuples_digest(self, d, radius, digest):
+        # recorded from the column-at-a-time decoder; d = 882 is the
+        # capacity of iid:0.3, where ~0.07 bits per tuple are zero
+        out = psi_split(fair_stream(2000, 3), SplitCodeSpec(d, radius),
+                        SeedStream(7))
+        assert hashlib.sha256(out.tuples.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 882])
+    def test_decode_equals_column_reference(self, d):
+        u = SeedStream(19).uniforms("u", 0, 20000)[:, 0]
+        beta0 = SplitCodeSpec(d).beta0
+        out = np.zeros((len(u), d + 1), dtype=np.uint8)
+        _decode_tuples(u, beta0, out)
+        np.testing.assert_array_equal(out, column_decode(u, d + 1, beta0))
 
     def test_cross_tuple_decorrelation(self):
         n = 10 ** 5 + 32
@@ -214,6 +248,20 @@ class TestUniformitySuiteSmallInputs:
 
 
 class TestRunIidFactor:
+    @pytest.mark.parametrize("measure, seed, digest", [
+        ("iid:0.3", 7,
+         "18bbc58939c472c4a5ce798eb2a9c4fc50ed3af2acdc5dd21ef5b86fc2216aea"),
+        ("mu:0.3,0.5", 3,
+         "c4db76e46bb85fc7defd54564fe340d89d3adf8a69e04f505d78c30b6bc4d91f"),
+    ])
+    def test_output_digest(self, measure, seed, digest):
+        # recorded from the lexsort slot lookup and the column-at-a-time
+        # decoder: the output window, bit for bit
+        res = run_iid_factor(parse_measure(measure), (0, 199999),
+                             SeedStream(seed))
+        assert hashlib.sha256(res.output.values.tobytes()).hexdigest() == \
+            digest
+
     def test_doeblin_violation_rejected(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),

@@ -1,6 +1,7 @@
 """Meshalkin matching: bracket scan against the round loop, walk radius,
 domination, AB extraction."""
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,14 +11,25 @@ from hypothesis import strategies as st
 from shiftlab import (ABSequence, MatchingAssignment, SeedStream, Window,
                       decompose, dominates, flip_coupling,
                       good_block_sequence, iid_binary, matching_radius,
-                      meshalkin_match, partner_slots, required_d,
-                      sample_window, special_sequence)
+                      meshalkin_match, required_d, sample_window,
+                      special_sequence)
+
+
+def slots_oracle(b_indices, a_indices) -> list[int]:
+    """Each row's tuple slot, counting each a's partners one by one in
+    ascending b order from slot 1."""
+    seen, slot_of = Counter(), {}
+    for b, a in sorted(zip(b_indices, a_indices)):
+        seen[a] += 1
+        slot_of[b] = seen[a]
+    return [slot_of[b] for b in b_indices]
 
 
 def match_oracle(letters: str, d: int):
     """Literal inductive simulation: match each surviving b immediately
     followed by a surviving a, drop matched b's and saturated a's, repeat.
-    Returns b -> a, b -> its round (from 1) and the unmatched b's."""
+    Returns b -> a, b -> its round (from 1), b -> its slot and the
+    unmatched b's."""
     partner, round_of = {}, {}
     mult = {i: 0 for i, c in enumerate(letters) if c == "a"}
     active = list(range(len(letters)))
@@ -27,7 +39,9 @@ def match_oracle(letters: str, d: int):
         if not pairs:
             unmatched = [i for i, c in enumerate(letters)
                          if c == "b" and i not in partner]
-            return partner, round_of, unmatched
+            slot_of = dict(zip(partner, slots_oracle(partner,
+                                                     partner.values())))
+            return partner, round_of, slot_of, unmatched
         for m, n in pairs:
             partner[m] = n
             round_of[m] = rnd
@@ -38,7 +52,8 @@ def match_oracle(letters: str, d: int):
 
 def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
     """The inductive scheme as vectorised rounds over the surviving sites
-    (at most window-length rounds), with the assignment's arrays."""
+    (at most window-length rounds), with the assignment's arrays and the
+    per-a counter's slots."""
     isa = z.isa
     L = len(isa)
     partner = np.full(L, -1, dtype=np.int64)
@@ -64,11 +79,13 @@ def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
         active = active[~drop]
 
     matched = partner >= 0
+    b, a = np.flatnonzero(matched), partner[matched]
     return MatchingAssignment(
         d=d,
-        b_indices=np.flatnonzero(matched) + z.start,
-        a_indices=partner[matched] + z.start,
+        b_indices=b + z.start,
+        a_indices=a + z.start,
         rounds=round_of[matched],
+        slots=np.array(slots_oracle(b.tolist(), a.tolist()), dtype=np.int64),
         unmatched=np.flatnonzero(~matched & ~isa) + z.start,
     )
 
@@ -119,12 +136,13 @@ class TestMeshalkinMatch:
                     got = meshalkin_match(
                         ABSequence.from_letters(0, letters), d)
                     got.check_capacity()
-                    pairs, rounds, unmatched = match_oracle(letters, d)
+                    pairs, rounds, slots, unmatched = match_oracle(letters, d)
                     # rows in ascending b order, as the assignment CSV
                     bs = sorted(pairs)
                     assert got.b_indices.tolist() == bs, (letters, d)
                     assert got.a_indices.tolist() == [pairs[b] for b in bs]
                     assert got.rounds.tolist() == [rounds[b] for b in bs]
+                    assert got.slots.tolist() == [slots[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
 
     def test_random_against_round_loop(self):
@@ -139,7 +157,8 @@ class TestMeshalkinMatch:
             z = ABSequence(start, isa)
             got, want = meshalkin_match(z, d), round_loop_match(z, d)
             got.check_capacity()
-            for field in ("b_indices", "a_indices", "rounds", "unmatched"):
+            for field in ("b_indices", "a_indices", "rounds", "slots",
+                          "unmatched"):
                 np.testing.assert_array_equal(
                     getattr(got, field), getattr(want, field),
                     err_msg=f"{field}, trial {trial}, d = {d}")
@@ -153,16 +172,21 @@ class TestMeshalkinMatch:
         assert moved.pairs == {b + shift: a + shift for b, a in base.pairs.items()}
 
 
-def hand_built(b, a, unmatched=()) -> MatchingAssignment:
+def hand_built(b, a, unmatched=(), slots=None) -> MatchingAssignment:
+    if slots is None:
+        slots = slots_oracle(b, a)
     return MatchingAssignment(
-        d=2, b_indices=np.array(b), a_indices=np.array(a),
+        d=2, b_indices=np.array(b, dtype=np.int64),
+        a_indices=np.array(a, dtype=np.int64),
         rounds=np.ones(len(b), dtype=np.int64),
+        slots=np.array(slots, dtype=np.int64),
         unmatched=np.array(unmatched, dtype=np.int64))
 
 
 class TestCheckCapacity:
     def test_valid(self):
         hand_built([0, 1, 3], [2, 2, 4], [5]).check_capacity()
+        hand_built([], [], [0, 1]).check_capacity()
 
     @pytest.mark.parametrize("b,a,unmatched,message", [
         ([0, 0], [2, 3], [], "matched twice"),
@@ -170,10 +194,17 @@ class TestCheckCapacity:
         ([2], [2], [], "on its left"),
         ([0, 1], [2, 2], [1], "both matched and unmatched"),
         ([0, 1, 3], [4, 4, 4], [], "capacity"),
+        ([1, 0], [2, 2], [], "not in ascending b order"),
+        ([0, 1, 3], [2, 2, 4], [-1, 3], "both matched and unmatched"),
     ])
     def test_rejects(self, b, a, unmatched, message):
         with pytest.raises(AssertionError, match=message):
             hand_built(b, a, unmatched).check_capacity()
+
+    @pytest.mark.parametrize("slots", [[1, 3], [0, 1]])
+    def test_rejects_slot_outside_tuple(self, slots):
+        with pytest.raises(AssertionError, match="tuple exhaustion"):
+            hand_built([0, 1], [2, 2], [], slots).check_capacity()
 
 
 class TestMatchingRadius:
@@ -262,18 +293,9 @@ class TestDomination:
                 assert m2.pairs[b] - b <= a - b
 
 
-def slots_oracle(assignment, a_positions) -> dict:
-    """b -> (rank of its a, slot), counting each a's partners one by one
-    in ascending b order from slot 1."""
-    out = {}
-    for rank, a in enumerate(a_positions.tolist()):
-        partners = sorted(b for b, x in assignment.pairs.items() if x == a)
-        for slot, b in enumerate(partners, start=1):
-            out[b] = (rank, slot)
-    return out
-
-
 class TestPartnerSlots:
+    """The slots the scan hands out, and the lookup of each row's a."""
+
     def test_against_per_a_counter(self):
         rng = np.random.default_rng(5)
         for trial in range(300):
@@ -281,31 +303,30 @@ class TestPartnerSlots:
             isa = rng.random(int(rng.integers(1, 80))) < rng.uniform(0.05, 0.6)
             d = int(rng.integers(1, 5))
             assignment = meshalkin_match(ABSequence(start, isa), d)
+            b, a = assignment.b_indices.tolist(), assignment.a_indices.tolist()
+            assert assignment.slots.tolist() == slots_oracle(b, a)
             a_positions = np.flatnonzero(isa) + start
-            b, rank, slot = partner_slots(assignment, a_positions)
-            got = {int(x): (int(r), int(k)) for x, r, k in zip(b, rank, slot)}
-            assert got == slots_oracle(assignment, a_positions)
-            assert list(zip(rank.tolist(), b.tolist())) == \
-                sorted(zip(rank.tolist(), b.tolist()))
+            assert a_positions[assignment.a_ranks(a_positions)].tolist() == a
 
     def test_empty_assignment(self):
         assignment = meshalkin_match(ABSequence.from_letters(0, "abbb"), 2)
-        b, rank, slot = partner_slots(assignment, np.array([0]))
-        assert len(b) == len(rank) == len(slot) == 0
+        assert len(assignment.a_ranks(np.array([0]))) == 0
 
     def test_unknown_a_index(self):
         assignment = meshalkin_match(ABSequence.from_letters(0, "bab"), 1)
         for a_positions in ([0, 2], [], [5]):
             a_positions = np.array(a_positions, dtype=np.int64)
             with pytest.raises(AssertionError, match="unknown a-index"):
-                partner_slots(assignment, a_positions)
+                assignment.a_ranks(a_positions)
 
     def test_tuple_exhaustion(self):
+        # one partner, but handed the slot past the last bit of the tuple
         assignment = MatchingAssignment(
-            d=1, b_indices=np.array([0, 1]), a_indices=np.array([2, 2]),
-            rounds=np.array([2, 1]), unmatched=np.array([], dtype=np.int64))
+            d=1, b_indices=np.array([1]), a_indices=np.array([2]),
+            rounds=np.array([1]), slots=np.array([2]),
+            unmatched=np.array([0]))
         with pytest.raises(AssertionError, match="tuple exhaustion"):
-            partner_slots(assignment, np.array([2]))
+            assignment.check_capacity()
 
 
 class TestGoodToAB:

@@ -366,8 +366,16 @@ class TestInvariants:
         bad = FiniteProductMeasure(
             alphabet=(0, 1),
             marginals=lambda start, length: np.tile((0.5, 0.499), (length, 1)))
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="index 0 sums to 0.999, not 1"):
             bad.probs(0)
+
+    def test_normalization_names_the_offending_row(self):
+        from shiftlab import FiniteProductMeasure
+        bad = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda start, length: np.array([[.5, .5], [.2, .3]]))
+        with pytest.raises(ValueError, match=r"index 1 sums to 0\.5, not 1$"):
+            bad.block(0, 2)
 
     def test_negative_mass_rejected(self):
         from shiftlab import FiniteProductMeasure

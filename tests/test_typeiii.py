@@ -304,6 +304,14 @@ class TestEraseNegativeSide:
         _, p = stats.kstest(u, "uniform")
         assert p > 0.001
 
+    def test_output_digest(self):
+        # recorded from the lexsort slot lookup
+        w, zone = self.setup_window(3000)
+        out, info = erase_negative_side(w, zone)
+        assert (info["safe_hits"], info["censored"]) == (1325, 0)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest() == \
+            "7398455924f16c1037c04f5ef066fca9e03cfd46e7466da7a5ca6534a39f526b"
+
     def test_no_negative_coordinates_noop(self):
         w = Window(0, np.linspace(0.1, 0.9, 50))
         out, info = erase_negative_side(w, (-0.9, -0.1))
