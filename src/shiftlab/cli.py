@@ -8,7 +8,6 @@ byte-reproducible.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -91,18 +90,6 @@ def emit_plot_data(series: dict[str, list[tuple[float, float]]],
         [float(y) for name in names for _, y in series[name]]))
 
 
-def parse_plot_data(path: Path) -> dict[str, list[tuple[float, float]]]:
-    out: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["series", "x", "y"]:
-            raise ValueError(f"unexpected plot-data header {header!r}")
-        for name, x, y in reader:
-            out.setdefault(name, []).append((float(x), float(y)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -171,18 +158,19 @@ def _cmd_match(cfg: RunConfig) -> Report:
     q = markers.good_prob_lower(m, (0, n - 1))
     d = matching.required_d(q)
     assignment = matching.meshalkin_match(zprime, d)
-    assignment.check_capacity()
+    a_indices = assignment.a_indices
     out_rows = write_csv(
         cfg.out_dir / "matching_assignment.csv",
         ("b_index", "a_index", "round"),
-        (assignment.b_indices, assignment.a_indices, assignment.rounds))
+        (assignment.b_indices, a_indices, assignment.rounds))
 
-    dist = assignment.a_indices - assignment.b_indices
+    dist = a_indices - assignment.b_indices
     hist = np.bincount(dist.astype(np.int64)) if len(dist) else np.zeros(1, int)
     art2 = emit_plot_data(
         {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
         cfg.out_dir / "radius_histogram.csv")
-    frac_censored = len(assignment.unmatched) / max(1, int((~zprime.isa).sum()))
+    n_b = len(assignment.b_indices) + len(assignment.unmatched)
+    frac_censored = len(assignment.unmatched) / max(1, n_b)
     metrics = [
         {"name": "q", "value": q, "pass": q > 0},
         {"name": "d", "value": d, "pass": True},

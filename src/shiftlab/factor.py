@@ -178,9 +178,9 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
                 split: SplitTuples) -> Window:
     """Hand one coded bit to every matched integer.
 
-    Each special filler (row k of ``dec.special``) keeps bit 0 of tuple k;
-    its matched partners take the bits of their matching slots 1, 2, ...,
-    in ascending index order.
+    The special filler of rank k among the matching's a's keeps bit 0 of
+    tuple k; its matched partners take the bits of their matching slots
+    1, 2, ..., in ascending index order.
     Positions with no resolved source are censored and encoded as -1.
     """
     start = dec.start
@@ -188,11 +188,14 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
 
     if assignment.d > split.tuples.shape[1] - 1:
         raise AssertionError("matching capacity exceeds tuple width - 1")
+    a_pos = assignment.a_positions
+    if len(split.tuples) != len(a_pos):
+        raise AssertionError(f"{len(split.tuples)} tuples for "
+                             f"{len(a_pos)} a's")
 
-    a_pos = dec.special[:, 0]
     out[a_pos[split.valid] - start] = split.tuples[split.valid, 0]
 
-    rank = assignment.a_ranks(a_pos)
+    rank = assignment.ranks
     bits = split.tuples[rank, assignment.slots].view(np.int8)
     bits[~split.valid[rank]] = -1   # the b's a has no tuple: censored
     out[assignment.b_indices - start] = bits
@@ -218,7 +221,6 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     w = sample_window(m, span, seeds, label="factor-input")
     dec = decompose(w)
     assignment = meshalkin_match(special_sequence(dec), d)
-    assignment.check_capacity()
     split = psi_split(dec.special[:, 1], spec, seeds)
     out = spread_bits(dec, assignment, split)
 

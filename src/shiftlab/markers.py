@@ -58,20 +58,6 @@ class MarkerDecomposition:
     boundary_flags: tuple[bool, bool]
     censored: np.ndarray
 
-    def to_json(self) -> dict:
-        special = set(self.special[:, 0].tolist())
-        labels = [("marker", lo, hi) for lo, hi in self.markers.tolist()]
-        labels += [("special" if lo in special else "filler", lo, hi)
-                   for lo, hi in self.fillers.tolist()]
-        labels += [("censored", lo, hi) for lo, hi in self.censored.tolist()]
-        labels.sort(key=lambda t: t[1])
-        return {
-            "start": self.start,
-            "length": self.length,
-            "intervals": [{"label": lab, "lo": lo, "hi": hi}
-                          for lab, lo, hi in labels],
-        }
-
 
 def decompose(w) -> MarkerDecomposition:
     """Locate markers, interior fillers and special fillers of a window."""
@@ -118,18 +104,9 @@ def good_intervals(w, offset: int = 0) -> np.ndarray:
     return starts[ok]
 
 
-def good_prob(m, i: int) -> float:
-    """Exact product-measure probability that the 8-block starting at i is
-    good (sum over the two admissible blocks)."""
-    p = m.block(i, GOOD_WIDTH)
-    total = 0.0
-    for g in GOOD_BLOCKS:
-        total += float(np.prod(p[np.arange(GOOD_WIDTH), list(g)]))
-    return total
-
-
 def good_prob_lower(m, span: tuple[int, int]) -> float:
-    """Infimum of good_prob over block starts in the inclusive range; a
+    """Infimum over block starts in the inclusive range of the exact
+    product-measure probability that the 8-block there is good; a
     non-binary measure, or a zero mass on the range (no Doeblin bound), is
     refused."""
     if len(m.alphabet) != 2:

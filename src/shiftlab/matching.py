@@ -12,8 +12,10 @@ The scheme is bracket matching, with each b a "(" and each a d copies of
 stack of runs of unmatched b's; ``rounds`` still reports the round of the
 inductive scheme in which each b is matched.  The same scan hands out the
 tuple slots: an a's partners take slots 1, 2, ... of its coded tuple in
-ascending b order.  The test suite checks the scan against a literal
-simulation of the rounds and the slots against a per-a counter.
+ascending b order, and each row carries the rank of its a among the
+sequence's a's, which is the row of that a's tuple.  The test suite
+checks the scan against a literal simulation of the rounds and the slots
+against a per-a counter.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,60 +56,44 @@ class ABSequence:
 class MatchingAssignment:
     """Capacity-bounded map from b-indices to a-indices.
 
-    ``b_indices[i]`` is matched to ``a_indices[i]`` in round ``rounds[i]``
-    and takes slot ``slots[i]`` of its a's tuple (slot 0 is the a's own);
-    rows come in ascending b order.  ``unmatched`` lists the censored
-    b-indices.  All indices are absolute.
+    ``a_positions`` lists the sequence's a-indices in ascending order.
+    ``b_indices[i]`` is matched to the a ``a_positions[ranks[i]]`` in round
+    ``rounds[i]`` and takes slot ``slots[i]`` of that a's tuple (slot 0 is
+    the a's own), so ``ranks`` is the row of the a's tuple; rows come in
+    ascending b order.  ``unmatched`` lists the censored b-indices.  All
+    indices are absolute.
     """
 
     d: int
     b_indices: np.ndarray
-    a_indices: np.ndarray
+    ranks: np.ndarray
+    a_positions: np.ndarray
     rounds: np.ndarray
     slots: np.ndarray
     unmatched: np.ndarray
 
-    @cached_property
-    def pairs(self) -> dict[int, int]:
-        return {int(b): int(a) for b, a in zip(self.b_indices, self.a_indices)}
-
-    @cached_property
-    def multiplicity(self) -> dict[int, int]:
-        a, cnt = np.unique(self.a_indices, return_counts=True)
-        return {int(x): int(c) for x, c in zip(a, cnt)}
+    @property
+    def a_indices(self) -> np.ndarray:
+        return self.a_positions[self.ranks]
 
     def check_capacity(self) -> None:
-        b, a = self.b_indices, self.a_indices
+        b, ranks = self.b_indices, self.ranks
         if np.any(np.diff(b) <= 0):
             raise AssertionError(
                 "a b was matched twice, or rows are not in ascending b order")
-        if np.any(a <= b):
-            raise AssertionError("a b was matched to an a on its left")
         if len(b):
+            # a negative rank would wrap silently in a_positions[ranks]
+            if ranks.min() < 0 or ranks.max() >= len(self.a_positions):
+                raise AssertionError("a rank outside the a-positions")
+            if np.any(self.a_indices <= b):
+                raise AssertionError("a b was matched to an a on its left")
             at = np.searchsorted(b, self.unmatched).clip(max=len(b) - 1)
             if np.any(b[at] == self.unmatched):
                 raise AssertionError("a b is both matched and unmatched")
-            if np.bincount(a - a.min()).max() > self.d:
+            if np.bincount(ranks).max() > self.d:
                 raise AssertionError("an a exceeded its capacity")
         if np.any((self.slots < 1) | (self.slots > self.d)):
             raise AssertionError("tuple exhaustion: a slot outside 1..d")
-
-    def a_ranks(self, a_positions: np.ndarray) -> np.ndarray:
-        """The rank of each row's a in ``a_positions``, which lists every
-        a-index in ascending order.
-
-        An a's partners are few runs of consecutive rows (one run each on
-        the lab's windows), so each run is looked up once.
-        """
-        a = self.a_indices
-        new = np.ones(len(a), dtype=bool)
-        np.not_equal(a[1:], a[:-1], out=new[1:])
-        heads = np.flatnonzero(new)
-        rank = np.searchsorted(a_positions, a[heads])
-        if len(a) and (rank.max() >= len(a_positions)
-                       or np.any(a_positions[rank] != a[heads])):
-            raise AssertionError("assignment references an unknown a-index")
-        return np.repeat(rank, np.diff(heads, append=len(a)))
 
 
 def required_d(q: float) -> int:
@@ -134,16 +119,20 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
     The b's an a takes nearest first are its partners in descending b
     order, so once the scan knows an a's total m, a b at j in a slice
     [lo, hi) taken after ``taken`` others gets slot m - taken - (hi-1-j).
+    A b's rank is the loop counter over the a's, which is the row of its
+    a's tuple.  The assignment passes ``check_capacity`` before it is
+    returned.
     """
     if d < 1:
         raise ValueError("capacity d must be positive")
     isa = z.isa
     stack: list[list[int]] = []
-    # one row per slice [lo, hi) an a takes from a run, after ``taken``
-    # b's: its b at j is matched to ``a`` in round ``top - j``
-    los, his, tops, partners, taken = [], [], [], [], []
+    a_pos = np.flatnonzero(isa)
+    # one row per slice [lo, hi) the a of rank r takes from a run, after
+    # ``taken`` b's: its b at j is matched to that a in round ``top - j``
+    los, his, tops, ranks, taken = [], [], [], [], []
     prev = -1
-    for a in np.flatnonzero(isa).tolist():
+    for r, a in enumerate(a_pos.tolist()):
         if a > prev + 1:
             stack.append([prev + 1, a, 0])
         prev = a
@@ -156,7 +145,7 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
             los.append(hi - k)
             his.append(hi)
             tops.append(base + hi)
-            partners.append(a)
+            ranks.append(r)
             taken.append(d - need)
             base += k
             need -= k
@@ -167,18 +156,17 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
         if stack:
             stack[-1][2] = max(stack[-1][2], base)
 
-    los, his, tops, partners, taken = (np.array(x, dtype=np.int64)
-                                       for x in (los, his, tops, partners,
-                                                 taken))
+    los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
+                                    for x in (los, his, tops, ranks, taken))
     lens = his - los
     # an a's slices are consecutive and its last one ends at its total m,
     # so the b at j of a slice takes slot j + offset
-    last = np.searchsorted(partners, partners, side="right") - 1
+    last = np.searchsorted(ranks, ranks, side="right") - 1
     offsets = (taken + lens)[last] - taken - his + 1
     # the slices are disjoint, so ordering them by lo orders the b's
     order = np.argsort(los)
-    los, lens, tops, partners, offsets = (
-        x[order] for x in (los, lens, tops, partners, offsets))
+    los, lens, tops, ranks, offsets = (
+        x[order] for x in (los, lens, tops, ranks, offsets))
     b = (np.arange(lens.sum(), dtype=np.int64)
          + np.repeat(los - (np.cumsum(lens) - lens), lens))
     rounds = np.repeat(tops, lens)
@@ -188,31 +176,17 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
     unmatched = ~isa
     unmatched[b] = False
     b += z.start
-    a_indices = np.repeat(partners, lens)
-    a_indices += z.start
-    return MatchingAssignment(
+    assignment = MatchingAssignment(
         d=d,
         b_indices=b,
-        a_indices=a_indices,
+        ranks=np.repeat(ranks, lens),
+        a_positions=a_pos + z.start,
         rounds=rounds,
         slots=slots,
         unmatched=np.flatnonzero(unmatched) + z.start,
     )
-
-
-def matching_radius(z: ABSequence, d: int, m: int) -> int | None:
-    """Least k >= 1 with W_m + ... + W_{m+k} >= 0 for the -1/+d walk,
-    or None (censored) if the window ends first."""
-    isa = z.isa
-    rel = m - z.start
-    if not 0 <= rel < len(isa):
-        raise IndexError(f"index {m} outside the sequence")
-    if isa[rel]:
-        raise ValueError(f"index {m} is an a, not a b")
-    w = np.where(isa[rel:], d, -1).astype(np.int64)
-    sums = np.cumsum(w)
-    hits = np.flatnonzero(sums[1:] >= 0)
-    return int(hits[0]) + 1 if len(hits) else None
+    assignment.check_capacity()
+    return assignment
 
 
 def dominates(z: ABSequence, z2: ABSequence) -> bool:

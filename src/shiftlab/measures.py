@@ -149,14 +149,6 @@ class SequenceSpec:
         v = self.p + c * self.a(np.asarray(n))
         return np.where((v > 0.0) & (v < 1.0), v, self.p)
 
-    def check_decay(self, lo: int, hi: int) -> bool:
-        """Loose decay probe: |a| at the range ends is <= its interior max."""
-        vals = np.abs(self.a(np.arange(lo, hi + 1)))
-        if len(vals) < 3:
-            return True
-        return bool(max(vals[0], vals[-1]) <= vals.max() + 1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------

@@ -132,35 +132,6 @@ def h_apply(spec: HMapSpec, x) -> np.ndarray:
     return out
 
 
-def pushforward_density(hspec: HMapSpec, n: int, v) -> np.ndarray:
-    """Density of h(U) for U distributed per the re-indexed base family:
-    sum of f(u)/|h'(u)| over the at most two preimage branches.  This
-    change-of-variables route is independent of the ``g_pieces`` listing
-    and serves as its cross-check."""
-    v = np.asarray(v, dtype=float)
-    f = f_family(hspec.family()).density
-    a1, p, lam = hspec.a1, hspec.p, hspec.lam
-    out = np.zeros_like(v)
-
-    # identity branch wherever v itself lies outside the two slanted domains
-    hi = 1.0 - lam * a1
-    in_b1_dom = (v > a1) & (v < a1 + p * a1)
-    in_b2_dom = (v > hi - p * a1) & (v < hi)
-    ident = ~(in_b1_dom | in_b2_dom)
-    out[ident] += f(n, v[ident])
-
-    # branch 1 preimage: v in (0, a1)  <-  u = a1 + p v, |h'| = 1/p
-    img1 = (v > 0.0) & (v < a1)
-    u1 = a1 + p * v[img1]
-    out[img1] += f(n, u1) * p
-
-    # branch 2 preimage: v in (1 - lam a1, 1)  <-  u = hi - p (v - hi)/lam
-    img2 = (v > hi) & (v < 1.0)
-    u2 = hi - p * (v[img2] - hi) / lam
-    out[img2] += f(n, u2) * (p / lam)
-    return out
-
-
 def g_pieces(hspec: HMapSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form piece edges and values of the pushforward at index n;
     where a_n = 0 the first and last pieces have zero length."""
@@ -274,10 +245,8 @@ def erase_negative_side(w: Window,
 
     replaced = np.full(len(neg_pos), np.nan)
     replaced[is_safe] = -1.0 + (shares[:, 0] + 0.5) / scale
-    assignment.check_capacity()
-    rank = assignment.a_ranks(np.flatnonzero(is_safe))
     replaced[assignment.b_indices] = -1.0 + (
-        shares[rank, assignment.slots] + 0.5) / scale
+        shares[assignment.ranks, assignment.slots] + 0.5) / scale
 
     out[neg_pos] = replaced
     info = {"nu_indices": int(len(neg_pos)), "safe_hits": int(is_safe.sum()),

@@ -1,0 +1,156 @@
+"""Slow, independent routes to what the library computes, for the tests to
+check it against.  None of these run in a lab command."""
+import csv
+import itertools
+from collections import Counter
+
+import numpy as np
+
+from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
+from shiftlab.typeiii import f_family
+
+
+# -- matching -----------------------------------------------------------------
+
+def slots_oracle(b_indices, a_indices) -> list[int]:
+    """Each row's tuple slot, counting each a's partners one by one in
+    ascending b order from slot 1."""
+    seen, slot_of = Counter(), {}
+    for b, a in sorted(zip(b_indices, a_indices)):
+        seen[a] += 1
+        slot_of[b] = seen[a]
+    return [slot_of[b] for b in b_indices]
+
+
+def match_oracle(letters: str, d: int):
+    """Literal inductive simulation: match each surviving b immediately
+    followed by a surviving a, drop matched b's and saturated a's, repeat.
+    Returns b -> a, b -> its round (from 1), b -> its slot and the
+    unmatched b's."""
+    partner, round_of = {}, {}
+    mult = {i: 0 for i, c in enumerate(letters) if c == "a"}
+    active = list(range(len(letters)))
+    for rnd in itertools.count(1):
+        pairs = [(m, n) for m, n in zip(active, active[1:])
+                 if letters[m] == "b" and letters[n] == "a"]
+        if not pairs:
+            unmatched = [i for i, c in enumerate(letters)
+                         if c == "b" and i not in partner]
+            slot_of = dict(zip(partner, slots_oracle(partner,
+                                                     partner.values())))
+            return partner, round_of, slot_of, unmatched
+        for m, n in pairs:
+            partner[m] = n
+            round_of[m] = rnd
+            mult[n] += 1
+        gone = {m for m, _ in pairs} | {n for n in mult if mult[n] >= d}
+        active = [i for i in active if i not in gone]
+
+
+def matching_radius(z, d: int, m: int) -> int | None:
+    """Least k >= 1 with W_m + ... + W_{m+k} >= 0 for the -1/+d walk,
+    or None (censored) if the window ends first."""
+    isa = z.isa
+    rel = m - z.start
+    if not 0 <= rel < len(isa):
+        raise IndexError(f"index {m} outside the sequence")
+    if isa[rel]:
+        raise ValueError(f"index {m} is an a, not a b")
+    w = np.where(isa[rel:], d, -1).astype(np.int64)
+    sums = np.cumsum(w)
+    hits = np.flatnonzero(sums[1:] >= 0)
+    return int(hits[0]) + 1 if len(hits) else None
+
+
+def pairs(assignment) -> dict[int, int]:
+    """The assignment as a map b -> a."""
+    return dict(zip(assignment.b_indices.tolist(),
+                    assignment.a_indices.tolist()))
+
+
+def multiplicity(assignment) -> dict[int, int]:
+    """The number of partners of each matched a."""
+    return dict(Counter(assignment.a_indices.tolist()))
+
+
+# -- markers and measures -----------------------------------------------------
+
+def good_prob(m, i: int) -> float:
+    """Exact product-measure probability that the 8-block starting at i is
+    good (sum over the two admissible blocks)."""
+    p = m.block(i, GOOD_WIDTH)
+    total = 0.0
+    for g in GOOD_BLOCKS:
+        total += float(np.prod(p[np.arange(GOOD_WIDTH), list(g)]))
+    return total
+
+
+def decomposition_json(dec) -> dict:
+    """A decomposition as its intervals in index order, each labelled
+    marker, special, filler or censored."""
+    special = set(dec.special[:, 0].tolist())
+    labels = [("marker", lo, hi) for lo, hi in dec.markers.tolist()]
+    labels += [("special" if lo in special else "filler", lo, hi)
+               for lo, hi in dec.fillers.tolist()]
+    labels += [("censored", lo, hi) for lo, hi in dec.censored.tolist()]
+    labels.sort(key=lambda t: t[1])
+    return {
+        "start": dec.start,
+        "length": dec.length,
+        "intervals": [{"label": lab, "lo": lo, "hi": hi}
+                      for lab, lo, hi in labels],
+    }
+
+
+def check_decay(spec, lo: int, hi: int) -> bool:
+    """Loose decay probe: |a| at the range ends is <= its interior max."""
+    vals = np.abs(spec.a(np.arange(lo, hi + 1)))
+    if len(vals) < 3:
+        return True
+    return bool(max(vals[0], vals[-1]) <= vals.max() + 1e-15)
+
+
+# -- type III -----------------------------------------------------------------
+
+def pushforward_density(hspec, n: int, v) -> np.ndarray:
+    """Density of h(U) for U distributed per the re-indexed base family:
+    sum of f(u)/|h'(u)| over the at most two preimage branches.  This
+    change-of-variables route is independent of the ``g_pieces`` listing
+    and serves as its cross-check."""
+    v = np.asarray(v, dtype=float)
+    f = f_family(hspec.family()).density
+    a1, p, lam = hspec.a1, hspec.p, hspec.lam
+    out = np.zeros_like(v)
+
+    # identity branch wherever v itself lies outside the two slanted domains
+    hi = 1.0 - lam * a1
+    in_b1_dom = (v > a1) & (v < a1 + p * a1)
+    in_b2_dom = (v > hi - p * a1) & (v < hi)
+    ident = ~(in_b1_dom | in_b2_dom)
+    out[ident] += f(n, v[ident])
+
+    # branch 1 preimage: v in (0, a1)  <-  u = a1 + p v, |h'| = 1/p
+    img1 = (v > 0.0) & (v < a1)
+    u1 = a1 + p * v[img1]
+    out[img1] += f(n, u1) * p
+
+    # branch 2 preimage: v in (1 - lam a1, 1)  <-  u = hi - p (v - hi)/lam
+    img2 = (v > hi) & (v < 1.0)
+    u2 = hi - p * (v[img2] - hi) / lam
+    out[img2] += f(n, u2) * (p / lam)
+    return out
+
+
+# -- command line -------------------------------------------------------------
+
+def parse_plot_data(path) -> dict[str, list[tuple[float, float]]]:
+    """Read back a ``series,x,y`` plot-data CSV as named (x, y) series."""
+    out: dict[str, list[tuple[float, float]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["series", "x", "y"]:
+            raise ValueError(f"unexpected plot-data header {header!r}")
+        for name, x, y in reader:
+            out.setdefault(name, []).append((float(x), float(y)))
+    return out

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import parse_plot_data
 from shiftlab import DensityFamily, SeedStream, sample_density_window
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
-                          emit_plot_data, main, parse_plot_data, write_csv)
+                          emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
 
 

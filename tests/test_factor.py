@@ -203,7 +203,6 @@ def run_stages(w: Window, q: float, radius: int = 16):
     d = required_d(q)
     dec = decompose(w)
     assignment = meshalkin_match(special_sequence(dec), d)
-    assignment.check_capacity()
     split = psi_split(dec.special[:, 1], SplitCodeSpec(d, radius),
                       SeedStream(7))
     return spread_bits(dec, assignment, split)

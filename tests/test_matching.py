@@ -1,53 +1,34 @@
 """Meshalkin matching: bracket scan against the round loop, walk radius,
 domination, AB extraction."""
 import itertools
-from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (ABSequence, MatchingAssignment, SeedStream, Window,
-                      decompose, dominates, flip_coupling,
-                      good_block_sequence, iid_binary, matching_radius,
-                      meshalkin_match, required_d, sample_window,
-                      special_sequence)
+from oracles import (match_oracle, matching_radius, multiplicity, pairs,
+                     slots_oracle)
+from shiftlab import (ABSequence, MatchingAssignment, SeedStream,
+                      SplitCodeSpec, Window, decompose, dominates,
+                      flip_coupling, good_block_sequence, iid_binary,
+                      meshalkin_match, psi_split, required_d, sample_window,
+                      special_sequence, spread_bits)
 
 
-def slots_oracle(b_indices, a_indices) -> list[int]:
-    """Each row's tuple slot, counting each a's partners one by one in
-    ascending b order from slot 1."""
-    seen, slot_of = Counter(), {}
-    for b, a in sorted(zip(b_indices, a_indices)):
-        seen[a] += 1
-        slot_of[b] = seen[a]
-    return [slot_of[b] for b in b_indices]
-
-
-def match_oracle(letters: str, d: int):
-    """Literal inductive simulation: match each surviving b immediately
-    followed by a surviving a, drop matched b's and saturated a's, repeat.
-    Returns b -> a, b -> its round (from 1), b -> its slot and the
-    unmatched b's."""
-    partner, round_of = {}, {}
-    mult = {i: 0 for i, c in enumerate(letters) if c == "a"}
-    active = list(range(len(letters)))
-    for rnd in itertools.count(1):
-        pairs = [(m, n) for m, n in zip(active, active[1:])
-                 if letters[m] == "b" and letters[n] == "a" and m not in partner]
-        if not pairs:
-            unmatched = [i for i, c in enumerate(letters)
-                         if c == "b" and i not in partner]
-            slot_of = dict(zip(partner, slots_oracle(partner,
-                                                     partner.values())))
-            return partner, round_of, slot_of, unmatched
-        for m, n in pairs:
-            partner[m] = n
-            round_of[m] = rnd
-            mult[n] += 1
-        gone = {m for m, _ in pairs} | {n for n in mult if mult[n] >= d}
-        active = [i for i in active if i not in gone]
+def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
+    """An assignment built from its (b, a) rows; ``a_positions`` defaults
+    to the a's that have a partner."""
+    b, a = np.asarray(b, dtype=np.int64), np.asarray(a, dtype=np.int64)
+    if a_positions is None:
+        a_positions = np.unique(a)
+    return MatchingAssignment(
+        d=d, b_indices=b, ranks=np.searchsorted(a_positions, a),
+        a_positions=np.asarray(a_positions, dtype=np.int64),
+        rounds=np.asarray(rounds, dtype=np.int64),
+        slots=np.asarray(slots, dtype=np.int64),
+        unmatched=np.asarray(unmatched, dtype=np.int64))
 
 
 def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
@@ -80,14 +61,10 @@ def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
 
     matched = partner >= 0
     b, a = np.flatnonzero(matched), partner[matched]
-    return MatchingAssignment(
-        d=d,
-        b_indices=b + z.start,
-        a_indices=a + z.start,
-        rounds=round_of[matched],
-        slots=np.array(slots_oracle(b.tolist(), a.tolist()), dtype=np.int64),
-        unmatched=np.flatnonzero(~matched & ~isa) + z.start,
-    )
+    return from_pairs(d, b + z.start, a + z.start, round_of[matched],
+                      slots_oracle(b.tolist(), a.tolist()),
+                      np.flatnonzero(~matched & ~isa) + z.start,
+                      a_positions=np.flatnonzero(isa) + z.start)
 
 
 class TestRequiredD:
@@ -104,29 +81,29 @@ class TestRequiredD:
 class TestMeshalkinMatch:
     def test_ba(self):
         a = meshalkin_match(ABSequence.from_letters(0, "ba"), 1)
-        assert a.pairs == {0: 1}
+        assert pairs(a) == {0: 1}
         assert list(a.rounds) == [1]
 
     def test_bba_two_rounds(self):
         a = meshalkin_match(ABSequence.from_letters(0, "bba"), 2)
-        assert a.pairs == {0: 2, 1: 2}
+        assert pairs(a) == {0: 2, 1: 2}
         assert sorted(a.rounds.tolist()) == [1, 2]
-        assert a.multiplicity == {2: 2}
+        assert multiplicity(a) == {2: 2}
 
     def test_all_b_censored(self):
         a = meshalkin_match(ABSequence.from_letters(0, "bbb"), 3)
-        assert a.pairs == {}
+        assert pairs(a) == {}
         assert list(a.unmatched) == [0, 1, 2]
 
     def test_capacity_saturation(self):
         # with d = 1 the single a takes one partner and leaves
         a = meshalkin_match(ABSequence.from_letters(0, "bba"), 1)
-        assert a.pairs == {1: 2}
+        assert pairs(a) == {1: 2}
         assert list(a.unmatched) == [0]
 
     def test_absolute_indexing(self):
         a = meshalkin_match(ABSequence.from_letters(100, "ba"), 1)
-        assert a.pairs == {100: 101}
+        assert pairs(a) == {100: 101}
 
     def test_exhaustive_against_oracle(self):
         for L in range(1, 11):
@@ -135,12 +112,12 @@ class TestMeshalkinMatch:
                 for d in (1, 2, 3):
                     got = meshalkin_match(
                         ABSequence.from_letters(0, letters), d)
-                    got.check_capacity()
-                    pairs, rounds, slots, unmatched = match_oracle(letters, d)
+                    partner, rounds, slots, unmatched = match_oracle(letters,
+                                                                     d)
                     # rows in ascending b order, as the assignment CSV
-                    bs = sorted(pairs)
+                    bs = sorted(partner)
                     assert got.b_indices.tolist() == bs, (letters, d)
-                    assert got.a_indices.tolist() == [pairs[b] for b in bs]
+                    assert got.a_indices.tolist() == [partner[b] for b in bs]
                     assert got.rounds.tolist() == [rounds[b] for b in bs]
                     assert got.slots.tolist() == [slots[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
@@ -156,9 +133,8 @@ class TestMeshalkinMatch:
             d = int(rng.integers(1, 40))
             z = ABSequence(start, isa)
             got, want = meshalkin_match(z, d), round_loop_match(z, d)
-            got.check_capacity()
-            for field in ("b_indices", "a_indices", "rounds", "slots",
-                          "unmatched"):
+            for field in ("b_indices", "ranks", "a_positions", "rounds",
+                          "slots", "unmatched"):
                 np.testing.assert_array_equal(
                     getattr(got, field), getattr(want, field),
                     err_msg=f"{field}, trial {trial}, d = {d}")
@@ -169,18 +145,14 @@ class TestMeshalkinMatch:
     def test_equivariance(self, letters, d, shift):
         base = meshalkin_match(ABSequence.from_letters(0, letters), d)
         moved = meshalkin_match(ABSequence.from_letters(shift, letters), d)
-        assert moved.pairs == {b + shift: a + shift for b, a in base.pairs.items()}
+        assert pairs(moved) == {b + shift: a + shift
+                                for b, a in pairs(base).items()}
 
 
 def hand_built(b, a, unmatched=(), slots=None) -> MatchingAssignment:
     if slots is None:
         slots = slots_oracle(b, a)
-    return MatchingAssignment(
-        d=2, b_indices=np.array(b, dtype=np.int64),
-        a_indices=np.array(a, dtype=np.int64),
-        rounds=np.ones(len(b), dtype=np.int64),
-        slots=np.array(slots, dtype=np.int64),
-        unmatched=np.array(unmatched, dtype=np.int64))
+    return from_pairs(2, b, a, np.ones(len(b)), slots, unmatched)
 
 
 class TestCheckCapacity:
@@ -200,6 +172,14 @@ class TestCheckCapacity:
     def test_rejects(self, b, a, unmatched, message):
         with pytest.raises(AssertionError, match=message):
             hand_built(b, a, unmatched).check_capacity()
+
+    @pytest.mark.parametrize("ranks", [[-1, 0], [0, 1]])
+    def test_rejects_rank_outside_a_positions(self, ranks):
+        # one a, so a rank of -1 would wrap onto it and 1 would run past it
+        assignment = replace(hand_built([0, 1], [2, 2]),
+                             ranks=np.array(ranks, dtype=np.int64))
+        with pytest.raises(AssertionError, match="rank outside"):
+            assignment.check_capacity()
 
     @pytest.mark.parametrize("slots", [[1, 3], [0, 1]])
     def test_rejects_slot_outside_tuple(self, slots):
@@ -245,16 +225,16 @@ class TestMatchingRadius:
                 letters = "".join(word)
                 for d in (1, 2, 3):
                     z = ABSequence.from_letters(0, letters)
-                    assignment = meshalkin_match(z, d)
+                    matched = pairs(meshalkin_match(z, d))
                     for m, c in enumerate(letters):
                         if c != "b":
                             continue
                         r = matching_radius(z, d, m)
                         if r is None:
-                            assert m not in assignment.pairs
+                            assert m not in matched
                         else:
-                            assert m in assignment.pairs
-                            assert assignment.pairs[m] - m <= r
+                            assert m in matched
+                            assert matched[m] - m <= r
 
 
 class TestDomination:
@@ -286,15 +266,17 @@ class TestDomination:
             assert dominates(z, z2)
             m1 = meshalkin_match(z, d)
             m2 = meshalkin_match(z2, d)
-            for b, a in m1.pairs.items():
+            matched2 = pairs(m2)
+            for b, a in pairs(m1).items():
                 if z2.isa[b]:
                     continue
-                assert b in m2.pairs
-                assert m2.pairs[b] - b <= a - b
+                assert b in matched2
+                assert matched2[b] - b <= a - b
 
 
 class TestPartnerSlots:
-    """The slots the scan hands out, and the lookup of each row's a."""
+    """The slots the scan hands out, and each row's a as a rank among the
+    a's, which is the row of the a's tuple."""
 
     def test_against_per_a_counter(self):
         rng = np.random.default_rng(5)
@@ -305,26 +287,34 @@ class TestPartnerSlots:
             assignment = meshalkin_match(ABSequence(start, isa), d)
             b, a = assignment.b_indices.tolist(), assignment.a_indices.tolist()
             assert assignment.slots.tolist() == slots_oracle(b, a)
-            a_positions = np.flatnonzero(isa) + start
-            assert a_positions[assignment.a_ranks(a_positions)].tolist() == a
+            a_positions = assignment.a_positions
+            assert a_positions.tolist() == (np.flatnonzero(isa)
+                                            + start).tolist()
+            partner = match_oracle("".join(np.where(isa, "a", "b")), d)[0]
+            assert (a_positions[assignment.ranks] - start).tolist() == \
+                [partner[x] for x in sorted(partner)], trial
 
     def test_empty_assignment(self):
         assignment = meshalkin_match(ABSequence.from_letters(0, "abbb"), 2)
-        assert len(assignment.a_ranks(np.array([0]))) == 0
+        assert len(assignment.ranks) == 0
+        assert assignment.a_positions.tolist() == [0]
 
     def test_unknown_a_index(self):
-        assignment = meshalkin_match(ABSequence.from_letters(0, "bab"), 1)
-        for a_positions in ([0, 2], [], [5]):
-            a_positions = np.array(a_positions, dtype=np.int64)
-            with pytest.raises(AssertionError, match="unknown a-index"):
-                assignment.a_ranks(a_positions)
+        # spread_bits refuses a split with a tuple count other than the a's
+        w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 4, dtype=np.uint8))
+        dec = decompose(w)
+        assignment = meshalkin_match(special_sequence(dec), 2)
+        bits = dec.special[:, 1]
+        assert len(assignment.a_positions) == len(bits) == 4
+        for k in (0, 3, 5):
+            split = psi_split(np.resize(bits, k), SplitCodeSpec(2, radius=1),
+                              SeedStream(7))
+            with pytest.raises(AssertionError, match=f"{k} tuples for 4"):
+                spread_bits(dec, assignment, split)
 
     def test_tuple_exhaustion(self):
         # one partner, but handed the slot past the last bit of the tuple
-        assignment = MatchingAssignment(
-            d=1, b_indices=np.array([1]), a_indices=np.array([2]),
-            rounds=np.array([1]), slots=np.array([2]),
-            unmatched=np.array([0]))
+        assignment = from_pairs(1, [1], [2], [1], [2], [0])
         with pytest.raises(AssertionError, match="tuple exhaustion"):
             assignment.check_capacity()
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import check_decay
 from shiftlab import (SeedStream, SequenceSpec, Window, ZeroMassError,
                       doeblin_delta, forget_coin, f_family, iid, iid_binary,
                       inverse_sqrt, log_rn_shift, log_rn_swap, make_mu_pc,
@@ -339,7 +340,7 @@ class TestBuiltinSequences:
         from shiftlab import log_damped
         for a in (inverse_sqrt, np.vectorize(log_damped, otypes=[float])):
             spec = SequenceSpec(0.4, a)
-            assert spec.check_decay(-500, 500)
+            assert check_decay(spec, -500, 500)
             assert spec.a(10 ** 6) < 1e-2
 
     def test_log_damped_head(self):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import pushforward_density
 from shiftlab import (HMapSpec, SeedStream, TypeIIISpec, ZeroMassError,
                       erase_negative_side, f_family, g_family, h_apply,
                       lift_lambda_on_negative, log_rn_swap, mix_disjoint,
-                      pushforward_density, ratio_profile, safe_zone,
-                      sample_density_iid, sample_density_window, shift_family)
+                      ratio_profile, safe_zone, sample_density_iid,
+                      sample_density_window, shift_family)
 from shiftlab.sampling import Window
 from shiftlab.typeiii import g_pieces, generation_log_ratios
 
