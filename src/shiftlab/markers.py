@@ -113,15 +113,17 @@ def good_prob_lower(m, span: tuple[int, int]) -> float:
         raise ValueError(f"good blocks need a two-symbol alphabet, not "
                          f"{len(m.alphabet)} symbols")
     lo, hi = span
-    p = m.block(lo, hi - lo + GOOD_WIDTH)
-    zero = np.argwhere(p[:hi - lo + 1] <= 0.0)
+    n = hi - lo + 1
+    # one contiguous copy per symbol, so each factor is a unit-stride slice
+    cols = [c.copy() for c in m.block(lo, n + GOOD_WIDTH - 1).T]
+    zero = np.flatnonzero((cols[0][:n] <= 0.0) | (cols[1][:n] <= 0.0))
     if len(zero):
         raise ValueError("measure violates the Doeblin condition at index "
-                         f"{lo + int(zero[0][0])}")
-    q = np.zeros(hi - lo + 1)
+                         f"{lo + int(zero[0])}")
+    q = np.zeros(n)
     for g in GOOD_BLOCKS:
-        prod = np.ones(hi - lo + 1)
+        prod = np.ones(n)
         for j, sym in enumerate(g):
-            prod *= p[j:j + hi - lo + 1, sym]
+            prod *= cols[sym][j:j + n]
         q += prod
     return float(q.min())

@@ -91,41 +91,53 @@ class FiniteProductMeasure:
 class DensityFamily:
     """Indexed family of piecewise-constant probability densities.
 
-    ``pieces(n)`` returns the table ``(edges, values)`` of generation n:
-    increasing edges from ``support[0]`` to ``support[1]`` and one value
-    per piece (zero-length pieces are allowed).  The table is the only
-    definition of the family; densities, integrals and exact inverse-CDF
-    sampling all read it.
+    ``pieces(n)`` returns the tables of the indices ``n``: edges of shape
+    ``np.shape(n) + (P+1,)``, increasing from ``support[0]`` to
+    ``support[1]``, and values of shape ``np.shape(n) + (P,)``, one per
+    piece (zero-length pieces are allowed), or one table for every n.
+    They are the only definition of the family, read through ``table``.
     """
 
     support: tuple[float, float]
-    pieces: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    pieces: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-    def density(self, n: int, u) -> np.ndarray:
-        """Table lookup at ``u`` (scalar or array): right-continuous, and
-        0 off the support, including at its right end."""
-        edges, values = self.pieces(n)
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(edges, u, side="right") - 1
-        inside = (idx >= 0) & (idx < len(values))
-        return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
+    def table(self, n) -> tuple[np.ndarray, np.ndarray]:
+        """``pieces(n)``, each broadcast to ``np.shape(n)`` leading axes."""
+        edges, values = (np.asarray(t, dtype=float) for t in self.pieces(n))
+        if edges.shape[-1] != values.shape[-1] + 1:
+            raise ValueError("a piece table needs one edge more than values")
+        return (np.broadcast_to(edges, np.shape(n) + edges.shape[-1:]),
+                np.broadcast_to(values, np.shape(n) + values.shape[-1:]))
 
-    def integral(self, n: int) -> float:
+    def density(self, n, u) -> np.ndarray:
+        """Table lookup of generation ``n`` at ``u``, broadcast together:
+        right-continuous, and 0 off the support (its right end included)."""
+        edges, values = self.table(n)
+        idx = (edges <= np.asarray(u, dtype=float)[..., None]).sum(-1) - 1
+        inside = (idx >= 0) & (idx < values.shape[-1])
+        rows = np.broadcast_to(values, idx.shape + values.shape[-1:])
+        at = np.take_along_axis(rows, np.where(inside, idx, 0)[..., None], -1)
+        return np.where(inside, at[..., 0], 0.0)
+
+    def integral(self, n) -> np.ndarray:
         """Exact integral (sum of value * length over the pieces)."""
-        edges, values = self.pieces(n)
-        return float(np.dot(values, np.diff(edges)))
+        edges, values = self.table(n)
+        return (values * np.diff(edges, axis=-1)).sum(-1)
 
-    def validate(self, n: int) -> None:
-        edges, values = self.pieces(n)
-        if len(values) != len(edges) - 1 or np.any(np.diff(edges) < 0) \
-                or (edges[0], edges[-1]) != tuple(self.support):
-            raise ValueError(f"piece table at index {n} does not tile "
-                             f"the support {self.support}")
-        if np.any(values < 0):
-            raise ValueError(f"negative density at index {n}")
-        total = self.integral(n)
-        if abs(total - 1.0) > DENSITY_TOL:
-            raise ValueError(f"density at index {n} integrates to {total!r}")
+    def validate(self, n) -> None:
+        """Raise ``ValueError`` at the first index of ``n`` whose table is
+        not a density on the support: nondecreasing edges from end to end,
+        nonnegative values, integral 1."""
+        edges, values = self.table(n)
+        total, (lo, hi) = self.integral(n), self.support
+        bad = (np.diff(edges, axis=-1) < 0).any(-1) | (values < 0).any(-1) \
+            | (edges[..., 0] != lo) | (edges[..., -1] != hi) \
+            | (np.abs(total - 1.0) > DENSITY_TOL)
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            at = np.broadcast_to(n, bad.shape)[i]
+            raise ValueError(f"piece table at index {at} is not a density "
+                             f"on [{lo}, {hi}] (integral {float(total[i])!r})")
 
     def point_mass(self, n: int, u: float) -> float:
         return float(self.density(n, u))
@@ -160,10 +172,11 @@ def inverse_sqrt(n) -> np.ndarray:
     return np.where(pos, 1.0 / np.sqrt(np.where(pos, n, 1.0)), 0.0)
 
 
-def log_damped(n: int) -> float:
-    """a_n = 1/((n+4) log(n+4)) for n >= 2, else 0.  Scalar on purpose: its
-    callers (``TypeIIISpec``, ``HMapSpec``) evaluate one n at a time."""
-    return 1.0 / ((n + 4) * math.log(n + 4)) if n >= 2 else 0.0
+def log_damped(n) -> np.ndarray:
+    """a_n = 1/((n+4) log(n+4)) for n >= 2, else 0, vectorized over ``n``."""
+    n = np.asarray(n, dtype=float)
+    m = np.where(n >= 2, n, 2.0) + 4.0
+    return np.where(n >= 2, 1.0 / (m * np.log(m)), 0.0)
 
 
 def iid(vector) -> FiniteProductMeasure:

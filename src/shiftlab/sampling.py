@@ -111,19 +111,21 @@ def sample_window(m, span: tuple[int, int], seeds: SeedStream,
 
 def _piecewise_inverse_cdf(edges: np.ndarray, vals: np.ndarray,
                            u: np.ndarray) -> np.ndarray:
-    """Exact inverse CDF of a piecewise-constant density (closed form)."""
-    lens = np.diff(edges)
-    masses = vals * lens
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cum[-1]
+    """Exact inverse CDF of piecewise-constant densities (closed form):
+    entry i of ``u`` reads row i of the tables, or the one table given."""
+    masses = vals * np.diff(edges, axis=-1)
+    start = np.zeros(masses.shape[:-1] + (1,))
+    cum = np.cumsum(np.concatenate([start, masses], axis=-1), axis=-1)
+    total = cum[..., -1:]
     # guard against rounding: u is in [0, total)
-    uu = np.minimum(u * total, np.nextafter(total, 0.0))
-    piece = np.searchsorted(cum, uu, side="right") - 1
-    piece = np.clip(piece, 0, len(vals) - 1)
+    uu = np.minimum(u[..., None] * total, np.nextafter(total, 0.0))
+    piece = np.clip((cum <= uu).sum(-1, keepdims=True) - 1,
+                    0, vals.shape[-1] - 1)
+    v, c, e = (np.take_along_axis(np.broadcast_to(t, u.shape + t.shape[-1:]),
+                                  piece, -1) for t in (vals, cum, edges))
     with np.errstate(divide="ignore", invalid="ignore"):
-        offset = np.where(vals[piece] > 0,
-                          (uu - cum[piece]) / vals[piece], 0.0)
-    return edges[piece] + offset
+        offset = np.where(v > 0, (uu - c) / v, 0.0)
+    return (e + offset)[..., 0]
 
 
 def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
@@ -132,18 +134,15 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
     lo, _ = span
     length = _span_length(span)
     u = seeds.uniforms(label, lo, length)[:, 0]
-    out = np.empty(length, dtype=float)
-    for i in range(length):
-        edges, vals = d.pieces(lo + i)
-        out[i] = _piecewise_inverse_cdf(edges, vals, u[i:i + 1])[0]
-    return Window(lo, out)
+    return Window(lo, _piecewise_inverse_cdf(
+        *d.table(np.arange(lo, lo + length)), u))
 
 
 def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
                        label: str = "density-iid") -> np.ndarray:
     """Many independent draws from the single density at index n."""
     u = seeds.generator(label, n).random(count)
-    return _piecewise_inverse_cdf(*d.pieces(n), u)
+    return _piecewise_inverse_cdf(*d.table(n), u)
 
 
 # States of the automaton that reads a word and rejects it at its first

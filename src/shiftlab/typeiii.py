@@ -42,21 +42,21 @@ class TypeIIISpec:
     (all n <= 1 for the default sequence)."""
 
     lam: float
-    a: Callable[[int], float] = log_damped
+    a: Callable[[np.ndarray], np.ndarray] = log_damped
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must lie in (0, 1)")
 
-    def a_n(self, n: int) -> float:
-        v = float(self.a(n))
-        if v < 0:
+    def a_n(self, n) -> np.ndarray:
+        v = np.asarray(self.a(n), dtype=float)
+        if np.any(v < 0):
             raise ValueError("perturbation lengths must be nonnegative")
-        if v * (1.0 + self.lam) >= 1.0:
-            raise ValueError(f"A_{n} and B_{n} overlap (a_n = {v})")
+        if np.any(v * (1.0 + self.lam) >= 1.0):
+            raise ValueError(f"A_n and B_n overlap (largest a_n = {v.max()})")
         return v
 
-    def intervals(self, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    def intervals(self, n) -> tuple[tuple, tuple]:
         """(A_n, B_n) as open intervals; empty when a_n = 0."""
         a = self.a_n(n)
         return (0.0, a), (1.0 - self.lam * a, 1.0)
@@ -65,10 +65,10 @@ class TypeIIISpec:
 def f_family(spec: TypeIIISpec) -> DensityFamily:
     """Pieces A_n, the middle and B_n; where a_n = 0 the outer two have
     zero length."""
-    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def pieces(n) -> tuple[np.ndarray, np.ndarray]:
         a, lam = spec.a_n(n), spec.lam
-        return (np.array([0.0, a, 1.0 - lam * a, 1.0]),
-                np.array([lam, 1.0, 1.0 / lam]))
+        edges = np.broadcast_arrays(0.0, a, 1.0 - lam * a, 1.0)
+        return np.stack(edges, axis=-1), np.array([lam, 1.0, 1.0 / lam])
 
     return DensityFamily((0.0, 1.0), pieces)
 
@@ -90,19 +90,18 @@ class HMapSpec:
         if not 0.0 < self.lam < self.lam_prime < 1.0:
             raise ValueError("need 0 < lambda < lambda' < 1")
         p = (self.lam_prime - self.lam) / (1.0 - self.lam_prime)
-        for s in range(_REINDEX_SEARCH_LIMIT):
-            head = log_damped(1 + s)
-            if head > 0 and head * (1.0 + p) < 0.5:
-                break
-        else:
+        heads = log_damped(np.arange(1, _REINDEX_SEARCH_LIMIT + 1))
+        ok = (heads > 0) & (heads * (1.0 + p) < 0.5)
+        if not ok.any():
             raise ValueError("no admissible re-indexing found")
+        s = int(np.argmax(ok))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "shift", s)
-        object.__setattr__(self, "a1", float(head))
+        object.__setattr__(self, "a1", float(heads[s]))
 
-    def a(self, n: int) -> float:
+    def a(self, n) -> np.ndarray:
         """Re-indexed sequence: log_damped(n + shift) for n >= 1, else 0."""
-        return float(log_damped(n + self.shift)) if n >= 1 else 0.0
+        return np.where(np.asarray(n) >= 1, log_damped(n + self.shift), 0.0)
 
     def family(self) -> TypeIIISpec:
         """The base family expressed in the re-indexed numbering."""
@@ -132,37 +131,34 @@ def h_apply(spec: HMapSpec, x) -> np.ndarray:
     return out
 
 
-def g_pieces(hspec: HMapSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form piece edges and values of the pushforward at index n;
-    where a_n = 0 the first and last pieces have zero length."""
+def g_pieces(hspec: HMapSpec, n) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form piece edges and values of the pushforward at the indices
+    ``n``; where a_n = 0 the first and last pieces have zero length."""
     a1, p, lam = hspec.a1, hspec.p, hspec.lam
     an = hspec.a(n)
-    edges = [0.0, an, a1, a1 + p * a1, 1.0 - (lam + p) * a1,
-             1.0 - lam * a1, 1.0 - lam * an, 1.0]
+    edges = np.broadcast_arrays(0.0, an, a1, a1 + p * a1,
+                                1.0 - (lam + p) * a1, 1.0 - lam * a1,
+                                1.0 - lam * an, 1.0)
     vals = [lam + p, 1.0 + p, 0.0, 1.0, 0.0,
             1.0 + p / lam, (1.0 + p) / lam]
-    return np.array(edges), np.array(vals)
+    return np.stack(edges, axis=-1), np.array(vals)
 
 
 def g_family(hspec: HMapSpec) -> DensityFamily:
     return DensityFamily((0.0, 1.0), lambda n: g_pieces(hspec, n))
 
 
-def ratio_profile(hspec: HMapSpec, n: int, v: float) -> float:
-    """g_{n-1}(v) / g_n(v), read from the two ``g_pieces`` tables; defined
-    on the support away from breakpoints, and always one of
-    {lambda', 1, 1/lambda'}."""
-    v = float(v)
-    pieces = hspec.support_pieces()
-    if not any(lo < v < hi for lo, hi in pieces):
-        raise ValueError(f"{v} is outside the support of the pushforwards")
-    values = []
+def ratio_profile(hspec: HMapSpec, n, v) -> np.ndarray:
+    """g_{n-1}(v) / g_n(v) over ``n`` and ``v`` broadcast together, always
+    one of {lambda', 1, 1/lambda'}; NaN where it is undefined: off the
+    support (where either density is 0), or within 1e-13 of a breakpoint
+    of either generation."""
+    g, n, v = g_family(hspec), np.asarray(n), np.asarray(v, dtype=float)
+    num, den = g.density(n - 1, v), g.density(n, v)
+    ok = (num > 0) & (den > 0)
     for m in (n - 1, n):
-        edges, vals = g_pieces(hspec, m)
-        if np.any(np.abs(edges - v) < 1e-13):
-            raise ValueError(f"{v} sits on a breakpoint of generation {m}")
-        values.append(float(vals[np.searchsorted(edges, v, side="right") - 1]))
-    return values[0] / values[1]
+        ok &= ~(np.abs(g.table(m)[0] - v[..., None]) < 1e-13).any(-1)
+    return np.where(ok, num / np.where(ok, den, 1.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +166,8 @@ def ratio_profile(hspec: HMapSpec, n: int, v: float) -> float:
 # ---------------------------------------------------------------------------
 
 def shift_family(fam: DensityFamily, delta: float) -> DensityFamily:
-    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
-        edges, values = fam.pieces(n)
+    def pieces(n) -> tuple[np.ndarray, np.ndarray]:
+        edges, values = fam.table(n)
         return edges + delta, values
 
     lo, hi = fam.support
@@ -180,16 +176,16 @@ def shift_family(fam: DensityFamily, delta: float) -> DensityFamily:
 
 def mix_disjoint(rho: DensityFamily, nu: DensityFamily) -> DensityFamily:
     """Equal-weight mixture of a family on [0, 1] and one on [-1, 0): the
-    two tables joined with weights 1/2, a gap between the supports
-    becoming a zero-valued piece."""
+    two tables joined with weights 1/2 by a zero-valued piece that spans
+    the gap between the supports (of zero length where they touch)."""
     if nu.support[1] > rho.support[0] + 1e-15:
         raise ValueError("supports overlap")
 
-    def pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
-        (e_nu, v_nu), (e_rho, v_rho) = nu.pieces(n), rho.pieces(n)
-        gap = [0.0] if e_rho[0] > e_nu[-1] else []
-        edges = np.concatenate([e_nu, e_rho if gap else e_rho[1:]])
-        return edges, 0.5 * np.concatenate([v_nu, gap, v_rho])
+    def pieces(n) -> tuple[np.ndarray, np.ndarray]:
+        (e_nu, v_nu), (e_rho, v_rho) = nu.table(n), rho.table(n)
+        zero = np.zeros(np.shape(n) + (1,))
+        return (np.concatenate([e_nu, e_rho], axis=-1),
+                0.5 * np.concatenate([v_nu, zero, v_rho], axis=-1))
 
     return DensityFamily((nu.support[0], rho.support[1]), pieces)
 
@@ -198,7 +194,7 @@ def safe_zone(spec: TypeIIISpec) -> tuple[float, float]:
     """Largest interval on which every density of the family equals 1:
     the complement of A_n and B_n at the widest generation."""
     (_, a_hi), (b_lo, _) = spec.intervals(SAFE_ZONE_INDEX)
-    return (a_hi, b_lo)
+    return (float(a_hi), float(b_lo))
 
 
 def _digit_shares(t: np.ndarray, shares: int, bits_per: int) -> np.ndarray:
@@ -206,11 +202,8 @@ def _digit_shares(t: np.ndarray, shares: int, bits_per: int) -> np.ndarray:
     total = shares * bits_per
     ints = np.floor(t * float(1 << total)).astype(np.int64)
     ints = np.clip(ints, 0, (1 << total) - 1)
-    out = np.empty((len(t), shares), dtype=np.int64)
-    mask = (1 << bits_per) - 1
-    for j in range(shares):
-        out[:, j] = (ints >> (bits_per * (shares - 1 - j))) & mask
-    return out
+    shifts = bits_per * np.arange(shares - 1, -1, -1)
+    return (ints[:, None] >> shifts) & ((1 << bits_per) - 1)
 
 
 def erase_negative_side(w: Window,
@@ -257,18 +250,16 @@ def erase_negative_side(w: Window,
 def lift_lambda_on_negative(w: Window, hspec: HMapSpec) -> Window:
     """Apply the shifted coordinate map on [-1, 0); leave [0, 1] alone."""
     values = np.asarray(w.values, dtype=float)
-    out = values.copy()
-    neg = values < 0.0
-    out[neg] = h_apply(hspec, values[neg] + 1.0) - 1.0
-    return Window(w.start, out)
+    return Window(w.start, np.where(
+        values < 0.0, h_apply(hspec, values + 1.0) - 1.0, values))
 
 
 def generation_log_ratios(fam: DensityFamily, n: int) -> list[float]:
     """All log density ratios between generations n-1 and n, computed
     exactly from the common refinement of their pieces."""
-    edges = np.union1d(fam.pieces(n - 1)[0], fam.pieces(n)[0])
+    edges = np.union1d(*fam.table(np.array([n - 1, n]))[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    v_prev, v_cur = fam.density(n - 1, mids), fam.density(n, mids)
-    keep = (v_prev > 0) & (v_cur > 0)
-    ratios = np.log(v_prev[keep]) - np.log(v_cur[keep])
+    v = fam.density(np.array([[n - 1], [n]]), mids)
+    keep = (v > 0).all(0)
+    ratios = np.log(v[0, keep]) - np.log(v[1, keep])
     return sorted(set(np.round(ratios, 12).tolist()))

@@ -2,12 +2,13 @@
 check it against.  None of these run in a lab command."""
 import csv
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
-from shiftlab.typeiii import f_family
+from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 
 
 # -- matching -----------------------------------------------------------------
@@ -139,6 +140,19 @@ def pushforward_density(hspec, n: int, v) -> np.ndarray:
     u2 = hi - p * (v[img2] - hi) / lam
     out[img2] += f(n, u2) * (p / lam)
     return out
+
+
+def reindex_oracle(lam: float, lam_prime: float) -> tuple[float, int, float]:
+    """``HMapSpec``'s (p, shift, a1) by the scalar search it replaced: the
+    least s with 0 < a(1 + s) (1 + p) < 1/2, a(n) = 1/((n+4) log(n+4)) for
+    n >= 2 and 0 below, written with ``math.log``."""
+    p = (lam_prime - lam) / (1.0 - lam_prime)
+    for s in range(_REINDEX_SEARCH_LIMIT):
+        n = 1 + s
+        head = 1.0 / ((n + 4) * math.log(n + 4)) if n >= 2 else 0.0
+        if head > 0 and head * (1.0 + p) < 0.5:
+            return p, s, head
+    raise ValueError("no admissible re-indexing found")
 
 
 # -- command line -------------------------------------------------------------

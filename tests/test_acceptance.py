@@ -285,18 +285,18 @@ def test_a09_ratio_set_quantization():
     rng = np.random.default_rng(SEED)
     targets = np.array([LAMP, 1.0, 1.0 / LAMP])
     pieces = hspec.support_pieces()
-    worst_g = 0.0
-    checked = 0
-    while checked < 10 ** 4:
-        n = int(rng.integers(-5, 80))
-        lo, hi = pieces[int(rng.integers(0, len(pieces)))]
-        v = float(rng.uniform(lo, hi))
-        try:
-            r = sl.ratio_profile(hspec, n, v)
-        except ValueError:
-            continue
-        worst_g = max(worst_g, float(np.min(np.abs(targets - r))))
-        checked += 1
+    # pairs drawn one at a time until 10^4 ratios are defined; each batch
+    # of draws is read with one array call
+    ratios = np.empty(0)
+    while len(ratios) < 10 ** 4:
+        ns, vs = [], []
+        for _ in range(10 ** 4 - len(ratios)):
+            ns.append(int(rng.integers(-5, 80)))
+            lo, hi = pieces[int(rng.integers(0, len(pieces)))]
+            vs.append(float(rng.uniform(lo, hi)))
+        r = sl.ratio_profile(hspec, np.array(ns), np.array(vs))
+        ratios = np.concatenate([ratios, r[~np.isnan(r)]])
+    worst_g = float(np.abs(targets - ratios[:, None]).min(axis=1).max())
 
     fam = sl.f_family(spec)
     log_lam = math.log(LAM)

@@ -286,20 +286,24 @@ class TestTypeIIIRatios:
         by_name = {m["name"]: m for m in report["metrics"]}
         assert by_name["lattice_deviation"]["value"] <= 1e-9
 
-    def test_golden_outputs(self, tmp_path, capsys):
-        # CSV digest and metric values recorded from the change-of-variables
-        # ratios that preceded the table reads
+    @pytest.mark.parametrize("samples", [2000, 20000])
+    def test_golden_outputs(self, tmp_path, capsys, samples):
+        # CSV digest and metric values: 2 000 samples recorded from the
+        # change-of-variables ratios that preceded the table reads, 20 000
+        # (the benchmark's size) from the per-sample table reads
         code = run_cli(tmp_path, "typeiii", "ratios", "--lambda", "0.25",
                        "--lambda-prime", "0.5", "--n", "30",
-                       "--samples", "2000")
+                       "--samples", str(samples))
         assert code == EXIT_OK
         csv_bytes = (tmp_path / "typeiii_log_rn.csv").read_bytes()
-        assert hashlib.sha256(csv_bytes).hexdigest() == (
-            "c21719a8bc3df9713be371a2959eaab264076a047dbbc2bb09bf4dbfa5b14c53")
+        assert hashlib.sha256(csv_bytes).hexdigest() == {
+            2000: "c21719a8bc3df9713be371a2959eaab264076a047dbbc2bb09bf4dbfa5b14c53",
+            20000: "86c3d9e98f495e0d218e06d30e2b5b43df5dd2839f87140f67989410c8a5ec47",
+        }[samples]
         got = {m["name"]: (m["value"], m["pass"])
                for m in json.loads(capsys.readouterr().out)["metrics"]}
         assert got == {"lattice_deviation": (0.0, True),
-                       "sampled_ratios": (2000, True)}
+                       "sampled_ratios": (samples, True)}
 
 
 class TestIndexScan:

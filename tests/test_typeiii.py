@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import pushforward_density
-from shiftlab import (HMapSpec, SeedStream, TypeIIISpec, ZeroMassError,
-                      erase_negative_side, f_family, g_family, h_apply,
-                      lift_lambda_on_negative, log_rn_swap, mix_disjoint,
-                      ratio_profile, safe_zone, sample_density_iid,
-                      sample_density_window, shift_family)
+from oracles import pushforward_density, reindex_oracle
+from shiftlab import (DensityFamily, HMapSpec, SeedStream, TypeIIISpec,
+                      ZeroMassError, erase_negative_side, f_family, g_family,
+                      h_apply, lift_lambda_on_negative, log_rn_swap,
+                      mix_disjoint, ratio_profile, safe_zone,
+                      sample_density_iid, sample_density_window,
+                      shift_family)
 from shiftlab.sampling import Window
 from shiftlab.typeiii import g_pieces, generation_log_ratios
 
@@ -93,6 +94,17 @@ class TestHMap:
         assert hspec.a1 * (1.0 + hspec.p) < 0.5
         assert hspec.a(0) == 0.0 and hspec.a(-3) == 0.0
 
+    def test_reindexing_matches_scalar_search(self):
+        grid = [(lam, lam_prime) for lam in (0.01, 0.25, 0.5, 0.9)
+                for lam_prime in (0.3, 0.6, 0.95, 0.999) if lam < lam_prime]
+        for lam, lam_prime in grid:
+            h = HMapSpec(lam, lam_prime)
+            assert (h.p, h.shift, h.a1) == reindex_oracle(lam, lam_prime)
+        # p ~ 9e4 leaves no admissible shift below the search limit
+        for search in (HMapSpec, reindex_oracle):
+            with pytest.raises(ValueError, match="no admissible"):
+                search(0.1, 0.99999)
+
     def test_ratio_calibration(self, hspec):
         assert (hspec.lam + hspec.p) / (1.0 + hspec.p) == pytest.approx(
             LAMP, abs=1e-12)
@@ -153,20 +165,21 @@ class TestRatioProfile:
         assert ratio_profile(hspec, n, v) == pytest.approx(1 / LAMP, rel=1e-12)
 
     def test_membership_random(self, hspec):
+        # pairs drawn one at a time until 10^4 ratios are defined; each
+        # batch of draws is read with one array call
         rng = np.random.default_rng(42)
         targets = np.array([LAMP, 1.0, 1.0 / LAMP])
         pieces = hspec.support_pieces()
-        checked = 0
-        while checked < 10 ** 4:
-            n = int(rng.integers(-3, 60))
-            lo, hi = pieces[int(rng.integers(0, len(pieces)))]
-            v = float(rng.uniform(lo, hi))
-            try:
-                r = ratio_profile(hspec, n, v)
-            except ValueError:
-                continue
-            assert np.min(np.abs(targets - r)) < 1e-9
-            checked += 1
+        ratios = np.empty(0)
+        while len(ratios) < 10 ** 4:
+            ns, vs = [], []
+            for _ in range(10 ** 4 - len(ratios)):
+                ns.append(int(rng.integers(-3, 60)))
+                lo, hi = pieces[int(rng.integers(0, len(pieces)))]
+                vs.append(float(rng.uniform(lo, hi)))
+            r = ratio_profile(hspec, np.array(ns), np.array(vs))
+            ratios = np.concatenate([ratios, r[~np.isnan(r)]])
+        assert np.abs(targets - ratios[:, None]).min(axis=1).max() < 1e-9
 
     def test_matches_change_of_variables(self, hspec):
         # the table-read ratio against the independent pushforward route, at
@@ -186,14 +199,41 @@ class TestRatioProfile:
                     checked += 1
         assert checked > 64 * 6
 
-    def test_outside_support_raises(self, hspec):
+    def test_outside_support_is_nan(self, hspec):
         a1, p = hspec.a1, hspec.p
-        with pytest.raises(ValueError, match="outside the support"):
-            ratio_profile(hspec, 4, a1 + 0.5 * p * a1)
+        assert np.isnan(ratio_profile(hspec, 4, a1 + 0.5 * p * a1))
 
-    def test_breakpoint_raises(self, hspec):
-        with pytest.raises(ValueError, match="breakpoint"):
-            ratio_profile(hspec, 4, hspec.a(4))
+    def test_breakpoint_is_nan(self, hspec):
+        assert np.isnan(ratio_profile(hspec, 4, hspec.a(4)))
+
+    def test_array_call_matches_elementwise(self, hspec):
+        # midpoints of the common refinement (valid where both pushforward
+        # densities are positive), points off [0, 1], and every breakpoint
+        # of either generation, exactly and 5e-14 off it
+        ns, vs, rejected = [], [], []
+        for n in range(-3, 40):
+            both = np.concatenate([g_pieces(hspec, n - 1)[0],
+                                   g_pieces(hspec, n)[0]])
+            edges = np.unique(both)
+            mids = 0.5 * (edges[:-1] + edges[1:])[np.diff(edges) > 1e-12]
+            on_support = ((pushforward_density(hspec, n - 1, mids) > 0)
+                          & (pushforward_density(hspec, n, mids) > 0))
+            probes = [*mids, -0.5, 1.5, *both, *(both + 5e-14)]
+            ns += [n] * len(probes)
+            vs += probes
+            rejected += [*~on_support, True, True, *[True] * 2 * len(both)]
+        ns, vs, rejected = np.array(ns), np.array(vs), np.array(rejected)
+        got = ratio_profile(hspec, ns, vs)
+        one_by_one = [float(ratio_profile(hspec, n, v))
+                      for n, v in zip(ns.tolist(), vs.tolist())]
+        assert np.array_equal(got, one_by_one, equal_nan=True)
+        assert np.array_equal(np.isnan(got), rejected)
+        assert 0 < rejected.sum() < len(rejected)
+        # n and v broadcast against each other
+        grid = ratio_profile(hspec, np.arange(-3, 40)[:, None], vs[:50])
+        assert np.array_equal(grid, [[float(ratio_profile(hspec, n, v))
+                                      for v in vs[:50]]
+                                     for n in range(-3, 40)], equal_nan=True)
 
 
 class TestMixDisjoint:
@@ -234,6 +274,38 @@ def families(hspec):
             "gapped": mix_disjoint(f, shift_family(f, -2.0))}
 
 
+class TestTables:
+    def test_array_tables_stack_scalar_tables(self, hspec):
+        ns = np.arange(-3, 30)
+        for name, fam in families(hspec).items():
+            edges, values = fam.table(ns)
+            for i, n in enumerate(ns.tolist()):
+                e, v = fam.table(n)
+                assert np.array_equal(edges[i], e), (name, n)
+                assert np.array_equal(values[i], v), (name, n)
+            fam.validate(ns)
+            assert np.array_equal(fam.integral(ns),
+                                  [fam.integral(n) for n in ns.tolist()])
+
+    def test_constant_table_is_broadcast(self):
+        fam = DensityFamily((0.0, 1.0), lambda n: (np.array([0.0, 0.5, 1.0]),
+                                                   np.array([0.5, 1.5])))
+        edges, values = fam.table(np.zeros((4, 3), dtype=int))
+        assert edges.shape == (4, 3, 3) and values.shape == (4, 3, 2)
+        assert np.array_equal(fam.density(np.arange(3), [0.25, 0.75, 1.0]),
+                              [0.5, 1.5, 0.0])
+
+    def test_validate_names_first_bad_index(self):
+        # the middle edge moves at n = 3, so the mass becomes 0.75
+        fam = DensityFamily((0.0, 1.0), lambda n: (
+            np.stack(np.broadcast_arrays(0.0, np.where(n >= 3, 0.75, 0.5),
+                                         1.0), axis=-1),
+            np.array([0.5, 1.5])))
+        fam.validate(np.arange(-2, 3))
+        with pytest.raises(ValueError, match=r"index 3 .* \(integral 0\.75\)"):
+            fam.validate(np.arange(-2, 6))
+
+
 class TestOffSupport:
     @pytest.mark.parametrize("n", [-1, 1, 2, 5])
     def test_density_and_point_mass_vanish(self, hspec, n):
@@ -268,10 +340,13 @@ class TestGoldenWindows:
         ("f", "73075844d596de6930bcec9cc8bca36ae8b85d4db63f4026f43e3aceca20c468"),
         ("g", "d644cc516fe9509a268ff74aaf5cc6e96fc1f03972e35e571eeabf27ffc51eb5"),
         ("mix", "f594e5dd29cd19bb24ffd7815f354990e2e40f308a4037f09ff2bbe5d758f3b9"),
+        ("gapped", "3d6c4b28ddacb7af86ff4291a3f483702a01536fbd08e8b161989e8b2681d86a"),
+        ("shifted", "51846409dc3b98e139d4adb24760bdd206d2073e2edaef22245b49dab538c261"),
     ])
     def test_window_digest(self, hspec, name, digest):
-        # recorded from the density/breakpoint families that preceded the
-        # piece tables
+        # f, g and mix recorded from the density/breakpoint families that
+        # preceded the piece tables; gapped and shifted from the
+        # one-table-per-index sampler
         w = sample_density_window(families(hspec)[name], (2, 401),
                                   SeedStream(7))
         assert hashlib.sha256(w.values.tobytes()).hexdigest() == digest
