@@ -1,7 +1,7 @@
 """Product measures on bi-infinite sequence spaces.
 
 Measures are given by lazy marginal families: a callable
-``(start, length) -> (length, A) array`` of probability vectors over a fixed
+``n -> np.shape(n) + (A,) array`` of probability vectors over a fixed
 finite alphabet of size A (no infinite data is ever stored).
 Index ranges are always explicit, inclusive ``(lo, hi)`` pairs, and every
 diagnostic that truncates a sum over the integers reports the partial sum
@@ -11,7 +11,9 @@ The module provides:
   * ``FiniteProductMeasure`` / ``DensityFamily`` / ``SequenceSpec`` types,
   * the built-in marginal families (half-stationary ``nu_c``, perturbed
     ``mu^(p,c)``, plain i.i.d.),
-  * log Radon-Nikodym partial sums for shifts and transpositions,
+  * log Radon-Nikodym sums for shifts and transpositions, read with one
+    ``density`` call per term over whole index arrays,
+  * the joint law of a block of independent binary symbols,
   * Kakutani-style squared-distance terms and their centred partial sums,
   * the random-insertion (RI) and randomized-product-measure (RPM)
     operations, which mix a measure coordinatewise with an external
@@ -38,53 +40,63 @@ def _as_vector(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _first_at(n, bad):
+    """The entry of ``n`` at the first True of ``bad``, broadcast together."""
+    n, bad = np.broadcast_arrays(n, bad)
+    return n[np.unravel_index(np.argmax(bad), bad.shape)]
+
+
 @dataclass(frozen=True)
 class FiniteProductMeasure:
     """Product measure with finitely many symbols per coordinate.
 
-    ``marginals(start, length)`` returns the probability vectors of the
-    indices ``start .. start+length-1``, aligned with ``alphabet``, as one
-    (length, A) array.  It is the only definition of the family: every
-    diagnostic reads whole index ranges, so sampling a 10^6-coordinate
-    window or summing over |n| <= 10^6 pays no Python call per coordinate.
+    ``marginals(n)`` returns the probability vectors of the indices ``n``
+    (an int or an int array), aligned with ``alphabet``, as one array of
+    shape ``np.shape(n) + (A,)``, or one vector for every n.  It is the only
+    definition of the family, read through ``table``: every diagnostic
+    reads whole index arrays, so sampling a 10^6-coordinate window or
+    summing over |n| <= 10^6 pays no Python call per coordinate.
     """
 
     alphabet: tuple
-    marginals: Callable[[int, int], np.ndarray]
+    marginals: Callable[[np.ndarray], np.ndarray]
 
-    def probs(self, n: int) -> np.ndarray:
-        return self.block(n, 1)[0]
+    def table(self, n) -> np.ndarray:
+        """``marginals(n)``, validated (finite, nonnegative and summing to 1
+        at every index) and broadcast to ``np.shape(n) + (A,)``."""
+        p = np.asarray(self.marginals(n), dtype=float)
+        if p.shape[-1:] != (len(self.alphabet),):
+            raise ValueError(f"marginal shape {p.shape} does not end in the "
+                             f"alphabet size {len(self.alphabet)}")
+        self._validate(p, n)
+        return np.broadcast_to(p, np.shape(n) + p.shape[-1:])
 
     def block(self, start: int, length: int) -> np.ndarray:
         """Marginals for indices ``start .. start+length-1`` as an (L, A) array."""
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        p = np.asarray(self.marginals(start, length), dtype=float)
-        self._validate(p, start)
-        return p
+        return self.table(np.arange(start, start + length))
 
-    def _validate(self, p: np.ndarray, start: int) -> None:
-        if p.shape[-1] != len(self.alphabet):
-            raise ValueError(
-                f"marginal length {p.shape[-1]} != alphabet size {len(self.alphabet)}")
-        bad = ~(np.isfinite(p) & (p >= 0))
-        if np.any(bad):
-            n = start + int(np.argwhere(bad)[0][0])
-            raise ValueError(
-                f"non-finite or negative mass in marginal at index {n}")
+    def density(self, n, x) -> np.ndarray:
+        """Mass of symbol column ``x`` at index ``n`` (against counting
+        measure), broadcast together; the column is the symbol itself for
+        an alphabet 0 .. A-1."""
+        n, x = np.broadcast_arrays(n, x)
+        return np.take_along_axis(self.table(n), x[..., None], -1)[..., 0]
+
+    def _validate(self, p: np.ndarray, n) -> None:
+        bad = ~(np.isfinite(p) & (p >= 0)).all(-1)
+        if bad.any():
+            raise ValueError("non-finite or negative mass in marginal at "
+                             f"index {_first_at(n, bad)}")
         # column adds: the same floats as a row sum for short rows, without
         # numpy's slow reduction over a length-A last axis
-        s = p[:, 0].copy()
-        for j in range(1, p.shape[1]):
-            s += p[:, j]
-        off = np.abs(s - 1.0)
-        if np.any(off > PROB_TOL):
-            i = int(np.argmax(off))
-            raise ValueError(
-                f"marginal at index {start + i} sums to {float(s[i])!r}, not 1")
-
-    def point_mass(self, n: int, symbol) -> float:
-        return float(self.probs(n)[self.alphabet.index(symbol)])
+        s = p[..., 0].copy()
+        for j in range(1, p.shape[-1]):
+            s += p[..., j]
+        s -= 1.0  # in place: a 10^6-index check holds one float per index
+        off = np.abs(s, out=s) > PROB_TOL
+        if off.any():
+            raise ValueError(f"marginal at index {_first_at(n, off)} sums to "
+                             f"{float(_first_at(p.sum(-1), off))!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -134,13 +146,9 @@ class DensityFamily:
             | (edges[..., 0] != lo) | (edges[..., -1] != hi) \
             | (np.abs(total - 1.0) > DENSITY_TOL)
         if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            at = np.broadcast_to(n, bad.shape)[i]
-            raise ValueError(f"piece table at index {at} is not a density "
-                             f"on [{lo}, {hi}] (integral {float(total[i])!r})")
-
-    def point_mass(self, n: int, u: float) -> float:
-        return float(self.density(n, u))
+            raise ValueError(f"piece table at index {_first_at(n, bad)} is "
+                             f"not a density on [{lo}, {hi}] (integral "
+                             f"{float(_first_at(total, bad))!r})")
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,7 @@ def log_damped(n) -> np.ndarray:
 def iid(vector) -> FiniteProductMeasure:
     """I.i.d. measure on {0, 1, ..., len(vector)-1}."""
     v = _as_vector(vector)
-    alphabet = tuple(range(len(v)))
-
-    def block(start: int, length: int) -> np.ndarray:
-        return np.tile(v, (length, 1))
-
-    return FiniteProductMeasure(alphabet, block)
+    return FiniteProductMeasure(tuple(range(len(v))), lambda n: v)
 
 
 def iid_binary(p0: float) -> FiniteProductMeasure:
@@ -196,14 +199,10 @@ def iid_binary(p0: float) -> FiniteProductMeasure:
 
 def nu_c_zero_mass(n, c):
     """Perturbation of the half-stationary family, vectorized over ``n``."""
-    n = np.asarray(n, dtype=float)
-    out = np.zeros_like(n)
+    n = np.asarray(n)
     pos = n >= 1
-    with np.errstate(divide="ignore"):
-        val = np.where(pos, c / np.sqrt(np.where(pos, n, 1.0)), 0.0)
-    keep = pos & (val < 0.5)
-    out[keep] = val[keep]
-    return out
+    val = np.where(pos, c / np.sqrt(np.where(pos, n, 1)), 0.0)
+    return np.where(val < 0.5, val, 0.0)
 
 
 def make_nu_c(c: float) -> FiniteProductMeasure:
@@ -213,11 +212,14 @@ def make_nu_c(c: float) -> FiniteProductMeasure:
     if c <= 0:
         raise ValueError("c must be positive")
 
-    def block(start: int, length: int) -> np.ndarray:
-        a = nu_c_zero_mass(np.arange(start, start + length), c)
-        return np.column_stack([0.5 + a, 0.5 - a])
+    def marginals(n) -> np.ndarray:
+        a = nu_c_zero_mass(n, c)
+        p = np.empty(a.shape + (2,))
+        np.add(0.5, a, out=p[..., 0])
+        np.subtract(0.5, a, out=p[..., 1])
+        return p
 
-    return FiniteProductMeasure((0, 1), block)
+    return FiniteProductMeasure((0, 1), marginals)
 
 
 def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
@@ -226,11 +228,14 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
     if not 0.0 < spec.p < 1.0:
         raise ValueError("spec.p must lie in (0, 1)")
 
-    def block(start: int, length: int) -> np.ndarray:
-        m0 = spec.marginal_zero(np.arange(start, start + length), c)
-        return np.column_stack([m0, 1.0 - m0])
+    def marginals(n) -> np.ndarray:
+        m0 = spec.marginal_zero(n, c)
+        p = np.empty(m0.shape + (2,))
+        p[..., 0] = m0
+        np.subtract(1.0, m0, out=p[..., 1])
+        return p
 
-    return FiniteProductMeasure((0, 1), block)
+    return FiniteProductMeasure((0, 1), marginals)
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +294,50 @@ def sum_with_tail(terms: np.ndarray) -> tuple[float, float]:
     return value, value - centred_sum(terms, max(N // 10, 1))
 
 
+def block_law(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Joint law of independent binary symbols over the 2^k patterns of a
+    block, from their P(0) and P(1) columns of shape (..., k), as shape
+    (..., 2^k); the first symbol is the most significant bit of the
+    pattern index."""
+    law = np.ones(p0.shape[:-1] + (1,))
+    for j in range(p0.shape[-1]):
+        law = np.stack([law * p0[..., j, None], law * p1[..., j, None]],
+                       axis=-1).reshape(p0.shape[:-1] + (-1,))
+    return law
+
+
+def _log_mass(m, n, x, skip=False) -> np.ndarray:
+    """log m_n(x), broadcast over ``n``, ``x`` and ``skip`` (0 where
+    ``skip``); raises ``ZeroMassError`` naming the first other index
+    with zero mass."""
+    mass = np.where(skip, 1.0, m.density(n, x))
+    zero = mass <= 0.0
+    if zero.any():
+        raise ZeroMassError(f"zero mass at index {_first_at(n, zero)} "
+                            f"(symbol {_first_at(x, zero)})")
+    return np.log(mass)
+
+
 def log_rn_shift(m, k: int, w) -> float:
     """Finite-window log Radon-Nikodym partial sum for the k-step shift:
     sum over window indices n of log(m_{n-k}(x_n) / m_n(x_n)).
 
     Works for both finite-alphabet measures and density families.
     """
-    total = 0.0
-    for n, x in w.items():
-        num = m.point_mass(n - k, x)
-        den = m.point_mass(n, x)
-        if num <= 0.0 or den <= 0.0:
-            raise ZeroMassError(f"zero mass at index {n} (symbol {x!r})")
-        total += math.log(num) - math.log(den)
-    return total
+    n = np.arange(w.start, w.stop)
+    return float(np.sum(_log_mass(m, n - k, w.values)
+                        - _log_mass(m, n, w.values)))
 
 
-def log_rn_swap(m, i: int, j: int, xi, xj) -> float:
+def log_rn_swap(m, i, j, xi, xj) -> float | np.ndarray:
     """Log RN derivative of the transposition (i j) at values (xi, xj):
-    log[m_i(xj) m_j(xi)] - log[m_i(xi) m_j(xj)]."""
-    if i == j:
-        return 0.0
-    vals = [m.point_mass(i, xj), m.point_mass(j, xi),
-            m.point_mass(i, xi), m.point_mass(j, xj)]
-    if any(v <= 0.0 for v in vals):
-        raise ZeroMassError(f"zero mass in swap ({i} {j})")
-    return math.log(vals[0]) + math.log(vals[1]) - math.log(vals[2]) - math.log(vals[3])
+    log[m_i(xj) m_j(xi)] - log[m_i(xi) m_j(xj)], broadcast over the four
+    arguments and exactly 0 where i == j (a float for scalar arguments)."""
+    i, j, xi, xj = np.broadcast_arrays(i, j, xi, xj)
+    same = i == j
+    val = _log_mass(m, i, xj, same) + _log_mass(m, j, xi, same) \
+        - _log_mass(m, i, xi, same) - _log_mass(m, j, xj, same)
+    return float(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +354,8 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
     if len(av) != len(m.alphabet):
         raise ValueError("alpha must live on the same alphabet")
 
-    def block(start: int, length: int) -> np.ndarray:
-        return p * m.block(start, length) + (1.0 - p) * av
-
-    return FiniteProductMeasure(m.alphabet, block)
+    return FiniteProductMeasure(
+        m.alphabet, lambda n: p * m.table(n) + (1.0 - p) * av)
 
 
 def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
@@ -348,11 +369,12 @@ def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
         raise ValueError("alpha must live on the same alphabet")
     alphabet = tuple((a, side) for side in ("H", "T") for a in m.alphabet)
 
-    def block(start: int, length: int) -> np.ndarray:
-        base = m.block(start, length)
-        return np.hstack([p * base, (1.0 - p) * np.tile(av, (length, 1))])
+    def marginals(n) -> np.ndarray:
+        base = m.table(n)
+        return np.concatenate(
+            [p * base, np.broadcast_to((1.0 - p) * av, base.shape)], axis=-1)
 
-    return FiniteProductMeasure(alphabet, block)
+    return FiniteProductMeasure(alphabet, marginals)
 
 
 def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
@@ -364,11 +386,11 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
     half = len(mri.alphabet) // 2
     base_alphabet = tuple(a for a, side in mri.alphabet[:half])
 
-    def block(start: int, length: int) -> np.ndarray:
-        full = mri.block(start, length)
-        return full[:, :half] + full[:, half:]
+    def marginals(n) -> np.ndarray:
+        full = mri.table(n)
+        return full[..., :half] + full[..., half:]
 
-    return FiniteProductMeasure(base_alphabet, block)
+    return FiniteProductMeasure(base_alphabet, marginals)
 
 
 # ---------------------------------------------------------------------------

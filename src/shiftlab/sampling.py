@@ -74,10 +74,6 @@ class Window:
     def span(self) -> tuple[int, int]:
         return (self.start, self.stop - 1)
 
-    def items(self):
-        for i, v in enumerate(self.values):
-            yield self.start + i, v
-
     def shifted(self, delta: int) -> "Window":
         """Same content anchored ``delta`` indices later."""
         return Window(self.start + delta, self.values)

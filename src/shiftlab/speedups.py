@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (FiniteProductMeasure, SequenceSpec, inverse_sqrt,
-                       make_mu_pc, nu_c_zero_mass, rpm)
+from .measures import (FiniteProductMeasure, SequenceSpec, block_law,
+                       inverse_sqrt, make_mu_pc, nu_c_zero_mass, rpm)
 from .sampling import Window
 
 MAX_BLOCK_WIDTH = 20
@@ -88,29 +88,18 @@ def _check_width(k: int) -> None:
         raise ValueError(f"block width {k} outside 1..{MAX_BLOCK_WIDTH}")
 
 
-def _block_law(p0: np.ndarray) -> np.ndarray:
-    """Joint law over 2^k patterns from per-slot P(0); bit 1 of the pattern
-    index is the last block symbol (first symbol is most significant)."""
-    k = len(p0)
-    law = np.ones(1)
-    for j in range(k):
-        law = np.concatenate([law * p0[j], law * (1.0 - p0[j])]) \
-            .reshape(2, -1).T.reshape(-1)
-    return law
-
-
 def eta_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     """Law of block n under blocking: product of marginals kn .. kn+k-1."""
     _check_width(k)
     p0 = m.block(k * n, k)[:, 0]
-    return _block_law(p0)
+    return block_law(p0, 1.0 - p0)
 
 
 def kappa_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     """Law of block n under interleaving: the marginal at kn, repeated."""
     _check_width(k)
     p0 = np.full(k, m.block(k * n, 1)[0, 0])
-    return _block_law(p0)
+    return block_law(p0, 1.0 - p0)
 
 
 def gamma_marginal(spec: SequenceSpec, c: float, k: int, n: int) -> np.ndarray:
@@ -138,21 +127,16 @@ def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutani
     _check_width(k)
     if len(m.alphabet) != 2:
         raise ValueError("two-symbol alphabet required")
-    ns = np.arange(-N, N + 1)
     p0 = m.block(-N * k, (2 * N + 1) * k)[:, 0].reshape(2 * N + 1, k)
-    total = 0.0
-    bound_total = 0.0
-    violations: list[int] = []
-    for row, n in enumerate(ns):
-        eta = _block_law(p0[row])
-        kap = _block_law(np.full(k, p0[row, 0]))
-        sq = (eta - kap) ** 2
-        bound_n = (k ** 2) * float(np.sum((p0[row] - p0[row, 0]) ** 2))
-        total += float(sq.sum())
-        bound_total += bound_n
-        if float(sq.max()) > bound_n + 1e-15:
-            violations.append(int(n))
-    return BlockKakutaniResult(total, bound_total, tuple(violations))
+    head = np.broadcast_to(p0[:, :1], p0.shape)
+    sq = (block_law(p0, 1.0 - p0) - block_law(head, 1.0 - head)) ** 2
+    bound_n = (k ** 2) * np.sum((p0 - head) ** 2, axis=1)
+    # row sums added in row order, as a running total over n would
+    total, bound_total = (float(np.cumsum(t)[-1])
+                          for t in (sq.sum(axis=1), bound_n))
+    violations = np.flatnonzero(sq.max(axis=1) > bound_n + 1e-15) - N
+    return BlockKakutaniResult(total, bound_total,
+                               tuple(violations.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.special import chdtrc
 
+from .measures import block_law
+
 # Acceptance thresholds of the uniformity suite, fixed for every caller.
 MIN_EXPECTED = 5.0    # Cochran's rule: pool cells until each expects >= 5
 ALPHA = 0.001         # least p-value a chi-square test may show
@@ -82,17 +84,10 @@ def block_chi_square(bits, block_len: int, p_one: float):
     if nb == 0:
         return 0.0, 1.0, 0
     blocks = bits[:nb * block_len].reshape(nb, block_len)
-    pat = np.zeros(nb, dtype=np.int64)
-    for j in range(block_len):
-        pat = pat * 2 + blocks[:, j]
+    pat = blocks @ (1 << np.arange(block_len - 1, -1, -1))
     counts = np.bincount(pat, minlength=2 ** block_len)
-    probs = np.empty(2 ** block_len)
-    for b in range(2 ** block_len):
-        pr = 1.0
-        for j in range(block_len):
-            bit = (b >> (block_len - 1 - j)) & 1
-            pr *= p_one if bit else (1.0 - p_one)
-        probs[b] = pr
+    probs = block_law(np.full(block_len, 1.0 - p_one),
+                      np.full(block_len, p_one))
     return chi_square_pooled(counts, probs * nb)
 
 

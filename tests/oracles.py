@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
+from shiftlab.measures import ZeroMassError
 from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 
 
@@ -101,6 +102,44 @@ def decomposition_json(dec) -> dict:
         "intervals": [{"label": lab, "lo": lo, "hi": hi}
                       for lab, lo, hi in labels],
     }
+
+
+def log_rn_shift_oracle(m, k: int, w) -> float:
+    """``log_rn_shift`` one coordinate at a time: a running total of
+    math.log(m_{n-k}(x_n)) - math.log(m_n(x_n)) in index order."""
+    total = 0.0
+    for n, x in zip(range(w.start, w.stop), w.values):
+        num, den = float(m.density(n - k, x)), float(m.density(n, x))
+        if num <= 0.0 or den <= 0.0:
+            raise ZeroMassError(f"zero mass at index {n} (symbol {x!r})")
+        total += math.log(num) - math.log(den)
+    return total
+
+
+def log_rn_swap_oracle(m, i: int, j: int, xi, xj) -> float:
+    """``log_rn_swap`` at one pair, from four scalar reads."""
+    if i == j:
+        return 0.0
+    vals = [float(m.density(i, xj)), float(m.density(j, xi)),
+            float(m.density(i, xi)), float(m.density(j, xj))]
+    if any(v <= 0.0 for v in vals):
+        raise ZeroMassError(f"zero mass in swap ({i} {j})")
+    return math.log(vals[0]) + math.log(vals[1]) \
+        - math.log(vals[2]) - math.log(vals[3])
+
+
+def block_law_oracle(p0, p1) -> np.ndarray:
+    """The joint law of one block, pattern by pattern: a running product
+    over the symbols, bit j of the pattern (first symbol most significant)
+    choosing P(1) over P(0)."""
+    k = len(p0)
+    law = np.empty(2 ** k)
+    for b in range(2 ** k):
+        pr = 1.0
+        for j in range(k):
+            pr *= p1[j] if (b >> (k - 1 - j)) & 1 else p0[j]
+        law[b] = pr
+    return law
 
 
 def check_decay(spec, lo: int, hi: int) -> bool:

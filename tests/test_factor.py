@@ -34,9 +34,8 @@ class TestBiasSquareSum:
     def test_single_perturbation(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.where(
-                (np.arange(start, start + length) == 0)[:, None],
-                (0.6, 0.4), (0.5, 0.5)))
+            marginals=lambda n: np.where((n == 0)[..., None],
+                                         (0.6, 0.4), (0.5, 0.5)))
         # the bonds (-1, 0) and (0, 1) each contribute 0.01
         assert bias_sum(m, 50) == pytest.approx(0.02, abs=1e-15)
 
@@ -49,7 +48,7 @@ class TestBiasSquareSum:
     def test_degenerate_marginals_raise(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
+            marginals=lambda n: (1.0, 0.0))
         with pytest.raises(ZeroMassError,
                            match=r"degenerate marginals at bond \(-5, -4\)"):
             bias_sum(m, 5)
@@ -264,7 +263,7 @@ class TestRunIidFactor:
     def test_doeblin_violation_rejected(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.tile((1.0, 0.0), (length, 1)))
+            marginals=lambda n: (1.0, 0.0))
         with pytest.raises(ValueError, match="Doeblin"):
             run_iid_factor(m, (0, 999), SeedStream(7))
 

@@ -213,9 +213,8 @@ class TestGoodProb:
     def test_lower_bound_refuses_zero_mass(self):
         m = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.where(
-                (np.arange(start, start + length) == 5)[:, None],
-                (1.0, 0.0), (0.5, 0.5)))
+            marginals=lambda n: np.where((n == 5)[..., None],
+                                         (1.0, 0.0), (0.5, 0.5)))
         with pytest.raises(ValueError, match="Doeblin condition at index 5"):
             good_prob_lower(m, (0, 99))
 

@@ -5,15 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import check_decay
-from shiftlab import (SeedStream, SequenceSpec, Window, ZeroMassError,
-                      doeblin_delta, forget_coin, f_family, iid, iid_binary,
+from oracles import (block_law_oracle, check_decay, log_rn_shift_oracle,
+                     log_rn_swap_oracle)
+from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream,
+                      SequenceSpec, Window, ZeroMassError, doeblin_delta,
+                      forget_coin, f_family, g_family, iid, iid_binary,
                       inverse_sqrt, log_damped, log_rn_shift, log_rn_swap,
-                      make_mu_pc, make_nu_c, parse_measure, ri, rpm,
-                      sample_window)
+                      make_mu_pc, make_nu_c, mix_disjoint, parse_measure, ri,
+                      rpm, sample_density_window, sample_window, shift_family)
 from shiftlab.factor import bias_square_terms
-from shiftlab.measures import (centred_sum, kakutani_terms, nu_c_zero_mass,
-                               sum_with_tail)
+from shiftlab.measures import (block_law, centred_sum, kakutani_terms,
+                               nu_c_zero_mass, sum_with_tail)
 from shiftlab.typeiii import TypeIIISpec
 
 # Brute-force oracle value: sum over |n| <= 1e5 of the squared marginal
@@ -53,23 +55,23 @@ def test_block_matches_pointwise(case):
         else:
             m = BUILTIN_FAMILIES[case]
             got = m.block(-5, 20)
-            want = [m.probs(n) for n in range(-5, 15)]
+            want = [m.table(n) for n in range(-5, 15)]
     assert np.array_equal(got, want)
 
 
 class TestNuC:
     def test_indicator_active(self):
         m = make_nu_c(1 / 6)
-        assert m.probs(1)[0] == pytest.approx(2 / 3, abs=1e-15)
+        assert m.table(1)[0] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_indicator_fails_at_half(self):
         m = make_nu_c(1.0)
-        assert m.probs(1)[0] == pytest.approx(0.5, abs=0)
+        assert m.table(1)[0] == pytest.approx(0.5, abs=0)
 
     def test_nonpositive_index_is_fair(self):
         m = make_nu_c(1 / 6)
-        assert m.probs(0)[0] == pytest.approx(0.5, abs=0)
-        assert m.probs(-37)[0] == pytest.approx(0.5, abs=0)
+        assert m.table(0)[0] == pytest.approx(0.5, abs=0)
+        assert m.table(-37)[0] == pytest.approx(0.5, abs=0)
 
     def test_rejects_nonpositive_c(self):
         with pytest.raises(ValueError):
@@ -81,22 +83,22 @@ class TestMuPC:
         spec = SequenceSpec(0.5, inverse_sqrt)
         m = make_mu_pc(spec, 1.0)
         # p + a_1 = 1.5 > 1, so index 1 falls back to p
-        assert m.probs(1)[0] == pytest.approx(0.5, abs=0)
+        assert m.table(1)[0] == pytest.approx(0.5, abs=0)
 
     def test_unperturbed(self):
         m = make_mu_pc(SequenceSpec(0.3, lambda n: np.zeros(np.shape(n))), 1.0)
         for n in (-4, 0, 9):
-            assert tuple(m.probs(n)) == pytest.approx((0.3, 0.7), abs=1e-15)
+            assert tuple(m.table(n)) == pytest.approx((0.3, 0.7), abs=1e-15)
 
     def test_direct_substitution(self):
         m = make_mu_pc(SequenceSpec(0.5, inverse_sqrt), 0.2)
-        assert m.probs(4)[0] == pytest.approx(0.6, abs=1e-15)
+        assert m.table(4)[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_boundary_values_clamp(self):
         # p + c a_n = 1 exactly is clamped (closed condition keeps masses positive)
         spec = SequenceSpec(0.5, lambda n: np.where(n == 3, 0.5, 0.0))
         m = make_mu_pc(spec, 1.0)
-        assert m.probs(3)[0] == pytest.approx(0.5, abs=0)
+        assert m.table(3)[0] == pytest.approx(0.5, abs=0)
 
 
 class TestDoeblin:
@@ -151,9 +153,8 @@ class TestKakutaniShiftSum:
         m = iid_binary(0.5)
         periodic = type(m)(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.column_stack(
-                [period[np.arange(start, start + length) % 3],
-                 1 - period[np.arange(start, start + length) % 3]]))
+            marginals=lambda n: np.stack([period[n % 3], 1 - period[n % 3]],
+                                         axis=-1))
         assert kakutani_sum(periodic, 3, 200) == 0.0
         assert kakutani_sum(periodic, 1, 200) > 0.0
 
@@ -255,16 +256,37 @@ class TestLogRN:
         w = sample_window(m, (1, 20), SeedStream(5))
         # independent route: one log of the two cylinder mass products
         num = den = 1.0
-        for n, x in w.items():
-            num *= m.probs(n - 1)[int(x)]
-            den *= m.probs(n)[int(x)]
+        for n, x in zip(range(w.start, w.stop), w.values):
+            num *= m.table(n - 1)[int(x)]
+            den *= m.table(n)[int(x)]
         assert log_rn_shift(m, 1, w) == pytest.approx(math.log(num / den), rel=1e-12)
 
     def test_zero_mass_raises(self):
         m = iid((1.0, 0.0))
         w = Window(0, np.array([1]))
-        with pytest.raises(ZeroMassError):
+        with pytest.raises(ZeroMassError, match=r"index -1 \(symbol 1\)"):
             log_rn_shift(m, 1, w)
+
+    def test_swap_rows_with_i_equal_j_are_zero(self):
+        # row 1 is off the support but has i == j; row 2 reads f_5(1.5) = 0
+        fam = f_family(TypeIIISpec(0.25))
+        i, j = np.array([2, 3, 4]), np.array([9, 3, 5])
+        xi, xj = np.array([0.5, 7.0, 1.5]), np.full(3, 0.5)
+        assert log_rn_swap(fam, i[:2], j[:2], xi[:2], xj[:2])[1] == 0.0
+        with pytest.raises(ZeroMassError, match=r"index 5 \(symbol 1\.5\)"):
+            log_rn_swap(fam, i, j, xi, xj)
+
+    def test_swap_reads_only_its_indices(self):
+        seen = []
+
+        def marginals(n):
+            seen.extend(np.ravel(n).tolist())
+            return (0.3, 0.7)
+
+        m = FiniteProductMeasure((0, 1), marginals)
+        val = log_rn_swap(m, 2, 10 ** 9, 0, 1)
+        assert type(val) is float and val == pytest.approx(0.0, abs=1e-15)
+        assert sorted(seen) == [2, 2, 10 ** 9, 10 ** 9]
 
     def test_swap_identity_and_equal_values(self):
         m = iid_binary(0.3)
@@ -285,6 +307,49 @@ class TestLogRN:
         assert log_rn_swap(fam, i, j, xi, xj) == pytest.approx(math.log(4), rel=1e-12)
 
 
+LOG_RN_FAMILIES = {
+    "iid": iid((0.2, 0.3, 0.5)),
+    "nu_c": make_nu_c(1 / 6),
+    "mu": make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5),
+    "f_family": f_family(TypeIIISpec(0.25)),
+    "g_family": g_family(HMapSpec(0.25, 0.5)),
+    "mix_disjoint": mix_disjoint(f_family(TypeIIISpec(0.25)), shift_family(
+        f_family(TypeIIISpec(0.4)), -1.0)),
+}
+
+
+@pytest.mark.parametrize("k", [-3, 1, 2, 7])
+@pytest.mark.parametrize("name", sorted(LOG_RN_FAMILIES))
+def test_log_rn_sums_equal_scalar_oracles(name, k):
+    """The array sums equal the coordinate-at-a-time routes on a sampled
+    window; the swaps pair each index with the one k later, plus five
+    rows with i == j, which are exactly 0."""
+    m = LOG_RN_FAMILIES[name]
+    sample = sample_window if isinstance(m, FiniteProductMeasure) \
+        else sample_density_window
+    w = sample(m, (-20, 40), SeedStream(3))
+    assert log_rn_shift(m, k, w) == pytest.approx(
+        log_rn_shift_oracle(m, k, w), rel=1e-12)
+    a = np.arange(max(0, -k), len(w) - max(0, k))
+    a, b = np.concatenate([a, a[:5]]), np.concatenate([a + k, a[:5]])
+    got = log_rn_swap(m, w.start + a, w.start + b, w.values[a], w.values[b])
+    want = [log_rn_swap_oracle(m, w.start + r, w.start + s, w.values[r],
+                               w.values[s]) for r, s in zip(a, b)]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert np.all(got[-5:] == 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_block_law_equals_pattern_oracle(k):
+    """Each row of a batched call is the pattern-by-pattern product, bit
+    for bit; P(1) is not 1 - P(0), so a swapped column shows."""
+    p0, p1 = np.random.default_rng(k).random((2, 4, k))
+    law = block_law(p0, p1)
+    assert law.shape == (4, 2 ** k)
+    for row in range(4):
+        assert np.array_equal(law[row], block_law_oracle(p0[row], p1[row]))
+
+
 class TestRPMAndRI:
     def test_example_marginal_formula(self):
         # perturbed family mixed back toward its base: p + q a_n off the
@@ -296,7 +361,7 @@ class TestRPMAndRI:
         for n in range(-3, 10):
             raw = p + spec.a(n)
             expect = p + qmix * spec.a(n) if 0 < raw < 1 else p
-            assert mixed.probs(n)[0] == pytest.approx(expect, abs=1e-15)
+            assert mixed.table(n)[0] == pytest.approx(expect, abs=1e-15)
 
     def test_p_one_keeps_measure(self):
         m = make_nu_c(0.2)
@@ -316,14 +381,14 @@ class TestRPMAndRI:
             pmix = rng.random()
             alpha = rng.dirichlet((1.0, 1.0))
             n = int(rng.integers(-50, 50))
-            got = rpm(m, pmix, alpha).probs(n)
-            want = pmix * m.probs(n) + (1 - pmix) * alpha
+            got = rpm(m, pmix, alpha).table(n)
+            want = pmix * m.table(n) + (1 - pmix) * alpha
             assert np.array_equal(got, want)
 
     def test_ri_mass_layout(self):
         m = iid_binary(0.3)
         out = ri(m, 1.0, (0.5, 0.5))
-        probs = out.probs(0)
+        probs = out.table(0)
         assert probs[:2] == pytest.approx([0.3, 0.7], abs=0)
         assert probs[2:] == pytest.approx([0.0, 0.0], abs=0)
 
@@ -339,8 +404,8 @@ class TestRPMAndRI:
             pmix = rng.random()
             alpha = rng.dirichlet((1.0, 1.0))
             n = int(rng.integers(-30, 30))
-            via_ri = forget_coin(ri(m, pmix, alpha)).probs(n)
-            direct = rpm(m, pmix, alpha).probs(n)
+            via_ri = forget_coin(ri(m, pmix, alpha)).table(n)
+            direct = rpm(m, pmix, alpha).table(n)
             assert np.array_equal(via_ri, direct)
 
 
@@ -358,9 +423,9 @@ class TestBuiltinSequences:
 
 class TestParseMeasure:
     def test_round_trip_families(self):
-        assert parse_measure("iid:0.3").probs(5)[0] == pytest.approx(0.3)
-        assert parse_measure("nu_c:0.25").probs(1)[0] == pytest.approx(0.75)
-        assert parse_measure("mu:0.4,0.1").probs(4)[0] == pytest.approx(0.45)
+        assert parse_measure("iid:0.3").table(5)[0] == pytest.approx(0.3)
+        assert parse_measure("nu_c:0.25").table(1)[0] == pytest.approx(0.75)
+        assert parse_measure("mu:0.4,0.1").table(4)[0] == pytest.approx(0.45)
 
     def test_bad_specs(self):
         for text in ("nope:1", "iid:", "mu:0.4"):
@@ -373,15 +438,15 @@ class TestInvariants:
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.tile((0.5, 0.499), (length, 1)))
+            marginals=lambda n: (0.5, 0.499))
         with pytest.raises(ValueError, match="index 0 sums to 0.999, not 1"):
-            bad.probs(0)
+            bad.table(0)
 
     def test_normalization_names_the_offending_row(self):
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.array([[.5, .5], [.2, .3]]))
+            marginals=lambda n: np.array([[.5, .5], [.2, .3]]))
         with pytest.raises(ValueError, match=r"index 1 sums to 0\.5, not 1$"):
             bad.block(0, 2)
 
@@ -389,6 +454,6 @@ class TestInvariants:
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
             alphabet=(0, 1),
-            marginals=lambda start, length: np.tile((-0.1, 1.1), (length, 1)))
+            marginals=lambda n: (-0.1, 1.1))
         with pytest.raises(ValueError, match="negative"):
-            bad.probs(0)
+            bad.table(0)

@@ -12,7 +12,7 @@ from shiftlab import (SeedStream, SequenceSpec, Window, block_kakutani_sum,
                       gamma_marginal, hellinger_S, iid_binary, index_report,
                       inverse_sqrt, kappa_marginal, make_nu_c, pi_interleave,
                       rpm_scaling_identity, sample_window, unblock, zeta)
-from shiftlab.measures import nu_c_zero_mass
+from shiftlab.measures import nu_c_zero_mass, parse_measure
 
 # Brute-force summation oracle, recorded to full precision.
 HELLINGER_03_10_1E5 = 0.35136991674414014
@@ -68,8 +68,7 @@ class TestZetaPi:
         counts = np.bincount(pat, minlength=4)
         kap = kappa_marginal(
             type(iid_binary(0.5))(alphabet=(0, 1),
-                                  marginals=lambda start, length: np.tile(
-                                      (g0, 1 - g0), (length, 1))), k, 0)
+                                  marginals=lambda n: (g0, 1 - g0)), k, 0)
         _, p = stats.chisquare(counts, kap * M)
         assert p > 0.001
 
@@ -78,7 +77,7 @@ class TestBlockMarginals:
     def test_eta_k1(self):
         m = make_nu_c(0.3)
         for n in (-2, 0, 4):
-            assert eta_marginal(m, 1, n) == pytest.approx(m.probs(n), abs=0)
+            assert eta_marginal(m, 1, n) == pytest.approx(m.table(n), abs=0)
 
     def test_eta_fair_k3_uniform(self):
         eta = eta_marginal(iid_binary(0.5), 3, 0)
@@ -88,7 +87,7 @@ class TestBlockMarginals:
         m = make_nu_c(0.2)
         eta = eta_marginal(m, 2, 1)
         # block 00 at block-index 1 covers coordinates 2 and 3
-        assert eta[0] == pytest.approx(m.probs(2)[0] * m.probs(3)[0], rel=1e-15)
+        assert eta[0] == pytest.approx(m.table(2)[0] * m.table(3)[0], rel=1e-15)
 
     def test_eta_sums_to_one(self):
         m = make_nu_c(0.17)
@@ -134,6 +133,25 @@ class TestBlockKakutani:
             res = block_kakutani_sum(make_nu_c(0.2), k, 10 ** 4)
             assert res.bound_holds
             assert 0.0 < res.total <= res.bound
+
+    @pytest.mark.parametrize("spec, k, N", [
+        ("nu_c:0.1", 3, 500), ("mu:0.3,0.5", 5, 200), ("nu_c:0.25", 8, 30)])
+    def test_batched_sum_equals_per_n_loop(self, spec, k, N):
+        # the running totals over n of eta_marginal / kappa_marginal gaps
+        m = parse_measure(spec)
+        total = bound = 0.0
+        violations = []
+        for n in range(-N, N + 1):
+            sq = (eta_marginal(m, k, n) - kappa_marginal(m, k, n)) ** 2
+            p0 = m.block(k * n, k)[:, 0]
+            bound_n = k ** 2 * float(np.sum((p0 - p0[0]) ** 2))
+            total += float(sq.sum())
+            bound += bound_n
+            if float(sq.max()) > bound_n + 1e-15:
+                violations.append(n)
+        res = block_kakutani_sum(m, k, N)
+        assert (res.total, res.bound, res.per_n_violations) == \
+            (total, bound, tuple(violations))
 
     def test_width_cap(self):
         with pytest.raises(ValueError, match="block width"):
