@@ -165,7 +165,7 @@ def _cmd_match(cfg: RunConfig) -> Report:
         (assignment.b_indices, a_indices, assignment.rounds))
 
     dist = a_indices - assignment.b_indices
-    hist = np.bincount(dist.astype(np.int64)) if len(dist) else np.zeros(1, int)
+    hist = np.bincount(dist) if len(dist) else np.zeros(1, int)
     art2 = emit_plot_data(
         {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
         cfg.out_dir / "radius_histogram.csv")

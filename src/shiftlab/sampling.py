@@ -48,7 +48,8 @@ class SeedStream:
         bg = Philox(key=self._key(label))
         bg.advance(start + _COUNTER_OFFSET)
         u = Generator(bg).random(count * _BLOCK)
-        return u.reshape(count, _BLOCK)[:, :per_coord]
+        # a copy, so the whole (count, 4) block is freed on return
+        return u.reshape(count, _BLOCK)[:, :per_coord].copy()
 
     def generator(self, label: str, index: int = 0) -> Generator:
         """A bulk generator for sequential use (rejection loops, MC)."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .measures import block_law
 
@@ -45,6 +44,25 @@ def pool_expected(counts, expected):
     return np.array(pc), np.array(pe)
 
 
+def chi2_sf(k: int, x: float) -> float:
+    """Upper tail P(X > x) of the chi-square law with k >= 1 degrees of
+    freedom, from the closed form of Q(k/2, h), h = x/2, for integer k:
+    e^-h sum_{j<k/2} h^j / j! for even k, and erfc(sqrt h) plus
+    e^-h sum_{j<(k-1)/2} h^(j+1/2) / Gamma(j+3/2) for odd k.  Each term is
+    formed in log space, so large k neither overflows nor underflows."""
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    a = 0.5 * (k % 2)
+    terms = [math.exp((j + a) * log_h - h - math.lgamma(j + a + 1.0))
+             for j in range(k // 2)]
+    if a:
+        terms.append(math.erfc(math.sqrt(h)))
+    # the rounded terms of a tail near 1 can sum to one ulp above it
+    return min(math.fsum(terms), 1.0)
+
+
 def chi_square_pooled(counts, expected):
     """Chi-square GOF with category pooling; returns (stat, p_value, dof)."""
     pc, pe = pool_expected(counts, expected)
@@ -54,16 +72,7 @@ def chi_square_pooled(counts, expected):
     pe = pe * pc.sum() / pe.sum()
     stat = float(np.sum((pc - pe) ** 2 / pe))
     dof = len(pc) - 1
-    return stat, float(chdtrc(dof, stat)), dof
-
-
-def chi_square_fair_bits(bits) -> tuple[float, float]:
-    """Chi-square of a bit vector against the fair coin."""
-    bits = np.asarray(bits)
-    n = len(bits)
-    ones = int(bits.sum())
-    stat, p, _ = chi_square_pooled([n - ones, ones], [n / 2, n / 2])
-    return stat, p
+    return stat, chi2_sf(dof, stat), dof
 
 
 def serial_correlations(x, lags: int = LAGS) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
 from shiftlab.measures import ZeroMassError
+from shiftlab.stattests import chi_square_pooled
 from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 
 
@@ -192,6 +193,17 @@ def reindex_oracle(lam: float, lam_prime: float) -> tuple[float, int, float]:
         if head > 0 and head * (1.0 + p) < 0.5:
             return p, s, head
     raise ValueError("no admissible re-indexing found")
+
+
+# -- statistics ---------------------------------------------------------------
+
+def chi_square_fair_bits(bits) -> tuple[float, float]:
+    """Chi-square of a bit vector against the fair coin: (stat, p_value)."""
+    bits = np.asarray(bits)
+    n = len(bits)
+    ones = int(bits.sum())
+    stat, p, _ = chi_square_pooled([n - ones, ones], [n / 2, n / 2])
+    return stat, p
 
 
 # -- command line -------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 
 import oracles
 import shiftlab as sl
-from shiftlab.stattests import chi_square_fair_bits, serial_correlations
+from shiftlab.stattests import serial_correlations
 from shiftlab.typeiii import g_pieces
 
 SEED = 7
@@ -197,7 +197,7 @@ def test_a05a_fair_bit_chi_square(extracted_bits):
     m = sl.iid_binary(0.3)
     summand = float(np.sum(bias_square_terms(m.block(-100, 202), -100, 100)))
     assert summand == 0.0  # stationarity makes the bond bias exactly zero
-    _, p = chi_square_fair_bits(extracted_bits)
+    _, p = oracles.chi_square_fair_bits(extracted_bits)
     report("A05a fair-bits-chi-square", p > 0.001,
            f"{len(extracted_bits)} bits, p {p:.4f} vs 0.001")
 

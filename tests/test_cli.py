@@ -1,6 +1,10 @@
 """Command-line entry points: reports, artifacts, exit codes, determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +131,9 @@ class TestFactorRun:
             assert by_name[name]["reason"]
 
     def test_golden_outputs(self, tmp_path, capsys):
-        # metric values recorded before the marginals were read once
+        # metric values recorded before the marginals were read once; the
+        # 3-block p-value from the closed-form tail (40-digit value
+        # 0.29233064173240527...)
         code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
                        "--n", "200000", "--radius", "16")
         assert code == EXIT_OK
@@ -141,7 +147,7 @@ class TestFactorRun:
             "censor_fraction": (0.01944, None, True),
             "frequency": (0.8560113872462569, None, True),
             "chi_square_3_blocks":
-                (1.108856561749848, 0.2923306417324023, True),
+                (1.108856561749848, 0.2923306417324053, True),
             "serial_correlation": (5.6255976898706076e-05, None, True),
         }
 
@@ -529,3 +535,14 @@ class TestConfigHandling:
                        "--c", "0.1", "--n", "100")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err
+
+
+class TestStartUp:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import shiftlab.cli, sys; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
