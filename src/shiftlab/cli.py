@@ -8,6 +8,7 @@ byte-reproducible.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,12 +62,21 @@ def write_csv(path: Path, header, columns) -> Path:
     """Write the ``header`` line, then one row per position of the
     equal-length ``columns``, each line ending in a bare newline.  A cell
     is the ``%s`` of a ``.tolist()`` value, which is a float's ``repr``.
-    Rows are formatted ``CSV_CHUNK`` at a time, the chunk's cells
-    interleaved row-major into one flat list, so 10^6 rows never hold all
-    their strings at once."""
+
+    Two formatters write the same bytes, picked by the columns' dtypes.
+    When every column is an integer array other than ``uint64``,
+    ``_write_int_rows`` formats the digits with numpy.  Any other column
+    set (floats, strings, bools, ``uint64``) goes through one ``%`` per
+    chunk over the chunk's ``.tolist()`` cells, interleaved row-major into
+    one flat list.  Either way rows are formatted ``CSV_CHUNK`` at a time,
+    so 10^6 rows never hold all their strings at once."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c) for c in columns]
+    if all(c.dtype.kind in "iu" and c.dtype != np.uint64 for c in columns):
+        with open(path, "wb") as fh:
+            _write_int_rows(fh, header, columns)
+        return path
     k = len(columns)
     row = ",".join(["%s"] * k) + "\n"
     with open(path, "w", newline="") as fh:
@@ -78,6 +88,77 @@ def write_csv(path: Path, header, columns) -> Path:
                 flat[j::k] = cells
             fh.write(row * len(chunk[0]) % tuple(flat))
     return path
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The 4-digit group words, built on first use so no import pays for
+    them.  Index g < 10 000 holds the top group g of a number, NUL-padded
+    on the left (``"\\0\\0" "42"``); index 10 000 + g holds a group below
+    the top, zero-padded (``"0042"``).  The two tables differ only at
+    index 0: ``"0"`` in the first, for the last group of the value 0, and
+    all NULs in the second, for a group above a number's top."""
+    g = np.arange(10_000)
+    digits = [(g // 10 ** (3 - k) % 10 + ord("0")) << 8 * k
+              for k in range(4)]                       # byte k of "%04d"
+    padded = sum(digits)
+    bare = digits[3] + sum(np.where(g >= 10 ** (3 - k), digits[k], 0)
+                           for k in range(3))
+    last = np.concatenate([bare, padded]).astype("<u4")
+    upper = last.copy()
+    upper[0] = 0
+    last.flags.writeable = upper.flags.writeable = False    # shared
+    return last, upper
+
+
+def _write_int_rows(fh, header, columns) -> None:
+    """``write_csv`` for integer columns, into the binary file ``fh``.
+
+    Each chunk is a ``(rows, slots)`` matrix of little-endian 4-byte words
+    whose NULs are then deleted.  A cell is one lead word (the newline
+    that ends the line before it, or the comma after the previous cell,
+    then a ``-`` as its last byte when negative) and one word per 4-digit
+    group of its column's widest magnitude, read from ``_digit_words``.
+    The header's newline is the first row's lead, and one more newline
+    ends the file.  Only scalar divisions are used, which numpy does with
+    multiply-shift."""
+    last, upper = _digit_words()
+    n = len(columns[0])
+    layout, slots = [], 0                    # (lead slot, groups, signed)
+    for c in columns:
+        lo, hi = (int(c.min()), int(c.max())) if n else (0, 0)
+        groups = 1
+        while max(hi, -lo) >= 10 ** (4 * groups):
+            groups += 1
+        layout.append((slots, groups, lo < 0))
+        slots += 1 + groups
+    rows = min(n, CSV_CHUNK)
+    buf = bytearray(4 * slots * rows)
+    words = np.frombuffer(buf, "<u4").reshape(rows, slots)
+    leads = [ord("\n")] + [ord(",")] * (len(columns) - 1)
+    for (lead, _, _), word in zip(layout, leads):
+        words[:, lead] = word
+    minus = np.uint32(ord("-") << 24)
+    fh.write(",".join(header).encode())
+    for i in range(0, n, CSV_CHUNK):
+        w = words[:n - i]
+        for c, (lead, groups, signed), word in zip(columns, layout, leads):
+            c = c[i:i + CSV_CHUNK].astype(np.int64, copy=False)
+            if signed:
+                w[:, lead] = word + minus * (c < 0)
+            q = np.abs(c).view(np.uint64)         # int64 min -> 2^63
+            for t in range(groups - 1, 0, -1):
+                hi = q // 10_000
+                # 10 000 + (q mod 10 000) below a higher digit, else q
+                g = np.minimum(q, q - hi * 10_000 + 10_000)
+                table = last if t == groups - 1 else upper
+                w[:, lead + 1 + t] = table[g.view(np.int64)]
+                q = hi
+            w[:, lead + 1] = (last if groups == 1 else upper)[
+                q.view(np.int64)]
+        data = buf if len(w) == rows else buf[:w.nbytes]
+        fh.write(data.translate(None, b"\0"))
+    fh.write(b"\n")
 
 
 def emit_plot_data(series: dict[str, list[tuple[float, float]]],

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import parse_plot_data
 from shiftlab import DensityFamily, SeedStream, sample_density_window
+from shiftlab import cli
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
@@ -275,11 +276,61 @@ class TestWriteCsv:
         assert lines[1].startswith("-9223372036854775808,")
         assert lines[5].endswith(",%s")
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK])
+    def int_columns(self, rows):
+        rng = np.random.default_rng(5)
+        i64 = np.iinfo(np.int64)
+        wide = rng.integers(i64.min, i64.max, rows, dtype=np.int64,
+                            endpoint=True)
+        wide[:2] = (i64.min, i64.max)[:rows]
+        narrow = (np.arange(rows) % 256 - 128).astype(np.int8)
+        unsigned = rng.integers(0, 2 ** 32 - 1, rows, dtype=np.uint32,
+                                endpoint=True)
+        # one digit through the first chunk, sixteen after it
+        k = np.arange(rows)
+        growing = np.where(k < CSV_CHUNK, k % 10, -10 ** 15 - k)
+        return wide, narrow, unsigned, growing
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK, CSV_CHUNK + 123])
+    def test_integer_rows(self, tmp_path, rows):
+        header = ("w", "n", "u", "g")
+        cols = self.int_columns(rows)
+        path = write_csv(tmp_path / "t.csv", header, cols)
+        assert path.read_bytes() == joined_csv(header, cols)
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK, CSV_CHUNK + 123])
     def test_single_column(self, tmp_path, rows):
         col = np.arange(rows, dtype=np.int64) - 7
         path = write_csv(tmp_path / "t.csv", ("k",), (col,))
         assert path.read_bytes() == joined_csv(("k",), (col,))
+
+    @pytest.mark.parametrize("col", [
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+        np.array([0] + [s * (10 ** k - j) for k in range(19)
+                        for j in (0, 1) for s in (1, -1)]),
+        np.arange(-128, 128, dtype=np.int8),
+        np.array([-2 ** 31, 2 ** 31 - 1, 0, -1, 10 ** 9], dtype=np.int32),
+        np.arange(256, dtype=np.uint8),
+        np.array([0, 1, 2 ** 32 - 1, 10 ** 9], dtype=np.uint32),
+    ], ids=["int64-extremes", "powers-of-ten", "int8", "int32", "uint8",
+            "uint32"])
+    def test_integer_column(self, tmp_path, col):
+        path = write_csv(tmp_path / "t.csv", ("k",), (col,))
+        assert path.read_bytes() == joined_csv(("k",), (col,))
+
+    @pytest.mark.parametrize("cols, text", [
+        ((np.array([True, False]),), "True\nFalse\n"),
+        ((np.array([2 ** 64 - 1, 0], dtype=np.uint64),),
+         "18446744073709551615\n0\n"),
+        ((np.array([-1, 2]), np.array([False, True])), "-1,False\n2,True\n"),
+    ], ids=["bool", "uint64", "int64-bool"])
+    def test_other_columns_keep_percent_path(self, tmp_path, cols, text):
+        # only integer columns that fit int64 are formatted by numpy
+        cli._digit_words.cache_clear()
+        path = write_csv(tmp_path / "t.csv", "abc"[:len(cols)], cols)
+        assert cli._digit_words.cache_info().currsize == 0
+        data = path.read_bytes()
+        assert data == joined_csv("abc"[:len(cols)], cols)
+        assert data.decode().split("\n", 1)[1] == text
 
 
 class TestTypeIIIRatios:
@@ -538,11 +589,21 @@ class TestConfigHandling:
 
 
 class TestStartUp:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def fresh_python(code):
         src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import shiftlab.cli, sys; print('scipy' in sys.modules)"],
+        return subprocess.run(
+            [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "False"
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.fresh_python(
+            "import shiftlab.cli, sys; print('scipy' in sys.modules)") \
+            == "False"
+
+    def test_cli_import_leaves_digit_tables_unbuilt(self):
+        # the integer CSV formatter builds its tables on first use
+        assert self.fresh_python(
+            "import shiftlab.cli as cli; "
+            "print(cli._digit_words.cache_info().currsize)") == "0"
