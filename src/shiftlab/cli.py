@@ -263,18 +263,77 @@ def _cmd_match(cfg: RunConfig) -> Report:
     return _finish(cfg, metrics, [out_rows, art2, *artifacts])
 
 
+# ratio draws per raw-word read: a few thousand keep the arrays small
+_DRAW_BLOCK = 4096
+
+
+def _ratio_draws(rng, n_max: int, pieces: list, samples: int):
+    """The indices and points of ``samples`` rounds of
+    ``rng.integers(0, n_max)``, a piece ``rng.integers(0, len(pieces))``
+    and ``rng.uniform(lo, hi)`` on it, bit for bit, read in blocks of raw
+    Philox words.
+
+    The reading follows numpy's ``Generator``.  An integer below a bound
+    of at most 2^32 takes the next 32-bit half (the low half of a fresh
+    word, then its high half on the next such call) and is Lemire's
+    ``(u * bound) >> 32``, drawn again while the product's low 32 bits are
+    below ``(2^32 - bound) % bound``.  A uniform takes a whole word w as
+    ``lo + (hi - lo) * ((w >> 11) * 2^-53)``.  So with 1 < n_max <= 2^32
+    a round reads two words unless a draw is redrawn; a block where that
+    does not hold is drawn with the scalar calls from its saved state.
+    """
+    ns, vs = np.empty(samples, dtype=np.int64), np.empty(samples)
+    lows = np.array([lo for lo, _ in pieces])
+    widths = np.array([hi - lo for lo, hi in pieces])
+    bg = rng.bit_generator
+    for at in range(0, samples, _DRAW_BLOCK):
+        block = slice(at, min(at + _DRAW_BLOCK, samples))
+        saved = bg.state
+        drawn = (_raw_ratio_draws(bg, n_max, len(pieces), block.stop - at)
+                 if 1 < n_max <= 1 << 32 else None)
+        if drawn is None:
+            bg.state = saved
+            for i in range(block.start, block.stop):
+                ns[i] = rng.integers(0, n_max)
+                lo, hi = pieces[int(rng.integers(0, len(pieces)))]
+                vs[i] = rng.uniform(lo, hi)
+        else:
+            ns[block], piece, u = drawn
+            vs[block] = lows[piece] + widths[piece] * u
+    return ns, vs
+
+
+def _raw_ratio_draws(bg, n_max: int, n_pieces: int, k: int):
+    """``k`` rounds read from ``2 k`` raw words: the indices, the piece
+    numbers and the unit uniforms, or None if a bounded draw would be
+    drawn again."""
+    w = bg.random_raw(2 * k)
+    low, high = w[0::2] & 0xFFFFFFFF, w[0::2] >> 32
+    state = bg.state
+    if state["has_uint32"]:
+        # a half is pending: the index takes it, the piece the low half of
+        # the fresh word, whose high half is pending for the next round
+        pending = np.roll(high, 1)
+        pending[0] = state["uinteger"]
+        state["uinteger"] = int(high[-1])
+        bg.state = state
+        low, high = pending, low
+    draws = []
+    for u32, bound in ((low, n_max), (high, n_pieces)):
+        m = u32 * np.uint64(bound)
+        if ((m & 0xFFFFFFFF) < (2**32 - bound) % bound).any():
+            return None
+        draws.append((m >> 32).astype(np.int64))
+    return draws[0], draws[1], (w[1::2] >> 11) * 2.0**-53
+
+
 def _cmd_typeiii(cfg: RunConfig) -> Report:
     n_max, samples = cfg.params["n"], cfg.params["samples"]
     hspec = typeiii.HMapSpec(cfg.params["lam"], cfg.params["lam_prime"])
-    pieces = hspec.support_pieces()
-    rng = SeedStream(cfg.seed).generator("typeiii-ratios")
-
-    # drawn one at a time: the CSV bytes depend on the draw order
-    ns, vs = np.empty(samples, dtype=np.int64), np.empty(samples)
-    for i in range(samples):
-        ns[i] = rng.integers(0, n_max)
-        lo, hi = pieces[int(rng.integers(0, len(pieces)))]
-        vs[i] = rng.uniform(lo, hi)
+    # the draws of the per-round scalar calls, read from raw words: the
+    # CSV bytes depend on every draw and on their order
+    ns, vs = _ratio_draws(SeedStream(cfg.seed).generator("typeiii-ratios"),
+                          n_max, hspec.support_pieces(), samples)
     ratios = typeiii.ratio_profile(hspec, ns, vs)
     distinct, counts = np.unique(ratios[~np.isnan(ratios)],
                                  return_counts=True)

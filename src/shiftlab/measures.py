@@ -83,10 +83,12 @@ class FiniteProductMeasure:
         return np.take_along_axis(self.table(n), x[..., None], -1)[..., 0]
 
     def _validate(self, p: np.ndarray, n) -> None:
-        bad = ~(np.isfinite(p) & (p >= 0)).all(-1)
-        if bad.any():
+        ok = np.isfinite(p) & (p >= 0)
+        # one flat test; the row-wise reduction, slow over a length-A last
+        # axis, only names the first bad index
+        if not ok.all():
             raise ValueError("non-finite or negative mass in marginal at "
-                             f"index {_first_at(n, bad)}")
+                             f"index {_first_at(n, ~ok.all(-1))}")
         # column adds: the same floats as a row sum for short rows, without
         # numpy's slow reduction over a length-A last axis
         s = p[..., 0].copy()

@@ -16,6 +16,7 @@ from numpy.random import Generator, Philox
 
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # doubles per Philox counter block
+_DENSITY_BLOCK = 1 << 16   # coordinates per block of a density window
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,20 @@ def _piecewise_inverse_cdf(edges: np.ndarray, vals: np.ndarray,
 
 def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
                           label: str = "density") -> Window:
-    """Coordinate n sampled by exact inverse CDF of the density at n."""
+    """Coordinate n sampled by exact inverse CDF of the density at n.
+
+    Read in blocks of ``_DENSITY_BLOCK`` coordinates: a coordinate's
+    uniform, table row and inverse CDF depend on its index alone, so the
+    blocks give the one-shot window and hold one block's temporaries."""
     lo, _ = span
     length = _span_length(span)
-    u = seeds.uniforms(label, lo, length)[:, 0]
-    return Window(lo, _piecewise_inverse_cdf(
-        *d.table(np.arange(lo, lo + length)), u))
+    values = np.empty(length)
+    for c in range(0, length, _DENSITY_BLOCK):
+        k = min(_DENSITY_BLOCK, length - c)
+        u = seeds.uniforms(label, lo + c, k)[:, 0]
+        values[c:c + k] = _piecewise_inverse_cdf(
+            *d.table(np.arange(lo + c, lo + c + k)), u)
+    return Window(lo, values)
 
 
 def sample_density_iid(d, n: int, count: int, seeds: SeedStream,

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import parse_plot_data
-from shiftlab import DensityFamily, SeedStream, sample_density_window
+from oracles import parse_plot_data, ratio_draws_oracle
+from shiftlab import (DensityFamily, HMapSpec, SeedStream,
+                      sample_density_window)
 from shiftlab import cli
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
@@ -361,6 +362,76 @@ class TestTypeIIIRatios:
                for m in json.loads(capsys.readouterr().out)["metrics"]}
         assert got == {"lattice_deviation": (0.0, True),
                        "sampled_ratios": (samples, True)}
+
+
+class TestRatioDraws:
+    """`typeiii ratios` reads its draws from raw Philox words; the scalar
+    calls of `ratio_draws_oracle` are the reference, bit for bit.  A
+    numpy whose Generator reads its words differently fails here."""
+
+    PIECES = HMapSpec(0.25, 0.5).support_pieces()
+
+    @staticmethod
+    def rng(seed):
+        return SeedStream(seed).generator("typeiii-ratios")
+
+    def assert_same_draws(self, got, want):
+        assert [a.dtype for a in got] == [np.int64, np.float64]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    # 1 draws no index, 2^31 + 1 redraws about half its indices and
+    # 5e9 goes through the 64-bit bounded draw
+    @pytest.mark.parametrize("n_max", [1, 2, 30, 2**31 + 1, 5 * 10**9])
+    @pytest.mark.parametrize("samples", [1, cli._DRAW_BLOCK,
+                                         cli._DRAW_BLOCK + 1, 20000])
+    def test_equals_scalar_calls(self, n_max, samples):
+        for seed in (0, 3, 7):
+            self.assert_same_draws(
+                cli._ratio_draws(self.rng(seed), n_max, self.PIECES, samples),
+                ratio_draws_oracle(self.rng(seed), n_max, self.PIECES,
+                                   samples))
+
+    @pytest.mark.parametrize("n_max", [2, 30, 2**31 + 1])
+    def test_pending_half_word(self, n_max):
+        # one 32-bit draw leaves the high half of its word pending, and the
+        # generator hands that half out next
+        got, want = self.rng(5), self.rng(5)
+        got.integers(0, 30)
+        want.integers(0, 30)
+        assert got.bit_generator.state["has_uint32"] == 1
+        self.assert_same_draws(
+            cli._ratio_draws(got, n_max, self.PIECES, cli._DRAW_BLOCK + 1),
+            ratio_draws_oracle(want, n_max, self.PIECES, cli._DRAW_BLOCK + 1))
+        # and the generators are left in the same state
+        assert [got.integers(0, 30) for _ in range(3)] == \
+            [want.integers(0, 30) for _ in range(3)]
+
+    @pytest.mark.parametrize("n, samples, scalar_calls",
+                             [("30", "20000", 0), ("1", "50", 3 * 50)])
+    def test_scalar_calls_only_off_the_raw_layout(self, tmp_path, monkeypatch,
+                                                  n, samples, scalar_calls):
+        # the benchmark's command line makes no per-sample scalar draw;
+        # --n 1, which draws no index, counts every scalar call
+        calls = []
+        generator = SeedStream.generator
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def integers(self, *args):
+                calls.append("integers")
+                return self.rng.integers(*args)
+
+            def uniform(self, *args):
+                calls.append("uniform")
+                return self.rng.uniform(*args)
+
+        monkeypatch.setattr(SeedStream, "generator",
+                            lambda self, *a: Counted(generator(self, *a)))
+        assert run_cli(tmp_path, *TYPEIII, "--seed", "7", "--n", n,
+                       "--samples", samples) == EXIT_OK
+        assert len(calls) == scalar_calls
 
 
 class TestIndexScan:

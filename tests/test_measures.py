@@ -457,3 +457,13 @@ class TestInvariants:
             marginals=lambda n: (-0.1, 1.1))
         with pytest.raises(ValueError, match="negative"):
             bad.table(0)
+
+    def test_non_finite_mass_names_the_offending_row(self):
+        from shiftlab import FiniteProductMeasure
+        bad = FiniteProductMeasure(
+            alphabet=(0, 1),
+            marginals=lambda n: np.where((n >= 1)[..., None],
+                                         (np.inf, 0.5), (0.5, 0.5)))
+        with pytest.raises(ValueError, match=r"non-finite or negative mass "
+                           r"in marginal at index 1$"):
+            bad.block(-2, 5)

@@ -8,9 +8,11 @@ from scipy import stats
 
 from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
+                      mix_disjoint, shift_family,
                       sample_conditioned_filler, sample_density_iid,
                       sample_density_window, sample_window)
 from shiftlab.markers import find_marker_starts
+from shiftlab.sampling import _DENSITY_BLOCK, _piecewise_inverse_cdf
 from shiftlab.stattests import chi_square_pooled
 
 ALPHA = 0.001  # conservative significance for the statistical checks
@@ -108,6 +110,19 @@ class TestSampleDensityWindow:
         w1 = sample_density_window(fam, (2, 40), SeedStream(1))
         w2 = sample_density_window(fam, (2, 40), SeedStream(1))
         assert np.array_equal(w1.values, w2.values)
+
+    def test_blocks_equal_one_shot(self):
+        # more than one block, a ragged last block and a negative start
+        f = f_family(TypeIIISpec(0.4))
+        fam = mix_disjoint(f, shift_family(f, -1.0))
+        lo, length = -1000, 2 * _DENSITY_BLOCK + 77
+        seeds = SeedStream(11)
+        w = sample_density_window(fam, (lo, lo + length - 1), seeds)
+        one_shot = _piecewise_inverse_cdf(
+            *fam.table(np.arange(lo, lo + length)),
+            seeds.uniforms("density", lo, length)[:, 0])
+        assert w.start == lo
+        assert w.values.tobytes() == one_shot.tobytes()
 
     def test_inverse_cdf_is_exact_on_pieces(self):
         # closed-form check: a two-piece density with masses 0.25 / 0.75
