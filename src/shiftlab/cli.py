@@ -279,8 +279,9 @@ def _ratio_draws(rng, n_max: int, pieces: list, samples: int):
     ``(u * bound) >> 32``, drawn again while the product's low 32 bits are
     below ``(2^32 - bound) % bound``.  A uniform takes a whole word w as
     ``lo + (hi - lo) * ((w >> 11) * 2^-53)``.  So with 1 < n_max <= 2^32
-    a round reads two words unless a draw is redrawn; a block where that
-    does not hold is drawn with the scalar calls from its saved state.
+    a round reads two words unless a draw is redrawn or a half is already
+    pending; a block where that does not hold is drawn with the scalar
+    calls from its saved state.
     """
     ns, vs = np.empty(samples, dtype=np.int64), np.empty(samples)
     lows = np.array([lo for lo, _ in pieces])
@@ -305,19 +306,12 @@ def _ratio_draws(rng, n_max: int, pieces: list, samples: int):
 
 def _raw_ratio_draws(bg, n_max: int, n_pieces: int, k: int):
     """``k`` rounds read from ``2 k`` raw words: the indices, the piece
-    numbers and the unit uniforms, or None if a bounded draw would be
-    drawn again."""
+    numbers and the unit uniforms, or None if the generator holds a
+    pending 32-bit half or a bounded draw would be drawn again."""
+    if bg.state["has_uint32"]:
+        return None
     w = bg.random_raw(2 * k)
     low, high = w[0::2] & 0xFFFFFFFF, w[0::2] >> 32
-    state = bg.state
-    if state["has_uint32"]:
-        # a half is pending: the index takes it, the piece the low half of
-        # the fresh word, whose high half is pending for the next round
-        pending = np.roll(high, 1)
-        pending[0] = state["uinteger"]
-        state["uinteger"] = int(high[-1])
-        bg.state = state
-        low, high = pending, low
     draws = []
     for u32, bound in ((low, n_max), (high, n_pieces)):
         m = u32 * np.uint64(bound)
