@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from . import factor as factor_mod
-from . import markers, matching, measures, speedups, typeiii
-from .sampling import SeedStream, sample_window
+from . import measures, speedups, typeiii
+from .sampling import SeedStream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -227,18 +227,13 @@ def _cmd_factor(cfg: RunConfig) -> Report:
 
 def _cmd_match(cfg: RunConfig) -> Report:
     m = measures.parse_measure(cfg.params["measure"])
-    n = cfg.params["n"]
-    seeds = SeedStream(cfg.seed)
-    w = sample_window(m, (0, n - 1), seeds, label="match-input")
+    w, q, d, assignment = factor_mod.match_window(
+        m, (0, cfg.params["n"] - 1), SeedStream(cfg.seed), "match-input")
     artifacts = []
     if cfg.params.get("dump_window"):
         artifacts.append(write_csv(
             cfg.out_dir / str(cfg.params["dump_window"]), ("index", "value"),
             (np.arange(w.start, w.stop), w.values)))
-    zprime = matching.special_sequence(markers.decompose(w))
-    q = markers.good_prob_lower(m, (0, n - 1))
-    d = matching.required_d(q)
-    assignment = matching.meshalkin_match(zprime, d)
     a_indices = assignment.a_indices
     out_rows = write_csv(
         cfg.out_dir / "matching_assignment.csv",

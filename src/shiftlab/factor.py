@@ -1,8 +1,8 @@
 """End-to-end i.i.d. factor construction for binary product windows.
 
 Stages:
-  1. special fillers carry one fair bit each (1 for content 10, 0 for 01):
-     row k of a decomposition's ``special`` array is (position, bit);
+  1. special fillers carry one fair bit each (1 for content 10, 0 for 01),
+     the window's symbol at the filler's start, which the matching's a's list;
   2. each fair bit is expanded into d+1 low-entropy bits by a
      bounded-window code whose bias beta follows from the capacity d alone,
      (d+1) H(beta) = log 2;
@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stattests
-from .markers import MarkerDecomposition, decompose, good_prob_lower
+from .markers import GOOD_WIDTH, decompose, good_prob_lower
 from .matching import (MatchingAssignment, meshalkin_match, required_d,
                        special_sequence)
 from .measures import FiniteProductMeasure, ZeroMassError, block_rows
-from .sampling import SeedStream, Window, sample_window
+from .sampling import SeedStream, Window, sample_block
 
 LOG2 = math.log(2.0)
 BALANCE_TOL = 1e-10   # |(d+1) H(beta0) - log 2| a split code may leave
@@ -152,8 +152,8 @@ def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
 
 def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
               seeds: SeedStream) -> SplitTuples:
-    """Expand each fair bit (``dec.special[:, 1]``) into a (d+1)-tuple of
-    beta0-biased bits.
+    """Expand each fair bit (a special filler's first symbol) into a tuple of
+    d+1 beta0-biased bits.
 
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
@@ -174,17 +174,17 @@ def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
     return SplitTuples(tuples, valid)
 
 
-def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
+def spread_bits(w: Window, assignment: MatchingAssignment,
                 split: SplitTuples) -> Window:
-    """Hand one coded bit to every matched integer.
+    """Hand one coded bit to every matched integer of the window ``w``.
 
     The special filler of rank k among the matching's a's keeps bit 0 of
     tuple k; its matched partners take the bits of their matching slots
     1, 2, ..., in ascending index order.
     Positions with no resolved source are censored and encoded as -1.
     """
-    start = dec.start
-    out = np.full(dec.length, -1, dtype=np.int8)
+    start = w.start
+    out = np.full(len(w), -1, dtype=np.int8)
 
     if assignment.d > split.tuples.shape[1] - 1:
         raise AssertionError("matching capacity exceeds tuple width - 1")
@@ -202,6 +202,21 @@ def spread_bits(dec: MarkerDecomposition, assignment: MatchingAssignment,
     return Window(start, out)
 
 
+def match_window(m: FiniteProductMeasure, span: tuple[int, int],
+                 seeds: SeedStream, label: str) -> tuple:
+    """(w, q, d, assignment): the window ``span`` sampled from ``label``,
+    q = ``good_prob_lower`` on it, d = required_d(q) and the matching of
+    w's special sequence at d, from one marginal block over the span and
+    the 7 indices after it, dropped before ``decompose``."""
+    lo, hi = span
+    p = m.block(lo, hi - lo + GOOD_WIDTH)
+    q = good_prob_lower(p, lo, span)
+    w = sample_block(m.alphabet, p[:hi - lo + 1], lo, seeds, label)
+    del p
+    d = required_d(q)
+    return w, q, d, meshalkin_match(special_sequence(decompose(w)), d)
+
+
 @dataclass(frozen=True)
 class FactorResult:
     output: Window
@@ -211,18 +226,14 @@ class FactorResult:
 def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
                    seeds: SeedStream,
                    radius: int = DEFAULT_RADIUS) -> FactorResult:
-    """Compose the full factor map on a sampled window and report
-    diagnostics: q, d, beta0, censoring fraction and the three-part
-    uniformity suite on the interior output."""
-    q = good_prob_lower(m, span)
-    d = required_d(q)
+    """Compose the full factor map on the window ``match_window`` samples
+    and report diagnostics: q, d, beta0, censoring fraction and the
+    three-part uniformity suite on the interior output."""
+    w, q, d, assignment = match_window(m, span, seeds, "factor-input")
     spec = SplitCodeSpec(d, radius)
-
-    w = sample_window(m, span, seeds, label="factor-input")
-    dec = decompose(w)
-    assignment = meshalkin_match(special_sequence(dec), d)
-    split = psi_split(dec.special[:, 1], spec, seeds)
-    out = spread_bits(dec, assignment, split)
+    a_pos = assignment.a_positions   # the special fillers' starts
+    split = psi_split(w.values[a_pos - w.start], spec, seeds)
+    out = spread_bits(w, assignment, split)
 
     n = len(out)
     margin = max(1, int(INTERIOR_FRACTION * n))
@@ -234,7 +245,7 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
         "d": d,
         "beta0": spec.beta0,
         "radius": radius,
-        "specials": int(len(dec.special)),
+        "specials": int(len(a_pos)),
         "censor_fraction": float((out.values < 0).mean()),
         "interior_bits": int(len(inner)),
         "tests": tests,

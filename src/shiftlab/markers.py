@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import block_rows
+
 MARKER = (0, 1, 1)
 GOOD_BLOCKS = ((0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 0, 0, 1, 1))
 GOOD_WIDTH = 8
@@ -104,22 +106,23 @@ def good_intervals(w, offset: int = 0) -> np.ndarray:
     return starts[ok]
 
 
-def good_prob_lower(m, span: tuple[int, int]) -> float:
-    """Infimum over block starts in the inclusive range of the exact
-    product-measure probability that the 8-block there is good; a
-    non-binary measure, or a zero mass on the range (no Doeblin bound), is
-    refused."""
-    if len(m.alphabet) != 2:
+def good_prob_lower(p: np.ndarray, lo: int, span: tuple[int, int]) -> float:
+    """Infimum over the block starts in ``span`` of the exact probability
+    that the 8-block there is good, from a marginal block whose row 0 is
+    index ``lo``; a non-binary block, or a zero mass at a start (no Doeblin
+    bound), is refused."""
+    if p.shape[1] != 2:
         raise ValueError(f"good blocks need a two-symbol alphabet, not "
-                         f"{len(m.alphabet)} symbols")
-    lo, hi = span
-    n = hi - lo + 1
+                         f"{p.shape[1]} symbols")
+    first, last = span
+    n = last - first + 1
+    rows = block_rows(p, lo, first, last + GOOD_WIDTH - 1)
     # one contiguous copy per symbol, so each factor is a unit-stride slice
-    cols = [c.copy() for c in m.block(lo, n + GOOD_WIDTH - 1).T]
+    cols = [c.copy() for c in rows.T]
     zero = np.flatnonzero((cols[0][:n] <= 0.0) | (cols[1][:n] <= 0.0))
     if len(zero):
         raise ValueError("measure violates the Doeblin condition at index "
-                         f"{lo + int(zero[0])}")
+                         f"{first + int(zero[0])}")
     q = np.zeros(n)
     for g in GOOD_BLOCKS:
         prod = np.ones(n)

@@ -36,21 +36,15 @@ class SeedStream:
         digest = hashlib.blake2b(payload, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
-    def uniforms(self, label: str, start: int, count: int,
-                 per_coord: int = 1) -> np.ndarray:
-        """Uniform[0,1) draws aligned to coordinates start..start+count-1.
-
-        ``per_coord`` (at most 4) values are produced per coordinate, all
-        from that coordinate's own counter block, so overlapping requests
-        agree wherever their coordinates overlap.
-        """
-        if not 1 <= per_coord <= _BLOCK:
-            raise ValueError("per_coord must be in 1..4")
+    def uniforms(self, label: str, start: int, count: int) -> np.ndarray:
+        """Uniform[0,1) draws at coordinates start..start+count-1, the first
+        double of each one's own counter block, so overlapping requests
+        agree; shape (count, 1), as the benchmark's window check reads it."""
         bg = Philox(key=self._key(label))
         bg.advance(start + _COUNTER_OFFSET)
         u = Generator(bg).random(count * _BLOCK)
         # a copy, so the whole (count, 4) block is freed on return
-        return u.reshape(count, _BLOCK)[:, :per_coord].copy()
+        return u.reshape(count, _BLOCK)[:, :1].copy()
 
     def generator(self, label: str, index: int = 0) -> Generator:
         """A bulk generator for sequential use (rejection loops, MC)."""
@@ -91,20 +85,23 @@ def _span_length(span: tuple[int, int]) -> int:
 def sample_window(m, span: tuple[int, int], seeds: SeedStream,
                   label: str = "window") -> Window:
     """Independent coordinates, coordinate n distributed per marginal(n)."""
-    lo, _ = span
-    length = _span_length(span)
-    u = seeds.uniforms(label, lo, length)[:, 0]
-    p = m.block(lo, length)
+    return sample_block(m.alphabet, m.block(span[0], _span_length(span)),
+                        span[0], seeds, label)
+
+
+def sample_block(alphabet: tuple, p: np.ndarray, lo: int,
+                 seeds: SeedStream, label: str) -> Window:
+    """The window over a marginal block ``p`` whose row 0 is index ``lo``:
+    coordinate lo + i is row i's inverse CDF at its uniform in ``label``."""
+    u = seeds.uniforms(label, lo, len(p))[:, 0]
     if p.shape[1] == 2:
         sym = (u >= p[:, 0]).astype(np.int64)
     else:
         cdf = np.cumsum(p, axis=1)
         sym = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
-    if m.alphabet == tuple(range(len(m.alphabet))):
-        values = sym
-    else:
-        values = np.array([m.alphabet[s] for s in sym])
-    return Window(lo, values)
+    if alphabet != tuple(range(len(alphabet))):
+        sym = np.asarray(alphabet)[sym]
+    return Window(lo, sym)
 
 
 def _piecewise_inverse_cdf(edges: np.ndarray, vals: np.ndarray,

@@ -27,9 +27,10 @@ def sha256_of(path):
 
 
 class TestBlockReads:
-    """Each command evaluates its measure's marginals as few times as its
-    stages need: once for `measure check`, once to bound q and once to
-    sample for `factor run`."""
+    """Each command evaluates its measure's marginals in one block: for
+    `measure check` over every index its sums read, and for `factor run`
+    and `match run` over the window and the 7 indices after it, which the
+    bound q reads."""
 
     @pytest.fixture
     def block_calls(self, monkeypatch):
@@ -56,11 +57,12 @@ class TestBlockReads:
                        "mu:0.3,0.5", "--n", "10000", *ks) == EXIT_OK
         assert block_calls == [(lo, hi - lo + 1)]
 
-    def test_factor_run_reads_two_blocks(self, tmp_path, capsys,
-                                         block_calls):
-        run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
+    @pytest.mark.parametrize("command", ["factor", "match"])
+    def test_window_command_reads_one_block(self, tmp_path, capsys,
+                                            block_calls, command):
+        run_cli(tmp_path, command, "run", "--measure", "nu_c:0.1",
                 "--n", "2000")
-        assert len(block_calls) == 2
+        assert block_calls == [(0, 2007)]
 
 
 class TestMeasureCheck:
@@ -219,6 +221,19 @@ class TestMatchRun:
                        "--n", "1000")
         assert code == EXIT_CONFIG
         assert "Doeblin condition at index 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", ["iid:0.3", "nu_c:0.1",
+                                         "mu:0.3,0.5"])
+    def test_q_and_d_agree_with_factor_run(self, tmp_path, capsys,
+                                           measure):
+        got = []
+        for command in ("factor", "match"):
+            run_cli(tmp_path, command, "run", "--measure", measure,
+                    "--n", "3000")
+            metrics = {m["name"]: m for m in
+                       json.loads(capsys.readouterr().out)["metrics"]}
+            got.append((metrics["q"]["value"], metrics["d"]["value"]))
+        assert got[0] == got[1]
 
 
 class TestWindowDump:

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from shiftlab import (SeedStream, SequenceSpec, SplitCodeSpec, Window,
                       meshalkin_match, parse_measure, psi_split, required_d,
                       run_iid_factor, sample_window, special_sequence,
                       spread_bits)
+from shiftlab import factor
 from shiftlab.factor import (LOG2, _decode_tuples, bias_square_terms,
-                             binary_entropy)
+                             binary_entropy, match_window)
 from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
                                sum_with_tail)
 from shiftlab.stattests import serial_correlations, uniformity_suite
@@ -204,7 +206,7 @@ def run_stages(w: Window, q: float, radius: int = 16):
     assignment = meshalkin_match(special_sequence(dec), d)
     split = psi_split(dec.special[:, 1], SplitCodeSpec(d, radius),
                       SeedStream(7))
-    return spread_bits(dec, assignment, split)
+    return spread_bits(w, assignment, split)
 
 
 class TestSpreadBits:
@@ -226,7 +228,8 @@ class TestSpreadBits:
 
     def test_output_values_are_bits_or_censored(self):
         w = sample_window(iid_binary(0.5), (0, 20000), SeedStream(4))
-        out = run_stages(w, q=good_prob_lower(iid_binary(0.5), (0, 20000)))
+        q = good_prob_lower(iid_binary(0.5).block(0, 20008), 0, (0, 20000))
+        out = run_stages(w, q=q)
         assert set(np.unique(out.values)) <= {-1, 0, 1}
 
 
@@ -243,6 +246,42 @@ class TestUniformitySuiteSmallInputs:
         assert by_name["serial_correlation"]["reason"]
         if len(bits) < 3:
             assert by_name["chi_square_3_blocks"]["reason"]
+
+
+class TestMatchWindow:
+    def test_window_equals_sample_window(self):
+        m, span = make_nu_c(0.1), (-50, 949)
+        w = match_window(m, span, SeedStream(5), "x")[0]
+        ref = sample_window(m, span, SeedStream(5), "x")
+        assert w.start == ref.start
+        assert np.array_equal(w.values, ref.values)
+
+    def test_drops_block_and_decomposition(self, monkeypatch):
+        # holding the block through decompose, or the decomposition
+        # through the matching, raises the commands' peak memory
+        refs = {}
+
+        def kept(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                refs[name] = weakref.ref(out)
+                return out
+            return wrapper
+
+        def after_release(name, fn):
+            def wrapper(*args):
+                assert refs[name]() is None, f"{name} still alive"
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(FiniteProductMeasure, "block",
+                            kept("block", FiniteProductMeasure.block))
+        monkeypatch.setattr(factor, "decompose", after_release(
+            "block", kept("dec", factor.decompose)))
+        monkeypatch.setattr(factor, "meshalkin_match",
+                            after_release("dec", factor.meshalkin_match))
+        match_window(make_nu_c(0.1), (0, 999), SeedStream(7), "x")
+        assert set(refs) == {"block", "dec"}
 
 
 class TestRunIidFactor:
@@ -282,7 +321,7 @@ class TestRunIidFactor:
 
     def test_pipeline_translation_equivariance(self):
         m = iid_binary(0.3)
-        q = good_prob_lower(m, (0, 29999))
+        q = good_prob_lower(m.block(0, 30007), 0, (0, 29999))
         w = sample_window(m, (0, 29999), SeedStream(6))
         out0 = run_stages(w, q)
         out1 = run_stages(w.shifted(35), q)

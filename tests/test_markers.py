@@ -201,22 +201,31 @@ class TestGoodProb:
 
     def test_lower_bound_over_range(self):
         m = make_nu_c(0.2)
-        q = good_prob_lower(m, (-50, 50))
+        q = good_prob_lower(m.block(-50, 108), -50, (-50, 50))
         probe = min(good_prob(m, i) for i in range(-50, 51))
         assert q == pytest.approx(probe, rel=1e-12)
 
     def test_lower_bound_refuses_non_binary(self):
         # read as binary, columns 0 and 1 of this measure give q = 3.9e-05
         with pytest.raises(ValueError, match="two-symbol"):
-            good_prob_lower(iid([0.2, 0.3, 0.5]), (0, 999))
+            good_prob_lower(iid([0.2, 0.3, 0.5]).block(0, 1007), 0, (0, 999))
 
     def test_lower_bound_refuses_zero_mass(self):
-        m = FiniteProductMeasure(
-            alphabet=(0, 1),
-            marginals=lambda n: np.where((n == 5)[..., None],
-                                         (1.0, 0.0), (0.5, 0.5)))
-        with pytest.raises(ValueError, match="Doeblin condition at index 5"):
-            good_prob_lower(m, (0, 99))
+        # a block starting at -20 names -3 by its index, not its row
+        for lo, hi, index in ((0, 99, 5), (-20, 19, -3)):
+            m = FiniteProductMeasure(
+                alphabet=(0, 1),
+                marginals=lambda n: np.where((n == index)[..., None],
+                                             (1.0, 0.0), (0.5, 0.5)))
+            with pytest.raises(ValueError,
+                               match=f"Doeblin condition at index {index}$"):
+                good_prob_lower(m.block(lo, hi - lo + 8), lo, (lo, hi))
+
+    def test_lower_bound_refuses_short_block(self):
+        # the block starting at the last start needs rows up to hi + 7
+        p = make_nu_c(0.2).block(0, 103)
+        with pytest.raises(ValueError, match="misses 103 .. 106$"):
+            good_prob_lower(p, 0, (0, 99))
 
 
 class TestLinearGrowthOfSpecials:
@@ -227,7 +236,7 @@ class TestLinearGrowthOfSpecials:
         N = 10 ** 5
         w = sample_window(m, (0, N - 1), SeedStream(71))
         count = len(decompose(w).special)
-        q = good_prob_lower(m, (0, N - 1))
+        q = good_prob_lower(m.block(0, N + 7), 0, (0, N - 1))
         mean_lb = q / 8 * N
         sigma = math.sqrt(N / 8 * q * (1 - q))
         assert count >= mean_lb - 4 * sigma

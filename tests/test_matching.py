@@ -310,7 +310,7 @@ class TestPartnerSlots:
             split = psi_split(np.resize(bits, k), SplitCodeSpec(2, radius=1),
                               SeedStream(7))
             with pytest.raises(AssertionError, match=f"{k} tuples for 4"):
-                spread_bits(dec, assignment, split)
+                spread_bits(w, assignment, split)
 
     def test_tuple_exhaustion(self):
         # one partner, but handed the slot past the last bit of the tuple
