@@ -12,16 +12,16 @@ from .sampling import (SeedStream, Window, sample_conditioned_filler,
                        sample_window)
 from .markers import (MarkerDecomposition, decompose, good_intervals,
                       good_prob_lower)
-from .matching import (ABSequence, MatchingAssignment, dominates,
-                       flip_coupling, good_block_sequence, meshalkin_match,
-                       required_d, special_sequence)
+from .matching import (MatchingAssignment, dominates, flip_coupling,
+                       good_block_sequence, meshalkin_match, required_d,
+                       special_sequence)
 from .factor import (FactorResult, SplitCodeSpec, SplitTuples, beta_for,
                      psi_split, run_iid_factor, spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       g_family, h_apply, lift_lambda_on_negative,
                       mix_disjoint, ratio_profile, safe_zone,
                       shift_family)
-from .speedups import (BlockedWindow, block_kakutani_sum, de_interleave,
-                       dissipativity_partial, eta_marginal, gamma_marginal,
-                       hellinger_S, index_report, kappa_marginal,
-                       pi_interleave, rpm_scaling_identity, unblock, zeta)
+from .speedups import (block_kakutani_sum, dissipativity_partial,
+                       eta_marginal, hellinger_S, index_report,
+                       kappa_marginal, pi_interleave, rpm_scaling_identity,
+                       zeta)

@@ -240,8 +240,9 @@ def _cmd_match(cfg: RunConfig) -> Report:
         ("b_index", "a_index", "round"),
         (assignment.b_indices, a_indices, assignment.rounds))
 
-    dist = a_indices - assignment.b_indices
-    hist = np.bincount(dist) if len(dist) else np.zeros(1, int)
+    # a_indices is a fresh array, so it becomes the radii in place
+    a_indices -= assignment.b_indices
+    hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
     art2 = emit_plot_data(
         {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
         cfg.out_dir / "radius_histogram.csv")

@@ -5,7 +5,8 @@ immediately followed (among survivors) by a surviving a is matched to it;
 matched b's leave, and a's that have reached their capacity d leave.
 Rounds repeat until nothing matches.  Within a finite window a b that is
 still unmatched at the fixpoint is censored (its resolution may depend on
-symbols beyond the edge), not failed.
+symbols beyond the edge), not failed.  An {a, b} sequence is a
+``Window`` of bools, True where an a sits.
 
 The scheme is bracket matching, with each b a "(" and each a d copies of
 ")", so ``meshalkin_match`` computes it in one left-to-right scan over a
@@ -30,26 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markers import MarkerDecomposition, good_intervals
-
-
-@dataclass(frozen=True)
-class ABSequence:
-    """A finite {a, b}-valued sequence anchored at an integer index:
-    ``isa[i]`` is True where index start + i holds an a."""
-
-    start: int
-    isa: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.isa)
-
-    @classmethod
-    def from_letters(cls, start: int, word: str) -> "ABSequence":
-        """The sequence written in the paper's notation, e.g. "abba"."""
-        if set(word) - {"a", "b"}:
-            raise ValueError("word must be over {a, b}")
-        isa = np.frombuffer(word.encode(), dtype=np.uint8) == ord("a")
-        return cls(start, isa)
+from .sampling import Window
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,7 @@ def required_d(q: float) -> int:
     return r if math.isclose(v, r, rel_tol=0, abs_tol=1e-9) else math.ceil(v)
 
 
-def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
+def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     """Match as brackets in one left-to-right scan.
 
     The stack holds runs ``[lo, hi, carry]`` of unmatched b's, nearest on
@@ -125,7 +107,7 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
     """
     if d < 1:
         raise ValueError("capacity d must be positive")
-    isa = z.isa
+    isa = z.values
     stack: list[list[int]] = []
     a_pos = np.flatnonzero(isa)
     # one row per slice [lo, hi) the a of rank r takes from a run, after
@@ -189,34 +171,34 @@ def meshalkin_match(z: ABSequence, d: int) -> MatchingAssignment:
     return assignment
 
 
-def dominates(z: ABSequence, z2: ABSequence) -> bool:
+def dominates(z: Window, z2: Window) -> bool:
     """True iff z2 dominates z: every a of z is an a of z2 (same range)."""
-    if z.start != z2.start or len(z) != len(z2):
+    if z.span != z2.span:
         raise ValueError("sequences must share an index range")
-    return bool(np.all(~z.isa | z2.isa))
+    return bool(np.all(~z.values | z2.values))
 
 
-def flip_coupling(z: ABSequence, prob: float, rng: np.random.Generator) -> ABSequence:
+def flip_coupling(z: Window, prob: float, rng: np.random.Generator) -> Window:
     """Monotone coupling: flip each b of z to a independently with the given
     probability.  The result dominates z by construction."""
-    isa = z.isa.copy()
+    isa = z.values.copy()
     bs = np.flatnonzero(~isa)
     isa[bs[rng.random(len(bs)) < prob]] = True
-    return ABSequence(z.start, isa)
+    return Window(z.start, isa)
 
 
-def special_sequence(dec: MarkerDecomposition) -> ABSequence:
+def special_sequence(dec: MarkerDecomposition) -> Window:
     """The {a, b} sequence the pipelines match: an a at every non-censored
     special-filler initial index of the decomposed window."""
     isa = np.zeros(dec.length, dtype=bool)
     isa[dec.special[:, 0] - dec.start] = True
-    return ABSequence(dec.start, isa)
+    return Window(dec.start, isa)
 
 
-def good_block_sequence(w) -> ABSequence:
+def good_block_sequence(w: Window) -> Window:
     """The sequence of Lemma 8: an a only at the positions 8n + 3 that sit
     inside a good 8-block of the offset-0 partition.  The special-filler
     sequence of the same window dominates it."""
     isa = np.zeros(len(w.values), dtype=bool)
     isa[good_intervals(w, offset=0) + 3 - w.start] = True
-    return ABSequence(w.start, isa)
+    return Window(w.start, isa)

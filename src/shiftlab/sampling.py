@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # doubles per Philox counter block
-_DENSITY_BLOCK = 1 << 16   # coordinates per block of a density window
+_DENSITY_BLOCK = 1 << 16   # coordinates per block of a uniform or density read
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,17 @@ class SeedStream:
     def uniforms(self, label: str, start: int, count: int) -> np.ndarray:
         """Uniform[0,1) draws at coordinates start..start+count-1, the first
         double of each one's own counter block, so overlapping requests
-        agree; shape (count, 1), as the benchmark's window check reads it."""
+        agree; shape (count, 1), as the benchmark's window check reads it.
+        Drawn ``_DENSITY_BLOCK`` coordinates at a time, so only one block's
+        four doubles per coordinate are held at once."""
         bg = Philox(key=self._key(label))
         bg.advance(start + _COUNTER_OFFSET)
-        u = Generator(bg).random(count * _BLOCK)
-        # a copy, so the whole (count, 4) block is freed on return
-        return u.reshape(count, _BLOCK)[:, :1].copy()
+        gen = Generator(bg)
+        u = np.empty((count, 1))
+        for c in range(0, count, _DENSITY_BLOCK):
+            k = min(_DENSITY_BLOCK, count - c)
+            u[c:c + k, 0] = gen.random(k * _BLOCK)[::_BLOCK]
+        return u
 
     def generator(self, label: str, index: int = 0) -> Generator:
         """A bulk generator for sequential use (rejection loops, MC)."""

@@ -29,28 +29,10 @@ SUPPORT_MULT = 10   # perturbation support, in multiples of the largest lag
 DIAG_K = 100        # lag range of the index scan's diagnostics
 
 
-@dataclass(frozen=True)
-class BlockedWindow:
-    """A window over the k-block alphabet; block n holds k base symbols."""
-
-    start: int
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        if self.blocks.ndim != 2:
-            raise ValueError("blocks must be an (N, k) array")
-
-    @property
-    def k(self) -> int:
-        return self.blocks.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def zeta(w: Window, k: int) -> BlockedWindow:
+def zeta(w: Window, k: int) -> Window:
     """Group coordinates kn .. kn+k-1 into block n (trimming the window to
-    whole blocks)."""
+    whole blocks): a window over the k-block alphabet, whose values row n
+    holds block n's k base symbols."""
     if k < 1:
         raise ValueError("k must be positive")
     lo, hi = w.span
@@ -59,24 +41,16 @@ def zeta(w: Window, k: int) -> BlockedWindow:
     rel = n_lo * k - lo
     count = max(n_hi - n_lo + 1, 0)
     vals = np.asarray(w.values)[rel:rel + count * k]
-    return BlockedWindow(n_lo, vals.reshape(count, k))
+    return Window(n_lo, vals.reshape(count, k))
 
 
-def unblock(bw: BlockedWindow) -> Window:
-    return Window(bw.start * bw.k, bw.blocks.reshape(-1))
-
-
-def pi_interleave(ws: list[Window]) -> BlockedWindow:
+def pi_interleave(ws: list[Window]) -> Window:
     """Block n = (x_n^1, ..., x_n^k) from k windows over the same range."""
     spans = {w.span for w in ws}
     if len(spans) != 1:
         raise ValueError("windows must share an index range")
     vals = np.stack([np.asarray(w.values) for w in ws], axis=1)
-    return BlockedWindow(ws[0].start, vals)
-
-
-def de_interleave(bw: BlockedWindow) -> list[Window]:
-    return [Window(bw.start, bw.blocks[:, i].copy()) for i in range(bw.k)]
+    return Window(ws[0].start, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +74,6 @@ def kappa_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     _check_width(k)
     p0 = np.full(k, m.block(k * n, 1)[0, 0])
     return block_law(p0, 1.0 - p0)
-
-
-def gamma_marginal(spec: SequenceSpec, c: float, k: int, n: int) -> np.ndarray:
-    """Marginal of the k-dilated family: p + c a_{kn}, clamped like the
-    base family."""
-    m0 = spec.marginal_zero(k * n, c)
-    return np.array([m0, 1.0 - m0])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import ABSequence, meshalkin_match
+from .matching import meshalkin_match
 from .measures import DensityFamily, log_damped
 from .sampling import Window
 
@@ -234,7 +234,7 @@ def erase_negative_side(w: Window,
     shares = _digit_shares(t, d + 1, bits_per)
     scale = float(1 << bits_per)
 
-    assignment = meshalkin_match(ABSequence(0, is_safe), d)
+    assignment = meshalkin_match(Window(0, is_safe), d)
 
     replaced = np.full(len(neg_pos), np.nan)
     replaced[is_safe] = -1.0 + (shares[:, 0] + 0.5) / scale

@@ -6,14 +6,36 @@ import math
 from collections import Counter
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
 from shiftlab.measures import ZeroMassError
+from shiftlab.sampling import _BLOCK, _COUNTER_OFFSET, Window
 from shiftlab.stattests import chi_square_pooled
 from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 
 
+# -- sampling -----------------------------------------------------------------
+
+def uniforms_oneshot(seeds, label: str, start: int, count: int) -> np.ndarray:
+    """``SeedStream.uniforms`` in one read: all four doubles of every
+    coordinate's counter block at once, keeping the first."""
+    bg = Philox(key=seeds._key(label))
+    bg.advance(start + _COUNTER_OFFSET)
+    u = Generator(bg).random(count * _BLOCK)
+    return u.reshape(count, _BLOCK)[:, :1].copy()
+
+
 # -- matching -----------------------------------------------------------------
+
+def from_letters(start: int, word: str) -> Window:
+    """The {a, b} sequence written in the paper's notation, e.g. "abba",
+    as a bool window anchored at ``start``."""
+    if set(word) - {"a", "b"}:
+        raise ValueError("word must be over {a, b}")
+    isa = np.frombuffer(word.encode(), dtype=np.uint8) == ord("a")
+    return Window(start, isa)
+
 
 def slots_oracle(b_indices, a_indices) -> list[int]:
     """Each row's tuple slot, counting each a's partners one by one in
@@ -53,7 +75,7 @@ def match_oracle(letters: str, d: int):
 def matching_radius(z, d: int, m: int) -> int | None:
     """Least k >= 1 with W_m + ... + W_{m+k} >= 0 for the -1/+d walk,
     or None (censored) if the window ends first."""
-    isa = z.isa
+    isa = z.values
     rel = m - z.start
     if not 0 <= rel < len(isa):
         raise IndexError(f"index {m} outside the sequence")
@@ -149,6 +171,26 @@ def check_decay(spec, lo: int, hi: int) -> bool:
     if len(vals) < 3:
         return True
     return bool(max(vals[0], vals[-1]) <= vals.max() + 1e-15)
+
+
+# -- speedups -----------------------------------------------------------------
+
+def unblock(bw) -> Window:
+    """The base window of an (N, k) blocked window."""
+    return Window(bw.start * bw.values.shape[1], bw.values.reshape(-1))
+
+
+def de_interleave(bw) -> list[Window]:
+    """The k windows an (N, k) interleaved window was built from."""
+    return [Window(bw.start, bw.values[:, i].copy())
+            for i in range(bw.values.shape[1])]
+
+
+def gamma_marginal(spec, c: float, k: int, n: int) -> np.ndarray:
+    """Marginal of the k-dilated family: p + c a_{kn}, clamped like the
+    base family."""
+    m0 = spec.marginal_zero(k * n, c)
+    return np.array([m0, 1.0 - m0])
 
 
 # -- type III -----------------------------------------------------------------

@@ -693,3 +693,33 @@ class TestStartUp:
         assert self.fresh_python(
             "import shiftlab.cli as cli; "
             "print(cli._digit_words.cache_info().currsize)") == "0"
+
+
+class TestTracedBenchmarkPath:
+    """The benchmark's traced child wraps library functions by name and
+    reads fields of what they return; each benchmark command line, at the
+    benchmark's smoke-test sizes, must still run under it, write its spans
+    and raise no error in an observer."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("factor", "run", "--measure", "iid:0.3", "--n", "500000"),
+        ("match", "run", "--measure", "nu_c:0.1", "--n", "20000"),
+        ("measure", "check", "--measure", "mu:0.3,0.5", "--n", "20000"),
+        ("typeiii", "ratios", "--lambda", "0.25", "--lambda-prime", "0.5",
+         "--n", "30", "--samples", "200"),
+    ], ids=lambda argv: argv[0])
+    def test_traced_command_runs(self, tmp_path, argv):
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "child.py"),
+             str(tmp_path / "timing.json"), "--trace", str(spans), "--",
+             *argv, "--seed", "7"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(
+                self.ROOT / "src")},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        trace = json.loads(spans.read_text())
+        assert trace["spans"]
+        assert "trace.observer_errors" not in trace["counts"]

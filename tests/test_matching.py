@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (match_oracle, matching_radius, multiplicity, pairs,
-                     slots_oracle)
-from shiftlab import (ABSequence, MatchingAssignment, SeedStream,
-                      SplitCodeSpec, Window, decompose, dominates,
+from oracles import (from_letters, match_oracle, matching_radius,
+                     multiplicity, pairs, slots_oracle)
+from shiftlab import (MatchingAssignment, SeedStream, SplitCodeSpec, Window,
+                      decompose, dominates,
                       flip_coupling, good_block_sequence, iid_binary,
                       meshalkin_match, psi_split, required_d, sample_window,
                       special_sequence, spread_bits)
@@ -31,11 +31,11 @@ def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
         unmatched=np.asarray(unmatched, dtype=np.int64))
 
 
-def round_loop_match(z: ABSequence, d: int) -> MatchingAssignment:
+def round_loop_match(z: Window, d: int) -> MatchingAssignment:
     """The inductive scheme as vectorised rounds over the surviving sites
     (at most window-length rounds), with the assignment's arrays and the
     per-a counter's slots."""
-    isa = z.isa
+    isa = z.values
     L = len(isa)
     partner = np.full(L, -1, dtype=np.int64)
     round_of = np.zeros(L, dtype=np.int64)
@@ -80,29 +80,29 @@ class TestRequiredD:
 
 class TestMeshalkinMatch:
     def test_ba(self):
-        a = meshalkin_match(ABSequence.from_letters(0, "ba"), 1)
+        a = meshalkin_match(from_letters(0, "ba"), 1)
         assert pairs(a) == {0: 1}
         assert list(a.rounds) == [1]
 
     def test_bba_two_rounds(self):
-        a = meshalkin_match(ABSequence.from_letters(0, "bba"), 2)
+        a = meshalkin_match(from_letters(0, "bba"), 2)
         assert pairs(a) == {0: 2, 1: 2}
         assert sorted(a.rounds.tolist()) == [1, 2]
         assert multiplicity(a) == {2: 2}
 
     def test_all_b_censored(self):
-        a = meshalkin_match(ABSequence.from_letters(0, "bbb"), 3)
+        a = meshalkin_match(from_letters(0, "bbb"), 3)
         assert pairs(a) == {}
         assert list(a.unmatched) == [0, 1, 2]
 
     def test_capacity_saturation(self):
         # with d = 1 the single a takes one partner and leaves
-        a = meshalkin_match(ABSequence.from_letters(0, "bba"), 1)
+        a = meshalkin_match(from_letters(0, "bba"), 1)
         assert pairs(a) == {1: 2}
         assert list(a.unmatched) == [0]
 
     def test_absolute_indexing(self):
-        a = meshalkin_match(ABSequence.from_letters(100, "ba"), 1)
+        a = meshalkin_match(from_letters(100, "ba"), 1)
         assert pairs(a) == {100: 101}
 
     def test_exhaustive_against_oracle(self):
@@ -111,7 +111,7 @@ class TestMeshalkinMatch:
                 letters = "".join(word)
                 for d in (1, 2, 3):
                     got = meshalkin_match(
-                        ABSequence.from_letters(0, letters), d)
+                        from_letters(0, letters), d)
                     partner, rounds, slots, unmatched = match_oracle(letters,
                                                                      d)
                     # rows in ascending b order, as the assignment CSV
@@ -131,7 +131,7 @@ class TestMeshalkinMatch:
             isa = rng.random(int(rng.integers(1, 5000))) < \
                 rng.uniform(0.005, 0.6)
             d = int(rng.integers(1, 40))
-            z = ABSequence(start, isa)
+            z = Window(start, isa)
             got, want = meshalkin_match(z, d), round_loop_match(z, d)
             for field in ("b_indices", "ranks", "a_positions", "rounds",
                           "slots", "unmatched"):
@@ -143,8 +143,8 @@ class TestMeshalkinMatch:
            st.integers(1, 4), st.integers(-50, 50))
     @settings(max_examples=250, deadline=None)
     def test_equivariance(self, letters, d, shift):
-        base = meshalkin_match(ABSequence.from_letters(0, letters), d)
-        moved = meshalkin_match(ABSequence.from_letters(shift, letters), d)
+        base = meshalkin_match(from_letters(0, letters), d)
+        moved = meshalkin_match(from_letters(shift, letters), d)
         assert pairs(moved) == {b + shift: a + shift
                                 for b, a in pairs(base).items()}
 
@@ -189,22 +189,21 @@ class TestCheckCapacity:
 
 class TestMatchingRadius:
     def test_ba(self):
-        assert matching_radius(ABSequence.from_letters(0, "ba"), 1, 0) == 1
+        assert matching_radius(from_letters(0, "ba"), 1, 0) == 1
 
     def test_all_b_censored(self):
-        assert matching_radius(ABSequence.from_letters(0, "bbbb"), 2,
-                               1) is None
+        assert matching_radius(from_letters(0, "bbbb"), 2, 1) is None
 
     def test_rejects_a_position(self):
         with pytest.raises(ValueError):
-            matching_radius(ABSequence.from_letters(0, "ab"), 1, 0)
+            matching_radius(from_letters(0, "ab"), 1, 0)
 
     def test_exhaustive_first_nonnegative_oracle(self):
         for L in range(1, 13):
             for word in itertools.product("ab", repeat=L):
                 letters = "".join(word)
                 for d in (1, 2, 3):
-                    z = ABSequence.from_letters(0, letters)
+                    z = from_letters(0, letters)
                     for m, c in enumerate(letters):
                         if c != "b":
                             continue
@@ -224,7 +223,7 @@ class TestMatchingRadius:
             for word in itertools.product("ab", repeat=L):
                 letters = "".join(word)
                 for d in (1, 2, 3):
-                    z = ABSequence.from_letters(0, letters)
+                    z = from_letters(0, letters)
                     matched = pairs(meshalkin_match(z, d))
                     for m, c in enumerate(letters):
                         if c != "b":
@@ -239,21 +238,18 @@ class TestMatchingRadius:
 
 class TestDomination:
     def test_reflexive(self):
-        z = ABSequence.from_letters(0, "abba")
+        z = from_letters(0, "abba")
         assert dominates(z, z)
 
     def test_all_b_dominated_by_everything(self):
-        assert dominates(ABSequence.from_letters(0, "bbb"),
-                         ABSequence.from_letters(0, "aba"))
+        assert dominates(from_letters(0, "bbb"), from_letters(0, "aba"))
 
     def test_counterexample(self):
-        assert not dominates(ABSequence.from_letters(0, "ab"),
-                             ABSequence.from_letters(0, "ba"))
+        assert not dominates(from_letters(0, "ab"), from_letters(0, "ba"))
 
     def test_range_mismatch(self):
         with pytest.raises(ValueError):
-            dominates(ABSequence.from_letters(0, "ab"),
-                      ABSequence.from_letters(1, "ab"))
+            dominates(from_letters(0, "ab"), from_letters(1, "ab"))
 
     def test_monotone_coupling_sample(self):
         # flipping random b's to a never slows any surviving b down
@@ -261,14 +257,14 @@ class TestDomination:
         d = 3
         for trial in range(400):
             letters = "".join(rng.choice(["a", "b"], p=[0.18, 0.82], size=120))
-            z = ABSequence.from_letters(0, letters)
+            z = from_letters(0, letters)
             z2 = flip_coupling(z, 0.3, rng)
             assert dominates(z, z2)
             m1 = meshalkin_match(z, d)
             m2 = meshalkin_match(z2, d)
             matched2 = pairs(m2)
             for b, a in pairs(m1).items():
-                if z2.isa[b]:
+                if z2.values[b]:
                     continue
                 assert b in matched2
                 assert matched2[b] - b <= a - b
@@ -284,7 +280,7 @@ class TestPartnerSlots:
             start = int(rng.integers(-100, 100))
             isa = rng.random(int(rng.integers(1, 80))) < rng.uniform(0.05, 0.6)
             d = int(rng.integers(1, 5))
-            assignment = meshalkin_match(ABSequence(start, isa), d)
+            assignment = meshalkin_match(Window(start, isa), d)
             b, a = assignment.b_indices.tolist(), assignment.a_indices.tolist()
             assert assignment.slots.tolist() == slots_oracle(b, a)
             a_positions = assignment.a_positions
@@ -295,7 +291,7 @@ class TestPartnerSlots:
                 [partner[x] for x in sorted(partner)], trial
 
     def test_empty_assignment(self):
-        assignment = meshalkin_match(ABSequence.from_letters(0, "abbb"), 2)
+        assignment = meshalkin_match(from_letters(0, "abbb"), 2)
         assert len(assignment.ranks) == 0
         assert assignment.a_positions.tolist() == [0]
 
@@ -327,19 +323,19 @@ class TestGoodToAB:
     def test_realization_rows(self):
         w = self.realization()
         zp, z = special_sequence(decompose(w)), good_block_sequence(w)
-        assert np.flatnonzero(zp.isa).tolist() == [3, 16, 27]
+        assert np.flatnonzero(zp.values).tolist() == [3, 16, 27]
         # the aligned partition misses the special filler at 16
-        assert np.flatnonzero(z.isa).tolist() == [3, 27]
+        assert np.flatnonzero(z.values).tolist() == [3, 27]
 
     def test_no_markers_all_b(self):
         w = Window(0, np.zeros(32, dtype=np.uint8))
         zp, z = special_sequence(decompose(w)), good_block_sequence(w)
-        assert not zp.isa.any() and not z.isa.any()
+        assert not zp.values.any() and not z.values.any()
 
     def test_every_block_good(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 5, dtype=np.uint8))
         zp, z = special_sequence(decompose(w)), good_block_sequence(w)
-        assert np.flatnonzero(z.isa).tolist() == \
+        assert np.flatnonzero(z.values).tolist() == \
             [8 * n + 3 for n in range(5)]
 
     def test_domination_invariant(self):
@@ -364,7 +360,7 @@ class TestGoodToAB:
             assignment = meshalkin_match(z, d)
             lo, hi = N // 6, 5 * N // 6
             inner = [b for b in assignment.unmatched if lo <= b < hi]
-            n_b = int((~z.isa[lo:hi]).sum())
+            n_b = int((~z.values[lo:hi]).sum())
             fracs.append(len(inner) / n_b)
         assert fracs[0] > fracs[1] > fracs[2]
         assert fracs[2] < 0.02

@@ -1,11 +1,13 @@
 """Seeded window sampling: determinism, marginal fidelity, conditioning."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import uniforms_oneshot
 from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
                       mix_disjoint, shift_family,
@@ -45,6 +47,26 @@ class TestSeedStream:
         a = SeedStream(1).uniforms("x", 0, 8)
         b = SeedStream(2).uniforms("x", 0, 8)
         assert not np.array_equal(a, b)
+
+    def test_chunked_read_equals_one_shot_read(self):
+        s = SeedStream(7)
+        count = _DENSITY_BLOCK + 3  # crosses a chunk boundary
+        got = s.uniforms("x", -12_345, count)
+        want = uniforms_oneshot(s, "x", -12_345, count)
+        assert got.shape == (count, 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_stays_near_the_output(self):
+        # the output's 8 B per coordinate plus one chunk's draws; holding
+        # every coordinate's four doubles at once needs about 40 B each
+        count = 1 << 20
+        tracemalloc.start()
+        try:
+            SeedStream(7).uniforms("x", 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * count + (4 << 20)
 
 
 class TestSampleWindow:

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import de_interleave, gamma_marginal, unblock
 from shiftlab import (SeedStream, SequenceSpec, Window, block_kakutani_sum,
-                      de_interleave, dissipativity_partial, eta_marginal,
-                      gamma_marginal, hellinger_S, iid_binary, index_report,
-                      inverse_sqrt, kappa_marginal, make_nu_c, pi_interleave,
-                      rpm_scaling_identity, sample_window, unblock, zeta)
+                      dissipativity_partial, eta_marginal, hellinger_S,
+                      iid_binary, index_report, inverse_sqrt, kappa_marginal,
+                      make_nu_c, pi_interleave, rpm_scaling_identity,
+                      sample_window, zeta)
 from shiftlab.measures import nu_c_zero_mass, parse_measure
 
 # Brute-force summation oracle, recorded to full precision.
@@ -27,12 +28,12 @@ class TestZetaPi:
     def test_k2_blocks(self):
         w = Window(0, np.array([5, 6, 7, 8]))
         bw = zeta(w, 2)
-        assert bw.start == 0 and bw.blocks.tolist() == [[5, 6], [7, 8]]
+        assert bw.start == 0 and bw.values.tolist() == [[5, 6], [7, 8]]
 
     def test_trim_unaligned(self):
         w = Window(1, np.array([1, 2, 3, 4, 5]))
         bw = zeta(w, 2)  # only blocks covering {2,3} and {4,5} fit
-        assert bw.start == 1 and bw.blocks.tolist() == [[2, 3], [4, 5]]
+        assert bw.start == 1 and bw.values.tolist() == [[2, 3], [4, 5]]
 
     @given(st.integers(1, 5), st.integers(0, 40), st.integers(-60, 60))
     @settings(max_examples=200, deadline=None)
@@ -47,7 +48,7 @@ class TestZetaPi:
         ws = [sample_window(iid_binary(0.5), (3, 42), SeedStream(s))
               for s in (1, 2, 3)]
         bw = pi_interleave(ws)
-        assert bw.k == 3 and bw.start == 3
+        assert bw.values.shape[1] == 3 and bw.start == 3
         for orig, back in zip(ws, de_interleave(bw)):
             assert back.start == orig.start
             assert np.array_equal(back.values, orig.values)
