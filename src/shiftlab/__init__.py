@@ -22,6 +22,5 @@ from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       mix_disjoint, ratio_profile, safe_zone,
                       shift_family)
 from .speedups import (block_kakutani_sum, dissipativity_partial,
-                       eta_marginal, hellinger_S, index_report,
-                       kappa_marginal, pi_interleave, rpm_scaling_identity,
-                       zeta)
+                       eta_marginal, index_report, kappa_marginal,
+                       pi_interleave, rpm_scaling_identity, zeta)

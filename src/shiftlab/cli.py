@@ -345,13 +345,12 @@ def _cmd_typeiii(cfg: RunConfig) -> Report:
 
 
 def _cmd_index(cfg: RunConfig) -> Report:
-    rep = speedups.index_report(cfg.params["c"], cfg.params["d_assumed"],
-                                cfg.params["kmax"])
-    rows = [(r.k, r.c_scaled, r.hellinger, r.dissipativity_partial,
-             r.tail_slope, "conservative-proxy" if r.conservative_proxy
-             else "dissipative-proxy") for r in rep.rows]
+    rep = speedups.index_report(cfg.params["c"], cfg.params["kmax"])
+    rows = [(r.k, r.exponent, r.hellinger, r.dissipativity_partial,
+             r.tail_slope, "dissipative-certified" if r.certified
+             else "not-certified") for r in rep.rows]
     rows_path = write_csv(cfg.out_dir / "index_scan.csv", (
-        "k", "c_scaled", "S", "partial_dissip", "tail_slope",
+        "k", "exponent", "S", "partial_dissip", "tail_slope",
         "classification"), list(zip(*rows)))
     metrics = [
         {"name": "implied_index", "value": rep.implied_index, "pass": True},
@@ -491,7 +490,6 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
     pi = sub.add_parser("index").add_subparsers(dest="sub", required=True) \
         .add_parser("scan")
     pi.add_argument("--c", type=float, required=True)
-    pi.add_argument("--d-assumed", dest="d_assumed", type=float, required=True)
     pi.add_argument("--kmax", type=int, required=True)
     common(pi)
     return ap

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
-from shiftlab.measures import ZeroMassError
+from shiftlab.measures import ZeroMassError, nu_c_zero_mass
 from shiftlab.sampling import _BLOCK, _COUNTER_OFFSET, Window
 from shiftlab.stattests import chi_square_pooled
 from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
@@ -184,6 +184,17 @@ def de_interleave(bw) -> list[Window]:
     """The k windows an (N, k) interleaved window was built from."""
     return [Window(bw.start, bw.values[:, i].copy())
             for i in range(bw.values.shape[1])]
+
+
+def hellinger_S(c: float, k: int, N: int) -> float:
+    """Sum over |n| <= N of (a_{n-k}(c) - a_n(c))^2 for the half-stationary
+    perturbation a_n(c) = c/sqrt(n) (active for n >= 1 while below 1/2),
+    summed term by term: the reference for the FFT route of
+    ``speedups.dissipativity_partial``."""
+    if k == 0:
+        return 0.0
+    n = np.arange(-N, N + 1)
+    return float(np.sum((nu_c_zero_mass(n - k, c) - nu_c_zero_mass(n, c)) ** 2))
 
 
 def gamma_marginal(spec, c: float, k: int, n: int) -> np.ndarray:

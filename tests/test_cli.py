@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -451,18 +452,17 @@ class TestRatioDraws:
 
 class TestIndexScan:
     def test_scan_csv(self, tmp_path, capsys):
-        code = run_cli(tmp_path, "index", "scan", "--c", "0.6",
-                       "--d-assumed", "1.0", "--kmax", "4")
+        code = run_cli(tmp_path, "index", "scan", "--c", "0.6", "--kmax", "4")
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         by_name = {m["name"]: m for m in report["metrics"]}
         assert by_name["implied_index"]["value"] == 2
         lines = (tmp_path / "index_scan.csv").read_text().splitlines()
-        assert lines[0] == "k,c_scaled,S,partial_dissip,tail_slope,classification"
+        assert lines[0] == "k,exponent,S,partial_dissip,tail_slope,classification"
         assert len(lines) == 5
-        # recorded from the csv.writer loop that preceded the shared writer
+        # recorded with DIAG_K = 10^4 and the closed-form verdict
         assert sha256_of(tmp_path / "index_scan.csv") == (
-            "25ffddba146a5e40c6a3c9930955667d859bcf0cee13b7b565ce636ff7da749f")
+            "7df1de82d9ff91c22b37f3947235f5441f9142a7173643e1a180b12d2fb9756f")
 
 
 class TestPlotData:
@@ -581,7 +581,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", [
         ["measure", "check", "--measure", "iid:0.4", "--n", "200"],
-        ["index", "scan", "--c", "0.5", "--d-assumed", "1.0", "--kmax", "3"],
+        ["index", "scan", "--c", "0.5", "--kmax", "3"],
         TYPEIII + ["--n", "10", "--samples", "20"],
     ])
     def test_config_file_sets_report_paths(self, tmp_path, capsys, command):
@@ -606,7 +606,7 @@ class TestConfigHandling:
         (["match", "run", "--measure", "iid:0.5"], "n"),
         (TYPEIII, "n"),
         (TYPEIII + ["--n", "10"], "samples"),
-        (["index", "scan", "--c", "0.5", "--d-assumed", "1.0"], "kmax"),
+        (["index", "scan", "--c", "0.5"], "kmax"),
         (["factor", "run", "--measure", "iid:0.3", "--n", "1000"], "radius"),
     ])
     def test_nonpositive_sizes_are_config_errors(self, tmp_path, capsys,
@@ -646,17 +646,30 @@ class TestConfigHandling:
             f"shiftlab: config error: bad measure spec {argv[3]!r}: ")
 
     @pytest.mark.parametrize("flags", [
-        ["--c", "nan", "--d-assumed", "1.0"],
-        ["--c", "inf", "--d-assumed", "1.0"],
-        ["--c", "0.5", "--d-assumed", "nan"],
+        ["--c", "nan"],
+        ["--c", "inf"],
     ])
     def test_non_finite_index_scan_is_config_error(self, tmp_path, capsys,
                                                    flags):
         assert run_cli(tmp_path, "index", "scan", *flags,
                        "--kmax", "3") == EXIT_CONFIG
-        assert capsys.readouterr().err == ("shiftlab: config error: c and "
-                                           "d_assumed must be positive and "
-                                           "finite\n")
+        assert capsys.readouterr().err == ("shiftlab: config error: c must "
+                                           "be positive and finite\n")
+        assert not (tmp_path / "index_report.json").exists()
+
+    def test_assumed_critical_value_is_refused(self, tmp_path, capsys):
+        # the verdict is derived from c; a supplied threshold is not an option
+        scan = ["index", "scan", "--c", "0.5", "--kmax", "3"]
+        assert run_cli(tmp_path, *scan, "--d-assumed", "1.0") == EXIT_CONFIG
+        assert ("unrecognized arguments: --d-assumed 1.0"
+                in capsys.readouterr().err)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d_assumed": 1.0}))
+        assert main(["--config", str(cfg), *scan,
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "shiftlab: config error: unknown config key(s) d_assumed for "
+            "index scan\n")
         assert not (tmp_path / "index_report.json").exists()
 
     @pytest.mark.parametrize("spec", ["iid:0", "iid:1"])
@@ -723,3 +736,16 @@ class TestTracedBenchmarkPath:
         trace = json.loads(spans.read_text())
         assert trace["spans"]
         assert "trace.observer_errors" not in trace["counts"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # each `shiftlab ...` line of the README's usage block, as printed
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("shiftlab ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTLAB_OUT", raising=False)
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        assert code == EXIT_OK, (line, capsys.readouterr().err)

@@ -1,5 +1,6 @@
 """Blocking/interleaving isomorphisms and the index diagnostics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import de_interleave, gamma_marginal, unblock
+from oracles import de_interleave, gamma_marginal, hellinger_S, unblock
 from shiftlab import (SeedStream, SequenceSpec, Window, block_kakutani_sum,
-                      dissipativity_partial, eta_marginal, hellinger_S,
-                      iid_binary, index_report, inverse_sqrt, kappa_marginal,
-                      make_nu_c, pi_interleave, rpm_scaling_identity,
-                      sample_window, zeta)
+                      dissipativity_partial, eta_marginal, iid_binary,
+                      index_report, inverse_sqrt, kappa_marginal, make_nu_c,
+                      pi_interleave, rpm_scaling_identity, sample_window,
+                      zeta)
+from shiftlab import speedups
 from shiftlab.measures import nu_c_zero_mass, parse_measure
 
 # Brute-force summation oracle, recorded to full precision.
@@ -279,19 +281,58 @@ class TestRPMScaling:
 
 class TestIndexReport:
     def test_bracket_classification(self):
-        rep = index_report(0.6, 1.0, 5)
+        rep = index_report(0.6, 5)
         assert rep.implied_index == 2
-        assert [r.conservative_proxy for r in rep.rows] == \
-            [True, True, False, False, False]
+        assert [r.certified for r in rep.rows] == \
+            [False, False, True, True, True]
 
     def test_supercritical_gives_zero(self):
-        assert index_report(1.2, 1.0, 3).implied_index == 0
+        assert index_report(1.2, 3).implied_index == 0
 
-    def test_conservative_proxy_at_small_c(self):
-        rep = index_report(1 / 6, 1 / 6 + 1e-9, 1)
-        assert rep.rows[0].conservative_proxy
+    def test_equality_is_not_certified(self):
+        # c^2 k = 1 exactly: the bound exp(-k S/2) decays like 1/j, which
+        # is not summable
+        rep = index_report(0.5, 5)
+        assert [r.certified for r in rep.rows] == \
+            [False, False, False, False, True]
+        assert rep.implied_index == 4
 
     def test_monotone_in_c(self):
-        idx = [index_report(c, 1.0, 8).implied_index
+        idx = [index_report(c, 8).implied_index
                for c in (0.3, 0.45, 0.6, 0.8, 1.1)]
         assert all(b <= a for a, b in zip(idx, idx[1:]))
+
+    def test_rows_scale_with_k(self):
+        rep = index_report(0.6, 6)
+        one = rep.rows[0]
+        for r in rep.rows:
+            assert r.exponent == -0.6 * 0.6 * r.k
+            assert r.hellinger == r.k * one.hellinger
+            assert r.tail_slope == r.k * one.tail_slope
+
+    def test_large_powers_stay_finite(self):
+        # exp(-k S/2) underflows at c = 1.1, k = 100; no log is taken of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = index_report(1.1, 100)
+        assert all(math.isfinite(r.tail_slope) for r in rep.rows)
+        assert all(r.dissipativity_partial >= 0 for r in rep.rows)
+
+    @pytest.mark.parametrize("kmax", [1, 4, 30])
+    def test_one_hellinger_array_per_scan(self, monkeypatch, kmax):
+        calls = []
+        all_k = speedups._hellinger_all_k
+
+        def counted(*args):
+            calls.append(args)
+            return all_k(*args)
+
+        monkeypatch.setattr(speedups, "_hellinger_all_k", counted)
+        index_report(0.7, kmax)
+        assert calls == [(0.7, speedups.DIAG_K,
+                          speedups.SUPPORT_MULT * speedups.DIAG_K)]
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_c_refused(self, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            index_report(c, 3)
