@@ -10,11 +10,11 @@ from .measures import (DensityFamily, FiniteProductMeasure, SequenceSpec,
 from .sampling import (SeedStream, Window, sample_conditioned_filler,
                        sample_density_iid, sample_density_window,
                        sample_window)
-from .markers import (MarkerDecomposition, decompose, good_intervals,
-                      good_prob_lower)
+from .markers import (MarkerDecomposition, decompose, good_block_sequence,
+                      good_intervals, good_prob_lower, good_starts,
+                      special_sequence)
 from .matching import (MatchingAssignment, dominates, flip_coupling,
-                       good_block_sequence, meshalkin_match, required_d,
-                       special_sequence)
+                       meshalkin_match, required_d)
 from .factor import (FactorResult, SplitCodeSpec, SplitTuples, beta_for,
                      psi_split, run_iid_factor, spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,

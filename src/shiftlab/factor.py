@@ -1,8 +1,8 @@
 """End-to-end i.i.d. factor construction for binary product windows.
 
 Stages:
-  1. special fillers carry one fair bit each (1 for content 10, 0 for 01),
-     the window's symbol at the filler's start, which the matching's a's list;
+  1. special fillers, read off the good 8-blocks, carry one fair bit each,
+     their first symbol (1 for 10, 0 for 01), at the a's the matching lists;
   2. each fair bit is expanded into d+1 low-entropy bits by a
      bounded-window code whose bias beta follows from the capacity d alone,
      (d+1) H(beta) = log 2;
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stattests
-from .markers import GOOD_WIDTH, decompose, good_prob_lower
-from .matching import (MatchingAssignment, meshalkin_match, required_d,
-                       special_sequence)
+from .markers import GOOD_WIDTH, good_prob_lower, special_sequence
+from .matching import MatchingAssignment, meshalkin_match, required_d
 from .measures import FiniteProductMeasure, ZeroMassError, block_rows
 from .sampling import SeedStream, Window, sample_block
 
@@ -83,6 +82,9 @@ class SplitCodeSpec:
     beta0: float = field(init=False)
 
     def __post_init__(self):
+        if self.d + 1 > np.iinfo(np.intp).max:
+            raise ValueError(f"capacity d = {self.d} is too large for one "
+                             "array row of d+1 bits")
         beta0 = beta_for(self.d + 1)
         if abs((self.d + 1) * binary_entropy(beta0) - LOG2) > BALANCE_TOL:
             raise ValueError("entropy balance (d+1) H(beta0) = log 2 violated")
@@ -164,9 +166,7 @@ def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
     tuples = np.zeros((K, dplus1), dtype=np.uint8)
     valid = np.zeros(K, dtype=bool)
     if K >= 2 * spec.radius + 1:
-        key = hashlib.blake2b(
-            int(seeds.root_seed).to_bytes(8, "little") + b"|split-code",
-            digest_size=16).digest()
+        key = seeds._key("|split-code").tobytes()
         u = _window_uniforms(np.asarray(bits, dtype=np.uint8),
                              spec.radius, key)
         _decode_tuples(u, spec.beta0, tuples[spec.radius:K - spec.radius])
@@ -207,14 +207,14 @@ def match_window(m: FiniteProductMeasure, span: tuple[int, int],
     """(w, q, d, assignment): the window ``span`` sampled from ``label``,
     q = ``good_prob_lower`` on it, d = required_d(q) and the matching of
     w's special sequence at d, from one marginal block over the span and
-    the 7 indices after it, dropped before ``decompose``."""
+    the 7 indices after it, dropped before the special sequence is read."""
     lo, hi = span
     p = m.block(lo, hi - lo + GOOD_WIDTH)
     q = good_prob_lower(p, lo, span)
     w = sample_block(m.alphabet, p[:hi - lo + 1], lo, seeds, label)
     del p
     d = required_d(q)
-    return w, q, d, meshalkin_match(special_sequence(decompose(w)), d)
+    return w, q, d, meshalkin_match(special_sequence(w), d)
 
 
 @dataclass(frozen=True)

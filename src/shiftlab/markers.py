@@ -5,8 +5,9 @@ A marker is an occurrence of the block 011.  Occurrences cannot overlap
 and last marker of a window split uniquely into alternating markers and
 maximal gaps (fillers).  A length-2 filler equal to 10 or 01 is special;
 it carries one bit (1 for 10, 0 for 01).  An 8-block of the form
-011 01 011 or 011 10 011 is "good": it pins a special filler at its
-fourth position.
+011 01 011 or 011 10 011 is "good"; the special fillers are exactly the
+fourth positions of the good blocks, at any start.  Every reader of that
+pattern is built from the mask ``good_starts``; ``decompose`` serves tests.
 
 Intervals touching the window boundary are censored, never classified:
 a marker or filler could straddle the edge, so edge intervals carry no
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import block_rows
+from .sampling import Window
 
-MARKER = (0, 1, 1)
 GOOD_BLOCKS = ((0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 0, 0, 1, 1))
 GOOD_WIDTH = 8
 
@@ -32,12 +33,23 @@ def _as_bits(values) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
+def _marker_mask(b: np.ndarray) -> np.ndarray:
+    """True at each relative start 0 .. n-3 of the bits where a 011 sits."""
+    return (b[:-2] == 0) & (b[1:-1] == 1) & (b[2:] == 1)
+
+
 def find_marker_starts(bits) -> np.ndarray:
     """Relative start offsets of every 011 occurrence."""
-    b = _as_bits(bits)
-    if len(b) < 3:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero((b[:-2] == 0) & (b[1:-1] == 1) & (b[2:] == 1))
+    return np.flatnonzero(_marker_mask(_as_bits(bits)))
+
+
+def good_starts(w) -> np.ndarray:
+    """Bool mask over the window's relative starts 0 .. n-8: True where the
+    8-block there is good, 011 x y 011 with x != y."""
+    b = _as_bits(w.values)
+    m = _marker_mask(b)
+    k = max(len(b) - GOOD_WIDTH + 1, 0)
+    return m[:k] & m[5:5 + k] & (b[3:3 + k] != b[4:4 + k])
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,9 @@ def decompose(w) -> MarkerDecomposition:
     # the gap after each marker but the last, dropped when empty
     gaps = np.column_stack((lo[:-1] + 3, lo[1:] - 1))
     fillers = gaps[gaps[:, 1] >= gaps[:, 0]]
-    # a length-2 filler is special when its two symbols differ; the bit is
-    # its first symbol (1 for 10, 0 for 01)
-    two = fillers[fillers[:, 1] == fillers[:, 0] + 1, 0]
-    first = bits[two - start]
-    differ = first != bits[two + 1 - start]
-    special = np.column_stack((two[differ], first[differ]))
+    # a special filler starts 3 into a good block; its bit is its first symbol
+    two = np.flatnonzero(good_starts(w)) + 3
+    special = np.column_stack((two + start, bits[two]))
 
     edges = np.array([(start, lo[0] - 1), (lo[-1] + 3, start + n - 1)])
     nonempty = edges[:, 1] >= edges[:, 0]
@@ -94,16 +103,25 @@ def decompose(w) -> MarkerDecomposition:
 def good_intervals(w, offset: int = 0) -> np.ndarray:
     """Starts 8n + offset, fully inside the window, whose 8 symbols form
     one of the two good blocks, as an int64 array."""
-    bits = _as_bits(w.values)
-    first = w.start + ((offset - w.start) % 8)
-    starts = np.arange(first, w.start + len(bits) - GOOD_WIDTH + 1, 8,
-                       dtype=np.int64)
-    rel = starts - w.start
-    block = np.stack([bits[rel + j] for j in range(GOOD_WIDTH)], axis=1)
-    ok = np.zeros(len(starts), dtype=bool)
-    for g in GOOD_BLOCKS:
-        ok |= (block == np.array(g, dtype=np.uint8)).all(axis=1)
-    return starts[ok]
+    first = (offset - w.start) % 8
+    return np.flatnonzero(good_starts(w)[first::8]) * 8 + (w.start + first)
+
+
+def special_sequence(w) -> Window:
+    """The {a, b} sequence the pipelines match, a ``Window`` of bools: an a
+    at every special filler's initial index, 3 past a good block's start."""
+    good = good_starts(w)
+    isa = np.zeros(len(w.values), dtype=bool)
+    isa[3:len(good) + 3] = good
+    return Window(w.start, isa)
+
+
+def good_block_sequence(w) -> Window:
+    """The sequence of Lemma 8: the a's of the special sequence at 8n + 3,
+    inside the good blocks of the offset-0 partition, so it is dominated."""
+    isa = np.zeros(len(w.values), dtype=bool)
+    isa[good_intervals(w) + 3 - w.start] = True
+    return Window(w.start, isa)
 
 
 def good_prob_lower(p: np.ndarray, lo: int, span: tuple[int, int]) -> float:

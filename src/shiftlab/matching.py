@@ -5,8 +5,8 @@ immediately followed (among survivors) by a surviving a is matched to it;
 matched b's leave, and a's that have reached their capacity d leave.
 Rounds repeat until nothing matches.  Within a finite window a b that is
 still unmatched at the fixpoint is censored (its resolution may depend on
-symbols beyond the edge), not failed.  An {a, b} sequence is a
-``Window`` of bools, True where an a sits.
+symbols beyond the edge), not failed.  An {a, b} sequence, such as
+``markers.special_sequence``, is a ``Window`` of bools, True at the a's.
 
 The scheme is bracket matching, with each b a "(" and each a d copies of
 ")", so ``meshalkin_match`` computes it in one left-to-right scan over a
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markers import MarkerDecomposition, good_intervals
 from .sampling import Window
 
 
@@ -185,20 +184,3 @@ def flip_coupling(z: Window, prob: float, rng: np.random.Generator) -> Window:
     bs = np.flatnonzero(~isa)
     isa[bs[rng.random(len(bs)) < prob]] = True
     return Window(z.start, isa)
-
-
-def special_sequence(dec: MarkerDecomposition) -> Window:
-    """The {a, b} sequence the pipelines match: an a at every non-censored
-    special-filler initial index of the decomposed window."""
-    isa = np.zeros(dec.length, dtype=bool)
-    isa[dec.special[:, 0] - dec.start] = True
-    return Window(dec.start, isa)
-
-
-def good_block_sequence(w: Window) -> Window:
-    """The sequence of Lemma 8: an a only at the positions 8n + 3 that sit
-    inside a good 8-block of the offset-0 partition.  The special-filler
-    sequence of the same window dominates it."""
-    isa = np.zeros(len(w.values), dtype=bool)
-    isa[good_intervals(w, offset=0) + 3 - w.start] = True
-    return Window(w.start, isa)

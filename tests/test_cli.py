@@ -1,7 +1,10 @@
 """Command-line entry points: reports, artifacts, exit codes, determinism."""
+import functools
 import hashlib
+import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 from oracles import parse_plot_data, ratio_draws_oracle
 from shiftlab import (DensityFamily, HMapSpec, SeedStream,
                       sample_density_window)
-from shiftlab import cli
+from shiftlab import cli, markers
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
@@ -170,6 +173,27 @@ class TestFactorRun:
             assert by_name[name]["pass"] is False
             assert by_name[name]["reason"]
 
+    @pytest.mark.parametrize("seed, same", [(-1, 2 ** 64 - 1), (2 ** 64, 0)])
+    def test_seed_outside_64_bits(self, tmp_path, capsys, seed, same):
+        # a seed is read mod 2^64, the split code's key included
+        got = []
+        for s in (seed, same):
+            code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
+                           "--n", "20000", "--seed", str(s))
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+            got.append(json.loads(capsys.readouterr().out)["metrics"])
+        assert got[0] == got[1]
+
+    def test_capacity_beyond_an_array_row_is_config_error(self, tmp_path,
+                                                          capsys):
+        # q ~ 2e-30 gives d ~ 4e30: no tuple of d+1 bits fits in a row
+        code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.999999",
+                       "--n", "1000")
+        assert code == EXIT_CONFIG
+        d = re.search(r"capacity d = (\d+) is too large",
+                      capsys.readouterr().err)
+        assert d and int(d.group(1)) > np.iinfo(np.intp).max
+
     def test_bad_measure_is_config_error(self, tmp_path, capsys):
         # the family is looked up before any number is converted
         for spec, family in (("bogus:1", "bogus"), ("5", "5")):
@@ -235,6 +259,30 @@ class TestMatchRun:
                        json.loads(capsys.readouterr().out)["metrics"]}
             got.append((metrics["q"]["value"], metrics["d"]["value"]))
         assert got[0] == got[1]
+
+
+class TestWindowCommandsSkipDecompose:
+    def test_no_command_decomposes(self, tmp_path, capsys, monkeypatch):
+        # factor run and match run read the special sequence off the
+        # good-block mask; the marker/filler partition serves tests only
+        reached = []
+
+        def refuse(*args):
+            reached.append(args)
+            raise AssertionError("decompose reached")
+
+        decompose = markers.decompose
+        for name, mod in list(sys.modules.items()):
+            if name == "shiftlab" or name.startswith("shiftlab."):
+                for attr, val in list(vars(mod).items()):
+                    if val is decompose:
+                        monkeypatch.setattr(mod, attr, refuse)
+        assert markers.decompose is refuse
+        for command in ("factor", "match"):
+            code = run_cli(tmp_path, command, "run", "--measure", "iid:0.3",
+                           "--n", "20000")
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert reached == []
 
 
 class TestWindowDump:
@@ -711,24 +759,34 @@ class TestStartUp:
 class TestTracedBenchmarkPath:
     """The benchmark's traced child wraps library functions by name and
     reads fields of what they return; each benchmark command line, at the
-    benchmark's smoke-test sizes, must still run under it, write its spans
-    and raise no error in an observer."""
+    benchmark's smoke-test sizes, must still run under it, write its spans,
+    raise no error in an observer and pass the benchmark's own output
+    check, which rebuilds what it can without the library."""
 
     ROOT = Path(__file__).resolve().parents[1]
 
-    @pytest.mark.parametrize("argv", [
-        ("factor", "run", "--measure", "iid:0.3", "--n", "500000"),
-        ("match", "run", "--measure", "nu_c:0.1", "--n", "20000"),
-        ("measure", "check", "--measure", "mu:0.3,0.5", "--n", "20000"),
-        ("typeiii", "ratios", "--lambda", "0.25", "--lambda-prime", "0.5",
-         "--n", "30", "--samples", "200"),
-    ], ids=lambda argv: argv[0])
-    def test_traced_command_runs(self, tmp_path, argv):
+    @staticmethod
+    @functools.cache
+    def workloads():
+        """``workloads(tiny=True)`` of the benchmark's ``run.py``."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", TestTracedBenchmarkPath.ROOT / "perfbench"
+            / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = run
+        spec.loader.exec_module(run)
+        return run.workloads(tiny=True)
+
+    @pytest.mark.parametrize("name", [
+        "factor-iid", "match-nu", "measure-mu", "typeiii-ratios",
+    ], ids=lambda name: name.split("-")[0])
+    def test_traced_command_runs(self, tmp_path, name):
+        w = self.workloads()[name]
         spans = tmp_path / "spans.json"
         proc = subprocess.run(
             [sys.executable, str(self.ROOT / "perfbench" / "child.py"),
              str(tmp_path / "timing.json"), "--trace", str(spans), "--",
-             *argv, "--seed", "7"],
+             *w.argv, "--seed", "7"],
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(
                 self.ROOT / "src")},
             capture_output=True, text=True)
@@ -736,6 +794,9 @@ class TestTracedBenchmarkPath:
         trace = json.loads(spans.read_text())
         assert trace["spans"]
         assert "trace.observer_errors" not in trace["counts"]
+        report = json.loads(
+            (tmp_path / f"{w.argv[0]}_report.json").read_text())
+        assert w.check(tmp_path, report, w.expect, 7) == []
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

@@ -202,9 +202,9 @@ class TestPsiSplit:
 def run_stages(w: Window, q: float, radius: int = 16):
     """The post-sampling pipeline stages, returned as the output window."""
     d = required_d(q)
-    dec = decompose(w)
-    assignment = meshalkin_match(special_sequence(dec), d)
-    split = psi_split(dec.special[:, 1], SplitCodeSpec(d, radius),
+    z = special_sequence(w)
+    assignment = meshalkin_match(z, d)
+    split = psi_split(w.values[z.values], SplitCodeSpec(d, radius),
                       SeedStream(7))
     return spread_bits(w, assignment, split)
 
@@ -256,9 +256,9 @@ class TestMatchWindow:
         assert w.start == ref.start
         assert np.array_equal(w.values, ref.values)
 
-    def test_drops_block_and_decomposition(self, monkeypatch):
-        # holding the block through decompose, or the decomposition
-        # through the matching, raises the commands' peak memory
+    def test_drops_block(self, monkeypatch):
+        # holding the block through the special sequence or the matching
+        # raises the commands' peak memory
         refs = {}
 
         def kept(name, fn):
@@ -276,12 +276,12 @@ class TestMatchWindow:
 
         monkeypatch.setattr(FiniteProductMeasure, "block",
                             kept("block", FiniteProductMeasure.block))
-        monkeypatch.setattr(factor, "decompose", after_release(
-            "block", kept("dec", factor.decompose)))
+        monkeypatch.setattr(factor, "special_sequence", after_release(
+            "block", kept("seq", factor.special_sequence)))
         monkeypatch.setattr(factor, "meshalkin_match",
-                            after_release("dec", factor.meshalkin_match))
+                            after_release("block", factor.meshalkin_match))
         match_window(make_nu_c(0.1), (0, 999), SeedStream(7), "x")
-        assert set(refs) == {"block", "dec"}
+        assert set(refs) == {"block", "seq"}
 
 
 class TestRunIidFactor:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import decomposition_json, good_prob
 from shiftlab import (FiniteProductMeasure, SeedStream, Window, decompose,
-                      good_intervals, good_prob_lower, iid, iid_binary,
-                      make_nu_c, sample_window)
-from shiftlab.markers import find_marker_starts
+                      dominates, good_block_sequence, good_intervals,
+                      good_prob_lower, iid, iid_binary, make_nu_c,
+                      sample_window, special_sequence)
+from shiftlab.markers import GOOD_BLOCKS, find_marker_starts
 
 
 def bits(s: str) -> Window:
@@ -181,6 +182,26 @@ class TestGoodIntervals:
     def test_alignment_respects_absolute_index(self):
         w = bits("01101011").shifted(8)
         assert good_intervals(w, offset=0).tolist() == [8]
+
+
+class TestGoodBlockIdentity:
+    """Both {a, b} sequences are read off the good-block mask; they agree
+    with the marker loop and a literal block scan on every short word."""
+
+    def test_every_word_up_to_length_12(self):
+        for L in range(13):
+            for word in itertools.product((0, 1), repeat=L):
+                for start in (0, -5, 3):
+                    w = Window(start, np.array(word, dtype=np.uint8))
+                    zp, z = special_sequence(w), good_block_sequence(w)
+                    assert zp.start == z.start == start
+                    assert (np.flatnonzero(zp.values) + start).tolist() == \
+                        [p for p, _ in decompose_oracle(w)["special"]]
+                    assert (np.flatnonzero(z.values) + start).tolist() == [
+                        start + j + 3 for j in range(L - 7)
+                        if (start + j) % 8 == 0
+                        and word[j:j + 8] in GOOD_BLOCKS]
+                    assert dominates(z, zp)
 
 
 class TestGoodProb:

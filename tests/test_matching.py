@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from oracles import (from_letters, match_oracle, matching_radius,
                      multiplicity, pairs, slots_oracle)
 from shiftlab import (MatchingAssignment, SeedStream, SplitCodeSpec, Window,
-                      decompose, dominates,
-                      flip_coupling, good_block_sequence, iid_binary,
-                      meshalkin_match, psi_split, required_d, sample_window,
-                      special_sequence, spread_bits)
+                      dominates, flip_coupling, good_block_sequence,
+                      iid_binary, meshalkin_match, psi_split, required_d,
+                      sample_window, special_sequence, spread_bits)
 
 
 def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
@@ -298,9 +297,9 @@ class TestPartnerSlots:
     def test_unknown_a_index(self):
         # spread_bits refuses a split with a tuple count other than the a's
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 4, dtype=np.uint8))
-        dec = decompose(w)
-        assignment = meshalkin_match(special_sequence(dec), 2)
-        bits = dec.special[:, 1]
+        z = special_sequence(w)
+        assignment = meshalkin_match(z, 2)
+        bits = w.values[z.values]
         assert len(assignment.a_positions) == len(bits) == 4
         for k in (0, 3, 5):
             split = psi_split(np.resize(bits, k), SplitCodeSpec(2, radius=1),
@@ -322,19 +321,19 @@ class TestGoodToAB:
 
     def test_realization_rows(self):
         w = self.realization()
-        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
+        zp, z = special_sequence(w), good_block_sequence(w)
         assert np.flatnonzero(zp.values).tolist() == [3, 16, 27]
         # the aligned partition misses the special filler at 16
         assert np.flatnonzero(z.values).tolist() == [3, 27]
 
     def test_no_markers_all_b(self):
         w = Window(0, np.zeros(32, dtype=np.uint8))
-        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
+        zp, z = special_sequence(w), good_block_sequence(w)
         assert not zp.values.any() and not z.values.any()
 
     def test_every_block_good(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 5, dtype=np.uint8))
-        zp, z = special_sequence(decompose(w)), good_block_sequence(w)
+        zp, z = special_sequence(w), good_block_sequence(w)
         assert np.flatnonzero(z.values).tolist() == \
             [8 * n + 3 for n in range(5)]
 
@@ -342,7 +341,7 @@ class TestGoodToAB:
         m = iid_binary(0.4)
         for seed in range(5):
             w = sample_window(m, (0, 4999), SeedStream(seed))
-            zp, z = special_sequence(decompose(w)), good_block_sequence(w)
+            zp, z = special_sequence(w), good_block_sequence(w)
             assert dominates(z, zp)
 
     def test_censored_fraction_shrinks_with_window(self):
