@@ -125,10 +125,6 @@ class DissipativityReport:
     def summands(self) -> np.ndarray:
         return np.exp(-self.S / 2.0)
 
-    @property
-    def partial(self) -> float:
-        return float(self.partial_sums[-1])
-
 
 def _hellinger_all_k(c: float, K: int, support: int) -> np.ndarray:
     """S(k) for k = 1..K with the perturbation truncated beyond ``support``

@@ -248,17 +248,6 @@ def reindex_oracle(lam: float, lam_prime: float) -> tuple[float, int, float]:
     raise ValueError("no admissible re-indexing found")
 
 
-def ratio_draws_oracle(rng, n_max: int, pieces, samples: int):
-    """The draws of ``typeiii ratios`` by its scalar generator calls, one
-    round per sample: an index below ``n_max``, a piece, a point on it."""
-    ns, vs = np.empty(samples, dtype=np.int64), np.empty(samples)
-    for i in range(samples):
-        ns[i] = rng.integers(0, n_max)
-        lo, hi = pieces[int(rng.integers(0, len(pieces)))]
-        vs[i] = rng.uniform(lo, hi)
-    return ns, vs
-
-
 # -- statistics ---------------------------------------------------------------
 
 def chi_square_fair_bits(bits) -> tuple[float, float]:

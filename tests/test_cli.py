@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import parse_plot_data, ratio_draws_oracle
+from oracles import parse_plot_data
 from shiftlab import (DensityFamily, HMapSpec, SeedStream,
                       sample_density_window)
-from shiftlab import cli, markers
+from shiftlab import cli, markers, typeiii
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
+from shiftlab.stattests import ALPHA, chi_square_pooled
 
 
 def run_cli(tmp_path, *argv):
@@ -399,9 +400,11 @@ class TestWriteCsv:
 
 
 class TestTypeIIIRatios:
-    def test_membership_report(self, tmp_path, capsys):
+    # --n 1 draws every index as 0; 5e9 and 2^63 - 1 are 64-bit bounds
+    @pytest.mark.parametrize("n", [1, 2, 30, 5 * 10**9, 2**63 - 1])
+    def test_membership_report(self, tmp_path, capsys, n):
         code = run_cli(tmp_path, "typeiii", "ratios", "--lambda", "0.25",
-                       "--lambda-prime", "0.5", "--n", "30",
+                       "--lambda-prime", "0.5", "--n", str(n),
                        "--samples", "2000")
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -410,92 +413,75 @@ class TestTypeIIIRatios:
 
     @pytest.mark.parametrize("samples", [2000, 20000])
     def test_golden_outputs(self, tmp_path, capsys, samples):
-        # CSV digest and metric values: 2 000 samples recorded from the
-        # change-of-variables ratios that preceded the table reads, 20 000
-        # (the benchmark's size) from the per-sample table reads
+        # CSV digests recorded from the three array draws (all indices,
+        # then all piece numbers, then all points); the metric values have
+        # held since the change-of-variables ratios
         code = run_cli(tmp_path, "typeiii", "ratios", "--lambda", "0.25",
                        "--lambda-prime", "0.5", "--n", "30",
                        "--samples", str(samples))
         assert code == EXIT_OK
         csv_bytes = (tmp_path / "typeiii_log_rn.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == {
-            2000: "c21719a8bc3df9713be371a2959eaab264076a047dbbc2bb09bf4dbfa5b14c53",
-            20000: "86c3d9e98f495e0d218e06d30e2b5b43df5dd2839f87140f67989410c8a5ec47",
+            2000: "01a233e6b54a7cbd1b73254213dea36304f849845782501cc975c8d4794b27b4",
+            20000: "526386d8e8a84546eb367b74aa75218e20d2a4789820588f12dd9a788380010e",
         }[samples]
         got = {m["name"]: (m["value"], m["pass"])
                for m in json.loads(capsys.readouterr().out)["metrics"]}
         assert got == {"lattice_deviation": (0.0, True),
                        "sampled_ratios": (samples, True)}
 
+    def test_draw_law(self, tmp_path, monkeypatch):
+        # on the benchmark's command line: n uniform on 0..29, and v
+        # uniform on a support piece chosen uniformly
+        drawn = []
+        profile = typeiii.ratio_profile
 
-class TestRatioDraws:
-    """`typeiii ratios` reads its draws from raw Philox words; the scalar
-    calls of `ratio_draws_oracle` are the reference, bit for bit.  A
-    numpy whose Generator reads its words differently fails here."""
+        def capture(hspec, n, v):
+            drawn.append((n, v))
+            return profile(hspec, n, v)
 
-    PIECES = HMapSpec(0.25, 0.5).support_pieces()
+        monkeypatch.setattr(typeiii, "ratio_profile", capture)
+        assert run_cli(tmp_path, *TYPEIII, "--seed", "7", "--n", "30",
+                       "--samples", "20000") == EXIT_OK
+        (ns, vs), = drawn
+        assert len(ns) == len(vs) == 20000
+        assert ns.min() >= 0 and ns.max() <= 29
+        lows, highs = np.array(HMapSpec(0.25, 0.5).support_pieces()).T
+        piece = np.searchsorted(lows, vs, side="right") - 1
+        assert (piece >= 0).all() and (vs <= highs[piece]).all()
+        cells = np.minimum(
+            (10 * (vs - lows[piece]) / (highs - lows)[piece]).astype(int), 9)
+        for counts in (np.bincount(ns, minlength=30),
+                       np.bincount(piece, minlength=3),
+                       np.bincount(cells, minlength=10)):
+            expected = np.full(len(counts), len(ns) / len(counts))
+            assert chi_square_pooled(counts, expected)[1] >= ALPHA
 
-    @staticmethod
-    def rng(seed):
-        return SeedStream(seed).generator("typeiii-ratios")
-
-    def assert_same_draws(self, got, want):
-        assert [a.dtype for a in got] == [np.int64, np.float64]
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-
-    # 1 draws no index, 2^31 + 1 redraws about half its indices and
-    # 5e9 goes through the 64-bit bounded draw
-    @pytest.mark.parametrize("n_max", [1, 2, 30, 2**31 + 1, 5 * 10**9])
-    @pytest.mark.parametrize("samples", [1, cli._DRAW_BLOCK,
-                                         cli._DRAW_BLOCK + 1, 20000])
-    def test_equals_scalar_calls(self, n_max, samples):
-        for seed in (0, 3, 7):
-            self.assert_same_draws(
-                cli._ratio_draws(self.rng(seed), n_max, self.PIECES, samples),
-                ratio_draws_oracle(self.rng(seed), n_max, self.PIECES,
-                                   samples))
-
-    @pytest.mark.parametrize("n_max", [2, 30, 2**31 + 1])
-    def test_pending_half_word(self, n_max):
-        # one 32-bit draw leaves the high half of its word pending, and the
-        # generator hands that half out next
-        got, want = self.rng(5), self.rng(5)
-        got.integers(0, 30)
-        want.integers(0, 30)
-        assert got.bit_generator.state["has_uint32"] == 1
-        self.assert_same_draws(
-            cli._ratio_draws(got, n_max, self.PIECES, cli._DRAW_BLOCK + 1),
-            ratio_draws_oracle(want, n_max, self.PIECES, cli._DRAW_BLOCK + 1))
-        # and the generators are left in the same state
-        assert [got.integers(0, 30) for _ in range(3)] == \
-            [want.integers(0, 30) for _ in range(3)]
-
-    @pytest.mark.parametrize("n, samples, scalar_calls",
-                             [("30", "20000", 0), ("1", "50", 3 * 50)])
-    def test_scalar_calls_only_off_the_raw_layout(self, tmp_path, monkeypatch,
-                                                  n, samples, scalar_calls):
-        # the benchmark's command line makes no per-sample scalar draw;
-        # --n 1, which draws no index, counts every scalar call
+    def test_no_per_sample_generator_calls(self, tmp_path, monkeypatch):
         calls = []
         generator = SeedStream.generator
 
         class Counted:
             def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
+                self.rng = rng
 
-            def integers(self, *args):
-                calls.append("integers")
-                return self.rng.integers(*args)
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
 
-            def uniform(self, *args):
-                calls.append("uniform")
-                return self.rng.uniform(*args)
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return counted
 
         monkeypatch.setattr(SeedStream, "generator",
                             lambda self, *a: Counted(generator(self, *a)))
-        assert run_cli(tmp_path, *TYPEIII, "--seed", "7", "--n", n,
-                       "--samples", samples) == EXIT_OK
-        assert len(calls) == scalar_calls
+        made = []
+        for samples in ("50", "20000"):
+            calls.clear()
+            assert run_cli(tmp_path, *TYPEIII, "--seed", "7", "--n", "30",
+                           "--samples", samples) == EXIT_OK
+            made.append(list(calls))
+        assert made == [["integers", "integers", "uniform"]] * 2
 
 
 class TestIndexScan:
@@ -672,6 +658,12 @@ class TestConfigHandling:
                 assert capsys.readouterr().err == (
                     f"shiftlab: config error: --{option} must be a {sign} "
                     "integer\n")
+
+    def test_n_beyond_int64_is_config_error(self, tmp_path, capsys):
+        assert run_cli(tmp_path, *TYPEIII, "--n", str(2**63)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: --n must be at most {2**63 - 1}\n")
+        assert not (tmp_path / "typeiii_report.json").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))
