@@ -7,11 +7,9 @@ from .measures import (DensityFamily, FiniteProductMeasure, SequenceSpec,
                        iid_binary, inverse_sqrt, log_damped, log_rn_shift,
                        log_rn_swap, make_mu_pc, make_nu_c, parse_measure, ri,
                        rpm)
-from .sampling import (SeedStream, Window, sample_conditioned_filler,
-                       sample_density_iid, sample_density_window,
-                       sample_window)
-from .markers import (MarkerDecomposition, decompose, good_block_sequence,
-                      good_intervals, good_prob_lower, good_starts,
+from .sampling import (SeedStream, Window, sample_density_iid,
+                       sample_density_window, sample_window)
+from .markers import (good_block_sequence, good_prob_lower, good_starts,
                       special_sequence)
 from .matching import (MatchingAssignment, dominates, flip_coupling,
                        meshalkin_match, required_d)

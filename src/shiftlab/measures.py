@@ -22,7 +22,6 @@ The module provides:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -259,12 +258,9 @@ def block_rows(p: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
 def doeblin_delta(p: np.ndarray, lo: int) -> float:
     """Infimum of all masses of a marginal block whose row 0 is index ``lo``.
 
-    Returns 0 (with a warning naming the first offending index) if some
-    mass vanishes in the block.
+    Returns 0 if some mass vanishes in the block.
     """
     if np.any(p == 0.0):
-        n = lo + int(np.argwhere(p == 0.0)[0][0])
-        warnings.warn(f"zero marginal mass at index {n}", RuntimeWarning)
         return 0.0
     return float(p.min())
 
@@ -399,10 +395,11 @@ def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
 # Textual family specs (CLI / config entry point)
 # ---------------------------------------------------------------------------
 
-_MEASURE_FAMILIES = {
-    "iid": iid_binary,
-    "nu_c": make_nu_c,
-    "mu": lambda p, c: make_mu_pc(SequenceSpec(p, inverse_sqrt), c),
+_MEASURE_FAMILIES = {     # name: (parameter names, builder)
+    "iid": (("p0",), iid_binary),
+    "nu_c": (("c",), make_nu_c),
+    "mu": (("p", "c"),
+           lambda p, c: make_mu_pc(SequenceSpec(p, inverse_sqrt), c)),
 }
 
 
@@ -418,10 +415,16 @@ def parse_measure(text: str) -> FiniteProductMeasure:
     if name not in _MEASURE_FAMILIES:
         raise ValueError(f"bad measure spec {text!r}: unknown measure "
                          f"family {name!r}")
+    params, build = _MEASURE_FAMILIES[name]
     try:
         args = [float(s) for s in rest.split(",")]
+        if len(args) != len(params):
+            raise ValueError(
+                f"{name} takes {len(params)} "
+                f"number{'s' if len(params) > 1 else ''} "
+                f"({','.join(params)}), got {len(args)}")
         if not all(math.isfinite(v) for v in args):
             raise ValueError("every number must be finite")
-        return _MEASURE_FAMILIES[name](*args)
-    except (ValueError, TypeError) as exc:
+        return build(*args)
+    except ValueError as exc:
         raise ValueError(f"bad measure spec {text!r}: {exc}") from exc

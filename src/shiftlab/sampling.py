@@ -75,10 +75,6 @@ class Window:
     def span(self) -> tuple[int, int]:
         return (self.start, self.stop - 1)
 
-    def shifted(self, delta: int) -> "Window":
-        """Same content anchored ``delta`` indices later."""
-        return Window(self.start + delta, self.values)
-
 
 def _span_length(span: tuple[int, int]) -> int:
     lo, hi = span
@@ -152,50 +148,3 @@ def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
     u = seeds.generator(label, n).random(count)
     return _piecewise_inverse_cdf(*d.table(n), u)
 
-
-# States of the automaton that reads a word and rejects it at its first
-# 011: the longest suffix read so far that is a prefix of 011 ("", "0",
-# "01"), plus the dead state 3 entered on completing 011, from which no
-# word is accepted.  _STEP[s][x] is the state after reading bit x in
-# state s < 3.
-_STEP = ((1, 0), (1, 2), (1, 3))
-
-
-def sample_conditioned_filler(m, span: tuple[int, int], seeds: SeedStream,
-                              label: str = "filler") -> Window:
-    """Sample the product law conditioned on containing no 011 block.
-
-    Exact backward filtering / forward sampling on the 3-state automaton
-    that avoids 011: ``beta[i][s]`` is proportional to the probability that
-    bits i.. complete no 011 from state s, rescaled at each step so that
-    long windows do not underflow.  Each bit is then drawn from its
-    marginal reweighted by ``beta`` of the state it leads to.  O(length),
-    one uniform per coordinate.  Raises ``ValueError`` when no window of
-    positive probability avoids 011.
-    """
-    if len(m.alphabet) != 2:
-        raise ValueError("conditioned filler sampling needs two symbols")
-    lo, _ = span
-    length = _span_length(span)
-    p0 = m.block(lo, length)[:, 0].tolist()
-    beta = [[1.0, 1.0, 1.0, 0.0]] * (length + 1)
-    for i in range(length - 1, -1, -1):
-        nxt = beta[i + 1]
-        row = [p0[i] * nxt[z] + (1.0 - p0[i]) * nxt[o] for z, o in _STEP]
-        top = max(row) or 1.0
-        beta[i] = [b / top for b in row] + [0.0]
-    if beta[0][0] == 0.0:
-        raise ValueError(
-            f"no window on {span} avoids 011: "
-            "the conditioning event has probability 0")
-    u = seeds.generator(label, lo).random(length).tolist()
-    bits = np.empty(length, dtype=np.uint8)
-    s = 0
-    for i in range(length):
-        z, o = _STEP[s]
-        w0 = p0[i] * beta[i + 1][z]
-        w1 = (1.0 - p0[i]) * beta[i + 1][o]
-        one = u[i] * (w0 + w1) >= w0
-        bits[i] = one
-        s = o if one else z
-    return Window(lo, bits)

@@ -110,21 +110,51 @@ def good_prob(m, i: int) -> float:
     return total
 
 
-def decomposition_json(dec) -> dict:
-    """A decomposition as its intervals in index order, each labelled
-    marker, special, filler or censored."""
-    special = set(dec.special[:, 0].tolist())
-    labels = [("marker", lo, hi) for lo, hi in dec.markers.tolist()]
-    labels += [("special" if lo in special else "filler", lo, hi)
-               for lo, hi in dec.fillers.tolist()]
-    labels += [("censored", lo, hi) for lo, hi in dec.censored.tolist()]
+def decompose_oracle(w) -> dict:
+    """The paper's marker/filler partition of a window, by a loop over the
+    markers, in tuples of Python ints: inclusive (lo, hi) intervals of
+    absolute indices, the (initial index, bit) of each special filler, the
+    censored edge intervals with their (left, right) flags, and
+    ``intervals``, every interval as (label, lo, hi) in index order."""
+    values = np.asarray(w.values).tolist()
+    start, n = w.start, len(values)
+    mk = [j for j in range(n - 2)
+          if (values[j], values[j + 1], values[j + 2]) == (0, 1, 1)]
+    if not mk:
+        markers, fillers, special = (), (), ()
+        flags = (True, True)
+        censored = ((start, start + n - 1),) if n else ()
+    else:
+        markers = tuple((start + s, start + s + 2) for s in mk)
+        fillers, special = [], []
+        for (a_lo, a_hi), (b_lo, _) in zip(markers[:-1], markers[1:]):
+            if b_lo - a_hi <= 1:
+                continue
+            gap = (a_hi + 1, b_lo - 1)
+            fillers.append(gap)
+            if gap[1] - gap[0] == 1:
+                x0, x1 = values[gap[0] - start], values[gap[1] - start]
+                if (x0, x1) == (1, 0):
+                    special.append((gap[0], 1))
+                elif (x0, x1) == (0, 1):
+                    special.append((gap[0], 0))
+        fillers, special = tuple(fillers), tuple(special)
+        censored = []
+        left = markers[0][0] > start
+        if left:
+            censored.append((start, markers[0][0] - 1))
+        right = markers[-1][1] < start + n - 1
+        if right:
+            censored.append((markers[-1][1] + 1, start + n - 1))
+        flags, censored = (left, right), tuple(censored)
+    two = {(p, p + 1) for p, _ in special}
+    labels = [("marker", *iv) for iv in markers]
+    labels += [("special" if iv in two else "filler", *iv) for iv in fillers]
+    labels += [("censored", *iv) for iv in censored]
     labels.sort(key=lambda t: t[1])
-    return {
-        "start": dec.start,
-        "length": dec.length,
-        "intervals": [{"label": lab, "lo": lo, "hi": hi}
-                      for lab, lo, hi in labels],
-    }
+    return {"markers": markers, "fillers": fillers, "special": special,
+            "boundary_flags": flags, "censored": censored,
+            "intervals": labels}
 
 
 def log_rn_shift_oracle(m, k: int, w) -> float:

@@ -51,12 +51,12 @@ def _marker_mask_all_words(L: int) -> np.ndarray:
 
 
 def _check_word(word: np.ndarray, starts_expected: list[int]) -> None:
-    dec = sl.decompose(sl.Window(0, word))
-    assert [lo for lo, _ in dec.markers.tolist()] == starts_expected
-    if not len(dec.markers):
+    dec = oracles.decompose_oracle(sl.Window(0, word))
+    assert [lo for lo, _ in dec["markers"]] == starts_expected
+    if not dec["markers"]:
         return
-    tiles = sorted(dec.markers.tolist() + dec.fillers.tolist())
-    lo0, hi0 = dec.markers[0][0], dec.markers[-1][1]
+    tiles = sorted(dec["markers"] + dec["fillers"])
+    lo0, hi0 = dec["markers"][0][0], dec["markers"][-1][1]
     cursor = lo0
     for lo, hi in tiles:
         assert lo == cursor and hi >= lo
@@ -189,7 +189,7 @@ def test_a04_monotone_coupling():
 def extracted_bits():
     w = sl.sample_window(sl.iid_binary(0.3), (0, 10 ** 6 - 1),
                          sl.SeedStream(SEED), label="a05")
-    return sl.decompose(w).special[:, 1]
+    return w.values[sl.special_sequence(w).values]
 
 
 def test_a05a_fair_bit_chi_square(extracted_bits):

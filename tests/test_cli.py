@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from oracles import parse_plot_data
 from shiftlab import (DensityFamily, HMapSpec, SeedStream,
                       sample_density_window)
-from shiftlab import cli, markers, typeiii
+from shiftlab import cli, typeiii
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
@@ -260,30 +261,6 @@ class TestMatchRun:
                        json.loads(capsys.readouterr().out)["metrics"]}
             got.append((metrics["q"]["value"], metrics["d"]["value"]))
         assert got[0] == got[1]
-
-
-class TestWindowCommandsSkipDecompose:
-    def test_no_command_decomposes(self, tmp_path, capsys, monkeypatch):
-        # factor run and match run read the special sequence off the
-        # good-block mask; the marker/filler partition serves tests only
-        reached = []
-
-        def refuse(*args):
-            reached.append(args)
-            raise AssertionError("decompose reached")
-
-        decompose = markers.decompose
-        for name, mod in list(sys.modules.items()):
-            if name == "shiftlab" or name.startswith("shiftlab."):
-                for attr, val in list(vars(mod).items()):
-                    if val is decompose:
-                        monkeypatch.setattr(mod, attr, refuse)
-        assert markers.decompose is refuse
-        for command in ("factor", "match"):
-            code = run_cli(tmp_path, command, "run", "--measure", "iid:0.3",
-                           "--n", "20000")
-            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-        assert reached == []
 
 
 class TestWindowDump:
@@ -714,11 +691,28 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("spec", ["iid:0", "iid:1"])
     def test_degenerate_bond_is_config_error(self, tmp_path, capsys, spec):
+        # the zero Doeblin bound is the report's to state, not a warning's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(tmp_path, "measure", "check", "--measure", spec,
+                           "--n", "10")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "shiftlab: config error: degenerate marginals at bond (-10, -9)\n")
+        assert caught == []
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("iid:0.3,0.2", "iid takes 1 number (p0), got 2"),
+        ("nu_c:0.1,0.2", "nu_c takes 1 number (c), got 2"),
+        ("mu:0.3", "mu takes 2 numbers (p,c), got 1"),
+    ])
+    def test_wrong_number_count_is_config_error(self, tmp_path, capsys,
+                                                spec, reason):
         code = run_cli(tmp_path, "measure", "check", "--measure", spec,
                        "--n", "10")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "shiftlab: config error: degenerate marginals at bond (-10, -9)\n")
+            f"shiftlab: config error: bad measure spec {spec!r}: {reason}\n")
 
     def test_family_flags_are_gone(self, tmp_path, capsys):
         code = run_cli(tmp_path, "measure", "check", "--family", "nu_c",

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from shiftlab import (SeedStream, SequenceSpec, SplitCodeSpec, Window,
-                      beta_for, decompose, good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
+                      beta_for, good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
                       meshalkin_match, parse_measure, psi_split, required_d,
                       run_iid_factor, sample_window, special_sequence,
                       spread_bits)
@@ -63,21 +63,28 @@ class TestBiasSquareSum:
             bias_square_terms(p, -5, 5)
 
 
+def special_rows(w) -> np.ndarray:
+    """(initial index, bit) rows of the special fillers, read off the
+    special sequence."""
+    at = np.flatnonzero(special_sequence(w).values)
+    return np.column_stack((at + w.start, w.values[at]))
+
+
 class TestExtractFairBits:
     def test_sample_realization(self):
         w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8))
-        z = decompose(w).special
+        z = special_rows(w)
         assert z.tolist() == [[3, 0]]
 
     def test_no_specials_empty(self):
         w = Window(0, np.ones(20, dtype=np.uint8))
-        z = decompose(w).special
+        z = special_rows(w)
         assert len(z) == 0
 
     def test_bits_fair_even_for_biased_input(self):
         # stationarity makes P(10) = P(01), so the extracted bits are fair
         w = sample_window(iid_binary(0.3), (0, 10 ** 5 - 1), SeedStream(21))
-        z = decompose(w).special
+        z = special_rows(w)
         _, p = oracles.chi_square_fair_bits(z[:, 1])
         assert p > 0.001
 
@@ -216,7 +223,7 @@ class TestSpreadBits:
         out = run_stages(w, q=1 / 128, radius=4)
         mask = out.values < 0
         # all censoring is explained by the code radius at the stream edges
-        specials = decompose(w).special[:, 0]
+        specials = special_rows(w)[:, 0]
         lo, hi = specials[4], specials[-5]
         inner = slice(int(lo), int(hi))
         assert not mask[inner].any()
@@ -324,7 +331,7 @@ class TestRunIidFactor:
         q = good_prob_lower(m.block(0, 30007), 0, (0, 29999))
         w = sample_window(m, (0, 29999), SeedStream(6))
         out0 = run_stages(w, q)
-        out1 = run_stages(w.shifted(35), q)
+        out1 = run_stages(Window(w.start + 35, w.values), q)
         assert out1.start == out0.start + 35
         assert np.array_equal(out0.values, out1.values)
 

@@ -1,4 +1,5 @@
-"""Marker/filler decomposition and good-block probabilities."""
+"""Good-block readers, the reference marker/filler partition and
+good-block probabilities."""
 import itertools
 import math
 
@@ -7,181 +8,132 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decomposition_json, good_prob
-from shiftlab import (FiniteProductMeasure, SeedStream, Window, decompose,
-                      dominates, good_block_sequence, good_intervals,
-                      good_prob_lower, iid, iid_binary, make_nu_c,
-                      sample_window, special_sequence)
-from shiftlab.markers import GOOD_BLOCKS, find_marker_starts
+from oracles import decompose_oracle, good_prob
+from shiftlab import (FiniteProductMeasure, SeedStream, Window, dominates,
+                      good_block_sequence, good_prob_lower, good_starts, iid,
+                      iid_binary, make_nu_c, sample_window, special_sequence)
+from shiftlab.markers import GOOD_BLOCKS
 
 
 def bits(s: str) -> Window:
     return Window(0, np.array([int(c) for c in s], dtype=np.uint8))
 
 
-def rows(a: np.ndarray) -> tuple:
-    """An (k, 2) array as a tuple of pairs."""
-    return tuple(map(tuple, a.tolist()))
+def specials(w) -> list:
+    """(initial index, bit) of each special filler, read off the special
+    sequence."""
+    at = np.flatnonzero(special_sequence(w).values)
+    return list(zip((at + w.start).tolist(), w.values[at].tolist()))
 
 
-def decompose_oracle(w) -> dict:
-    """Reference decomposition by a loop over the markers, in tuples of
-    Python ints, with the JSON export built from those tuples."""
-    values = np.asarray(w.values).tolist()
-    start, n = w.start, len(values)
-    mk = [j for j in range(n - 2)
-          if (values[j], values[j + 1], values[j + 2]) == (0, 1, 1)]
-    if not mk:
-        markers, fillers, special = (), (), ()
-        flags = (True, True)
-        censored = ((start, start + n - 1),) if n else ()
-    else:
-        markers = tuple((start + s, start + s + 2) for s in mk)
-        fillers, special = [], []
-        for (a_lo, a_hi), (b_lo, _) in zip(markers[:-1], markers[1:]):
-            if b_lo - a_hi <= 1:
-                continue
-            gap = (a_hi + 1, b_lo - 1)
-            fillers.append(gap)
-            if gap[1] - gap[0] == 1:
-                x0, x1 = values[gap[0] - start], values[gap[1] - start]
-                if (x0, x1) == (1, 0):
-                    special.append((gap[0], 1))
-                elif (x0, x1) == (0, 1):
-                    special.append((gap[0], 0))
-        fillers, special = tuple(fillers), tuple(special)
-        censored = []
-        left = markers[0][0] > start
-        if left:
-            censored.append((start, markers[0][0] - 1))
-        right = markers[-1][1] < start + n - 1
-        if right:
-            censored.append((markers[-1][1] + 1, start + n - 1))
-        flags, censored = (left, right), tuple(censored)
-    labels = [("marker", iv) for iv in markers]
-    labels += [("special" if iv in {(p, p + 1) for p, _ in special}
-                else "filler", iv) for iv in fillers]
-    labels += [("censored", iv) for iv in censored]
-    labels.sort(key=lambda t: t[1][0])
-    return {"markers": markers, "fillers": fillers, "special": special,
-            "boundary_flags": flags, "censored": censored,
-            "json": {"start": start, "length": n,
-                     "intervals": [{"label": lab, "lo": iv[0], "hi": iv[1]}
-                                   for lab, iv in labels]}}
-
-
-def assert_matches_oracle(w) -> None:
-    got, want = decompose(w), decompose_oracle(w)
-    for field in ("markers", "fillers", "special", "censored"):
-        arr = getattr(got, field)
-        assert arr.dtype == np.int64 and arr.shape == (len(want[field]), 2)
-        assert rows(arr) == want[field], field
-    assert got.boundary_flags == want["boundary_flags"]
-    assert decomposition_json(got) == want["json"]
+def good_block_starts(w) -> list:
+    """Starts of the good blocks of the offset-0 partition, read off the
+    good-block sequence."""
+    return (np.flatnonzero(good_block_sequence(w).values)
+            + w.start - 3).tolist()
 
 
 class TestDecomposeOracle:
-    def test_every_word_up_to_length_14(self):
-        for L in range(15):
-            for word in itertools.product((0, 1), repeat=L):
-                w = Window(0, np.array(word, dtype=np.uint8))
-                assert_matches_oracle(w)
-
     @given(st.integers(-10 ** 6, 10 ** 6),
            st.lists(st.integers(0, 1), min_size=0, max_size=300))
     @settings(max_examples=300, deadline=None)
     def test_random_windows_and_offsets(self, start, word):
-        assert_matches_oracle(Window(start, np.array(word, dtype=np.uint8)))
+        # longer windows than the exhaustive identity check below reaches
+        w = Window(start, np.array(word, dtype=np.uint8))
+        assert specials(w) == list(decompose_oracle(w)["special"])
 
 
 class TestDecompose:
+    """The reference partition on hand-worked words, and the library's
+    refusal of a non-binary window."""
+
     def test_sample_realization(self):
-        d = decompose(bits("01101011"))
-        assert rows(d.markers) == ((0, 2), (5, 7))
-        assert rows(d.fillers) == ((3, 4),)
-        assert rows(d.special) == ((3, 0),)
-        assert d.boundary_flags == (False, False)
+        d = decompose_oracle(bits("01101011"))
+        assert d["markers"] == ((0, 2), (5, 7))
+        assert d["fillers"] == ((3, 4),)
+        assert d["special"] == ((3, 0),)
+        assert d["boundary_flags"] == (False, False)
 
     def test_no_markers_is_one_censored_interval(self):
-        d = decompose(bits("000000"))
-        assert rows(d.markers) == ()
-        assert rows(d.fillers) == ()
-        assert rows(d.censored) == ((0, 5),)
-        assert d.boundary_flags == (True, True)
+        d = decompose_oracle(bits("000000"))
+        assert d["markers"] == ()
+        assert d["fillers"] == ()
+        assert d["censored"] == ((0, 5),)
+        assert d["boundary_flags"] == (True, True)
 
     def test_adjacent_markers_empty_gap(self):
-        d = decompose(bits("011011"))
-        assert rows(d.markers) == ((0, 2), (3, 5))
-        assert rows(d.fillers) == ()
+        d = decompose_oracle(bits("011011"))
+        assert d["markers"] == ((0, 2), (3, 5))
+        assert d["fillers"] == ()
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            decompose(Window(0, np.array([0, 2, 1])))
+            special_sequence(Window(0, np.array([0, 2, 1])))
 
     def test_interior_partition_small_exhaustive(self):
         # markers + fillers tile [first marker start, last marker end]
         for L in range(3, 12):
             for word in itertools.product("01", repeat=L):
-                d = decompose(bits("".join(word)))
-                if not len(d.markers):
+                d = decompose_oracle(bits("".join(word)))
+                if not d["markers"]:
                     continue
                 covered = []
-                for lo, hi in rows(d.markers) + rows(d.fillers):
+                for lo, hi in d["markers"] + d["fillers"]:
                     covered.extend(range(lo, hi + 1))
-                lo0, hi0 = d.markers[0][0], d.markers[-1][1]
+                lo0, hi0 = d["markers"][0][0], d["markers"][-1][1]
                 assert sorted(covered) == list(range(lo0, hi0 + 1))
 
     @given(st.integers(-1000, 1000),
            st.lists(st.integers(0, 1), min_size=0, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_equivariance(self, start, word):
-        w = Window(0, np.array(word, dtype=np.uint8))
-        d0 = decompose(w)
-        d1 = decompose(w.shifted(start))
+        values = np.array(word, dtype=np.uint8)
+        d0 = decompose_oracle(Window(0, values))
+        d1 = decompose_oracle(Window(start, values))
         shift = lambda ivs: tuple((lo + start, hi + start) for lo, hi in ivs)
-        assert rows(d1.markers) == shift(rows(d0.markers))
-        assert rows(d1.fillers) == shift(rows(d0.fillers))
-        assert rows(d1.special) == tuple((p + start, b)
-                                         for p, b in rows(d0.special))
+        assert d1["markers"] == shift(d0["markers"])
+        assert d1["fillers"] == shift(d0["fillers"])
+        assert d1["special"] == tuple((p + start, b)
+                                      for p, b in d0["special"])
 
     def test_export_labels(self):
-        rec = decomposition_json(decompose(bits("0011010110")))
-        labels = {iv["label"] for iv in rec["intervals"]}
-        assert labels <= {"marker", "filler", "special", "censored"}
+        assert decompose_oracle(bits("0011010110"))["intervals"] == [
+            ("censored", 0, 0), ("marker", 1, 3), ("special", 4, 5),
+            ("marker", 6, 8), ("censored", 9, 9)]
 
 
 class TestSpecialFillers:
     def test_bit_convention(self):
-        assert list(rows(decompose(bits("01101011")).special)) == [(3, 0)]
-        assert list(rows(decompose(bits("01110011")).special)) == [(3, 1)]
+        assert specials(bits("01101011")) == [(3, 0)]
+        assert specials(bits("01110011")) == [(3, 1)]
 
     def test_length_two_00_not_special(self):
-        d = decompose(bits("01100011"))
-        assert rows(d.fillers) == ((3, 4),)
-        assert rows(d.special) == ()
+        w = bits("01100011")
+        assert decompose_oracle(w)["fillers"] == ((3, 4),)
+        assert specials(w) == []
 
     def test_order(self):
-        d = decompose(bits("0110101101110011"))
-        assert [p for p, _ in rows(d.special)] == [3, 11]
+        w = bits("0110101101110011")
+        assert [p for p, _ in specials(w)] == [3, 11]
 
 
 class TestGoodIntervals:
     def test_both_good_blocks(self):
-        assert good_intervals(bits("01101011")).tolist() == [0]
-        assert good_intervals(bits("01110011")).tolist() == [0]
+        assert good_block_starts(bits("01101011")) == [0]
+        assert good_block_starts(bits("01110011")) == [0]
 
     def test_not_good(self):
-        none = good_intervals(bits("00000011"))
-        assert none.tolist() == [] and none.dtype == np.int64
+        assert good_block_starts(bits("00000011")) == []
 
     def test_offset_anchoring(self):
+        # good at start 1, which the offset-0 partition does not read
         w = Window(0, np.array([0] + [0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8))
-        assert good_intervals(w, offset=0).tolist() == []
-        assert good_intervals(w, offset=1).tolist() == [1]
+        assert good_block_starts(w) == []
+        assert good_starts(w).tolist() == [False, True]
 
     def test_alignment_respects_absolute_index(self):
-        w = bits("01101011").shifted(8)
-        assert good_intervals(w, offset=0).tolist() == [8]
+        w = Window(8, bits("01101011").values)
+        assert good_block_starts(w) == [8]
 
 
 class TestGoodBlockIdentity:
@@ -256,7 +208,7 @@ class TestLinearGrowthOfSpecials:
         m = iid_binary(0.5)
         N = 10 ** 5
         w = sample_window(m, (0, N - 1), SeedStream(71))
-        count = len(decompose(w).special)
+        count = int(special_sequence(w).values.sum())
         q = good_prob_lower(m.block(0, N + 7), 0, (0, N - 1))
         mean_lb = q / 8 * N
         sigma = math.sqrt(N / 8 * q * (1 - q))
@@ -264,5 +216,5 @@ class TestLinearGrowthOfSpecials:
 
     def test_marker_starts_never_overlap_random(self):
         w = sample_window(iid_binary(0.35), (0, 20000), SeedStream(3))
-        mk = find_marker_starts(w.values)
+        mk = [lo for lo, _ in decompose_oracle(w)["markers"]]
         assert np.all(np.diff(mk) >= 3)

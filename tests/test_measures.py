@@ -116,7 +116,8 @@ class TestDoeblin:
 
     def test_zero_mass_flags(self):
         m = iid((1.0, 0.0))
-        with pytest.warns(RuntimeWarning, match="zero marginal mass"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert doeblin_delta(m.block(0, 6), 0) == 0.0
 
 

@@ -1,5 +1,4 @@
-"""Seeded window sampling: determinism, marginal fidelity, conditioning."""
-import itertools
+"""Seeded window sampling: determinism and marginal fidelity."""
 import math
 import tracemalloc
 
@@ -8,16 +7,11 @@ import pytest
 from scipy import stats
 
 from oracles import uniforms_oneshot
-from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
-                      TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
-                      mix_disjoint, shift_family,
-                      sample_conditioned_filler, sample_density_iid,
-                      sample_density_window, sample_window)
-from shiftlab.markers import find_marker_starts
+from shiftlab import (DensityFamily, SeedStream, TypeIIISpec, f_family, iid,
+                      iid_binary, make_nu_c, mix_disjoint, shift_family,
+                      sample_density_iid, sample_density_window,
+                      sample_window)
 from shiftlab.sampling import _DENSITY_BLOCK, _piecewise_inverse_cdf
-from shiftlab.stattests import chi_square_pooled
-
-ALPHA = 0.001  # conservative significance for the statistical checks
 
 
 class TestSeedStream:
@@ -154,74 +148,3 @@ class TestSampleDensityWindow:
         x = sample_density_iid(fam, 0, 10 ** 5, SeedStream(23))
         left = float(np.mean(x < 0.5))
         assert abs(left - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 10 ** 5)
-
-
-class TestConditionedFiller:
-    def test_length_two_needs_no_conditioning(self):
-        m = iid_binary(0.5)
-        counts = np.zeros(4, dtype=int)
-        n_draws = 4000
-        for i in range(n_draws):
-            w = sample_conditioned_filler(m, (0, 1), SeedStream(i))
-            counts[2 * int(w.values[0]) + int(w.values[1])] += 1
-        _, p = stats.chisquare(counts)
-        assert p > ALPHA
-
-    def test_length_three_fair_law(self):
-        # exact conditional law by enumeration: uniform on the 7 non-011 words
-        m = iid_binary(0.5)
-        n_draws = 10 ** 5
-        s = SeedStream(101)
-        counts = np.zeros(8, dtype=int)
-        for i in range(n_draws):
-            w = sample_conditioned_filler(m, (0, 2), s, label=f"len3/{i}")
-            v = w.values
-            counts[4 * v[0] + 2 * v[1] + v[2]] += 1
-        assert counts[0b011] == 0
-        observed = np.delete(counts, 0b011)
-        _, p = stats.chisquare(observed, np.full(7, n_draws / 7))
-        assert p > ALPHA
-
-    def test_all_ones_accepts_immediately(self):
-        w = sample_conditioned_filler(iid((0.0, 1.0)), (0, 9), SeedStream(2))
-        assert np.all(w.values == 1)
-
-    def test_impossible_conditioning_raises(self):
-        # a family that deterministically emits 011 can never be accepted
-        crafted = FiniteProductMeasure(
-            alphabet=(0, 1),
-            marginals=lambda n: np.where((n % 3 == 0)[..., None],
-                                         (1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(ValueError, match="probability 0"):
-            sample_conditioned_filler(crafted, (0, 2), SeedStream(4))
-
-    @pytest.mark.parametrize("length", [4, 7, 12])
-    def test_exact_law_by_enumeration(self, length):
-        # oracle: the product law of a non-stationary measure on all words,
-        # restricted to the 011-free ones and renormalized
-        m = make_nu_c(0.45)
-        p0 = m.block(1, length)[:, 0]
-        words = np.array(list(itertools.product((0, 1), repeat=length)))
-        law = np.prod(np.where(words == 0, p0, 1.0 - p0), axis=1)
-        law[[len(find_marker_starts(w)) > 0 for w in words]] = 0.0
-        law /= law.sum()
-        n_draws = 20000
-        weights = 1 << np.arange(length - 1, -1, -1)
-        counts = np.zeros(len(words), dtype=int)
-        for i in range(n_draws):
-            w = sample_conditioned_filler(m, (1, length), SeedStream(i))
-            counts[int(np.dot(w.values, weights))] += 1
-        assert np.all(counts[law == 0.0] == 0)
-        _, p, _ = chi_square_pooled(counts[law > 0], n_draws * law[law > 0])
-        assert p > ALPHA
-
-    def test_long_window_needs_no_budget(self):
-        # plain rejection exhausted 10^6 attempts here
-        w = sample_conditioned_filler(iid_binary(0.3), (0, 79), SeedStream(5))
-        assert len(w) == 80 and len(find_marker_starts(w.values)) == 0
-
-    def test_accepted_windows_never_contain_marker(self):
-        m = iid_binary(0.4)
-        for i in range(200):
-            w = sample_conditioned_filler(m, (0, 11), SeedStream(i))
-            assert len(find_marker_starts(w.values)) == 0

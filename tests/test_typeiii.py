@@ -402,7 +402,7 @@ class TestEraseNegativeSide:
     def test_translation_equivariance(self):
         w, zone = self.setup_window(3000)
         out0, _ = erase_negative_side(w, zone)
-        out1, _ = erase_negative_side(w.shifted(11), zone)
+        out1, _ = erase_negative_side(Window(w.start + 11, w.values), zone)
         assert np.array_equal(out0.values, out1.values, equal_nan=True)
 
 
