@@ -185,24 +185,24 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
 def _cmd_measure(cfg: RunConfig) -> Report:
     m = measures.parse_measure(cfg.params["measure"])
     n = cfg.params["n"]
-    ks = cfg.params.get("ks") or [1, 2, 4, 8]
+    ks = list(dict.fromkeys(cfg.params.get("ks") or [1, 2, 4, 8]))
     # one block over the Kakutani lags n - k and the last bias bond n + 1
     lo, hi = -n - max(0, max(ks)), n + max(1, -min(ks))
-    p = m.block(lo, hi - lo + 1)
+    block = m.block(lo, hi - lo + 1)
     metrics = []
-    delta = measures.doeblin_delta(measures.block_rows(p, lo, -n, n), -n)
+    delta = measures.doeblin_delta(measures.block_rows(block, -n, n))
     metrics.append({"name": "doeblin_delta", "value": delta,
                     "pass": delta > 0.0})
     decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
     series = {}
     for k in ks:
-        terms = measures.kakutani_terms(p, lo, k, n)
+        terms = measures.kakutani_terms(block, k, n)
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = [
             (dn, measures.centred_sum(terms, dn)) for dn in decades]
     if len(m.alphabet) == 2:
         metrics.append(_tail_metric("bias_square_sum",
-                                    factor_mod.bias_square_terms(p, lo, n)))
+                                    factor_mod.bias_square_terms(block, n)))
     art = emit_plot_data(series, cfg.out_dir / "measure_check.csv")
     return _finish(cfg, metrics, [art])
 

@@ -99,13 +99,13 @@ class SplitTuples:
     valid: np.ndarray            # bool mask (False near stream edges)
 
 
-def bias_square_terms(p: np.ndarray, lo: int, N: int) -> np.ndarray:
+def bias_square_terms(block: Window, N: int) -> np.ndarray:
     """(r_i - 1/2)^2 for i = -N .. N, where r_i is the conditional
     probability of 01 against {01, 10} across the bond (i, i+1), read from
-    the rows -N .. N+1 of a binary marginal block whose row 0 is index lo."""
-    if p.shape[1] != 2:
+    the rows -N .. N+1 of a binary marginal block."""
+    if block.values.shape[1] != 2:
         raise ValueError("two-symbol alphabet required")
-    p0 = block_rows(p, lo, -N, N + 1)[:, 0]
+    p0 = block_rows(block, -N, N + 1).values[:, 0]
     p01 = p0[:-1] * (1.0 - p0[1:])
     p10 = (1.0 - p0[:-1]) * p0[1:]
     den = p01 + p10
@@ -209,10 +209,10 @@ def match_window(m: FiniteProductMeasure, span: tuple[int, int],
     w's special sequence at d, from one marginal block over the span and
     the 7 indices after it, dropped before the special sequence is read."""
     lo, hi = span
-    p = m.block(lo, hi - lo + GOOD_WIDTH)
-    q = good_prob_lower(p, lo, span)
-    w = sample_block(m.alphabet, p[:hi - lo + 1], lo, seeds, label)
-    del p
+    block = m.block(lo, hi - lo + GOOD_WIDTH)
+    q = good_prob_lower(block, span)
+    w = sample_block(m.alphabet, block_rows(block, lo, hi), seeds, label)
+    del block
     d = required_d(q)
     return w, q, d, meshalkin_match(special_sequence(w), d)
 

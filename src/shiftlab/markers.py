@@ -63,17 +63,16 @@ def good_block_sequence(w) -> Window:
     return Window(w.start, isa)
 
 
-def good_prob_lower(p: np.ndarray, lo: int, span: tuple[int, int]) -> float:
+def good_prob_lower(block: Window, span: tuple[int, int]) -> float:
     """Infimum over the block starts in ``span`` of the exact probability
-    that the 8-block there is good, from a marginal block whose row 0 is
-    index ``lo``; a non-binary block, or a zero mass at a start (no Doeblin
-    bound), is refused."""
-    if p.shape[1] != 2:
+    that the 8-block there is good, from a marginal block; a non-binary
+    block, or a zero mass at a start (no Doeblin bound), is refused."""
+    if block.values.shape[1] != 2:
         raise ValueError(f"good blocks need a two-symbol alphabet, not "
-                         f"{p.shape[1]} symbols")
+                         f"{block.values.shape[1]} symbols")
     first, last = span
     n = last - first + 1
-    rows = block_rows(p, lo, first, last + GOOD_WIDTH - 1)
+    rows = block_rows(block, first, last + GOOD_WIDTH - 1).values
     # one contiguous copy per symbol, so each factor is a unit-stride slice
     cols = [c.copy() for c in rows.T]
     zero = np.flatnonzero((cols[0][:n] <= 0.0) | (cols[1][:n] <= 0.0))

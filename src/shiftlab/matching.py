@@ -79,9 +79,9 @@ class MatchingAssignment:
 
 def required_d(q: float) -> int:
     """Least integer capacity >= 8(1 + (1-q)/q) = 8/q."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    v = 8.0 / q
+    v = 8.0 / q if q > 0 else math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"q = {q!r} gives no finite capacity 8/q")
     r = round(v)
     return r if math.isclose(v, r, rel_tol=0, abs_tol=1e-9) else math.ceil(v)
 

@@ -27,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sampling import Window
+
 PROB_TOL = 1e-12
 DENSITY_TOL = 1e-10
 
@@ -70,9 +72,9 @@ class FiniteProductMeasure:
         self._validate(p, n)
         return np.broadcast_to(p, np.shape(n) + p.shape[-1:])
 
-    def block(self, start: int, length: int) -> np.ndarray:
-        """Marginals for indices ``start .. start+length-1`` as an (L, A) array."""
-        return self.table(np.arange(start, start + length))
+    def block(self, start: int, length: int) -> Window:
+        """Window of the (L, A) marginals at ``start .. start+length-1``."""
+        return Window(start, self.table(np.arange(start, start + length)))
 
     def density(self, n, x) -> np.ndarray:
         """Mass of symbol column ``x`` at index ``n`` (against counting
@@ -243,36 +245,32 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def block_rows(p: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
-    """Rows for indices ``first .. last`` of a marginal block whose row 0 is
-    index ``lo``; raises ``ValueError`` naming the indices it misses."""
-    hi = lo + len(p) - 1
+def block_rows(block: Window, first: int, last: int) -> Window:
+    """The sub-block over indices ``first .. last`` of a marginal block;
+    raises ``ValueError`` naming the indices it misses."""
+    lo, hi = block.span
     gaps = ((first, min(last, lo - 1)), (max(first, hi + 1), last))
     missing = [f"{a} .. {b}" for a, b in gaps if a <= b]
     if missing:
         raise ValueError(f"block over indices {lo} .. {hi} misses "
                          f"{' and '.join(missing)}")
-    return p[first - lo:last - lo + 1]
+    return Window(first, block.values[first - lo:last - lo + 1])
 
 
-def doeblin_delta(p: np.ndarray, lo: int) -> float:
-    """Infimum of all masses of a marginal block whose row 0 is index ``lo``.
-
-    Returns 0 if some mass vanishes in the block.
-    """
-    if np.any(p == 0.0):
-        return 0.0
-    return float(p.min())
+def doeblin_delta(block: Window) -> float:
+    """Infimum of all masses of a marginal block, 0 if some mass vanishes."""
+    p = block.values
+    return 0.0 if np.any(p == 0.0) else float(p.min())
 
 
-def kakutani_terms(p: np.ndarray, lo: int, k: int, N: int) -> np.ndarray:
+def kakutani_terms(block: Window, k: int, N: int) -> np.ndarray:
     """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from the
-    rows of a binary marginal block (row 0 is index ``lo``) that n and n-k
-    reach (k = 0 gives exact zeros)."""
-    if p.shape[1] != 2:
+    rows of a binary marginal block that n and n-k reach (k = 0 gives exact
+    zeros)."""
+    if block.values.shape[1] != 2:
         raise ValueError("kakutani_terms needs a two-symbol alphabet")
     lead, L = max(k, 0), 2 * N + 1
-    p0 = block_rows(p, lo, -N - lead, N - min(k, 0))[:, 0]
+    p0 = block_rows(block, -N - lead, N - min(k, 0)).values[:, 0]
     cur, lag = p0[lead:lead + L], p0[lead - k:lead - k + L]
     return (cur - lag) ** 2
 

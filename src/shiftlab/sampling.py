@@ -58,7 +58,8 @@ class SeedStream:
 
 @dataclass(frozen=True)
 class Window:
-    """A finite sample anchored at index ``start``."""
+    """Any finite array anchored at index ``start``: a sample, an {a, b}
+    sequence, a blocked window or a marginal block."""
 
     start: int
     values: np.ndarray
@@ -87,14 +88,15 @@ def sample_window(m, span: tuple[int, int], seeds: SeedStream,
                   label: str = "window") -> Window:
     """Independent coordinates, coordinate n distributed per marginal(n)."""
     return sample_block(m.alphabet, m.block(span[0], _span_length(span)),
-                        span[0], seeds, label)
+                        seeds, label)
 
 
-def sample_block(alphabet: tuple, p: np.ndarray, lo: int,
-                 seeds: SeedStream, label: str) -> Window:
-    """The window over a marginal block ``p`` whose row 0 is index ``lo``:
-    coordinate lo + i is row i's inverse CDF at its uniform in ``label``."""
-    u = seeds.uniforms(label, lo, len(p))[:, 0]
+def sample_block(alphabet: tuple, block: Window, seeds: SeedStream,
+                 label: str) -> Window:
+    """The window over every row of a marginal block: coordinate n is the
+    inverse CDF of n's row at its uniform in ``label``."""
+    p = block.values
+    u = seeds.uniforms(label, block.start, len(p))[:, 0]
     if p.shape[1] == 2:
         sym = (u >= p[:, 0]).astype(np.int64)
     else:
@@ -102,7 +104,7 @@ def sample_block(alphabet: tuple, p: np.ndarray, lo: int,
         sym = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
     if alphabet != tuple(range(len(alphabet))):
         sym = np.asarray(alphabet)[sym]
-    return Window(lo, sym)
+    return Window(block.start, sym)
 
 
 def _piecewise_inverse_cdf(edges: np.ndarray, vals: np.ndarray,

@@ -67,14 +67,14 @@ def _check_width(k: int) -> None:
 def eta_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     """Law of block n under blocking: product of marginals kn .. kn+k-1."""
     _check_width(k)
-    p0 = m.block(k * n, k)[:, 0]
+    p0 = m.block(k * n, k).values[:, 0]
     return block_law(p0, 1.0 - p0)
 
 
 def kappa_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     """Law of block n under interleaving: the marginal at kn, repeated."""
     _check_width(k)
-    p0 = np.full(k, m.block(k * n, 1)[0, 0])
+    p0 = np.full(k, m.block(k * n, 1).values[0, 0])
     return block_law(p0, 1.0 - p0)
 
 
@@ -96,7 +96,7 @@ def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutani
     _check_width(k)
     if len(m.alphabet) != 2:
         raise ValueError("two-symbol alphabet required")
-    p0 = m.block(-N * k, (2 * N + 1) * k)[:, 0].reshape(2 * N + 1, k)
+    p0 = m.block(-N * k, (2 * N + 1) * k).values[:, 0].reshape(2 * N + 1, k)
     head = np.broadcast_to(p0[:, :1], p0.shape)
     sq = (block_law(p0, 1.0 - p0) - block_law(head, 1.0 - head)) ** 2
     bound_n = (k ** 2) * np.sum((p0 - head) ** 2, axis=1)
@@ -184,8 +184,8 @@ def rpm_scaling_identity(p: float, q: float, c: float, dsmall: float,
     spec_q = SequenceSpec(q, a)
 
     def compare(lhs: FiniteProductMeasure, rhs: FiniteProductMeasure):
-        l0 = lhs.block(-N, 2 * N + 1)[:, 0]
-        r0 = rhs.block(-N, 2 * N + 1)[:, 0]
+        l0 = lhs.block(-N, 2 * N + 1).values[:, 0]
+        r0 = rhs.block(-N, 2 * N + 1).values[:, 0]
         diff = np.abs(l0 - r0)
         mismatched = np.flatnonzero(diff > 1e-12) - N
         agree = diff[diff <= 1e-12]

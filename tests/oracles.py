@@ -103,7 +103,7 @@ def multiplicity(assignment) -> dict[int, int]:
 def good_prob(m, i: int) -> float:
     """Exact product-measure probability that the 8-block starting at i is
     good (sum over the two admissible blocks)."""
-    p = m.block(i, GOOD_WIDTH)
+    p = m.block(i, GOOD_WIDTH).values
     total = 0.0
     for g in GOOD_BLOCKS:
         total += float(np.prod(p[np.arange(GOOD_WIDTH), list(g)]))

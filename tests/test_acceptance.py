@@ -128,7 +128,7 @@ def test_a02_good_block_probability():
     m = sl.make_nu_c(1 / 6)
     bits = _sample_long(m, 8 * n_blocks, "a02-nu")
     freq = _good_block_freq(bits)
-    delta = sl.doeblin_delta(m.block(0, 8 * n_blocks), 0)
+    delta = sl.doeblin_delta(m.block(0, 8 * n_blocks))
     assert delta == pytest.approx(1 / 3, abs=1e-12)
     sigma = math.sqrt(freq * (1 - freq) / n_blocks)
     ok = freq >= delta ** 8 - 4 * sigma
@@ -195,7 +195,7 @@ def extracted_bits():
 def test_a05a_fair_bit_chi_square(extracted_bits):
     from shiftlab.factor import bias_square_terms
     m = sl.iid_binary(0.3)
-    summand = float(np.sum(bias_square_terms(m.block(-100, 202), -100, 100)))
+    summand = float(np.sum(bias_square_terms(m.block(-100, 202), 100)))
     assert summand == 0.0  # stationarity makes the bond bias exactly zero
     _, p = oracles.chi_square_fair_bits(extracted_bits)
     report("A05a fair-bits-chi-square", p > 0.001,
@@ -220,7 +220,7 @@ def test_a06_bias_square_sum_converges():
     from shiftlab.factor import bias_square_terms
     from shiftlab.measures import sum_with_tail
     p = sl.make_nu_c(1 / 6).block(-10 ** 6, 2 * 10 ** 6 + 2)
-    value, tail = sum_with_tail(bias_square_terms(p, -10 ** 6, 10 ** 6))
+    value, tail = sum_with_tail(bias_square_terms(p, 10 ** 6))
     ok = abs(tail) < 1e-4 * value
     report("A06 eq2-diagnostic", ok,
            f"total {value:.6f}, last-decade {tail:.2e}")
@@ -331,7 +331,7 @@ def test_a10_speedup_blocking():
     # blocked law vs eta on all cylinders of length <= 3, 4 sigma, 1e5 rows
     m = sl.make_nu_c(0.2)
     k, nblocks, M = 2, 3, 10 ** 5
-    p0 = m.block(0, k * nblocks)[:, 0]
+    p0 = m.block(0, k * nblocks).values[:, 0]
     u = sl.SeedStream(SEED).generator("a10-blocking").random(
         (M, k * nblocks))
     bits = (u >= p0).astype(int)

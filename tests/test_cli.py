@@ -107,6 +107,18 @@ class TestMeasureCheck:
                 (0.20304602461050097, 4.1777547726828956e-08, True),
         }
 
+    def test_repeated_k_gives_one_record_and_series(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "measure", "check", "--measure",
+                       "mu:0.3,0.5", "--n", "1000", "--k", "3", "--k", "3",
+                       "--k", "1") == EXIT_OK
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert [m["name"] for m in metrics if "kakutani" in m["name"]] == \
+            ["kakutani_shift_sum_k3", "kakutani_shift_sum_k1"]
+        # the CSV sorts its series by name; one row per decade 10 .. 1000
+        series = parse_plot_data(tmp_path / "measure_check.csv")
+        assert {name: len(rows) for name, rows in series.items()} == \
+            {"kakutani_k1": 3, "kakutani_k3": 3}
+
     def test_byte_determinism(self, tmp_path, capsys):
         argv = ["measure", "check", "--measure", "nu_c:0.2",
                 "--n", "1000", "--seed", "5"]
@@ -713,6 +725,17 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"shiftlab: config error: bad measure spec {spec!r}: {reason}\n")
+
+    @pytest.mark.parametrize("spec", ["iid:1e-104", "mu:1e-320,0.5"])
+    @pytest.mark.parametrize("command", ["factor", "match"])
+    def test_subnormal_q_is_config_error(self, tmp_path, capsys, command,
+                                         spec):
+        # q is positive but 8/q overflows, so there is no capacity d
+        assert run_cli(tmp_path, command, "run", "--measure", spec,
+                       "--n", "1000") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("shiftlab: config error: q = ")
+        assert err.endswith("gives no finite capacity 8/q\n")
 
     def test_family_flags_are_gone(self, tmp_path, capsys):
         code = run_cli(tmp_path, "measure", "check", "--family", "nu_c",

@@ -174,14 +174,14 @@ class TestGoodProb:
 
     def test_lower_bound_over_range(self):
         m = make_nu_c(0.2)
-        q = good_prob_lower(m.block(-50, 108), -50, (-50, 50))
+        q = good_prob_lower(m.block(-50, 108), (-50, 50))
         probe = min(good_prob(m, i) for i in range(-50, 51))
         assert q == pytest.approx(probe, rel=1e-12)
 
     def test_lower_bound_refuses_non_binary(self):
         # read as binary, columns 0 and 1 of this measure give q = 3.9e-05
         with pytest.raises(ValueError, match="two-symbol"):
-            good_prob_lower(iid([0.2, 0.3, 0.5]).block(0, 1007), 0, (0, 999))
+            good_prob_lower(iid([0.2, 0.3, 0.5]).block(0, 1007), (0, 999))
 
     def test_lower_bound_refuses_zero_mass(self):
         # a block starting at -20 names -3 by its index, not its row
@@ -192,13 +192,13 @@ class TestGoodProb:
                                              (1.0, 0.0), (0.5, 0.5)))
             with pytest.raises(ValueError,
                                match=f"Doeblin condition at index {index}$"):
-                good_prob_lower(m.block(lo, hi - lo + 8), lo, (lo, hi))
+                good_prob_lower(m.block(lo, hi - lo + 8), (lo, hi))
 
     def test_lower_bound_refuses_short_block(self):
         # the block starting at the last start needs rows up to hi + 7
         p = make_nu_c(0.2).block(0, 103)
         with pytest.raises(ValueError, match="misses 103 .. 106$"):
-            good_prob_lower(p, 0, (0, 99))
+            good_prob_lower(p, (0, 99))
 
 
 class TestLinearGrowthOfSpecials:
@@ -209,7 +209,7 @@ class TestLinearGrowthOfSpecials:
         N = 10 ** 5
         w = sample_window(m, (0, N - 1), SeedStream(71))
         count = int(special_sequence(w).values.sum())
-        q = good_prob_lower(m.block(0, N + 7), 0, (0, N - 1))
+        q = good_prob_lower(m.block(0, N + 7), (0, N - 1))
         mean_lb = q / 8 * N
         sigma = math.sqrt(N / 8 * q * (1 - q))
         assert count >= mean_lb - 4 * sigma

@@ -76,6 +76,11 @@ class TestRequiredD:
         with pytest.raises(ValueError):
             required_d(0.0)
 
+    def test_rejects_q_with_no_finite_capacity(self):
+        # a subnormal q makes 8/q overflow to inf
+        with pytest.raises(ValueError, match="5e-324"):
+            required_d(5e-324)
+
 
 class TestMeshalkinMatch:
     def test_ba(self):

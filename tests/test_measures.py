@@ -1,4 +1,5 @@
 """Product-measure families, RN diagnostics, and the RI/RPM operations."""
+import itertools
 import math
 import warnings
 
@@ -9,13 +10,14 @@ from oracles import (block_law_oracle, check_decay, log_rn_shift_oracle,
                      log_rn_swap_oracle)
 from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream,
                       SequenceSpec, Window, ZeroMassError, doeblin_delta,
-                      forget_coin, f_family, g_family, iid, iid_binary,
-                      inverse_sqrt, log_damped, log_rn_shift, log_rn_swap,
-                      make_mu_pc, make_nu_c, mix_disjoint, parse_measure, ri,
-                      rpm, sample_density_window, sample_window, shift_family)
+                      forget_coin, f_family, g_family, good_prob_lower, iid,
+                      iid_binary, inverse_sqrt, log_damped, log_rn_shift,
+                      log_rn_swap, make_mu_pc, make_nu_c, mix_disjoint,
+                      parse_measure, ri, rpm, sample_density_window,
+                      sample_window, shift_family)
 from shiftlab.factor import bias_square_terms
-from shiftlab.measures import (block_law, centred_sum, kakutani_terms,
-                               nu_c_zero_mass, sum_with_tail)
+from shiftlab.measures import (block_law, block_rows, centred_sum,
+                               kakutani_terms, nu_c_zero_mass, sum_with_tail)
 from shiftlab.typeiii import TypeIIISpec
 
 # Brute-force oracle value: sum over |n| <= 1e5 of the squared marginal
@@ -54,7 +56,7 @@ def test_block_matches_pointwise(case):
                     for i in k.tolist()]
         else:
             m = BUILTIN_FAMILIES[case]
-            got = m.block(-5, 20)
+            got = m.block(-5, 20).values
             want = [m.table(n) for n in range(-5, 15)]
     assert np.array_equal(got, want)
 
@@ -103,7 +105,7 @@ class TestMuPC:
 
 class TestDoeblin:
     def test_iid_constant(self):
-        assert doeblin_delta(iid_binary(0.3).block(-50, 101), -50) == pytest.approx(0.3)
+        assert doeblin_delta(iid_binary(0.3).block(-50, 101)) == pytest.approx(0.3)
 
     def test_nu_sixth_over_million(self):
         # enumeration oracle: the minimum mass of nu^{1/6} sits at n = 1
@@ -112,19 +114,19 @@ class TestDoeblin:
         a = nu_c_zero_mass(n, 1 / 6)
         oracle = float(np.minimum(0.5 + a, 0.5 - a).min())
         assert oracle == pytest.approx(1 / 3, abs=1e-15)
-        assert doeblin_delta(m.block(-10 ** 6, 2 * 10 ** 6 + 1), -10 ** 6) == pytest.approx(oracle, abs=0)
+        assert doeblin_delta(m.block(-10 ** 6, 2 * 10 ** 6 + 1)) == pytest.approx(oracle, abs=0)
 
     def test_zero_mass_flags(self):
         m = iid((1.0, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert doeblin_delta(m.block(0, 6), 0) == 0.0
+            assert doeblin_delta(m.block(0, 6)) == 0.0
 
 
 def terms_of(m, k, N):
     """kakutani_terms over a block of exactly the indices n and n-k reach."""
     lo = -N - max(k, 0)
-    return kakutani_terms(m.block(lo, 2 * N + 1 + abs(k)), lo, k, N)
+    return kakutani_terms(m.block(lo, 2 * N + 1 + abs(k)), k, N)
 
 
 def kakutani_sum(m, k, N):
@@ -173,26 +175,26 @@ class TestKakutaniShiftSum:
         # k = 2, N = 10 reads indices -12 .. 10
         m = make_nu_c(0.1)
         with pytest.raises(ValueError, match=r"misses -12 \.\. -12$"):
-            kakutani_terms(m.block(-11, 22), -11, 2, 10)
+            kakutani_terms(m.block(-11, 22), 2, 10)
         with pytest.raises(ValueError, match=r"misses -12 \.\. -10 and "
                                              r"10 \.\. 10$"):
-            kakutani_terms(m.block(-9, 19), -9, 2, 10)
+            kakutani_terms(m.block(-9, 19), 2, 10)
         with pytest.raises(ValueError, match="two-symbol"):
-            kakutani_terms(iid((0.2, 0.3, 0.5)).block(-12, 23), -12, 2, 10)
+            kakutani_terms(iid((0.2, 0.3, 0.5)).block(-12, 23), 2, 10)
 
 
 def kakutani_two_blocks(m, k, N):
     """Oracle: one block at the current indices and one at the lagged ones."""
     if k == 0:
         return 0.0
-    cur = m.block(-N, 2 * N + 1)[:, 0]
-    lag = m.block(-N - k, 2 * N + 1)[:, 0]
+    cur = m.block(-N, 2 * N + 1).values[:, 0]
+    lag = m.block(-N - k, 2 * N + 1).values[:, 0]
     return float(np.sum((cur - lag) ** 2))
 
 
 def bias_square_at(m, N):
     """Oracle: the bias-square sum evaluated at N alone."""
-    p = m.block(-N, 2 * N + 2)[:, 0]
+    p = m.block(-N, 2 * N + 2).values[:, 0]
     p01 = p[:-1] * (1.0 - p[1:])
     p10 = (1.0 - p[:-1]) * p[1:]
     return float(np.sum((p01 / (p01 + p10) - 0.5) ** 2))
@@ -230,9 +232,51 @@ def test_bias_square_partial_sums_equal_oracle(name):
     m = TERM_MEASURES[name]
     for N in (1, 9, 10, 999, 10 ** 5):
         p = m.block(-N, 2 * N + 2)
-        value, tail = sum_with_tail(bias_square_terms(p, -N, N))
+        value, tail = sum_with_tail(bias_square_terms(p, N))
         assert value == bias_square_at(m, N)
         assert tail == value - bias_square_at(m, max(N // 10, 1))
+
+
+class TestBlockRows:
+    def test_sub_block(self):
+        m = make_nu_c(0.1)
+        block = m.block(-7, 20)
+        sub = block_rows(block, -3, 5)
+        assert sub.start == -3
+        assert np.array_equal(sub.values, block.values[4:13])
+        assert np.array_equal(sub.values, m.table(np.arange(-3, 6)))
+
+    def test_miss_is_refused(self):
+        block = make_nu_c(0.1).block(-7, 20)
+        with pytest.raises(ValueError, match=r"^block over indices -7 \.\. 12 "
+                           r"misses -9 \.\. -8 and 13 \.\. 14$"):
+            block_rows(block, -9, 14)
+
+
+@pytest.mark.parametrize("spec", ["iid:0.3", "nu_c:0.1", "mu:0.3,0.5"])
+def test_diagnostics_read_rows_by_index(spec):
+    """Each diagnostic gives the same result from the exact block it reads
+    and from blocks 1 or 17 rows longer on either side, and refuses a block
+    one row short.  doeblin_delta reads every row it is given, so it gets
+    its rows through block_rows, as `measure check` does."""
+    m, N, k, span = parse_measure(spec), 50, 3, (-20, 30)
+    reads = [
+        (lambda b: doeblin_delta(block_rows(b, -N, N)), -N, N),
+        (lambda b: kakutani_terms(b, k, N), -N - k, N),
+        (lambda b: kakutani_terms(b, -k, N), -N, N + k),
+        (lambda b: bias_square_terms(b, N), -N, N + 1),
+        (lambda b: good_prob_lower(b, span), span[0], span[1] + 7),
+    ]
+    for read, first, last in reads:
+        length = last - first + 1
+        want = read(m.block(first, length))
+        for left, right in itertools.product((0, 1, 17), repeat=2):
+            got = read(m.block(first - left, length + left + right))
+            assert np.array_equal(got, want)
+        for short in (m.block(first + 1, length - 1),
+                      m.block(first, length - 1)):
+            with pytest.raises(ValueError, match="misses"):
+                read(short)
 
 
 class TestLogRN:
@@ -367,11 +411,12 @@ class TestRPMAndRI:
     def test_p_one_keeps_measure(self):
         m = make_nu_c(0.2)
         out = rpm(m, 1.0, (0.5, 0.5))
-        assert np.array_equal(out.block(-20, 41), m.block(-20, 41))
+        assert np.array_equal(out.block(-20, 41).values,
+                              m.block(-20, 41).values)
 
     def test_p_zero_replaces(self):
         out = rpm(make_nu_c(0.2), 0.0, (0.9, 0.1))
-        assert np.allclose(out.block(-20, 41), [0.9, 0.1], atol=0)
+        assert np.allclose(out.block(-20, 41).values, [0.9, 0.1], atol=0)
 
     def test_rpm_linearity_random(self):
         rng = np.random.default_rng(123)
@@ -395,7 +440,7 @@ class TestRPMAndRI:
 
     def test_ri_total_mass(self):
         out = ri(make_nu_c(0.3), 0.6, (0.2, 0.8))
-        assert out.block(-10, 21).sum(axis=1) == pytest.approx(np.ones(21), abs=1e-15)
+        assert out.block(-10, 21).values.sum(axis=1) == pytest.approx(np.ones(21), abs=1e-15)
 
     def test_forgetting_coin_equals_rpm(self):
         rng = np.random.default_rng(7)

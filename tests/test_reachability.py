@@ -34,7 +34,7 @@ UNREACHED = {
     "speedups.zeta", "speedups.pi_interleave", "speedups._check_width",
     "speedups.eta_marginal", "speedups.kappa_marginal",
     "speedups.block_kakutani_sum", "speedups.BlockKakutaniResult.bound_holds",
-    "speedups.DissipativityReport.summands", "sampling.Window.span",
+    "speedups.DissipativityReport.summands",
     "speedups.rpm_scaling_identity", "measures.rpm",
     # "Lemma 8 on sampled windows"
     "markers.good_block_sequence", "matching.dominates",

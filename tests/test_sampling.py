@@ -94,7 +94,7 @@ class TestSampleWindow:
         m = parse_measure(spec)
         N = 10 ** 5
         w = sample_window(m, (1, N), SeedStream(31))
-        p0 = m.block(1, N)[:, 0]
+        p0 = m.block(1, N).values[:, 0]
         zeros = float(np.sum(np.asarray(w.values) == 0))
         mean = p0.sum()
         sigma = math.sqrt(float((p0 * (1 - p0)).sum()))

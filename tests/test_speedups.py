@@ -146,7 +146,7 @@ class TestBlockKakutani:
         violations = []
         for n in range(-N, N + 1):
             sq = (eta_marginal(m, k, n) - kappa_marginal(m, k, n)) ** 2
-            p0 = m.block(k * n, k)[:, 0]
+            p0 = m.block(k * n, k).values[:, 0]
             bound_n = k ** 2 * float(np.sum((p0 - p0[0]) ** 2))
             total += float(sq.sum())
             bound += bound_n
@@ -165,7 +165,7 @@ class TestBlockKakutani:
         # cylinders of length <= 3 (in blocks), 4 sigma at 2e4 replicates
         m = make_nu_c(0.2)
         k, nblocks, M = 2, 3, 2 * 10 ** 4
-        p0 = m.block(0, k * nblocks)[:, 0]
+        p0 = m.block(0, k * nblocks).values[:, 0]
         u = SeedStream(3).generator("blocking").random((M, k * nblocks))
         bits = (u >= p0).astype(int)
         for start in range(nblocks):
