@@ -61,15 +61,14 @@ class Report:
 def write_csv(path: Path, header, columns) -> Path:
     """Write the ``header`` line, then one row per position of the
     equal-length ``columns``, each line ending in a bare newline.  A cell
-    is the ``%s`` of a ``.tolist()`` value, which is a float's ``repr``.
+    is the ``str`` of a ``.tolist()`` value, which is a float's ``repr``.
 
     Two formatters write the same bytes, picked by the columns' dtypes.
     When every column is an integer array other than ``uint64``,
-    ``_write_int_rows`` formats the digits with numpy.  Any other column
-    set (floats, strings, bools, ``uint64``) goes through one ``%`` per
-    chunk over the chunk's ``.tolist()`` cells, interleaved row-major into
-    one flat list.  Either way rows are formatted ``CSV_CHUNK`` at a time,
-    so 10^6 rows never hold all their strings at once."""
+    ``_write_int_rows`` formats the digits with numpy, ``CSV_CHUNK`` rows
+    at a time, so 10^6 rows never hold all their strings at once.  Any
+    other column set (floats, strings, bools, ``uint64``; at most a few
+    thousand rows in a lab command) is joined row by row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c) for c in columns]
@@ -77,16 +76,10 @@ def write_csv(path: Path, header, columns) -> Path:
         with open(path, "wb") as fh:
             _write_int_rows(fh, header, columns)
         return path
-    k = len(columns)
-    row = ",".join(["%s"] * k) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), CSV_CHUNK):
-            chunk = [c[i:i + CSV_CHUNK].tolist() for c in columns]
-            flat = [None] * (k * len(chunk[0]))
-            for j, cells in enumerate(chunk):
-                flat[j::k] = cells
-            fh.write(row * len(chunk[0]) % tuple(flat))
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(str, row)) + "\n")
     return path
 
 

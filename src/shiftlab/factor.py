@@ -211,7 +211,7 @@ def match_window(m: FiniteProductMeasure, span: tuple[int, int],
     lo, hi = span
     block = m.block(lo, hi - lo + GOOD_WIDTH)
     q = good_prob_lower(block, span)
-    w = sample_block(m.alphabet, block_rows(block, lo, hi), seeds, label)
+    w = sample_block(block_rows(block, lo, hi), seeds, label)
     del block
     d = required_d(q)
     return w, q, d, meshalkin_match(special_sequence(w), d)

@@ -175,12 +175,3 @@ def dominates(z: Window, z2: Window) -> bool:
     if z.span != z2.span:
         raise ValueError("sequences must share an index range")
     return bool(np.all(~z.values | z2.values))
-
-
-def flip_coupling(z: Window, prob: float, rng: np.random.Generator) -> Window:
-    """Monotone coupling: flip each b of z to a independently with the given
-    probability.  The result dominates z by construction."""
-    isa = z.values.copy()
-    bs = np.flatnonzero(~isa)
-    isa[bs[rng.random(len(bs)) < prob]] = True
-    return Window(z.start, isa)

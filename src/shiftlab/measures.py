@@ -11,13 +11,12 @@ The module provides:
   * ``FiniteProductMeasure`` / ``DensityFamily`` / ``SequenceSpec`` types,
   * the built-in marginal families (half-stationary ``nu_c``, perturbed
     ``mu^(p,c)``, plain i.i.d.),
-  * log Radon-Nikodym sums for shifts and transpositions, read with one
-    ``density`` call per term over whole index arrays,
+  * log Radon-Nikodym sums for shifts, read with one ``density`` call per
+    term over whole index arrays,
   * the joint law of a block of independent binary symbols,
   * Kakutani-style squared-distance terms and their centred partial sums,
-  * the random-insertion (RI) and randomized-product-measure (RPM)
-    operations, which mix a measure coordinatewise with an external
-    i.i.d. source.
+  * the randomized-product-measure (RPM) operation, which mixes a measure
+    coordinatewise with an external i.i.d. source.
 """
 from __future__ import annotations
 
@@ -302,11 +301,10 @@ def block_law(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return law
 
 
-def _log_mass(m, n, x, skip=False) -> np.ndarray:
-    """log m_n(x), broadcast over ``n``, ``x`` and ``skip`` (0 where
-    ``skip``); raises ``ZeroMassError`` naming the first other index
-    with zero mass."""
-    mass = np.where(skip, 1.0, m.density(n, x))
+def _log_mass(m, n, x) -> np.ndarray:
+    """log m_n(x), broadcast over ``n`` and ``x``; raises ``ZeroMassError``
+    naming the first index with zero mass."""
+    mass = m.density(n, x)
     zero = mass <= 0.0
     if zero.any():
         raise ZeroMassError(f"zero mass at index {_first_at(n, zero)} "
@@ -325,19 +323,8 @@ def log_rn_shift(m, k: int, w) -> float:
                         - _log_mass(m, n, w.values)))
 
 
-def log_rn_swap(m, i, j, xi, xj) -> float | np.ndarray:
-    """Log RN derivative of the transposition (i j) at values (xi, xj):
-    log[m_i(xj) m_j(xi)] - log[m_i(xi) m_j(xj)], broadcast over the four
-    arguments and exactly 0 where i == j (a float for scalar arguments)."""
-    i, j, xi, xj = np.broadcast_arrays(i, j, xi, xj)
-    same = i == j
-    val = _log_mass(m, i, xj, same) + _log_mass(m, j, xi, same) \
-        - _log_mass(m, i, xi, same) - _log_mass(m, j, xj, same)
-    return float(val) if val.ndim == 0 else val
-
-
 # ---------------------------------------------------------------------------
-# RI / RPM operations
+# RPM operation
 # ---------------------------------------------------------------------------
 
 def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
@@ -352,41 +339,6 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
 
     return FiniteProductMeasure(
         m.alphabet, lambda n: p * m.table(n) + (1.0 - p) * av)
-
-
-def ri(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
-    """Random insertion: the coin that decides "keep or replace" is kept in
-    the output, which therefore lives on alphabet x {H, T} with
-    mass(n)(a, H) = p * m_n(a) and mass(n)(a, T) = (1-p) * alpha(a)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    av = _as_vector(alpha)
-    if len(av) != len(m.alphabet):
-        raise ValueError("alpha must live on the same alphabet")
-    alphabet = tuple((a, side) for side in ("H", "T") for a in m.alphabet)
-
-    def marginals(n) -> np.ndarray:
-        base = m.table(n)
-        return np.concatenate(
-            [p * base, np.broadcast_to((1.0 - p) * av, base.shape)], axis=-1)
-
-    return FiniteProductMeasure(alphabet, marginals)
-
-
-def forget_coin(mri: FiniteProductMeasure) -> FiniteProductMeasure:
-    """Marginalize the {H, T} coordinate of a random-insertion measure.
-
-    The result agrees exactly with the corresponding RPM measure, which is
-    how the "RPM is a measure-preserving factor of RI" identity is checked.
-    """
-    half = len(mri.alphabet) // 2
-    base_alphabet = tuple(a for a, side in mri.alphabet[:half])
-
-    def marginals(n) -> np.ndarray:
-        full = mri.table(n)
-        return full[..., :half] + full[..., half:]
-
-    return FiniteProductMeasure(base_alphabet, marginals)
 
 
 # ---------------------------------------------------------------------------

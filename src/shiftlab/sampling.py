@@ -87,14 +87,13 @@ def _span_length(span: tuple[int, int]) -> int:
 def sample_window(m, span: tuple[int, int], seeds: SeedStream,
                   label: str = "window") -> Window:
     """Independent coordinates, coordinate n distributed per marginal(n)."""
-    return sample_block(m.alphabet, m.block(span[0], _span_length(span)),
-                        seeds, label)
+    return sample_block(m.block(span[0], _span_length(span)), seeds, label)
 
 
-def sample_block(alphabet: tuple, block: Window, seeds: SeedStream,
-                 label: str) -> Window:
+def sample_block(block: Window, seeds: SeedStream, label: str) -> Window:
     """The window over every row of a marginal block: coordinate n is the
-    inverse CDF of n's row at its uniform in ``label``."""
+    inverse CDF of n's row at its uniform in ``label``, as the column index
+    0 .. A-1 of its symbol."""
     p = block.values
     u = seeds.uniforms(label, block.start, len(p))[:, 0]
     if p.shape[1] == 2:
@@ -102,8 +101,6 @@ def sample_block(alphabet: tuple, block: Window, seeds: SeedStream,
     else:
         cdf = np.cumsum(p, axis=1)
         sym = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
-    if alphabet != tuple(range(len(alphabet))):
-        sym = np.asarray(alphabet)[sym]
     return Window(block.start, sym)
 
 
@@ -142,11 +139,3 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
         values[c:c + k] = _piecewise_inverse_cdf(
             *d.table(np.arange(lo + c, lo + c + k)), u)
     return Window(lo, values)
-
-
-def sample_density_iid(d, n: int, count: int, seeds: SeedStream,
-                       label: str = "density-iid") -> np.ndarray:
-    """Many independent draws from the single density at index n."""
-    u = seeds.generator(label, n).random(count)
-    return _piecewise_inverse_cdf(*d.table(n), u)
-

@@ -121,10 +121,6 @@ class DissipativityReport:
     last_decade_increment: float  # partial(K) - partial(K // 10)
     tail_slope: float             # log-summand regression slope on [K/10, K]
 
-    @property
-    def summands(self) -> np.ndarray:
-        return np.exp(-self.S / 2.0)
-
 
 def _hellinger_all_k(c: float, K: int, support: int) -> np.ndarray:
     """S(k) for k = 1..K with the perturbation truncated beyond ``support``

@@ -1,5 +1,6 @@
 """Slow, independent routes to what the library computes, for the tests to
-check it against.  None of these run in a lab command."""
+check it against, and the references that only acceptance criteria and
+their unit tests read.  None of these run in a lab command."""
 import csv
 import itertools
 import math
@@ -9,8 +10,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
-from shiftlab.measures import ZeroMassError, nu_c_zero_mass
-from shiftlab.sampling import _BLOCK, _COUNTER_OFFSET, Window
+from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
+                               _log_mass, nu_c_zero_mass)
+from shiftlab.sampling import (_BLOCK, _COUNTER_OFFSET, Window,
+                               _piecewise_inverse_cdf)
 from shiftlab.stattests import chi_square_pooled
 from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 
@@ -26,6 +29,13 @@ def uniforms_oneshot(seeds, label: str, start: int, count: int) -> np.ndarray:
     return u.reshape(count, _BLOCK)[:, :1].copy()
 
 
+def sample_density_iid(d, n: int, count: int, seeds,
+                       label: str = "density-iid") -> np.ndarray:
+    """Many independent draws from the single density at index n."""
+    u = seeds.generator(label, n).random(count)
+    return _piecewise_inverse_cdf(*d.table(n), u)
+
+
 # -- matching -----------------------------------------------------------------
 
 def from_letters(start: int, word: str) -> Window:
@@ -35,6 +45,15 @@ def from_letters(start: int, word: str) -> Window:
         raise ValueError("word must be over {a, b}")
     isa = np.frombuffer(word.encode(), dtype=np.uint8) == ord("a")
     return Window(start, isa)
+
+
+def flip_coupling(z, prob: float, rng: np.random.Generator) -> Window:
+    """Monotone coupling: flip each b of z to a independently with the given
+    probability.  The result dominates z by construction."""
+    isa = z.values.copy()
+    bs = np.flatnonzero(~isa)
+    isa[bs[rng.random(len(bs)) < prob]] = True
+    return Window(z.start, isa)
 
 
 def slots_oracle(b_indices, a_indices) -> list[int]:
@@ -169,6 +188,20 @@ def log_rn_shift_oracle(m, k: int, w) -> float:
     return total
 
 
+def log_rn_swap(m, i, j, xi, xj) -> float | np.ndarray:
+    """Log RN derivative of the transposition (i j) at values (xi, xj):
+    log[m_i(xj) m_j(xi)] - log[m_i(xi) m_j(xj)], broadcast over the four
+    arguments and exactly 0 where i == j, whose masses are never read (a
+    float for scalar arguments)."""
+    i, j, xi, xj = np.broadcast_arrays(i, j, xi, xj)
+    val = np.zeros(i.shape)
+    moved = i != j
+    i, j, xi, xj = i[moved], j[moved], xi[moved], xj[moved]
+    val[moved] = _log_mass(m, i, xj) + _log_mass(m, j, xi) \
+        - _log_mass(m, i, xi) - _log_mass(m, j, xj)
+    return float(val) if val.ndim == 0 else val
+
+
 def log_rn_swap_oracle(m, i: int, j: int, xi, xj) -> float:
     """``log_rn_swap`` at one pair, from four scalar reads."""
     if i == j:
@@ -179,6 +212,41 @@ def log_rn_swap_oracle(m, i: int, j: int, xi, xj) -> float:
         raise ZeroMassError(f"zero mass in swap ({i} {j})")
     return math.log(vals[0]) + math.log(vals[1]) \
         - math.log(vals[2]) - math.log(vals[3])
+
+
+def ri(m, p: float, alpha) -> FiniteProductMeasure:
+    """Random insertion: the coin that decides "keep or replace" is kept in
+    the output, which therefore lives on alphabet x {H, T} with
+    mass(n)(a, H) = p * m_n(a) and mass(n)(a, T) = (1-p) * alpha(a)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    av = np.asarray(alpha, dtype=float)
+    if len(av) != len(m.alphabet):
+        raise ValueError("alpha must live on the same alphabet")
+    alphabet = tuple((a, side) for side in ("H", "T") for a in m.alphabet)
+
+    def marginals(n) -> np.ndarray:
+        base = m.table(n)
+        return np.concatenate(
+            [p * base, np.broadcast_to((1.0 - p) * av, base.shape)], axis=-1)
+
+    return FiniteProductMeasure(alphabet, marginals)
+
+
+def forget_coin(mri) -> FiniteProductMeasure:
+    """Marginalize the {H, T} coordinate of a random-insertion measure.
+
+    The result agrees exactly with the corresponding RPM measure, which is
+    how the "RPM is a measure-preserving factor of RI" identity is checked.
+    """
+    half = len(mri.alphabet) // 2
+    base_alphabet = tuple(a for a, side in mri.alphabet[:half])
+
+    def marginals(n) -> np.ndarray:
+        full = mri.table(n)
+        return full[..., :half] + full[..., half:]
+
+    return FiniteProductMeasure(base_alphabet, marginals)
 
 
 def block_law_oracle(p0, p1) -> np.ndarray:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (from_letters, match_oracle, matching_radius,
-                     multiplicity, pairs, slots_oracle)
+from oracles import (flip_coupling, from_letters, match_oracle,
+                     matching_radius, multiplicity, pairs, slots_oracle)
 from shiftlab import (MatchingAssignment, SeedStream, SplitCodeSpec, Window,
-                      dominates, flip_coupling, good_block_sequence,
-                      iid_binary, meshalkin_match, psi_split, required_d,
-                      sample_window, special_sequence, spread_bits)
+                      dominates, good_block_sequence, iid_binary,
+                      meshalkin_match, psi_split, required_d, sample_window,
+                      special_sequence, spread_bits)
 
 
 def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):

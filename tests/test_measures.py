@@ -6,15 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (block_law_oracle, check_decay, log_rn_shift_oracle,
-                     log_rn_swap_oracle)
+from oracles import (block_law_oracle, check_decay, forget_coin,
+                     log_rn_shift_oracle, log_rn_swap, log_rn_swap_oracle,
+                     ri)
 from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream,
                       SequenceSpec, Window, ZeroMassError, doeblin_delta,
-                      forget_coin, f_family, g_family, good_prob_lower, iid,
-                      iid_binary, inverse_sqrt, log_damped, log_rn_shift,
-                      log_rn_swap, make_mu_pc, make_nu_c, mix_disjoint,
-                      parse_measure, ri, rpm, sample_density_window,
-                      sample_window, shift_family)
+                      f_family, g_family, good_prob_lower, iid, iid_binary,
+                      inverse_sqrt, log_damped, log_rn_shift, make_mu_pc,
+                      make_nu_c, mix_disjoint, parse_measure, rpm,
+                      sample_density_window, sample_window, shift_family)
 from shiftlab.factor import bias_square_terms
 from shiftlab.measures import (block_law, block_rows, centred_sum,
                                kakutani_terms, nu_c_zero_mass, sum_with_tail)

@@ -34,22 +34,14 @@ UNREACHED = {
     "speedups.zeta", "speedups.pi_interleave", "speedups._check_width",
     "speedups.eta_marginal", "speedups.kappa_marginal",
     "speedups.block_kakutani_sum", "speedups.BlockKakutaniResult.bound_holds",
-    "speedups.DissipativityReport.summands",
     "speedups.rpm_scaling_identity", "measures.rpm",
     # "Lemma 8 on sampled windows"
     "markers.good_block_sequence", "matching.dominates",
     # "Kakutani's dichotomy on samples": the log-RN cocycle of seeded
     # windows
-    "measures.log_rn_shift", "measures.log_rn_swap", "measures._log_mass",
+    "measures.log_rn_shift", "measures._log_mass",
     "measures.FiniteProductMeasure.density", "sampling.sample_window",
     "sampling._span_length",
-    # references of the acceptance criteria A04 (the monotone coupling),
-    # A08 (i.i.d. draws of the pushforward law) and A13 (the RI and
-    # forgetting-coin measures beside the RPM identities)
-    "matching.flip_coupling", "sampling.sample_density_iid", "measures.ri",
-    "measures.forget_coin",
-    # error paths
-    "measures._first_at", "stattests._failed",
 }
 
 
@@ -58,16 +50,24 @@ def _reached(tmp_path) -> set:
     called while the commands run, from a fresh interpreter."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"measure": "iid:0.3", "n": 200, "ks": [1, 2]}))
-    runs = [["measure", "check", "--measure", spec, "--n", "200"]
-            for spec in ("iid:0.3", "nu_c:0.1", "mu:0.3,0.5")]
-    runs += [["factor", "run", "--measure", "iid:0.3", "--n", "100000"],
-             ["match", "run", "--measure", "nu_c:0.1", "--n", "20000",
-              "--dump-window", "window.csv"],
-             ["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime",
-              "0.5", "--samples", "200"],
-             ["index", "scan", "--c", "0.5", "--kmax", "3"],
-             ["--config", str(cfg), "measure", "check"]]
-    runs = [[*argv, "--out-dir", str(tmp_path)] for argv in runs]
+    # (argv, expected exit code).  At smoke size the non-stationary sums
+    # have not settled and the factor run censors more than 5%, so those
+    # runs exit 1.  The last two reach the error paths: a window too short
+    # to leave any bit to test, and a marginal with negative mass.
+    runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
+            for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
+                               ("mu:0.3,0.5", 1))]
+    runs += [(["factor", "run", "--measure", "iid:0.3", "--n", "100000"], 1),
+             (["match", "run", "--measure", "nu_c:0.1", "--n", "20000",
+               "--dump-window", "window.csv"], 0),
+             (["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime",
+               "0.5", "--samples", "200"], 0),
+             (["index", "scan", "--c", "0.5", "--kmax", "3"], 0),
+             (["--config", str(cfg), "measure", "check"], 0),
+             (["factor", "run", "--measure", "iid:0.3", "--n", "2000"], 1),
+             (["measure", "check", "--measure", "iid:1.5", "--n", "10"], 2)]
+    expected = [code for _, code in runs]
+    runs = [[*argv, "--out-dir", str(tmp_path)] for argv, _ in runs]
     child = f"""
 import contextlib, io, json, sys
 seen = set()
@@ -89,7 +89,7 @@ print(json.dumps({{"codes": codes, "seen": sorted(seen)}}))
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True).stdout
     result = json.loads(out)
-    assert all(code in (0, 1) for code in result["codes"]), result["codes"]
+    assert result["codes"] == expected, str(result["codes"])
     return {tuple(key) for key in result["seen"]}
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import uniforms_oneshot
-from shiftlab import (DensityFamily, SeedStream, TypeIIISpec, f_family, iid,
-                      iid_binary, make_nu_c, mix_disjoint, shift_family,
-                      sample_density_iid, sample_density_window,
+from oracles import sample_density_iid, uniforms_oneshot
+from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
+                      TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
+                      mix_disjoint, shift_family, sample_density_window,
                       sample_window)
 from shiftlab.sampling import _DENSITY_BLOCK, _piecewise_inverse_cdf
 
@@ -99,6 +99,22 @@ class TestSampleWindow:
         mean = p0.sum()
         sigma = math.sqrt(float((p0 * (1 - p0)).sum()))
         assert abs(zeros - mean) < 4 * sigma
+
+    def test_three_symbols_equal_inverse_cdf(self):
+        # a non-stationary 3-symbol block against a row-by-row inverse CDF
+        # of the same uniforms: symbols are the column indices 0, 1, 2
+        def marginals(n):
+            s = 0.2 * np.sin(np.asarray(n, dtype=float))
+            return np.stack([0.3 + s, 0.3 - s, np.full(s.shape, 0.4)], -1)
+
+        m = FiniteProductMeasure((0, 1, 2), marginals)
+        seeds = SeedStream(11)
+        w = sample_window(m, (-500, 499), seeds)
+        u = seeds.uniforms("window", -500, 1000)[:, 0]
+        want = [np.searchsorted(np.cumsum(row), x, side="right")
+                for row, x in zip(m.block(-500, 1000).values, u)]
+        assert set(want) == {0, 1, 2}
+        assert w.start == -500 and np.array_equal(w.values, want)
 
 
 class TestSampleDensityWindow:

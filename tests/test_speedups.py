@@ -212,7 +212,7 @@ class TestDissipativity:
         rep = dissipativity_partial(c, K)
         for k in (1, 5, 50, 100):
             brute = hellinger_S(c, k, N)
-            ident = -2.0 * math.log(rep.summands[k - 1])
+            ident = -2.0 * math.log(np.exp(-rep.S / 2)[k - 1])
             boundary = float(np.sum(nu_c_zero_mass(
                 np.arange(N - k + 1, N + 1), c) ** 2))
             assert ident == pytest.approx(brute + boundary, abs=1e-8)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import pushforward_density, reindex_oracle
+from oracles import (log_rn_swap, pushforward_density, reindex_oracle,
+                     sample_density_iid)
 from shiftlab import (DensityFamily, HMapSpec, SeedStream, TypeIIISpec,
                       ZeroMassError, erase_negative_side, f_family, g_family,
-                      h_apply, lift_lambda_on_negative, log_rn_swap,
-                      mix_disjoint, ratio_profile, safe_zone,
-                      sample_density_iid, sample_density_window,
+                      h_apply, lift_lambda_on_negative, mix_disjoint,
+                      ratio_profile, safe_zone, sample_density_window,
                       shift_family)
 from shiftlab.sampling import Window
 from shiftlab.typeiii import g_pieces, generation_log_ratios
