@@ -116,15 +116,20 @@ def bias_square_terms(block: Window, N: int) -> np.ndarray:
 
 
 def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
-    """Hash each sliding window of 2*radius+1 bits to a uniform in [0, 1)."""
-    W = 2 * radius + 1
-    wins = np.lib.stride_tricks.sliding_window_view(bits, W)
-    packed = np.packbits(wins, axis=1)
-    out = np.empty(len(packed))
-    for i in range(len(packed)):
-        h = hashlib.blake2b(packed[i].tobytes(), digest_size=8, key=key).digest()
-        out[i] = (int.from_bytes(h, "little") >> 11) * 2.0 ** -53
-    return out
+    """Hash each sliding window of 2*radius+1 bits to a uniform in [0, 1):
+    the top 53 bits of the little-endian 8-byte keyed blake2b digest of
+    its packed bits.  The hasher is keyed once and copied per window, and
+    the digests are converted in one array."""
+    packed = np.packbits(
+        np.lib.stride_tricks.sliding_window_view(bits, 2 * radius + 1), axis=1)
+    raw, width = packed.tobytes(), packed.shape[1]
+    keyed = hashlib.blake2b(digest_size=8, key=key)
+    digests = []
+    for i in range(0, len(raw), width):
+        h = keyed.copy()
+        h.update(raw[i:i + width])
+        digests.append(h.digest())
+    return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
 
 
 def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
@@ -180,7 +185,8 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
 
     The special filler of rank k among the matching's a's keeps bit 0 of
     tuple k; its matched partners take the bits of their matching slots
-    1, 2, ..., in ascending index order.
+    1, 2, ..., in ascending index order, read with one flat ``take`` at
+    rank * (tuple width) + slot.
     Positions with no resolved source are censored and encoded as -1.
     """
     start = w.start
@@ -196,7 +202,9 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
     out[a_pos[split.valid] - start] = split.tuples[split.valid, 0]
 
     rank = assignment.ranks
-    bits = split.tuples[rank, assignment.slots].view(np.int8)
+    flat = rank * split.tuples.shape[1]    # each b's bit in the flat tuples
+    flat += assignment.slots
+    bits = split.tuples.reshape(-1).take(flat).view(np.int8)
     bits[~split.valid[rank]] = -1   # the b's a has no tuple: censored
     out[assignment.b_indices - start] = bits
     return Window(start, out)

@@ -21,13 +21,14 @@ from .sampling import Window
 
 GOOD_BLOCKS = ((0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 0, 0, 1, 1))
 GOOD_WIDTH = 8
+GOOD_CHUNK = 1 << 15   # block starts per pass of good_prob_lower
 
 
 def _as_bits(values) -> np.ndarray:
     bits = np.asarray(values)
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.size and not ((bits == 0) | (bits == 1)).all():
         raise ValueError("window is not binary")
-    return bits.astype(np.uint8)
+    return bits.astype(np.uint8, copy=False)
 
 
 def _marker_mask(b: np.ndarray) -> np.ndarray:
@@ -66,23 +67,31 @@ def good_block_sequence(w) -> Window:
 def good_prob_lower(block: Window, span: tuple[int, int]) -> float:
     """Infimum over the block starts in ``span`` of the exact probability
     that the 8-block there is good, from a marginal block; a non-binary
-    block, or a zero mass at a start (no Doeblin bound), is refused."""
+    block, or a zero mass at a start (no Doeblin bound), is refused.
+
+    Read ``GOOD_CHUNK`` starts at a time, so the temporaries stay in cache:
+    each start's probability sees the same float operations as in one
+    whole-span pass, and the chunks' minima give the same infimum."""
     if block.values.shape[1] != 2:
         raise ValueError(f"good blocks need a two-symbol alphabet, not "
                          f"{block.values.shape[1]} symbols")
     first, last = span
     n = last - first + 1
     rows = block_rows(block, first, last + GOOD_WIDTH - 1).values
-    # one contiguous copy per symbol, so each factor is a unit-stride slice
-    cols = [c.copy() for c in rows.T]
-    zero = np.flatnonzero((cols[0][:n] <= 0.0) | (cols[1][:n] <= 0.0))
-    if len(zero):
-        raise ValueError("measure violates the Doeblin condition at index "
-                         f"{first + int(zero[0])}")
-    q = np.zeros(n)
-    for g in GOOD_BLOCKS:
-        prod = np.ones(n)
-        for j, sym in enumerate(g):
-            prod *= cols[sym][j:j + n]
-        q += prod
-    return float(q.min())
+    lows = []
+    for c in range(0, n, GOOD_CHUNK):
+        k = min(GOOD_CHUNK, n - c)
+        # one contiguous copy per symbol, so each factor is a unit-stride slice
+        cols = rows[c:c + k + GOOD_WIDTH - 1].T.copy()
+        zero = np.flatnonzero((cols[0, :k] <= 0.0) | (cols[1, :k] <= 0.0))
+        if len(zero):
+            raise ValueError("measure violates the Doeblin condition at "
+                             f"index {first + c + int(zero[0])}")
+        q = np.zeros(k)
+        for g in GOOD_BLOCKS:
+            prod = np.ones(k)
+            for j, sym in enumerate(g):
+                prod *= cols[sym, j:j + k]
+            q += prod
+        lows.append(q.min())
+    return float(np.min(lows))

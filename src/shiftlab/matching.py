@@ -58,8 +58,8 @@ class MatchingAssignment:
         return self.a_positions[self.ranks]
 
     def check_capacity(self) -> None:
-        b, ranks = self.b_indices, self.ranks
-        if np.any(np.diff(b) <= 0):
+        b, ranks, slots = self.b_indices, self.ranks, self.slots
+        if np.any(b[1:] <= b[:-1]):
             raise AssertionError(
                 "a b was matched twice, or rows are not in ascending b order")
         if len(b):
@@ -73,7 +73,7 @@ class MatchingAssignment:
                 raise AssertionError("a b is both matched and unmatched")
             if np.bincount(ranks).max() > self.d:
                 raise AssertionError("an a exceeded its capacity")
-        if np.any((self.slots < 1) | (self.slots > self.d)):
+        if len(slots) and (slots.min() < 1 or slots.max() > self.d):
             raise AssertionError("tuple exhaustion: a slot outside 1..d")
 
 
@@ -101,8 +101,9 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     order, so once the scan knows an a's total m, a b at j in a slice
     [lo, hi) taken after ``taken`` others gets slot m - taken - (hi-1-j).
     A b's rank is the loop counter over the a's, which is the row of its
-    a's tuple.  The assignment passes ``check_capacity`` before it is
-    returned.
+    a's tuple.  The unmatched b's are read off the scan too: the runs left
+    on the stack, then the tail after the last a; the matched b's are the
+    rest.  The assignment passes ``check_capacity`` before it is returned.
     """
     if d < 1:
         raise ValueError("capacity d must be positive")
@@ -137,6 +138,17 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
         if stack:
             stack[-1][2] = max(stack[-1][2], base)
 
+    # the unmatched b's: the runs left on the stack, then the tail after
+    # the last a, in ascending order
+    ends = np.array([run[:2] for run in stack] + [[prev + 1, len(isa)]],
+                    dtype=np.int64)
+    gaps = ends[:, 1] - ends[:, 0]
+    unmatched = (np.arange(gaps.sum(), dtype=np.int64)
+                 + np.repeat(ends[:, 0] - (np.cumsum(gaps) - gaps), gaps))
+    isb = ~isa
+    isb[unmatched] = False
+    b = np.flatnonzero(isb)
+
     los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
                                     for x in (los, his, tops, ranks, taken))
     lens = his - los
@@ -146,16 +158,12 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     offsets = (taken + lens)[last] - taken - his + 1
     # the slices are disjoint, so ordering them by lo orders the b's
     order = np.argsort(los)
-    los, lens, tops, ranks, offsets = (
-        x[order] for x in (los, lens, tops, ranks, offsets))
-    b = (np.arange(lens.sum(), dtype=np.int64)
-         + np.repeat(los - (np.cumsum(lens) - lens), lens))
+    lens, tops, ranks, offsets = (
+        x[order] for x in (lens, tops, ranks, offsets))
     rounds = np.repeat(tops, lens)
     rounds -= b
     slots = np.repeat(offsets, lens)
     slots += b
-    unmatched = ~isa
-    unmatched[b] = False
     b += z.start
     assignment = MatchingAssignment(
         d=d,
@@ -164,7 +172,7 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
         a_positions=a_pos + z.start,
         rounds=rounds,
         slots=slots,
-        unmatched=np.flatnonzero(unmatched) + z.start,
+        unmatched=unmatched + z.start,
     )
     assignment.check_capacity()
     return assignment

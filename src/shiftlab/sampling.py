@@ -93,14 +93,16 @@ def sample_window(m, span: tuple[int, int], seeds: SeedStream,
 def sample_block(block: Window, seeds: SeedStream, label: str) -> Window:
     """The window over every row of a marginal block: coordinate n is the
     inverse CDF of n's row at its uniform in ``label``, as the column index
-    0 .. A-1 of its symbol."""
+    0 .. A-1 of its symbol, in the smallest unsigned dtype that holds A-1
+    (one byte per site up to 256 symbols)."""
     p = block.values
     u = seeds.uniforms(label, block.start, len(p))[:, 0]
     if p.shape[1] == 2:
-        sym = (u >= p[:, 0]).astype(np.int64)
+        sym = (u >= p[:, 0]).view(np.uint8)
     else:
         cdf = np.cumsum(p, axis=1)
-        sym = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
+        sym = (u[:, None] >= cdf[:, :-1]).sum(
+            axis=1, dtype=np.min_scalar_type(p.shape[1] - 1))
     return Window(block.start, sym)
 
 

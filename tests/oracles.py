@@ -2,6 +2,7 @@
 check it against, and the references that only acceptance criteria and
 their unit tests read.  None of these run in a lab command."""
 import csv
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -115,6 +116,22 @@ def pairs(assignment) -> dict[int, int]:
 def multiplicity(assignment) -> dict[int, int]:
     """The number of partners of each matched a."""
     return dict(Counter(assignment.a_indices.tolist()))
+
+
+# -- factor -------------------------------------------------------------------
+
+def window_uniforms_oracle(bits, radius: int, key: bytes) -> np.ndarray:
+    """``factor._window_uniforms`` one window at a time: a fresh keyed
+    blake2b per packed window, read as a Python int."""
+    W = 2 * radius + 1
+    wins = np.lib.stride_tricks.sliding_window_view(bits, W)
+    packed = np.packbits(wins, axis=1)
+    out = np.empty(len(packed))
+    for i in range(len(packed)):
+        h = hashlib.blake2b(packed[i].tobytes(), digest_size=8,
+                            key=key).digest()
+        out[i] = (int.from_bytes(h, "little") >> 11) * 2.0 ** -53
+    return out
 
 
 # -- markers and measures -----------------------------------------------------

@@ -14,8 +14,8 @@ from shiftlab import (SeedStream, SequenceSpec, SplitCodeSpec, Window,
                       run_iid_factor, sample_window, special_sequence,
                       spread_bits)
 from shiftlab import factor
-from shiftlab.factor import (LOG2, _decode_tuples, bias_square_terms,
-                             binary_entropy, match_window)
+from shiftlab.factor import (LOG2, _decode_tuples, _window_uniforms,
+                             bias_square_terms, binary_entropy, match_window)
 from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
                                sum_with_tail)
 from shiftlab.stattests import serial_correlations, uniformity_suite
@@ -196,6 +196,18 @@ class TestPsiSplit:
         out = np.zeros((len(u), d + 1), dtype=np.uint8)
         _decode_tuples(u, beta0, out)
         np.testing.assert_array_equal(out, column_decode(u, d + 1, beta0))
+
+    @pytest.mark.parametrize("radius, K", [
+        (0, 1), (3, 7), (3, 8), (16, 33), (16, 500), (64, 129), (64, 3001)])
+    @pytest.mark.parametrize("label", ["|split-code", "other"])
+    def test_window_uniforms_equal_per_row_hash(self, radius, K, label):
+        # K = 2 radius + 1 is a single window
+        key = SeedStream(5)._key(label).tobytes()
+        bits = fair_stream(K, K)
+        u = _window_uniforms(bits, radius, key)
+        ref = oracles.window_uniforms_oracle(bits, radius, key)
+        assert u.dtype == ref.dtype and len(u) == K - 2 * radius
+        assert u.tobytes() == ref.tobytes()
 
     def test_cross_tuple_decorrelation(self):
         n = 10 ** 5 + 32

@@ -2,6 +2,7 @@
 good-block probabilities."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from oracles import decompose_oracle, good_prob
 from shiftlab import (FiniteProductMeasure, SeedStream, Window, dominates,
                       good_block_sequence, good_prob_lower, good_starts, iid,
                       iid_binary, make_nu_c, sample_window, special_sequence)
-from shiftlab.markers import GOOD_BLOCKS
+from shiftlab import markers
+from shiftlab.markers import GOOD_BLOCKS, GOOD_CHUNK
 
 
 def bits(s: str) -> Window:
@@ -24,6 +26,19 @@ def specials(w) -> list:
     sequence."""
     at = np.flatnonzero(special_sequence(w).values)
     return list(zip((at + w.start).tolist(), w.values[at].tolist()))
+
+
+def dipped(at=(), zero=()):
+    """A non-stationary binary measure whose P(0) dips to 0.05 at the
+    indices ``at`` and vanishes at the indices ``zero``."""
+    def marginals(n):
+        n = np.asarray(n)
+        p0 = 0.5 + 0.2 * np.sin(0.37 * n)
+        p0 = np.where(np.isin(n, at), 0.05, p0)
+        p0 = np.where(np.isin(n, zero), 0.0, p0)
+        return np.stack([p0, 1.0 - p0], -1)
+
+    return FiniteProductMeasure(alphabet=(0, 1), marginals=marginals)
 
 
 def good_block_starts(w) -> list:
@@ -199,6 +214,66 @@ class TestGoodProb:
         p = make_nu_c(0.2).block(0, 103)
         with pytest.raises(ValueError, match="misses 103 .. 106$"):
             good_prob_lower(p, (0, 99))
+
+
+class TestGoodProbChunks:
+    """``good_prob_lower`` reads ``GOOD_CHUNK`` starts at a time; a small
+    chunk puts many boundaries inside spans the scalar oracle can walk."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000, 4096])
+    @pytest.mark.parametrize("lo, hi, at", [
+        (0, 999, []), (-300, 736, []), (-1037, -2, []),
+        (-100, 1000, [995]),    # 1101 starts: at 64, 13 in the last chunk
+    ])
+    def test_chunks_equal_oracle_minimum(self, monkeypatch, chunk, lo, hi,
+                                         at):
+        m = dipped(at=at)
+        block = m.block(lo, hi - lo + 8)
+        monkeypatch.setattr(markers, "GOOD_CHUNK", 10 ** 6)
+        whole = good_prob_lower(block, (lo, hi))
+        monkeypatch.setattr(markers, "GOOD_CHUNK", chunk)
+        q = good_prob_lower(block, (lo, hi))
+        assert q == whole
+        probe = min(good_prob(m, i) for i in range(lo, hi + 1))
+        assert q == pytest.approx(probe, rel=1e-12)
+
+    def test_infimum_in_last_partial_chunk(self, monkeypatch):
+        # the dip at ``at`` lowers only the blocks starting at at-7 .. at,
+        # all in the last chunk, which holds 41 starts
+        lo, hi, at = 0, 2 * GOOD_CHUNK + 40, 2 * GOOD_CHUNK + 30
+        m = dipped(at=[at])
+        block = m.block(lo, hi - lo + 8)
+        q = good_prob_lower(block, (lo, hi))
+        monkeypatch.setattr(markers, "GOOD_CHUNK", 10 ** 6)
+        assert q == good_prob_lower(block, (lo, hi))
+        probe = min(good_prob(m, i) for i in range(at - 7, at + 1))
+        assert q == pytest.approx(probe, rel=1e-12)
+        assert q < min(good_prob(m, i) for i in range(0, 64)) / 5
+
+    @pytest.mark.parametrize("lo, zeros", [
+        (0, [GOOD_CHUNK + 5, 2 * GOOD_CHUNK + 1]),
+        (-GOOD_CHUNK - 9, [3, GOOD_CHUNK + 20]),
+        (0, [2 * GOOD_CHUNK + 2]),      # also in the 7 rows after chunk 1
+    ])
+    def test_zero_mass_past_first_chunk(self, lo, zeros):
+        hi = lo + 3 * GOOD_CHUNK
+        m = dipped(zero=zeros)
+        with pytest.raises(ValueError,
+                           match=f"Doeblin condition at index {zeros[0]}$"):
+            good_prob_lower(m.block(lo, hi - lo + 8), (lo, hi))
+
+    def test_memory_stays_near_one_chunk(self):
+        # one chunk's columns, products and sums; a whole-span pass holds
+        # the two columns and two products, 32 B per start
+        count = 1 << 20
+        block = iid_binary(0.3).block(0, count + 7)
+        tracemalloc.start()
+        try:
+            good_prob_lower(block, (0, count - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * GOOD_CHUNK
 
 
 class TestLinearGrowthOfSpecials:

@@ -143,6 +143,27 @@ class TestMeshalkinMatch:
                     getattr(got, field), getattr(want, field),
                     err_msg=f"{field}, trial {trial}, d = {d}")
 
+    @pytest.mark.parametrize("letters, d, unmatched", [
+        ("bbbb", 2, [0, 1, 2, 3]),          # no a at all: every b is tail
+        ("babbb", 1, [2, 3, 4]),            # b's trailing the last a
+        ("bbabb", 1, [0, 3, 4]),            # a stack run, then the tail
+        ("abba", 1, [1]),                   # an a at index 0
+        ("abba", 2, []),
+        ("aaaa", 3, []),                    # all a's: no b at all
+        ("", 1, []),
+    ])
+    @pytest.mark.parametrize("start", [0, -7])
+    def test_unmatched_edges(self, letters, d, unmatched, start):
+        z = from_letters(start, letters)
+        got = meshalkin_match(z, d)
+        b = np.flatnonzero(~z.values) + start
+        assert got.unmatched.dtype == np.int64
+        assert got.unmatched.tolist() == [start + i for i in unmatched]
+        np.testing.assert_array_equal(
+            got.unmatched, np.setdiff1d(b, got.b_indices))
+        assert got.unmatched.tolist() == [
+            start + i for i in match_oracle(letters, d)[3]]
+
     @given(st.text(alphabet="ab", min_size=1, max_size=40),
            st.integers(1, 4), st.integers(-50, 50))
     @settings(max_examples=250, deadline=None)

@@ -11,7 +11,8 @@ from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
                       mix_disjoint, shift_family, sample_density_window,
                       sample_window)
-from shiftlab.sampling import _DENSITY_BLOCK, _piecewise_inverse_cdf
+from shiftlab.sampling import (_DENSITY_BLOCK, _piecewise_inverse_cdf,
+                               sample_block)
 
 
 class TestSeedStream:
@@ -115,6 +116,22 @@ class TestSampleWindow:
                 for row, x in zip(m.block(-500, 1000).values, u)]
         assert set(want) == {0, 1, 2}
         assert w.start == -500 and np.array_equal(w.values, want)
+
+    @pytest.mark.parametrize("p", [(0.3, 0.7), (0.2, 0.3, 0.5)])
+    def test_symbols_take_one_byte_per_site(self, p):
+        # the window sampled holds 1 B per site once the uniforms are gone;
+        # int64 symbols would keep 8 B
+        count = 1 << 18
+        block = iid(p).block(0, count)
+        tracemalloc.start()
+        try:
+            w = sample_block(block, SeedStream(7), "x")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert w.values.dtype == np.uint8 and w.values.nbytes == count
+        assert held < count + (1 << 16)
+        assert set(np.unique(w.values)) == set(range(len(p)))
 
 
 class TestSampleDensityWindow:
