@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,32 +31,6 @@ DEFAULT_SEED = 7
 CSV_CHUNK = 1 << 16
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    seed: int
-    out_dir: Path
-
-
-@dataclass
-class Report:
-    version: str
-    config: dict
-    metrics: list
-    artifacts: list
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"version": self.version, "config": self.config,
-             "metrics": self.metrics, "artifacts": self.artifacts},
-            sort_keys=True, indent=2) + "\n"
-
-    @property
-    def all_passed(self) -> bool:
-        return all(m.get("pass", True) for m in self.metrics)
-
-
 def write_csv(path: Path, header, columns) -> Path:
     """Write the ``header`` line, then one row per position of the
     equal-length ``columns``, each line ending in a bare newline.  A cell
@@ -70,7 +43,6 @@ def write_csv(path: Path, header, columns) -> Path:
     other column set (floats, strings, bools, ``uint64``; at most a few
     thousand rows in a lab command) is joined row by row."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c) for c in columns]
     if all(c.dtype.kind in "iu" and c.dtype != np.uint64 for c in columns):
         with open(path, "wb") as fh:
@@ -175,10 +147,13 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
             "pass": abs(tail) <= max(1e-4 * value, 1e-15)}
 
 
-def _cmd_measure(cfg: RunConfig) -> Report:
-    m = measures.parse_measure(cfg.params["measure"])
-    n = cfg.params["n"]
-    ks = list(dict.fromkeys(cfg.params.get("ks") or [1, 2, 4, 8]))
+# Each command takes the parsed (params, seed, out_dir) and returns its
+# (metrics, artifacts); ``main`` writes and prints the report.
+
+def _cmd_measure(params: dict, seed: int, out_dir: Path):
+    m = measures.parse_measure(params["measure"])
+    n = params["n"]
+    ks = list(dict.fromkeys(params.get("ks") or [1, 2, 4, 8]))
     # one block over the Kakutani lags n - k and the last bias bond n + 1
     lo, hi = -n - max(0, max(ks)), n + max(1, -min(ks))
     block = m.block(lo, hi - lo + 1)
@@ -193,19 +168,16 @@ def _cmd_measure(cfg: RunConfig) -> Report:
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = [
             (dn, measures.centred_sum(terms, dn)) for dn in decades]
-    if len(m.alphabet) == 2:
-        metrics.append(_tail_metric("bias_square_sum",
-                                    factor_mod.bias_square_terms(block, n)))
-    art = emit_plot_data(series, cfg.out_dir / "measure_check.csv")
-    return _finish(cfg, metrics, [art])
+    metrics.append(_tail_metric("bias_square_sum",
+                                factor_mod.bias_square_terms(block, n)))
+    return metrics, [emit_plot_data(series, out_dir / "measure_check.csv")]
 
 
-def _cmd_factor(cfg: RunConfig) -> Report:
-    m = measures.parse_measure(cfg.params["measure"])
-    n = cfg.params["n"]
-    seeds = SeedStream(cfg.seed)
-    result = factor_mod.run_iid_factor(m, (0, n - 1), seeds,
-                                       radius=cfg.params["radius"])
+def _cmd_factor(params: dict, seed: int, out_dir: Path):
+    m = measures.parse_measure(params["measure"])
+    result = factor_mod.run_iid_factor(m, (0, params["n"] - 1),
+                                       SeedStream(seed),
+                                       radius=params["radius"])
     diag = result.diagnostics
     metrics = [
         {"name": "q", "value": diag["q"], "pass": diag["q"] > 0},
@@ -214,22 +186,21 @@ def _cmd_factor(cfg: RunConfig) -> Report:
         {"name": "censor_fraction", "value": diag["censor_fraction"],
          "tolerance": 0.05, "pass": diag["censor_fraction"] < 0.05},
     ]
-    metrics.extend(diag["tests"])
-    return _finish(cfg, metrics, [])
+    return metrics + diag["tests"], []
 
 
-def _cmd_match(cfg: RunConfig) -> Report:
-    m = measures.parse_measure(cfg.params["measure"])
+def _cmd_match(params: dict, seed: int, out_dir: Path):
+    m = measures.parse_measure(params["measure"])
     w, q, d, assignment = factor_mod.match_window(
-        m, (0, cfg.params["n"] - 1), SeedStream(cfg.seed), "match-input")
+        m, (0, params["n"] - 1), SeedStream(seed), "match-input")
     artifacts = []
-    if cfg.params.get("dump_window"):
+    if params.get("dump_window"):
         artifacts.append(write_csv(
-            cfg.out_dir / str(cfg.params["dump_window"]), ("index", "value"),
+            out_dir / params["dump_window"], ("index", "value"),
             (np.arange(w.start, w.stop), w.values)))
     a_indices = assignment.a_indices
     out_rows = write_csv(
-        cfg.out_dir / "matching_assignment.csv",
+        out_dir / "matching_assignment.csv",
         ("b_index", "a_index", "round"),
         (assignment.b_indices, a_indices, assignment.rounds))
 
@@ -238,7 +209,7 @@ def _cmd_match(cfg: RunConfig) -> Report:
     hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
     art2 = emit_plot_data(
         {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
-        cfg.out_dir / "radius_histogram.csv")
+        out_dir / "radius_histogram.csv")
     n_b = len(assignment.b_indices) + len(assignment.unmatched)
     frac_censored = len(assignment.unmatched) / max(1, n_b)
     metrics = [
@@ -249,16 +220,16 @@ def _cmd_match(cfg: RunConfig) -> Report:
         {"name": "censored_b_fraction", "value": frac_censored,
          "tolerance": 0.25, "pass": frac_censored < 0.25},
     ]
-    return _finish(cfg, metrics, [out_rows, art2, *artifacts])
+    return metrics, [out_rows, art2, *artifacts]
 
 
-def _cmd_typeiii(cfg: RunConfig) -> Report:
-    n_max, samples = cfg.params["n"], cfg.params["samples"]
+def _cmd_typeiii(params: dict, seed: int, out_dir: Path):
+    n_max, samples = params["n"], params["samples"]
     if n_max >= 2**63:
         raise ValueError(f"--n must be at most {2**63 - 1}")
-    hspec = typeiii.HMapSpec(cfg.params["lam"], cfg.params["lam_prime"])
+    hspec = typeiii.HMapSpec(params["lam"], params["lam_prime"])
     # n uniform below --n, v uniform on a uniformly chosen support piece
-    rng = SeedStream(cfg.seed).generator("typeiii-ratios")
+    rng = SeedStream(seed).generator("typeiii-ratios")
     ns = rng.integers(0, n_max, samples)
     pieces = np.array(hspec.support_pieces())
     vs = rng.uniform(*pieces[rng.integers(0, len(pieces), samples)].T)
@@ -273,60 +244,37 @@ def _cmd_typeiii(cfg: RunConfig) -> Report:
     centers = 0.5 * (edges[:-1] + edges[1:])
     art = emit_plot_data(
         {"log_rn_histogram": list(zip(centers.tolist(), hist.tolist()))},
-        cfg.out_dir / "typeiii_log_rn.csv")
+        out_dir / "typeiii_log_rn.csv")
     metrics = [
         {"name": "lattice_deviation", "value": worst, "tolerance": 1e-9,
          "pass": worst <= 1e-9},
         {"name": "sampled_ratios", "value": int(counts.sum()), "pass": True},
     ]
-    return _finish(cfg, metrics, [art])
+    return metrics, [art]
 
 
-def _cmd_index(cfg: RunConfig) -> Report:
-    rep = speedups.index_report(cfg.params["c"], cfg.params["kmax"])
+def _cmd_index(params: dict, seed: int, out_dir: Path):
+    rep = speedups.index_report(params["c"], params["kmax"])
     rows = [(r.k, r.exponent, r.hellinger, r.dissipativity_partial,
              r.tail_slope, "dissipative-certified" if r.certified
              else "not-certified") for r in rep.rows]
-    rows_path = write_csv(cfg.out_dir / "index_scan.csv", (
+    rows_path = write_csv(out_dir / "index_scan.csv", (
         "k", "exponent", "S", "partial_dissip", "tail_slope",
         "classification"), list(zip(*rows)))
     metrics = [
         {"name": "implied_index", "value": rep.implied_index, "pass": True},
-        {"name": "kmax", "value": cfg.params["kmax"], "pass": True},
+        {"name": "kmax", "value": params["kmax"], "pass": True},
     ]
-    return _finish(cfg, metrics, [rows_path])
+    return metrics, [rows_path]
 
 
-def _finish(cfg: RunConfig, metrics: list, artifacts: list) -> Report:
-    report = Report(
-        version=__version__,
-        config={"command": cfg.command, "seed": cfg.seed,
-                "params": {k: (str(v) if isinstance(v, Path) else v)
-                           for k, v in cfg.params.items()},
-                "out_dir": str(cfg.out_dir)},
-        metrics=metrics,
-        artifacts=[str(a) for a in artifacts],
-    )
-    out = cfg.params.get("out")
-    path = Path(out) if out else cfg.out_dir / f"{cfg.command}_report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report.to_json())
-    report.artifacts.append(str(path))
-    return report
-
-
-_DISPATCH = {
+_COMMANDS = {
     "measure": _cmd_measure,
     "factor": _cmd_factor,
     "match": _cmd_match,
     "typeiii": _cmd_typeiii,
     "index": _cmd_index,
 }
-
-
-def run(config: RunConfig) -> Report:
-    """Dispatch a validated configuration to its command."""
-    return _DISPATCH[config.command](config)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +381,10 @@ def _build_parser(file_values: dict) -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace,
-                      file_values: dict) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, file_values: dict):
+    """(command, params, seed, out_dir) of a parsed command line, with the
+    output directories created, so a path that cannot be one is refused
+    before any work runs."""
     options = set(vars(args)) - {"command", "sub", "config"}
     unknown = sorted(set(file_values) - options)
     if unknown:
@@ -454,30 +404,45 @@ def _config_from_args(args: argparse.Namespace,
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
-    return RunConfig(command=args.command, params=params, seed=args.seed,
-                     out_dir=out_dir)
+    dirs = [out_dir]
+    if params.get("out"):                  # read from the working directory
+        dirs.append(params["out"].parent)
+    if params.get("dump_window"):
+        dirs.append((out_dir / params["dump_window"]).parent)
+    for path in dirs:
+        path.mkdir(parents=True, exist_ok=True)
+    return args.command, params, args.seed, out_dir
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         file_values = _read_config_file(argv)
         args = _build_parser(file_values).parse_args(argv)
-        config = _config_from_args(args, file_values)
+        command, params, seed, out_dir = _config_from_args(args, file_values)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"shiftlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = run(config)
+        metrics, artifacts = _COMMANDS[command](params, seed, out_dir)
+        config = {"command": command, "seed": seed, "out_dir": str(out_dir),
+                  "params": {k: str(v) if isinstance(v, Path) else v
+                             for k, v in params.items()}}
+        report = {"version": __version__, "config": config,
+                  "metrics": metrics, "artifacts": list(map(str, artifacts))}
+        path = params.get("out") or out_dir / f"{command}_report.json"
+        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except (ValueError, KeyError) as exc:
         print(f"shiftlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001  (distinct exit code contract)
         print(f"shiftlab: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(report.to_json(), end="")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    report["artifacts"].append(str(path))
+    print(json.dumps(report, sort_keys=True, indent=2))
+    passed = all(m.get("pass", True) for m in metrics)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ import numpy as np
 from . import stattests
 from .markers import GOOD_WIDTH, good_prob_lower, special_sequence
 from .matching import MatchingAssignment, meshalkin_match, required_d
-from .measures import FiniteProductMeasure, ZeroMassError, block_rows
+from .measures import (FiniteProductMeasure, ZeroMassError, binary_rows,
+                       block_rows)
 from .sampling import SeedStream, Window, sample_block
 
 LOG2 = math.log(2.0)
@@ -103,9 +104,7 @@ def bias_square_terms(block: Window, N: int) -> np.ndarray:
     """(r_i - 1/2)^2 for i = -N .. N, where r_i is the conditional
     probability of 01 against {01, 10} across the bond (i, i+1), read from
     the rows -N .. N+1 of a binary marginal block."""
-    if block.values.shape[1] != 2:
-        raise ValueError("two-symbol alphabet required")
-    p0 = block_rows(block, -N, N + 1).values[:, 0]
+    p0 = binary_rows(block_rows(block, -N, N + 1))[:, 0]
     p01 = p0[:-1] * (1.0 - p0[1:])
     p10 = (1.0 - p0[:-1]) * p0[1:]
     den = p01 + p10

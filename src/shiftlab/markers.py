@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import block_rows
+from .measures import binary_rows, block_rows
 from .sampling import Window
 
 GOOD_BLOCKS = ((0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 0, 0, 1, 1))
@@ -72,12 +72,9 @@ def good_prob_lower(block: Window, span: tuple[int, int]) -> float:
     Read ``GOOD_CHUNK`` starts at a time, so the temporaries stay in cache:
     each start's probability sees the same float operations as in one
     whole-span pass, and the chunks' minima give the same infimum."""
-    if block.values.shape[1] != 2:
-        raise ValueError(f"good blocks need a two-symbol alphabet, not "
-                         f"{block.values.shape[1]} symbols")
     first, last = span
     n = last - first + 1
-    rows = block_rows(block, first, last + GOOD_WIDTH - 1).values
+    rows = binary_rows(block_rows(block, first, last + GOOD_WIDTH - 1))
     lows = []
     for c in range(0, n, GOOD_CHUNK):
         k = min(GOOD_CHUNK, n - c)

@@ -1,8 +1,9 @@
 """Product measures on bi-infinite sequence spaces.
 
 Measures are given by lazy marginal families: a callable
-``n -> np.shape(n) + (A,) array`` of probability vectors over a fixed
-finite alphabet of size A (no infinite data is ever stored).
+``n -> np.shape(n) + (A,) array`` of probability vectors over the symbols
+0 .. A-1, so a measure is its marginals alone and A is the width of the
+table they return (no infinite data is ever stored).
 Index ranges are always explicit, inclusive ``(lo, hi)`` pairs, and every
 diagnostic that truncates a sum over the integers reports the partial sum
 together with its last-decade increment so convergence can be audited.
@@ -13,6 +14,8 @@ The module provides:
     ``mu^(p,c)``, plain i.i.d.),
   * log Radon-Nikodym sums for shifts, read with one ``density`` call per
     term over whole index arrays,
+  * ``binary_rows``, the one reader of a binary marginal block, which
+    refuses every other symbol count,
   * the joint law of a block of independent binary symbols,
   * Kakutani-style squared-distance terms and their centred partial sums,
   * the randomized-product-measure (RPM) operation, which mixes a measure
@@ -48,26 +51,23 @@ def _first_at(n, bad):
 
 @dataclass(frozen=True)
 class FiniteProductMeasure:
-    """Product measure with finitely many symbols per coordinate.
+    """Product measure on the symbols 0 .. A-1 at every coordinate.
 
     ``marginals(n)`` returns the probability vectors of the indices ``n``
-    (an int or an int array), aligned with ``alphabet``, as one array of
-    shape ``np.shape(n) + (A,)``, or one vector for every n.  It is the only
-    definition of the family, read through ``table``: every diagnostic
-    reads whole index arrays, so sampling a 10^6-coordinate window or
-    summing over |n| <= 10^6 pays no Python call per coordinate.
+    (an int or an int array), column x holding the mass of symbol x, as one
+    array of shape ``np.shape(n) + (A,)``, or one vector for every n.  It is
+    the only definition of the family, read through ``table``, and A is the
+    width of what it returns: every diagnostic reads whole index arrays, so
+    sampling a 10^6-coordinate window or summing over |n| <= 10^6 pays no
+    Python call per coordinate.
     """
 
-    alphabet: tuple
     marginals: Callable[[np.ndarray], np.ndarray]
 
     def table(self, n) -> np.ndarray:
         """``marginals(n)``, validated (finite, nonnegative and summing to 1
         at every index) and broadcast to ``np.shape(n) + (A,)``."""
         p = np.asarray(self.marginals(n), dtype=float)
-        if p.shape[-1:] != (len(self.alphabet),):
-            raise ValueError(f"marginal shape {p.shape} does not end in the "
-                             f"alphabet size {len(self.alphabet)}")
         self._validate(p, n)
         return np.broadcast_to(p, np.shape(n) + p.shape[-1:])
 
@@ -76,9 +76,8 @@ class FiniteProductMeasure:
         return Window(start, self.table(np.arange(start, start + length)))
 
     def density(self, n, x) -> np.ndarray:
-        """Mass of symbol column ``x`` at index ``n`` (against counting
-        measure), broadcast together; the column is the symbol itself for
-        an alphabet 0 .. A-1."""
+        """Mass of symbol ``x`` at index ``n`` (against counting measure),
+        broadcast together."""
         n, x = np.broadcast_arrays(n, x)
         return np.take_along_axis(self.table(n), x[..., None], -1)[..., 0]
 
@@ -166,7 +165,7 @@ class SequenceSpec:
     p: float
     a: Callable[[np.ndarray], np.ndarray]
 
-    def marginal_zero(self, n, c: float = 1.0) -> np.ndarray:
+    def marginal_zero(self, n, c: float) -> np.ndarray:
         """P(0) = p + c a_n under the clamp rule, vectorized over ``n``."""
         v = self.p + c * self.a(np.asarray(n))
         return np.where((v > 0.0) & (v < 1.0), v, self.p)
@@ -192,7 +191,7 @@ def log_damped(n) -> np.ndarray:
 def iid(vector) -> FiniteProductMeasure:
     """I.i.d. measure on {0, 1, ..., len(vector)-1}."""
     v = _as_vector(vector)
-    return FiniteProductMeasure(tuple(range(len(v))), lambda n: v)
+    return FiniteProductMeasure(lambda n: v)
 
 
 def iid_binary(p0: float) -> FiniteProductMeasure:
@@ -221,7 +220,7 @@ def make_nu_c(c: float) -> FiniteProductMeasure:
         np.subtract(0.5, a, out=p[..., 1])
         return p
 
-    return FiniteProductMeasure((0, 1), marginals)
+    return FiniteProductMeasure(marginals)
 
 
 def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
@@ -237,7 +236,7 @@ def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
         np.subtract(1.0, m0, out=p[..., 1])
         return p
 
-    return FiniteProductMeasure((0, 1), marginals)
+    return FiniteProductMeasure(marginals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,16 @@ def block_rows(block: Window, first: int, last: int) -> Window:
     return Window(first, block.values[first - lo:last - lo + 1])
 
 
+def binary_rows(block: Window) -> np.ndarray:
+    """The (L, 2) masses of a binary marginal block; raises ``ValueError``
+    for any other symbol count."""
+    p = block.values
+    if p.shape[1] != 2:
+        raise ValueError(f"two-symbol alphabet required, not {p.shape[1]} "
+                         f"symbols")
+    return p
+
+
 def doeblin_delta(block: Window) -> float:
     """Infimum of all masses of a marginal block, 0 if some mass vanishes."""
     p = block.values
@@ -266,10 +275,8 @@ def kakutani_terms(block: Window, k: int, N: int) -> np.ndarray:
     """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from the
     rows of a binary marginal block that n and n-k reach (k = 0 gives exact
     zeros)."""
-    if block.values.shape[1] != 2:
-        raise ValueError("kakutani_terms needs a two-symbol alphabet")
     lead, L = max(k, 0), 2 * N + 1
-    p0 = block_rows(block, -N - lead, N - min(k, 0)).values[:, 0]
+    p0 = binary_rows(block_rows(block, -N - lead, N - min(k, 0)))[:, 0]
     cur, lag = p0[lead:lead + L], p0[lead - k:lead - k + L]
     return (cur - lag) ** 2
 
@@ -334,11 +341,9 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     av = _as_vector(alpha)
-    if len(av) != len(m.alphabet):
+    if len(av) != m.table(0).shape[-1]:
         raise ValueError("alpha must live on the same alphabet")
-
-    return FiniteProductMeasure(
-        m.alphabet, lambda n: p * m.table(n) + (1.0 - p) * av)
+    return FiniteProductMeasure(lambda n: p * m.table(n) + (1.0 - p) * av)
 
 
 # ---------------------------------------------------------------------------

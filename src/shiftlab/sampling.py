@@ -51,9 +51,9 @@ class SeedStream:
             u[c:c + k, 0] = gen.random(k * _BLOCK)[::_BLOCK]
         return u
 
-    def generator(self, label: str, index: int = 0) -> Generator:
+    def generator(self, label: str) -> Generator:
         """A bulk generator for sequential use (rejection loops, MC)."""
-        return Generator(Philox(key=self._key(f"{label}#{index}")))
+        return Generator(Philox(key=self._key(f"{label}#0")))
 
 
 @dataclass(frozen=True)

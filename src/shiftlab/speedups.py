@@ -22,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (FiniteProductMeasure, SequenceSpec, block_law,
-                       inverse_sqrt, make_mu_pc, nu_c_zero_mass, rpm)
+from .measures import (FiniteProductMeasure, SequenceSpec, binary_rows,
+                       block_law, inverse_sqrt, make_mu_pc, nu_c_zero_mass,
+                       rpm)
 from .sampling import Window
 
 MAX_BLOCK_WIDTH = 20
@@ -65,16 +66,18 @@ def _check_width(k: int) -> None:
 
 
 def eta_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
-    """Law of block n under blocking: product of marginals kn .. kn+k-1."""
+    """Law of block n of a binary measure under blocking: product of
+    marginals kn .. kn+k-1."""
     _check_width(k)
-    p0 = m.block(k * n, k).values[:, 0]
+    p0 = binary_rows(m.block(k * n, k))[:, 0]
     return block_law(p0, 1.0 - p0)
 
 
 def kappa_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
-    """Law of block n under interleaving: the marginal at kn, repeated."""
+    """Law of block n of a binary measure under interleaving: the marginal
+    at kn, repeated."""
     _check_width(k)
-    p0 = np.full(k, m.block(k * n, 1).values[0, 0])
+    p0 = np.full(k, binary_rows(m.block(k * n, 1))[0, 0])
     return block_law(p0, 1.0 - p0)
 
 
@@ -94,9 +97,8 @@ def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutani
     together with the increment bound k^2 sum_l (m0(kn+l-1) - m0(kn))^2 and
     a per-n check that every block's squared gap obeys it."""
     _check_width(k)
-    if len(m.alphabet) != 2:
-        raise ValueError("two-symbol alphabet required")
-    p0 = m.block(-N * k, (2 * N + 1) * k).values[:, 0].reshape(2 * N + 1, k)
+    rows = binary_rows(m.block(-N * k, (2 * N + 1) * k))
+    p0 = rows[:, 0].reshape(2 * N + 1, k)
     head = np.broadcast_to(p0[:, :1], p0.shape)
     sq = (block_law(p0, 1.0 - p0) - block_law(head, 1.0 - head)) ** 2
     bound_n = (k ** 2) * np.sum((p0 - head) ** 2, axis=1)
@@ -114,8 +116,6 @@ def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutani
 
 @dataclass(frozen=True)
 class DissipativityReport:
-    c: float
-    K: int
     S: np.ndarray                 # S(k, c) for k = 1..K
     partial_sums: np.ndarray      # of the summands exp(-S(k)/2)
     last_decade_increment: float  # partial(K) - partial(K // 10)
@@ -152,7 +152,7 @@ def dissipativity_partial(c: float, K: int) -> DissipativityReport:
     # the log summand is -S/2 itself: no log of an underflowed summand
     slope = float(np.polyfit(np.log(ks), -S[lo - 1:] / 2.0, 1)[0])
     return DissipativityReport(
-        c=c, K=K, S=S, partial_sums=partial,
+        S=S, partial_sums=partial,
         last_decade_increment=float(partial[-1] - partial[lo - 1]),
         tail_slope=slope)
 
@@ -217,7 +217,6 @@ class IndexRow:
 
 @dataclass(frozen=True)
 class IndexReport:
-    c: float
     rows: tuple[IndexRow, ...]
     implied_index: int
 
@@ -247,4 +246,4 @@ def index_report(c: float, kmax: int) -> IndexReport:
         certified=c * c * k > 1.0,
     ) for k in range(1, kmax + 1))
     implied = next((r.k - 1 for r in rows if r.certified), kmax)
-    return IndexReport(c=c, rows=rows, implied_index=implied)
+    return IndexReport(rows=rows, implied_index=implied)

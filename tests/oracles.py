@@ -33,7 +33,8 @@ def uniforms_oneshot(seeds, label: str, start: int, count: int) -> np.ndarray:
 def sample_density_iid(d, n: int, count: int, seeds,
                        label: str = "density-iid") -> np.ndarray:
     """Many independent draws from the single density at index n."""
-    u = seeds.generator(label, n).random(count)
+    # the generator key SeedStream.generator builds, at index n
+    u = Generator(Philox(key=seeds._key(f"{label}#{n}"))).random(count)
     return _piecewise_inverse_cdf(*d.table(n), u)
 
 
@@ -233,21 +234,21 @@ def log_rn_swap_oracle(m, i: int, j: int, xi, xj) -> float:
 
 def ri(m, p: float, alpha) -> FiniteProductMeasure:
     """Random insertion: the coin that decides "keep or replace" is kept in
-    the output, which therefore lives on alphabet x {H, T} with
-    mass(n)(a, H) = p * m_n(a) and mass(n)(a, T) = (1-p) * alpha(a)."""
+    the output, which therefore lives on the 2A symbols (a, H) = a and
+    (a, T) = A + a, with mass(n)(a, H) = p * m_n(a) and
+    mass(n)(a, T) = (1-p) * alpha(a)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     av = np.asarray(alpha, dtype=float)
-    if len(av) != len(m.alphabet):
+    if len(av) != m.table(0).shape[-1]:
         raise ValueError("alpha must live on the same alphabet")
-    alphabet = tuple((a, side) for side in ("H", "T") for a in m.alphabet)
 
     def marginals(n) -> np.ndarray:
         base = m.table(n)
         return np.concatenate(
             [p * base, np.broadcast_to((1.0 - p) * av, base.shape)], axis=-1)
 
-    return FiniteProductMeasure(alphabet, marginals)
+    return FiniteProductMeasure(marginals)
 
 
 def forget_coin(mri) -> FiniteProductMeasure:
@@ -256,14 +257,12 @@ def forget_coin(mri) -> FiniteProductMeasure:
     The result agrees exactly with the corresponding RPM measure, which is
     how the "RPM is a measure-preserving factor of RI" identity is checked.
     """
-    half = len(mri.alphabet) // 2
-    base_alphabet = tuple(a for a, side in mri.alphabet[:half])
-
     def marginals(n) -> np.ndarray:
         full = mri.table(n)
+        half = full.shape[-1] // 2
         return full[..., :half] + full[..., half:]
 
-    return FiniteProductMeasure(base_alphabet, marginals)
+    return FiniteProductMeasure(marginals)
 
 
 def block_law_oracle(p0, p1) -> np.ndarray:

@@ -654,6 +654,24 @@ class TestConfigHandling:
             f"shiftlab: config error: --n must be at most {2**63 - 1}\n")
         assert not (tmp_path / "typeiii_report.json").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--out", "afile/r.json"), ("--out-dir", "afile/sub"),
+        ("--dump-window", "afile/w.csv"),
+    ])
+    def test_uncreatable_output_path_is_config_error(
+            self, tmp_path, monkeypatch, capsys, option, value):
+        # a path through a regular file is refused before any work runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        argv = ["match", "run", "--measure", "iid:0.5", "--n", "500",
+                option, value]
+        if option != "--out-dir":
+            argv += ["--out-dir", "."]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("shiftlab: config error: ") and "afile" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))
         code = main(["measure", "check", "--measure", "iid:0.5",
@@ -763,6 +781,56 @@ class TestStartUp:
         assert self.fresh_python(
             "import shiftlab.cli as cli; "
             "print(cli._digit_words.cache_info().currsize)") == "0"
+
+
+class TestReportBytes:
+    """One command line of each command, with its written report and its
+    stdout pinned by sha256.  The paths are relative to the working
+    directory, so the bytes hold no temporary path and need no rewriting
+    before they are hashed."""
+
+    @pytest.mark.parametrize("argv, path, report, stdout", [
+        (["measure", "check", "--measure", "mu:0.3,0.5", "--n", "1000",
+          "--k", "3", "--k", "-2", "--seed", "5"],
+         "o/measure_report.json",
+         "1baec73a941e24eccf62c3900699ff74"
+         "7075c9d06db86deb61b36a9fd98d9bbd",
+         "1d9c3eb51d596561f692d0f2ca3ef1c3"
+         "44b806aa2b672be7820412e483b82319"),
+        (["factor", "run", "--measure", "iid:0.3", "--n", "200000",
+          "--radius", "16"],
+         "o/factor_report.json",
+         "5795fc1362ff21cf09565b523f82beab"
+         "49cfe5ccf8078e764ccab6acc00a1597",
+         "532ba2ddafa63c0eae14893e60bee915"
+         "d5d2128a34f32581341e834da5a4434e"),
+        (["match", "run", "--measure", "nu_c:0.1", "--n", "20000",
+          "--dump-window", "w/window.csv"],
+         "o/match_report.json",
+         "231b0e74797feacc05ecdb3323daf6a0"
+         "249b1979ad4a4789f6f62e9248943c6f",
+         "b2baae803fb078966e2fd94b063d7dd8"
+         "ad2fd874a49428cab260e548495541b6"),
+        (TYPEIII + ["--n", "30", "--samples", "500"],
+         "o/typeiii_report.json",
+         "6ebe9096d78ba6399f5af0cb52c3c070"
+         "ea53223a2feb1fcf54d9490015f03fc2",
+         "b2c170ede9565ca2f03b50700a747475"
+         "56bc7cb32a956b006f3b09849fb2ac02"),
+        (["index", "scan", "--c", "0.6", "--kmax", "5", "--out",
+          "r/index.json"], "r/index.json",
+         "a7f728e7a0d2f4c73d0d367335ab28a6"
+         "1c319c36644bc46cb3e005f9d9de214e",
+         "6f871b2357c015e5bb8f944a3cd9cdfc"
+         "5a5e1fb5e31c39cc74fed602fc722b39"),
+    ], ids=["measure", "factor", "match", "typeiii", "index"])
+    def test_digests(self, tmp_path, monkeypatch, capsys, argv, path, report,
+                     stdout):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out-dir", "o"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert (sha256_of(tmp_path / path),
+                hashlib.sha256(out.encode()).hexdigest()) == (report, stdout)
 
 
 class TestTracedBenchmarkPath:

@@ -36,7 +36,6 @@ class TestBiasSquareSum:
 
     def test_single_perturbation(self):
         m = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: np.where((n == 0)[..., None],
                                          (0.6, 0.4), (0.5, 0.5)))
         # the bonds (-1, 0) and (0, 1) each contribute 0.01
@@ -50,7 +49,6 @@ class TestBiasSquareSum:
 
     def test_degenerate_marginals_raise(self):
         m = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: (1.0, 0.0))
         with pytest.raises(ZeroMassError,
                            match=r"degenerate marginals at bond \(-5, -4\)"):
@@ -322,7 +320,6 @@ class TestRunIidFactor:
 
     def test_doeblin_violation_rejected(self):
         m = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: (1.0, 0.0))
         with pytest.raises(ValueError, match="Doeblin"):
             run_iid_factor(m, (0, 999), SeedStream(7))

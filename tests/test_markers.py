@@ -38,7 +38,7 @@ def dipped(at=(), zero=()):
         p0 = np.where(np.isin(n, zero), 0.0, p0)
         return np.stack([p0, 1.0 - p0], -1)
 
-    return FiniteProductMeasure(alphabet=(0, 1), marginals=marginals)
+    return FiniteProductMeasure(marginals=marginals)
 
 
 def good_block_starts(w) -> list:
@@ -202,7 +202,6 @@ class TestGoodProb:
         # a block starting at -20 names -3 by its index, not its row
         for lo, hi, index in ((0, 99, 5), (-20, 19, -3)):
             m = FiniteProductMeasure(
-                alphabet=(0, 1),
                 marginals=lambda n: np.where((n == index)[..., None],
                                              (1.0, 0.0), (0.5, 0.5)))
             with pytest.raises(ValueError,

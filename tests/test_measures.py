@@ -155,7 +155,6 @@ class TestKakutaniShiftSum:
         period = np.array([0.3, 0.5, 0.7])
         m = iid_binary(0.5)
         periodic = type(m)(
-            alphabet=(0, 1),
             marginals=lambda n: np.stack([period[n % 3], 1 - period[n % 3]],
                                          axis=-1))
         assert kakutani_sum(periodic, 3, 200) == 0.0
@@ -328,7 +327,7 @@ class TestLogRN:
             seen.extend(np.ravel(n).tolist())
             return (0.3, 0.7)
 
-        m = FiniteProductMeasure((0, 1), marginals)
+        m = FiniteProductMeasure(marginals)
         val = log_rn_swap(m, 2, 10 ** 9, 0, 1)
         assert type(val) is float and val == pytest.approx(0.0, abs=1e-15)
         assert sorted(seen) == [2, 2, 10 ** 9, 10 ** 9]
@@ -483,7 +482,6 @@ class TestInvariants:
     def test_normalization_enforced(self):
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: (0.5, 0.499))
         with pytest.raises(ValueError, match="index 0 sums to 0.999, not 1"):
             bad.table(0)
@@ -491,7 +489,6 @@ class TestInvariants:
     def test_normalization_names_the_offending_row(self):
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: np.array([[.5, .5], [.2, .3]]))
         with pytest.raises(ValueError, match=r"index 1 sums to 0\.5, not 1$"):
             bad.block(0, 2)
@@ -499,7 +496,6 @@ class TestInvariants:
     def test_negative_mass_rejected(self):
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: (-0.1, 1.1))
         with pytest.raises(ValueError, match="negative"):
             bad.table(0)
@@ -507,7 +503,6 @@ class TestInvariants:
     def test_non_finite_mass_names_the_offending_row(self):
         from shiftlab import FiniteProductMeasure
         bad = FiniteProductMeasure(
-            alphabet=(0, 1),
             marginals=lambda n: np.where((n >= 1)[..., None],
                                          (np.inf, 0.5), (0.5, 0.5)))
         with pytest.raises(ValueError, match=r"non-finite or negative mass "

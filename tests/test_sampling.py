@@ -108,7 +108,7 @@ class TestSampleWindow:
             s = 0.2 * np.sin(np.asarray(n, dtype=float))
             return np.stack([0.3 + s, 0.3 - s, np.full(s.shape, 0.4)], -1)
 
-        m = FiniteProductMeasure((0, 1, 2), marginals)
+        m = FiniteProductMeasure(marginals)
         seeds = SeedStream(11)
         w = sample_window(m, (-500, 499), seeds)
         u = seeds.uniforms("window", -500, 1000)[:, 0]

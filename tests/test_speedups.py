@@ -10,7 +10,7 @@ from scipy import stats
 
 from oracles import de_interleave, gamma_marginal, hellinger_S, unblock
 from shiftlab import (SeedStream, SequenceSpec, Window, block_kakutani_sum,
-                      dissipativity_partial, eta_marginal, iid_binary,
+                      dissipativity_partial, eta_marginal, iid, iid_binary,
                       index_report, inverse_sqrt, kappa_marginal, make_nu_c,
                       pi_interleave, rpm_scaling_identity, sample_window,
                       zeta)
@@ -70,13 +70,20 @@ class TestZetaPi:
         pat = bits[:, 0] * 2 + bits[:, 1]
         counts = np.bincount(pat, minlength=4)
         kap = kappa_marginal(
-            type(iid_binary(0.5))(alphabet=(0, 1),
-                                  marginals=lambda n: (g0, 1 - g0)), k, 0)
+            type(iid_binary(0.5))(marginals=lambda n: (g0, 1 - g0)), k, 0)
         _, p = stats.chisquare(counts, kap * M)
         assert p > 0.001
 
 
 class TestBlockMarginals:
+    def test_non_binary_measure_is_refused(self):
+        # column 0 of a three-symbol marginal is no binary P(0)
+        m = iid((0.2, 0.3, 0.5))
+        for law in (eta_marginal, kappa_marginal):
+            with pytest.raises(ValueError, match="two-symbol alphabet "
+                                                 "required, not 3 symbols"):
+                law(m, 2, 0)
+
     def test_eta_k1(self):
         m = make_nu_c(0.3)
         for n in (-2, 0, 4):
