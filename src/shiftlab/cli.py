@@ -147,10 +147,12 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
             "pass": abs(tail) <= max(1e-4 * value, 1e-15)}
 
 
-# Each command takes the parsed (params, seed, out_dir) and returns its
-# (metrics, artifacts); ``main`` writes and prints the report.
+# Each command takes the parsed params, the seed and the paths of the CSV
+# files its ``_COMMANDS`` entry names, then of the --dump-window file if
+# one is asked for, and returns its metrics; ``main`` writes and prints
+# the report.
 
-def _cmd_measure(params: dict, seed: int, out_dir: Path):
+def _cmd_measure(params: dict, seed: int, csv: Path):
     m = measures.parse_measure(params["measure"])
     n = params["n"]
     ks = list(dict.fromkeys(params.get("ks") or [1, 2, 4, 8]))
@@ -170,10 +172,11 @@ def _cmd_measure(params: dict, seed: int, out_dir: Path):
             (dn, measures.centred_sum(terms, dn)) for dn in decades]
     metrics.append(_tail_metric("bias_square_sum",
                                 factor_mod.bias_square_terms(block, n)))
-    return metrics, [emit_plot_data(series, out_dir / "measure_check.csv")]
+    emit_plot_data(series, csv)
+    return metrics
 
 
-def _cmd_factor(params: dict, seed: int, out_dir: Path):
+def _cmd_factor(params: dict, seed: int):
     m = measures.parse_measure(params["measure"])
     result = factor_mod.run_iid_factor(m, (0, params["n"] - 1),
                                        SeedStream(seed),
@@ -186,33 +189,30 @@ def _cmd_factor(params: dict, seed: int, out_dir: Path):
         {"name": "censor_fraction", "value": diag["censor_fraction"],
          "tolerance": 0.05, "pass": diag["censor_fraction"] < 0.05},
     ]
-    return metrics + diag["tests"], []
+    return metrics + diag["tests"]
 
 
-def _cmd_match(params: dict, seed: int, out_dir: Path):
+def _cmd_match(params: dict, seed: int, assignment_csv: Path,
+               histogram_csv: Path, window_csv: Path | None = None):
     m = measures.parse_measure(params["measure"])
     w, q, d, assignment = factor_mod.match_window(
         m, (0, params["n"] - 1), SeedStream(seed), "match-input")
-    artifacts = []
-    if params.get("dump_window"):
-        artifacts.append(write_csv(
-            out_dir / params["dump_window"], ("index", "value"),
-            (np.arange(w.start, w.stop), w.values)))
+    if window_csv:
+        write_csv(window_csv, ("index", "value"),
+                  (np.arange(w.start, w.stop), w.values))
     a_indices = assignment.a_indices
-    out_rows = write_csv(
-        out_dir / "matching_assignment.csv",
-        ("b_index", "a_index", "round"),
-        (assignment.b_indices, a_indices, assignment.rounds))
+    write_csv(assignment_csv, ("b_index", "a_index", "round"),
+              (assignment.b_indices, a_indices, assignment.rounds))
 
     # a_indices is a fresh array, so it becomes the radii in place
     a_indices -= assignment.b_indices
     hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
-    art2 = emit_plot_data(
+    emit_plot_data(
         {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
-        out_dir / "radius_histogram.csv")
+        histogram_csv)
     n_b = len(assignment.b_indices) + len(assignment.unmatched)
     frac_censored = len(assignment.unmatched) / max(1, n_b)
-    metrics = [
+    return [
         {"name": "q", "value": q, "pass": q > 0},
         {"name": "d", "value": d, "pass": True},
         {"name": "matched_pairs", "value": int(len(assignment.b_indices)),
@@ -220,13 +220,10 @@ def _cmd_match(params: dict, seed: int, out_dir: Path):
         {"name": "censored_b_fraction", "value": frac_censored,
          "tolerance": 0.25, "pass": frac_censored < 0.25},
     ]
-    return metrics, [out_rows, art2, *artifacts]
 
 
-def _cmd_typeiii(params: dict, seed: int, out_dir: Path):
+def _cmd_typeiii(params: dict, seed: int, csv: Path):
     n_max, samples = params["n"], params["samples"]
-    if n_max >= 2**63:
-        raise ValueError(f"--n must be at most {2**63 - 1}")
     hspec = typeiii.HMapSpec(params["lam"], params["lam_prime"])
     # n uniform below --n, v uniform on a uniformly chosen support piece
     rng = SeedStream(seed).generator("typeiii-ratios")
@@ -242,44 +239,69 @@ def _cmd_typeiii(params: dict, seed: int, out_dir: Path):
                 default=0.0)
     hist, edges = np.histogram(np.repeat(logs, counts), bins=41)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    art = emit_plot_data(
-        {"log_rn_histogram": list(zip(centers.tolist(), hist.tolist()))},
-        out_dir / "typeiii_log_rn.csv")
-    metrics = [
+    emit_plot_data(
+        {"log_rn_histogram": list(zip(centers.tolist(), hist.tolist()))}, csv)
+    return [
         {"name": "lattice_deviation", "value": worst, "tolerance": 1e-9,
          "pass": worst <= 1e-9},
         {"name": "sampled_ratios", "value": int(counts.sum()), "pass": True},
     ]
-    return metrics, [art]
 
 
-def _cmd_index(params: dict, seed: int, out_dir: Path):
+def _cmd_index(params: dict, seed: int, csv: Path):
     rep = speedups.index_report(params["c"], params["kmax"])
     rows = [(r.k, r.exponent, r.hellinger, r.dissipativity_partial,
              r.tail_slope, "dissipative-certified" if r.certified
              else "not-certified") for r in rep.rows]
-    rows_path = write_csv(out_dir / "index_scan.csv", (
-        "k", "exponent", "S", "partial_dissip", "tail_slope",
-        "classification"), list(zip(*rows)))
-    metrics = [
+    write_csv(csv, ("k", "exponent", "S", "partial_dissip", "tail_slope",
+                    "classification"), list(zip(*rows)))
+    return [
         {"name": "implied_index", "value": rep.implied_index, "pass": True},
         {"name": "kmax", "value": params["kmax"], "pass": True},
     ]
-    return metrics, [rows_path]
-
-
-_COMMANDS = {
-    "measure": _cmd_measure,
-    "factor": _cmd_factor,
-    "match": _cmd_match,
-    "typeiii": _cmd_typeiii,
-    "index": _cmd_index,
-}
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+# Each command, written once: its sub-command word, its function, the CSV
+# files it always writes under the out-dir and its options as (flag,
+# add_argument keywords) pairs, which _COMMON follows.
+_COMMANDS = {
+    "measure": ("check", _cmd_measure, ("measure_check.csv",), (
+        ("--measure", dict(required=True,
+                           help="compact spec, e.g. iid:0.3")),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, action="append", dest="ks")))),
+    "factor": ("run", _cmd_factor, (), (
+        ("--measure", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--radius", dict(type=int, default=factor_mod.DEFAULT_RADIUS,
+                          help="fair-bit half-window of the split code")))),
+    "match": ("run", _cmd_match,
+              ("matching_assignment.csv", "radius_histogram.csv"), (
+        ("--measure", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--dump-window", dict(
+            help="also export the sampled window as index,value CSV")))),
+    "typeiii": ("ratios", _cmd_typeiii, ("typeiii_log_rn.csv",), (
+        ("--lambda", dict(dest="lam", type=float, required=True)),
+        ("--lambda-prime", dict(dest="lam_prime", type=float,
+                                required=True)),
+        ("--n", dict(type=int, default=40)),
+        ("--samples", dict(type=int, default=10000)))),
+    "index": ("scan", _cmd_index, ("index_scan.csv",), (
+        ("--c", dict(type=float, required=True)),
+        ("--kmax", dict(type=int, required=True)))),
+}
+_COMMON = (
+    ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    ("--out-dir", dict(type=Path)),
+    ("--out", dict(type=Path,
+                   help="report path (default <out-dir>/<cmd>_report.json)")),
+)
+
 
 def _read_config_file(argv: list[str] | None) -> dict:
     """The JSON object named by --config, or {}; read before the full
@@ -296,95 +318,50 @@ def _read_config_file(argv: list[str] | None) -> dict:
     return values
 
 
-def _check_file_value(action: argparse.Action, value) -> None:
-    """Refuse a config-file value that is not the text of a flag: one
-    string or number, or a list of them for an append option; never a
-    boolean, null or nested value."""
-    def scalar(v):
-        return isinstance(v, (str, int, float)) and not isinstance(v, bool)
-    if isinstance(action, argparse._AppendAction):
-        ok, shape = isinstance(value, list) and all(map(scalar, value)), \
-            "a list of strings or numbers"
-    else:
-        ok, shape = scalar(value), "a string or a number"
-    if not ok:
-        raise ValueError(f"config value {json.dumps(value)} for "
-                         f"{action.option_strings[0]}: expected {shape}")
-
-
 def _build_parser(file_values: dict) -> argparse.ArgumentParser:
     """The CLI parser, where ``file_values`` replace built-in defaults and
-    satisfy required options: flag > config file > default."""
+    satisfy required options: flag > config file > default.  A file value
+    must be the text of a flag: one string or number (a JSON value reads
+    as exactly str, int or float), or a list of them for an append option;
+    never a boolean, null or nested value."""
     ap = argparse.ArgumentParser(
         prog="shiftlab", allow_abbrev=False,
         description="nonsingular Bernoulli shift laboratory")
     ap.add_argument("--config", type=Path,
                     help="JSON file of option values; flags override")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out-dir", type=Path, default=None)
-        p.add_argument("--out", type=Path, default=None,
-                       help="report path (default <out-dir>/<cmd>_report.json)")
-        for action in p._actions:
-            # --help's default is SUPPRESS: it is no option to configure
-            if (action.dest in file_values
-                    and action.default is not argparse.SUPPRESS):
-                _check_file_value(action, file_values[action.dest])
-                action.required = False
-                # argparse converts a string default through the option's
-                # type, as it does a flag's text.  An append option would
-                # add its flags to a list default; _config_from_args fills
-                # it from the file instead
-                if not isinstance(action, argparse._AppendAction):
-                    action.default = str(file_values[action.dest])
-
-    pm = sub.add_parser("measure").add_subparsers(dest="sub", required=True) \
-        .add_parser("check")
-    pm.add_argument("--measure", required=True,
-                    help="compact spec, e.g. iid:0.3")
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--k", type=int, action="append", dest="ks")
-    common(pm)
-
-    pf = sub.add_parser("factor").add_subparsers(dest="sub", required=True) \
-        .add_parser("run")
-    pf.add_argument("--measure", required=True)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--radius", type=int, default=factor_mod.DEFAULT_RADIUS,
-                    help="fair-bit half-window of the split code")
-    common(pf)
-
-    pma = sub.add_parser("match").add_subparsers(dest="sub", required=True) \
-        .add_parser("run")
-    pma.add_argument("--measure", required=True)
-    pma.add_argument("--n", type=int, required=True)
-    pma.add_argument("--dump-window", dest="dump_window",
-                     help="also export the sampled window as index,value CSV")
-    common(pma)
-
-    pt = sub.add_parser("typeiii").add_subparsers(dest="sub", required=True) \
-        .add_parser("ratios")
-    pt.add_argument("--lambda", dest="lam", type=float, required=True)
-    pt.add_argument("--lambda-prime", dest="lam_prime", type=float,
-                    required=True)
-    pt.add_argument("--n", type=int, default=40)
-    pt.add_argument("--samples", type=int, default=10000)
-    common(pt)
-
-    pi = sub.add_parser("index").add_subparsers(dest="sub", required=True) \
-        .add_parser("scan")
-    pi.add_argument("--c", type=float, required=True)
-    pi.add_argument("--kmax", type=int, required=True)
-    common(pi)
+    for command, (word, _, _, options) in _COMMANDS.items():
+        p = sub.add_parser(command).add_subparsers(
+            dest="sub", required=True).add_parser(word)
+        for flag, keywords in options + _COMMON:
+            action = p.add_argument(flag, **keywords)
+            if action.dest not in file_values:
+                continue
+            value = file_values[action.dest]
+            appends = keywords.get("action") == "append"
+            items = value if appends else [value]
+            if not (isinstance(items, list)
+                    and all(type(v) in (str, int, float) for v in items)):
+                shape = ("a list of strings or numbers" if appends
+                         else "a string or a number")
+                raise ValueError(f"config value {json.dumps(value)} for "
+                                 f"{flag}: expected {shape}")
+            action.required = False
+            # argparse converts a string default through the option's
+            # type, as it does a flag's text.  An append option would add
+            # its flags to a list default; _config_from_args fills it from
+            # the file instead
+            if not appends:
+                action.default = str(value)
     return ap
 
 
 def _config_from_args(args: argparse.Namespace, file_values: dict):
-    """(command, params, seed, out_dir) of a parsed command line, with the
-    output directories created, so a path that cannot be one is refused
-    before any work runs."""
+    """(command, params, seed, out_dir, paths) of a parsed command line,
+    where ``paths`` are the files the command writes, then the report.
+    Every option bound is checked here, and the output directories are
+    created, so a bad value, two outputs at one path or a path that cannot
+    be one is refused before any work runs."""
     options = set(vars(args)) - {"command", "sub", "config"}
     unknown = sorted(set(file_values) - options)
     if unknown:
@@ -392,8 +369,9 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
                          f"{args.command} {args.sub}")
     params = {k: getattr(args, k) for k in options - {"seed", "out_dir"}
               if getattr(args, k) is not None}
-    # the append option --k takes no default from the file: fill it here
-    if "ks" in options and "ks" not in params and "ks" in file_values:
+    # the append option --k takes no default from the file (a key of
+    # another command was refused above): fill it here
+    if "ks" in file_values and "ks" not in params:
         try:
             params["ks"] = [int(str(v)) for v in file_values["ks"]]
         except ValueError:
@@ -403,35 +381,52 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
         if params.get(key, least) < least:
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
+    # measure check reads the marginals at -n - k .. n - k for every --k:
+    # with n and |k| below 2^61 the block's indices and length fit in int64
+    most = 2**61 - 1 if args.command == "measure" else 2**63 - 1
+    if params.get("n", 1) > most:
+        raise ValueError(f"--n must be at most {most}")
+    if any(abs(k) > most for k in params.get("ks", ())):
+        raise ValueError(f"--k must lie in {-most} .. {most}")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
-    dirs = [out_dir]
-    if params.get("out"):                  # read from the working directory
-        dirs.append(params["out"].parent)
+    # the files the run writes, in order; --out is read from the working
+    # directory, the others from out_dir
+    named = [("artifact", out_dir / name)
+             for name in _COMMANDS[args.command][2]]
     if params.get("dump_window"):
-        dirs.append((out_dir / params["dump_window"]).parent)
-    for path in dirs:
+        named.append(("--dump-window", out_dir / params["dump_window"]))
+    named.append(("--out", params["out"]) if params.get("out") else
+                 ("report", out_dir / f"{args.command}_report.json"))
+    seen = {}
+    for role, path in named:
+        first = seen.setdefault(path.resolve(), f"{role} {path}")
+        if first != f"{role} {path}":
+            raise ValueError(f"{first} and {role} {path} are one file")
+    for path in dict.fromkeys([out_dir] + [p.parent for _, p in named]):
         path.mkdir(parents=True, exist_ok=True)
-    return args.command, params, args.seed, out_dir
+    return (args.command, params, args.seed, out_dir,
+            [path for _, path in named])
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         file_values = _read_config_file(argv)
         args = _build_parser(file_values).parse_args(argv)
-        command, params, seed, out_dir = _config_from_args(args, file_values)
+        command, params, seed, out_dir, paths = _config_from_args(
+            args, file_values)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"shiftlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        metrics, artifacts = _COMMANDS[command](params, seed, out_dir)
+        *artifacts, path = paths
+        metrics = _COMMANDS[command][1](params, seed, *artifacts)
         config = {"command": command, "seed": seed, "out_dir": str(out_dir),
                   "params": {k: str(v) if isinstance(v, Path) else v
                              for k, v in params.items()}}
         report = {"version": __version__, "config": config,
                   "metrics": metrics, "artifacts": list(map(str, artifacts))}
-        path = params.get("out") or out_dir / f"{command}_report.json"
         path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except (ValueError, KeyError) as exc:
         print(f"shiftlab: config error: {exc}", file=sys.stderr)

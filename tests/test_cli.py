@@ -501,6 +501,132 @@ class TestPlotData:
 
 TYPEIII = ["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime", "0.5"]
 
+# the --help text of the top-level parser and of each command, at 80
+# columns
+HELP = {
+    "": """\
+usage: shiftlab [-h] [--config CONFIG]
+                {measure,factor,match,typeiii,index} ...
+
+nonsingular Bernoulli shift laboratory
+
+positional arguments:
+  {measure,factor,match,typeiii,index}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON file of option values; flags override
+""",
+    "measure check": """\
+usage: shiftlab measure check [-h] --measure MEASURE --n N [--k KS]
+                              [--seed SEED] [--out-dir OUT_DIR] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --measure MEASURE  compact spec, e.g. iid:0.3
+  --n N
+  --k KS
+  --seed SEED
+  --out-dir OUT_DIR
+  --out OUT          report path (default <out-dir>/<cmd>_report.json)
+""",
+    "factor run": """\
+usage: shiftlab factor run [-h] --measure MEASURE --n N [--radius RADIUS]
+                           [--seed SEED] [--out-dir OUT_DIR] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --measure MEASURE
+  --n N
+  --radius RADIUS    fair-bit half-window of the split code
+  --seed SEED
+  --out-dir OUT_DIR
+  --out OUT          report path (default <out-dir>/<cmd>_report.json)
+""",
+    "match run": """\
+usage: shiftlab match run [-h] --measure MEASURE --n N
+                          [--dump-window DUMP_WINDOW] [--seed SEED]
+                          [--out-dir OUT_DIR] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --measure MEASURE
+  --n N
+  --dump-window DUMP_WINDOW
+                        also export the sampled window as index,value CSV
+  --seed SEED
+  --out-dir OUT_DIR
+  --out OUT             report path (default <out-dir>/<cmd>_report.json)
+""",
+    "typeiii ratios": """\
+usage: shiftlab typeiii ratios [-h] --lambda LAM --lambda-prime LAM_PRIME
+                               [--n N] [--samples SAMPLES] [--seed SEED]
+                               [--out-dir OUT_DIR] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --lambda LAM
+  --lambda-prime LAM_PRIME
+  --n N
+  --samples SAMPLES
+  --seed SEED
+  --out-dir OUT_DIR
+  --out OUT             report path (default <out-dir>/<cmd>_report.json)
+""",
+    "index scan": """\
+usage: shiftlab index scan [-h] --c C --kmax KMAX [--seed SEED]
+                           [--out-dir OUT_DIR] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --c C
+  --kmax KMAX
+  --seed SEED
+  --out-dir OUT_DIR
+  --out OUT          report path (default <out-dir>/<cmd>_report.json)
+""",
+}
+
+
+class TestSurface:
+    """The usage line and --help text of every parser are pinned, so a
+    rewrite of the parser keeps what a user sees."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("words", list(HELP))
+    def test_help(self, capsys, words):
+        assert main([*words.split(), "--help"]) == EXIT_OK
+        assert capsys.readouterr().out == HELP[words]
+
+    @pytest.mark.parametrize("command, word", [
+        ("measure", "check"), ("factor", "run"), ("match", "run"),
+        ("typeiii", "ratios"), ("index", "scan")])
+    def test_command_group_help(self, capsys, command, word):
+        assert main([command, "--help"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"usage: shiftlab {command} [-h] {{{word}}} ...\n\n"
+            f"positional arguments:\n  {{{word}}}\n\n"
+            "options:\n  -h, --help  show this help message and exit\n")
+
+    @pytest.mark.parametrize("words, missing", [
+        ("", "command"),
+        ("measure check", "--measure, --n"),
+        ("factor run", "--measure, --n"),
+        ("match run", "--measure, --n"),
+        ("typeiii ratios", "--lambda, --lambda-prime"),
+        ("index scan", "--c, --kmax"),
+    ])
+    def test_usage_on_missing_options(self, capsys, words, missing):
+        assert main(words.split()) == EXIT_CONFIG
+        usage = HELP[words].split("\n\n")[0]
+        prog = " ".join(["shiftlab", *words.split()])
+        assert capsys.readouterr().err == (
+            f"{usage}\n{prog}: error: the following arguments are "
+            f"required: {missing}\n")
+
 
 class TestConfigHandling:
     def test_unknown_command_is_config_error(self, tmp_path):
@@ -654,6 +780,25 @@ class TestConfigHandling:
             f"shiftlab: config error: --n must be at most {2**63 - 1}\n")
         assert not (tmp_path / "typeiii_report.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", 2**63 - 1), ("--k", -2**63), ("--k", 2**61),
+        ("--k", -2**61), ("--n", 2**61),
+    ])
+    def test_measure_index_beyond_int64_is_config_error(
+            self, tmp_path, capsys, flag, value):
+        # measure check reads the marginals at -n - k .. n - k, so n and
+        # |k| are bounded before an index can overflow int64
+        most = 2**61 - 1
+        argv = ["measure", "check", "--measure", "iid:0.3", flag, str(value)]
+        if flag == "--k":
+            argv += ["--n", "100"]
+            reason = f"--k must lie in {-most} .. {most}"
+        else:
+            reason = f"--n must be at most {most}"
+        assert run_cli(tmp_path, *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"shiftlab: config error: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("option, value", [
         ("--out", "afile/r.json"), ("--out-dir", "afile/sub"),
         ("--dump-window", "afile/w.csv"),
@@ -671,6 +816,32 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("shiftlab: config error: ") and "afile" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["match", "run", "--measure", "iid:0.5", "--n", "2000",
+          "--dump-window", "radius_histogram.csv"],
+         "artifact o/radius_histogram.csv",
+         "--dump-window o/radius_histogram.csv"),
+        (["index", "scan", "--c", "0.5", "--kmax", "2",
+          "--out", "o/index_scan.csv"],
+         "artifact o/index_scan.csv", "--out o/index_scan.csv"),
+        (["match", "run", "--measure", "iid:0.5", "--n", "2000",
+          "--dump-window", "w.csv", "--out", "o/w.csv"],
+         "--dump-window o/w.csv", "--out o/w.csv"),
+        (["match", "run", "--measure", "iid:0.5", "--n", "2000",
+          "--dump-window", "sub/../match_report.json"],
+         "--dump-window o/sub/../match_report.json",
+         "report o/match_report.json"),
+    ], ids=["dump-artifact", "out-artifact", "dump-out", "dump-report"])
+    def test_outputs_at_one_path_are_config_error(
+            self, tmp_path, monkeypatch, capsys, argv, first, second):
+        # no output may overwrite another: refused before any work runs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o").mkdir()
+        assert main([*argv, "--out-dir", "o"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: {first} and {second} are one file\n")
+        assert list(tmp_path.rglob("*")) == [tmp_path / "o"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHIFTLAB_OUT", str(tmp_path / "envout"))
@@ -760,6 +931,57 @@ class TestConfigHandling:
                        "--c", "0.1", "--n", "100")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err
+
+
+# per command, the flags of one run; then two values of every option, the
+# first given by the config file and the second as a flag
+RUN_FLAGS = {
+    "measure": {"--measure": "iid:0.4", "--n": 200},
+    "factor": {"--measure": "iid:0.3", "--n": 2000},
+    "match": {"--measure": "iid:0.5", "--n": 500},
+    "typeiii": {"--lambda": 0.25, "--lambda-prime": 0.5, "--samples": 50},
+    "index": {"--c": 0.5, "--kmax": 2},
+}
+OPTION_VALUES = {
+    "--measure": ("iid:0.45", "iid:0.35"), "--n": (300, 400),
+    "--k": ([3, -2], [5]), "--radius": (8, 16),
+    "--dump-window": ("w.csv", "v/w.csv"), "--lambda": (0.2, 0.3),
+    "--lambda-prime": (0.6, 0.55), "--samples": (60, 70),
+    "--c": (0.6, 0.7), "--kmax": (3, 1), "--seed": (3, 4),
+    "--out-dir": ("o", "p"), "--out": ("r.json", "s/r.json"),
+}
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    pytest.param(command, flag,
+                 keywords.get("dest", flag[2:].replace("-", "_")),
+                 id=f"{command} {flag}")
+    for command, (_, _, _, options) in cli._COMMANDS.items()
+    for flag, keywords in options + cli._COMMON])
+def test_config_file_reaches_every_option(tmp_path, monkeypatch, capsys,
+                                          command, flag, dest):
+    # a file value gives the report config its flag gives, and a flag
+    # beats the file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTLAB_OUT", raising=False)
+    base = [command, cli._COMMANDS[command][0]]
+    for other, value in RUN_FLAGS[command].items():
+        if other != flag:
+            base += [other, str(value)]
+
+    def flags(value):
+        return [a for v in (value if isinstance(value, list) else [value])
+                for a in (flag, str(v))]
+
+    def config(argv):
+        assert main(argv) in (EXIT_OK, EXIT_CHECK_FAILED)
+        return json.loads(capsys.readouterr().out)["config"]
+
+    in_file, as_flag = OPTION_VALUES[flag]
+    (tmp_path / "cfg.json").write_text(json.dumps({dest: in_file}))
+    from_file = ["--config", "cfg.json", *base]
+    assert config(from_file) == config(base + flags(in_file))
+    assert config(from_file + flags(as_flag)) == config(base + flags(as_flag))
 
 
 class TestStartUp:
