@@ -131,29 +131,48 @@ def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
     return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
 
 
+def _all_ones_threshold(beta0: float, dplus1: int) -> float:
+    """A uniform from which on every tuple is all ones: a little above
+    1 - (1 - beta0)^(d+1), the chance that a tuple holds a zero, by a
+    margin for the rounding of the d+1 decoding steps."""
+    return -math.expm1(dplus1 * math.log1p(-beta0)) + dplus1 * 2.0 ** -48
+
+
 def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
     """Exact inverse CDF of Bernoulli(1-beta0)^(d+1) applied to uniforms,
     written into the (len(u), d+1) array ``out``.
 
-    A bit is 0 where its running uniform is below beta0, about (d+1) beta0
-    times per tuple (0.07 at d = 882).  So ``out`` is filled with ones and
-    only the zeros are written, and only their uniforms are rescaled by
-    1/beta0; every value sees the same float operations as when whole
-    columns were rescaled both ways and merged.
+    A bit is 0 where its running uniform is below beta0, and a running
+    uniform at or above beta0 steps to (uu - beta0) / (1 - beta0), which is
+    monotone in uu.  So if the uniform t = ``_all_ones_threshold`` decodes
+    to all ones, so does every u >= t: only the rows below t (6.3% at
+    d = 882) and t itself run the column loop, and the rest are ones.
+    In the loop, only the zeros are written, and only their uniforms are
+    rescaled by 1/beta0; every value sees the same float operations as
+    when whole columns were rescaled both ways and merged.
     """
-    out.fill(1)
-    uu, nxt = u.copy(), np.empty_like(u)
-    zero = np.empty(len(u), dtype=bool)
+    dplus1 = out.shape[1]
+    t = _all_ones_threshold(beta0, dplus1)
+    rows = np.flatnonzero(u < t)
+    uu = np.append(u[rows], t)
+    nxt = np.empty_like(uu)
+    zero = np.empty(len(uu), dtype=bool)
+    bits = np.ones((len(uu), dplus1), dtype=np.uint8)
     rest = 1.0 - beta0
-    for j in range(out.shape[1]):
+    for j in range(dplus1):
         np.less(uu, beta0, out=zero)
         np.subtract(uu, beta0, out=nxt)
         np.divide(nxt, rest, out=nxt)
         at = np.flatnonzero(zero)
         if len(at):
-            out[at, j] = 0
+            bits[at, j] = 0
             nxt[at] = uu[at] / beta0
         uu, nxt = nxt, uu
+    if not bits[-1].all():
+        raise AssertionError(f"the all-ones threshold {t!r} decodes to a "
+                             f"zero at d + 1 = {dplus1}")
+    out.fill(1)
+    out[rows] = bits[:-1]
 
 
 def psi_split(bits: np.ndarray, spec: SplitCodeSpec,

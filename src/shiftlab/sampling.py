@@ -9,7 +9,9 @@ indices are supported by a fixed counter offset.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,6 +19,30 @@ from numpy.random import Generator, Philox
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # doubles per Philox counter block
 _DENSITY_BLOCK = 1 << 16   # coordinates per block of a uniform or density read
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _draw(key: np.ndarray, start: int, u: np.ndarray, step: int,
+          errors: list) -> None:
+    """Fill ``u`` with the uniforms of coordinates start, start+1, ...,
+    drawn ``step`` coordinates at a time.  An exception goes to ``errors``,
+    for the caller to raise once every share is done."""
+    try:
+        bg = Philox(key=key)
+        bg.advance(start + _COUNTER_OFFSET)
+        gen = Generator(bg)
+        for c in range(0, len(u), step):
+            k = min(step, len(u) - c)
+            u[c:c + k] = gen.random(k * _BLOCK)[::_BLOCK]
+    except BaseException as e:
+        errors.append(e)
 
 
 @dataclass(frozen=True)
@@ -40,15 +66,38 @@ class SeedStream:
         """Uniform[0,1) draws at coordinates start..start+count-1, the first
         double of each one's own counter block, so overlapping requests
         agree; shape (count, 1), as the benchmark's window check reads it.
-        Drawn ``_DENSITY_BLOCK`` coordinates at a time, so only one block's
-        four doubles per coordinate are held at once."""
-        bg = Philox(key=self._key(label))
-        bg.advance(start + _COUNTER_OFFSET)
-        gen = Generator(bg)
+
+        A request longer than one ``_DENSITY_BLOCK`` is split into
+        W = min(CPUs, ceil(count / _DENSITY_BLOCK)) contiguous shares.  The
+        calling thread draws the first share and one thread each the rest;
+        each builds its own Philox at its share's first counter and writes
+        its own slice, so a coordinate's double and the bytes of ``u`` do
+        not depend on W.  Each share is drawn ``_DENSITY_BLOCK // W``
+        coordinates at a time, so one block's four doubles per coordinate
+        are held at once, whatever W is.  numpy's ``Generator.random``
+        releases the GIL, so the shares run in parallel."""
+        key = self._key(label)
         u = np.empty((count, 1))
-        for c in range(0, count, _DENSITY_BLOCK):
-            k = min(_DENSITY_BLOCK, count - c)
-            u[c:c + k, 0] = gen.random(k * _BLOCK)[::_BLOCK]
+        workers = 1
+        if count > _DENSITY_BLOCK:
+            workers = min(_cpu_count(), -(-count // _DENSITY_BLOCK))
+        step = _DENSITY_BLOCK // workers
+        cuts = [count * i // workers for i in range(workers + 1)]
+        errors = []
+        threads = []
+        try:
+            for i in range(1, workers):
+                thread = Thread(target=_draw, args=(
+                    key, start + cuts[i], u[cuts[i]:cuts[i + 1], 0], step,
+                    errors))
+                thread.start()
+                threads.append(thread)
+            _draw(key, start, u[:cuts[1], 0], step, errors)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
         return u
 
     def generator(self, label: str) -> Generator:

@@ -135,6 +135,26 @@ def window_uniforms_oracle(bits, radius: int, key: bytes) -> np.ndarray:
     return out
 
 
+
+def decode_tuples_oracle(u: np.ndarray, beta0: float,
+                         out: np.ndarray) -> None:
+    """``factor._decode_tuples`` without the all-ones threshold: the column
+    loop over every row, ``out`` filled with ones and only the zeros
+    written and rescaled by 1/beta0."""
+    out.fill(1)
+    uu, nxt = u.copy(), np.empty_like(u)
+    zero = np.empty(len(u), dtype=bool)
+    rest = 1.0 - beta0
+    for j in range(out.shape[1]):
+        np.less(uu, beta0, out=zero)
+        np.subtract(uu, beta0, out=nxt)
+        np.divide(nxt, rest, out=nxt)
+        at = np.flatnonzero(zero)
+        if len(at):
+            out[at, j] = 0
+            nxt[at] = uu[at] / beta0
+        uu, nxt = nxt, uu
+
 # -- markers and measures -----------------------------------------------------
 
 def good_prob(m, i: int) -> float:

@@ -195,6 +195,37 @@ class TestPsiSplit:
         _decode_tuples(u, beta0, out)
         np.testing.assert_array_equal(out, column_decode(u, d + 1, beta0))
 
+    @pytest.mark.parametrize("d", [1, 7, 882, 1631, 5906])
+    def test_decode_at_the_all_ones_threshold(self, d):
+        # 10^5 uniforms packed around 1 - (1 - beta0)^(d+1), where tuples
+        # stop holding zeros: 80 000 consecutive doubles, then an even
+        # spread up to the threshold t, t itself and its two neighbours
+        beta0 = SplitCodeSpec(d).beta0
+        p = -math.expm1((d + 1) * math.log1p(-beta0))
+        t = factor._all_ones_threshold(beta0, d + 1)
+        near = np.arange(-40_000, 40_000) + np.float64(p).view(np.int64)
+        u = np.concatenate([near.view(np.float64),
+                            np.linspace(p, t, 19_997),
+                            [np.nextafter(t, 0), t, np.nextafter(t, 1)]])
+        want = np.empty((len(u), d + 1), dtype=np.uint8)
+        oracles.decode_tuples_oracle(u, beta0, want)
+        has_zero = ~want.all(axis=1)
+        largest = u[has_zero].max()
+        # the boundary lies inside the consecutive run, below t
+        assert u[0] < largest < min(u[79_999], t)
+        out = np.zeros_like(want)
+        _decode_tuples(u, beta0, out)
+        assert out.tobytes() == want.tobytes()
+
+    def test_decode_refuses_a_threshold_that_decodes_to_a_zero(
+            self, monkeypatch):
+        beta0 = SplitCodeSpec(882).beta0
+        monkeypatch.setattr(factor, "_all_ones_threshold",
+                            lambda beta0, dplus1: 0.06)
+        u = SeedStream(19).uniforms("u", 0, 100)[:, 0]
+        with pytest.raises(AssertionError, match="all-ones threshold"):
+            _decode_tuples(u, beta0, np.empty((100, 883), dtype=np.uint8))
+
     @pytest.mark.parametrize("radius, K", [
         (0, 1), (3, 7), (3, 8), (16, 33), (16, 500), (64, 129), (64, 3001)])
     @pytest.mark.parametrize("label", ["|split-code", "other"])

@@ -1,5 +1,8 @@
 """Seeded window sampling: determinism and marginal fidelity."""
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,8 +14,14 @@ from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       TypeIIISpec, f_family, iid, iid_binary, make_nu_c,
                       mix_disjoint, shift_family, sample_density_window,
                       sample_window)
+from shiftlab import sampling
 from shiftlab.sampling import (_DENSITY_BLOCK, _piecewise_inverse_cdf,
                                sample_block)
+
+
+def cpus(monkeypatch, n):
+    """Make ``SeedStream.uniforms`` see n CPUs."""
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: n)
 
 
 class TestSeedStream:
@@ -62,6 +71,87 @@ class TestSeedStream:
         finally:
             tracemalloc.stop()
         assert peak < 12 * count + (4 << 20)
+
+    # at most 7 workers: each one is a thread
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("count", [
+        0, 1, _DENSITY_BLOCK, _DENSITY_BLOCK + 3, (1 << 20) + 5])
+    @pytest.mark.parametrize("start", [0, -12_345])
+    def test_worker_count_invariance(self, monkeypatch, workers, count,
+                                     start):
+        cpus(monkeypatch, workers)
+        s = SeedStream(7)
+        got = s.uniforms("x", start, count)
+        want = uniforms_oneshot(s, "x", start, count)
+        assert got.shape == (count, 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_shares_under_frequent_thread_switches(self, monkeypatch):
+        # more threads than cores, switched every microsecond: every share
+        # still lands in its own slice
+        cpus(monkeypatch, 7)
+        s = SeedStream(3)
+        count = 7 * _DENSITY_BLOCK + 11
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = s.uniforms("x", -99, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == uniforms_oneshot(s, "x", -99, count).tobytes()
+
+    def test_memory_stays_near_the_output_at_seven_workers(self, monkeypatch):
+        # test_memory_stays_near_the_output's bound, the request split
+        # across 7 threads that draw a seventh of a block at a time each
+        cpus(monkeypatch, 7)
+        count = 1 << 20
+        tracemalloc.start()
+        try:
+            SeedStream(7).uniforms("x", 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * count + (4 << 20)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block request started a thread")
+
+        cpus(monkeypatch, 7)
+        monkeypatch.setattr(sampling, "Thread", no_thread)
+        s = SeedStream(7)
+        got = s.uniforms("x", 5, _DENSITY_BLOCK)
+        assert got.tobytes() == uniforms_oneshot(
+            s, "x", 5, _DENSITY_BLOCK).tobytes()
+
+    @pytest.mark.parametrize("where", ["worker", "every share"])
+    def test_a_failing_share_raises_in_the_caller(self, monkeypatch, where):
+        caller = threading.current_thread()
+
+        def failing(bg):
+            worker = threading.current_thread() is not caller
+            if worker or where == "every share":
+                raise OSError(f"share failed in {where}")
+            return np.random.Generator(bg)
+
+        cpus(monkeypatch, 3)
+        s = SeedStream(7)
+        before = threading.active_count()
+        s.uniforms("x", 0, 3 * _DENSITY_BLOCK)
+        assert threading.active_count() == before
+        monkeypatch.setattr(sampling, "Generator", failing)
+        with pytest.raises(OSError, match=f"share failed in {where}"):
+            s.uniforms("x", 0, 3 * _DENSITY_BLOCK)
+        assert threading.active_count() == before
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert sampling._cpu_count() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert sampling._cpu_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sampling._cpu_count() == 1
 
 
 class TestSampleWindow:
