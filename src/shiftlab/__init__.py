@@ -2,18 +2,18 @@
 
 __version__ = "0.1.0"
 
-from .measures import (DensityFamily, FiniteProductMeasure, SequenceSpec,
-                       ZeroMassError, doeblin_delta, iid, iid_binary,
-                       inverse_sqrt, log_damped, log_rn_shift, make_mu_pc,
-                       make_nu_c, parse_measure, rpm)
+from .measures import (DensityFamily, FiniteProductMeasure, ZeroMassError,
+                       doeblin_delta, iid, iid_binary, inverse_sqrt,
+                       log_damped, log_rn_shift, make_mu_pc, make_nu_c,
+                       parse_measure, rpm)
 from .sampling import (SeedStream, Window, sample_density_window,
                        sample_window)
 from .markers import (good_block_sequence, good_prob_lower, good_starts,
                       special_sequence)
 from .matching import (MatchingAssignment, dominates, meshalkin_match,
                        required_d)
-from .factor import (FactorResult, SplitCodeSpec, SplitTuples, beta_for,
-                     psi_split, run_iid_factor, spread_bits)
+from .factor import (SplitCodeSpec, SplitTuples, beta_for, psi_split,
+                     run_iid_factor, spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       g_family, h_apply, lift_lambda_on_negative,
                       mix_disjoint, ratio_profile, safe_zone,

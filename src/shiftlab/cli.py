@@ -29,6 +29,10 @@ EXIT_RUNTIME = 3
 
 DEFAULT_SEED = 7
 CSV_CHUNK = 1 << 16
+# the largest window factor run and match run sample: factor run holds
+# about SITE_BYTES a site at its peak (match run about 49)
+MAX_SITES = 50_000_000
+SITE_BYTES = 64
 
 
 def write_csv(path: Path, header, columns) -> Path:
@@ -156,8 +160,12 @@ def _cmd_measure(params: dict, seed: int, csv: Path):
     m = measures.parse_measure(params["measure"])
     n = params["n"]
     ks = list(dict.fromkeys(params.get("ks") or [1, 2, 4, 8]))
-    # one block over the Kakutani lags n - k and the last bias bond n + 1
-    lo, hi = -n - max(0, max(ks)), n + max(1, -min(ks))
+    # one block over the Kakutani lags n - k and the last bias bond n + 1,
+    # for each k that widens it by at most one window of 2n + 1 rows; a
+    # farther lag reads its own window, so memory follows n, not |k|
+    reach = 2 * n + 1
+    near = [k for k in ks if abs(k) <= reach]
+    lo, hi = -n - max([0, *near]), n + max([1, *(-k for k in near)])
     block = m.block(lo, hi - lo + 1)
     metrics = []
     delta = measures.doeblin_delta(measures.block_rows(block, -n, n))
@@ -166,7 +174,8 @@ def _cmd_measure(params: dict, seed: int, csv: Path):
     decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
     series = {}
     for k in ks:
-        terms = measures.kakutani_terms(block, k, n)
+        far = None if abs(k) <= reach else m.block(-n - k, reach)
+        terms = measures.kakutani_terms(block, k, n, far)
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = [
             (dn, measures.centred_sum(terms, dn)) for dn in decades]
@@ -178,10 +187,9 @@ def _cmd_measure(params: dict, seed: int, csv: Path):
 
 def _cmd_factor(params: dict, seed: int):
     m = measures.parse_measure(params["measure"])
-    result = factor_mod.run_iid_factor(m, (0, params["n"] - 1),
-                                       SeedStream(seed),
-                                       radius=params["radius"])
-    diag = result.diagnostics
+    _, diag = factor_mod.run_iid_factor(m, (0, params["n"] - 1),
+                                        SeedStream(seed),
+                                        radius=params["radius"])
     metrics = [
         {"name": "q", "value": diag["q"], "pass": diag["q"] > 0},
         {"name": "d", "value": diag["d"], "pass": True},
@@ -381,6 +389,11 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
         if params.get(key, least) < least:
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
+    if args.command in ("factor", "match") and params["n"] > MAX_SITES:
+        raise ValueError(
+            f"--n must be at most {MAX_SITES}: a window holds up to "
+            f"~{SITE_BYTES} bytes a site, "
+            f"~{MAX_SITES * SITE_BYTES / 1e9:.1f} GB at that cap")
     # measure check reads the marginals at -n - k .. n - k for every --k:
     # with n and |k| below 2^61 the block's indices and length fit in int64
     most = 2**61 - 1 if args.command == "measure" else 2**63 - 1

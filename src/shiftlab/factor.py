@@ -243,17 +243,11 @@ def match_window(m: FiniteProductMeasure, span: tuple[int, int],
     return w, q, d, meshalkin_match(special_sequence(w), d)
 
 
-@dataclass(frozen=True)
-class FactorResult:
-    output: Window
-    diagnostics: dict
-
-
 def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
                    seeds: SeedStream,
-                   radius: int = DEFAULT_RADIUS) -> FactorResult:
-    """Compose the full factor map on the window ``match_window`` samples
-    and report diagnostics: q, d, beta0, censoring fraction and the
+                   radius: int = DEFAULT_RADIUS) -> tuple[Window, dict]:
+    """(output, diagnostics): the full factor map composed on the window
+    ``match_window`` samples, and its q, d, beta0, censoring fraction and
     three-part uniformity suite on the interior output."""
     w, q, d, assignment = match_window(m, span, seeds, "factor-input")
     spec = SplitCodeSpec(d, radius)
@@ -276,4 +270,4 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
         "interior_bits": int(len(inner)),
         "tests": tests,
     }
-    return FactorResult(out, diagnostics)
+    return out, diagnostics

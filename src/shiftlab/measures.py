@@ -9,7 +9,7 @@ diagnostic that truncates a sum over the integers reports the partial sum
 together with its last-decade increment so convergence can be audited.
 
 The module provides:
-  * ``FiniteProductMeasure`` / ``DensityFamily`` / ``SequenceSpec`` types,
+  * ``FiniteProductMeasure`` / ``DensityFamily`` types,
   * the built-in marginal families (half-stationary ``nu_c``, perturbed
     ``mu^(p,c)``, plain i.i.d.),
   * log Radon-Nikodym sums for shifts, read with one ``density`` call per
@@ -152,24 +152,6 @@ class DensityFamily:
                              f"{float(_first_at(total, bad))!r})")
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A base probability ``p`` plus a perturbation sequence ``a(n)``.
-
-    ``a`` maps an int array of indices to the float array of their
-    perturbations.  Marginals built from a spec clamp back to ``p`` whenever
-    the perturbed value leaves the open interval (0, 1); the closed
-    endpoints are clamped too, so no marginal mass can reach 0.
-    """
-
-    p: float
-    a: Callable[[np.ndarray], np.ndarray]
-
-    def marginal_zero(self, n, c: float) -> np.ndarray:
-        """P(0) = p + c a_n under the clamp rule, vectorized over ``n``."""
-        v = self.p + c * self.a(np.asarray(n))
-        return np.where((v > 0.0) & (v < 1.0), v, self.p)
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -223,14 +205,18 @@ def make_nu_c(c: float) -> FiniteProductMeasure:
     return FiniteProductMeasure(marginals)
 
 
-def make_mu_pc(spec: SequenceSpec, c: float) -> FiniteProductMeasure:
-    """Binary measure with marginal(n)(0) = p + c*a_n, clamped to p whenever
-    the perturbed value leaves (0, 1)."""
-    if not 0.0 < spec.p < 1.0:
-        raise ValueError("spec.p must lie in (0, 1)")
+def make_mu_pc(p0: float, c: float,
+               a: Callable[[np.ndarray], np.ndarray]) -> FiniteProductMeasure:
+    """Binary measure with marginal(n)(0) = p0 + c a(n), where ``a`` maps an
+    int array of indices to the float array of their perturbations.  P(0)
+    falls back to p0 wherever the perturbed value leaves the open interval
+    (0, 1); the closed endpoints fall back too, so no mass can reach 0."""
+    if not 0.0 < p0 < 1.0:
+        raise ValueError("p0 must lie in (0, 1)")
 
     def marginals(n) -> np.ndarray:
-        m0 = spec.marginal_zero(n, c)
+        v = p0 + c * a(np.asarray(n))
+        m0 = np.where((v > 0.0) & (v < 1.0), v, p0)
         p = np.empty(m0.shape + (2,))
         p[..., 0] = m0
         np.subtract(1.0, m0, out=p[..., 1])
@@ -271,10 +257,15 @@ def doeblin_delta(block: Window) -> float:
     return 0.0 if np.any(p == 0.0) else float(p.min())
 
 
-def kakutani_terms(block: Window, k: int, N: int) -> np.ndarray:
+def kakutani_terms(block: Window, k: int, N: int,
+                   lag_block: Window | None = None) -> np.ndarray:
     """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from the
     rows of a binary marginal block that n and n-k reach (k = 0 gives exact
-    zeros)."""
+    zeros), or, given ``lag_block``, the rows n-k reaches from that."""
+    if lag_block is not None:
+        cur = binary_rows(block_rows(block, -N, N))[:, 0]
+        lag = binary_rows(block_rows(lag_block, -N - k, N - k))[:, 0]
+        return (cur - lag) ** 2
     lead, L = max(k, 0), 2 * N + 1
     p0 = binary_rows(block_rows(block, -N - lead, N - min(k, 0)))[:, 0]
     cur, lag = p0[lead:lead + L], p0[lead - k:lead - k + L]
@@ -353,8 +344,9 @@ def rpm(m: FiniteProductMeasure, p: float, alpha) -> FiniteProductMeasure:
 _MEASURE_FAMILIES = {     # name: (parameter names, builder)
     "iid": (("p0",), iid_binary),
     "nu_c": (("c",), make_nu_c),
-    "mu": (("p", "c"),
-           lambda p, c: make_mu_pc(SequenceSpec(p, inverse_sqrt), c)),
+    # inverse_sqrt is looked up at each build, so a rebound module
+    # attribute (a call counter, say) is the one the measure calls
+    "mu": (("p", "c"), lambda p, c: make_mu_pc(p, c, inverse_sqrt)),
 }
 
 

@@ -22,9 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (FiniteProductMeasure, SequenceSpec, binary_rows,
-                       block_law, inverse_sqrt, make_mu_pc, nu_c_zero_mass,
-                       rpm)
+from .measures import (FiniteProductMeasure, binary_rows, block_law,
+                       inverse_sqrt, make_mu_pc, nu_c_zero_mass, rpm)
 from .sampling import Window
 
 MAX_BLOCK_WIDTH = 20
@@ -176,8 +175,6 @@ def rpm_scaling_identity(p: float, q: float, c: float, dsmall: float,
         raise ValueError("need 0 < dsmall <= c")
     if not (0.0 < p <= q <= 0.5):
         raise ValueError("need 0 < p <= q <= 1/2")
-    spec_p = SequenceSpec(p, a)
-    spec_q = SequenceSpec(q, a)
 
     def compare(lhs: FiniteProductMeasure, rhs: FiniteProductMeasure):
         l0 = lhs.block(-N, 2 * N + 1).values[:, 0]
@@ -188,12 +185,12 @@ def rpm_scaling_identity(p: float, q: float, c: float, dsmall: float,
         max_err = float(agree.max()) if len(agree) else 0.0
         return max_err, [int(i) for i in mismatched]
 
-    lhs1 = rpm(make_mu_pc(spec_p, c), dsmall / c, (p, 1.0 - p))
-    rhs1 = make_mu_pc(spec_p, dsmall)
+    lhs1 = rpm(make_mu_pc(p, c, a), dsmall / c, (p, 1.0 - p))
+    rhs1 = make_mu_pc(p, dsmall, a)
     err1, clamp1 = compare(lhs1, rhs1)
 
-    lhs2 = rpm(make_mu_pc(spec_q, c), p / q, (0.0, 1.0))
-    rhs2 = make_mu_pc(spec_p, p * c / q)
+    lhs2 = rpm(make_mu_pc(q, c, a), p / q, (0.0, 1.0))
+    rhs2 = make_mu_pc(p, p * c / q, a)
     err2, clamp2 = compare(lhs2, rhs2)
 
     return {

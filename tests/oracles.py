@@ -299,9 +299,9 @@ def block_law_oracle(p0, p1) -> np.ndarray:
     return law
 
 
-def check_decay(spec, lo: int, hi: int) -> bool:
+def check_decay(a, lo: int, hi: int) -> bool:
     """Loose decay probe: |a| at the range ends is <= its interior max."""
-    vals = np.abs(spec.a(np.arange(lo, hi + 1)))
+    vals = np.abs(a(np.arange(lo, hi + 1)))
     if len(vals) < 3:
         return True
     return bool(max(vals[0], vals[-1]) <= vals.max() + 1e-15)
@@ -331,10 +331,11 @@ def hellinger_S(c: float, k: int, N: int) -> float:
     return float(np.sum((nu_c_zero_mass(n - k, c) - nu_c_zero_mass(n, c)) ** 2))
 
 
-def gamma_marginal(spec, c: float, k: int, n: int) -> np.ndarray:
-    """Marginal of the k-dilated family: p + c a_{kn}, clamped like the
-    base family."""
-    m0 = spec.marginal_zero(k * n, c)
+def gamma_marginal(p: float, a, c: float, k: int, n: int) -> np.ndarray:
+    """Marginal of the k-dilated family: p + c a_{kn}, or p where that
+    leaves the open interval (0, 1), like the base family."""
+    v = p + c * a(k * n)
+    m0 = v if 0.0 < v < 1.0 else p
     return np.array([m0, 1.0 - m0])
 
 

@@ -229,9 +229,8 @@ def test_a06_bias_square_sum_converges():
 # -- A07 ---------------------------------------------------------------------
 
 def test_a07_full_factor_pipeline():
-    res = sl.run_iid_factor(sl.iid_binary(0.3), (0, 10 ** 6 - 1),
-                            sl.SeedStream(SEED))
-    d = res.diagnostics
+    _, d = sl.run_iid_factor(sl.iid_binary(0.3), (0, 10 ** 6 - 1),
+                             sl.SeedStream(SEED))
     tests_ok = all(t["pass"] for t in d["tests"])
     censor_ok = d["censor_fraction"] < 0.05
     detail = ", ".join(
@@ -408,14 +407,17 @@ def test_a12b_dissipativity_tail_exponent():
 def test_a13_rpm_identities():
     # Example 15 formula, on a family with a clamped head
     p, qmix = 0.3, 0.6
-    bumpy = sl.SequenceSpec(p, lambda n: np.where(n == 2, 3.0, sl.inverse_sqrt(n)))
-    m = sl.make_mu_pc(bumpy, 1.0)
+
+    def bumpy(n):
+        return np.where(n == 2, 3.0, sl.inverse_sqrt(n))
+
+    m = sl.make_mu_pc(p, 1.0, bumpy)
     mixed = sl.rpm(m, qmix, (p, 1.0 - p))
     worst = 0.0
     for n in range(-100, 100):
-        raw = p + bumpy.a(n)
+        raw = p + bumpy(n)
         if 0 < raw < 1:
-            worst = max(worst, abs(mixed.table(n)[0] - (p + qmix * bumpy.a(n))))
+            worst = max(worst, abs(mixed.table(n)[0] - (p + qmix * bumpy(n))))
         else:
             worst = max(worst, abs(mixed.table(n)[0] - p))
     ex15_ok = worst <= 1e-15

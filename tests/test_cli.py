@@ -63,6 +63,17 @@ class TestBlockReads:
                        "mu:0.3,0.5", "--n", "10000", *ks) == EXIT_OK
         assert block_calls == [(lo, hi - lo + 1)]
 
+    def test_measure_check_reads_a_far_lag_apart(self, tmp_path, capsys,
+                                                 block_calls):
+        # a lag beyond one window (2n + 1 = 20001 rows) reads its own
+        # window; the nearer lags still share the one block.  The far
+        # sums have not settled at this n, so the run may exit 1
+        assert run_cli(tmp_path, "measure", "check", "--measure",
+                       "mu:0.3,0.5", "--n", "10000", "--k", "-20002",
+                       "--k", "20001", "--k", "2") in (EXIT_OK,
+                                                       EXIT_CHECK_FAILED)
+        assert block_calls == [(-30001, 40003), (-10000 + 20002, 20001)]
+
     @pytest.mark.parametrize("command", ["factor", "match"])
     def test_window_command_reads_one_block(self, tmp_path, capsys,
                                             block_calls, command):
@@ -118,6 +129,30 @@ class TestMeasureCheck:
         series = parse_plot_data(tmp_path / "measure_check.csv")
         assert {name: len(rows) for name, rows in series.items()} == \
             {"kakutani_k1": 3, "kakutani_k3": 3}
+
+    @pytest.mark.parametrize("spec, code", [("mu:0.3,0.5", EXIT_CHECK_FAILED),
+                                            ("iid:0.3", EXIT_OK)])
+    def test_far_lag_fits_in_one_gib(self, tmp_path, spec, code):
+        # the memory of a run follows n, not |k|: at n = 100 a lag of
+        # 10^12 reads two windows of 201 rows.  One BLAS thread keeps the
+        # pool's own reservations out of the 1 GiB address space
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from shiftlab.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "measure", "check", "--measure",
+             spec, "--n", "100", "--k", str(10**12), "--out-dir",
+             str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        report = json.loads((tmp_path / "measure_report.json").read_text())
+        assert [m["name"] for m in report["metrics"]] == [
+            "doeblin_delta", f"kakutani_shift_sum_k{10**12}",
+            "bias_square_sum"]
 
     def test_byte_determinism(self, tmp_path, capsys):
         argv = ["measure", "check", "--measure", "nu_c:0.2",
@@ -779,6 +814,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (
             f"shiftlab: config error: --n must be at most {2**63 - 1}\n")
         assert not (tmp_path / "typeiii_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["factor", "match"])
+    def test_window_beyond_the_cap_is_config_error(self, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "o"
+        assert main([command, "run", "--measure", "iid:0.3", "--n",
+                     str(10**12), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: --n must be at most {cli.MAX_SITES}: "
+            f"a window holds up to ~{cli.SITE_BYTES} bytes a site, ~3.2 GB "
+            "at that cap\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", 2**63 - 1), ("--k", -2**63), ("--k", 2**61),

@@ -9,11 +9,11 @@ import pytest
 from oracles import (block_law_oracle, check_decay, forget_coin,
                      log_rn_shift_oracle, log_rn_swap, log_rn_swap_oracle,
                      ri)
-from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream,
-                      SequenceSpec, Window, ZeroMassError, doeblin_delta,
-                      f_family, g_family, good_prob_lower, iid, iid_binary,
-                      inverse_sqrt, log_damped, log_rn_shift, make_mu_pc,
-                      make_nu_c, mix_disjoint, parse_measure, rpm,
+from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream, Window,
+                      ZeroMassError, doeblin_delta, f_family, g_family,
+                      good_prob_lower, iid, iid_binary, inverse_sqrt,
+                      log_damped, log_rn_shift, make_mu_pc, make_nu_c,
+                      mix_disjoint, parse_measure, rpm,
                       sample_density_window, sample_window, shift_family)
 from shiftlab.factor import bias_square_terms
 from shiftlab.measures import (block_law, block_rows, centred_sum,
@@ -29,8 +29,8 @@ KAKUTANI_NU01_K1_N1E5 = 0.011163742489553473
 BUILTIN_FAMILIES = {
     "iid": iid((0.2, 0.3, 0.5)),
     "nu_c": make_nu_c(0.2),
-    "mu": make_mu_pc(SequenceSpec(0.5, inverse_sqrt), 1.0),
-    "rpm": rpm(make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5), 0.6, (0.2, 0.8)),
+    "mu": make_mu_pc(0.5, 1.0, inverse_sqrt),
+    "rpm": rpm(make_mu_pc(0.3, 0.5, inverse_sqrt), 0.6, (0.2, 0.8)),
     "ri": ri(make_nu_c(0.2), 0.6, (0.2, 0.8)),
     "forget_coin": forget_coin(ri(make_nu_c(0.2), 0.6, (0.2, 0.8))),
 }
@@ -82,24 +82,22 @@ class TestNuC:
 
 class TestMuPC:
     def test_clamp_rule(self):
-        spec = SequenceSpec(0.5, inverse_sqrt)
-        m = make_mu_pc(spec, 1.0)
+        m = make_mu_pc(0.5, 1.0, inverse_sqrt)
         # p + a_1 = 1.5 > 1, so index 1 falls back to p
         assert m.table(1)[0] == pytest.approx(0.5, abs=0)
 
     def test_unperturbed(self):
-        m = make_mu_pc(SequenceSpec(0.3, lambda n: np.zeros(np.shape(n))), 1.0)
+        m = make_mu_pc(0.3, 1.0, lambda n: np.zeros(np.shape(n)))
         for n in (-4, 0, 9):
             assert tuple(m.table(n)) == pytest.approx((0.3, 0.7), abs=1e-15)
 
     def test_direct_substitution(self):
-        m = make_mu_pc(SequenceSpec(0.5, inverse_sqrt), 0.2)
+        m = make_mu_pc(0.5, 0.2, inverse_sqrt)
         assert m.table(4)[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_boundary_values_clamp(self):
         # p + c a_n = 1 exactly is clamped (closed condition keeps masses positive)
-        spec = SequenceSpec(0.5, lambda n: np.where(n == 3, 0.5, 0.0))
-        m = make_mu_pc(spec, 1.0)
+        m = make_mu_pc(0.5, 1.0, lambda n: np.where(n == 3, 0.5, 0.0))
         assert m.table(3)[0] == pytest.approx(0.5, abs=0)
 
 
@@ -202,8 +200,8 @@ def bias_square_at(m, N):
 TERM_MEASURES = {
     "nu_c(0.1)": make_nu_c(0.1),
     "nu_c(0.3)": make_nu_c(0.3),
-    "mu(0.3,0.5)": make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5),
-    "mu(0.6,-0.2)": make_mu_pc(SequenceSpec(0.6, inverse_sqrt), -0.2),
+    "mu(0.3,0.5)": make_mu_pc(0.3, 0.5, inverse_sqrt),
+    "mu(0.6,-0.2)": make_mu_pc(0.6, -0.2, inverse_sqrt),
     "iid(0.3)": iid_binary(0.3),
 }
 
@@ -224,6 +222,19 @@ def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
         decades = [10 ** e for e in range(1, int(math.log10(N)) + 1)]
         for dn in decades:
             assert centred_sum(terms, dn) == kakutani_two_blocks(m, k, dn)
+
+
+@pytest.mark.parametrize("name", sorted(TERM_MEASURES))
+@pytest.mark.parametrize("k", [-10 ** 12, -3, 0, 8, 10 ** 12])
+def test_kakutani_terms_from_a_lag_block(name, k):
+    """Terms whose lagged rows come from a block of their own equal the
+    one-block terms, and sum to the two-block oracle at any lag."""
+    m, N = TERM_MEASURES[name], 999
+    terms = kakutani_terms(m.block(-N, 2 * N + 1), k, N,
+                           m.block(-N - k, 2 * N + 1))
+    assert float(np.sum(terms)) == kakutani_two_blocks(m, k, N)
+    if abs(k) < 10:
+        assert np.array_equal(terms, terms_of(m, k, N))
 
 
 @pytest.mark.parametrize("name", sorted(TERM_MEASURES))
@@ -263,6 +274,8 @@ def test_diagnostics_read_rows_by_index(spec):
         (lambda b: doeblin_delta(block_rows(b, -N, N)), -N, N),
         (lambda b: kakutani_terms(b, k, N), -N - k, N),
         (lambda b: kakutani_terms(b, -k, N), -N, N + k),
+        (lambda b: kakutani_terms(m.block(-N, 2 * N + 1), k, N, b),
+         -N - k, N - k),
         (lambda b: bias_square_terms(b, N), -N, N + 1),
         (lambda b: good_prob_lower(b, span), span[0], span[1] + 7),
     ]
@@ -354,7 +367,7 @@ class TestLogRN:
 LOG_RN_FAMILIES = {
     "iid": iid((0.2, 0.3, 0.5)),
     "nu_c": make_nu_c(1 / 6),
-    "mu": make_mu_pc(SequenceSpec(0.3, inverse_sqrt), 0.5),
+    "mu": make_mu_pc(0.3, 0.5, inverse_sqrt),
     "f_family": f_family(TypeIIISpec(0.25)),
     "g_family": g_family(HMapSpec(0.25, 0.5)),
     "mix_disjoint": mix_disjoint(f_family(TypeIIISpec(0.25)), shift_family(
@@ -399,12 +412,15 @@ class TestRPMAndRI:
         # perturbed family mixed back toward its base: p + q a_n off the
         # clamp set of the original family, exactly
         p, qmix = 0.3, 0.25
-        spec = SequenceSpec(p, lambda n: np.where(n == 5, 2.9, inverse_sqrt(n)))
-        m = make_mu_pc(spec, 1.0)
+
+        def a(n):
+            return np.where(n == 5, 2.9, inverse_sqrt(n))
+
+        m = make_mu_pc(p, 1.0, a)
         mixed = rpm(m, qmix, (p, 1.0 - p))
         for n in range(-3, 10):
-            raw = p + spec.a(n)
-            expect = p + qmix * spec.a(n) if 0 < raw < 1 else p
+            raw = p + a(n)
+            expect = p + qmix * a(n) if 0 < raw < 1 else p
             assert mixed.table(n)[0] == pytest.approx(expect, abs=1e-15)
 
     def test_p_one_keeps_measure(self):
@@ -422,7 +438,7 @@ class TestRPMAndRI:
         for _ in range(1000):
             p0 = rng.uniform(0.05, 0.95)
             c = rng.uniform(0.0, 2.0)
-            m = make_mu_pc(SequenceSpec(p0, inverse_sqrt), c)
+            m = make_mu_pc(p0, c, inverse_sqrt)
             pmix = rng.random()
             alpha = rng.dirichlet((1.0, 1.0))
             n = int(rng.integers(-50, 50))
@@ -445,7 +461,7 @@ class TestRPMAndRI:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             p0 = rng.uniform(0.05, 0.95)
-            m = make_mu_pc(SequenceSpec(p0, inverse_sqrt), rng.uniform(0, 1.5))
+            m = make_mu_pc(p0, rng.uniform(0, 1.5), inverse_sqrt)
             pmix = rng.random()
             alpha = rng.dirichlet((1.0, 1.0))
             n = int(rng.integers(-30, 30))
@@ -457,9 +473,8 @@ class TestRPMAndRI:
 class TestBuiltinSequences:
     def test_perturbations_decay_on_queried_ranges(self):
         for a in (inverse_sqrt, log_damped):
-            spec = SequenceSpec(0.4, a)
-            assert check_decay(spec, -500, 500)
-            assert spec.a(10 ** 6) < 1e-2
+            assert check_decay(a, -500, 500)
+            assert a(10 ** 6) < 1e-2
 
     def test_log_damped_head(self):
         assert log_damped(1) == 0.0

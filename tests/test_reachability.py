@@ -52,8 +52,10 @@ def _reached(tmp_path) -> set:
     cfg.write_text(json.dumps({"measure": "iid:0.3", "n": 200, "ks": [1, 2]}))
     # (argv, expected exit code).  At smoke size the non-stationary sums
     # have not settled and the factor run censors more than 5%, so those
-    # runs exit 1.  The last two reach the error paths: a window too short
-    # to leave any bit to test, and a marginal with negative mass.
+    # runs exit 1.  The last four reach the error paths and far branches:
+    # a window too short to leave any bit to test, a marginal with
+    # negative mass, a lag read apart from the shared block and a window
+    # beyond the size cap.
     runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
             for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
                                ("mu:0.3,0.5", 1))]
@@ -65,7 +67,11 @@ def _reached(tmp_path) -> set:
              (["index", "scan", "--c", "0.5", "--kmax", "3"], 0),
              (["--config", str(cfg), "measure", "check"], 0),
              (["factor", "run", "--measure", "iid:0.3", "--n", "2000"], 1),
-             (["measure", "check", "--measure", "iid:1.5", "--n", "10"], 2)]
+             (["measure", "check", "--measure", "iid:1.5", "--n", "10"], 2),
+             (["measure", "check", "--measure", "mu:0.3,0.5", "--n", "200",
+               "--k", str(10**12)], 1),
+             (["factor", "run", "--measure", "iid:0.3", "--n",
+               str(10**12)], 2)]
     expected = [code for _, code in runs]
     runs = [[*argv, "--out-dir", str(tmp_path)] for argv, _ in runs]
     child = f"""

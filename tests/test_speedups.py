@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import de_interleave, gamma_marginal, hellinger_S, unblock
-from shiftlab import (SeedStream, SequenceSpec, Window, block_kakutani_sum,
+from shiftlab import (SeedStream, Window, block_kakutani_sum,
                       dissipativity_partial, eta_marginal, iid, iid_binary,
-                      index_report, inverse_sqrt, kappa_marginal, make_nu_c,
-                      pi_interleave, rpm_scaling_identity, sample_window,
-                      zeta)
+                      index_report, inverse_sqrt, kappa_marginal, make_mu_pc,
+                      make_nu_c, pi_interleave, rpm_scaling_identity,
+                      sample_window, zeta)
 from shiftlab import speedups
 from shiftlab.measures import nu_c_zero_mass, parse_measure
 
@@ -61,9 +61,8 @@ class TestZetaPi:
 
     def test_pi_block_law_chi_square(self):
         # blocks of k independent copies follow the single-marginal product
-        spec = SequenceSpec(0.5, inverse_sqrt)
         c, k, n = 0.2, 2, 1
-        g0 = gamma_marginal(spec, c, k, n)[0]
+        g0 = gamma_marginal(0.5, inverse_sqrt, c, k, n)[0]
         M = 10 ** 5
         u = SeedStream(5).generator("pi-blocks").random((M, k))
         bits = (u >= g0).astype(int)
@@ -106,26 +105,24 @@ class TestBlockMarginals:
                 assert eta_marginal(m, k, n).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_reduces_at_k1(self):
-        spec = SequenceSpec(0.5, inverse_sqrt)
+        m = make_mu_pc(0.5, 0.2, inverse_sqrt)
         for n in (0, 1, 9):
-            want = spec.marginal_zero(n, 0.2)
-            assert gamma_marginal(spec, 0.2, 1, n)[0] == want
+            want = m.table(n)[0]
+            assert gamma_marginal(0.5, inverse_sqrt, 0.2, 1, n)[0] == want
 
     def test_gamma_scaling_law(self):
         # a_{kn}(c) = a_n(c)/sqrt(k) whenever the indicator is active
-        spec = SequenceSpec(0.5, inverse_sqrt)
         c = 0.2
         for k in (2, 3, 5):
             for n in range(1, 200):
-                got = gamma_marginal(spec, c, k, n)[0] - 0.5
+                got = gamma_marginal(0.5, inverse_sqrt, c, k, n)[0] - 0.5
                 assert got == pytest.approx(nu_c_zero_mass(
                     np.array([k * n]), c)[0], rel=1e-14)
                 assert got == pytest.approx((c / math.sqrt(k)) / math.sqrt(n),
                                             rel=1e-12)
 
     def test_gamma_at_zero(self):
-        spec = SequenceSpec(0.5, inverse_sqrt)
-        assert gamma_marginal(spec, 0.7, 4, 0)[0] == 0.5
+        assert gamma_marginal(0.5, inverse_sqrt, 0.7, 4, 0)[0] == 0.5
 
 
 class TestBlockKakutani:
