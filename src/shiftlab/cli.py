@@ -29,10 +29,24 @@ EXIT_RUNTIME = 3
 
 DEFAULT_SEED = 7
 CSV_CHUNK = 1 << 16
-# the largest window factor run and match run sample: factor run holds
-# about SITE_BYTES a site at its peak (match run about 49)
+# The option whose value a command's memory follows, its cap and the bytes
+# one unit of it costs at the command's peak (ru_maxrss; measure check with
+# its default --k set), each cap at ~3.2 GB.  factor run and match run
+# sample a window of --n sites (match run holds about 49 bytes a site)
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
+MAX_MEASURE_N = 25_000_000
+MEASURE_N_BYTES = 128
+MAX_SAMPLES = 16_000_000
+SAMPLE_BYTES = 200
+_CAPS = {   # command: (option, cap, bytes a unit, what holds them, unit)
+    "factor": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
+    "match": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
+    "measure": ("n", MAX_MEASURE_N, MEASURE_N_BYTES, "measure check",
+                "a unit of n"),
+    "typeiii": ("samples", MAX_SAMPLES, SAMPLE_BYTES, "typeiii ratios",
+                "a sample"),
+}
 
 
 def write_csv(path: Path, header, columns) -> Path:
@@ -257,14 +271,14 @@ def _cmd_typeiii(params: dict, seed: int, csv: Path):
 
 
 def _cmd_index(params: dict, seed: int, csv: Path):
-    rep = speedups.index_report(params["c"], params["kmax"])
-    rows = [(r.k, r.exponent, r.hellinger, r.dissipativity_partial,
-             r.tail_slope, "dissipative-certified" if r.certified
-             else "not-certified") for r in rep.rows]
-    write_csv(csv, ("k", "exponent", "S", "partial_dissip", "tail_slope",
-                    "classification"), list(zip(*rows)))
+    columns, implied = speedups.index_report(params["c"], params["kmax"])
+    header = ("k", "exponent", "S", "partial_dissip", "tail_slope")
+    write_csv(csv, header + ("classification",), [
+        *(columns[h] for h in header),
+        np.where(columns["certified"], "dissipative-certified",
+                 "not-certified")])
     return [
-        {"name": "implied_index", "value": rep.implied_index, "pass": True},
+        {"name": "implied_index", "value": implied, "pass": True},
         {"name": "kmax", "value": params["kmax"], "pass": True},
     ]
 
@@ -389,16 +403,20 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
         if params.get(key, least) < least:
             sign = "positive" if least else "non-negative"
             raise ValueError(f"--{key} must be a {sign} integer")
-    if args.command in ("factor", "match") and params["n"] > MAX_SITES:
-        raise ValueError(
-            f"--n must be at most {MAX_SITES}: a window holds up to "
-            f"~{SITE_BYTES} bytes a site, "
-            f"~{MAX_SITES * SITE_BYTES / 1e9:.1f} GB at that cap")
+    if args.command in _CAPS:
+        key, cap, cost, holder, unit = _CAPS[args.command]
+        if params[key] > cap:
+            raise ValueError(
+                f"--{key} must be at most {cap}: {holder} holds up to "
+                f"~{cost} bytes {unit}, ~{cap * cost / 1e9:.1f} GB at that "
+                "cap")
+    # typeiii ratios draws its indices below --n as int64
+    if params.get("n", 1) > 2**63 - 1:
+        raise ValueError(f"--n must be at most {2**63 - 1}")
     # measure check reads the marginals at -n - k .. n - k for every --k:
-    # with n and |k| below 2^61 the block's indices and length fit in int64
-    most = 2**61 - 1 if args.command == "measure" else 2**63 - 1
-    if params.get("n", 1) > most:
-        raise ValueError(f"--n must be at most {most}")
+    # with n at most its cap and |k| below 2^61 the block's indices and
+    # length fit in int64
+    most = 2**61 - 1
     if any(abs(k) > most for k in params.get("ks", ())):
         raise ValueError(f"--k must lie in {-most} .. {most}")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))

@@ -17,7 +17,6 @@ checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,21 +79,11 @@ def kappa_marginal(m: FiniteProductMeasure, k: int, n: int) -> np.ndarray:
     return block_law(p0, 1.0 - p0)
 
 
-@dataclass(frozen=True)
-class BlockKakutaniResult:
-    total: float
-    bound: float
-    per_n_violations: tuple[int, ...]
-
-    @property
-    def bound_holds(self) -> bool:
-        return not self.per_n_violations
-
-
-def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutaniResult:
-    """Sum over |n| <= N and all 2^k blocks of (eta_n(B) - kappa_n(B))^2,
-    together with the increment bound k^2 sum_l (m0(kn+l-1) - m0(kn))^2 and
-    a per-n check that every block's squared gap obeys it."""
+def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int):
+    """(total, bound, violations): the sum over |n| <= N and all 2^k blocks
+    of (eta_n(B) - kappa_n(B))^2, the increment bound
+    k^2 sum_l (m0(kn+l-1) - m0(kn))^2 summed the same way, and the array of
+    the n at which some block's squared gap exceeds its bound."""
     _check_width(k)
     rows = binary_rows(m.block(-N * k, (2 * N + 1) * k))
     p0 = rows[:, 0].reshape(2 * N + 1, k)
@@ -104,28 +93,20 @@ def block_kakutani_sum(m: FiniteProductMeasure, k: int, N: int) -> BlockKakutani
     # row sums added in row order, as a running total over n would
     total, bound_total = (float(np.cumsum(t)[-1])
                           for t in (sq.sum(axis=1), bound_n))
-    violations = np.flatnonzero(sq.max(axis=1) > bound_n + 1e-15) - N
-    return BlockKakutaniResult(total, bound_total,
-                               tuple(violations.tolist()))
+    return (total, bound_total,
+            np.flatnonzero(sq.max(axis=1) > bound_n + 1e-15) - N)
 
 
 # ---------------------------------------------------------------------------
 # Hellinger sums and dissipativity for the half-stationary family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DissipativityReport:
-    S: np.ndarray                 # S(k, c) for k = 1..K
-    partial_sums: np.ndarray      # of the summands exp(-S(k)/2)
-    last_decade_increment: float  # partial(K) - partial(K // 10)
-    tail_slope: float             # log-summand regression slope on [K/10, K]
-
-
 def _hellinger_all_k(c: float, K: int, support: int) -> np.ndarray:
     """S(k) for k = 1..K with the perturbation truncated beyond ``support``
     (exact for the truncated sequence, via FFT autocorrelation)."""
     a = nu_c_zero_mass(np.arange(1, support + 1), c)
-    A = float(np.dot(a, a))
+    # a fixed-order sum, as in stattests.serial_correlations
+    A = float(np.einsum("i,i->", a, a))
     size = 1
     while size < 2 * support:
         size *= 2
@@ -134,8 +115,9 @@ def _hellinger_all_k(c: float, K: int, support: int) -> np.ndarray:
     return 2.0 * A - 2.0 * ac[1:K + 1]
 
 
-def dissipativity_partial(c: float, K: int) -> DissipativityReport:
-    """Partial sums of sum_k exp(-S(k, c)/2) with a tail-exponent fit.
+def dissipativity_partial(c: float, K: int):
+    """(S, tail_slope) of the series sum_k exp(-S(k, c)/2): the array
+    S(k, c), k = 1..K, and the fitted tail exponent of its summands.
 
     S is computed with the perturbation truncated at SUPPORT_MULT * K,
     which leaves a relative error O(1/SUPPORT_MULT^2) in the exponents.
@@ -145,15 +127,10 @@ def dissipativity_partial(c: float, K: int) -> DissipativityReport:
     if K < 10:
         raise ValueError("K must be at least 10")
     S = _hellinger_all_k(c, K, SUPPORT_MULT * K)
-    partial = np.cumsum(np.exp(-S / 2.0))
     lo = max(K // 10, 1)
     ks = np.arange(lo, K + 1)
     # the log summand is -S/2 itself: no log of an underflowed summand
-    slope = float(np.polyfit(np.log(ks), -S[lo - 1:] / 2.0, 1)[0])
-    return DissipativityReport(
-        S=S, partial_sums=partial,
-        last_decade_increment=float(partial[-1] - partial[lo - 1]),
-        tail_slope=slope)
+    return S, float(np.polyfit(np.log(ks), -S[lo - 1:] / 2.0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,45 +179,36 @@ def rpm_scaling_identity(p: float, q: float, c: float, dsmall: float,
     }
 
 
-@dataclass(frozen=True)
-class IndexRow:
-    k: int
-    exponent: float               # -c^2 k, the affinities' decay exponent
-    hellinger: float              # k S(DIAG_K, c)
-    dissipativity_partial: float  # sum over j <= DIAG_K of exp(-k S(j, c)/2)
-    tail_slope: float
-    certified: bool               # totally dissipative: c^2 k > 1
-
-
-@dataclass(frozen=True)
-class IndexReport:
-    rows: tuple[IndexRow, ...]
-    implied_index: int
-
-
-def index_report(c: float, kmax: int) -> IndexReport:
-    """Scan the k-fold products of nu_c for k <= kmax.
+def index_report(c: float, kmax: int):
+    """Scan the k-fold products of nu_c for k <= kmax; return (columns,
+    implied_index).
 
     Each Bernoulli affinity factor is at most exp(-(p - q)^2 / 2), so the
     Hellinger affinity of the k-fold product at lag j is at most
     exp(-k S(j, c) / 2), and S(j, c) = 2 c^2 log j + O(1).  The affinities
     are therefore summable, and the product totally dissipative (Kakutani,
-    then Hopf), exactly when c^2 k > 1: that power is certified.  Every row
-    reads the one array S(j, c), j = 1..DIAG_K; the fitted tail slope is
-    linear in it, so row k's is k times row 1's.  The implied index is the
-    number of leading uncertified powers, an upper bound on the ergodic
-    index (a dissipative power is not ergodic).
+    then Hopf), exactly when c^2 k > 1: that power is certified.  The
+    columns, one entry per k, are ``k``; ``exponent`` -c^2 k, the
+    affinities' decay exponent; ``S``, k S(DIAG_K, c); ``partial_dissip``,
+    the sum over j <= DIAG_K of exp(-k S(j, c)/2); ``tail_slope``; and the
+    boolean ``certified``.  Every entry reads the one array S(j, c),
+    j = 1..DIAG_K; the fitted tail slope is linear in it, so k's is k
+    times that of k = 1.  The implied index is the number of leading
+    uncertified powers, an upper bound on the ergodic index (a dissipative
+    power is not ergodic).
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be positive and finite")
-    base = dissipativity_partial(c, DIAG_K)
-    rows = tuple(IndexRow(
-        k=k,
-        exponent=-c * c * k,
-        hellinger=k * float(base.S[-1]),
-        dissipativity_partial=float(np.sum(np.exp(-k * base.S / 2.0))),
-        tail_slope=k * base.tail_slope,
-        certified=c * c * k > 1.0,
-    ) for k in range(1, kmax + 1))
-    implied = next((r.k - 1 for r in rows if r.certified), kmax)
-    return IndexReport(rows=rows, implied_index=implied)
+    S, slope = dissipativity_partial(c, DIAG_K)
+    ks = np.arange(1, kmax + 1)
+    certified = c * c * ks > 1.0
+    columns = {
+        "k": ks,
+        "exponent": -c * c * ks,
+        "S": ks * S[-1],
+        "partial_dissip": np.array([np.sum(np.exp(-k * S / 2.0))
+                                    for k in ks]),
+        "tail_slope": ks * slope,
+        "certified": certified,
+    }
+    return columns, int(certified.argmax()) if certified.any() else kmax

@@ -49,7 +49,9 @@ def chi2_sf(k: int, x: float) -> float:
     freedom, from the closed form of Q(k/2, h), h = x/2, for integer k:
     e^-h sum_{j<k/2} h^j / j! for even k, and erfc(sqrt h) plus
     e^-h sum_{j<(k-1)/2} h^(j+1/2) / Gamma(j+3/2) for odd k.  Each term is
-    formed in log space, so large k neither overflows nor underflows."""
+    formed in log space, so large k neither overflows nor underflows; the
+    odd j = 0 term is e^-h sqrt(h) / Gamma(3/2) instead, since
+    math.lgamma(1.5) is 2e-16 below log Gamma(3/2)."""
     if x <= 0.0:
         return 1.0
     h = 0.5 * x
@@ -58,6 +60,8 @@ def chi2_sf(k: int, x: float) -> float:
     terms = [math.exp((j + a) * log_h - h - math.lgamma(j + a + 1.0))
              for j in range(k // 2)]
     if a:
+        if terms:
+            terms[0] = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
         terms.append(math.erfc(math.sqrt(h)))
     # the rounded terms of a tail near 1 can sum to one ulp above it
     return min(math.fsum(terms), 1.0)
@@ -79,10 +83,12 @@ def serial_correlations(x, lags: int = LAGS) -> np.ndarray:
     """Pearson autocorrelations r_1..r_lags of a numeric sequence."""
     x = np.asarray(x, dtype=float)
     xc = x - x.mean()
-    den = float(np.dot(xc, xc))
+    # einsum sums on one thread in a fixed order; np.dot would hand the
+    # sums to the BLAS, whose order follows its thread count
+    den = float(np.einsum("i,i->", xc, xc))
     if den == 0.0:
         return np.zeros(lags)
-    return np.array([float(np.dot(xc[:-k], xc[k:]) / den)
+    return np.array([float(np.einsum("i,i->", xc[:-k], xc[k:]) / den)
                      for k in range(1, lags + 1)])
 
 

@@ -331,6 +331,13 @@ def hellinger_S(c: float, k: int, N: int) -> float:
     return float(np.sum((nu_c_zero_mass(n - k, c) - nu_c_zero_mass(n, c)) ** 2))
 
 
+def last_decade_increment(S: np.ndarray) -> float:
+    """partial(K) - partial(K // 10) of the partial sums of exp(-S(k)/2),
+    k = 1..K, where S is the first value ``dissipativity_partial`` returns."""
+    partial = np.cumsum(np.exp(-S / 2.0))
+    return float(partial[-1] - partial[max(len(S) // 10, 1) - 1])
+
+
 def gamma_marginal(p: float, a, c: float, k: int, n: int) -> np.ndarray:
     """Marginal of the k-dilated family: p + c a_{kn}, or p where that
     leaves the open interval (0, 1), like the base family."""

@@ -190,7 +190,8 @@ class TestFactorRun:
     def test_golden_outputs(self, tmp_path, capsys):
         # metric values recorded before the marginals were read once; the
         # 3-block p-value from the closed-form tail (40-digit value
-        # 0.29233064173240527...)
+        # 0.29233064173240527...); the serial correlation from sums in a
+        # fixed order, the same on any CPU count
         code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
                        "--n", "200000", "--radius", "16")
         assert code == EXIT_OK
@@ -205,7 +206,7 @@ class TestFactorRun:
             "frequency": (0.8560113872462569, None, True),
             "chi_square_3_blocks":
                 (1.108856561749848, 0.2923306417324053, True),
-            "serial_correlation": (5.6255976898706076e-05, None, True),
+            "serial_correlation": (5.625597689869348e-05, None, True),
         }
 
     def test_large_capacity_runs(self, tmp_path, capsys):
@@ -518,9 +519,10 @@ class TestIndexScan:
         lines = (tmp_path / "index_scan.csv").read_text().splitlines()
         assert lines[0] == "k,exponent,S,partial_dissip,tail_slope,classification"
         assert len(lines) == 5
-        # recorded with DIAG_K = 10^4 and the closed-form verdict
+        # recorded with DIAG_K = 10^4, the closed-form verdict and the
+        # fixed-order sum of squares in S
         assert sha256_of(tmp_path / "index_scan.csv") == (
-            "7df1de82d9ff91c22b37f3947235f5441f9142a7173643e1a180b12d2fb9756f")
+            "221b19bba6e11d3d94bbf1e6299487742222f9748a5881e2e6204d0a29b90505")
 
 
 class TestPlotData:
@@ -827,6 +829,28 @@ class TestConfigHandling:
             "at that cap\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", [False, True],
+                             ids=["1e12", "cap-plus-one"])
+    @pytest.mark.parametrize("argv, flag, cap_name, reason", [
+        (["measure", "check", "--measure", "iid:0.3"], "--n",
+         "MAX_MEASURE_N", "measure check holds up to ~128 bytes a unit of "
+         "n, ~3.2 GB at that cap"),
+        (TYPEIII, "--samples", "MAX_SAMPLES", "typeiii ratios holds up to "
+         "~200 bytes a sample, ~3.2 GB at that cap"),
+    ], ids=["measure", "typeiii"])
+    def test_run_beyond_the_cap_is_config_error(self, tmp_path, capsys, argv,
+                                                flag, cap_name, reason, cap):
+        # each cap costs ~3.2 GB at the bytes a unit the run was measured
+        # to hold, so a larger value is refused before any work runs
+        most = getattr(cli, cap_name)
+        out = tmp_path / "o"
+        assert main([*argv, flag, str(most + 1 if cap else 10**12),
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: {flag} must be at most {most}: "
+            f"{reason}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--k", 2**63 - 1), ("--k", -2**63), ("--k", 2**61),
         ("--k", -2**61), ("--n", 2**61),
@@ -841,7 +865,9 @@ class TestConfigHandling:
             argv += ["--n", "100"]
             reason = f"--k must lie in {-most} .. {most}"
         else:
-            reason = f"--n must be at most {most}"
+            reason = (f"--n must be at most {cli.MAX_MEASURE_N}: measure "
+                      f"check holds up to ~{cli.MEASURE_N_BYTES} bytes a "
+                      "unit of n, ~3.2 GB at that cap")
         assert run_cli(tmp_path, *argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"shiftlab: config error: {reason}\n"
         assert list(tmp_path.iterdir()) == []
@@ -1069,10 +1095,10 @@ class TestReportBytes:
         (["factor", "run", "--measure", "iid:0.3", "--n", "200000",
           "--radius", "16"],
          "o/factor_report.json",
-         "5795fc1362ff21cf09565b523f82beab"
-         "49cfe5ccf8078e764ccab6acc00a1597",
-         "532ba2ddafa63c0eae14893e60bee915"
-         "d5d2128a34f32581341e834da5a4434e"),
+         "f2905f0c05d3d171eed76481c739ae90"
+         "36eeacdcef7fa611c098f8304831d72b",
+         "1949a5fff259edd037caef6170d7ff24"
+         "44d6b506f5fc8ca2bc84e857957ae6e8"),
         (["match", "run", "--measure", "nu_c:0.1", "--n", "20000",
           "--dump-window", "w/window.csv"],
          "o/match_report.json",
@@ -1102,6 +1128,20 @@ class TestReportBytes:
                 hashlib.sha256(out.encode()).hexdigest()) == (report, stdout)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def perfbench_run():
+    """The benchmark's ``run.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run
+    spec.loader.exec_module(run)
+    return run
+
+
 class TestTracedBenchmarkPath:
     """The benchmark's traced child wraps library functions by name and
     reads fields of what they return; each benchmark command line, at the
@@ -1109,19 +1149,10 @@ class TestTracedBenchmarkPath:
     raise no error in an observer and pass the benchmark's own output
     check, which rebuilds what it can without the library."""
 
-    ROOT = Path(__file__).resolve().parents[1]
 
     @staticmethod
-    @functools.cache
     def workloads():
-        """``workloads(tiny=True)`` of the benchmark's ``run.py``."""
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_run", TestTracedBenchmarkPath.ROOT / "perfbench"
-            / "run.py")
-        run = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = run
-        spec.loader.exec_module(run)
-        return run.workloads(tiny=True)
+        return perfbench_run().workloads(tiny=True)
 
     @pytest.mark.parametrize("name", [
         "factor-iid", "match-nu", "measure-mu", "typeiii-ratios",
@@ -1130,11 +1161,11 @@ class TestTracedBenchmarkPath:
         w = self.workloads()[name]
         spans = tmp_path / "spans.json"
         proc = subprocess.run(
-            [sys.executable, str(self.ROOT / "perfbench" / "child.py"),
+            [sys.executable, str(ROOT / "perfbench" / "child.py"),
              str(tmp_path / "timing.json"), "--trace", str(spans), "--",
              *w.argv, "--seed", "7"],
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(
-                self.ROOT / "src")},
+                ROOT / "src")},
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
         trace = json.loads(spans.read_text())
@@ -1143,6 +1174,53 @@ class TestTracedBenchmarkPath:
         report = json.loads(
             (tmp_path / f"{w.argv[0]}_report.json").read_text())
         assert w.check(tmp_path, report, w.expect, 7) == []
+
+
+class TestOneReportOnAnyCPUCount:
+    """A run writes and prints the same bytes on one CPU as on every CPU
+    it may use: no floating-point sum goes to the multithreaded BLAS,
+    whose order of summation follows its thread count.  The pinned child
+    sets its affinity before it imports numpy, since the BLAS sizes its
+    thread pool when it loads."""
+
+    CHILD = ("import os, runpy, sys\n"
+             "cpu = int(sys.argv.pop(1))\n"
+             "if cpu >= 0:\n"
+             "    os.sched_setaffinity(0, {cpu})\n"
+             "runpy.run_module('shiftlab.cli', run_name='__main__')\n")
+    # the BLAS pool follows the CPU count only when these are unset
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+
+    def run(self, cwd: Path, cpu: int, argv) -> dict:
+        """sha256 of the stdout and of each file a run at ``cpu`` (-1:
+        unpinned) writes under ``cwd``."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in self.THREAD_VARS}
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(cpu), *argv,
+             "--out-dir", "o"], cwd=cwd, capture_output=True,
+            env={**env, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
+        digests = {path.name: sha256_of(path)
+                   for path in (cwd / "o").iterdir()}
+        digests["stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+        return digests
+
+    def test_pinned_run_writes_the_same_bytes(self, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip(f"{len(cpus)} CPU available: a pinned and an "
+                        "unpinned run use the same BLAS thread count")
+        argvs = [[*w.argv, "--seed", "7"]
+                 for w in perfbench_run().workloads().values()]
+        argvs.append(["index", "scan", "--c", "0.5", "--kmax", "6"])
+        for i, argv in enumerate(argvs):
+            pinned = self.run(tmp_path / f"{i}-pinned", min(cpus), argv)
+            free = self.run(tmp_path / f"{i}-free", -1, argv)
+            differ = sorted(k for k in free if pinned.get(k) != free[k])
+            assert not differ, f"{' '.join(argv)}: {differ}"
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

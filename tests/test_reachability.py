@@ -33,7 +33,7 @@ UNREACHED = {
     # "The speedup diagnostics as a lab run", with the RPM identities
     "speedups.zeta", "speedups.pi_interleave", "speedups._check_width",
     "speedups.eta_marginal", "speedups.kappa_marginal",
-    "speedups.block_kakutani_sum", "speedups.BlockKakutaniResult.bound_holds",
+    "speedups.block_kakutani_sum",
     "speedups.rpm_scaling_identity", "measures.rpm",
     # "Lemma 8 on sampled windows"
     "markers.good_block_sequence", "matching.dominates",
@@ -52,10 +52,10 @@ def _reached(tmp_path) -> set:
     cfg.write_text(json.dumps({"measure": "iid:0.3", "n": 200, "ks": [1, 2]}))
     # (argv, expected exit code).  At smoke size the non-stationary sums
     # have not settled and the factor run censors more than 5%, so those
-    # runs exit 1.  The last four reach the error paths and far branches:
+    # runs exit 1.  The last six reach the error paths and far branches:
     # a window too short to leave any bit to test, a marginal with
-    # negative mass, a lag read apart from the shared block and a window
-    # beyond the size cap.
+    # negative mass, a lag read apart from the shared block, and a
+    # window, a measure check range and a sample count beyond their caps.
     runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
             for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
                                ("mu:0.3,0.5", 1))]
@@ -71,7 +71,11 @@ def _reached(tmp_path) -> set:
              (["measure", "check", "--measure", "mu:0.3,0.5", "--n", "200",
                "--k", str(10**12)], 1),
              (["factor", "run", "--measure", "iid:0.3", "--n",
-               str(10**12)], 2)]
+               str(10**12)], 2),
+             (["measure", "check", "--measure", "iid:0.3", "--n",
+               str(10**12)], 2),
+             (["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime",
+               "0.5", "--samples", str(10**12)], 2)]
     expected = [code for _, code in runs]
     runs = [[*argv, "--out-dir", str(tmp_path)] for argv, _ in runs]
     child = f"""

@@ -1,5 +1,6 @@
-"""The closed-form chi-square tail against scipy and 40-digit mpmath."""
+"""The closed-form chi-square tail against scipy and 40-digit values."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,12 +36,47 @@ def test_extremes_are_finite_probabilities(k, x):
     assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
+# Q(k/2, x/2) to 40 digits, recorded with mpmath.gammainc(k/2, x/2, inf,
+# regularized=True) at 50 digits and checked for k = 1 and 3 against the
+# closed form erfc(sqrt h) + 2 sqrt(h/pi) e^-h (its second term for k = 3)
+EXACT = {
+    (1, 1.108856561749848): "0.2923306417324052703235141581229498039656",
+    (3, 0.1): "0.9918374237318764777876514747343026904797",
+    (3, 0.5): "0.9188914116546758593641153235202644204448",
+    (3, 1.0): "0.8012519569012008024251952946070454647015",
+    (3, 2.0): "0.5724067044708798339990476143587281060728",
+    (3, 2.857097940574839): "0.4141866247722639261379376338384827726422",
+    (3, 5.0): "0.1717971442967331350636066521830514997891",
+    (3, 10.0): "0.01856613546304323330317143390771837922115",
+    (3, 30.0): "0.000001380057031293254728222026029746807363853",
+    (3, 100.0): "1.554159431389604921399753402511574063799e-21",
+}
+
+
+def ulps_off(k: int, x: float) -> float:
+    """chi2_sf(k, x) minus its recorded value, in ulps of that value."""
+    exact = Decimal(EXACT[k, x])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(chi2_sf(k, x)) - exact)
+                     / Decimal(math.ulp(float(exact))))
+
+
 @pytest.mark.parametrize("stat, k", [(2.857097940574839, 3),
                                      (1.108856561749848, 1)])
 def test_golden_statistics_within_4_ulp(stat, k):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        exact = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(stat) / 2,
-                                mpmath.inf, regularized=True)
-        err = abs(mpmath.mpf(chi2_sf(k, stat)) - exact)
-    assert err <= 4 * math.ulp(float(exact))
+    assert abs(ulps_off(k, stat)) <= 4
+
+
+@pytest.mark.parametrize("x", [x for k, x in EXACT if k == 3])
+def test_three_degrees_within_1_ulp(x):
+    # erfc(sqrt h) plus the one odd term, e^-h sqrt(h) / Gamma(3/2); from
+    # math.lgamma(1.5) that term was up to 15 ulp off
+    assert abs(ulps_off(3, x)) <= 1
+
+
+def test_factor_run_p_value_is_the_nearest_double():
+    # the 3-block statistic of factor run --measure iid:0.3 --n 2000000
+    # --seed 7
+    x = 2.857097940574839
+    assert chi2_sf(3, x) == float(EXACT[3, x])
