@@ -10,10 +10,10 @@ from .sampling import (SeedStream, Window, sample_density_window,
                        sample_window)
 from .markers import (good_block_sequence, good_prob_lower, good_starts,
                       special_sequence)
-from .matching import (MatchingAssignment, dominates, meshalkin_match,
-                       required_d)
-from .factor import (SplitCodeSpec, SplitTuples, beta_for, psi_split,
-                     run_iid_factor, spread_bits)
+from .matching import (MatchingAssignment, dominates, hand_out,
+                       meshalkin_match, required_d)
+from .factor import (SplitTuples, beta_for, psi_split, run_iid_factor,
+                     spread_bits)
 from .typeiii import (HMapSpec, TypeIIISpec, erase_negative_side, f_family,
                       g_family, h_apply, lift_lambda_on_negative,
                       mix_disjoint, ratio_profile, safe_zone,

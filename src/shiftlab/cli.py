@@ -144,14 +144,14 @@ def _write_int_rows(fh, header, columns) -> None:
     fh.write(b"\n")
 
 
-def emit_plot_data(series: dict[str, list[tuple[float, float]]],
-                   path: Path) -> Path:
-    """Write named (x, y) series as CSV with header ``series,x,y``."""
+def emit_plot_data(series: dict, path: Path) -> Path:
+    """Write named series ``{name: (x, y)}`` of equal-length arrays as CSV
+    with header ``series,x,y``, x and y as floats, the names in order."""
     names = sorted(series)
+    x, y = ([np.asarray(series[name][i]) for name in names] for i in (0, 1))
     return write_csv(path, ("series", "x", "y"), (
-        [name for name in names for _ in series[name]],
-        [float(x) for name in names for x, _ in series[name]],
-        [float(y) for name in names for _, y in series[name]]))
+        np.repeat(names, [len(v) for v in x]),
+        np.concatenate([[], *x]), np.concatenate([[], *y])))
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +170,41 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
 # one is asked for, and returns its metrics; ``main`` writes and prints
 # the report.
 
+def _measure_blocks(n: int, ks) -> tuple[list[int], int, int, set]:
+    """(ks, lo, hi, far) of measure check: its distinct lags (default 1,
+    2, 4, 8); the span lo .. hi of its one block, over the Kakutani lags
+    n - k and the last bias bond n + 1, for each k that widens it by at
+    most one window of 2n + 1 rows; and the farther lags, each read from
+    its own such window, one at a time, so memory follows n, not |k|."""
+    ks = list(dict.fromkeys(ks or [1, 2, 4, 8]))
+    near = [k for k in ks if abs(k) <= 2 * n + 1]
+    return (ks, -n - max([0, *near]), n + max([1, *(-k for k in near)]),
+            set(ks) - set(near))
+
+
+def _measure_rows(n: int, ks) -> int:
+    """The marginal rows measure check holds at once."""
+    _, lo, hi, far = _measure_blocks(n, ks)
+    return hi - lo + 1 + (2 * n + 1 if far else 0)
+
+
 def _cmd_measure(params: dict, seed: int, csv: Path):
     m = measures.parse_measure(params["measure"])
     n = params["n"]
-    ks = list(dict.fromkeys(params.get("ks") or [1, 2, 4, 8]))
-    # one block over the Kakutani lags n - k and the last bias bond n + 1,
-    # for each k that widens it by at most one window of 2n + 1 rows; a
-    # farther lag reads its own window, so memory follows n, not |k|
-    reach = 2 * n + 1
-    near = [k for k in ks if abs(k) <= reach]
-    lo, hi = -n - max([0, *near]), n + max([1, *(-k for k in near)])
+    ks, lo, hi, far = _measure_blocks(n, params.get("ks"))
     block = m.block(lo, hi - lo + 1)
     metrics = []
     delta = measures.doeblin_delta(measures.block_rows(block, -n, n))
     metrics.append({"name": "doeblin_delta", "value": delta,
                     "pass": delta > 0.0})
-    decades = [10 ** e for e in range(1, int(math.log10(n)) + 1)]
+    decades = 10 ** np.arange(1, int(math.log10(n)) + 1)
     series = {}
     for k in ks:
-        far = None if abs(k) <= reach else m.block(-n - k, reach)
-        terms = measures.kakutani_terms(block, k, n, far)
+        terms = measures.kakutani_terms(
+            block, k, n, m.block(-n - k, 2 * n + 1) if k in far else None)
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
-        series[f"kakutani_k{k}"] = [
-            (dn, measures.centred_sum(terms, dn)) for dn in decades]
+        series[f"kakutani_k{k}"] = (decades, np.array(
+            [measures.centred_sum(terms, dn) for dn in decades.tolist()]))
     metrics.append(_tail_metric("bias_square_sum",
                                 factor_mod.bias_square_terms(block, n)))
     emit_plot_data(series, csv)
@@ -229,9 +241,8 @@ def _cmd_match(params: dict, seed: int, assignment_csv: Path,
     # a_indices is a fresh array, so it becomes the radii in place
     a_indices -= assignment.b_indices
     hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
-    emit_plot_data(
-        {"radius_histogram": [(k, int(c)) for k, c in enumerate(hist) if c]},
-        histogram_csv)
+    radii = np.flatnonzero(hist)
+    emit_plot_data({"radius_histogram": (radii, hist[radii])}, histogram_csv)
     n_b = len(assignment.b_indices) + len(assignment.unmatched)
     frac_censored = len(assignment.unmatched) / max(1, n_b)
     return [
@@ -261,8 +272,7 @@ def _cmd_typeiii(params: dict, seed: int, csv: Path):
                 default=0.0)
     hist, edges = np.histogram(np.repeat(logs, counts), bins=41)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    emit_plot_data(
-        {"log_rn_histogram": list(zip(centers.tolist(), hist.tolist()))}, csv)
+    emit_plot_data({"log_rn_histogram": (centers, hist)}, csv)
     return [
         {"name": "lattice_deviation", "value": worst, "tolerance": 1e-9,
          "pass": worst <= 1e-9},
@@ -419,6 +429,15 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
     most = 2**61 - 1
     if any(abs(k) > most for k in params.get("ks", ())):
         raise ValueError(f"--k must lie in {-most} .. {most}")
+    # MAX_MEASURE_N counts the default --k set; a near lag widens the block
+    if args.command == "measure":
+        rows = _measure_rows(params["n"], params.get("ks"))
+        allowed = _measure_rows(MAX_MEASURE_N, None)
+        if rows > allowed:
+            raise ValueError(
+                f"measure check would hold {rows} marginal rows at once, "
+                f"more than the {allowed} of the default --k set at --n "
+                f"{MAX_MEASURE_N}")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
     # the files the run writes, in order; --out is read from the working
     # directory, the others from out_dir

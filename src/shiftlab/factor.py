@@ -16,20 +16,21 @@ decodes that value through the exact inverse CDF of the product law
 Bernoulli(1-beta)^(d+1).  Each tuple therefore has exactly the target
 joint law; distinct tuples share window bits, and the hash is what keeps
 their empirical dependence below test resolution.  The code is
-deterministic given (bits, spec, seeds) and translation equivariant in the
-stream index.
+deterministic given (bits, d, radius, seeds) and translation equivariant
+in the stream index.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stattests
 from .markers import GOOD_WIDTH, good_prob_lower, special_sequence
-from .matching import MatchingAssignment, meshalkin_match, required_d
+from .matching import (MatchingAssignment, hand_out, meshalkin_match,
+                       required_d)
 from .measures import (FiniteProductMeasure, ZeroMassError, binary_rows,
                        block_rows)
 from .sampling import SeedStream, Window, sample_block
@@ -48,7 +49,9 @@ def binary_entropy(b: float) -> float:
 
 
 def beta_for(dplus1: int) -> float:
-    """The unique beta in (0, 1/2] with H(beta) = log(2)/dplus1 (bisection)."""
+    """The unique beta in (0, 1/2] with H(beta) = log(2)/dplus1 (bisection);
+    a ValueError if the entropy balance (d+1) H(beta) = log 2 fails by
+    more than BALANCE_TOL."""
     if dplus1 < 1:
         raise ValueError("dplus1 must be >= 1")
     if dplus1 == 1:
@@ -59,37 +62,16 @@ def beta_for(dplus1: int) -> float:
         mid = 0.5 * (lo + hi)
         # a width of 1e-15 leaves a small beta (large dplus1) unbalanced:
         # go on until the balance holds or the midpoint stops moving
-        if hi - lo <= 1e-15 and (
-                abs(dplus1 * binary_entropy(mid) - LOG2) <= BALANCE_TOL
-                or mid in (lo, hi)):
-            return mid
+        if hi - lo <= 1e-15:
+            if abs(dplus1 * binary_entropy(mid) - LOG2) <= BALANCE_TOL:
+                return mid
+            if mid in (lo, hi):
+                raise ValueError("entropy balance (d+1) H(beta0) = log 2 "
+                                 f"violated at d = {dplus1 - 1}")
         if binary_entropy(mid) < target:
             lo = mid
         else:
             hi = mid
-
-
-@dataclass(frozen=True)
-class SplitCodeSpec:
-    """Parameters of the entropy-splitting code.
-
-    d is the matching capacity (tuples have d+1 bits), radius the
-    half-width of the fair-bit window each tuple reads; the bit bias beta0
-    follows from d by the balance (d+1) H(beta0) = log 2.
-    """
-
-    d: int
-    radius: int = DEFAULT_RADIUS
-    beta0: float = field(init=False)
-
-    def __post_init__(self):
-        if self.d + 1 > np.iinfo(np.intp).max:
-            raise ValueError(f"capacity d = {self.d} is too large for one "
-                             "array row of d+1 bits")
-        beta0 = beta_for(self.d + 1)
-        if abs((self.d + 1) * binary_entropy(beta0) - LOG2) > BALANCE_TOL:
-            raise ValueError("entropy balance (d+1) H(beta0) = log 2 violated")
-        object.__setattr__(self, "beta0", beta0)
 
 
 @dataclass(frozen=True)
@@ -175,25 +157,28 @@ def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
     out[rows] = bits[:-1]
 
 
-def psi_split(bits: np.ndarray, spec: SplitCodeSpec,
+def psi_split(bits: np.ndarray, d: int, radius: int,
               seeds: SeedStream) -> SplitTuples:
     """Expand each fair bit (a special filler's first symbol) into a tuple of
-    d+1 beta0-biased bits.
+    d+1 beta0-biased bits, beta0 = ``beta_for(d + 1)``.
 
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
-    commutes with translation of the stream.
+    commutes with translation of the stream.  A d whose d+1 bits no array
+    row can hold is refused before beta0 is sought.
     """
+    if d + 1 > np.iinfo(np.intp).max:
+        raise ValueError(f"capacity d = {d} is too large for one array row "
+                         "of d+1 bits")
+    beta0 = beta_for(d + 1)
     K = len(bits)
-    dplus1 = spec.d + 1
-    tuples = np.zeros((K, dplus1), dtype=np.uint8)
+    tuples = np.zeros((K, d + 1), dtype=np.uint8)
     valid = np.zeros(K, dtype=bool)
-    if K >= 2 * spec.radius + 1:
+    if K >= 2 * radius + 1:
         key = seeds._key("|split-code").tobytes()
-        u = _window_uniforms(np.asarray(bits, dtype=np.uint8),
-                             spec.radius, key)
-        _decode_tuples(u, spec.beta0, tuples[spec.radius:K - spec.radius])
-        valid[spec.radius:K - spec.radius] = True
+        u = _window_uniforms(np.asarray(bits, dtype=np.uint8), radius, key)
+        _decode_tuples(u, beta0, tuples[radius:K - radius])
+        valid[radius:K - radius] = True
     return SplitTuples(tuples, valid)
 
 
@@ -201,31 +186,18 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
                 split: SplitTuples) -> Window:
     """Hand one coded bit to every matched integer of the window ``w``.
 
-    The special filler of rank k among the matching's a's keeps bit 0 of
-    tuple k; its matched partners take the bits of their matching slots
-    1, 2, ..., in ascending index order, read with one flat ``take`` at
-    rank * (tuple width) + slot.
-    Positions with no resolved source are censored and encoded as -1.
+    ``matching.hand_out`` deals the tuples out: the special filler of rank
+    k among the matching's a's keeps bit 0 of tuple k, and its partners
+    take the bits of their matching slots.  Then a's and b's whose tuple
+    is censored, and positions with no resolved source, are encoded as -1.
     """
-    start = w.start
     out = np.full(len(w), -1, dtype=np.int8)
-
-    if assignment.d > split.tuples.shape[1] - 1:
-        raise AssertionError("matching capacity exceeds tuple width - 1")
-    a_pos = assignment.a_positions
-    if len(split.tuples) != len(a_pos):
-        raise AssertionError(f"{len(split.tuples)} tuples for "
-                             f"{len(a_pos)} a's")
-
-    out[a_pos[split.valid] - start] = split.tuples[split.valid, 0]
-
-    rank = assignment.ranks
-    flat = rank * split.tuples.shape[1]    # each b's bit in the flat tuples
-    flat += assignment.slots
-    bits = split.tuples.reshape(-1).take(flat).view(np.int8)
-    bits[~split.valid[rank]] = -1   # the b's a has no tuple: censored
-    out[assignment.b_indices - start] = bits
-    return Window(start, out)
+    # read as int8, out's dtype, so the bits are copied without a cast
+    hand_out(assignment, split.tuples.view(np.int8), out, w.start)
+    censored = ~split.valid
+    out[assignment.a_positions[censored] - w.start] = -1
+    out[assignment.b_indices[censored[assignment.ranks]] - w.start] = -1
+    return Window(w.start, out)
 
 
 def match_window(m: FiniteProductMeasure, span: tuple[int, int],
@@ -250,20 +222,20 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     ``match_window`` samples, and its q, d, beta0, censoring fraction and
     three-part uniformity suite on the interior output."""
     w, q, d, assignment = match_window(m, span, seeds, "factor-input")
-    spec = SplitCodeSpec(d, radius)
     a_pos = assignment.a_positions   # the special fillers' starts
-    split = psi_split(w.values[a_pos - w.start], spec, seeds)
+    split = psi_split(w.values[a_pos - w.start], d, radius, seeds)
     out = spread_bits(w, assignment, split)
+    beta0 = beta_for(d + 1)
 
     n = len(out)
     margin = max(1, int(INTERIOR_FRACTION * n))
     inner = np.asarray(out.values[margin:n - margin])
     inner = inner[inner >= 0].astype(np.uint8)
-    tests = stattests.uniformity_suite(inner, 1.0 - spec.beta0)
+    tests = stattests.uniformity_suite(inner, 1.0 - beta0)
     diagnostics = {
         "q": q,
         "d": d,
-        "beta0": spec.beta0,
+        "beta0": beta0,
         "radius": radius,
         "specials": int(len(a_pos)),
         "censor_fraction": float((out.values < 0).mean()),

@@ -14,9 +14,9 @@ stack of runs of unmatched b's; ``rounds`` still reports the round of the
 inductive scheme in which each b is matched.  The same scan hands out the
 tuple slots: an a's partners take slots 1, 2, ... of its coded tuple in
 ascending b order, and each row carries the rank of its a among the
-sequence's a's, which is the row of that a's tuple.  The test suite
-checks the scan against a literal simulation of the rounds and the slots
-against a per-a counter.
+sequence's a's, which is the row of that a's tuple; ``hand_out`` deals
+the tuples out by those pairs.  The test suite checks the scan against a
+literal simulation of the rounds and the slots against a per-a counter.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -176,6 +176,26 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     )
     assignment.check_capacity()
     return assignment
+
+
+def hand_out(assignment: MatchingAssignment, tuples: np.ndarray,
+             out: np.ndarray, start: int) -> None:
+    """Deal each a's tuple out over ``out``, whose first entry is at the
+    absolute index ``start``: the a of rank k keeps ``tuples[k, 0]``, and
+    each of its partners takes ``tuples[k, slot]`` for the slot the scan
+    gave it, read with one flat ``take`` at rank * width + slot.  This is
+    the only reader of the (rank, slot) pairs.  It refuses tuples too
+    narrow for the capacity and a tuple count other than the a count."""
+    width = tuples.shape[1]
+    if assignment.d > width - 1:
+        raise AssertionError("matching capacity exceeds tuple width - 1")
+    a_pos = assignment.a_positions
+    if len(tuples) != len(a_pos):
+        raise AssertionError(f"{len(tuples)} tuples for {len(a_pos)} a's")
+    out[a_pos - start] = tuples[:, 0]
+    flat = assignment.ranks * width
+    flat += assignment.slots
+    out[assignment.b_indices - start] = tuples.reshape(-1).take(flat)
 
 
 def dominates(z: Window, z2: Window) -> bool:

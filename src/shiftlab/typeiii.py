@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matching import meshalkin_match
+from .matching import hand_out, meshalkin_match
 from .measures import DensityFamily, log_damped
 from .sampling import Window
 
@@ -232,14 +232,10 @@ def erase_negative_side(w: Window,
     bits_per = 51 // (d + 1)
     t = (sub_vals[is_safe] - lo) / (hi - lo)
     shares = _digit_shares(t, d + 1, bits_per)
-    scale = float(1 << bits_per)
-
-    assignment = meshalkin_match(Window(0, is_safe), d)
+    coded = -1.0 + (shares + 0.5) / float(1 << bits_per)
 
     replaced = np.full(len(neg_pos), np.nan)
-    replaced[is_safe] = -1.0 + (shares[:, 0] + 0.5) / scale
-    replaced[assignment.b_indices] = -1.0 + (
-        shares[assignment.ranks, assignment.slots] + 0.5) / scale
+    hand_out(meshalkin_match(Window(0, is_safe), d), coded, replaced, 0)
 
     out[neg_pos] = replaced
     info = {"nu_indices": int(len(neg_pos)), "safe_hits": int(is_safe.sum()),

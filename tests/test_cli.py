@@ -527,9 +527,17 @@ class TestIndexScan:
 
 class TestPlotData:
     def test_round_trip(self, tmp_path):
-        series = {"a": [(1.0, 2.0), (3.0, 4.5)], "b": [(0.0, -1.25)]}
+        series = {"b": (np.array([0.0]), np.array([-1.25])),
+                  "a": (np.array([1.0, 3.0]), np.array([2.0, 4.5]))}
         path = emit_plot_data(series, tmp_path / "plot.csv")
-        assert parse_plot_data(path) == series
+        assert parse_plot_data(path) == {
+            "a": [(1.0, 2.0), (3.0, 4.5)], "b": [(0.0, -1.25)]}
+
+    def test_integers_are_written_as_floats(self, tmp_path):
+        # a histogram's integer radii and counts read as x.0, as floats do
+        path = emit_plot_data({"h": (np.array([1, 10**7]), np.array([3, 0]))},
+                              tmp_path / "plot.csv")
+        assert path.read_bytes() == b"series,x,y\nh,1.0,3.0\nh,10000000.0,0.0\n"
 
     def test_empty_is_header_only(self, tmp_path):
         path = emit_plot_data({}, tmp_path / "empty.csv")
@@ -829,6 +837,17 @@ class TestConfigHandling:
             "at that cap\n")
         assert not out.exists()
 
+    def test_capacity_beyond_an_array_row_is_config_error(self, tmp_path,
+                                                           capsys):
+        # q ~ 2e-21 gives a d whose d + 1 bits no array row can hold;
+        # psi_split names it before the balance is sought
+        assert run_cli(tmp_path, "factor", "run", "--measure", "iid:1e-7",
+                       "--n", "1000") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"shiftlab: config error: capacity d = \d+ is too "
+                            r"large for one array row of d\+1 bits\n", err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cap", [False, True],
                              ids=["1e12", "cap-plus-one"])
     @pytest.mark.parametrize("argv, flag, cap_name, reason", [
@@ -871,6 +890,37 @@ class TestConfigHandling:
         assert run_cli(tmp_path, *argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"shiftlab: config error: {reason}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_near_lags_beyond_the_rows_of_the_cap_are_config_error(
+            self, tmp_path, capsys):
+        # MAX_MEASURE_N counts the default --k set; lags of +-(2n + 1)
+        # triple the shared block, 6n + 3 rows against 2 * 25e6 + 10
+        out = tmp_path / "o"
+        assert main(["measure", "check", "--measure", "iid:0.3", "--n",
+                     "10000000", "--k", "20000001", "--k", "-20000001",
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "shiftlab: config error: measure check would hold 60000003 "
+            "marginal rows at once, more than the 50000010 of the default "
+            f"--k set at --n {cli.MAX_MEASURE_N}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks, rows", [
+        ([], 2 * cli.MAX_MEASURE_N + 10), ([1], 2 * cli.MAX_MEASURE_N + 3),
+        ([10**12], 4 * cli.MAX_MEASURE_N + 3)], ids=["default", "1", "far"])
+    def test_rows_at_the_cap(self, tmp_path, ks, rows):
+        # at --n MAX_MEASURE_N the default set holds exactly the rows the
+        # cap allows; a far lag adds one window of 2n + 1 rows
+        n = cli.MAX_MEASURE_N
+        assert cli._measure_rows(n, ks) == rows
+        argv = ["measure", "check", "--measure", "iid:0.3", "--n", str(n),
+                *(f"--k={k}" for k in ks), "--out-dir", str(tmp_path)]
+        args = cli._build_parser({}).parse_args(argv)
+        if rows <= 2 * n + 10:
+            assert cli._config_from_args(args, {})[0] == "measure"
+        else:
+            with pytest.raises(ValueError, match="marginal rows at once"):
+                cli._config_from_args(args, {})
 
     @pytest.mark.parametrize("option, value", [
         ("--out", "afile/r.json"), ("--out-dir", "afile/sub"),

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from shiftlab import (SeedStream, SplitCodeSpec, Window, beta_for,
-                      good_prob_lower, iid_binary, make_mu_pc, make_nu_c,
-                      meshalkin_match, parse_measure, psi_split, required_d,
+from shiftlab import (SeedStream, Window, beta_for, good_prob_lower,
+                      iid_binary, make_mu_pc, make_nu_c, meshalkin_match, parse_measure, psi_split, required_d,
                       run_iid_factor, sample_window, special_sequence,
                       spread_bits)
 from shiftlab import factor
@@ -103,14 +102,20 @@ class TestBetaFor:
             assert dp1 * binary_entropy(beta_for(dp1)) == pytest.approx(
                 LOG2, abs=1e-10)
 
-    def test_spec_validates_balance(self):
-        assert SplitCodeSpec(7).beta0 == beta_for(8)
+    def test_refuses_an_unbalanced_beta(self, monkeypatch):
+        # no beta meets a negative tolerance, so the bisection runs until
+        # its midpoint stops moving and refuses it
+        monkeypatch.setattr(factor, "BALANCE_TOL", -1.0)
+        for d in (1, 7, 882):
+            with pytest.raises(ValueError, match="entropy balance .* "
+                               f"violated at d = {d}$"):
+                beta_for(d + 1)
 
     def test_every_capacity_balances(self):
         # a bisection stopped at an absolute width of 1e-15 leaves 3 209 of
         # these unbalanced, the first at d = 17 651
         for d in range(1, 30001):
-            SplitCodeSpec(d)
+            beta_for(d + 1)
 
     def test_balanced_capacities_keep_their_beta(self):
         # values of the 1e-15 bisection, which balanced these
@@ -137,38 +142,34 @@ def fair_stream(n: int, seed: int) -> np.ndarray:
 class TestPsiSplit:
     def test_determinism(self):
         z = fair_stream(500, 3)
-        spec = SplitCodeSpec(7, radius=16)
-        t1 = psi_split(z, spec, SeedStream(7))
-        t2 = psi_split(z, spec, SeedStream(7))
+        t1 = psi_split(z, 7, 16, SeedStream(7))
+        t2 = psi_split(z, 7, 16, SeedStream(7))
         assert np.array_equal(t1.tuples, t2.tuples)
         assert np.array_equal(t1.valid, t2.valid)
 
     def test_seed_changes_output(self):
         z = fair_stream(500, 3)
-        spec = SplitCodeSpec(7, radius=16)
-        assert not np.array_equal(psi_split(z, spec, SeedStream(1)).tuples,
-                                  psi_split(z, spec, SeedStream(2)).tuples)
+        assert not np.array_equal(psi_split(z, 7, 16, SeedStream(1)).tuples,
+                                  psi_split(z, 7, 16, SeedStream(2)).tuples)
 
     def test_edges_censored(self):
         z = fair_stream(100, 3)
-        spec = SplitCodeSpec(7, radius=16)
-        out = psi_split(z, spec, SeedStream(7))
+        out = psi_split(z, 7, 16, SeedStream(7))
         assert not out.valid[:16].any() and not out.valid[-16:].any()
         assert out.valid[16:-16].all()
 
     def test_output_law_frequency(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec(7, radius=16)
-        out = psi_split(fair_stream(n, 11), spec, SeedStream(7))
+        out = psi_split(fair_stream(n, 11), 7, 16, SeedStream(7))
         bits = out.tuples[out.valid]
-        target = 1.0 - spec.beta0
-        se = math.sqrt(spec.beta0 * target / bits.size)
+        beta0 = beta_for(8)
+        target = 1.0 - beta0
+        se = math.sqrt(beta0 * target / bits.size)
         assert abs(bits.mean() - target) < 4 * se
 
     def test_within_tuple_independence(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec(7, radius=16)
-        out = psi_split(fair_stream(n, 23), spec, SeedStream(7))
+        out = psi_split(fair_stream(n, 23), 7, 16, SeedStream(7))
         T = out.tuples[out.valid].astype(float)
         worst = 0.0
         for i, j in itertools.combinations(range(T.shape[1]), 2):
@@ -183,14 +184,13 @@ class TestPsiSplit:
     def test_tuples_digest(self, d, radius, digest):
         # recorded from the column-at-a-time decoder; d = 882 is the
         # capacity of iid:0.3, where ~0.07 bits per tuple are zero
-        out = psi_split(fair_stream(2000, 3), SplitCodeSpec(d, radius),
-                        SeedStream(7))
+        out = psi_split(fair_stream(2000, 3), d, radius, SeedStream(7))
         assert hashlib.sha256(out.tuples.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("d", [1, 3, 7, 882])
     def test_decode_equals_column_reference(self, d):
         u = SeedStream(19).uniforms("u", 0, 20000)[:, 0]
-        beta0 = SplitCodeSpec(d).beta0
+        beta0 = beta_for(d + 1)
         out = np.zeros((len(u), d + 1), dtype=np.uint8)
         _decode_tuples(u, beta0, out)
         np.testing.assert_array_equal(out, column_decode(u, d + 1, beta0))
@@ -200,7 +200,7 @@ class TestPsiSplit:
         # 10^5 uniforms packed around 1 - (1 - beta0)^(d+1), where tuples
         # stop holding zeros: 80 000 consecutive doubles, then an even
         # spread up to the threshold t, t itself and its two neighbours
-        beta0 = SplitCodeSpec(d).beta0
+        beta0 = beta_for(d + 1)
         p = -math.expm1((d + 1) * math.log1p(-beta0))
         t = factor._all_ones_threshold(beta0, d + 1)
         near = np.arange(-40_000, 40_000) + np.float64(p).view(np.int64)
@@ -219,7 +219,7 @@ class TestPsiSplit:
 
     def test_decode_refuses_a_threshold_that_decodes_to_a_zero(
             self, monkeypatch):
-        beta0 = SplitCodeSpec(882).beta0
+        beta0 = beta_for(883)
         monkeypatch.setattr(factor, "_all_ones_threshold",
                             lambda beta0, dplus1: 0.06)
         u = SeedStream(19).uniforms("u", 0, 100)[:, 0]
@@ -240,8 +240,7 @@ class TestPsiSplit:
 
     def test_cross_tuple_decorrelation(self):
         n = 10 ** 5 + 32
-        spec = SplitCodeSpec(7, radius=16)
-        out = psi_split(fair_stream(n, 17), spec, SeedStream(7))
+        out = psi_split(fair_stream(n, 17), 7, 16, SeedStream(7))
         T = out.tuples[out.valid].astype(float)
         for col in range(T.shape[1]):
             assert abs(serial_correlations(T[:, col], 1)[0]) < 0.01
@@ -252,8 +251,7 @@ def run_stages(w: Window, q: float, radius: int = 16):
     d = required_d(q)
     z = special_sequence(w)
     assignment = meshalkin_match(z, d)
-    split = psi_split(w.values[z.values], SplitCodeSpec(d, radius),
-                      SeedStream(7))
+    split = psi_split(w.values[z.values], d, radius, SeedStream(7))
     return spread_bits(w, assignment, split)
 
 

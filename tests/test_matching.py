@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import (flip_coupling, from_letters, match_oracle,
                      matching_radius, multiplicity, pairs, slots_oracle)
-from shiftlab import (MatchingAssignment, SeedStream, SplitCodeSpec, Window,
-                      dominates, good_block_sequence, iid_binary,
-                      meshalkin_match, psi_split, required_d, sample_window,
-                      special_sequence, spread_bits)
+from shiftlab import (MatchingAssignment, SeedStream, Window, dominates,
+                      good_block_sequence, hand_out, iid_binary,
+                      meshalkin_match, required_d, sample_window,
+                      special_sequence)
 
 
 def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
@@ -320,18 +320,47 @@ class TestPartnerSlots:
         assert len(assignment.ranks) == 0
         assert assignment.a_positions.tolist() == [0]
 
+    def test_hand_out_deals_each_tuple(self):
+        # tuple k holds k * (d+1) + slot at each slot, so every entry names
+        # the (rank, slot) it was read from; the censored b's keep NaN
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            start = int(rng.integers(-50, 50))
+            isa = rng.random(int(rng.integers(1, 60))) < rng.uniform(0.1, 0.6)
+            d = int(rng.integers(1, 5))
+            assignment = meshalkin_match(Window(start, isa), d)
+            a = assignment.a_positions
+            tuples = np.arange(len(a) * (d + 1), dtype=float).reshape(
+                len(a), d + 1)
+            out = np.full(len(isa), np.nan)
+            hand_out(assignment, tuples, out, start)
+            b = assignment.b_indices.tolist()
+            a_of_b = assignment.a_indices.tolist()
+            rank = {x: k for k, x in enumerate(a.tolist())}
+            want = np.full(len(isa), np.nan)
+            want[a - start] = (d + 1) * np.arange(len(a))
+            for j, x, slot in zip(b, a_of_b, slots_oracle(b, a_of_b)):
+                want[j - start] = (d + 1) * rank[x] + slot
+            np.testing.assert_array_equal(out, want, err_msg=str(trial))
+
     def test_unknown_a_index(self):
-        # spread_bits refuses a split with a tuple count other than the a's
-        w = Window(0, np.array([0, 1, 1, 0, 1, 0, 1, 1] * 4, dtype=np.uint8))
-        z = special_sequence(w)
-        assignment = meshalkin_match(z, 2)
-        bits = w.values[z.values]
-        assert len(assignment.a_positions) == len(bits) == 4
+        # hand_out refuses a tuple count other than the a count, and
+        # writes nothing
+        assignment = meshalkin_match(from_letters(0, "bba" * 4), 2)
+        assert len(assignment.a_positions) == 4
+        out = np.full(12, -1, dtype=np.int8)
         for k in (0, 3, 5):
-            split = psi_split(np.resize(bits, k), SplitCodeSpec(2, radius=1),
-                              SeedStream(7))
-            with pytest.raises(AssertionError, match=f"{k} tuples for 4"):
-                spread_bits(w, assignment, split)
+            with pytest.raises(AssertionError, match=f"^{k} tuples for 4 "):
+                hand_out(assignment, np.zeros((k, 3), np.uint8), out, 0)
+        assert (out == -1).all()
+
+    def test_tuples_narrower_than_the_capacity(self):
+        assignment = meshalkin_match(from_letters(0, "bba" * 4), 2)
+        out = np.full(12, -1, dtype=np.int8)
+        with pytest.raises(AssertionError,
+                           match="matching capacity exceeds tuple width - 1"):
+            hand_out(assignment, np.zeros((4, 2), np.uint8), out, 0)
+        assert (out == -1).all()
 
     def test_tuple_exhaustion(self):
         # one partner, but handed the slot past the last bit of the tuple
