@@ -31,14 +31,17 @@ DEFAULT_SEED = 7
 CSV_CHUNK = 1 << 16
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
-# its default --k set), each cap at ~3.2 GB.  factor run and match run
-# sample a window of --n sites (match run holds about 49 bytes a site)
+# any --k set), each cap at ~3.2 GB.  factor run and match run sample a
+# window of --n sites (match run holds about 49 bytes a site); index scan
+# holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000
 MEASURE_N_BYTES = 128
 MAX_SAMPLES = 16_000_000
 SAMPLE_BYTES = 200
+MAX_KMAX = 6_400_000
+KMAX_BYTES = 500
 _CAPS = {   # command: (option, cap, bytes a unit, what holds them, unit)
     "factor": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
     "match": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
@@ -46,6 +49,7 @@ _CAPS = {   # command: (option, cap, bytes a unit, what holds them, unit)
                 "a unit of n"),
     "typeiii": ("samples", MAX_SAMPLES, SAMPLE_BYTES, "typeiii ratios",
                 "a sample"),
+    "index": ("kmax", MAX_KMAX, KMAX_BYTES, "index scan", "a k"),
 }
 
 
@@ -170,38 +174,21 @@ def _tail_metric(name: str, terms: np.ndarray) -> dict:
 # one is asked for, and returns its metrics; ``main`` writes and prints
 # the report.
 
-def _measure_blocks(n: int, ks) -> tuple[list[int], int, int, set]:
-    """(ks, lo, hi, far) of measure check: its distinct lags (default 1,
-    2, 4, 8); the span lo .. hi of its one block, over the Kakutani lags
-    n - k and the last bias bond n + 1, for each k that widens it by at
-    most one window of 2n + 1 rows; and the farther lags, each read from
-    its own such window, one at a time, so memory follows n, not |k|."""
-    ks = list(dict.fromkeys(ks or [1, 2, 4, 8]))
-    near = [k for k in ks if abs(k) <= 2 * n + 1]
-    return (ks, -n - max([0, *near]), n + max([1, *(-k for k in near)]),
-            set(ks) - set(near))
-
-
-def _measure_rows(n: int, ks) -> int:
-    """The marginal rows measure check holds at once."""
-    _, lo, hi, far = _measure_blocks(n, ks)
-    return hi - lo + 1 + (2 * n + 1 if far else 0)
-
-
 def _cmd_measure(params: dict, seed: int, csv: Path):
     m = measures.parse_measure(params["measure"])
     n = params["n"]
-    ks, lo, hi, far = _measure_blocks(n, params.get("ks"))
-    block = m.block(lo, hi - lo + 1)
+    # one block over the rows the default lags 1, 2, 4, 8 and the last
+    # bias bond n + 1 read; kakutani_terms reads any other lag from m in
+    # chunks, so memory follows n whatever --k says
+    block = m.block(-n - 8, 2 * n + 10)
     metrics = []
     delta = measures.doeblin_delta(measures.block_rows(block, -n, n))
     metrics.append({"name": "doeblin_delta", "value": delta,
                     "pass": delta > 0.0})
     decades = 10 ** np.arange(1, int(math.log10(n)) + 1)
     series = {}
-    for k in ks:
-        terms = measures.kakutani_terms(
-            block, k, n, m.block(-n - k, 2 * n + 1) if k in far else None)
+    for k in dict.fromkeys(params.get("ks") or [1, 2, 4, 8]):
+        terms = measures.kakutani_terms(block, k, n, m)
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = (decades, np.array(
             [measures.centred_sum(terms, dn) for dn in decades.tolist()]))
@@ -392,8 +379,9 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
     """(command, params, seed, out_dir, paths) of a parsed command line,
     where ``paths`` are the files the command writes, then the report.
     Every option bound is checked here, and the output directories are
-    created, so a bad value, two outputs at one path or a path that cannot
-    be one is refused before any work runs."""
+    created, so a bad value, two outputs at one path, an output that is an
+    existing directory or a path that cannot be one is refused before any
+    work runs."""
     options = set(vars(args)) - {"command", "sub", "config"}
     unknown = sorted(set(file_values) - options)
     if unknown:
@@ -424,20 +412,10 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
     if params.get("n", 1) > 2**63 - 1:
         raise ValueError(f"--n must be at most {2**63 - 1}")
     # measure check reads the marginals at -n - k .. n - k for every --k:
-    # with n at most its cap and |k| below 2^61 the block's indices and
-    # length fit in int64
+    # with n at most its cap and |k| below 2^61 those indices fit in int64
     most = 2**61 - 1
     if any(abs(k) > most for k in params.get("ks", ())):
         raise ValueError(f"--k must lie in {-most} .. {most}")
-    # MAX_MEASURE_N counts the default --k set; a near lag widens the block
-    if args.command == "measure":
-        rows = _measure_rows(params["n"], params.get("ks"))
-        allowed = _measure_rows(MAX_MEASURE_N, None)
-        if rows > allowed:
-            raise ValueError(
-                f"measure check would hold {rows} marginal rows at once, "
-                f"more than the {allowed} of the default --k set at --n "
-                f"{MAX_MEASURE_N}")
     out_dir = args.out_dir or Path(os.environ.get("SHIFTLAB_OUT", "."))
     # the files the run writes, in order; --out is read from the working
     # directory, the others from out_dir
@@ -449,6 +427,8 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
                  ("report", out_dir / f"{args.command}_report.json"))
     seen = {}
     for role, path in named:
+        if path.is_dir():
+            raise ValueError(f"{role} {path} is a directory")
         first = seen.setdefault(path.resolve(), f"{role} {path}")
         if first != f"{role} {path}":
             raise ValueError(f"{first} and {role} {path} are one file")

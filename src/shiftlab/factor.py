@@ -39,6 +39,7 @@ LOG2 = math.log(2.0)
 BALANCE_TOL = 1e-10   # |(d+1) H(beta0) - log 2| a split code may leave
 DEFAULT_RADIUS = 64   # fair-bit half-window of the split code
 INTERIOR_FRACTION = 0.1   # output share cut from each end before testing
+MAX_TUPLE_BYTES = 3_200_000_000   # the ~3.2 GB the CLI's caps let a run hold
 
 
 def binary_entropy(b: float) -> float:
@@ -165,13 +166,18 @@ def psi_split(bits: np.ndarray, d: int, radius: int,
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
     commutes with translation of the stream.  A d whose d+1 bits no array
-    row can hold is refused before beta0 is sought.
+    row can hold, and a (K, d+1) tuple matrix above ``MAX_TUPLE_BYTES``,
+    are refused before beta0 is sought.
     """
     if d + 1 > np.iinfo(np.intp).max:
         raise ValueError(f"capacity d = {d} is too large for one array row "
                          "of d+1 bits")
-    beta0 = beta_for(d + 1)
     K = len(bits)
+    if K * (d + 1) > MAX_TUPLE_BYTES:
+        raise ValueError(f"K = {K} tuples of d+1 = {d + 1} bits need "
+                         f"{K * (d + 1)} bytes, more than the "
+                         f"{MAX_TUPLE_BYTES} a run may hold")
+    beta0 = beta_for(d + 1)
     tuples = np.zeros((K, d + 1), dtype=np.uint8)
     valid = np.zeros(K, dtype=bool)
     if K >= 2 * radius + 1:

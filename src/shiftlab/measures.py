@@ -33,6 +33,7 @@ from .sampling import Window
 
 PROB_TOL = 1e-12
 DENSITY_TOL = 1e-10
+LAG_CHUNK = 1 << 16   # rows of a lag kakutani_terms reads from a measure
 
 
 class ZeroMassError(ValueError):
@@ -258,18 +259,25 @@ def doeblin_delta(block: Window) -> float:
 
 
 def kakutani_terms(block: Window, k: int, N: int,
-                   lag_block: Window | None = None) -> np.ndarray:
-    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N, read from the
-    rows of a binary marginal block that n and n-k reach (k = 0 gives exact
-    zeros), or, given ``lag_block``, the rows n-k reaches from that."""
-    if lag_block is not None:
-        cur = binary_rows(block_rows(block, -N, N))[:, 0]
-        lag = binary_rows(block_rows(lag_block, -N - k, N - k))[:, 0]
-        return (cur - lag) ** 2
-    lead, L = max(k, 0), 2 * N + 1
-    p0 = binary_rows(block_rows(block, -N - lead, N - min(k, 0)))[:, 0]
-    cur, lag = p0[lead:lead + L], p0[lead - k:lead - k + L]
-    return (cur - lag) ** 2
+                   m: FiniteProductMeasure | None = None) -> np.ndarray:
+    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N (k = 0 gives
+    exact zeros), read from the rows of a binary marginal block.  Given
+    the measure ``m``, a lag whose rows n-k the block does not all hold
+    reads them from ``m`` instead, ``LAG_CHUNK`` rows at a time, into one
+    column, so it costs no rows beyond its terms."""
+    lo, hi, L = *block.span, 2 * N + 1
+    if m is None or lo <= -N - k and N - k <= hi:
+        # one read of the rows n and n-k reach names every row it misses
+        lead = max(k, 0)
+        p0 = binary_rows(block_rows(block, -N - lead, N - min(k, 0)))[:, 0]
+        lag = p0[lead - k:lead - k + L]
+    else:
+        lead, p0 = 0, binary_rows(block_rows(block, -N, N))[:, 0]
+        lag = np.empty(L)
+        for s in range(0, L, LAG_CHUNK):
+            rows = m.block(-N - k + s, min(LAG_CHUNK, L - s))
+            lag[s:s + LAG_CHUNK] = binary_rows(rows)[:, 0]
+    return (p0[lead:lead + L] - lag) ** 2
 
 
 def centred_sum(terms: np.ndarray, n: int) -> float:

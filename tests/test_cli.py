@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,9 +35,11 @@ def sha256_of(path):
 
 class TestBlockReads:
     """Each command evaluates its measure's marginals in one block: for
-    `measure check` over every index its sums read, and for `factor run`
-    and `match run` over the window and the 7 indices after it, which the
-    bound q reads."""
+    `measure check` over -n - 8 .. n + 1, the rows the Doeblin bound, the
+    default lags 1, 2, 4, 8 and the bias sum read, whatever --k says, and
+    for `factor run` and `match run` over the window and the 7 indices
+    after it, which the bound q reads.  A lag whose rows -n - k .. n - k
+    that block does not hold reads them apart, LAG_CHUNK rows at a time."""
 
     @pytest.fixture
     def block_calls(self, monkeypatch):
@@ -57,22 +60,36 @@ class TestBlockReads:
     ])
     def test_measure_check_reads_one_block(self, tmp_path, capsys,
                                            block_calls, ks, lo, hi):
-        # the union of the ranges the Doeblin bound, the Kakutani sums and
-        # the bias sum read
+        # lo .. hi is the union of the ranges the Doeblin bound, the
+        # Kakutani sums and the bias sum read.  The one block comes first;
+        # k = -3 reads -n + 3 .. n + 3 apart, as the block ends at n + 1;
+        # the calls together read the block and lo .. hi, no other row
         assert run_cli(tmp_path, "measure", "check", "--measure",
                        "mu:0.3,0.5", "--n", "10000", *ks) == EXIT_OK
-        assert block_calls == [(lo, hi - lo + 1)]
+        assert block_calls[0] == (-10008, 20010)
+        rows = set().union(*(range(s, s + n) for s, n in block_calls))
+        assert rows == set(range(-10008, 10002)) | set(range(lo, hi + 1))
 
     def test_measure_check_reads_a_far_lag_apart(self, tmp_path, capsys,
                                                  block_calls):
-        # a lag beyond one window (2n + 1 = 20001 rows) reads its own
-        # window; the nearer lags still share the one block.  The far
-        # sums have not settled at this n, so the run may exit 1
+        # each lag beyond the block reads its own 2n + 1 = 20001 rows; k = 2
+        # reads the block.  The far sums have not settled at this n, so
+        # the run may exit 1
         assert run_cli(tmp_path, "measure", "check", "--measure",
                        "mu:0.3,0.5", "--n", "10000", "--k", "-20002",
                        "--k", "20001", "--k", "2") in (EXIT_OK,
                                                        EXIT_CHECK_FAILED)
-        assert block_calls == [(-30001, 40003), (-10000 + 20002, 20001)]
+        assert block_calls == [(-10008, 20010), (-10000 + 20002, 20001),
+                               (-10000 - 20001, 20001)]
+
+    def test_measure_check_reads_a_lag_in_chunks(self, tmp_path, capsys,
+                                                 block_calls):
+        # 2n + 1 = 80001 lag rows are read LAG_CHUNK = 65536 at a time
+        assert run_cli(tmp_path, "measure", "check", "--measure",
+                       "nu_c:0.1", "--n", "40000", "--k", "16") in (
+                           EXIT_OK, EXIT_CHECK_FAILED)
+        assert block_calls == [(-40008, 80010), (-40016, 65536),
+                               (-40016 + 65536, 80001 - 65536)]
 
     @pytest.mark.parametrize("command", ["factor", "match"])
     def test_window_command_reads_one_block(self, tmp_path, capsys,
@@ -134,7 +151,7 @@ class TestMeasureCheck:
                                             ("iid:0.3", EXIT_OK)])
     def test_far_lag_fits_in_one_gib(self, tmp_path, spec, code):
         # the memory of a run follows n, not |k|: at n = 100 a lag of
-        # 10^12 reads two windows of 201 rows.  One BLAS thread keeps the
+        # 10^12 reads the block's 210 rows and its own 201.  One BLAS thread keeps the
         # pool's own reservations out of the 1 GiB address space
         child = ("import resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -153,6 +170,24 @@ class TestMeasureCheck:
         assert [m["name"] for m in report["metrics"]] == [
             "doeblin_delta", f"kakutani_shift_sum_k{10**12}",
             "bias_square_sum"]
+
+    @pytest.mark.parametrize("ks", [[], [400_001, -400_001], [10**12]],
+                             ids=["default", "near", "far"])
+    def test_memory_follows_n_for_every_k_set(self, tmp_path, capsys, ks):
+        # one block over -n - 8 .. n + 1 whatever --k says, so the traced
+        # peak a unit of n (about 113 B) stays within the MEASURE_N_BYTES
+        # the --n cap charges, near lags of +-(2n + 1) included
+        n = 200_000
+        tracemalloc.start()
+        try:
+            code = run_cli(tmp_path, "measure", "check", "--measure",
+                           "mu:0.3,0.5", "--n", str(n),
+                           *(f"--k={k}" for k in ks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert peak / n <= cli.MEASURE_N_BYTES
 
     def test_byte_determinism(self, tmp_path, capsys):
         argv = ["measure", "check", "--measure", "nu_c:0.2",
@@ -848,6 +883,18 @@ class TestConfigHandling:
                             r"large for one array row of d\+1 bits\n", err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_tuple_matrix_beyond_the_cap_is_config_error(self, tmp_path,
+                                                         capsys):
+        # P(0) = 0.9999 at n = 1 gives d ~ 2.7e7, so the ~890 special
+        # fillers of 10^5 sites would need ~24 GB of tuples
+        assert run_cli(tmp_path, "factor", "run", "--measure",
+                       "mu:0.3,0.6999", "--n", "100000") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"shiftlab: config error: K = \d+ tuples of "
+                            r"d\+1 = \d+ bits need \d+ bytes, more than the "
+                            r"3200000000 a run may hold\n", err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cap", [False, True],
                              ids=["1e12", "cap-plus-one"])
     @pytest.mark.parametrize("argv, flag, cap_name, reason", [
@@ -856,7 +903,9 @@ class TestConfigHandling:
          "n, ~3.2 GB at that cap"),
         (TYPEIII, "--samples", "MAX_SAMPLES", "typeiii ratios holds up to "
          "~200 bytes a sample, ~3.2 GB at that cap"),
-    ], ids=["measure", "typeiii"])
+        (["index", "scan", "--c", "0.5"], "--kmax", "MAX_KMAX", "index scan "
+         "holds up to ~500 bytes a k, ~3.2 GB at that cap"),
+    ], ids=["measure", "typeiii", "index"])
     def test_run_beyond_the_cap_is_config_error(self, tmp_path, capsys, argv,
                                                 flag, cap_name, reason, cap):
         # each cap costs ~3.2 GB at the bytes a unit the run was measured
@@ -891,36 +940,30 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"shiftlab: config error: {reason}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_near_lags_beyond_the_rows_of_the_cap_are_config_error(
-            self, tmp_path, capsys):
-        # MAX_MEASURE_N counts the default --k set; lags of +-(2n + 1)
-        # triple the shared block, 6n + 3 rows against 2 * 25e6 + 10
-        out = tmp_path / "o"
-        assert main(["measure", "check", "--measure", "iid:0.3", "--n",
-                     "10000000", "--k", "20000001", "--k", "-20000001",
-                     "--out-dir", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "shiftlab: config error: measure check would hold 60000003 "
-            "marginal rows at once, more than the 50000010 of the default "
-            f"--k set at --n {cli.MAX_MEASURE_N}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("ks, rows", [
-        ([], 2 * cli.MAX_MEASURE_N + 10), ([1], 2 * cli.MAX_MEASURE_N + 3),
-        ([10**12], 4 * cli.MAX_MEASURE_N + 3)], ids=["default", "1", "far"])
-    def test_rows_at_the_cap(self, tmp_path, ks, rows):
-        # at --n MAX_MEASURE_N the default set holds exactly the rows the
-        # cap allows; a far lag adds one window of 2n + 1 rows
-        n = cli.MAX_MEASURE_N
-        assert cli._measure_rows(n, ks) == rows
-        argv = ["measure", "check", "--measure", "iid:0.3", "--n", str(n),
-                *(f"--k={k}" for k in ks), "--out-dir", str(tmp_path)]
+    def test_near_lags_pass_configuration(self, tmp_path):
+        # the block is -n - 8 .. n + 1 whatever --k says, and a lag beyond
+        # it reads its 2n + 1 rows apart, so lags of +-(2n + 1) are held
+        # to the one --n cap like the default set
+        argv = ["measure", "check", "--measure", "iid:0.3", "--n",
+                "10000000", "--k", "20000001", "--k", "-20000001",
+                "--out-dir", str(tmp_path)]
         args = cli._build_parser({}).parse_args(argv)
-        if rows <= 2 * n + 10:
-            assert cli._config_from_args(args, {})[0] == "measure"
-        else:
-            with pytest.raises(ValueError, match="marginal rows at once"):
-                cli._config_from_args(args, {})
+        command, params, *_ = cli._config_from_args(args, {})
+        assert (command, params["ks"]) == ("measure", [20000001, -20000001])
+
+    @pytest.mark.parametrize("ks", [
+        [], [1], [10**12], [2 * cli.MAX_MEASURE_N + 1,
+                            -2 * cli.MAX_MEASURE_N - 1]],
+        ids=["default", "1", "far", "near"])
+    def test_rows_at_the_cap(self, tmp_path, ks):
+        # at --n MAX_MEASURE_N every --k set holds the default set's block
+        # of 2n + 10 rows and at most one lag's 2n + 1, so every set passes
+        # configuration
+        argv = ["measure", "check", "--measure", "iid:0.3", "--n",
+                str(cli.MAX_MEASURE_N), *(f"--k={k}" for k in ks),
+                "--out-dir", str(tmp_path)]
+        args = cli._build_parser({}).parse_args(argv)
+        assert cli._config_from_args(args, {})[0] == "measure"
 
     @pytest.mark.parametrize("option, value", [
         ("--out", "afile/r.json"), ("--out-dir", "afile/sub"),
@@ -939,6 +982,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("shiftlab: config error: ") and "afile" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    @pytest.mark.parametrize("argv, role", [
+        (["measure", "check", "--out", "d"], "--out d"),
+        (["measure", "check"], "artifact o/measure_check.csv"),
+        (["measure", "check"], "report o/measure_report.json"),
+        (["match", "run", "--dump-window", "w.csv"], "--dump-window o/w.csv"),
+    ], ids=["out", "artifact", "report", "dump-window"])
+    def test_output_that_is_a_directory_is_config_error(
+            self, tmp_path, monkeypatch, capsys, argv, role):
+        # every file the run writes is checked before any work runs
+        monkeypatch.chdir(tmp_path)
+        path = Path(role.split()[1])
+        path.mkdir(parents=True)
+        made = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--measure", "iid:0.3", "--n", "100",
+                     "--out-dir", "o"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"shiftlab: config error: {role} is a directory\n")
+        assert sorted(tmp_path.rglob("*")) == made
 
     @pytest.mark.parametrize("argv, first, second", [
         (["match", "run", "--measure", "iid:0.5", "--n", "2000",

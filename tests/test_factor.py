@@ -217,6 +217,17 @@ class TestPsiSplit:
         _decode_tuples(u, beta0, out)
         assert out.tobytes() == want.tobytes()
 
+    def test_tuple_matrix_beyond_the_cap_is_refused(self, monkeypatch):
+        # K (d+1) bytes at MAX_TUPLE_BYTES pass; one tuple more is refused
+        # before the matrix is allocated, naming K, d+1 and the bytes
+        monkeypatch.setattr(factor, "MAX_TUPLE_BYTES", 800)
+        assert psi_split(fair_stream(100, 3), 7, 16,
+                         SeedStream(7)).tuples.shape == (100, 8)
+        with pytest.raises(ValueError, match=r"^K = 101 tuples of d\+1 = 8 "
+                           r"bits need 808 bytes, more than the 800 a run "
+                           r"may hold$"):
+            psi_split(fair_stream(101, 3), 7, 16, SeedStream(7))
+
     def test_decode_refuses_a_threshold_that_decodes_to_a_zero(
             self, monkeypatch):
         beta0 = beta_for(883)

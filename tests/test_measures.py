@@ -226,15 +226,20 @@ def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
 
 @pytest.mark.parametrize("name", sorted(TERM_MEASURES))
 @pytest.mark.parametrize("k", [-10 ** 12, -3, 0, 8, 10 ** 12])
-def test_kakutani_terms_from_a_lag_block(name, k):
-    """Terms whose lagged rows come from a block of their own equal the
-    one-block terms, and sum to the two-block oracle at any lag."""
+def test_kakutani_terms_from_a_lag_block(name, k, monkeypatch):
+    """Given the measure, a lag whose rows the block does not hold (every
+    k but 0 here) reads them from it, one lag block of LAG_CHUNK rows at a
+    time.  Its terms equal the one-block terms, sum to the two-block oracle
+    at any lag, and do not depend on the chunk length."""
     m, N = TERM_MEASURES[name], 999
-    terms = kakutani_terms(m.block(-N, 2 * N + 1), k, N,
-                           m.block(-N - k, 2 * N + 1))
+    terms = kakutani_terms(m.block(-N, 2 * N + 1), k, N, m)
     assert float(np.sum(terms)) == kakutani_two_blocks(m, k, N)
     if abs(k) < 10:
         assert np.array_equal(terms, terms_of(m, k, N))
+    for chunk in (1, 7, 2 * N, 2 * N + 1):
+        monkeypatch.setattr("shiftlab.measures.LAG_CHUNK", chunk)
+        assert np.array_equal(
+            kakutani_terms(m.block(-N, 2 * N + 1), k, N, m), terms)
 
 
 @pytest.mark.parametrize("name", sorted(TERM_MEASURES))
@@ -268,14 +273,16 @@ def test_diagnostics_read_rows_by_index(spec):
     """Each diagnostic gives the same result from the exact block it reads
     and from blocks 1 or 17 rows longer on either side, and refuses a block
     one row short.  doeblin_delta reads every row it is given, so it gets
-    its rows through block_rows, as `measure check` does."""
+    its rows through block_rows, as `measure check` does.  Given the
+    measure, kakutani_terms needs only the rows -N .. N: it reads the lag
+    from the measure, or from a block 17 rows longer on the left, which
+    holds it."""
     m, N, k, span = parse_measure(spec), 50, 3, (-20, 30)
     reads = [
         (lambda b: doeblin_delta(block_rows(b, -N, N)), -N, N),
         (lambda b: kakutani_terms(b, k, N), -N - k, N),
         (lambda b: kakutani_terms(b, -k, N), -N, N + k),
-        (lambda b: kakutani_terms(m.block(-N, 2 * N + 1), k, N, b),
-         -N - k, N - k),
+        (lambda b: kakutani_terms(b, k, N, m), -N, N),
         (lambda b: bias_square_terms(b, N), -N, N + 1),
         (lambda b: good_prob_lower(b, span), span[0], span[1] + 7),
     ]

@@ -52,10 +52,12 @@ def _reached(tmp_path) -> set:
     cfg.write_text(json.dumps({"measure": "iid:0.3", "n": 200, "ks": [1, 2]}))
     # (argv, expected exit code).  At smoke size the non-stationary sums
     # have not settled and the factor run censors more than 5%, so those
-    # runs exit 1.  The last six reach the error paths and far branches:
+    # runs exit 1.  The last nine reach the error paths and far branches:
     # a window too short to leave any bit to test, a marginal with
-    # negative mass, a lag read apart from the shared block, and a
-    # window, a measure check range and a sample count beyond their caps.
+    # negative mass, a lag read apart from the shared block; a window, a
+    # measure check range, a sample count and a kmax beyond their caps; a
+    # split-code tuple matrix too large to hold; and a report path that is
+    # an existing directory.
     runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
             for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
                                ("mu:0.3,0.5", 1))]
@@ -75,7 +77,12 @@ def _reached(tmp_path) -> set:
              (["measure", "check", "--measure", "iid:0.3", "--n",
                str(10**12)], 2),
              (["typeiii", "ratios", "--lambda", "0.25", "--lambda-prime",
-               "0.5", "--samples", str(10**12)], 2)]
+               "0.5", "--samples", str(10**12)], 2),
+             (["index", "scan", "--c", "0.5", "--kmax", str(10**9)], 2),
+             (["factor", "run", "--measure", "mu:0.3,0.6999", "--n",
+               "100000"], 2),
+             (["measure", "check", "--measure", "iid:0.3", "--n", "100",
+               "--out", str(tmp_path)], 2)]
     expected = [code for _, code in runs]
     runs = [[*argv, "--out-dir", str(tmp_path)] for argv, _ in runs]
     child = f"""
