@@ -32,8 +32,8 @@ CSV_CHUNK = 1 << 16
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
-# window of --n sites (match run holds about 49 bytes a site); index scan
-# holds about 415 bytes a k
+# window of --n sites (at --n 2e7 factor run holds about 28 bytes a site
+# and match run about 37); index scan holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000
@@ -221,22 +221,22 @@ def _cmd_match(params: dict, seed: int, assignment_csv: Path,
     if window_csv:
         write_csv(window_csv, ("index", "value"),
                   (np.arange(w.start, w.stop), w.values))
-    a_indices = assignment.a_indices
+    b, a_indices = assignment.b_indices, assignment.a_indices
     write_csv(assignment_csv, ("b_index", "a_index", "round"),
-              (assignment.b_indices, a_indices, assignment.rounds))
+              (b, a_indices, assignment.rounds))
 
     # a_indices is a fresh array, so it becomes the radii in place
-    a_indices -= assignment.b_indices
+    a_indices -= b
     hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
     radii = np.flatnonzero(hist)
     emit_plot_data({"radius_histogram": (radii, hist[radii])}, histogram_csv)
-    n_b = len(assignment.b_indices) + len(assignment.unmatched)
-    frac_censored = len(assignment.unmatched) / max(1, n_b)
+    matched = int(assignment.run_lengths.sum())
+    censored = len(assignment.unmatched)
+    frac_censored = censored / max(1, matched + censored)
     return [
         {"name": "q", "value": q, "pass": q > 0},
         {"name": "d", "value": d, "pass": True},
-        {"name": "matched_pairs", "value": int(len(assignment.b_indices)),
-         "pass": True},
+        {"name": "matched_pairs", "value": matched, "pass": True},
         {"name": "censored_b_fraction", "value": frac_censored,
          "tolerance": 0.25, "pass": frac_censored < 0.25},
     ]

@@ -194,15 +194,14 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
 
     ``matching.hand_out`` deals the tuples out: the special filler of rank
     k among the matching's a's keeps bit 0 of tuple k, and its partners
-    take the bits of their matching slots.  Then a's and b's whose tuple
-    is censored, and positions with no resolved source, are encoded as -1.
+    take the bits of their matching slots.  Only valid tuples are dealt,
+    so a's and b's whose tuple is censored, and positions with no
+    resolved source, keep the encoding -1.
     """
     out = np.full(len(w), -1, dtype=np.int8)
     # read as int8, out's dtype, so the bits are copied without a cast
-    hand_out(assignment, split.tuples.view(np.int8), out, w.start)
-    censored = ~split.valid
-    out[assignment.a_positions[censored] - w.start] = -1
-    out[assignment.b_indices[censored[assignment.ranks]] - w.start] = -1
+    hand_out(assignment, split.tuples.view(np.int8), out, w.start,
+             split.valid)
     return Window(w.start, out)
 
 

@@ -108,6 +108,17 @@ def matching_radius(z, d: int, m: int) -> int | None:
     return int(hits[0]) + 1 if len(hits) else None
 
 
+def ranks_of(assignment) -> np.ndarray:
+    """Each matched b's a as a rank among the a's, in ascending b order."""
+    return np.repeat(assignment.run_ranks, assignment.run_lengths)
+
+
+def slots_of(assignment) -> np.ndarray:
+    """Each matched b's tuple slot, in ascending b order."""
+    return (np.repeat(assignment.run_offsets, assignment.run_lengths)
+            + assignment.b_indices)
+
+
 def pairs(assignment) -> dict[int, int]:
     """The assignment as a map b -> a."""
     return dict(zip(assignment.b_indices.tolist(),

@@ -343,16 +343,28 @@ class TestMatchWindow:
         assert set(refs) == {"block", "seq"}
 
 
+# recorded from the lexsort slot lookup and the column-at-a-time decoder:
+# the output window of run_iid_factor over 0 .. 199999, bit for bit
+OUTPUT_DIGESTS = [
+    ("iid:0.3", 7,
+     "18bbc58939c472c4a5ce798eb2a9c4fc50ed3af2acdc5dd21ef5b86fc2216aea"),
+    ("mu:0.3,0.5", 3,
+     "c4db76e46bb85fc7defd54564fe340d89d3adf8a69e04f505d78c30b6bc4d91f"),
+]
+
+
 class TestRunIidFactor:
-    @pytest.mark.parametrize("measure, seed, digest", [
-        ("iid:0.3", 7,
-         "18bbc58939c472c4a5ce798eb2a9c4fc50ed3af2acdc5dd21ef5b86fc2216aea"),
-        ("mu:0.3,0.5", 3,
-         "c4db76e46bb85fc7defd54564fe340d89d3adf8a69e04f505d78c30b6bc4d91f"),
-    ])
+    @pytest.mark.parametrize("measure, seed, digest", OUTPUT_DIGESTS)
     def test_output_digest(self, measure, seed, digest):
-        # recorded from the lexsort slot lookup and the column-at-a-time
-        # decoder: the output window, bit for bit
+        out, _ = run_iid_factor(parse_measure(measure), (0, 199999),
+                                SeedStream(seed))
+        assert hashlib.sha256(out.values.tobytes()).hexdigest() == \
+            digest
+
+    @pytest.mark.parametrize("measure, seed, digest", OUTPUT_DIGESTS)
+    def test_deals_from_the_runs_alone(self, measure, seed, digest,
+                                       no_per_b_columns):
+        # the same windows with every per-b column of the matching refused
         out, _ = run_iid_factor(parse_measure(measure), (0, 199999),
                                 SeedStream(seed))
         assert hashlib.sha256(out.values.tobytes()).hexdigest() == \

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (flip_coupling, from_letters, match_oracle,
-                     matching_radius, multiplicity, pairs, slots_oracle)
+                     matching_radius, multiplicity, pairs, ranks_of,
+                     slots_of, slots_oracle)
+from shiftlab import matching
 from shiftlab import (MatchingAssignment, SeedStream, Window, dominates,
                       good_block_sequence, hand_out, iid_binary,
                       meshalkin_match, required_d, sample_window,
@@ -17,17 +19,34 @@ from shiftlab import (MatchingAssignment, SeedStream, Window, dominates,
 
 
 def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
-    """An assignment built from its (b, a) rows; ``a_positions`` defaults
-    to the a's that have a partner."""
+    """An assignment built from its (b, a) rows, one run per row;
+    ``a_positions`` defaults to the a's that have a partner."""
     b, a = np.asarray(b, dtype=np.int64), np.asarray(a, dtype=np.int64)
     if a_positions is None:
         a_positions = np.unique(a)
+    return from_runs(d, b, np.ones(len(b), dtype=np.int64),
+                     np.searchsorted(a_positions, a), a_positions, unmatched,
+                     tops=np.asarray(rounds, dtype=np.int64) + b,
+                     offsets=np.asarray(slots, dtype=np.int64) - b)
+
+
+def from_runs(d, starts, lengths, ranks, a_positions, unmatched=(),
+              tops=None, offsets=None):
+    """An assignment built from its runs; ``tops`` default to round 1 at
+    each run's last b, and ``offsets`` to slots 1, 2, ... along each run."""
+    starts, lengths = (np.asarray(x, dtype=np.int64)
+                       for x in (starts, lengths))
+    if tops is None:
+        tops = starts + lengths
+    if offsets is None:
+        offsets = 1 - starts
     return MatchingAssignment(
-        d=d, b_indices=b, ranks=np.searchsorted(a_positions, a),
-        a_positions=np.asarray(a_positions, dtype=np.int64),
-        rounds=np.asarray(rounds, dtype=np.int64),
-        slots=np.asarray(slots, dtype=np.int64),
-        unmatched=np.asarray(unmatched, dtype=np.int64))
+        d=d, a_positions=np.asarray(a_positions, dtype=np.int64),
+        unmatched=np.asarray(unmatched, dtype=np.int64),
+        run_starts=starts, run_lengths=lengths,
+        run_ranks=np.asarray(ranks, dtype=np.int64),
+        run_tops=np.asarray(tops, dtype=np.int64),
+        run_offsets=np.asarray(offsets, dtype=np.int64))
 
 
 def round_loop_match(z: Window, d: int) -> MatchingAssignment:
@@ -123,7 +142,7 @@ class TestMeshalkinMatch:
                     assert got.b_indices.tolist() == bs, (letters, d)
                     assert got.a_indices.tolist() == [partner[b] for b in bs]
                     assert got.rounds.tolist() == [rounds[b] for b in bs]
-                    assert got.slots.tolist() == [slots[b] for b in bs]
+                    assert slots_of(got).tolist() == [slots[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
 
     def test_random_against_round_loop(self):
@@ -137,11 +156,14 @@ class TestMeshalkinMatch:
             d = int(rng.integers(1, 40))
             z = Window(start, isa)
             got, want = meshalkin_match(z, d), round_loop_match(z, d)
-            for field in ("b_indices", "ranks", "a_positions", "rounds",
-                          "slots", "unmatched"):
+            for field in ("b_indices", "a_positions", "rounds", "unmatched"):
                 np.testing.assert_array_equal(
                     getattr(got, field), getattr(want, field),
                     err_msg=f"{field}, trial {trial}, d = {d}")
+            for read in (ranks_of, slots_of):
+                np.testing.assert_array_equal(
+                    read(got), read(want),
+                    err_msg=f"{read.__name__}, trial {trial}, d = {d}")
 
     @pytest.mark.parametrize("letters, d, unmatched", [
         ("bbbb", 2, [0, 1, 2, 3]),          # no a at all: every b is tail
@@ -202,7 +224,7 @@ class TestCheckCapacity:
     def test_rejects_rank_outside_a_positions(self, ranks):
         # one a, so a rank of -1 would wrap onto it and 1 would run past it
         assignment = replace(hand_built([0, 1], [2, 2]),
-                             ranks=np.array(ranks, dtype=np.int64))
+                             run_ranks=np.array(ranks, dtype=np.int64))
         with pytest.raises(AssertionError, match="rank outside"):
             assignment.check_capacity()
 
@@ -210,6 +232,36 @@ class TestCheckCapacity:
     def test_rejects_slot_outside_tuple(self, slots):
         with pytest.raises(AssertionError, match="tuple exhaustion"):
             hand_built([0, 1], [2, 2], [], slots).check_capacity()
+
+    def test_valid_runs(self):
+        # "bbbaba" at d = 2: the a at 3 takes 2 and 1, and the a at 5 takes
+        # 4 in round 1, then 0 in round 3, so it has two runs
+        want = from_runs(2, [0, 1, 4], [1, 2, 1], [1, 0, 1], [3, 5],
+                         tops=[3, 3, 5], offsets=[1, 0, -2])
+        want.check_capacity()
+        got = meshalkin_match(from_letters(0, "bbbaba"), 2)
+        for field in ("a_positions", "unmatched", "run_starts", "run_lengths",
+                      "run_ranks", "run_tops", "run_offsets"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field), err_msg=field)
+
+    @pytest.mark.parametrize("starts,lengths,ranks,offsets,message", [
+        # two runs that overlap at 1
+        ([0, 1], [2, 1], [0, 0], [1, 1], "matched twice"),
+        # a run that reaches its own a at 2
+        ([0], [3], [0], [1], "on its left"),
+        # one a's two runs, 2 + 2 b's at d = 3
+        ([0, 3], [2, 2], [1, 1], [1, -1], "capacity"),
+        # slots 2 .. 4 at d = 3
+        ([3], [3], [1], [-1], "tuple exhaustion"),
+        ([0, 1], [1, 0], [1, 1], [1, 1], "holds no b"),
+    ])
+    def test_rejects_runs(self, starts, lengths, ranks, offsets, message):
+        # a's at 2 and 6, capacity 3
+        assignment = from_runs(3, starts, lengths, ranks, [2, 6],
+                               offsets=offsets)
+        with pytest.raises(AssertionError, match=message):
+            assignment.check_capacity()
 
 
 class TestMatchingRadius:
@@ -307,17 +359,17 @@ class TestPartnerSlots:
             d = int(rng.integers(1, 5))
             assignment = meshalkin_match(Window(start, isa), d)
             b, a = assignment.b_indices.tolist(), assignment.a_indices.tolist()
-            assert assignment.slots.tolist() == slots_oracle(b, a)
+            assert slots_of(assignment).tolist() == slots_oracle(b, a)
             a_positions = assignment.a_positions
             assert a_positions.tolist() == (np.flatnonzero(isa)
                                             + start).tolist()
             partner = match_oracle("".join(np.where(isa, "a", "b")), d)[0]
-            assert (a_positions[assignment.ranks] - start).tolist() == \
+            assert (a_positions[ranks_of(assignment)] - start).tolist() == \
                 [partner[x] for x in sorted(partner)], trial
 
     def test_empty_assignment(self):
         assignment = meshalkin_match(from_letters(0, "abbb"), 2)
-        assert len(assignment.ranks) == 0
+        assert len(ranks_of(assignment)) == 0
         assert assignment.a_positions.tolist() == [0]
 
     def test_hand_out_deals_each_tuple(self):
@@ -341,6 +393,31 @@ class TestPartnerSlots:
             want[a - start] = (d + 1) * np.arange(len(a))
             for j, x, slot in zip(b, a_of_b, slots_oracle(b, a_of_b)):
                 want[j - start] = (d + 1) * rank[x] + slot
+            np.testing.assert_array_equal(out, want, err_msg=str(trial))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_hand_out_in_chunks_keeps_a_subset(self, chunk, monkeypatch):
+        # runs dealt a few b's at a time give what one read does, and a
+        # tuple left out by ``keep`` writes neither its a nor its partners
+        monkeypatch.setattr(matching, "HAND_OUT_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        for trial in range(100):
+            start = int(rng.integers(-50, 50))
+            isa = rng.random(int(rng.integers(1, 200))) < \
+                rng.uniform(0.05, 0.6)
+            d = int(rng.integers(1, 8))
+            assignment = meshalkin_match(Window(start, isa), d)
+            a = assignment.a_positions
+            tuples = rng.random((len(a), d + 2))
+            keep = rng.random(len(a)) < 0.7
+            out = np.full(len(isa), np.nan)
+            hand_out(assignment, tuples, out, start, keep)
+            b, ranks = assignment.b_indices, ranks_of(assignment)
+            dealt = keep[ranks]
+            want = np.full(len(isa), np.nan)
+            want[a[keep] - start] = tuples[keep, 0]
+            want[b[dealt] - start] = tuples[ranks[dealt],
+                                            slots_of(assignment)[dealt]]
             np.testing.assert_array_equal(out, want, err_msg=str(trial))
 
     def test_unknown_a_index(self):

@@ -386,6 +386,15 @@ class TestEraseNegativeSide:
         assert hashlib.sha256(out.values.tobytes()).hexdigest() == \
             "7398455924f16c1037c04f5ef066fca9e03cfd46e7466da7a5ca6534a39f526b"
 
+    def test_deals_from_the_runs_alone(self, request):
+        # the same output with every per-b column of the matching refused
+        w, zone = self.setup_window(3000)
+        want, want_info = erase_negative_side(w, zone)
+        request.getfixturevalue("no_per_b_columns")
+        got, info = erase_negative_side(w, zone)
+        assert info == want_info
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+
     def test_no_negative_coordinates_noop(self):
         w = Window(0, np.linspace(0.1, 0.9, 50))
         out, info = erase_negative_side(w, (-0.9, -0.1))
