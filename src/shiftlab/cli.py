@@ -32,8 +32,9 @@ CSV_CHUNK = 1 << 16
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
-# window of --n sites (at --n 2e7 factor run holds about 28 bytes a site
-# and match run about 37); index scan holds about 415 bytes a k
+# window of --n sites (at --n 2e7 factor run holds about 19 bytes a site
+# on iid:0.3 and 42 on mu:0.3,0.5, the marginal block's 16 more, whatever
+# the capacity d; match run about 37); index scan holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000

@@ -18,6 +18,12 @@ joint law; distinct tuples share window bits, and the hash is what keeps
 their empirical dependence below test resolution.  The code is
 deterministic given (bits, d, radius, seeds) and translation equivariant
 in the stream index.
+
+A tuple is almost all ones ((d+1) beta ~ 0.066 zeros at d = 882), and an
+a hands out only its slots 0 .. m, m its partner count.  So the split code
+holds a tuple as its zeros and decodes only the slots 0 .. M, M the
+largest slot the matching deals: slot j's bit depends only on slots < j,
+so these are the bits of the full tuple.  Memory then follows n, not d.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ LOG2 = math.log(2.0)
 BALANCE_TOL = 1e-10   # |(d+1) H(beta0) - log 2| a split code may leave
 DEFAULT_RADIUS = 64   # fair-bit half-window of the split code
 INTERIOR_FRACTION = 0.1   # output share cut from each end before testing
-MAX_TUPLE_BYTES = 3_200_000_000   # the ~3.2 GB the CLI's caps let a run hold
 
 
 def binary_entropy(b: float) -> float:
@@ -77,10 +82,16 @@ def beta_for(dplus1: int) -> float:
 
 @dataclass(frozen=True)
 class SplitTuples:
-    """Per-special-filler coded tuples; rows align with the fair bits."""
+    """Per-special-filler coded tuples, held as their zeros; ranks align
+    with the fair bits.  The tuple of rank k is all ones but at slot
+    ``slots[i]`` for every i with ``ranks[i] == k``.  Only the tuples
+    ``valid`` marks are coded (False near the stream edges), and of those
+    only the slots below ``width``."""
 
-    tuples: np.ndarray           # (K, d+1) uint8; rows only valid where mask
-    valid: np.ndarray            # bool mask (False near stream edges)
+    valid: np.ndarray            # bool mask over the ranks
+    ranks: np.ndarray            # int64, one entry per zero
+    slots: np.ndarray            # int64, one entry per zero
+    width: int                   # the slots decoded, 0 .. width - 1
 
 
 def bias_square_terms(block: Window, N: int) -> np.ndarray:
@@ -121,71 +132,75 @@ def _all_ones_threshold(beta0: float, dplus1: int) -> float:
     return -math.expm1(dplus1 * math.log1p(-beta0)) + dplus1 * 2.0 ** -48
 
 
-def _decode_tuples(u: np.ndarray, beta0: float, out: np.ndarray) -> None:
-    """Exact inverse CDF of Bernoulli(1-beta0)^(d+1) applied to uniforms,
-    written into the (len(u), d+1) array ``out``.
+def _decode_tuples(u: np.ndarray, beta0: float,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros of the first ``width`` bits of the exact inverse CDF of
+    Bernoulli(1-beta0)^(d+1) applied to the uniforms ``u``, as (row, slot)
+    pairs.
 
     A bit is 0 where its running uniform is below beta0, and a running
     uniform at or above beta0 steps to (uu - beta0) / (1 - beta0), which is
-    monotone in uu.  So if the uniform t = ``_all_ones_threshold`` decodes
-    to all ones, so does every u >= t: only the rows below t (6.3% at
-    d = 882) and t itself run the column loop, and the rest are ones.
-    In the loop, only the zeros are written, and only their uniforms are
-    rescaled by 1/beta0; every value sees the same float operations as
-    when whole columns were rescaled both ways and merged.
+    monotone in uu.  Slot j's running uniform depends only on slots < j,
+    so the first ``width`` bits are those of the whole tuple.  If the
+    uniform t = ``_all_ones_threshold(beta0, width)`` decodes to ones
+    there, so does every u >= t: only the rows below t (6.3% at
+    width = 883) and t itself run the column loop.  In the loop only the
+    zeros are recorded, and only their uniforms are rescaled by 1/beta0;
+    every value sees the same float operations as when whole columns were
+    rescaled both ways and merged.
     """
-    dplus1 = out.shape[1]
-    t = _all_ones_threshold(beta0, dplus1)
+    t = _all_ones_threshold(beta0, width)
     rows = np.flatnonzero(u < t)
     uu = np.append(u[rows], t)
     nxt = np.empty_like(uu)
     zero = np.empty(len(uu), dtype=bool)
-    bits = np.ones((len(uu), dplus1), dtype=np.uint8)
     rest = 1.0 - beta0
-    for j in range(dplus1):
+    found, counts = [], []
+    for j in range(width):
         np.less(uu, beta0, out=zero)
         np.subtract(uu, beta0, out=nxt)
         np.divide(nxt, rest, out=nxt)
         at = np.flatnonzero(zero)
         if len(at):
-            bits[at, j] = 0
+            found.append(at)
             nxt[at] = uu[at] / beta0
+        counts.append(len(at))
         uu, nxt = nxt, uu
-    if not bits[-1].all():
+    at = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+    if np.any(at == len(rows)):
         raise AssertionError(f"the all-ones threshold {t!r} decodes to a "
-                             f"zero at d + 1 = {dplus1}")
-    out.fill(1)
-    out[rows] = bits[:-1]
+                             f"zero in the first {width} bits")
+    return rows[at], np.repeat(np.arange(width, dtype=np.int64), counts)
 
 
-def psi_split(bits: np.ndarray, d: int, radius: int,
-              seeds: SeedStream) -> SplitTuples:
+def psi_split(bits: np.ndarray, d: int, radius: int, seeds: SeedStream,
+              assignment: MatchingAssignment | None = None) -> SplitTuples:
     """Expand each fair bit (a special filler's first symbol) into a tuple of
-    d+1 beta0-biased bits, beta0 = ``beta_for(d + 1)``.
+    d+1 beta0-biased bits, beta0 = ``beta_for(d + 1)``, held as its zeros.
 
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
-    commutes with translation of the stream.  A d whose d+1 bits no array
-    row can hold, and a (K, d+1) tuple matrix above ``MAX_TUPLE_BYTES``,
-    are refused before beta0 is sought.
+    commutes with translation of the stream.  Given the ``assignment``
+    that deals the tuples, only the slots 0 .. M are decoded, M the
+    largest slot it deals to a valid tuple; otherwise all d+1.  A d whose
+    slots do not fit an array index is refused before beta0 is sought.
     """
     if d + 1 > np.iinfo(np.intp).max:
         raise ValueError(f"capacity d = {d} is too large for one array row "
                          "of d+1 bits")
-    K = len(bits)
-    if K * (d + 1) > MAX_TUPLE_BYTES:
-        raise ValueError(f"K = {K} tuples of d+1 = {d + 1} bits need "
-                         f"{K * (d + 1)} bytes, more than the "
-                         f"{MAX_TUPLE_BYTES} a run may hold")
     beta0 = beta_for(d + 1)
-    tuples = np.zeros((K, d + 1), dtype=np.uint8)
+    K = len(bits)
     valid = np.zeros(K, dtype=bool)
-    if K >= 2 * radius + 1:
+    valid[radius:K - radius] = True      # empty unless K >= 2 radius + 1
+    width = d + 1 if assignment is None else \
+        assignment.largest_slot(valid) + 1
+    ranks = slots = np.empty(0, dtype=np.int64)
+    if valid.any():
         key = seeds._key("|split-code").tobytes()
         u = _window_uniforms(np.asarray(bits, dtype=np.uint8), radius, key)
-        _decode_tuples(u, beta0, tuples[radius:K - radius])
-        valid[radius:K - radius] = True
-    return SplitTuples(tuples, valid)
+        ranks, slots = _decode_tuples(u, beta0, width)
+        ranks += radius
+    return SplitTuples(valid, ranks, slots, width)
 
 
 def spread_bits(w: Window, assignment: MatchingAssignment,
@@ -194,13 +209,17 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
 
     ``matching.hand_out`` deals the tuples out: the special filler of rank
     k among the matching's a's keeps bit 0 of tuple k, and its partners
-    take the bits of their matching slots.  Only valid tuples are dealt,
-    so a's and b's whose tuple is censored, and positions with no
-    resolved source, keep the encoding -1.
+    take the bits of their matching slots.  It writes 1 at every a and b
+    of a valid tuple, then 0 at each of the split code's zeros that is
+    dealt.  Only valid tuples are dealt, so a's and b's whose tuple is
+    censored, and positions with no resolved source, keep the encoding -1.
+    A split that decoded fewer slots than the matching deals is refused.
     """
+    if assignment.largest_slot(split.valid) >= split.width:
+        raise AssertionError(f"the matching deals a slot beyond the "
+                             f"{split.width} the split code decoded")
     out = np.full(len(w), -1, dtype=np.int8)
-    # read as int8, out's dtype, so the bits are copied without a cast
-    hand_out(assignment, split.tuples.view(np.int8), out, w.start,
+    hand_out(assignment, 1, (split.ranks, split.slots, 0), out, w.start,
              split.valid)
     return Window(w.start, out)
 
@@ -228,7 +247,8 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     three-part uniformity suite on the interior output."""
     w, q, d, assignment = match_window(m, span, seeds, "factor-input")
     a_pos = assignment.a_positions   # the special fillers' starts
-    split = psi_split(w.values[a_pos - w.start], d, radius, seeds)
+    split = psi_split(w.values[a_pos - w.start], d, radius, seeds,
+                      assignment)
     out = spread_bits(w, assignment, split)
     beta0 = beta_for(d + 1)
 

@@ -15,11 +15,16 @@ as runs of consecutive b's, and the assignment is those runs: one row
 per run, with its first b, its length, the rank of its a among the
 sequence's a's (the row of that a's tuple), and the round top and slot
 offset from which each of its b's reads the round of the inductive
-scheme in which it is matched and its slot.  An a's partners take slots
-1, 2, ... of its coded tuple in ascending b order, and ``hand_out``
-deals the tuples out run by run.  The per-b columns are expanded from
-the runs on request.  The test suite checks the scan against a literal
-simulation of the rounds and the slots against a per-a counter.
+scheme in which it is matched and its slot.  The stack's height after
+each a follows Lindley's queue recursion, computed for all a's at once;
+an a that finds the stack empty and leaves it empty is idle and takes
+exactly its own gap, so the scan's loop visits only the busy periods.
+An a's partners take slots 1, 2, ... of its coded tuple in ascending b
+order, and ``hand_out`` deals the tuples out from (rank, slot, value)
+triples over a fill.  The per-b columns are expanded from the runs on
+request.  The test suite checks the scan against the full scan over
+every a, a literal simulation of the rounds, and the slots against a
+per-a counter.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -34,10 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Window
-
-# the b's whose index arrays ``hand_out`` builds at a time
-HAND_OUT_CHUNK = 1 << 16
-
 
 def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges firsts[i], ..., firsts[i] + lengths[i] - 1, one after
@@ -87,6 +88,13 @@ class MatchingAssignment:
         rounds = _ranges(self.run_starts - self.run_tops, self.run_lengths)
         return np.negative(rounds, out=rounds)
 
+    def largest_slot(self, keep: np.ndarray) -> int:
+        """The largest slot a run deals to a rank the bool mask ``keep``
+        marks; 0 if none does."""
+        last = self.run_starts + self.run_offsets + self.run_lengths - 1
+        last = last[keep[self.run_ranks]]
+        return int(last.max()) if len(last) else 0
+
     def check_capacity(self) -> None:
         starts, lens, ranks = self.run_starts, self.run_lengths, self.run_ranks
         if not len(lens):
@@ -122,7 +130,7 @@ def required_d(q: float) -> int:
 
 
 def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
-    """Match as brackets in one left-to-right scan.
+    """Match as brackets in one left-to-right scan over the busy periods.
 
     The stack holds runs ``[lo, hi, carry]`` of unmatched b's, nearest on
     top; ``carry`` is the largest round matched between the run and what
@@ -135,25 +143,48 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     The b's an a takes nearest first are its partners in descending b
     order, so once the scan knows an a's total m, a b at j in a slice
     [lo, hi) taken after ``taken`` others gets slot m - taken - (hi-1-j).
-    A b's rank is the loop counter over the a's, which is the row of its
-    a's tuple.  Each slice is one run of the assignment.  The unmatched
-    b's are read off the scan too: the runs left on the stack, then the
+    A b's rank is its a's rank among the a's, which is the row of that
+    a's tuple.  Each slice is one run of the assignment.
+
+    The stack's height after the a of rank r is Lindley's queue recursion
+    S_r = max(0, S_{r-1} + g_r - d), g_r the b's between the a's of ranks
+    r - 1 and r, so all heights come at once from W = cumsum(g - d) as
+    W - min(0, cummin W).  An a with S_{r-1} = S_r = 0 is idle: it finds
+    an empty stack and takes its whole gap, in rounds 1 .. g_r and slots
+    1 .. g_r, as one run.  The stack loop runs only over the other a's,
+    the busy periods, each of which starts and ends on an empty stack.
+    The unmatched b's are read off the scan too: the runs left on the
+    stack (a last busy period still open at the window's end), then the
     tail after the last a.  The assignment passes ``check_capacity``
     before it is returned.
     """
     if d < 1:
         raise ValueError("capacity d must be positive")
     isa = z.values
-    stack: list[list[int]] = []
     a_pos = np.flatnonzero(isa)
-    # one row per slice [lo, hi) the a of rank r takes from a run, after
-    # ``taken`` b's: its b at j is matched to that a in round ``top - j``
+    prevs = np.concatenate(([-1], a_pos))[:-1]
+    gaps = a_pos - prevs - 1
+    # a capacity beyond the b count acts as that count, since no stack
+    # holds more, so |W| stays below n^2 and d may exceed int64
+    cap = min(d, len(isa) - len(a_pos))
+    walk = np.cumsum(gaps - cap)
+    height = walk - np.minimum(np.minimum.accumulate(walk), 0)
+    idle = height == 0
+    idle[1:] &= height[:-1] == 0
+    # an idle a's run is its gap [prev + 1, a): top a, slots from 1
+    ranks0 = np.flatnonzero(idle & (gaps > 0))
+    los0, his0 = prevs[ranks0] + 1, a_pos[ranks0]
+
+    stack: list[list[int]] = []
+    # one row per slice [lo, hi) a busy a of rank r takes from a run,
+    # after ``taken`` b's: its b at j is matched to that a in round
+    # ``top - j``
     los, his, tops, ranks, taken = [], [], [], [], []
-    prev = -1
-    for r, a in enumerate(a_pos.tolist()):
+    busy = np.flatnonzero(~idle)
+    for r, a, prev in zip(busy.tolist(), a_pos[busy].tolist(),
+                          prevs[busy].tolist()):
         if a > prev + 1:
             stack.append([prev + 1, a, 0])
-        prev = a
         need, base = d, 0
         while need and stack:
             run = stack[-1]
@@ -176,17 +207,21 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
 
     # the unmatched b's: the runs left on the stack, then the tail after
     # the last a, in ascending order
-    ends = np.array([run[:2] for run in stack] + [[prev + 1, len(isa)]],
+    last_a = int(a_pos[-1]) if len(a_pos) else -1
+    ends = np.array([run[:2] for run in stack] + [[last_a + 1, len(isa)]],
                     dtype=np.int64)
     unmatched = _ranges(ends[:, 0], ends[:, 1] - ends[:, 0])
 
     los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
                                     for x in (los, his, tops, ranks, taken))
     lens = his - los
-    # an a's slices are consecutive and its last one ends at its total m,
-    # so the b at j of a slice takes slot j + offset
+    # a busy a's slices are consecutive and its last one ends at its
+    # total m, so the b at j of a slice takes slot j + offset
     last = np.searchsorted(ranks, ranks, side="right") - 1
     offsets = (taken + lens)[last] - taken - his + 1
+    los, lens, tops, ranks, offsets = (np.concatenate(pair) for pair in (
+        (los0, los), (his0 - los0, lens), (his0, tops), (ranks0, ranks),
+        (1 - los0, offsets)))
     # the slices are disjoint, so ordering them by lo orders the b's
     order = np.argsort(los)
     assignment = MatchingAssignment(
@@ -203,42 +238,72 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     return assignment
 
 
-def hand_out(assignment: MatchingAssignment, tuples: np.ndarray,
-             out: np.ndarray, start: int, keep: np.ndarray | None = None
-             ) -> None:
+def hand_out(assignment: MatchingAssignment, fill, triples, out: np.ndarray,
+             start: int, keep: np.ndarray | None = None) -> None:
     """Deal each a's tuple out over ``out``, whose first entry is at the
-    absolute index ``start``: the a of rank k keeps ``tuples[k, 0]``, and
-    the b at j of a run of that a takes ``tuples[k, j + offset]``, the
-    flat entry k * width + offset + j.  So a run copies a range of the
-    flat tuples into a range of ``out``, with index arrays built for the
-    runs that start in one block of ``HAND_OUT_CHUNK`` b's at a time.
-    ``keep``, a bool mask over the ranks, deals only the tuples it marks.
-    It refuses tuples too narrow for the capacity and a tuple count other
-    than the a count."""
-    width = tuples.shape[1]
-    if assignment.d > width - 1:
-        raise AssertionError("matching capacity exceeds tuple width - 1")
+    absolute index ``start``.  Every tuple is ``fill`` but at the
+    ``triples``, three equal-length arrays ``(ranks, slots, values)``
+    (``values`` may be a scalar): slot s of the tuple of the a of rank k
+    holds the value of a triple (k, s).  The a keeps slot 0 and the b at
+    j of one of its runs takes slot j + offset.
+
+    ``fill`` goes first, at every dealt a and b, through one bool mask
+    that ``np.repeat`` builds from the alternating gaps and dealt
+    segments.  Then each triple's value goes where its slot is dealt:
+    slot 0 to its a, and a slot s >= 1 of rank k, if that a has an s-th
+    partner, to that partner.  An a's runs, in start order, deal its
+    slots 1, 2, ... in order, so with the runs sorted by (rank, start)
+    the slots of all a's line up one after another: slot s of rank k is
+    entry ``first[k] + s - 1`` of that line, ``first[k]`` the b's the a's
+    of lower rank take, and the run that holds it is found by
+    ``searchsorted``.  These keys stay below the matched b count, whatever
+    d is.  ``keep``, a bool mask over the ranks, deals only the tuples it
+    marks.  A triple whose rank names no a or whose slot lies outside
+    0 .. d is refused before anything is written."""
     a_pos = assignment.a_positions
-    if len(tuples) != len(a_pos):
-        raise AssertionError(f"{len(tuples)} tuples for {len(a_pos)} a's")
+    ranks, slots = (np.asarray(x, dtype=np.int64) for x in triples[:2])
+    values = np.broadcast_to(triples[2], ranks.shape)
+    if len(ranks) and (ranks.min() < 0 or ranks.max() >= len(a_pos)):
+        raise AssertionError(f"a triple's rank names none of the "
+                             f"{len(a_pos)} a's")
+    if len(slots) and (slots.min() < 0 or slots.max() > assignment.d):
+        raise AssertionError(f"a triple's slot lies outside 0 .. "
+                             f"{assignment.d}")
     firsts, lens = assignment.run_starts, assignment.run_lengths
-    entries = assignment.run_ranks * width
-    entries += assignment.run_offsets
-    entries += firsts
-    heads = tuples[:, 0]
+    run_ranks, heads = assignment.run_ranks, a_pos
     if keep is not None:
-        kept = keep[assignment.run_ranks]
-        a_pos, heads = a_pos[keep], heads[keep]
-        firsts, lens, entries = firsts[kept], lens[kept], entries[kept]
-    out[a_pos - start] = heads
-    flat = tuples.reshape(-1)
-    # runs i .. k-1 start in one block of HAND_OUT_CHUNK b's
-    bounds = np.append(np.searchsorted(
-        np.cumsum(lens) - lens, np.arange(0, lens.sum(), HAND_OUT_CHUNK)),
-        len(lens))
-    for i, k in zip(bounds[:-1], bounds[1:]):
-        out[_ranges(firsts[i:k] - start, lens[i:k])] = \
-            flat.take(_ranges(entries[i:k], lens[i:k]))
+        kept = keep[run_ranks]
+        firsts, lens, run_ranks = firsts[kept], lens[kept], run_ranks[kept]
+        heads = a_pos[keep]
+        dealt = keep[ranks]
+        ranks, slots, values = ranks[dealt], slots[dealt], values[dealt]
+
+    # the dealt segments, a's and runs, in position order; their edges
+    # cut out into alternating gaps and segments
+    seg_starts = np.concatenate((heads, firsts)) - start
+    order = np.argsort(seg_starts)
+    seg_ends = seg_starts + np.concatenate((np.ones(len(heads), np.int64),
+                                            lens))
+    edges = np.column_stack((seg_starts[order], seg_ends[order])).ravel()
+    counts = np.diff(edges, prepend=0, append=len(out))
+    np.copyto(out, fill, where=np.repeat(np.arange(len(counts)) % 2 == 1,
+                                         counts))
+
+    at = slots == 0
+    out[a_pos[ranks[at]] - start] = values[at]
+    # runs by rank, then start: runs are in start order and the sort is
+    # stable.  line[i] is the key of the first slot of run i
+    by_rank = np.argsort(run_ranks, kind="stable")
+    run_ranks, firsts = run_ranks[by_rank], firsts[by_rank]
+    line = np.concatenate(([0], np.cumsum(lens[by_rank])))
+    ranks, slots, values = ranks[~at], slots[~at], values[~at]
+    lo = line[np.searchsorted(run_ranks, ranks, side="left")]
+    hi = line[np.searchsorted(run_ranks, ranks, side="right")]
+    keys = lo + slots - 1
+    has = keys < hi
+    keys = keys[has]
+    run = np.searchsorted(line, keys, side="right") - 1
+    out[firsts[run] + keys - line[run] - start] = values[has]
 
 
 def dominates(z: Window, z2: Window) -> bool:

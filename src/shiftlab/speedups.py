@@ -202,12 +202,18 @@ def index_report(c: float, kmax: int):
     S, slope = dissipativity_partial(c, DIAG_K)
     ks = np.arange(1, kmax + 1)
     certified = c * c * ks > 1.0
+    # a term exp(-k S(j, c) / 2) does not grow with k, so once every term
+    # underflows the sums that follow are 0.0 as well
+    partial = np.zeros(kmax)
+    for i, k in enumerate(ks):
+        partial[i] = np.sum(np.exp(-k * S / 2.0))
+        if partial[i] == 0.0:
+            break
     columns = {
         "k": ks,
         "exponent": -c * c * ks,
         "S": ks * S[-1],
-        "partial_dissip": np.array([np.sum(np.exp(-k * S / 2.0))
-                                    for k in ks]),
+        "partial_dissip": partial,
         "tail_slope": ks * slope,
         "certified": certified,
     }

@@ -93,13 +93,17 @@ def serial_correlations(x, lags: int = LAGS) -> np.ndarray:
 
 
 def block_chi_square(bits, block_len: int, p_one: float):
-    """Chi-square of non-overlapping blocks against the i.i.d. block law."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Chi-square of non-overlapping blocks against the i.i.d. block law.
+    Each block's pattern is read from the bits with one strided slice per
+    position, shifted and or-ed, in a uint8 up to 8 bits a block."""
+    bits = np.asarray(bits, dtype=np.uint8)
     nb = len(bits) // block_len
     if nb == 0:
         return 0.0, 1.0, 0
-    blocks = bits[:nb * block_len].reshape(nb, block_len)
-    pat = blocks @ (1 << np.arange(block_len - 1, -1, -1))
+    pat = np.zeros(nb, dtype=np.uint8 if block_len <= 8 else np.int64)
+    for j in range(block_len):
+        pat <<= 1
+        pat |= bits[j:nb * block_len:block_len]
     counts = np.bincount(pat, minlength=2 ** block_len)
     probs = block_law(np.full(block_len, 1.0 - p_one),
                       np.full(block_len, p_one))

@@ -234,8 +234,13 @@ def erase_negative_side(w: Window,
     shares = _digit_shares(t, d + 1, bits_per)
     coded = -1.0 + (shares + 0.5) / float(1 << bits_per)
 
+    # every share is a (rank, slot, value) triple
+    K = len(coded)
+    triples = (np.repeat(np.arange(K), d + 1), np.tile(np.arange(d + 1), K),
+               coded.reshape(-1))
     replaced = np.full(len(neg_pos), np.nan)
-    hand_out(meshalkin_match(Window(0, is_safe), d), coded, replaced, 0)
+    hand_out(meshalkin_match(Window(0, is_safe), d), np.nan, triples,
+             replaced, 0)
 
     out[neg_pos] = replaced
     info = {"nu_indices": int(len(neg_pos)), "safe_hits": int(is_safe.sum()),

@@ -11,6 +11,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
+from shiftlab.matching import MatchingAssignment, _ranges
 from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
                                _log_mass, nu_c_zero_mass)
 from shiftlab.sampling import (_BLOCK, _COUNTER_OFFSET, Window,
@@ -93,6 +94,53 @@ def match_oracle(letters: str, d: int):
         active = [i for i in active if i not in gone]
 
 
+def full_scan_match(z, d: int):
+    """``matching.meshalkin_match`` without the idle a's cut: the stack
+    loop over every a of the sequence."""
+    isa = z.values
+    stack: list[list[int]] = []
+    a_pos = np.flatnonzero(isa)
+    los, his, tops, ranks, taken = [], [], [], [], []
+    prev = -1
+    for r, a in enumerate(a_pos.tolist()):
+        if a > prev + 1:
+            stack.append([prev + 1, a, 0])
+        prev = a
+        need, base = d, 0
+        while need and stack:
+            run = stack[-1]
+            lo, hi, carry = run
+            base = max(base, carry)
+            k = min(need, hi - lo)
+            los.append(hi - k)
+            his.append(hi)
+            tops.append(base + hi)
+            ranks.append(r)
+            taken.append(d - need)
+            base += k
+            need -= k
+            if k < hi - lo:
+                run[1] = hi - k
+            else:
+                stack.pop()
+        if stack:
+            stack[-1][2] = max(stack[-1][2], base)
+    ends = np.array([run[:2] for run in stack] + [[prev + 1, len(isa)]],
+                    dtype=np.int64)
+    unmatched = _ranges(ends[:, 0], ends[:, 1] - ends[:, 0])
+    los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
+                                    for x in (los, his, tops, ranks, taken))
+    lens = his - los
+    last = np.searchsorted(ranks, ranks, side="right") - 1
+    offsets = (taken + lens)[last] - taken - his + 1
+    order = np.argsort(los)
+    return MatchingAssignment(
+        d=d, a_positions=a_pos + z.start, unmatched=unmatched + z.start,
+        run_starts=los[order] + z.start, run_lengths=lens[order],
+        run_ranks=ranks[order], run_tops=tops[order] + z.start,
+        run_offsets=offsets[order] - z.start)
+
+
 def matching_radius(z, d: int, m: int) -> int | None:
     """Least k >= 1 with W_m + ... + W_{m+k} >= 0 for the -1/+d walk,
     or None (censored) if the window ends first."""
@@ -145,6 +193,15 @@ def window_uniforms_oracle(bits, radius: int, key: bytes) -> np.ndarray:
         out[i] = (int.from_bytes(h, "little") >> 11) * 2.0 ** -53
     return out
 
+
+def tuple_matrix(split, d: int) -> np.ndarray:
+    """The (K, d+1) uint8 tuple matrix a ``SplitTuples`` stands for: ones
+    in the valid rows but at the recorded zeros, and zeros in the
+    censored rows."""
+    out = np.zeros((len(split.valid), d + 1), dtype=np.uint8)
+    out[split.valid] = 1
+    out[split.ranks, split.slots] = 0
+    return out
 
 
 def decode_tuples_oracle(u: np.ndarray, beta0: float,

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -139,29 +140,45 @@ def fair_stream(n: int, seed: int) -> np.ndarray:
     return (SeedStream(seed).uniforms("stream", 0, n)[:, 0] < 0.5).astype(np.uint8)
 
 
+def zeros_of(tuples: np.ndarray, width: int) -> list:
+    """The (row, slot) pairs of the zeros in a tuple matrix's first
+    ``width`` columns, sorted."""
+    return sorted(zip(*(x.tolist() for x in np.nonzero(
+        tuples[:, :width] == 0))))
+
+
+def decoded(u: np.ndarray, beta0: float, width: int) -> list:
+    rows, slots = _decode_tuples(u, beta0, width)
+    assert rows.dtype == slots.dtype == np.int64
+    return sorted(zip(rows.tolist(), slots.tolist()))
+
+
 class TestPsiSplit:
     def test_determinism(self):
         z = fair_stream(500, 3)
         t1 = psi_split(z, 7, 16, SeedStream(7))
         t2 = psi_split(z, 7, 16, SeedStream(7))
-        assert np.array_equal(t1.tuples, t2.tuples)
-        assert np.array_equal(t1.valid, t2.valid)
+        for field in ("valid", "ranks", "slots"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field))
+        assert t1.width == t2.width == 8
 
     def test_seed_changes_output(self):
         z = fair_stream(500, 3)
-        assert not np.array_equal(psi_split(z, 7, 16, SeedStream(1)).tuples,
-                                  psi_split(z, 7, 16, SeedStream(2)).tuples)
+        assert not np.array_equal(
+            oracles.tuple_matrix(psi_split(z, 7, 16, SeedStream(1)), 7),
+            oracles.tuple_matrix(psi_split(z, 7, 16, SeedStream(2)), 7))
 
     def test_edges_censored(self):
         z = fair_stream(100, 3)
         out = psi_split(z, 7, 16, SeedStream(7))
         assert not out.valid[:16].any() and not out.valid[-16:].any()
         assert out.valid[16:-16].all()
+        assert out.valid[out.ranks].all()
 
     def test_output_law_frequency(self):
         n = 10 ** 5 + 32
         out = psi_split(fair_stream(n, 11), 7, 16, SeedStream(7))
-        bits = out.tuples[out.valid]
+        bits = oracles.tuple_matrix(out, 7)[out.valid]
         beta0 = beta_for(8)
         target = 1.0 - beta0
         se = math.sqrt(beta0 * target / bits.size)
@@ -170,7 +187,7 @@ class TestPsiSplit:
     def test_within_tuple_independence(self):
         n = 10 ** 5 + 32
         out = psi_split(fair_stream(n, 23), 7, 16, SeedStream(7))
-        T = out.tuples[out.valid].astype(float)
+        T = oracles.tuple_matrix(out, 7)[out.valid].astype(float)
         worst = 0.0
         for i, j in itertools.combinations(range(T.shape[1]), 2):
             r = np.corrcoef(T[:, i], T[:, j])[0, 1]
@@ -182,18 +199,21 @@ class TestPsiSplit:
         (882, 64, "46a6a63728854bb6c991d32f49ddd4b518352dde5a202a5205610a7dd24fd8ee"),
     ])
     def test_tuples_digest(self, d, radius, digest):
-        # recorded from the column-at-a-time decoder; d = 882 is the
-        # capacity of iid:0.3, where ~0.07 bits per tuple are zero
+        # recorded from the column-at-a-time decoder, as the (K, d+1)
+        # matrix with zero rows where censored; d = 882 is the capacity
+        # of iid:0.3, where ~0.07 bits per tuple are zero
         out = psi_split(fair_stream(2000, 3), d, radius, SeedStream(7))
-        assert hashlib.sha256(out.tuples.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(oracles.tuple_matrix(out, d).tobytes()
+                              ).hexdigest() == digest
 
     @pytest.mark.parametrize("d", [1, 3, 7, 882])
     def test_decode_equals_column_reference(self, d):
+        # the zeros of every width's first columns are the reference's
         u = SeedStream(19).uniforms("u", 0, 20000)[:, 0]
         beta0 = beta_for(d + 1)
-        out = np.zeros((len(u), d + 1), dtype=np.uint8)
-        _decode_tuples(u, beta0, out)
-        np.testing.assert_array_equal(out, column_decode(u, d + 1, beta0))
+        want = column_decode(u, d + 1, beta0)
+        for width in sorted({1, (d + 2) // 2, d + 1}):
+            assert decoded(u, beta0, width) == zeros_of(want, width)
 
     @pytest.mark.parametrize("d", [1, 7, 882, 1631, 5906])
     def test_decode_at_the_all_ones_threshold(self, d):
@@ -213,20 +233,45 @@ class TestPsiSplit:
         largest = u[has_zero].max()
         # the boundary lies inside the consecutive run, below t
         assert u[0] < largest < min(u[79_999], t)
-        out = np.zeros_like(want)
-        _decode_tuples(u, beta0, out)
-        assert out.tobytes() == want.tobytes()
+        assert decoded(u, beta0, d + 1) == zeros_of(want, d + 1)
 
-    def test_tuple_matrix_beyond_the_cap_is_refused(self, monkeypatch):
-        # K (d+1) bytes at MAX_TUPLE_BYTES pass; one tuple more is refused
-        # before the matrix is allocated, naming K, d+1 and the bytes
-        monkeypatch.setattr(factor, "MAX_TUPLE_BYTES", 800)
-        assert psi_split(fair_stream(100, 3), 7, 16,
-                         SeedStream(7)).tuples.shape == (100, 8)
-        with pytest.raises(ValueError, match=r"^K = 101 tuples of d\+1 = 8 "
-                           r"bits need 808 bytes, more than the 800 a run "
-                           r"may hold$"):
-            psi_split(fair_stream(101, 3), 7, 16, SeedStream(7))
+    @pytest.mark.parametrize("width", [1, 2, 442, 883])
+    def test_decode_a_prefix_against_the_oracle(self, width):
+        # the zeros of the first M + 1 = width slots at d = 882, with the
+        # rows cut at that width's own all-ones threshold
+        beta0 = beta_for(883)
+        u = SeedStream(23).uniforms("u", 0, 30000)[:, 0]
+        want = np.empty((len(u), 883), dtype=np.uint8)
+        oracles.decode_tuples_oracle(u, beta0, want)
+        assert decoded(u, beta0, width) == zeros_of(want, width)
+
+    @pytest.mark.parametrize("d", [5906, 26_795_114])
+    def test_wide_tuples_decode_only_the_dealt_slots(self, d):
+        # the capacities of mu:0.3,0.5 and of mu:0.3,0.6999 (at 1e5): the
+        # K (d+1) bits, ~4.6 MB and ~21 GB here, are never held, only the
+        # zeros of the slots the matching deals to a valid tuple, which
+        # the full decode agrees on
+        w = Window(0, fair_stream(10 ** 5, 5))
+        z = special_sequence(w)
+        assignment = meshalkin_match(z, d)
+        bits = w.values[z.values]
+        tracemalloc.start()
+        try:
+            split = psi_split(bits, d, 16, SeedStream(7), assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        width = assignment.largest_slot(split.valid) + 1
+        assert split.width == width < 3000
+        u = _window_uniforms(bits, 16, SeedStream(7)._key(
+            "|split-code").tobytes())
+        want = np.empty((len(u), 2 * width), dtype=np.uint8)
+        oracles.decode_tuples_oracle(u, beta_for(d + 1), want)
+        got = sorted(zip((split.ranks - 16).tolist(), split.slots.tolist()))
+        assert got == zeros_of(want, width)
+        if d == 5906:
+            assert len(got) >= 3      # zeros to compare
 
     def test_decode_refuses_a_threshold_that_decodes_to_a_zero(
             self, monkeypatch):
@@ -235,7 +280,7 @@ class TestPsiSplit:
                             lambda beta0, dplus1: 0.06)
         u = SeedStream(19).uniforms("u", 0, 100)[:, 0]
         with pytest.raises(AssertionError, match="all-ones threshold"):
-            _decode_tuples(u, beta0, np.empty((100, 883), dtype=np.uint8))
+            _decode_tuples(u, beta0, 883)
 
     @pytest.mark.parametrize("radius, K", [
         (0, 1), (3, 7), (3, 8), (16, 33), (16, 500), (64, 129), (64, 3001)])
@@ -252,7 +297,7 @@ class TestPsiSplit:
     def test_cross_tuple_decorrelation(self):
         n = 10 ** 5 + 32
         out = psi_split(fair_stream(n, 17), 7, 16, SeedStream(7))
-        T = out.tuples[out.valid].astype(float)
+        T = oracles.tuple_matrix(out, 7)[out.valid].astype(float)
         for col in range(T.shape[1]):
             assert abs(serial_correlations(T[:, col], 1)[0]) < 0.01
 
@@ -288,6 +333,19 @@ class TestSpreadBits:
         q = good_prob_lower(iid_binary(0.5).block(0, 20008), (0, 20000))
         out = run_stages(w, q=q)
         assert set(np.unique(out.values)) <= {-1, 0, 1}
+
+
+    def test_split_narrower_than_the_dealt_slots_is_refused(self):
+        # a split decoded for a capacity-8 matching holds slots 0 .. 8 at
+        # most, and the capacity-64 matching deals further slots
+        w = sample_window(iid_binary(0.5), (0, 20000), SeedStream(4))
+        z = special_sequence(w)
+        bits = w.values[z.values]
+        split = psi_split(bits, 64, 16, SeedStream(7), meshalkin_match(z, 8))
+        assert split.width <= 9
+        with pytest.raises(AssertionError, match="deals a slot beyond the "
+                           f"{split.width} the split code decoded"):
+            spread_bits(w, meshalkin_match(z, 64), split)
 
 
 class TestUniformitySuiteSmallInputs:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (flip_coupling, from_letters, match_oracle,
-                     matching_radius, multiplicity, pairs, ranks_of,
-                     slots_of, slots_oracle)
-from shiftlab import matching
+from oracles import (flip_coupling, from_letters, full_scan_match,
+                     match_oracle, matching_radius, multiplicity, pairs,
+                     ranks_of, slots_of, slots_oracle)
 from shiftlab import (MatchingAssignment, SeedStream, Window, dominates,
-                      good_block_sequence, hand_out, iid_binary,
+                      good_block_sequence, good_prob_lower, hand_out,
+                      iid_binary,
                       meshalkin_match, required_d, sample_window,
                       special_sequence)
 
@@ -194,6 +194,95 @@ class TestMeshalkinMatch:
         moved = meshalkin_match(from_letters(shift, letters), d)
         assert pairs(moved) == {b + shift: a + shift
                                 for b, a in pairs(base).items()}
+
+
+def every_slot(tuples: np.ndarray) -> tuple:
+    """The (rank, slot, value) triples of every entry of a tuple matrix."""
+    K, width = tuples.shape
+    return (np.repeat(np.arange(K), width), np.tile(np.arange(width), K),
+            tuples.reshape(-1))
+
+
+RUN_FIELDS = ("a_positions", "unmatched", "run_starts", "run_lengths",
+              "run_ranks", "run_tops", "run_offsets")
+
+
+def assert_same_runs(got, want, msg=""):
+    for field in RUN_FIELDS:
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype, (field, msg)
+        np.testing.assert_array_equal(g, w, err_msg=f"{field} {msg}")
+
+
+def stack_heights(z: Window, d: int) -> list[int]:
+    """The unmatched b's waiting after each a, by Lindley's recursion."""
+    heights, h, gap = [], 0, 0
+    for isa in z.values.tolist():
+        if isa:
+            h = max(0, h + gap - d)
+            heights.append(h)
+            gap = 0
+        else:
+            gap += 1
+    return heights
+
+
+class TestBusyPeriodScan:
+    """The scan runs its stack loop only over the busy periods and writes
+    the idle a's as arrays; the full scan over every a
+    (``oracles.full_scan_match``) and the literal rounds agree with it."""
+
+    @given(st.floats(0.0, 0.99), st.integers(1, 12), st.integers(0, 3000),
+           st.integers(0, 2 ** 32 - 1), st.integers(-100, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_random_words_against_the_full_scan(self, b_density, d, length,
+                                                seed, start):
+        # up to 99% b's, so busy periods run long
+        isa = np.random.default_rng(seed).random(length) >= b_density
+        z = Window(start, isa)
+        assert_same_runs(meshalkin_match(z, d), full_scan_match(z, d))
+
+    @given(st.text(alphabet="ab", max_size=60), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_words_against_the_rounds(self, letters, d):
+        got = meshalkin_match(from_letters(0, letters), d)
+        partner, rounds, slots, unmatched = match_oracle(letters, d)
+        bs = sorted(partner)
+        assert got.b_indices.tolist() == bs
+        assert got.a_indices.tolist() == [partner[b] for b in bs]
+        assert got.rounds.tolist() == [rounds[b] for b in bs]
+        assert slots_of(got).tolist() == [slots[b] for b in bs]
+        assert got.unmatched.tolist() == unmatched
+
+    @given(st.text(alphabet="ab", max_size=80), st.integers(1, 12),
+           st.integers(1, 5), st.integers(1, 30), st.text(alphabet="b",
+                                                          max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_last_busy_period_open_at_the_edge(self, head, d, a_count,
+                                               extra, tail):
+        # more b's than the closing a's can take: the stack is not empty
+        # after the last a, so its runs are among the unmatched b's
+        letters = head + "b" * (a_count * d + extra) + "a" * a_count + tail
+        z = from_letters(-3, letters)
+        assert stack_heights(z, d)[-1] > 0
+        got = meshalkin_match(z, d)
+        assert_same_runs(got, full_scan_match(z, d))
+        assert got.unmatched.min() < got.a_positions[-1]
+        assert got.unmatched.tolist() == [
+            i - 3 for i in match_oracle(letters, d)[3]]
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_good_block_sequence_of_iid(self, scale):
+        # the offset-0 good blocks of iid:0.3 at 2e5 sit near the critical
+        # load at d = required_d(q); halving d makes long busy periods
+        span = (0, 2 * 10 ** 5 - 1)
+        m = iid_binary(0.3)
+        z = good_block_sequence(sample_window(m, span, SeedStream(7)))
+        d = required_d(good_prob_lower(m.block(0, span[1] + 8), span))
+        d //= scale
+        heights = np.array(stack_heights(z, d))
+        assert (heights > 0).mean() > 0.05
+        assert_same_runs(meshalkin_match(z, d), full_scan_match(z, d))
 
 
 def hand_built(b, a, unmatched=(), slots=None) -> MatchingAssignment:
@@ -385,7 +474,7 @@ class TestPartnerSlots:
             tuples = np.arange(len(a) * (d + 1), dtype=float).reshape(
                 len(a), d + 1)
             out = np.full(len(isa), np.nan)
-            hand_out(assignment, tuples, out, start)
+            hand_out(assignment, -1.0, every_slot(tuples), out, start)
             b = assignment.b_indices.tolist()
             a_of_b = assignment.a_indices.tolist()
             rank = {x: k for k, x in enumerate(a.tolist())}
@@ -396,10 +485,10 @@ class TestPartnerSlots:
             np.testing.assert_array_equal(out, want, err_msg=str(trial))
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
-    def test_hand_out_in_chunks_keeps_a_subset(self, chunk, monkeypatch):
-        # runs dealt a few b's at a time give what one read does, and a
-        # tuple left out by ``keep`` writes neither its a nor its partners
-        monkeypatch.setattr(matching, "HAND_OUT_CHUNK", chunk)
+    def test_hand_out_in_chunks_keeps_a_subset(self, chunk):
+        # a tuple left out by ``keep`` writes neither its a nor its
+        # partners, so dealing the kept tuples ``chunk`` ranks a call
+        # gives what one call does
         rng = np.random.default_rng(9)
         for trial in range(100):
             start = int(rng.integers(-50, 50))
@@ -408,10 +497,14 @@ class TestPartnerSlots:
             d = int(rng.integers(1, 8))
             assignment = meshalkin_match(Window(start, isa), d)
             a = assignment.a_positions
-            tuples = rng.random((len(a), d + 2))
+            tuples = rng.random((len(a), d + 1))
             keep = rng.random(len(a)) < 0.7
             out = np.full(len(isa), np.nan)
-            hand_out(assignment, tuples, out, start, keep)
+            for lo in range(0, len(a), chunk):
+                part = keep.copy()
+                part[:lo] = part[lo + chunk:] = False
+                hand_out(assignment, -1.0, every_slot(tuples), out, start,
+                         part)
             b, ranks = assignment.b_indices, ranks_of(assignment)
             dealt = keep[ranks]
             want = np.full(len(isa), np.nan)
@@ -420,23 +513,62 @@ class TestPartnerSlots:
                                             slots_of(assignment)[dealt]]
             np.testing.assert_array_equal(out, want, err_msg=str(trial))
 
+    def test_hand_out_fills_around_few_triples(self):
+        # the fill goes to every dealt a and b, and a value to each triple
+        # whose slot is dealt, however many or few triples there are
+        rng = np.random.default_rng(10)
+        for trial in range(200):
+            start = int(rng.integers(-50, 50))
+            isa = rng.random(int(rng.integers(0, 300))) < \
+                rng.uniform(0.02, 0.6)
+            d = int(rng.integers(1, 12))
+            assignment = meshalkin_match(Window(start, isa), d)
+            a = assignment.a_positions
+            tuples = (rng.random((len(a), d + 1)) > 0.2).astype(np.int8)
+            keep = rng.random(len(a)) < 0.8
+            ranks, slots = np.nonzero(tuples == 0)
+            out = np.full(len(isa), -1, dtype=np.int8)
+            hand_out(assignment, 1, (ranks, slots, 0), out, start, keep)
+            want = np.full(len(isa), -1, dtype=np.int8)
+            hand_out(assignment, 1, every_slot(tuples), want, start, keep)
+            np.testing.assert_array_equal(out, want, err_msg=str(trial))
+            dealt = keep[ranks_of(assignment)]
+            assert (out >= 0).sum() == keep.sum() + dealt.sum()
+
+    def test_keys_do_not_wrap_at_a_huge_capacity(self):
+        # K (d+1) >= 2^63: a key rank * (d+1) + slot would wrap int64, but
+        # the keys count the dealt slots, so each value still lands on the
+        # b that holds its slot
+        d = 2 ** 62
+        z = from_letters(5, "bbbabbab" * 3 + "bba")
+        assignment = meshalkin_match(z, d)
+        K = len(assignment.a_positions)
+        assert K * (d + 1) >= 2 ** 63
+        ranks, slots = ranks_of(assignment), slots_of(assignment)
+        values = np.arange(len(ranks), dtype=float)
+        out = np.full(len(z.values), np.nan)
+        hand_out(assignment, -1.0, (ranks, slots, values), out, 5)
+        np.testing.assert_array_equal(out[assignment.b_indices - 5], values)
+        np.testing.assert_array_equal(out[assignment.a_positions - 5], -1.0)
+
     def test_unknown_a_index(self):
-        # hand_out refuses a tuple count other than the a count, and
-        # writes nothing
+        # hand_out refuses a rank that names no a, and writes nothing
         assignment = meshalkin_match(from_letters(0, "bba" * 4), 2)
         assert len(assignment.a_positions) == 4
         out = np.full(12, -1, dtype=np.int8)
-        for k in (0, 3, 5):
-            with pytest.raises(AssertionError, match=f"^{k} tuples for 4 "):
-                hand_out(assignment, np.zeros((k, 3), np.uint8), out, 0)
+        for k in (-1, 4, 5):
+            with pytest.raises(AssertionError, match="rank names none of "
+                               "the 4 a's"):
+                hand_out(assignment, 1, ([0, k], [0, 1], 0), out, 0)
         assert (out == -1).all()
 
-    def test_tuples_narrower_than_the_capacity(self):
+    def test_slot_beyond_the_capacity_is_refused(self):
         assignment = meshalkin_match(from_letters(0, "bba" * 4), 2)
         out = np.full(12, -1, dtype=np.int8)
-        with pytest.raises(AssertionError,
-                           match="matching capacity exceeds tuple width - 1"):
-            hand_out(assignment, np.zeros((4, 2), np.uint8), out, 0)
+        for slot in (-1, 3):
+            with pytest.raises(AssertionError,
+                               match=r"slot lies outside 0 \.\. 2$"):
+                hand_out(assignment, 1, ([0, 1], [1, slot], 0), out, 0)
         assert (out == -1).all()
 
     def test_tuple_exhaustion(self):

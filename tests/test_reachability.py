@@ -56,8 +56,9 @@ def _reached(tmp_path) -> set:
     # a window too short to leave any bit to test, a marginal with
     # negative mass, a lag read apart from the shared block; a window, a
     # measure check range, a sample count and a kmax beyond their caps; a
-    # split-code tuple matrix too large to hold; and a report path that is
-    # an existing directory.
+    # capacity of ~2.7e7, whose split code decodes only the dealt slots
+    # and whose checks fail with reasons; and a report path that is an
+    # existing directory.
     runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
             for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
                                ("mu:0.3,0.5", 1))]
@@ -80,7 +81,7 @@ def _reached(tmp_path) -> set:
                "0.5", "--samples", str(10**12)], 2),
              (["index", "scan", "--c", "0.5", "--kmax", str(10**9)], 2),
              (["factor", "run", "--measure", "mu:0.3,0.6999", "--n",
-               "100000"], 2),
+               "100000"], 1),
              (["measure", "check", "--measure", "iid:0.3", "--n", "100",
                "--out", str(tmp_path)], 2)]
     expected = [code for _, code in runs]

@@ -1,4 +1,5 @@
-"""The closed-form chi-square tail against scipy and 40-digit values."""
+"""The closed-form chi-square tail against scipy and 40-digit values, and
+the block patterns of the 3-block test."""
 import math
 from decimal import Decimal, localcontext
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
-from shiftlab.stattests import chi2_sf
+from shiftlab.measures import block_law
+from shiftlab.stattests import block_chi_square, chi2_sf, chi_square_pooled
 
 
 def test_matches_scipy_for_k_up_to_1000():
@@ -80,3 +82,21 @@ def test_factor_run_p_value_is_the_nearest_double():
     # --seed 7
     x = 2.857097940574839
     assert chi2_sf(3, x) == float(EXACT[3, x])
+
+
+@pytest.mark.parametrize("block_len", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("length", [0, 2, 3, 1000, 100_001])
+def test_block_patterns_equal_the_matrix_product(block_len, length):
+    # the strided shift-or read gives the counts, hence the statistic, of
+    # the int64 block-matrix product it replaced, bit for bit
+    rng = np.random.default_rng(length + block_len)
+    bits = (rng.random(length) > 0.05).astype(np.uint8)
+    nb = length // block_len
+    pat = (bits[:nb * block_len].astype(np.int64).reshape(nb, block_len)
+           @ (1 << np.arange(block_len - 1, -1, -1)))
+    probs = block_law(np.full(block_len, 1.0 - 0.95),
+                      np.full(block_len, 0.95))
+    want = (chi_square_pooled(np.bincount(pat, minlength=2 ** block_len),
+                              probs * nb) if nb else (0.0, 1.0, 0))
+    assert block_chi_square(bits, block_len, 0.95) == want
+    assert block_chi_square(bits.tolist(), block_len, 0.95) == want
