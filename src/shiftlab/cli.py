@@ -33,8 +33,9 @@ CSV_CHUNK = 1 << 16
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
 # window of --n sites (at --n 2e7 factor run holds about 19 bytes a site
-# on iid:0.3 and 42 on mu:0.3,0.5, the marginal block's 16 more, whatever
-# the capacity d; match run about 37); index scan holds about 415 bytes a k
+# on iid:0.3, whose marginal block is one row, and 27 on mu:0.3,0.5,
+# whatever the capacity d; match run about 37); measure check about 66 a
+# unit of n; index scan holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000

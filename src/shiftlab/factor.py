@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stattests
+from . import sampling, stattests
 from .markers import GOOD_WIDTH, good_prob_lower, special_sequence
 from .matching import (MatchingAssignment, hand_out, meshalkin_match,
                        required_d)
@@ -97,15 +97,24 @@ class SplitTuples:
 def bias_square_terms(block: Window, N: int) -> np.ndarray:
     """(r_i - 1/2)^2 for i = -N .. N, where r_i is the conditional
     probability of 01 against {01, 10} across the bond (i, i+1), read from
-    the rows -N .. N+1 of a binary marginal block."""
+    the rows -N .. N+1 of a binary marginal block and filled
+    ``BLOCK_ROWS`` terms at a time."""
     p0 = binary_rows(block_rows(block, -N, N + 1))[:, 0]
-    p01 = p0[:-1] * (1.0 - p0[1:])
-    p10 = (1.0 - p0[:-1]) * p0[1:]
-    den = p01 + p10
-    if np.any(den == 0.0):
-        i = -N + int(np.argwhere(den == 0.0)[0][0])
-        raise ZeroMassError(f"degenerate marginals at bond ({i}, {i + 1})")
-    return (p01 / den - 0.5) ** 2
+    out = np.empty(2 * N + 1)
+    for s in range(0, len(out), sampling.BLOCK_ROWS):
+        piece = out[s:s + sampling.BLOCK_ROWS]
+        left, right = p0[s:s + len(piece)], p0[s + 1:s + len(piece) + 1]
+        p01 = left * (1.0 - right)
+        den = (1.0 - left) * right
+        den += p01
+        zero = np.flatnonzero(den == 0.0)
+        if len(zero):
+            i = -N + s + int(zero[0])
+            raise ZeroMassError(f"degenerate marginals at bond ({i}, {i + 1})")
+        np.divide(p01, den, out=p01)
+        p01 -= 0.5
+        np.square(p01, out=piece)
+    return out
 
 
 def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import sampling
 from .measures import binary_rows, block_rows
 from .sampling import Window
 
 GOOD_BLOCKS = ((0, 1, 1, 0, 1, 0, 1, 1), (0, 1, 1, 1, 0, 0, 1, 1))
 GOOD_WIDTH = 8
-GOOD_CHUNK = 1 << 15   # block starts per pass of good_prob_lower
 
 
 def _as_bits(values) -> np.ndarray:
@@ -69,15 +69,18 @@ def good_prob_lower(block: Window, span: tuple[int, int]) -> float:
     that the 8-block there is good, from a marginal block; a non-binary
     block, or a zero mass at a start (no Doeblin bound), is refused.
 
-    Read ``GOOD_CHUNK`` starts at a time, so the temporaries stay in cache:
+    Read ``BLOCK_ROWS`` starts at a time, so the temporaries stay in cache:
     each start's probability sees the same float operations as in one
-    whole-span pass, and the chunks' minima give the same infimum."""
+    whole-span pass, and the pieces' minima give the same infimum.  A
+    block that is one broadcast row (a zero row stride, as an i.i.d.
+    measure's block is; the span holds at least 8 rows, so this is no
+    length-1 axis) has one 8-block law, and one start is read."""
     first, last = span
-    n = last - first + 1
     rows = binary_rows(block_rows(block, first, last + GOOD_WIDTH - 1))
+    n = 1 if rows.strides[0] == 0 else last - first + 1
     lows = []
-    for c in range(0, n, GOOD_CHUNK):
-        k = min(GOOD_CHUNK, n - c)
+    for c in range(0, n, sampling.BLOCK_ROWS):
+        k = min(sampling.BLOCK_ROWS, n - c)
         # one contiguous copy per symbol, so each factor is a unit-stride slice
         cols = rows[c:c + k + GOOD_WIDTH - 1].T.copy()
         zero = np.flatnonzero((cols[0, :k] <= 0.0) | (cols[1, :k] <= 0.0))

@@ -29,11 +29,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import sampling
 from .sampling import Window
 
 PROB_TOL = 1e-12
 DENSITY_TOL = 1e-10
-LAG_CHUNK = 1 << 16   # rows of a lag kakutani_terms reads from a measure
 
 
 class ZeroMassError(ValueError):
@@ -73,8 +73,28 @@ class FiniteProductMeasure:
         return np.broadcast_to(p, np.shape(n) + p.shape[-1:])
 
     def block(self, start: int, length: int) -> Window:
-        """Window of the (L, A) marginals at ``start .. start+length-1``."""
-        return Window(start, self.table(np.arange(start, start + length)))
+        """Window of the (L, A) marginals at ``start .. start+length-1``.
+
+        ``marginals`` is read on the first ``BLOCK_ROWS`` indices.  If it
+        returns one vector for them all, the block is that validated row,
+        broadcast to L rows (a read-only view with a zero row stride); no
+        index array or (L, A) array is built.  Otherwise one (L, A) array
+        is filled through ``table``, ``BLOCK_ROWS`` rows at a time: the
+        first piece holding a bad row names its first one, as one table
+        over the whole block does when its bad rows are of one kind (a
+        non-finite or negative mass is named before a wrong sum)."""
+        rows = sampling.BLOCK_ROWS
+        n = np.arange(start, start + min(length, rows))
+        p = np.asarray(self.marginals(n), dtype=float)
+        self._validate(p, n)
+        if p.ndim == 1:
+            return Window(start, np.broadcast_to(p, (length,) + p.shape))
+        out = np.empty((length,) + p.shape[-1:])
+        out[:len(n)] = p
+        for s in range(len(n), length, rows):
+            out[s:s + rows] = self.table(
+                np.arange(start + s, start + min(s + rows, length)))
+        return Window(start, out)
 
     def density(self, n, x) -> np.ndarray:
         """Mass of symbol ``x`` at index ``n`` (against counting measure),
@@ -261,23 +281,28 @@ def doeblin_delta(block: Window) -> float:
 def kakutani_terms(block: Window, k: int, N: int,
                    m: FiniteProductMeasure | None = None) -> np.ndarray:
     """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N (k = 0 gives
-    exact zeros), read from the rows of a binary marginal block.  Given
-    the measure ``m``, a lag whose rows n-k the block does not all hold
-    reads them from ``m`` instead, ``LAG_CHUNK`` rows at a time, into one
-    column, so it costs no rows beyond its terms."""
+    exact zeros), read from the rows of a binary marginal block and filled
+    ``BLOCK_ROWS`` terms at a time.  A piece reads its rows n-k from the
+    block where the block holds them all; given the measure ``m``, it reads
+    them from ``m.block`` otherwise, so a lag the block does not hold costs
+    no rows beyond its terms."""
     lo, hi, L = *block.span, 2 * N + 1
-    if m is None or lo <= -N - k and N - k <= hi:
+    if m is None:
         # one read of the rows n and n-k reach names every row it misses
-        lead = max(k, 0)
-        p0 = binary_rows(block_rows(block, -N - lead, N - min(k, 0)))[:, 0]
-        lag = p0[lead - k:lead - k + L]
-    else:
-        lead, p0 = 0, binary_rows(block_rows(block, -N, N))[:, 0]
-        lag = np.empty(L)
-        for s in range(0, L, LAG_CHUNK):
-            rows = m.block(-N - k + s, min(LAG_CHUNK, L - s))
-            lag[s:s + LAG_CHUNK] = binary_rows(rows)[:, 0]
-    return (p0[lead:lead + L] - lag) ** 2
+        binary_rows(block_rows(block, -N - max(k, 0), N - min(k, 0)))
+    p0 = binary_rows(block_rows(block, -N, N))[:, 0]
+    out = np.empty(L)
+    for s in range(0, L, sampling.BLOCK_ROWS):
+        piece = out[s:s + sampling.BLOCK_ROWS]
+        first = -N - k + s
+        last = first + len(piece) - 1
+        if lo <= first and last <= hi:
+            lag = block.values[first - lo:last - lo + 1, 0]
+        else:
+            lag = binary_rows(m.block(first, len(piece)))[:, 0]
+        np.subtract(p0[s:s + len(piece)], lag, out=piece)
+        np.square(piece, out=piece)
+    return out
 
 
 def centred_sum(terms: np.ndarray, n: int) -> float:

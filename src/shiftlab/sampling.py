@@ -17,8 +17,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
-_BLOCK = 4                 # doubles per Philox counter block
-_DENSITY_BLOCK = 1 << 16   # coordinates per block of a uniform or density read
+_BLOCK = 4                 # 64-bit words per Philox counter block
+# Rows (coordinates, block starts, terms) per piece of every chunked fill:
+# a marginal block, a uniform or density read, the good-block bound and the
+# Kakutani and bias terms each fill one preallocated array this many rows
+# at a time, so a piece's temporaries stay in cache.  The modules read it
+# as ``sampling.BLOCK_ROWS`` at each call.
+BLOCK_ROWS = 1 << 15
 
 
 def _cpu_count() -> int:
@@ -32,15 +37,19 @@ def _cpu_count() -> int:
 def _draw(key: np.ndarray, start: int, u: np.ndarray, step: int,
           errors: list) -> None:
     """Fill ``u`` with the uniforms of coordinates start, start+1, ...,
-    drawn ``step`` coordinates at a time.  An exception goes to ``errors``,
-    for the caller to raise once every share is done."""
+    drawn ``step`` coordinates at a time: word 0 of each one's counter
+    block, converted as ``Generator.random`` converts a word,
+    (w >> 11) * 2^-53, and the other three words never converted.  An
+    exception goes to ``errors``, for the caller to raise once every share
+    is done."""
     try:
         bg = Philox(key=key)
         bg.advance(start + _COUNTER_OFFSET)
-        gen = Generator(bg)
         for c in range(0, len(u), step):
             k = min(step, len(u) - c)
-            u[c:c + k] = gen.random(k * _BLOCK)[::_BLOCK]
+            w = bg.random_raw(k * _BLOCK)[::_BLOCK]
+            np.multiply(np.right_shift(w, 11, out=w), 2.0 ** -53,
+                        out=u[c:c + k])
     except BaseException as e:
         errors.append(e)
 
@@ -67,21 +76,22 @@ class SeedStream:
         double of each one's own counter block, so overlapping requests
         agree; shape (count, 1), as the benchmark's window check reads it.
 
-        A request longer than one ``_DENSITY_BLOCK`` is split into
-        W = min(CPUs, ceil(count / _DENSITY_BLOCK)) contiguous shares.  The
+        A request longer than ``BLOCK_ROWS`` coordinates is split into
+        W = min(CPUs, ceil(count / BLOCK_ROWS)) contiguous shares.  The
         calling thread draws the first share and one thread each the rest;
         each builds its own Philox at its share's first counter and writes
         its own slice, so a coordinate's double and the bytes of ``u`` do
-        not depend on W.  Each share is drawn ``_DENSITY_BLOCK // W``
-        coordinates at a time, so one block's four doubles per coordinate
-        are held at once, whatever W is.  numpy's ``Generator.random``
-        releases the GIL, so the shares run in parallel."""
+        not depend on W.  Each share is drawn ``BLOCK_ROWS // W``
+        coordinates at a time, so one piece's four words per coordinate
+        are held at once, whatever W is.  numpy's
+        ``Philox.random_raw`` releases the GIL, so the shares run in
+        parallel."""
         key = self._key(label)
         u = np.empty((count, 1))
         workers = 1
-        if count > _DENSITY_BLOCK:
-            workers = min(_cpu_count(), -(-count // _DENSITY_BLOCK))
-        step = _DENSITY_BLOCK // workers
+        if count > BLOCK_ROWS:
+            workers = min(_cpu_count(), -(-count // BLOCK_ROWS))
+        step = BLOCK_ROWS // workers
         cuts = [count * i // workers for i in range(workers + 1)]
         errors = []
         threads = []
@@ -178,14 +188,14 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
                           label: str = "density") -> Window:
     """Coordinate n sampled by exact inverse CDF of the density at n.
 
-    Read in blocks of ``_DENSITY_BLOCK`` coordinates: a coordinate's
-    uniform, table row and inverse CDF depend on its index alone, so the
-    blocks give the one-shot window and hold one block's temporaries."""
+    Read ``BLOCK_ROWS`` coordinates at a time: a coordinate's uniform,
+    table row and inverse CDF depend on its index alone, so the pieces
+    give the one-shot window and hold one piece's temporaries."""
     lo, _ = span
     length = _span_length(span)
     values = np.empty(length)
-    for c in range(0, length, _DENSITY_BLOCK):
-        k = min(_DENSITY_BLOCK, length - c)
+    for c in range(0, length, BLOCK_ROWS):
+        k = min(BLOCK_ROWS, length - c)
         u = seeds.uniforms(label, lo + c, k)[:, 0]
         values[c:c + k] = _piecewise_inverse_cdf(
             *d.table(np.arange(lo + c, lo + c + k)), u)

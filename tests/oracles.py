@@ -225,6 +225,32 @@ def decode_tuples_oracle(u: np.ndarray, beta0: float,
 
 # -- markers and measures -----------------------------------------------------
 
+def block_oracle(m, start: int, length: int) -> np.ndarray:
+    """The (L, A) marginals at start .. start+length-1 in one ``table``
+    call over the whole index array, as a contiguous array."""
+    return np.ascontiguousarray(m.table(np.arange(start, start + length)))
+
+
+def kakutani_terms_oracle(m, k: int, N: int) -> np.ndarray:
+    """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N from two
+    whole-array tables."""
+    n = np.arange(-N, N + 1)
+    return (m.table(n)[:, 0] - m.table(n - k)[:, 0]) ** 2
+
+
+def bias_square_terms_oracle(m, N: int) -> np.ndarray:
+    """(r_i - 1/2)^2 for i = -N .. N over whole arrays; raises
+    ``ZeroMassError`` at the first degenerate bond."""
+    p0 = m.table(np.arange(-N, N + 2))[:, 0]
+    p01 = p0[:-1] * (1.0 - p0[1:])
+    p10 = (1.0 - p0[:-1]) * p0[1:]
+    den = p01 + p10
+    if np.any(den == 0.0):
+        i = -N + int(np.argwhere(den == 0.0)[0][0])
+        raise ZeroMassError(f"degenerate marginals at bond ({i}, {i + 1})")
+    return (p01 / den - 0.5) ** 2
+
+
 def good_prob(m, i: int) -> float:
     """Exact product-measure probability that the 8-block starting at i is
     good (sum over the two admissible blocks)."""

@@ -22,6 +22,7 @@ from shiftlab import cli, speedups, typeiii
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure
+from shiftlab.sampling import BLOCK_ROWS
 from shiftlab.stattests import ALPHA, chi_square_pooled
 
 
@@ -38,8 +39,9 @@ class TestBlockReads:
     `measure check` over -n - 8 .. n + 1, the rows the Doeblin bound, the
     default lags 1, 2, 4, 8 and the bias sum read, whatever --k says, and
     for `factor run` and `match run` over the window and the 7 indices
-    after it, which the bound q reads.  A lag whose rows -n - k .. n - k
-    that block does not hold reads them apart, LAG_CHUNK rows at a time."""
+    after it, which the bound q reads.  A lag's rows -n - k .. n - k are
+    read BLOCK_ROWS at a time, from that block where it holds a piece's
+    rows and apart otherwise."""
 
     @pytest.fixture
     def block_calls(self, monkeypatch):
@@ -84,12 +86,17 @@ class TestBlockReads:
 
     def test_measure_check_reads_a_lag_in_chunks(self, tmp_path, capsys,
                                                  block_calls):
-        # 2n + 1 = 80001 lag rows are read LAG_CHUNK = 65536 at a time
+        # 2n + 1 = 80001 lag rows are read BLOCK_ROWS at a time: k = 16
+        # reads apart only its first piece, which starts at -40016, before
+        # the block; k = 80010 reads every piece apart, as its rows
+        # -120010 .. -40010 all lie before the block
         assert run_cli(tmp_path, "measure", "check", "--measure",
-                       "nu_c:0.1", "--n", "40000", "--k", "16") in (
-                           EXIT_OK, EXIT_CHECK_FAILED)
-        assert block_calls == [(-40008, 80010), (-40016, 65536),
-                               (-40016 + 65536, 80001 - 65536)]
+                       "nu_c:0.1", "--n", "40000", "--k", "16",
+                       "--k", "80010") in (EXIT_OK, EXIT_CHECK_FAILED)
+        far = [(-120010 + s, min(BLOCK_ROWS, 80001 - s))
+               for s in range(0, 80001, BLOCK_ROWS)]
+        assert block_calls == [(-40008, 80010),
+                               (-40016, min(BLOCK_ROWS, 80001)), *far]
 
     @pytest.mark.parametrize("command", ["factor", "match"])
     def test_window_command_reads_one_block(self, tmp_path, capsys,
@@ -175,7 +182,7 @@ class TestMeasureCheck:
                              ids=["default", "near", "far"])
     def test_memory_follows_n_for_every_k_set(self, tmp_path, capsys, ks):
         # one block over -n - 8 .. n + 1 whatever --k says, so the traced
-        # peak a unit of n (about 113 B) stays within the MEASURE_N_BYTES
+        # peak a unit of n (about 74 B) stays within the MEASURE_N_BYTES
         # the --n cap charges, near lags of +-(2n + 1) included
         n = 200_000
         tracemalloc.start()

@@ -13,8 +13,9 @@ from oracles import decompose_oracle, good_prob
 from shiftlab import (FiniteProductMeasure, SeedStream, Window, dominates,
                       good_block_sequence, good_prob_lower, good_starts, iid,
                       iid_binary, make_nu_c, sample_window, special_sequence)
-from shiftlab import markers
-from shiftlab.markers import GOOD_BLOCKS, GOOD_CHUNK
+from shiftlab import sampling
+from shiftlab.markers import GOOD_BLOCKS
+from shiftlab.sampling import BLOCK_ROWS
 
 
 def bits(s: str) -> Window:
@@ -216,7 +217,7 @@ class TestGoodProb:
 
 
 class TestGoodProbChunks:
-    """``good_prob_lower`` reads ``GOOD_CHUNK`` starts at a time; a small
+    """``good_prob_lower`` reads ``BLOCK_ROWS`` starts at a time; a small
     chunk puts many boundaries inside spans the scalar oracle can walk."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1000, 4096])
@@ -228,9 +229,9 @@ class TestGoodProbChunks:
                                          at):
         m = dipped(at=at)
         block = m.block(lo, hi - lo + 8)
-        monkeypatch.setattr(markers, "GOOD_CHUNK", 10 ** 6)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", 10 ** 6)
         whole = good_prob_lower(block, (lo, hi))
-        monkeypatch.setattr(markers, "GOOD_CHUNK", chunk)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", chunk)
         q = good_prob_lower(block, (lo, hi))
         assert q == whole
         probe = min(good_prob(m, i) for i in range(lo, hi + 1))
@@ -239,23 +240,23 @@ class TestGoodProbChunks:
     def test_infimum_in_last_partial_chunk(self, monkeypatch):
         # the dip at ``at`` lowers only the blocks starting at at-7 .. at,
         # all in the last chunk, which holds 41 starts
-        lo, hi, at = 0, 2 * GOOD_CHUNK + 40, 2 * GOOD_CHUNK + 30
+        lo, hi, at = 0, 2 * BLOCK_ROWS + 40, 2 * BLOCK_ROWS + 30
         m = dipped(at=[at])
         block = m.block(lo, hi - lo + 8)
         q = good_prob_lower(block, (lo, hi))
-        monkeypatch.setattr(markers, "GOOD_CHUNK", 10 ** 6)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", 10 ** 6)
         assert q == good_prob_lower(block, (lo, hi))
         probe = min(good_prob(m, i) for i in range(at - 7, at + 1))
         assert q == pytest.approx(probe, rel=1e-12)
         assert q < min(good_prob(m, i) for i in range(0, 64)) / 5
 
     @pytest.mark.parametrize("lo, zeros", [
-        (0, [GOOD_CHUNK + 5, 2 * GOOD_CHUNK + 1]),
-        (-GOOD_CHUNK - 9, [3, GOOD_CHUNK + 20]),
-        (0, [2 * GOOD_CHUNK + 2]),      # also in the 7 rows after chunk 1
+        (0, [BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 1]),
+        (-BLOCK_ROWS - 9, [3, BLOCK_ROWS + 20]),
+        (0, [2 * BLOCK_ROWS + 2]),      # also in the 7 rows after chunk 1
     ])
     def test_zero_mass_past_first_chunk(self, lo, zeros):
-        hi = lo + 3 * GOOD_CHUNK
+        hi = lo + 3 * BLOCK_ROWS
         m = dipped(zero=zeros)
         with pytest.raises(ValueError,
                            match=f"Doeblin condition at index {zeros[0]}$"):
@@ -272,7 +273,41 @@ class TestGoodProbChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * GOOD_CHUNK
+        assert peak < 64 * BLOCK_ROWS
+
+    def test_memory_of_a_varying_block_stays_near_one_piece(self):
+        # test_memory_stays_near_one_chunk's bound on a block of distinct
+        # rows, which good_prob_lower reads piece by piece
+        count = 1 << 20
+        block = make_nu_c(0.2).block(0, count + 7)
+        tracemalloc.start()
+        try:
+            good_prob_lower(block, (0, count - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * BLOCK_ROWS
+
+    def test_an_iid_block_reads_one_start(self):
+        # a broadcast row gives the q of its contiguous copy, bit for bit,
+        # and 10^7 starts hold what one start holds, not a piece's arrays
+        block = iid_binary(0.3).block(0, 10 ** 7 + 7)
+        tracemalloc.start()
+        try:
+            good_prob_lower(block, (0, 10 ** 7 - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 14
+        for p0 in (0.3, 0.5, 0.91):
+            block = iid_binary(p0).block(-40, 3 * BLOCK_ROWS + 5)
+            assert block.values.strides[0] == 0
+            dense = Window(block.start, np.ascontiguousarray(block.values))
+            span = (-40, block.stop - 8)
+            assert good_prob_lower(block, span) == \
+                good_prob_lower(dense, span)
+            assert good_prob_lower(block, span) == good_prob(
+                iid_binary(p0), 0)
 
 
 class TestLinearGrowthOfSpecials:

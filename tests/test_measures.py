@@ -1,12 +1,15 @@
 """Product-measure families, RN diagnostics, and the RI/RPM operations."""
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import (block_law_oracle, check_decay, forget_coin,
+from oracles import (bias_square_terms_oracle, block_law_oracle,
+                     block_oracle, check_decay, forget_coin,
+                     kakutani_terms_oracle,
                      log_rn_shift_oracle, log_rn_swap, log_rn_swap_oracle,
                      ri)
 from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream, Window,
@@ -15,6 +18,7 @@ from shiftlab import (FiniteProductMeasure, HMapSpec, SeedStream, Window,
                       log_damped, log_rn_shift, make_mu_pc, make_nu_c,
                       mix_disjoint, parse_measure, rpm,
                       sample_density_window, sample_window, shift_family)
+from shiftlab import sampling
 from shiftlab.factor import bias_square_terms
 from shiftlab.measures import (block_law, block_rows, centred_sum,
                                kakutani_terms, nu_c_zero_mass, sum_with_tail)
@@ -228,16 +232,16 @@ def test_kakutani_partial_sums_equal_two_block_oracle(name, k):
 @pytest.mark.parametrize("k", [-10 ** 12, -3, 0, 8, 10 ** 12])
 def test_kakutani_terms_from_a_lag_block(name, k, monkeypatch):
     """Given the measure, a lag whose rows the block does not hold (every
-    k but 0 here) reads them from it, one lag block of LAG_CHUNK rows at a
+    k but 0 here) reads them from it, one lag block of BLOCK_ROWS rows at a
     time.  Its terms equal the one-block terms, sum to the two-block oracle
-    at any lag, and do not depend on the chunk length."""
+    at any lag, and do not depend on the piece length."""
     m, N = TERM_MEASURES[name], 999
     terms = kakutani_terms(m.block(-N, 2 * N + 1), k, N, m)
     assert float(np.sum(terms)) == kakutani_two_blocks(m, k, N)
     if abs(k) < 10:
         assert np.array_equal(terms, terms_of(m, k, N))
     for chunk in (1, 7, 2 * N, 2 * N + 1):
-        monkeypatch.setattr("shiftlab.measures.LAG_CHUNK", chunk)
+        monkeypatch.setattr("shiftlab.sampling.BLOCK_ROWS", chunk)
         assert np.array_equal(
             kakutani_terms(m.block(-N, 2 * N + 1), k, N, m), terms)
 
@@ -296,6 +300,161 @@ def test_diagnostics_read_rows_by_index(spec):
                       m.block(first, length - 1)):
             with pytest.raises(ValueError, match="misses"):
                 read(short)
+
+
+# Every built-in family, and its binary members with an i.i.d. binary
+# measure in place of the three-symbol one, for the term fills
+FILL_FAMILIES = {**BUILTIN_FAMILIES, "iid_binary": iid_binary(0.3)}
+BINARY_FAMILIES = {name: m for name, m in FILL_FAMILIES.items()
+                   if m.table(0).shape == (2,)}
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["default", "rows1", "rows7"])
+def fill_lengths(request, monkeypatch):
+    """The lengths a fill is checked at, 1, BLOCK_ROWS +- 1 and
+    3 BLOCK_ROWS + 5, at the default BLOCK_ROWS and with it patched to 1
+    and 7 rows."""
+    if request.param is not None:
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", request.param)
+    rows = sampling.BLOCK_ROWS
+    return sorted({1, rows - 1, rows + 1, 3 * rows + 5} - {0})
+
+
+def fair_but(rows: dict) -> FiniteProductMeasure:
+    """A binary measure fair at every index but the keys of ``rows``,
+    which get their values as their rows."""
+    def marginals(n):
+        n = np.asarray(n)
+        p = np.full(n.shape + (2,), 0.5)
+        for index, row in rows.items():
+            p[n == index] = row
+        return p
+
+    return FiniteProductMeasure(marginals)
+
+
+class TestBlockFills:
+    """``block``, ``kakutani_terms`` and ``bias_square_terms`` fill one
+    array BLOCK_ROWS rows at a time; each equals its whole-array oracle
+    byte for byte and names a bad row in a later piece as one whole-array
+    check does."""
+
+    @pytest.mark.parametrize("name", sorted(FILL_FAMILIES))
+    def test_block(self, name, fill_lengths):
+        m = FILL_FAMILIES[name]
+        for length in fill_lengths:
+            got = m.block(-20, length)
+            want = block_oracle(m, -20, length)
+            assert got.start == -20
+            assert got.values.shape == want.shape
+            assert np.ascontiguousarray(got.values).tobytes() == \
+                want.tobytes()
+
+    def test_a_view_of_equal_rows_is_not_one_row(self, fill_lengths):
+        # marginals may return a broadcast view where its rows agree, here
+        # on n <= 0, where nu_c is fair; only a 1-D return is one row for
+        # every index, so the rows from 1 on are still read
+        nu = make_nu_c(0.2)
+
+        def marginals(n):
+            n = np.asarray(n)
+            if (n <= 0).all():
+                return np.broadcast_to((0.5, 0.5), n.shape + (2,))
+            return nu.marginals(n)
+
+        m = FiniteProductMeasure(marginals)
+        for length in fill_lengths:
+            start = -sampling.BLOCK_ROWS
+            want = block_oracle(m, start, length + sampling.BLOCK_ROWS)
+            got = m.block(start, length + sampling.BLOCK_ROWS).values
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["iid", "iid_binary"])
+    def test_an_iid_block_is_one_broadcast_row(self, name, fill_lengths):
+        # the one row marginals returns, read-only, at every index
+        m = FILL_FAMILIES[name]
+        for length in fill_lengths:
+            values = m.block(-20, length).values
+            assert values.strides[0] == 0
+            assert not values.flags.writeable
+            assert np.array_equal(values[0], m.marginals(0))
+
+    def test_an_iid_block_holds_one_row(self):
+        tracemalloc.start()
+        try:
+            block = iid_binary(0.3).block(0, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == 10 ** 7
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", sorted(BINARY_FAMILIES))
+    @pytest.mark.parametrize("k", [0, 3, -5, 10 ** 12],
+                             ids=["zero", "held", "negative", "far"])
+    def test_kakutani_terms(self, name, k, fill_lengths):
+        # the block over every row n and n-k reach holds the lag; the
+        # block over -N .. N alone, given the measure, reads the pieces
+        # it does not hold from the measure
+        m = BINARY_FAMILIES[name]
+        for length in fill_lengths:
+            N = length // 2
+            want = kakutani_terms_oracle(m, k, N).tobytes()
+            if abs(k) < 10:
+                lo = -N - max(k, 0)
+                held = m.block(lo, 2 * N + 1 + abs(k))
+                assert kakutani_terms(held, k, N).tobytes() == want
+                assert kakutani_terms(held, k, N, m).tobytes() == want
+            alone = m.block(-N, 2 * N + 1)
+            assert kakutani_terms(alone, k, N, m).tobytes() == want
+
+    @pytest.mark.parametrize("name", sorted(BINARY_FAMILIES))
+    def test_bias_square_terms(self, name, fill_lengths):
+        m = BINARY_FAMILIES[name]
+        for length in fill_lengths:
+            N = length // 2
+            got = bias_square_terms(m.block(-N, 2 * N + 2), N)
+            assert got.tobytes() == bias_square_terms_oracle(m, N).tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        ({2: (-0.1, 1.1)}, "non-finite or negative mass in marginal at "
+                           "index {}$"),
+        ({2: (0.5, 0.4)}, "marginal at index {} sums to 0.9, not 1$"),
+        # in one piece a non-finite mass is named before a wrong sum
+        ({1: (0.5, 0.4), 2: (np.nan, 0.5)},
+         "non-finite or negative mass in marginal at index {}$"),
+    ], ids=["negative", "sum", "sum-then-non-finite"])
+    @pytest.mark.parametrize("rows_a_piece", [7, None])
+    def test_a_bad_row_in_a_later_piece(self, monkeypatch, rows, message,
+                                        rows_a_piece):
+        # the bad rows sit at -20 + 2 * BLOCK_ROWS + 1 + r, r the keys, all
+        # in piece 2; the one at r = 2 is named
+        if rows_a_piece:
+            monkeypatch.setattr(sampling, "BLOCK_ROWS", rows_a_piece)
+        step = sampling.BLOCK_ROWS
+        m = fair_but({-20 + 2 * step + 1 + r: row for r, row in rows.items()})
+        at = -20 + 2 * step + 3
+        with pytest.raises(ValueError) as whole:
+            block_oracle(m, -20, 3 * step + 5)
+        with pytest.raises(ValueError, match=message.format(at)) as pieces:
+            m.block(-20, 3 * step + 5)
+        assert str(pieces.value) == str(whole.value)
+
+    @pytest.mark.parametrize("rows_a_piece", [7, None])
+    def test_a_degenerate_bond_in_a_later_piece(self, monkeypatch,
+                                                rows_a_piece):
+        if rows_a_piece:
+            monkeypatch.setattr(sampling, "BLOCK_ROWS", rows_a_piece)
+        N = 2 * sampling.BLOCK_ROWS
+        i = -N + 2 * sampling.BLOCK_ROWS + 3
+        m = fair_but({i: (1.0, 0.0), i + 1: (1.0, 0.0),
+                      i + 9: (0.0, 1.0), i + 10: (0.0, 1.0)})
+        with pytest.raises(ZeroMassError) as whole:
+            bias_square_terms_oracle(m, N)
+        with pytest.raises(ZeroMassError, match=rf"^degenerate marginals "
+                           rf"at bond \({i}, {i + 1}\)$") as pieces:
+            bias_square_terms(m.block(-N, 2 * N + 2), N)
+        assert str(pieces.value) == str(whole.value)
 
 
 class TestLogRN:

@@ -15,7 +15,7 @@ from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       mix_disjoint, shift_family, sample_density_window,
                       sample_window)
 from shiftlab import sampling
-from shiftlab.sampling import (_DENSITY_BLOCK, _piecewise_inverse_cdf,
+from shiftlab.sampling import (BLOCK_ROWS, _piecewise_inverse_cdf,
                                sample_block)
 
 
@@ -54,7 +54,7 @@ class TestSeedStream:
 
     def test_chunked_read_equals_one_shot_read(self):
         s = SeedStream(7)
-        count = _DENSITY_BLOCK + 3  # crosses a chunk boundary
+        count = BLOCK_ROWS + 3  # crosses a chunk boundary
         got = s.uniforms("x", -12_345, count)
         want = uniforms_oneshot(s, "x", -12_345, count)
         assert got.shape == (count, 1)
@@ -62,7 +62,7 @@ class TestSeedStream:
 
     def test_memory_stays_near_the_output(self):
         # the output's 8 B per coordinate plus one chunk's draws; holding
-        # every coordinate's four doubles at once needs about 40 B each
+        # every coordinate's four words at once needs about 40 B each
         count = 1 << 20
         tracemalloc.start()
         try:
@@ -75,7 +75,8 @@ class TestSeedStream:
     # at most 7 workers: each one is a thread
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("count", [
-        0, 1, _DENSITY_BLOCK, _DENSITY_BLOCK + 3, (1 << 20) + 5])
+        0, 1, BLOCK_ROWS, BLOCK_ROWS + 3, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 3,
+        (1 << 20) + 5])
     @pytest.mark.parametrize("start", [0, -12_345])
     def test_worker_count_invariance(self, monkeypatch, workers, count,
                                      start):
@@ -91,7 +92,7 @@ class TestSeedStream:
         # still lands in its own slice
         cpus(monkeypatch, 7)
         s = SeedStream(3)
-        count = 7 * _DENSITY_BLOCK + 11
+        count = 7 * BLOCK_ROWS + 11
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -120,28 +121,28 @@ class TestSeedStream:
         cpus(monkeypatch, 7)
         monkeypatch.setattr(sampling, "Thread", no_thread)
         s = SeedStream(7)
-        got = s.uniforms("x", 5, _DENSITY_BLOCK)
+        got = s.uniforms("x", 5, BLOCK_ROWS)
         assert got.tobytes() == uniforms_oneshot(
-            s, "x", 5, _DENSITY_BLOCK).tobytes()
+            s, "x", 5, BLOCK_ROWS).tobytes()
 
     @pytest.mark.parametrize("where", ["worker", "every share"])
     def test_a_failing_share_raises_in_the_caller(self, monkeypatch, where):
         caller = threading.current_thread()
 
-        def failing(bg):
+        def failing(key):
             worker = threading.current_thread() is not caller
             if worker or where == "every share":
                 raise OSError(f"share failed in {where}")
-            return np.random.Generator(bg)
+            return np.random.Philox(key=key)
 
         cpus(monkeypatch, 3)
         s = SeedStream(7)
         before = threading.active_count()
-        s.uniforms("x", 0, 3 * _DENSITY_BLOCK)
+        s.uniforms("x", 0, 3 * BLOCK_ROWS)
         assert threading.active_count() == before
-        monkeypatch.setattr(sampling, "Generator", failing)
+        monkeypatch.setattr(sampling, "Philox", failing)
         with pytest.raises(OSError, match=f"share failed in {where}"):
-            s.uniforms("x", 0, 3 * _DENSITY_BLOCK)
+            s.uniforms("x", 0, 3 * BLOCK_ROWS)
         assert threading.active_count() == before
 
     def test_cpu_count_without_affinity(self, monkeypatch):
@@ -254,7 +255,7 @@ class TestSampleDensityWindow:
         # more than one block, a ragged last block and a negative start
         f = f_family(TypeIIISpec(0.4))
         fam = mix_disjoint(f, shift_family(f, -1.0))
-        lo, length = -1000, 2 * _DENSITY_BLOCK + 77
+        lo, length = -1000, 2 * BLOCK_ROWS + 77
         seeds = SeedStream(11)
         w = sample_density_window(fam, (lo, lo + length - 1), seeds)
         one_shot = _piecewise_inverse_cdf(
