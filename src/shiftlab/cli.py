@@ -34,7 +34,7 @@ CSV_CHUNK = 1 << 16
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
 # window of --n sites (at --n 2e7 factor run holds about 19 bytes a site
 # on iid:0.3, whose marginal block is one row, and 27 on mu:0.3,0.5,
-# whatever the capacity d; match run about 37); measure check about 66 a
+# whatever the capacity d; match run about 37); measure check about 50 a
 # unit of n; index scan holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
@@ -194,6 +194,7 @@ def _cmd_measure(params: dict, seed: int, csv: Path):
         metrics.append(_tail_metric(f"kakutani_shift_sum_k{k}", terms))
         series[f"kakutani_k{k}"] = (decades, np.array(
             [measures.centred_sum(terms, dn) for dn in decades.tolist()]))
+        del terms   # one term array at a time
     metrics.append(_tail_metric("bias_square_sum",
                                 factor_mod.bias_square_terms(block, n)))
     emit_plot_data(series, csv)
@@ -218,7 +219,7 @@ def _cmd_factor(params: dict, seed: int):
 def _cmd_match(params: dict, seed: int, assignment_csv: Path,
                histogram_csv: Path, window_csv: Path | None = None):
     m = measures.parse_measure(params["measure"])
-    w, q, d, assignment = factor_mod.match_window(
+    w, q, assignment = factor_mod.match_window(
         m, (0, params["n"] - 1), SeedStream(seed), "match-input")
     if window_csv:
         write_csv(window_csv, ("index", "value"),
@@ -237,7 +238,7 @@ def _cmd_match(params: dict, seed: int, assignment_csv: Path,
     frac_censored = censored / max(1, matched + censored)
     return [
         {"name": "q", "value": q, "pass": q > 0},
-        {"name": "d", "value": d, "pass": True},
+        {"name": "d", "value": assignment.d, "pass": True},
         {"name": "matched_pairs", "value": matched, "pass": True},
         {"name": "censored_b_fraction", "value": frac_censored,
          "tolerance": 0.25, "pass": frac_censored < 0.25},

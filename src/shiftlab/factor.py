@@ -235,17 +235,17 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
 
 def match_window(m: FiniteProductMeasure, span: tuple[int, int],
                  seeds: SeedStream, label: str) -> tuple:
-    """(w, q, d, assignment): the window ``span`` sampled from ``label``,
-    q = ``good_prob_lower`` on it, d = required_d(q) and the matching of
-    w's special sequence at d, from one marginal block over the span and
-    the 7 indices after it, dropped before the special sequence is read."""
+    """(w, q, assignment): the window ``span`` sampled from ``label``,
+    q = ``good_prob_lower`` on it and the matching of w's special sequence
+    at d = required_d(q) (``assignment.d``), from one marginal block over
+    the span and the 7 indices after it, dropped before the special
+    sequence is read."""
     lo, hi = span
     block = m.block(lo, hi - lo + GOOD_WIDTH)
     q = good_prob_lower(block, span)
     w = sample_block(block_rows(block, lo, hi), seeds, label)
     del block
-    d = required_d(q)
-    return w, q, d, meshalkin_match(special_sequence(w), d)
+    return w, q, meshalkin_match(special_sequence(w), required_d(q))
 
 
 def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
@@ -254,7 +254,8 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     """(output, diagnostics): the full factor map composed on the window
     ``match_window`` samples, and its q, d, beta0, censoring fraction and
     three-part uniformity suite on the interior output."""
-    w, q, d, assignment = match_window(m, span, seeds, "factor-input")
+    w, q, assignment = match_window(m, span, seeds, "factor-input")
+    d = assignment.d
     a_pos = assignment.a_positions   # the special fillers' starts
     split = psi_split(w.values[a_pos - w.start], d, radius, seeds,
                       assignment)

@@ -13,18 +13,18 @@ The scheme is bracket matching, with each b a "(" and each a d copies of
 stack of runs of unmatched b's.  An a takes its partners off that stack
 as runs of consecutive b's, and the assignment is those runs: one row
 per run, with its first b, its length, the rank of its a among the
-sequence's a's (the row of that a's tuple), and the round top and slot
-offset from which each of its b's reads the round of the inductive
-scheme in which it is matched and its slot.  The stack's height after
-each a follows Lindley's queue recursion, computed for all a's at once;
-an a that finds the stack empty and leaves it empty is idle and takes
-exactly its own gap, so the scan's loop visits only the busy periods.
-An a's partners take slots 1, 2, ... of its coded tuple in ascending b
-order, and ``hand_out`` deals the tuples out from (rank, slot, value)
-triples over a fill.  The per-b columns are expanded from the runs on
-request.  The test suite checks the scan against the full scan over
-every a, a literal simulation of the rounds, and the slots against a
-per-a counter.
+sequence's a's (the row of that a's tuple), and the round top from which
+each of its b's reads the round of the inductive scheme in which it is
+matched.  The stack's height after each a follows Lindley's queue
+recursion, computed for all a's at once; an a that finds the stack empty
+and leaves it empty is idle and takes exactly its own gap, so the scan's
+loop visits only the busy periods.  An a's partners take slots 1, 2, ...
+of its coded tuple in ascending b order, so a b's slot follows from its
+a's runs alone: ``hand_out`` counts them off in rank order as it deals
+the tuples out from (rank, slot, value) triples over a fill.  The per-b
+columns are expanded from the runs on request.  The test suite checks
+the scan against the full scan over every a, a literal simulation of the
+rounds, and the dealt slots against a per-a counter.
 
 The walk criterion gives an independent characterization: weight b-sites
 -1 and a-sites +d; a b at m resolves exactly when the running sum of
@@ -55,9 +55,10 @@ class MatchingAssignment:
     ``a_positions`` lists the sequence's a-indices in ascending order.  Run
     i is the ``run_lengths[i]`` consecutive b's from ``run_starts[i]`` on,
     all matched to the a ``a_positions[run_ranks[i]]``, so ``run_ranks`` is
-    the row of that a's tuple; the b at j is matched in round
-    ``run_tops[i] - j`` and takes slot ``j + run_offsets[i]`` of the tuple
-    (slot 0 is the a's own).  Runs come in ascending start order.
+    the row of that a's tuple, and the b at j is matched in round
+    ``run_tops[i] - j``.  Runs come in ascending start order, so an a's
+    runs list its partners in ascending b order, and these take slots
+    1, 2, ... of its tuple (slot 0 is the a's own).
     ``unmatched`` lists the censored b-indices.  All indices are absolute.
 
     ``b_indices``, ``a_indices`` and ``rounds`` expand the runs into one
@@ -71,7 +72,6 @@ class MatchingAssignment:
     run_lengths: np.ndarray
     run_ranks: np.ndarray
     run_tops: np.ndarray
-    run_offsets: np.ndarray
 
     @property
     def b_indices(self) -> np.ndarray:
@@ -89,11 +89,13 @@ class MatchingAssignment:
         return np.negative(rounds, out=rounds)
 
     def largest_slot(self, keep: np.ndarray) -> int:
-        """The largest slot a run deals to a rank the bool mask ``keep``
-        marks; 0 if none does."""
-        last = self.run_starts + self.run_offsets + self.run_lengths - 1
-        last = last[keep[self.run_ranks]]
-        return int(last.max()) if len(last) else 0
+        """The largest slot dealt to a rank the bool mask ``keep`` marks,
+        which is the largest partner count of those a's; 0 if none has a
+        partner."""
+        kept = keep[self.run_ranks]
+        counts = np.bincount(self.run_ranks[kept],
+                             weights=self.run_lengths[kept])
+        return int(counts.max()) if len(counts) else 0
 
     def check_capacity(self) -> None:
         starts, lens, ranks = self.run_starts, self.run_lengths, self.run_ranks
@@ -115,9 +117,6 @@ class MatchingAssignment:
             raise AssertionError("a b is both matched and unmatched")
         if np.bincount(ranks, weights=lens).max() > self.d:
             raise AssertionError("an a exceeded its capacity")
-        first = starts + self.run_offsets
-        if first.min() < 1 or (first + lens - 1).max() > self.d:
-            raise AssertionError("tuple exhaustion: a slot outside 1..d")
 
 
 def required_d(q: float) -> int:
@@ -140,9 +139,6 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     round, and each further b of the run comes one round later.  These
     are the rounds of the inductive scheme, b for b.
 
-    The b's an a takes nearest first are its partners in descending b
-    order, so once the scan knows an a's total m, a b at j in a slice
-    [lo, hi) taken after ``taken`` others gets slot m - taken - (hi-1-j).
     A b's rank is its a's rank among the a's, which is the row of that
     a's tuple.  Each slice is one run of the assignment.
 
@@ -150,9 +146,9 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     S_r = max(0, S_{r-1} + g_r - d), g_r the b's between the a's of ranks
     r - 1 and r, so all heights come at once from W = cumsum(g - d) as
     W - min(0, cummin W).  An a with S_{r-1} = S_r = 0 is idle: it finds
-    an empty stack and takes its whole gap, in rounds 1 .. g_r and slots
-    1 .. g_r, as one run.  The stack loop runs only over the other a's,
-    the busy periods, each of which starts and ends on an empty stack.
+    an empty stack and takes its whole gap, in rounds 1 .. g_r, as one
+    run.  The stack loop runs only over the other a's, the busy periods,
+    each of which starts and ends on an empty stack.
     The unmatched b's are read off the scan too: the runs left on the
     stack (a last busy period still open at the window's end), then the
     tail after the last a.  The assignment passes ``check_capacity``
@@ -171,15 +167,14 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
     height = walk - np.minimum(np.minimum.accumulate(walk), 0)
     idle = height == 0
     idle[1:] &= height[:-1] == 0
-    # an idle a's run is its gap [prev + 1, a): top a, slots from 1
+    # an idle a's run is its gap [prev + 1, a), with top a
     ranks0 = np.flatnonzero(idle & (gaps > 0))
     los0, his0 = prevs[ranks0] + 1, a_pos[ranks0]
 
     stack: list[list[int]] = []
-    # one row per slice [lo, hi) a busy a of rank r takes from a run,
-    # after ``taken`` b's: its b at j is matched to that a in round
-    # ``top - j``
-    los, his, tops, ranks, taken = [], [], [], [], []
+    # one row per slice [lo, hi) a busy a of rank r takes from a run:
+    # its b at j is matched to that a in round ``top - j``
+    los, his, tops, ranks = [], [], [], []
     busy = np.flatnonzero(~idle)
     for r, a, prev in zip(busy.tolist(), a_pos[busy].tolist(),
                           prevs[busy].tolist()):
@@ -195,7 +190,6 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
             his.append(hi)
             tops.append(base + hi)
             ranks.append(r)
-            taken.append(d - need)
             base += k
             need -= k
             if k < hi - lo:
@@ -212,16 +206,10 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
                     dtype=np.int64)
     unmatched = _ranges(ends[:, 0], ends[:, 1] - ends[:, 0])
 
-    los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
-                                    for x in (los, his, tops, ranks, taken))
-    lens = his - los
-    # a busy a's slices are consecutive and its last one ends at its
-    # total m, so the b at j of a slice takes slot j + offset
-    last = np.searchsorted(ranks, ranks, side="right") - 1
-    offsets = (taken + lens)[last] - taken - his + 1
-    los, lens, tops, ranks, offsets = (np.concatenate(pair) for pair in (
-        (los0, los), (his0 - los0, lens), (his0, tops), (ranks0, ranks),
-        (1 - los0, offsets)))
+    los, his, tops, ranks = (np.array(x, dtype=np.int64)
+                             for x in (los, his, tops, ranks))
+    los, lens, tops, ranks = (np.concatenate(pair) for pair in (
+        (los0, los), (his0 - los0, his - los), (his0, tops), (ranks0, ranks)))
     # the slices are disjoint, so ordering them by lo orders the b's
     order = np.argsort(los)
     assignment = MatchingAssignment(
@@ -232,7 +220,6 @@ def meshalkin_match(z: Window, d: int) -> MatchingAssignment:
         run_lengths=lens[order],
         run_ranks=ranks[order],
         run_tops=tops[order] + z.start,
-        run_offsets=offsets[order] - z.start,
     )
     assignment.check_capacity()
     return assignment
@@ -244,8 +231,8 @@ def hand_out(assignment: MatchingAssignment, fill, triples, out: np.ndarray,
     absolute index ``start``.  Every tuple is ``fill`` but at the
     ``triples``, three equal-length arrays ``(ranks, slots, values)``
     (``values`` may be a scalar): slot s of the tuple of the a of rank k
-    holds the value of a triple (k, s).  The a keeps slot 0 and the b at
-    j of one of its runs takes slot j + offset.
+    holds the value of a triple (k, s).  The a keeps slot 0 and its
+    partners take slots 1, 2, ... in ascending b order.
 
     ``fill`` goes first, at every dealt a and b, through one bool mask
     that ``np.repeat`` builds from the alternating gaps and dealt

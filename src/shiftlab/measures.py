@@ -273,23 +273,23 @@ def binary_rows(block: Window) -> np.ndarray:
 
 
 def doeblin_delta(block: Window) -> float:
-    """Infimum of all masses of a marginal block, 0 if some mass vanishes."""
+    """Infimum of all masses of a marginal block, 0 if some mass vanishes,
+    in one pass.  A block that is one broadcast row (a zero row stride, as
+    an i.i.d. measure's block is) has one row to read."""
     p = block.values
-    return 0.0 if np.any(p == 0.0) else float(p.min())
+    low = float((p[:1] if p.strides[0] == 0 else p).min())
+    return 0.0 if low == 0.0 else low
 
 
 def kakutani_terms(block: Window, k: int, N: int,
-                   m: FiniteProductMeasure | None = None) -> np.ndarray:
+                   m: FiniteProductMeasure) -> np.ndarray:
     """(marginal(n)(0) - marginal(n-k)(0))^2 for n = -N .. N (k = 0 gives
-    exact zeros), read from the rows of a binary marginal block and filled
-    ``BLOCK_ROWS`` terms at a time.  A piece reads its rows n-k from the
-    block where the block holds them all; given the measure ``m``, it reads
-    them from ``m.block`` otherwise, so a lag the block does not hold costs
-    no rows beyond its terms."""
+    exact zeros) of the binary measure ``m``, read from the rows -N .. N
+    of its marginal block ``block`` and filled ``BLOCK_ROWS`` terms at a
+    time.  A piece reads its rows n-k from the block where the block holds
+    them all and from ``m.block`` otherwise, so a lag the block does not
+    hold costs no rows beyond its terms."""
     lo, hi, L = *block.span, 2 * N + 1
-    if m is None:
-        # one read of the rows n and n-k reach names every row it misses
-        binary_rows(block_rows(block, -N - max(k, 0), N - min(k, 0)))
     p0 = binary_rows(block_rows(block, -N, N))[:, 0]
     out = np.empty(L)
     for s in range(0, L, sampling.BLOCK_ROWS):

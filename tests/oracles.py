@@ -100,7 +100,7 @@ def full_scan_match(z, d: int):
     isa = z.values
     stack: list[list[int]] = []
     a_pos = np.flatnonzero(isa)
-    los, his, tops, ranks, taken = [], [], [], [], []
+    los, his, tops, ranks = [], [], [], []
     prev = -1
     for r, a in enumerate(a_pos.tolist()):
         if a > prev + 1:
@@ -116,7 +116,6 @@ def full_scan_match(z, d: int):
             his.append(hi)
             tops.append(base + hi)
             ranks.append(r)
-            taken.append(d - need)
             base += k
             need -= k
             if k < hi - lo:
@@ -128,17 +127,13 @@ def full_scan_match(z, d: int):
     ends = np.array([run[:2] for run in stack] + [[prev + 1, len(isa)]],
                     dtype=np.int64)
     unmatched = _ranges(ends[:, 0], ends[:, 1] - ends[:, 0])
-    los, his, tops, ranks, taken = (np.array(x, dtype=np.int64)
-                                    for x in (los, his, tops, ranks, taken))
-    lens = his - los
-    last = np.searchsorted(ranks, ranks, side="right") - 1
-    offsets = (taken + lens)[last] - taken - his + 1
+    los, his, tops, ranks = (np.array(x, dtype=np.int64)
+                             for x in (los, his, tops, ranks))
     order = np.argsort(los)
     return MatchingAssignment(
         d=d, a_positions=a_pos + z.start, unmatched=unmatched + z.start,
-        run_starts=los[order] + z.start, run_lengths=lens[order],
-        run_ranks=ranks[order], run_tops=tops[order] + z.start,
-        run_offsets=offsets[order] - z.start)
+        run_starts=los[order] + z.start, run_lengths=(his - los)[order],
+        run_ranks=ranks[order], run_tops=tops[order] + z.start)
 
 
 def matching_radius(z, d: int, m: int) -> int | None:
@@ -162,9 +157,11 @@ def ranks_of(assignment) -> np.ndarray:
 
 
 def slots_of(assignment) -> np.ndarray:
-    """Each matched b's tuple slot, in ascending b order."""
-    return (np.repeat(assignment.run_offsets, assignment.run_lengths)
-            + assignment.b_indices)
+    """Each matched b's tuple slot, in ascending b order, from a per-a
+    counter over its partners (``slots_oracle``)."""
+    return np.array(slots_oracle(assignment.b_indices.tolist(),
+                                 assignment.a_indices.tolist()),
+                    dtype=np.int64)
 
 
 def pairs(assignment) -> dict[int, int]:

@@ -182,7 +182,7 @@ class TestMeasureCheck:
                              ids=["default", "near", "far"])
     def test_memory_follows_n_for_every_k_set(self, tmp_path, capsys, ks):
         # one block over -n - 8 .. n + 1 whatever --k says, so the traced
-        # peak a unit of n (about 74 B) stays within the MEASURE_N_BYTES
+        # peak a unit of n (about 58 B) stays within the MEASURE_N_BYTES
         # the --n cap charges, near lags of +-(2n + 1) included
         n = 200_000
         tracemalloc.start()
@@ -195,6 +195,20 @@ class TestMeasureCheck:
             tracemalloc.stop()
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
         assert peak / n <= cli.MEASURE_N_BYTES
+
+    def test_one_term_array_at_a_time(self, tmp_path):
+        # an i.i.d. block is one row, so the peak is the term array being
+        # filled, 2n + 1 floats or 16 B a unit of n; a lag's array still
+        # held while the next one fills would make it 32
+        n = 200_000
+        tracemalloc.start()
+        try:
+            cli._cmd_measure({"measure": "iid:0.3", "n": n}, 7,
+                             tmp_path / "measure_check.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 24
 
     def test_byte_determinism(self, tmp_path, capsys):
         argv = ["measure", "check", "--measure", "nu_c:0.2",

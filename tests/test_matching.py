@@ -1,6 +1,7 @@
 """Meshalkin matching: bracket scan against the round loop, walk radius,
 domination, AB extraction."""
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from shiftlab import (MatchingAssignment, SeedStream, Window, dominates,
                       special_sequence)
 
 
-def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
+def from_pairs(d, b, a, rounds, unmatched, a_positions=None):
     """An assignment built from its (b, a) rows, one run per row;
     ``a_positions`` defaults to the a's that have a partner."""
     b, a = np.asarray(b, dtype=np.int64), np.asarray(a, dtype=np.int64)
@@ -26,33 +27,28 @@ def from_pairs(d, b, a, rounds, slots, unmatched, a_positions=None):
         a_positions = np.unique(a)
     return from_runs(d, b, np.ones(len(b), dtype=np.int64),
                      np.searchsorted(a_positions, a), a_positions, unmatched,
-                     tops=np.asarray(rounds, dtype=np.int64) + b,
-                     offsets=np.asarray(slots, dtype=np.int64) - b)
+                     tops=np.asarray(rounds, dtype=np.int64) + b)
 
 
 def from_runs(d, starts, lengths, ranks, a_positions, unmatched=(),
-              tops=None, offsets=None):
+              tops=None):
     """An assignment built from its runs; ``tops`` default to round 1 at
-    each run's last b, and ``offsets`` to slots 1, 2, ... along each run."""
+    each run's last b."""
     starts, lengths = (np.asarray(x, dtype=np.int64)
                        for x in (starts, lengths))
     if tops is None:
         tops = starts + lengths
-    if offsets is None:
-        offsets = 1 - starts
     return MatchingAssignment(
         d=d, a_positions=np.asarray(a_positions, dtype=np.int64),
         unmatched=np.asarray(unmatched, dtype=np.int64),
         run_starts=starts, run_lengths=lengths,
         run_ranks=np.asarray(ranks, dtype=np.int64),
-        run_tops=np.asarray(tops, dtype=np.int64),
-        run_offsets=np.asarray(offsets, dtype=np.int64))
+        run_tops=np.asarray(tops, dtype=np.int64))
 
 
 def round_loop_match(z: Window, d: int) -> MatchingAssignment:
     """The inductive scheme as vectorised rounds over the surviving sites
-    (at most window-length rounds), with the assignment's arrays and the
-    per-a counter's slots."""
+    (at most window-length rounds), as the assignment's arrays."""
     isa = z.values
     L = len(isa)
     partner = np.full(L, -1, dtype=np.int64)
@@ -80,7 +76,6 @@ def round_loop_match(z: Window, d: int) -> MatchingAssignment:
     matched = partner >= 0
     b, a = np.flatnonzero(matched), partner[matched]
     return from_pairs(d, b + z.start, a + z.start, round_of[matched],
-                      slots_oracle(b.tolist(), a.tolist()),
                       np.flatnonzero(~matched & ~isa) + z.start,
                       a_positions=np.flatnonzero(isa) + z.start)
 
@@ -160,10 +155,9 @@ class TestMeshalkinMatch:
                 np.testing.assert_array_equal(
                     getattr(got, field), getattr(want, field),
                     err_msg=f"{field}, trial {trial}, d = {d}")
-            for read in (ranks_of, slots_of):
-                np.testing.assert_array_equal(
-                    read(got), read(want),
-                    err_msg=f"{read.__name__}, trial {trial}, d = {d}")
+            np.testing.assert_array_equal(
+                ranks_of(got), ranks_of(want),
+                err_msg=f"ranks, trial {trial}, d = {d}")
 
     @pytest.mark.parametrize("letters, d, unmatched", [
         ("bbbb", 2, [0, 1, 2, 3]),          # no a at all: every b is tail
@@ -204,7 +198,7 @@ def every_slot(tuples: np.ndarray) -> tuple:
 
 
 RUN_FIELDS = ("a_positions", "unmatched", "run_starts", "run_lengths",
-              "run_ranks", "run_tops", "run_offsets")
+              "run_ranks", "run_tops")
 
 
 def assert_same_runs(got, want, msg=""):
@@ -285,10 +279,8 @@ class TestBusyPeriodScan:
         assert_same_runs(meshalkin_match(z, d), full_scan_match(z, d))
 
 
-def hand_built(b, a, unmatched=(), slots=None) -> MatchingAssignment:
-    if slots is None:
-        slots = slots_oracle(b, a)
-    return from_pairs(2, b, a, np.ones(len(b)), slots, unmatched)
+def hand_built(b, a, unmatched=()) -> MatchingAssignment:
+    return from_pairs(2, b, a, np.ones(len(b)), unmatched)
 
 
 class TestCheckCapacity:
@@ -317,38 +309,26 @@ class TestCheckCapacity:
         with pytest.raises(AssertionError, match="rank outside"):
             assignment.check_capacity()
 
-    @pytest.mark.parametrize("slots", [[1, 3], [0, 1]])
-    def test_rejects_slot_outside_tuple(self, slots):
-        with pytest.raises(AssertionError, match="tuple exhaustion"):
-            hand_built([0, 1], [2, 2], [], slots).check_capacity()
-
     def test_valid_runs(self):
         # "bbbaba" at d = 2: the a at 3 takes 2 and 1, and the a at 5 takes
         # 4 in round 1, then 0 in round 3, so it has two runs
         want = from_runs(2, [0, 1, 4], [1, 2, 1], [1, 0, 1], [3, 5],
-                         tops=[3, 3, 5], offsets=[1, 0, -2])
+                         tops=[3, 3, 5])
         want.check_capacity()
-        got = meshalkin_match(from_letters(0, "bbbaba"), 2)
-        for field in ("a_positions", "unmatched", "run_starts", "run_lengths",
-                      "run_ranks", "run_tops", "run_offsets"):
-            np.testing.assert_array_equal(getattr(got, field),
-                                          getattr(want, field), err_msg=field)
+        assert_same_runs(meshalkin_match(from_letters(0, "bbbaba"), 2), want)
 
-    @pytest.mark.parametrize("starts,lengths,ranks,offsets,message", [
+    @pytest.mark.parametrize("starts,lengths,ranks,message", [
         # two runs that overlap at 1
-        ([0, 1], [2, 1], [0, 0], [1, 1], "matched twice"),
+        ([0, 1], [2, 1], [0, 0], "matched twice"),
         # a run that reaches its own a at 2
-        ([0], [3], [0], [1], "on its left"),
+        ([0], [3], [0], "on its left"),
         # one a's two runs, 2 + 2 b's at d = 3
-        ([0, 3], [2, 2], [1, 1], [1, -1], "capacity"),
-        # slots 2 .. 4 at d = 3
-        ([3], [3], [1], [-1], "tuple exhaustion"),
-        ([0, 1], [1, 0], [1, 1], [1, 1], "holds no b"),
+        ([0, 3], [2, 2], [1, 1], "capacity"),
+        ([0, 1], [1, 0], [1, 1], "holds no b"),
     ])
-    def test_rejects_runs(self, starts, lengths, ranks, offsets, message):
+    def test_rejects_runs(self, starts, lengths, ranks, message):
         # a's at 2 and 6, capacity 3
-        assignment = from_runs(3, starts, lengths, ranks, [2, 6],
-                               offsets=offsets)
+        assignment = from_runs(3, starts, lengths, ranks, [2, 6])
         with pytest.raises(AssertionError, match=message):
             assignment.check_capacity()
 
@@ -455,6 +435,23 @@ class TestPartnerSlots:
             partner = match_oracle("".join(np.where(isa, "a", "b")), d)[0]
             assert (a_positions[ranks_of(assignment)] - start).tolist() == \
                 [partner[x] for x in sorted(partner)], trial
+
+    @given(st.text(alphabet="ab", max_size=80), st.integers(1, 12),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_largest_slot_is_the_largest_kept_partner_count(self, letters,
+                                                            d, data):
+        assignment = meshalkin_match(from_letters(-4, letters), d)
+        K = len(assignment.a_positions)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=K,
+                                           max_size=K)), dtype=bool)
+        kept = set(assignment.a_positions[keep].tolist())
+        partners = Counter(a for b, a in zip(assignment.b_indices.tolist(),
+                                             assignment.a_indices.tolist())
+                           if a in kept)
+        assert assignment.largest_slot(keep) == \
+            max(partners.values(), default=0)
+        assert assignment.largest_slot(np.zeros(K, dtype=bool)) == 0
 
     def test_empty_assignment(self):
         assignment = meshalkin_match(from_letters(0, "abbb"), 2)
@@ -570,12 +567,6 @@ class TestPartnerSlots:
                                match=r"slot lies outside 0 \.\. 2$"):
                 hand_out(assignment, 1, ([0, 1], [1, slot], 0), out, 0)
         assert (out == -1).all()
-
-    def test_tuple_exhaustion(self):
-        # one partner, but handed the slot past the last bit of the tuple
-        assignment = from_pairs(1, [1], [2], [1], [2], [0])
-        with pytest.raises(AssertionError, match="tuple exhaustion"):
-            assignment.check_capacity()
 
 
 class TestGoodToAB:

@@ -124,11 +124,37 @@ class TestDoeblin:
             warnings.simplefilter("error")
             assert doeblin_delta(m.block(0, 6)) == 0.0
 
+    @pytest.mark.parametrize("m", [
+        iid_binary(0.3), make_nu_c(0.1), make_mu_pc(0.3, 0.5, inverse_sqrt),
+        iid((-0.0, 1.0)), FiniteProductMeasure(
+            lambda n: np.where(np.asarray(n)[..., None] == 3, (1.0, 0.0),
+                               (0.4, 0.6)))],
+        ids=["iid", "nu_c", "mu", "iid-negative-zero", "zero-at-3"])
+    def test_equals_the_full_read(self, m):
+        # one pass, or one row of a broadcast block, gives what a read of
+        # every mass gives, and +0.0 at a zero (or -0.0) mass
+        full = block_oracle(m, -1000, 2001)
+        want = 0.0 if np.any(full == 0.0) else float(full.min())
+        got = doeblin_delta(m.block(-1000, 2001))
+        assert got == want
+        assert math.copysign(1.0, got) == 1.0
+
+    def test_reads_one_row_of_a_broadcast_block(self):
+        block = iid_binary(0.3).block(-2000008, 4000010)
+        tracemalloc.start()
+        try:
+            delta = doeblin_delta(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta == 0.3
+        assert peak < 1 << 20
+
 
 def terms_of(m, k, N):
     """kakutani_terms over a block of exactly the indices n and n-k reach."""
     lo = -N - max(k, 0)
-    return kakutani_terms(m.block(lo, 2 * N + 1 + abs(k)), k, N)
+    return kakutani_terms(m.block(lo, 2 * N + 1 + abs(k)), k, N, m)
 
 
 def kakutani_sum(m, k, N):
@@ -173,15 +199,15 @@ class TestKakutaniShiftSum:
             centred_sum(terms, 11)
 
     def test_short_block_is_refused(self):
-        # k = 2, N = 10 reads indices -12 .. 10
+        # N = 10 reads the block's indices -10 .. 10; the lag comes from
+        # the measure where the block does not hold it
         m = make_nu_c(0.1)
-        with pytest.raises(ValueError, match=r"misses -12 \.\. -12$"):
-            kakutani_terms(m.block(-11, 22), 2, 10)
-        with pytest.raises(ValueError, match=r"misses -12 \.\. -10 and "
+        with pytest.raises(ValueError, match=r"misses -10 \.\. -10 and "
                                              r"10 \.\. 10$"):
-            kakutani_terms(m.block(-9, 19), 2, 10)
+            kakutani_terms(m.block(-9, 19), 2, 10, m)
+        three = iid((0.2, 0.3, 0.5))
         with pytest.raises(ValueError, match="two-symbol"):
-            kakutani_terms(iid((0.2, 0.3, 0.5)).block(-12, 23), 2, 10)
+            kakutani_terms(three.block(-12, 23), 2, 10, three)
 
 
 def kakutani_two_blocks(m, k, N):
@@ -277,15 +303,12 @@ def test_diagnostics_read_rows_by_index(spec):
     """Each diagnostic gives the same result from the exact block it reads
     and from blocks 1 or 17 rows longer on either side, and refuses a block
     one row short.  doeblin_delta reads every row it is given, so it gets
-    its rows through block_rows, as `measure check` does.  Given the
-    measure, kakutani_terms needs only the rows -N .. N: it reads the lag
-    from the measure, or from a block 17 rows longer on the left, which
-    holds it."""
+    its rows through block_rows, as `measure check` does.  kakutani_terms
+    needs only the rows -N .. N: it reads the lag from the measure, or
+    from a block 17 rows longer on the left, which holds it."""
     m, N, k, span = parse_measure(spec), 50, 3, (-20, 30)
     reads = [
         (lambda b: doeblin_delta(block_rows(b, -N, N)), -N, N),
-        (lambda b: kakutani_terms(b, k, N), -N - k, N),
-        (lambda b: kakutani_terms(b, -k, N), -N, N + k),
         (lambda b: kakutani_terms(b, k, N, m), -N, N),
         (lambda b: bias_square_terms(b, N), -N, N + 1),
         (lambda b: good_prob_lower(b, span), span[0], span[1] + 7),
@@ -394,8 +417,8 @@ class TestBlockFills:
                              ids=["zero", "held", "negative", "far"])
     def test_kakutani_terms(self, name, k, fill_lengths):
         # the block over every row n and n-k reach holds the lag; the
-        # block over -N .. N alone, given the measure, reads the pieces
-        # it does not hold from the measure
+        # block over -N .. N alone reads the pieces it does not hold from
+        # the measure
         m = BINARY_FAMILIES[name]
         for length in fill_lengths:
             N = length // 2
@@ -403,7 +426,6 @@ class TestBlockFills:
             if abs(k) < 10:
                 lo = -N - max(k, 0)
                 held = m.block(lo, 2 * N + 1 + abs(k))
-                assert kakutani_terms(held, k, N).tobytes() == want
                 assert kakutani_terms(held, k, N, m).tobytes() == want
             alone = m.block(-N, 2 * N + 1)
             assert kakutani_terms(alone, k, N, m).tobytes() == want
