@@ -32,10 +32,11 @@ CSV_CHUNK = 1 << 16
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
-# window of --n sites (at --n 2e7 factor run holds about 19 bytes a site
-# on iid:0.3, whose marginal block is one row, and 27 on mu:0.3,0.5,
-# whatever the capacity d; match run about 37); measure check about 50 a
-# unit of n; index scan holds about 415 bytes a k
+# window of --n sites (at --n 2e7 factor run holds about 12 bytes a site
+# on iid:0.3, whose marginal block is one row, and 19 on mu:0.3,0.5,
+# whatever the capacity d; match run, which holds no per-b column, about 6
+# on iid:0.3 and 19 on mu:0.3,0.5, 16 of them the marginal block's);
+# measure check about 50 a unit of n; index scan holds about 415 bytes a k
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000
@@ -69,8 +70,11 @@ def write_csv(path: Path, header, columns) -> Path:
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
     if all(c.dtype.kind in "iu" and c.dtype != np.uint64 for c in columns):
-        with open(path, "wb") as fh:
-            _write_int_rows(fh, header, columns)
+        n = len(columns[0])
+        _write_int_rows(path, header, [
+            (c.min(), c.max()) if n else (0, 0) for c in columns], n,
+            ([c[i:i + CSV_CHUNK] for c in columns]
+             for i in range(0, n, CSV_CHUNK)))
         return path
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -100,8 +104,13 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return last, upper
 
 
-def _write_int_rows(fh, header, columns) -> None:
-    """``write_csv`` for integer columns, into the binary file ``fh``.
+def _write_int_rows(path: Path, header, bounds, n: int, chunks) -> None:
+    """``write_csv`` for integer columns, the one integer writer: the
+    ``header`` line and ``n`` rows to the file ``path``.  ``chunks``
+    yields the rows as lists of equal-length integer columns, at most
+    ``CSV_CHUNK`` rows each, so no column need exist whole; ``bounds``
+    holds each column's (min, max) over all the rows, which fix its width
+    and sign for the whole file.
 
     Each chunk is a ``(rows, slots)`` matrix of little-endian 4-byte words
     whose NULs are then deleted.  A cell is one lead word (the newline
@@ -112,10 +121,9 @@ def _write_int_rows(fh, header, columns) -> None:
     ends the file.  Only scalar divisions are used, which numpy does with
     multiply-shift."""
     last, upper = _digit_words()
-    n = len(columns[0])
     layout, slots = [], 0                    # (lead slot, groups, signed)
-    for c in columns:
-        lo, hi = (int(c.min()), int(c.max())) if n else (0, 0)
+    for lo, hi in bounds:
+        lo, hi = int(lo), int(hi)
         groups = 1
         while max(hi, -lo) >= 10 ** (4 * groups):
             groups += 1
@@ -124,30 +132,31 @@ def _write_int_rows(fh, header, columns) -> None:
     rows = min(n, CSV_CHUNK)
     buf = bytearray(4 * slots * rows)
     words = np.frombuffer(buf, "<u4").reshape(rows, slots)
-    leads = [ord("\n")] + [ord(",")] * (len(columns) - 1)
+    leads = [ord("\n")] + [ord(",")] * (len(layout) - 1)
     for (lead, _, _), word in zip(layout, leads):
         words[:, lead] = word
     minus = np.uint32(ord("-") << 24)
-    fh.write(",".join(header).encode())
-    for i in range(0, n, CSV_CHUNK):
-        w = words[:n - i]
-        for c, (lead, groups, signed), word in zip(columns, layout, leads):
-            c = c[i:i + CSV_CHUNK].astype(np.int64, copy=False)
-            if signed:
-                w[:, lead] = word + minus * (c < 0)
-            q = np.abs(c).view(np.uint64)         # int64 min -> 2^63
-            for t in range(groups - 1, 0, -1):
-                hi = q // 10_000
-                # 10 000 + (q mod 10 000) below a higher digit, else q
-                g = np.minimum(q, q - hi * 10_000 + 10_000)
-                table = last if t == groups - 1 else upper
-                w[:, lead + 1 + t] = table[g.view(np.int64)]
-                q = hi
-            w[:, lead + 1] = (last if groups == 1 else upper)[
-                q.view(np.int64)]
-        data = buf if len(w) == rows else buf[:w.nbytes]
-        fh.write(data.translate(None, b"\0"))
-    fh.write(b"\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
+        for chunk in chunks:
+            w = words[:len(chunk[0])]
+            for c, (lead, groups, signed), word in zip(chunk, layout, leads):
+                c = c.astype(np.int64, copy=False)
+                if signed:
+                    w[:, lead] = word + minus * (c < 0)
+                q = np.abs(c).view(np.uint64)         # int64 min -> 2^63
+                for t in range(groups - 1, 0, -1):
+                    hi = q // 10_000
+                    # 10 000 + (q mod 10 000) below a higher digit, else q
+                    g = np.minimum(q, q - hi * 10_000 + 10_000)
+                    table = last if t == groups - 1 else upper
+                    w[:, lead + 1 + t] = table[g.view(np.int64)]
+                    q = hi
+                w[:, lead + 1] = (last if groups == 1 else upper)[
+                    q.view(np.int64)]
+            data = buf if len(w) == rows else buf[:w.nbytes]
+            fh.write(data.translate(None, b"\0"))
+        fh.write(b"\n")
 
 
 def emit_plot_data(series: dict, path: Path) -> Path:
@@ -222,18 +231,25 @@ def _cmd_match(params: dict, seed: int, assignment_csv: Path,
     w, q, assignment = factor_mod.match_window(
         m, (0, params["n"] - 1), SeedStream(seed), "match-input")
     if window_csv:
-        write_csv(window_csv, ("index", "value"),
-                  (np.arange(w.start, w.stop), w.values))
-    b, a_indices = assignment.b_indices, assignment.a_indices
-    write_csv(assignment_csv, ("b_index", "a_index", "round"),
-              (b, a_indices, assignment.rounds))
-
-    # a_indices is a fresh array, so it becomes the radii in place
-    a_indices -= b
-    hist = np.bincount(a_indices) if len(a_indices) else np.zeros(1, int)
+        n = len(w)
+        _write_int_rows(window_csv, ("index", "value"), (
+            (w.start, w.stop - 1), (w.values.min(), w.values.max())), n,
+            ((np.arange(w.start + i, w.start + min(i + CSV_CHUNK, n)),
+              w.values[i:i + CSV_CHUNK]) for i in range(0, n, CSV_CHUNK)))
+    lens = assignment.run_lengths
+    matched = int(lens.sum())
+    _write_int_rows(assignment_csv, ("b_index", "a_index", "round"),
+                    assignment.row_bounds(), matched,
+                    ((c.b_indices, c.a_indices, c.rounds)
+                     for c in assignment.row_chunks(CSV_CHUNK)))
+    # the run of L b's from s matched to the a at A covers the radii
+    # A-s-L+1 .. A-s: the histogram steps up at the first and down past the
+    # last
+    far = assignment.a_positions[assignment.run_ranks] - assignment.run_starts
+    down = np.bincount(far + 1, minlength=1)
+    hist = np.cumsum(np.bincount(far - lens + 1, minlength=len(down)) - down)
     radii = np.flatnonzero(hist)
     emit_plot_data({"radius_histogram": (radii, hist[radii])}, histogram_csv)
-    matched = int(assignment.run_lengths.sum())
     censored = len(assignment.unmatched)
     frac_censored = censored / max(1, matched + censored)
     return [

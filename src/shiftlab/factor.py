@@ -260,12 +260,13 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     split = psi_split(w.values[a_pos - w.start], d, radius, seeds,
                       assignment)
     out = spread_bits(w, assignment, split)
+    del w, split   # not read again: gone before the suite's float copy
     beta0 = beta_for(d + 1)
 
     n = len(out)
     margin = max(1, int(INTERIOR_FRACTION * n))
-    inner = np.asarray(out.values[margin:n - margin])
-    inner = inner[inner >= 0].astype(np.uint8)
+    inner = out.values[margin:n - margin]
+    inner = inner[inner >= 0].view(np.uint8)
     tests = stattests.uniformity_suite(inner, 1.0 - beta0)
     diagnostics = {
         "q": q,

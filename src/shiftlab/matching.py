@@ -22,7 +22,9 @@ loop visits only the busy periods.  An a's partners take slots 1, 2, ...
 of its coded tuple in ascending b order, so a b's slot follows from its
 a's runs alone: ``hand_out`` counts them off in rank order as it deals
 the tuples out from (rank, slot, value) triples over a fill.  The per-b
-columns are expanded from the runs on request.  The test suite checks
+columns are expanded from the runs on request, a chunk of rows at a time
+(``row_chunks``), so no command holds one for the whole window.  The
+test suite checks
 the scan against the full scan over every a, a literal simulation of the
 rounds, and the dealt slots against a per-a counter.
 
@@ -34,7 +36,7 @@ exhaustively in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +64,8 @@ class MatchingAssignment:
     ``unmatched`` lists the censored b-indices.  All indices are absolute.
 
     ``b_indices``, ``a_indices`` and ``rounds`` expand the runs into one
-    row per matched b, in ascending b order.
+    row per matched b, in ascending b order; ``row_chunks`` hands them out
+    a chunk of rows at a time, and ``row_bounds`` gives their ranges.
     """
 
     d: int
@@ -87,6 +90,45 @@ class MatchingAssignment:
         # one from top - start
         rounds = _ranges(self.run_starts - self.run_tops, self.run_lengths)
         return np.negative(rounds, out=rounds)
+
+    def row_bounds(self) -> list[tuple[int, int]]:
+        """The (min, max) of ``b_indices``, ``a_indices`` and ``rounds``,
+        read off the runs; (0, 0) each when no b is matched.  The runs are
+        disjoint and in start order, so the last one holds the largest b,
+        and a run of L b's from s has the rounds top - s down to
+        top - s - L + 1."""
+        starts, lens = self.run_starts, self.run_lengths
+        if not len(starts):
+            return [(0, 0)] * 3
+        a = self.a_positions[self.run_ranks]
+        first = self.run_tops - starts
+        return [(int(starts[0]), int(starts[-1] + lens[-1] - 1)),
+                (int(a.min()), int(a.max())),
+                (int((first - lens).min()) + 1, int(first.max()))]
+
+    def row_chunks(self, rows: int):
+        """The matched b's ``rows`` at a time, in ascending b order: each
+        chunk is the assignment of the runs that cover its rows, the first
+        and the last trimmed to them, with no unmatched b's, so its
+        ``b_indices``, ``a_indices`` and ``rounds`` are those rows of this
+        assignment's.  A run's trimmed b's keep their a and their rounds,
+        since a b's round is its run's top minus its index."""
+        ends = np.cumsum(self.run_lengths)     # one row past each run
+        total = int(ends[-1]) if len(ends) else 0
+        for i in range(0, total, rows):
+            j = min(i + rows, total)
+            lo = int(np.searchsorted(ends, i, side="right"))
+            hi = int(np.searchsorted(ends, j, side="left")) + 1
+            starts = self.run_starts[lo:hi].copy()
+            lens = self.run_lengths[lo:hi].copy()
+            cut = i - (ends[lo] - lens[0])     # rows of run lo before i
+            starts[0] += cut
+            lens[0] -= cut
+            lens[-1] -= ends[hi - 1] - j
+            yield replace(self, unmatched=self.unmatched[:0],
+                          run_starts=starts, run_lengths=lens,
+                          run_ranks=self.run_ranks[lo:hi],
+                          run_tops=self.run_tops[lo:hi])
 
     def largest_slot(self, keep: np.ndarray) -> int:
         """The largest slot dealt to a rank the bool mask ``keep`` marks,

@@ -34,26 +34,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(key: np.ndarray, start: int, u: np.ndarray, step: int,
-          errors: list) -> None:
-    """Fill ``u`` with the uniforms of coordinates start, start+1, ...,
-    drawn ``step`` coordinates at a time: word 0 of each one's counter
-    block, converted as ``Generator.random`` converts a word,
-    (w >> 11) * 2^-53, and the other three words never converted.  An
-    exception goes to ``errors``, for the caller to raise once every share
-    is done."""
-    try:
-        bg = Philox(key=key)
-        bg.advance(start + _COUNTER_OFFSET)
-        for c in range(0, len(u), step):
-            k = min(step, len(u) - c)
-            w = bg.random_raw(k * _BLOCK)[::_BLOCK]
-            np.multiply(np.right_shift(w, 11, out=w), 2.0 ** -53,
-                        out=u[c:c + k])
-    except BaseException as e:
-        errors.append(e)
-
-
 @dataclass(frozen=True)
 class SeedStream:
     """Root of a family of independent, reproducible substreams.
@@ -71,43 +51,71 @@ class SeedStream:
         digest = hashlib.blake2b(payload, digest_size=16).digest()
         return np.frombuffer(digest, dtype=np.uint64)
 
-    def uniforms(self, label: str, start: int, count: int) -> np.ndarray:
-        """Uniform[0,1) draws at coordinates start..start+count-1, the first
-        double of each one's own counter block, so overlapping requests
-        agree; shape (count, 1), as the benchmark's window check reads it.
+    def _pieces(self, label: str, start: int, count: int, emit) -> None:
+        """Call ``emit(at, u)`` on the uniforms of coordinates
+        start .. start+count-1 in ``label`` a piece at a time: ``at`` is
+        the slice of offsets from ``start`` that the piece covers and ``u``
+        their ``uniforms``, so ``emit`` sees each coordinate's double once
+        and no array of all of them exists.
 
         A request longer than ``BLOCK_ROWS`` coordinates is split into
         W = min(CPUs, ceil(count / BLOCK_ROWS)) contiguous shares.  The
-        calling thread draws the first share and one thread each the rest;
-        each builds its own Philox at its share's first counter and writes
-        its own slice, so a coordinate's double and the bytes of ``u`` do
-        not depend on W.  Each share is drawn ``BLOCK_ROWS // W``
-        coordinates at a time, so one piece's four words per coordinate
-        are held at once, whatever W is.  numpy's
-        ``Philox.random_raw`` releases the GIL, so the shares run in
-        parallel."""
-        key = self._key(label)
-        u = np.empty((count, 1))
+        calling thread takes the first share and one thread each the rest,
+        so ``emit`` is called from every share's thread, on disjoint
+        offsets.  Each share is drawn ``BLOCK_ROWS // W`` coordinates at a
+        time, so one piece's four words per coordinate are held at once,
+        whatever W is.  numpy's ``Philox.random_raw`` releases the GIL, so
+        the shares run in parallel.  An exception in any share, ``emit``'s
+        included, is raised here once every share is done."""
         workers = 1
         if count > BLOCK_ROWS:
             workers = min(_cpu_count(), -(-count // BLOCK_ROWS))
         step = BLOCK_ROWS // workers
         cuts = [count * i // workers for i in range(workers + 1)]
         errors = []
+
+        def share(lo: int, hi: int) -> None:
+            try:
+                for c in range(lo, hi, step):
+                    at = slice(c, min(c + step, hi))
+                    emit(at, self.uniforms(label, start + c,
+                                           at.stop - c)[:, 0])
+            except BaseException as e:
+                errors.append(e)
+
         threads = []
         try:
             for i in range(1, workers):
-                thread = Thread(target=_draw, args=(
-                    key, start + cuts[i], u[cuts[i]:cuts[i + 1], 0], step,
-                    errors))
+                thread = Thread(target=share, args=(cuts[i], cuts[i + 1]))
                 thread.start()
                 threads.append(thread)
-            _draw(key, start, u[:cuts[1], 0], step, errors)
+            share(0, cuts[1])
         finally:
             for thread in threads:
                 thread.join()
         if errors:
             raise errors[0]
+
+    def uniforms(self, label: str, start: int, count: int) -> np.ndarray:
+        """Uniform[0,1) draws at coordinates start..start+count-1, the first
+        double of each one's own counter block, so overlapping requests
+        agree; shape (count, 1), as the benchmark's window check reads it.
+
+        Up to ``BLOCK_ROWS`` coordinates are drawn at once from a Philox
+        at the first one's counter: word 0 of each counter block,
+        converted as ``Generator.random`` converts a word,
+        (w >> 11) * 2^-53, and the other three words never converted.  A
+        longer request is copied in from the pieces of ``_pieces``, which
+        are such draws, so the bytes do not depend on the CPU count."""
+        u = np.empty((count, 1))
+        if count > BLOCK_ROWS:
+            # each piece is set into its slice: u[at, 0] = piece
+            self._pieces(label, start, count, u[:, 0].__setitem__)
+            return u
+        bg = Philox(key=self._key(label))
+        bg.advance(start + _COUNTER_OFFSET)
+        w = bg.random_raw(count * _BLOCK)[::_BLOCK]
+        np.multiply(np.right_shift(w, 11, out=w), 2.0 ** -53, out=u[:, 0])
         return u
 
     def generator(self, label: str) -> Generator:
@@ -153,15 +161,20 @@ def sample_block(block: Window, seeds: SeedStream, label: str) -> Window:
     """The window over every row of a marginal block: coordinate n is the
     inverse CDF of n's row at its uniform in ``label``, as the column index
     0 .. A-1 of its symbol, in the smallest unsigned dtype that holds A-1
-    (one byte per site up to 256 symbols)."""
+    (one byte per site up to 256 symbols).  The symbols are written a
+    piece of uniforms at a time, so no float array of the window exists."""
     p = block.values
-    u = seeds.uniforms(label, block.start, len(p))[:, 0]
-    if p.shape[1] == 2:
-        sym = (u >= p[:, 0]).view(np.uint8)
-    else:
-        cdf = np.cumsum(p, axis=1)
-        sym = (u[:, None] >= cdf[:, :-1]).sum(
-            axis=1, dtype=np.min_scalar_type(p.shape[1] - 1))
+    sym = np.empty(len(p), dtype=np.min_scalar_type(p.shape[1] - 1))
+
+    def emit(at, u):
+        rows, out = p[at], sym[at]
+        if p.shape[1] == 2:
+            np.greater_equal(u, rows[:, 0], out=out.view(bool))
+        else:
+            cdf = np.cumsum(rows, axis=1)
+            (u[:, None] >= cdf[:, :-1]).sum(axis=1, dtype=sym.dtype, out=out)
+
+    seeds._pieces(label, block.start, len(p), emit)
     return Window(block.start, sym)
 
 
@@ -188,15 +201,15 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
                           label: str = "density") -> Window:
     """Coordinate n sampled by exact inverse CDF of the density at n.
 
-    Read ``BLOCK_ROWS`` coordinates at a time: a coordinate's uniform,
-    table row and inverse CDF depend on its index alone, so the pieces
-    give the one-shot window and hold one piece's temporaries."""
+    Read a piece of uniforms at a time: a coordinate's uniform, table row
+    and inverse CDF depend on its index alone, so the pieces give the
+    one-shot window and hold one piece's temporaries a share."""
     lo, _ = span
-    length = _span_length(span)
-    values = np.empty(length)
-    for c in range(0, length, BLOCK_ROWS):
-        k = min(BLOCK_ROWS, length - c)
-        u = seeds.uniforms(label, lo + c, k)[:, 0]
-        values[c:c + k] = _piecewise_inverse_cdf(
-            *d.table(np.arange(lo + c, lo + c + k)), u)
+    values = np.empty(_span_length(span))
+
+    def emit(at, u):
+        values[at] = _piecewise_inverse_cdf(
+            *d.table(np.arange(lo + at.start, lo + at.stop)), u)
+
+    seeds._pieces(label, lo, len(values), emit)
     return Window(lo, values)

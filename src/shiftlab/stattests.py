@@ -80,9 +80,11 @@ def chi_square_pooled(counts, expected):
 
 
 def serial_correlations(x, lags: int = LAGS) -> np.ndarray:
-    """Pearson autocorrelations r_1..r_lags of a numeric sequence."""
-    x = np.asarray(x, dtype=float)
-    xc = x - x.mean()
+    """Pearson autocorrelations r_1..r_lags of a numeric sequence.  The
+    centred float copy is the only one made: integer input (such as the
+    0/1 bits) is centred as it is read."""
+    x = np.asarray(x)
+    xc = np.subtract(x, x.mean(), dtype=float)
     # einsum sums on one thread in a fixed order; np.dot would hand the
     # sums to the BLAS, whose order follows its thread count
     den = float(np.einsum("i,i->", xc, xc))

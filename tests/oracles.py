@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 from numpy.random import Generator, Philox
 
+from shiftlab.cli import emit_plot_data, write_csv
 from shiftlab.markers import GOOD_BLOCKS, GOOD_WIDTH
 from shiftlab.matching import MatchingAssignment, _ranges
 from shiftlab.measures import (FiniteProductMeasure, ZeroMassError,
@@ -162,6 +163,22 @@ def slots_of(assignment) -> np.ndarray:
     return np.array(slots_oracle(assignment.b_indices.tolist(),
                                  assignment.a_indices.tolist()),
                     dtype=np.int64)
+
+
+def match_csvs_oracle(w, assignment, out_dir) -> None:
+    """``match run``'s files from whole columns into ``out_dir``: the
+    window as ``window.csv`` with its int64 index column, one int64 row
+    per matched b as ``matching_assignment.csv``, and the histogram of
+    their radii a - b by one ``bincount``."""
+    write_csv(out_dir / "window.csv", ("index", "value"),
+              (np.arange(w.start, w.stop), w.values))
+    b, a = assignment.b_indices, assignment.a_indices
+    write_csv(out_dir / "matching_assignment.csv",
+              ("b_index", "a_index", "round"), (b, a, assignment.rounds))
+    hist = np.bincount(a - b) if len(b) else np.zeros(1, int)
+    radii = np.flatnonzero(hist)
+    emit_plot_data({"radius_histogram": (radii, hist[radii])},
+                   out_dir / "radius_histogram.csv")
 
 
 def pairs(assignment) -> dict[int, int]:

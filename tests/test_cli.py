@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import parse_plot_data
+from oracles import match_csvs_oracle, parse_plot_data
 from shiftlab import (DensityFamily, HMapSpec, SeedStream,
                       sample_density_window)
-from shiftlab import cli, speedups, typeiii
+from shiftlab import cli, factor, speedups, typeiii
 from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
-from shiftlab.measures import FiniteProductMeasure
+from shiftlab.measures import FiniteProductMeasure, parse_measure
 from shiftlab.sampling import BLOCK_ROWS
 from shiftlab.stattests import ALPHA, chi_square_pooled
 
@@ -221,6 +221,27 @@ class TestMeasureCheck:
         assert (tmp_path / "measure_check.csv").read_bytes() == csv_first
 
 
+TRACED_CHILD = (
+    "import contextlib, io, json, sys, tracemalloc\n"
+    "from shiftlab import cli\n"
+    "tracemalloc.start()\n"
+    "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "peak = tracemalloc.get_traced_memory()[1]\n"
+    "print(json.dumps([code, json.loads(out.getvalue())['metrics'], peak]))\n")
+
+
+def traced_run(tmp_path, *argv):
+    """(exit code, {metric name: value}, traced peak in bytes) of one
+    command run in its own interpreter, its files under ``tmp_path``."""
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_CHILD, *argv, "--out-dir",
+         str(tmp_path)], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True).stdout
+    code, metrics, peak = json.loads(out)
+    return code, {m["name"]: m.get("value") for m in metrics}, peak
+
+
 class TestFactorRun:
     def test_report_schema(self, tmp_path, capsys):
         code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
@@ -304,29 +325,37 @@ class TestFactorRun:
         # d is 882, 5 906 and 254 139 on these windows at n = 2e5 (as
         # reported), yet each run's traced peak stays within SITE_BYTES a
         # site; each runs in its own interpreter
-        child = ("import contextlib, io, json, sys, tracemalloc\n"
-                 "from shiftlab import cli\n"
-                 "tracemalloc.start()\n"
-                 "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-                 "    code = cli.main(sys.argv[1:])\n"
-                 "peak = tracemalloc.get_traced_memory()[1]\n"
-                 "d = [m['value'] for m in json.loads(out.getvalue())"
-                 "['metrics'] if m['name'] == 'd'][0]\n"
-                 "print(json.dumps([code, d, peak]))\n")
         n = 200_000
-        got = {}
-        for spec in ("iid:0.3", "mu:0.3,0.5", "mu:0.3,0.69"):
-            out = subprocess.run(
-                [sys.executable, "-c", child, "factor", "run", "--measure",
-                 spec, "--n", str(n), "--out-dir", str(tmp_path)],
-                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                capture_output=True, text=True, check=True).stdout
-            got[spec] = json.loads(out)
-        assert {spec: d for spec, (_, d, _) in got.items()} == {
-            "iid:0.3": 882, "mu:0.3,0.5": 5906, "mu:0.3,0.69": 254139}
+        got = {spec: traced_run(tmp_path, "factor", "run", "--measure", spec,
+                                "--n", str(n))
+               for spec in ("iid:0.3", "mu:0.3,0.5", "mu:0.3,0.69")}
+        assert {spec: metrics["d"] for spec, (_, metrics, _) in got.items()} \
+            == {"iid:0.3": 882, "mu:0.3,0.5": 5906, "mu:0.3,0.69": 254139}
         for spec, (code, _, peak) in got.items():
             assert code in (EXIT_OK, EXIT_CHECK_FAILED), spec
             assert peak / n <= cli.SITE_BYTES, (spec, peak / n)
+
+    def test_window_commands_hold_a_few_bytes_a_site(self, tmp_path):
+        # traced peak a site, each run in its own interpreter.  factor run
+        # peaks in the uniformity suite on iid:0.3 (its one float copy of
+        # the interior bits, ~6.4 B a site) and while sampling on
+        # mu:0.3,0.5 (the 16 B a site marginal block); match run holds no
+        # per-b column, so on iid:0.3 it stays below factor run, and on
+        # mu:0.3,0.5 both peak in the sampling they share.  n is 2e6, as
+        # the cache-sized pieces (~2 MB of block fills and uniforms, ~8 MB
+        # of CSV_CHUNK rows) would add ~10-40 B a site at 2e5
+        n = 2_000_000
+        bound = {"iid:0.3": 12, "mu:0.3,0.5": 20}
+        per_site = {}
+        for spec in bound:
+            for command in ("factor", "match"):
+                code, _, peak = traced_run(tmp_path, command, "run",
+                                           "--measure", spec, "--n", str(n))
+                assert code in (EXIT_OK, EXIT_CHECK_FAILED), (command, spec)
+                per_site[command, spec] = peak / n
+        for (command, spec), got in per_site.items():
+            assert got <= bound[spec], (command, spec, got)
+        assert per_site["match", "iid:0.3"] <= per_site["factor", "iid:0.3"]
 
     @pytest.mark.parametrize("seed, same", [(-1, 2 ** 64 - 1), (2 ** 64, 0)])
     def test_seed_outside_64_bits(self, tmp_path, capsys, seed, same):
@@ -395,6 +424,30 @@ class TestMatchRun:
                 "f49b4daa10a7f1bb36ccd889ff22cd2a"
                 "dcab25ea2ab073d88964ddcbf2b5abf8",
         }
+
+    @pytest.mark.parametrize("chunk", [1, 7, CSV_CHUNK])
+    @pytest.mark.parametrize("measure", ["iid:0.3", "nu_c:0.1",
+                                         "mu:0.3,0.5"])
+    def test_chunked_rows_equal_the_whole_columns(self, tmp_path, capsys,
+                                                  monkeypatch, measure,
+                                                  chunk):
+        # the rows are expanded from the runs CSV_CHUNK at a time, the
+        # first and last run of a chunk trimmed, and the histogram is read
+        # off the runs: the files are those of the whole per-b columns
+        n = 4000
+        w, _, assignment = factor.match_window(
+            parse_measure(measure), (0, n - 1), SeedStream(7), "match-input")
+        assert len(assignment.run_starts) > 1
+        (tmp_path / "want").mkdir()
+        match_csvs_oracle(w, assignment, tmp_path / "want")
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        code = run_cli(tmp_path / "got", "match", "run", "--measure", measure,
+                       "--n", str(n), "--dump-window", "window.csv")
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        for name in ("window.csv", "matching_assignment.csv",
+                     "radius_histogram.csv"):
+            assert (tmp_path / "got" / name).read_bytes() == \
+                (tmp_path / "want" / name).read_bytes(), name
 
     def test_doeblin_violation_is_config_error(self, tmp_path, capsys):
         code = run_cli(tmp_path, "match", "run", "--measure", "iid:1.0",

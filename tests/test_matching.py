@@ -137,7 +137,8 @@ class TestMeshalkinMatch:
                     assert got.b_indices.tolist() == bs, (letters, d)
                     assert got.a_indices.tolist() == [partner[b] for b in bs]
                     assert got.rounds.tolist() == [rounds[b] for b in bs]
-                    assert slots_of(got).tolist() == [slots[b] for b in bs]
+                    assert dealt_slots(got, 0, L).tolist() == \
+                        [slots[b] for b in bs]
                     assert got.unmatched.tolist() == unmatched, (letters, d)
 
     def test_random_against_round_loop(self):
@@ -180,6 +181,32 @@ class TestMeshalkinMatch:
         assert got.unmatched.tolist() == [
             start + i for i in match_oracle(letters, d)[3]]
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 1 << 16])
+    def test_row_chunks_and_bounds_are_the_whole_columns(self, rows):
+        # chunks of ``rows`` rows, the last one shorter, whose per-b
+        # columns are those of the whole assignment one after another; and
+        # the bounds read off the runs are the columns' (min, max)
+        rng = np.random.default_rng(12)
+        for trial in range(100):
+            start = int(rng.integers(-100, 100))
+            isa = rng.random(int(rng.integers(1, 400))) < \
+                rng.uniform(0.005, 0.6)
+            got = meshalkin_match(Window(start, isa), int(rng.integers(1, 9)))
+            chunks = list(got.row_chunks(rows))
+            sizes = [len(c.b_indices) for c in chunks]
+            total = len(got.b_indices)
+            assert sizes == [rows] * (total // rows) + (
+                [total % rows] if total % rows else []), trial
+            for field in ("b_indices", "a_indices", "rounds"):
+                np.testing.assert_array_equal(
+                    np.concatenate([np.empty(0, np.int64)]
+                                   + [getattr(c, field) for c in chunks]),
+                    getattr(got, field), err_msg=f"{field}, trial {trial}")
+            assert all(len(c.unmatched) == 0 for c in chunks)
+            assert got.row_bounds() == [
+                (int(c.min()), int(c.max())) if total else (0, 0)
+                for c in (got.b_indices, got.a_indices, got.rounds)], trial
+
     @given(st.text(alphabet="ab", min_size=1, max_size=40),
            st.integers(1, 4), st.integers(-50, 50))
     @settings(max_examples=250, deadline=None)
@@ -195,6 +222,17 @@ def every_slot(tuples: np.ndarray) -> tuple:
     K, width = tuples.shape
     return (np.repeat(np.arange(K), width), np.tile(np.arange(width), K),
             tuples.reshape(-1))
+
+
+def dealt_slots(assignment, start: int, length: int) -> np.ndarray:
+    """Each matched b's slot as ``hand_out`` deals it, in ascending b
+    order, over a sequence of ``length`` letters from index ``start``:
+    every tuple holds its own slot numbers 0 .. d."""
+    K, d = len(assignment.a_positions), assignment.d
+    out = np.full(length, -1, dtype=np.int64)
+    hand_out(assignment, -1, every_slot(np.tile(np.arange(d + 1), (K, 1))),
+             out, start)
+    return out[assignment.b_indices - start]
 
 
 RUN_FIELDS = ("a_positions", "unmatched", "run_starts", "run_lengths",
@@ -245,7 +283,8 @@ class TestBusyPeriodScan:
         assert got.b_indices.tolist() == bs
         assert got.a_indices.tolist() == [partner[b] for b in bs]
         assert got.rounds.tolist() == [rounds[b] for b in bs]
-        assert slots_of(got).tolist() == [slots[b] for b in bs]
+        assert dealt_slots(got, 0, len(letters)).tolist() == \
+            [slots[b] for b in bs]
         assert got.unmatched.tolist() == unmatched
 
     @given(st.text(alphabet="ab", max_size=80), st.integers(1, 12),
@@ -428,7 +467,8 @@ class TestPartnerSlots:
             d = int(rng.integers(1, 5))
             assignment = meshalkin_match(Window(start, isa), d)
             b, a = assignment.b_indices.tolist(), assignment.a_indices.tolist()
-            assert slots_of(assignment).tolist() == slots_oracle(b, a)
+            assert dealt_slots(assignment, start, len(isa)).tolist() == \
+                slots_oracle(b, a)
             a_positions = assignment.a_positions
             assert a_positions.tolist() == (np.flatnonzero(isa)
                                             + start).tolist()

@@ -145,6 +145,24 @@ class TestSeedStream:
             s.uniforms("x", 0, 3 * BLOCK_ROWS)
         assert threading.active_count() == before
 
+    def test_a_failing_emit_raises_in_the_caller(self, monkeypatch):
+        # an emit that fails in a worker's share is raised by the caller,
+        # after every share is done
+        cpus(monkeypatch, 3)
+        caller = threading.current_thread()
+        offsets = []
+
+        def emit(at, u):
+            if threading.current_thread() is not caller:
+                raise OSError("emit failed in a worker")
+            offsets.append(at.stop)
+
+        before = threading.active_count()
+        with pytest.raises(OSError, match="emit failed in a worker"):
+            SeedStream(7)._pieces("x", 0, 3 * BLOCK_ROWS, emit)
+        assert threading.active_count() == before
+        assert offsets and max(offsets) <= BLOCK_ROWS
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert sampling._cpu_count() == len(os.sched_getaffinity(0))
@@ -223,6 +241,33 @@ class TestSampleWindow:
         assert w.values.dtype == np.uint8 and w.values.nbytes == count
         assert held < count + (1 << 16)
         assert set(np.unique(w.values)) == set(range(len(p)))
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    @pytest.mark.parametrize("m", [iid_binary(0.3), make_nu_c(0.1),
+                                   iid((0.2, 0.3, 0.5))],
+                             ids=["iid", "nu_c", "three-symbols"])
+    def test_peak_is_the_window_and_a_few_pieces(self, monkeypatch,
+                                                 workers, m):
+        # the symbols are written a piece of uniforms at a time: the peak
+        # is the 1 B a site window plus each share's piece (its four raw
+        # words, its uniforms and the comparison's temporaries, ~45 B a
+        # row of BLOCK_ROWS), where a float array of the window would add
+        # 8 B a site
+        cpus(monkeypatch, workers)
+        count = 1 << 20
+        block = m.block(0, count)
+        tracemalloc.start()
+        try:
+            w = sample_block(block, SeedStream(7), "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.values.nbytes == count
+        assert peak <= count + 64 * BLOCK_ROWS, (peak - count) / BLOCK_ROWS
+        u = SeedStream(7).uniforms("x", 0, count)[:, 0]
+        cdf = np.cumsum(block.values, axis=1)[:, :-1]
+        assert np.array_equal(w.values, (u[:, None] >= cdf).sum(axis=1))
 
 
 class TestSampleDensityWindow:

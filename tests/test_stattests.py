@@ -1,6 +1,7 @@
 """The closed-form chi-square tail against scipy and 40-digit values, and
 the block patterns of the 3-block test."""
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from scipy.special import chdtrc
 
 from shiftlab.measures import block_law
-from shiftlab.stattests import block_chi_square, chi2_sf, chi_square_pooled
+from shiftlab.stattests import (block_chi_square, chi2_sf,
+                                chi_square_pooled, serial_correlations)
 
 
 def test_matches_scipy_for_k_up_to_1000():
@@ -100,3 +102,26 @@ def test_block_patterns_equal_the_matrix_product(block_len, length):
                               probs * nb) if nb else (0.0, 1.0, 0))
     assert block_chi_square(bits, block_len, 0.95) == want
     assert block_chi_square(bits.tolist(), block_len, 0.95) == want
+
+
+@pytest.mark.parametrize("length", [9, 1000, 1 << 20])
+def test_serial_correlations_centre_the_bits_once(length):
+    # the 0/1 bits are centred as they are read: their mean is an integer
+    # count over n, exact in float64, so the centred copy and every lag sum
+    # are those of the float copy the suite used to make first, bit for
+    # bit; and that one copy of 8 B a bit is the peak
+    bits = (np.random.default_rng(length).random(length) > 0.1).astype(
+        np.uint8)
+    x = bits.astype(float)
+    xc = x - x.mean()
+    den = float(np.einsum("i,i->", xc, xc))
+    want = [float(np.einsum("i,i->", xc[:-k], xc[k:]) / den)
+            for k in range(1, 9)]
+    tracemalloc.start()
+    try:
+        got = serial_correlations(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want
+    assert peak <= 8 * length + (256 << 10)
