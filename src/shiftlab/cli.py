@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import factor as factor_mod
-from . import measures, speedups, typeiii
+from . import measures, sampling, speedups, typeiii
 from .sampling import SeedStream
 
 EXIT_OK = 0
@@ -28,7 +28,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 DEFAULT_SEED = 7
-CSV_CHUNK = 1 << 16
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
@@ -36,7 +35,7 @@ CSV_CHUNK = 1 << 16
 # on iid:0.3, whose marginal block is one row, and 19 on mu:0.3,0.5,
 # whatever the capacity d; match run, which holds no per-b column, about 6
 # on iid:0.3 and 19 on mu:0.3,0.5, 16 of them the marginal block's);
-# measure check about 50 a unit of n; index scan holds about 415 bytes a k
+# measure check about 50 a unit of n; index scan about 48 a k at its cap
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000
@@ -60,27 +59,37 @@ def write_csv(path: Path, header, columns) -> Path:
     """Write the ``header`` line, then one row per position of the
     equal-length ``columns``, each line ending in a bare newline.  A cell
     is the ``str`` of a ``.tolist()`` value, which is a float's ``repr``.
-
-    Two formatters write the same bytes, picked by the columns' dtypes.
-    When every column is an integer array other than ``uint64``,
-    ``_write_int_rows`` formats the digits with numpy, ``CSV_CHUNK`` rows
-    at a time, so 10^6 rows never hold all their strings at once.  Any
-    other column set (floats, strings, bools, ``uint64``; at most a few
-    thousand rows in a lab command) is joined row by row."""
+    The columns go to ``_write_rows`` ``BLOCK_ROWS`` rows at a time."""
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
-    if all(c.dtype.kind in "iu" and c.dtype != np.uint64 for c in columns):
-        n = len(columns[0])
-        _write_int_rows(path, header, [
-            (c.min(), c.max()) if n else (0, 0) for c in columns], n,
-            ([c[i:i + CSV_CHUNK] for c in columns]
-             for i in range(0, n, CSV_CHUNK)))
-        return path
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join(map(str, row)) + "\n")
+    rows = sampling.BLOCK_ROWS
+    _write_rows(path, header, ([c[i:i + rows] for c in columns]
+                               for i in range(0, len(columns[0]), rows)))
     return path
+
+
+def _write_rows(path: Path, header, chunks) -> None:
+    """The one CSV file loop: the ``header`` line, then the rows of each
+    chunk that ``chunks`` yields, a list of equal-length columns, so no
+    column need exist whole.  Two formatters write the same bytes, picked
+    by each chunk's dtypes: ``_int_rows`` when every column is an integer
+    array other than ``uint64``, else ``_joined_rows``.  Each row begins
+    with the newline that ends the line before it, and one more newline
+    ends the file."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
+        for chunk in chunks:
+            ints = all(c.dtype.kind in "iu" and c.dtype != np.uint64
+                       for c in chunk)
+            (_int_rows if ints else _joined_rows)(fh, chunk)
+        fh.write(b"\n")
+
+
+def _joined_rows(fh, chunk) -> None:
+    """Write the rows of ``chunk`` joined cell by cell from ``.tolist()``,
+    one row at a time."""
+    fh.writelines(("\n" + ",".join(map(str, row))).encode()
+                  for row in zip(*(c.tolist() for c in chunk)))
 
 
 @functools.cache
@@ -104,59 +113,43 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return last, upper
 
 
-def _write_int_rows(path: Path, header, bounds, n: int, chunks) -> None:
-    """``write_csv`` for integer columns, the one integer writer: the
-    ``header`` line and ``n`` rows to the file ``path``.  ``chunks``
-    yields the rows as lists of equal-length integer columns, at most
-    ``CSV_CHUNK`` rows each, so no column need exist whole; ``bounds``
-    holds each column's (min, max) over all the rows, which fix its width
-    and sign for the whole file.
+def _int_rows(fh, chunk) -> None:
+    """Write the rows of ``chunk``, integer columns, formatted with numpy.
 
-    Each chunk is a ``(rows, slots)`` matrix of little-endian 4-byte words
+    The rows are a ``(rows, slots)`` matrix of little-endian 4-byte words
     whose NULs are then deleted.  A cell is one lead word (the newline
     that ends the line before it, or the comma after the previous cell,
     then a ``-`` as its last byte when negative) and one word per 4-digit
-    group of its column's widest magnitude, read from ``_digit_words``.
-    The header's newline is the first row's lead, and one more newline
-    ends the file.  Only scalar divisions are used, which numpy does with
-    multiply-shift."""
+    group of the chunk's widest magnitude in its column, read from
+    ``_digit_words``.  A narrower number's unused words are NULs, so the
+    bytes do not depend on where the chunks are cut.  Only scalar
+    divisions are used, which numpy does with multiply-shift."""
     last, upper = _digit_words()
+    columns = [c.astype(np.int64, copy=False) for c in chunk]
     layout, slots = [], 0                    # (lead slot, groups, signed)
-    for lo, hi in bounds:
-        lo, hi = int(lo), int(hi)
+    for c in columns:
+        lo, hi = int(c.min()), int(c.max())
         groups = 1
         while max(hi, -lo) >= 10 ** (4 * groups):
             groups += 1
         layout.append((slots, groups, lo < 0))
         slots += 1 + groups
-    rows = min(n, CSV_CHUNK)
-    buf = bytearray(4 * slots * rows)
-    words = np.frombuffer(buf, "<u4").reshape(rows, slots)
-    leads = [ord("\n")] + [ord(",")] * (len(layout) - 1)
-    for (lead, _, _), word in zip(layout, leads):
-        words[:, lead] = word
+    buf = bytearray(4 * slots * len(columns[0]))
+    w = np.frombuffer(buf, "<u4").reshape(-1, slots)
     minus = np.uint32(ord("-") << 24)
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode())
-        for chunk in chunks:
-            w = words[:len(chunk[0])]
-            for c, (lead, groups, signed), word in zip(chunk, layout, leads):
-                c = c.astype(np.int64, copy=False)
-                if signed:
-                    w[:, lead] = word + minus * (c < 0)
-                q = np.abs(c).view(np.uint64)         # int64 min -> 2^63
-                for t in range(groups - 1, 0, -1):
-                    hi = q // 10_000
-                    # 10 000 + (q mod 10 000) below a higher digit, else q
-                    g = np.minimum(q, q - hi * 10_000 + 10_000)
-                    table = last if t == groups - 1 else upper
-                    w[:, lead + 1 + t] = table[g.view(np.int64)]
-                    q = hi
-                w[:, lead + 1] = (last if groups == 1 else upper)[
-                    q.view(np.int64)]
-            data = buf if len(w) == rows else buf[:w.nbytes]
-            fh.write(data.translate(None, b"\0"))
-        fh.write(b"\n")
+    for i, (c, (lead, groups, signed)) in enumerate(zip(columns, layout)):
+        word = ord(",") if i else ord("\n")
+        w[:, lead] = word + minus * (c < 0) if signed else word
+        q = np.abs(c).view(np.uint64)             # int64 min -> 2^63
+        for t in range(groups - 1, 0, -1):
+            hi = q // 10_000
+            # 10 000 + (q mod 10 000) below a higher digit, else q
+            g = np.minimum(q, q - hi * 10_000 + 10_000)
+            table = last if t == groups - 1 else upper
+            w[:, lead + 1 + t] = table[g.view(np.int64)]
+            q = hi
+        w[:, lead + 1] = (last if groups == 1 else upper)[q.view(np.int64)]
+    fh.write(buf.translate(None, b"\0"))
 
 
 def emit_plot_data(series: dict, path: Path) -> Path:
@@ -230,18 +223,17 @@ def _cmd_match(params: dict, seed: int, assignment_csv: Path,
     m = measures.parse_measure(params["measure"])
     w, q, assignment = factor_mod.match_window(
         m, (0, params["n"] - 1), SeedStream(seed), "match-input")
+    rows = sampling.BLOCK_ROWS
     if window_csv:
         n = len(w)
-        _write_int_rows(window_csv, ("index", "value"), (
-            (w.start, w.stop - 1), (w.values.min(), w.values.max())), n,
-            ((np.arange(w.start + i, w.start + min(i + CSV_CHUNK, n)),
-              w.values[i:i + CSV_CHUNK]) for i in range(0, n, CSV_CHUNK)))
+        _write_rows(window_csv, ("index", "value"), (
+            (np.arange(w.start + i, w.start + min(i + rows, n)),
+             w.values[i:i + rows]) for i in range(0, n, rows)))
+    _write_rows(assignment_csv, ("b_index", "a_index", "round"),
+                ((c.b_indices, c.a_indices, c.rounds)
+                 for c in assignment.row_chunks(rows)))
     lens = assignment.run_lengths
     matched = int(lens.sum())
-    _write_int_rows(assignment_csv, ("b_index", "a_index", "round"),
-                    assignment.row_bounds(), matched,
-                    ((c.b_indices, c.a_indices, c.rounds)
-                     for c in assignment.row_chunks(CSV_CHUNK)))
     # the run of L b's from s matched to the a at A covers the radii
     # A-s-L+1 .. A-s: the histogram steps up at the first and down past the
     # last
@@ -291,8 +283,8 @@ def _cmd_index(params: dict, seed: int, csv: Path):
     header = ("k", "exponent", "S", "partial_dissip", "tail_slope")
     write_csv(csv, header + ("classification",), [
         *(columns[h] for h in header),
-        np.where(columns["certified"], "dissipative-certified",
-                 "not-certified")])
+        np.array(["not-certified", "dissipative-certified"],
+                 dtype=object)[columns["certified"].view(np.int8)]])
     return [
         {"name": "implied_index", "value": implied, "pass": True},
         {"name": "kmax", "value": params["kmax"], "pass": True},

@@ -65,7 +65,7 @@ class MatchingAssignment:
 
     ``b_indices``, ``a_indices`` and ``rounds`` expand the runs into one
     row per matched b, in ascending b order; ``row_chunks`` hands them out
-    a chunk of rows at a time, and ``row_bounds`` gives their ranges.
+    a chunk of rows at a time.
     """
 
     d: int
@@ -90,21 +90,6 @@ class MatchingAssignment:
         # one from top - start
         rounds = _ranges(self.run_starts - self.run_tops, self.run_lengths)
         return np.negative(rounds, out=rounds)
-
-    def row_bounds(self) -> list[tuple[int, int]]:
-        """The (min, max) of ``b_indices``, ``a_indices`` and ``rounds``,
-        read off the runs; (0, 0) each when no b is matched.  The runs are
-        disjoint and in start order, so the last one holds the largest b,
-        and a run of L b's from s has the rounds top - s down to
-        top - s - L + 1."""
-        starts, lens = self.run_starts, self.run_lengths
-        if not len(starts):
-            return [(0, 0)] * 3
-        a = self.a_positions[self.run_ranks]
-        first = self.run_tops - starts
-        return [(int(starts[0]), int(starts[-1] + lens[-1] - 1)),
-                (int(a.min()), int(a.max())),
-                (int((first - lens).min()) + 1, int(first.max()))]
 
     def row_chunks(self, rows: int):
         """The matched b's ``rows`` at a time, in ascending b order: each

@@ -18,11 +18,12 @@ from numpy.random import Generator, Philox
 
 _COUNTER_OFFSET = 1 << 62  # room for indices in [-2^62, 2^62)
 _BLOCK = 4                 # 64-bit words per Philox counter block
-# Rows (coordinates, block starts, terms) per piece of every chunked fill:
-# a marginal block, a uniform or density read, the good-block bound and the
-# Kakutani and bias terms each fill one preallocated array this many rows
-# at a time, so a piece's temporaries stay in cache.  The modules read it
-# as ``sampling.BLOCK_ROWS`` at each call.
+# Rows (coordinates, block starts, terms, CSV rows) per piece of every
+# chunked pass: a marginal block, a uniform or density read, the
+# good-block bound and the Kakutani and bias terms each fill one
+# preallocated array this many rows at a time, so a piece's temporaries
+# stay in cache, and every CSV table is formatted this many rows at a
+# time.  The modules read it as ``sampling.BLOCK_ROWS`` at each call.
 BLOCK_ROWS = 1 << 15
 
 

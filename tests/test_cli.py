@@ -18,8 +18,8 @@ import pytest
 from oracles import match_csvs_oracle, parse_plot_data
 from shiftlab import (DensityFamily, HMapSpec, SeedStream,
                       sample_density_window)
-from shiftlab import cli, factor, speedups, typeiii
-from shiftlab.cli import (CSV_CHUNK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
+from shiftlab import cli, factor, sampling, speedups, typeiii
+from shiftlab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
                           emit_plot_data, main, write_csv)
 from shiftlab.measures import FiniteProductMeasure, parse_measure
 from shiftlab.sampling import BLOCK_ROWS
@@ -342,8 +342,8 @@ class TestFactorRun:
         # mu:0.3,0.5 (the 16 B a site marginal block); match run holds no
         # per-b column, so on iid:0.3 it stays below factor run, and on
         # mu:0.3,0.5 both peak in the sampling they share.  n is 2e6, as
-        # the cache-sized pieces (~2 MB of block fills and uniforms, ~8 MB
-        # of CSV_CHUNK rows) would add ~10-40 B a site at 2e5
+        # the cache-sized pieces (~2 MB of block fills and uniforms, ~3 MB
+        # of BLOCK_ROWS CSV rows) would add ~10-20 B a site at 2e5
         n = 2_000_000
         bound = {"iid:0.3": 12, "mu:0.3,0.5": 20}
         per_site = {}
@@ -425,22 +425,25 @@ class TestMatchRun:
                 "dcab25ea2ab073d88964ddcbf2b5abf8",
         }
 
-    @pytest.mark.parametrize("chunk", [1, 7, CSV_CHUNK])
+    # 65536 is 2 * BLOCK_ROWS
+    @pytest.mark.parametrize("chunk", [1, 7, 65536])
     @pytest.mark.parametrize("measure", ["iid:0.3", "nu_c:0.1",
                                          "mu:0.3,0.5"])
     def test_chunked_rows_equal_the_whole_columns(self, tmp_path, capsys,
                                                   monkeypatch, measure,
                                                   chunk):
-        # the rows are expanded from the runs CSV_CHUNK at a time, the
+        # the rows are expanded from the runs BLOCK_ROWS at a time, the
         # first and last run of a chunk trimmed, and the histogram is read
-        # off the runs: the files are those of the whole per-b columns
+        # off the runs: the files are those of the whole per-b columns.
+        # One CPU, so that each share draws BLOCK_ROWS // CPUs >= 1 a piece
         n = 4000
         w, _, assignment = factor.match_window(
             parse_measure(measure), (0, n - 1), SeedStream(7), "match-input")
         assert len(assignment.run_starts) > 1
         (tmp_path / "want").mkdir()
         match_csvs_oracle(w, assignment, tmp_path / "want")
-        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", chunk)
+        monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
         code = run_cli(tmp_path / "got", "match", "run", "--measure", measure,
                        "--n", str(n), "--dump-window", "window.csv")
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
@@ -448,6 +451,17 @@ class TestMatchRun:
                      "radius_histogram.csv"):
             assert (tmp_path / "got" / name).read_bytes() == \
                 (tmp_path / "want" / name).read_bytes(), name
+
+    def test_rows_are_written_a_chunk_at_a_time(self, tmp_path):
+        # traced peak a site, in its own interpreter: the run itself holds
+        # ~6 B a site at n = 2e5 on iid:0.3, and the writer one
+        # BLOCK_ROWS-row chunk of words at a time, each column as wide as
+        # that chunk's widest number (~22 B a site in all)
+        n = 200_000
+        code, _, peak = traced_run(tmp_path, "match", "run", "--measure",
+                                   "iid:0.3", "--n", str(n))
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert peak / n <= 30, peak / n
 
     def test_doeblin_violation_is_config_error(self, tmp_path, capsys):
         code = run_cli(tmp_path, "match", "run", "--measure", "iid:1.0",
@@ -502,6 +516,23 @@ def joined_csv(header, columns) -> bytes:
 
 
 class TestWriteCsv:
+    """Each case writes its columns with ``BLOCK_ROWS`` patched to 1, 7
+    and its default, so the rows go to the formatters in chunks of that
+    many, and compares every file with ``joined_csv``: the bytes do not
+    depend on where the chunks are cut, nor on a column's digit count
+    and sign changing between chunks."""
+
+    @pytest.fixture
+    def written(self, tmp_path, monkeypatch):
+        def write(header, cols):
+            want = joined_csv(header, cols)
+            for rows in (1, 7, BLOCK_ROWS):
+                monkeypatch.setattr(sampling, "BLOCK_ROWS", rows)
+                path = write_csv(tmp_path / f"t{rows}.csv", header, cols)
+                assert path.read_bytes() == want, rows
+            return want
+        return write
+
     def columns(self, rows):
         rng = np.random.default_rng(3)
         ints = rng.integers(-2 ** 62, 2 ** 62, rows, dtype=np.int64)
@@ -511,13 +542,10 @@ class TestWriteCsv:
         words = np.array(["a", "bc", "d-e", "", "%s"])[np.arange(rows) % 5]
         return ints, floats, words
 
-    def test_bytes_equal_joined_rows(self, tmp_path):
-        rows = CSV_CHUNK + 123
-        header = ("i", "x", "w")
+    def test_bytes_equal_joined_rows(self, written):
+        rows = 2 * BLOCK_ROWS + 123
         cols = self.columns(rows)
-        path = write_csv(tmp_path / "t.csv", header, cols)
-        data = path.read_bytes()
-        assert data == joined_csv(header, cols)
+        data = written(("i", "x", "w"), cols)
         lines = data.decode().splitlines()
         assert len(lines) == rows + 1
         assert [line.split(",")[1] for line in lines[1:6]] == \
@@ -534,23 +562,20 @@ class TestWriteCsv:
         narrow = (np.arange(rows) % 256 - 128).astype(np.int8)
         unsigned = rng.integers(0, 2 ** 32 - 1, rows, dtype=np.uint32,
                                 endpoint=True)
-        # one digit through the first chunk, sixteen after it
+        # one digit through the first 2 * BLOCK_ROWS rows, sixteen and a
+        # sign after them
         k = np.arange(rows)
-        growing = np.where(k < CSV_CHUNK, k % 10, -10 ** 15 - k)
+        growing = np.where(k < 2 * BLOCK_ROWS, k % 10, -10 ** 15 - k)
         return wide, narrow, unsigned, growing
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK, CSV_CHUNK + 123])
-    def test_integer_rows(self, tmp_path, rows):
-        header = ("w", "n", "u", "g")
-        cols = self.int_columns(rows)
-        path = write_csv(tmp_path / "t.csv", header, cols)
-        assert path.read_bytes() == joined_csv(header, cols)
+    # 65536 and 65659 rows are 2 * BLOCK_ROWS and 2 * BLOCK_ROWS + 123
+    @pytest.mark.parametrize("rows", [0, 1, 65536, 65659])
+    def test_integer_rows(self, written, rows):
+        written(("w", "n", "u", "g"), self.int_columns(rows))
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK, CSV_CHUNK + 123])
-    def test_single_column(self, tmp_path, rows):
-        col = np.arange(rows, dtype=np.int64) - 7
-        path = write_csv(tmp_path / "t.csv", ("k",), (col,))
-        assert path.read_bytes() == joined_csv(("k",), (col,))
+    @pytest.mark.parametrize("rows", [0, 1, 65536, 65659])
+    def test_single_column(self, written, rows):
+        written(("k",), (np.arange(rows, dtype=np.int64) - 7,))
 
     @pytest.mark.parametrize("col", [
         np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
@@ -562,9 +587,8 @@ class TestWriteCsv:
         np.array([0, 1, 2 ** 32 - 1, 10 ** 9], dtype=np.uint32),
     ], ids=["int64-extremes", "powers-of-ten", "int8", "int32", "uint8",
             "uint32"])
-    def test_integer_column(self, tmp_path, col):
-        path = write_csv(tmp_path / "t.csv", ("k",), (col,))
-        assert path.read_bytes() == joined_csv(("k",), (col,))
+    def test_integer_column(self, written, col):
+        written(("k",), (col,))
 
     @pytest.mark.parametrize("cols, text", [
         ((np.array([True, False]),), "True\nFalse\n"),
@@ -572,13 +596,11 @@ class TestWriteCsv:
          "18446744073709551615\n0\n"),
         ((np.array([-1, 2]), np.array([False, True])), "-1,False\n2,True\n"),
     ], ids=["bool", "uint64", "int64-bool"])
-    def test_other_columns_keep_percent_path(self, tmp_path, cols, text):
+    def test_other_columns_keep_percent_path(self, written, cols, text):
         # only integer columns that fit int64 are formatted by numpy
         cli._digit_words.cache_clear()
-        path = write_csv(tmp_path / "t.csv", "abc"[:len(cols)], cols)
+        data = written("abc"[:len(cols)], cols)
         assert cli._digit_words.cache_info().currsize == 0
-        data = path.read_bytes()
-        assert data == joined_csv("abc"[:len(cols)], cols)
         assert data.decode().split("\n", 1)[1] == text
 
 
@@ -681,6 +703,17 @@ class TestIndexScan:
         # fixed-order sum of squares in S
         assert sha256_of(tmp_path / "index_scan.csv") == (
             "221b19bba6e11d3d94bbf1e6299487742222f9748a5881e2e6204d0a29b90505")
+
+    def test_scan_holds_its_columns_and_a_chunk(self, tmp_path):
+        # traced peak a k, in its own interpreter: the scan's columns and
+        # the classification's pointers to two strings (~49 B a k) and one
+        # BLOCK_ROWS chunk of .tolist() values (~80 B a k in all at
+        # kmax 2e5)
+        kmax = 200_000
+        code, _, peak = traced_run(tmp_path, "index", "scan", "--c", "0.5",
+                                   "--kmax", str(kmax))
+        assert code == EXIT_OK
+        assert peak / kmax <= 120, peak / kmax
 
     def test_csv_across_the_underflow_cut(self, tmp_path, monkeypatch,
                                           capsys):
