@@ -1,17 +1,16 @@
 """Deterministic, seed-driven sampling of finite windows.
 
 Randomness is counter-based: every coordinate of every labelled stream maps
-to a fixed 128-bit Philox counter block, so a window's content depends only
-on (root seed, label, coordinate index) and never on the order in which
-coordinates are drawn or on how work is split across workers.  Negative
-indices are supported by a fixed counter offset.
+to a fixed 64-bit word of numpy's Philox (4x64), word j mod 4 of counter
+block j // 4 for j the coordinate plus a fixed offset, so a window's content
+depends only on (root seed, label, coordinate index) and never on the order
+in which coordinates are drawn or on how a request is cut into pieces.  The
+offset makes room for negative indices.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from threading import Thread
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -27,21 +26,14 @@ _BLOCK = 4                 # 64-bit words per Philox counter block
 BLOCK_ROWS = 1 << 15
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class SeedStream:
     """Root of a family of independent, reproducible substreams.
 
     Substreams are keyed by a text label; within a labelled stream each
-    integer coordinate owns one counter block.  Identical (root, label,
-    index) triples always reproduce identical draws.
+    integer coordinate owns one 64-bit word of the Philox output, four
+    coordinates to a counter block.  Identical (root, label, index)
+    triples always reproduce identical draws.
     """
 
     root_seed: int
@@ -54,68 +46,36 @@ class SeedStream:
 
     def _pieces(self, label: str, start: int, count: int, emit) -> None:
         """Call ``emit(at, u)`` on the uniforms of coordinates
-        start .. start+count-1 in ``label`` a piece at a time: ``at`` is
-        the slice of offsets from ``start`` that the piece covers and ``u``
-        their ``uniforms``, so ``emit`` sees each coordinate's double once
-        and no array of all of them exists.
-
-        A request longer than ``BLOCK_ROWS`` coordinates is split into
-        W = min(CPUs, ceil(count / BLOCK_ROWS)) contiguous shares.  The
-        calling thread takes the first share and one thread each the rest,
-        so ``emit`` is called from every share's thread, on disjoint
-        offsets.  Each share is drawn ``BLOCK_ROWS // W`` coordinates at a
-        time, so one piece's four words per coordinate are held at once,
-        whatever W is.  numpy's ``Philox.random_raw`` releases the GIL, so
-        the shares run in parallel.  An exception in any share, ``emit``'s
-        included, is raised here once every share is done."""
-        workers = 1
-        if count > BLOCK_ROWS:
-            workers = min(_cpu_count(), -(-count // BLOCK_ROWS))
-        step = BLOCK_ROWS // workers
-        cuts = [count * i // workers for i in range(workers + 1)]
-        errors = []
-
-        def share(lo: int, hi: int) -> None:
-            try:
-                for c in range(lo, hi, step):
-                    at = slice(c, min(c + step, hi))
-                    emit(at, self.uniforms(label, start + c,
-                                           at.stop - c)[:, 0])
-            except BaseException as e:
-                errors.append(e)
-
-        threads = []
-        try:
-            for i in range(1, workers):
-                thread = Thread(target=share, args=(cuts[i], cuts[i + 1]))
-                thread.start()
-                threads.append(thread)
-            share(0, cuts[1])
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+        start .. start+count-1 in ``label``, ``BLOCK_ROWS`` coordinates at
+        a time and in order: ``at`` is the slice of offsets from ``start``
+        that the piece covers and ``u`` their ``uniforms``, so ``emit``
+        sees each coordinate's double once and no array of all of them
+        exists."""
+        for c in range(0, count, BLOCK_ROWS):
+            at = slice(c, min(c + BLOCK_ROWS, count))
+            emit(at, self.uniforms(label, start + c, at.stop - c)[:, 0])
 
     def uniforms(self, label: str, start: int, count: int) -> np.ndarray:
-        """Uniform[0,1) draws at coordinates start..start+count-1, the first
-        double of each one's own counter block, so overlapping requests
-        agree; shape (count, 1), as the benchmark's window check reads it.
+        """Uniform[0,1) draws at coordinates start..start+count-1, one
+        64-bit Philox word each, so overlapping requests agree; shape
+        (count, 1), as the benchmark's window check reads it.
 
-        Up to ``BLOCK_ROWS`` coordinates are drawn at once from a Philox
-        at the first one's counter: word 0 of each counter block,
-        converted as ``Generator.random`` converts a word,
-        (w >> 11) * 2^-53, and the other three words never converted.  A
-        longer request is copied in from the pieces of ``_pieces``, which
-        are such draws, so the bytes do not depend on the CPU count."""
+        Coordinate i reads word j mod 4 of counter block j // 4, where
+        j = i + ``_COUNTER_OFFSET``: up to ``BLOCK_ROWS`` coordinates are
+        drawn at once from a Philox advanced to the first one's block,
+        its first j mod 4 words dropped, and each word converted as
+        ``Generator.random`` converts one, (w >> 11) * 2^-53.  A longer
+        request is copied in from the pieces of ``_pieces``, which are
+        such draws."""
         u = np.empty((count, 1))
         if count > BLOCK_ROWS:
             # each piece is set into its slice: u[at, 0] = piece
             self._pieces(label, start, count, u[:, 0].__setitem__)
             return u
+        block, skip = divmod(start + _COUNTER_OFFSET, _BLOCK)
         bg = Philox(key=self._key(label))
-        bg.advance(start + _COUNTER_OFFSET)
-        w = bg.random_raw(count * _BLOCK)[::_BLOCK]
+        bg.advance(block)
+        w = bg.random_raw(skip + count)[skip:]
         np.multiply(np.right_shift(w, 11, out=w), 2.0 ** -53, out=u[:, 0])
         return u
 
@@ -204,7 +164,7 @@ def sample_density_window(d, span: tuple[int, int], seeds: SeedStream,
 
     Read a piece of uniforms at a time: a coordinate's uniform, table row
     and inverse CDF depend on its index alone, so the pieces give the
-    one-shot window and hold one piece's temporaries a share."""
+    one-shot window and hold one piece's temporaries at once."""
     lo, _ = span
     values = np.empty(_span_length(span))
 

@@ -24,12 +24,14 @@ from shiftlab.typeiii import _REINDEX_SEARCH_LIMIT, f_family
 # -- sampling -----------------------------------------------------------------
 
 def uniforms_oneshot(seeds, label: str, start: int, count: int) -> np.ndarray:
-    """``SeedStream.uniforms`` in one read: all four doubles of every
-    coordinate's counter block at once, keeping the first."""
+    """``SeedStream.uniforms`` in one read: every double from the first
+    coordinate's counter block on, through ``Generator.random``, keeping
+    the ``count`` from its word onward."""
+    block, skip = divmod(start + _COUNTER_OFFSET, _BLOCK)
     bg = Philox(key=seeds._key(label))
-    bg.advance(start + _COUNTER_OFFSET)
-    u = Generator(bg).random(count * _BLOCK)
-    return u.reshape(count, _BLOCK)[:, :1].copy()
+    bg.advance(block)
+    u = Generator(bg).random(skip + count)
+    return u[skip:, None].copy()
 
 
 def sample_density_iid(d, n: int, count: int, seeds,

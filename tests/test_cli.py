@@ -265,10 +265,10 @@ class TestFactorRun:
             assert by_name[name]["reason"]
 
     def test_golden_outputs(self, tmp_path, capsys):
-        # metric values recorded before the marginals were read once; the
-        # 3-block p-value from the closed-form tail (40-digit value
-        # 0.29233064173240527...); the serial correlation from sums in a
-        # fixed order, the same on any CPU count
+        # metric values recorded on uniforms of one Philox word a
+        # coordinate; the 3-block p-value from the closed-form tail
+        # (40-digit value 0.73033908949520411...); the serial correlation
+        # from sums in a fixed order, the same on any CPU count
         code = run_cli(tmp_path, "factor", "run", "--measure", "iid:0.3",
                        "--n", "200000", "--radius", "16")
         assert code == EXIT_OK
@@ -279,11 +279,11 @@ class TestFactorRun:
             "q": (0.009075779999999997, None, True),
             "d": (882, None, True),
             "beta0": (7.475180793869995e-05, None, True),
-            "censor_fraction": (0.01944, None, True),
-            "frequency": (0.8560113872462569, None, True),
+            "censor_fraction": (0.01459, None, True),
+            "frequency": (0.27768183285928605, None, True),
             "chi_square_3_blocks":
-                (1.108856561749848, 0.2923306417324053, True),
-            "serial_correlation": (5.625597689869348e-05, None, True),
+                (0.11880051209298663, 0.7303390894952042, True),
+            "serial_correlation": (6.875816462380474e-05, None, True),
         }
 
     def test_large_capacity_runs(self, tmp_path, capsys):
@@ -398,8 +398,8 @@ class TestMatchRun:
         assert "radius_histogram" in hist
 
     def test_golden_outputs(self, tmp_path, capsys):
-        # CSV digests and metric values recorded from the csv.writer loops
-        # and the two-sequence good_to_ab that preceded the shared writer
+        # CSV digests and metric values recorded from the chunked writer,
+        # on uniforms of one Philox word a coordinate
         code = run_cli(tmp_path, "match", "run", "--measure", "nu_c:0.1",
                        "--n", "50000", "--dump-window", "window.csv")
         assert code == EXIT_OK
@@ -408,21 +408,21 @@ class TestMatchRun:
         assert got == {
             "q": (0.004905600622485743, True),
             "d": (1631, True),
-            "matched_pairs": (49401, True),
-            "censored_b_fraction": (0.004814665592264303, True),
+            "matched_pairs": (49589, True),
+            "censored_b_fraction": (0.0004233017536786938, True),
         }
         assert {name: sha256_of(tmp_path / name) for name in (
             "matching_assignment.csv", "radius_histogram.csv",
             "window.csv")} == {
             "matching_assignment.csv":
-                "dcc136c72909f9383db1820c0002948c"
-                "9b4b964e436863af121b43b52a5d696f",
+                "78c5249923e4b80026bafd1071947a6e"
+                "29741ff66262339bbecc8cb253feb108",
             "radius_histogram.csv":
-                "4c4c06200c282379561bfa8d66108a9b"
-                "60e7507236679944d0c3bc12f208fbb8",
+                "9a53a3dec6351d67a0c156a3600043a5"
+                "55f8d43702421486d8705f3e848be7df",
             "window.csv":
-                "f49b4daa10a7f1bb36ccd889ff22cd2a"
-                "dcab25ea2ab073d88964ddcbf2b5abf8",
+                "77cb2eae574682c8e6cf1cd9bb08c09e"
+                "cc114bb36f18cbbf8cafa753d8bdef76",
         }
 
     # 65536 is 2 * BLOCK_ROWS
@@ -434,8 +434,7 @@ class TestMatchRun:
                                                   chunk):
         # the rows are expanded from the runs BLOCK_ROWS at a time, the
         # first and last run of a chunk trimmed, and the histogram is read
-        # off the runs: the files are those of the whole per-b columns.
-        # One CPU, so that each share draws BLOCK_ROWS // CPUs >= 1 a piece
+        # off the runs: the files are those of the whole per-b columns
         n = 4000
         w, _, assignment = factor.match_window(
             parse_measure(measure), (0, n - 1), SeedStream(7), "match-input")
@@ -443,7 +442,6 @@ class TestMatchRun:
         (tmp_path / "want").mkdir()
         match_csvs_oracle(w, assignment, tmp_path / "want")
         monkeypatch.setattr(sampling, "BLOCK_ROWS", chunk)
-        monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
         code = run_cli(tmp_path / "got", "match", "run", "--measure", measure,
                        "--n", str(n), "--dump-window", "window.csv")
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
@@ -1375,17 +1373,17 @@ class TestReportBytes:
         (["factor", "run", "--measure", "iid:0.3", "--n", "200000",
           "--radius", "16"],
          "o/factor_report.json",
-         "f2905f0c05d3d171eed76481c739ae90"
-         "36eeacdcef7fa611c098f8304831d72b",
-         "1949a5fff259edd037caef6170d7ff24"
-         "44d6b506f5fc8ca2bc84e857957ae6e8"),
+         "1b18335001c410e6b84cdff2e9a78d88"
+         "dbfcc30b51de74c3f95a3c57c475cfe9",
+         "2cd1e291a7c4a747217493c58c400000"
+         "c7c5e82ccecd0f967e9f3d82e0ecb369"),
         (["match", "run", "--measure", "nu_c:0.1", "--n", "20000",
           "--dump-window", "w/window.csv"],
          "o/match_report.json",
-         "231b0e74797feacc05ecdb3323daf6a0"
-         "249b1979ad4a4789f6f62e9248943c6f",
-         "b2baae803fb078966e2fd94b063d7dd8"
-         "ad2fd874a49428cab260e548495541b6"),
+         "1ddafffc8702736a10f7b4fe60bba7fe"
+         "0aaf854aa5ad0e1759392d8ed86ecc00",
+         "e06332d6f3b1f9b6911fb878f028d3c7"
+         "5a5c4fcf7eda2af9e394703f7202fef8"),
         (TYPEIII + ["--n", "30", "--samples", "500"],
          "o/typeiii_report.json",
          "6ebe9096d78ba6399f5af0cb52c3c070"

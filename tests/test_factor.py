@@ -195,13 +195,14 @@ class TestPsiSplit:
         assert worst < 0.01
 
     @pytest.mark.parametrize("d, radius, digest", [
-        (7, 16, "50415501570253ccb15290741cc5048d1498fb1436827c6c377d29239f64e51b"),
-        (882, 64, "46a6a63728854bb6c991d32f49ddd4b518352dde5a202a5205610a7dd24fd8ee"),
-    ])
+        (7, 16, "fbbc78e2f2b21d01e4b9b96ad259855d2be11b4e259a514282e3c36d7442d37b"),
+        (882, 64, "29b5ab846695693c671a2444a2730c83799ac9f431e8f354a59fd5546d367833"),
+    ], ids=["7-16", "882-64"])
     def test_tuples_digest(self, d, radius, digest):
         # recorded from the column-at-a-time decoder, as the (K, d+1)
-        # matrix with zero rows where censored; d = 882 is the capacity
-        # of iid:0.3, where ~0.07 bits per tuple are zero
+        # matrix with zero rows where censored, on uniforms of one Philox
+        # word a coordinate; d = 882 is the capacity of iid:0.3, where
+        # ~0.07 bits per tuple are zero
         out = psi_split(fair_stream(2000, 3), d, radius, SeedStream(7))
         assert hashlib.sha256(oracles.tuple_matrix(out, d).tobytes()
                               ).hexdigest() == digest
@@ -401,13 +402,17 @@ class TestMatchWindow:
         assert set(refs) == {"block", "seq"}
 
 
-# recorded from the lexsort slot lookup and the column-at-a-time decoder:
-# the output window of run_iid_factor over 0 .. 199999, bit for bit
+# recorded from the lexsort slot lookup and the column-at-a-time decoder,
+# on uniforms of one Philox word a coordinate: the output window of
+# run_iid_factor over 0 .. 199999, bit for bit.  The ids leave the digest
+# out, so a re-recorded pin keeps its test's name
 OUTPUT_DIGESTS = [
-    ("iid:0.3", 7,
-     "18bbc58939c472c4a5ce798eb2a9c4fc50ed3af2acdc5dd21ef5b86fc2216aea"),
-    ("mu:0.3,0.5", 3,
-     "c4db76e46bb85fc7defd54564fe340d89d3adf8a69e04f505d78c30b6bc4d91f"),
+    pytest.param("iid:0.3", 7,
+                 "f28929bea0f90fa26e5a10c24d0a4dafeade973ad0ee493bc627d0145911a4f7",
+                 id="iid:0.3-7"),
+    pytest.param("mu:0.3,0.5", 3,
+                 "9948e46cd073ca7098a2cf561fc26eefa13525f6a1c8f74610e05f6025f02df8",
+                 id="mu:0.3,0.5-3"),
 ]
 
 

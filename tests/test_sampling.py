@@ -1,8 +1,5 @@
 """Seeded window sampling: determinism and marginal fidelity."""
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,13 +12,28 @@ from shiftlab import (DensityFamily, FiniteProductMeasure, SeedStream,
                       mix_disjoint, shift_family, sample_density_window,
                       sample_window)
 from shiftlab import sampling
-from shiftlab.sampling import (BLOCK_ROWS, _piecewise_inverse_cdf,
-                               sample_block)
+from shiftlab.sampling import (_COUNTER_OFFSET, BLOCK_ROWS,
+                               _piecewise_inverse_cdf, sample_block)
 
 
-def cpus(monkeypatch, n):
-    """Make ``SeedStream.uniforms`` see n CPUs."""
-    monkeypatch.setattr(sampling, "_cpu_count", lambda: n)
+def density_family():
+    """A two-part mixture of f densities, one part shifted left."""
+    f = f_family(TypeIIISpec(0.4))
+    return mix_disjoint(f, shift_family(f, -1.0))
+
+
+# each window reader on SeedStream.uniforms, as (seeds, start, count) ->
+# the window's values: the uniforms, both of sample_block's symbol rules
+# (a binary compare and a cumulative sum) and the inverse CDF of densities
+READS = {
+    "uniforms": lambda s, lo, n: s.uniforms("x", lo, n),
+    "nu_c": lambda s, lo, n: sample_block(
+        make_nu_c(0.1).block(lo, n), s, "x").values,
+    "three-symbols": lambda s, lo, n: sample_block(
+        iid((0.2, 0.3, 0.5)).block(lo, n), s, "x").values,
+    "density": lambda s, lo, n: sample_density_window(
+        density_family(), (lo, lo + n - 1), s).values,
+}
 
 
 class TestSeedStream:
@@ -72,105 +84,65 @@ class TestSeedStream:
             tracemalloc.stop()
         assert peak < 12 * count + (4 << 20)
 
-    # at most 7 workers: each one is a thread
-    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    # the third id k cuts each piece to BLOCK_ROWS // k coordinates (the
+    # name and ids are kept from when k counted threads); k = 3 and 7 cut
+    # pieces that do not end on a counter block's four words
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
     @pytest.mark.parametrize("count", [
         0, 1, BLOCK_ROWS, BLOCK_ROWS + 3, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 3,
         (1 << 20) + 5])
     @pytest.mark.parametrize("start", [0, -12_345])
-    def test_worker_count_invariance(self, monkeypatch, workers, count,
-                                     start):
-        cpus(monkeypatch, workers)
+    def test_worker_count_invariance(self, monkeypatch, k, count, start):
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", BLOCK_ROWS // k)
         s = SeedStream(7)
         got = s.uniforms("x", start, count)
         want = uniforms_oneshot(s, "x", start, count)
         assert got.shape == (count, 1)
         assert got.tobytes() == want.tobytes()
 
-    def test_shares_under_frequent_thread_switches(self, monkeypatch):
-        # more threads than cores, switched every microsecond: every share
-        # still lands in its own slice
-        cpus(monkeypatch, 7)
-        s = SeedStream(3)
-        count = 7 * BLOCK_ROWS + 11
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = s.uniforms("x", -99, count)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.tobytes() == uniforms_oneshot(s, "x", -99, count).tobytes()
-
-    def test_memory_stays_near_the_output_at_seven_workers(self, monkeypatch):
-        # test_memory_stays_near_the_output's bound, the request split
-        # across 7 threads that draw a seventh of a block at a time each
-        cpus(monkeypatch, 7)
-        count = 1 << 20
-        tracemalloc.start()
-        try:
-            SeedStream(7).uniforms("x", 0, count)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * count + (4 << 20)
-
-    def test_one_block_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a one-block request started a thread")
-
-        cpus(monkeypatch, 7)
-        monkeypatch.setattr(sampling, "Thread", no_thread)
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+    def test_pieces_of_any_size_give_the_same_bytes(self, monkeypatch,
+                                                    read, block_rows):
+        # pieces of 1 and 3 coordinates, never aligned to a counter block,
+        # against one piece of the whole read
         s = SeedStream(7)
-        got = s.uniforms("x", 5, BLOCK_ROWS)
-        assert got.tobytes() == uniforms_oneshot(
-            s, "x", 5, BLOCK_ROWS).tobytes()
+        want = read(s, -1003, 1000).tobytes()
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+        assert read(s, -1003, 1000).tobytes() == want
 
-    @pytest.mark.parametrize("where", ["worker", "every share"])
-    def test_a_failing_share_raises_in_the_caller(self, monkeypatch, where):
-        caller = threading.current_thread()
-
-        def failing(key):
-            worker = threading.current_thread() is not caller
-            if worker or where == "every share":
-                raise OSError(f"share failed in {where}")
-            return np.random.Philox(key=key)
-
-        cpus(monkeypatch, 3)
+    @pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+    def test_a_window_is_the_slice_of_a_longer_window(self, read):
+        # windows [c0, c1) at random cuts, from negative and positive starts
+        # and at every word of a counter block, against the slice of one
+        # longer read of more than one piece
+        lo, count = -40_003, 2 * BLOCK_ROWS + 77
+        rng = np.random.default_rng(0)
+        cuts = [(c0, c1) for c0, c1 in np.sort(
+            rng.integers(0, count + 1, size=(200, 2))).tolist() if c0 < c1]
+        assert {(lo + c0 + _COUNTER_OFFSET) % 4 for c0, _ in cuts} == {
+            0, 1, 2, 3}
+        assert min(lo + c0 for c0, _ in cuts) < 0 < max(lo + c0
+                                                        for c0, _ in cuts)
         s = SeedStream(7)
-        before = threading.active_count()
-        s.uniforms("x", 0, 3 * BLOCK_ROWS)
-        assert threading.active_count() == before
-        monkeypatch.setattr(sampling, "Philox", failing)
-        with pytest.raises(OSError, match=f"share failed in {where}"):
-            s.uniforms("x", 0, 3 * BLOCK_ROWS)
-        assert threading.active_count() == before
+        whole = read(s, lo, count)
+        for c0, c1 in cuts:
+            assert read(s, lo + c0, c1 - c0).tobytes() == \
+                whole[c0:c1].tobytes()
 
-    def test_a_failing_emit_raises_in_the_caller(self, monkeypatch):
-        # an emit that fails in a worker's share is raised by the caller,
-        # after every share is done
-        cpus(monkeypatch, 3)
-        caller = threading.current_thread()
+    def test_a_failing_emit_raises_in_the_caller(self):
+        # an emit that fails stops the read: its error reaches the caller
+        # and no later piece is drawn
         offsets = []
 
         def emit(at, u):
-            if threading.current_thread() is not caller:
-                raise OSError("emit failed in a worker")
-            offsets.append(at.stop)
+            offsets.append(at.start)
+            if at.start:
+                raise OSError("emit failed")
 
-        before = threading.active_count()
-        with pytest.raises(OSError, match="emit failed in a worker"):
+        with pytest.raises(OSError, match="emit failed"):
             SeedStream(7)._pieces("x", 0, 3 * BLOCK_ROWS, emit)
-        assert threading.active_count() == before
-        assert offsets and max(offsets) <= BLOCK_ROWS
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert sampling._cpu_count() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert sampling._cpu_count() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sampling._cpu_count() == 1
+        assert offsets == [0, BLOCK_ROWS]
 
 
 class TestSampleWindow:
@@ -243,18 +215,18 @@ class TestSampleWindow:
         assert set(np.unique(w.values)) == set(range(len(p)))
 
 
-    @pytest.mark.parametrize("workers", [1, 2, 7])
+    # the second id k cuts each piece to BLOCK_ROWS // k coordinates
+    @pytest.mark.parametrize("k", [1, 2, 7])
     @pytest.mark.parametrize("m", [iid_binary(0.3), make_nu_c(0.1),
                                    iid((0.2, 0.3, 0.5))],
                              ids=["iid", "nu_c", "three-symbols"])
-    def test_peak_is_the_window_and_a_few_pieces(self, monkeypatch,
-                                                 workers, m):
+    def test_peak_is_the_window_and_a_few_pieces(self, monkeypatch, k, m):
         # the symbols are written a piece of uniforms at a time: the peak
-        # is the 1 B a site window plus each share's piece (its four raw
-        # words, its uniforms and the comparison's temporaries, ~45 B a
-        # row of BLOCK_ROWS), where a float array of the window would add
-        # 8 B a site
-        cpus(monkeypatch, workers)
+        # is the 1 B a site window plus one piece (its raw words, its
+        # uniforms and the comparison's temporaries, 18 to 38 B a row of
+        # BLOCK_ROWS), where a float array of the window would add 8 B a
+        # site
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", BLOCK_ROWS // k)
         count = 1 << 20
         block = m.block(0, count)
         tracemalloc.start()
@@ -298,8 +270,7 @@ class TestSampleDensityWindow:
 
     def test_blocks_equal_one_shot(self):
         # more than one block, a ragged last block and a negative start
-        f = f_family(TypeIIISpec(0.4))
-        fam = mix_disjoint(f, shift_family(f, -1.0))
+        fam = density_family()
         lo, length = -1000, 2 * BLOCK_ROWS + 77
         seeds = SeedStream(11)
         w = sample_density_window(fam, (lo, lo + length - 1), seeds)
