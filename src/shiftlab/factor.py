@@ -19,11 +19,11 @@ their empirical dependence below test resolution.  The code is
 deterministic given (bits, d, radius, seeds) and translation equivariant
 in the stream index.
 
-A tuple is almost all ones ((d+1) beta ~ 0.066 zeros at d = 882), and an
-a hands out only its slots 0 .. m, m its partner count.  So the split code
-holds a tuple as its zeros and decodes only the slots 0 .. M, M the
-largest slot the matching deals: slot j's bit depends only on slots < j,
-so these are the bits of the full tuple.  Memory then follows n, not d.
+A tuple is almost all ones ((d+1) beta ~ 0.066 zeros at d = 882), so the
+split code holds a tuple as its zeros and decodes it zero by zero: the
+ones before each zero form a geometric gap read in closed form.  Memory
+then follows n and the zeros, not d, and so does time: a run of zeros in
+a row ends within 53 log 2 / log(1/beta) + 2 slots (see _decode_tuples).
 """
 from __future__ import annotations
 
@@ -85,13 +85,11 @@ class SplitTuples:
     """Per-special-filler coded tuples, held as their zeros; ranks align
     with the fair bits.  The tuple of rank k is all ones but at slot
     ``slots[i]`` for every i with ``ranks[i] == k``.  Only the tuples
-    ``valid`` marks are coded (False near the stream edges), and of those
-    only the slots below ``width``."""
+    ``valid`` marks are coded (False near the stream edges)."""
 
     valid: np.ndarray            # bool mask over the ranks
     ranks: np.ndarray            # int64, one entry per zero
     slots: np.ndarray            # int64, one entry per zero
-    width: int                   # the slots decoded, 0 .. width - 1
 
 
 def bias_square_terms(block: Window, N: int) -> np.ndarray:
@@ -134,65 +132,55 @@ def _window_uniforms(bits: np.ndarray, radius: int, key: bytes) -> np.ndarray:
     return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
 
 
-def _all_ones_threshold(beta0: float, dplus1: int) -> float:
-    """A uniform from which on every tuple is all ones: a little above
-    1 - (1 - beta0)^(d+1), the chance that a tuple holds a zero, by a
-    margin for the rounding of the d+1 decoding steps."""
-    return -math.expm1(dplus1 * math.log1p(-beta0)) + dplus1 * 2.0 ** -48
-
-
 def _decode_tuples(u: np.ndarray, beta0: float,
                    width: int) -> tuple[np.ndarray, np.ndarray]:
     """The zeros of the first ``width`` bits of the exact inverse CDF of
     Bernoulli(1-beta0)^(d+1) applied to the uniforms ``u``, as (row, slot)
     pairs.
 
-    A bit is 0 where its running uniform is below beta0, and a running
-    uniform at or above beta0 steps to (uu - beta0) / (1 - beta0), which is
-    monotone in uu.  Slot j's running uniform depends only on slots < j,
-    so the first ``width`` bits are those of the whole tuple.  If the
-    uniform t = ``_all_ones_threshold(beta0, width)`` decodes to ones
-    there, so does every u >= t: only the rows below t (6.3% at
-    width = 883) and t itself run the column loop.  In the loop only the
-    zeros are recorded, and only their uniforms are rescaled by 1/beta0;
-    every value sees the same float operations as when whole columns were
-    rescaled both ways and merged.
+    A bit is 0 where its running uniform uu is below beta0.  A one steps
+    uu to (uu - beta0) / (1 - beta0), which divides 1 - uu by 1 - beta0,
+    so the ones before the next zero number
+    g = floor(log1p(-uu) / log1p(-beta0)), and the running uniform at that
+    zero is -expm1(log1p(-uu) - g log1p(-beta0)).  A zero rescales it by
+    1/beta0, clamped to [2^-53, 1 - 2^-53]: above, its log1p is finite;
+    below, it is under the rounding of g log1p(-beta0), and a running
+    uniform of 0 (u = 0, or a zero that rounding puts on a gap edge)
+    would stay 0 and hold a zero at every slot left.  From 2^-53 a run
+    of zeros ends within 53 log 2 / log(1/beta0) + 1 slots.  Each pass
+    finds the next zero of every row that still has one below ``width``,
+    so the passes number the most zeros a row holds, whatever ``width``
+    is.  g is compared with the slots left while it is a float, so no
+    huge gap is cast to int64.
     """
-    t = _all_ones_threshold(beta0, width)
-    rows = np.flatnonzero(u < t)
-    uu = np.append(u[rows], t)
-    nxt = np.empty_like(uu)
-    zero = np.empty(len(uu), dtype=bool)
-    rest = 1.0 - beta0
-    found, counts = [], []
-    for j in range(width):
-        np.less(uu, beta0, out=zero)
-        np.subtract(uu, beta0, out=nxt)
-        np.divide(nxt, rest, out=nxt)
-        at = np.flatnonzero(zero)
-        if len(at):
-            found.append(at)
-            nxt[at] = uu[at] / beta0
-        counts.append(len(at))
-        uu, nxt = nxt, uu
-    at = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
-    if np.any(at == len(rows)):
-        raise AssertionError(f"the all-ones threshold {t!r} decodes to a "
-                             f"zero in the first {width} bits")
-    return rows[at], np.repeat(np.arange(width, dtype=np.int64), counts)
+    log_one = math.log1p(-beta0)
+    rows, uu = np.arange(len(u), dtype=np.int64), u
+    at = np.zeros(len(u))           # the slot each row's gap starts at
+    found_rows, found_slots = [], []
+    while len(rows):
+        log_rest = np.log1p(-uu)
+        gap = np.floor(log_rest / log_one)
+        slot = at + gap
+        keep = np.flatnonzero(slot < width)
+        rows, slot = rows[keep], slot[keep]
+        found_rows.append(rows)
+        found_slots.append(slot.astype(np.int64))
+        uu = -np.expm1(log_rest[keep] - gap[keep] * log_one)
+        uu /= beta0
+        np.clip(uu, 2.0 ** -53, 1.0 - 2.0 ** -53, out=uu)
+        at = slot + 1.0
+    return np.concatenate(found_rows), np.concatenate(found_slots)
 
 
-def psi_split(bits: np.ndarray, d: int, radius: int, seeds: SeedStream,
-              assignment: MatchingAssignment | None = None) -> SplitTuples:
+def psi_split(bits: np.ndarray, d: int, radius: int,
+              seeds: SeedStream) -> SplitTuples:
     """Expand each fair bit (a special filler's first symbol) into a tuple of
     d+1 beta0-biased bits, beta0 = ``beta_for(d + 1)``, held as its zeros.
 
     Tuples whose window would reach past the ends of the stream are
     censored.  The map depends only on window content and the seed, so it
-    commutes with translation of the stream.  Given the ``assignment``
-    that deals the tuples, only the slots 0 .. M are decoded, M the
-    largest slot it deals to a valid tuple; otherwise all d+1.  A d whose
-    slots do not fit an array index is refused before beta0 is sought.
+    commutes with translation of the stream.  A d whose slots do not fit
+    an array index is refused before beta0 is sought.
     """
     if d + 1 > np.iinfo(np.intp).max:
         raise ValueError(f"capacity d = {d} is too large for one array row "
@@ -201,15 +189,13 @@ def psi_split(bits: np.ndarray, d: int, radius: int, seeds: SeedStream,
     K = len(bits)
     valid = np.zeros(K, dtype=bool)
     valid[radius:K - radius] = True      # empty unless K >= 2 radius + 1
-    width = d + 1 if assignment is None else \
-        assignment.largest_slot(valid) + 1
     ranks = slots = np.empty(0, dtype=np.int64)
     if valid.any():
         key = seeds._key("|split-code").tobytes()
         u = _window_uniforms(np.asarray(bits, dtype=np.uint8), radius, key)
-        ranks, slots = _decode_tuples(u, beta0, width)
+        ranks, slots = _decode_tuples(u, beta0, d + 1)
         ranks += radius
-    return SplitTuples(valid, ranks, slots, width)
+    return SplitTuples(valid, ranks, slots)
 
 
 def spread_bits(w: Window, assignment: MatchingAssignment,
@@ -222,11 +208,8 @@ def spread_bits(w: Window, assignment: MatchingAssignment,
     of a valid tuple, then 0 at each of the split code's zeros that is
     dealt.  Only valid tuples are dealt, so a's and b's whose tuple is
     censored, and positions with no resolved source, keep the encoding -1.
-    A split that decoded fewer slots than the matching deals is refused.
+    A zero at a slot outside 0 .. d is refused.
     """
-    if assignment.largest_slot(split.valid) >= split.width:
-        raise AssertionError(f"the matching deals a slot beyond the "
-                             f"{split.width} the split code decoded")
     out = np.full(len(w), -1, dtype=np.int8)
     hand_out(assignment, 1, (split.ranks, split.slots, 0), out, w.start,
              split.valid)
@@ -257,8 +240,7 @@ def run_iid_factor(m: FiniteProductMeasure, span: tuple[int, int],
     w, q, assignment = match_window(m, span, seeds, "factor-input")
     d = assignment.d
     a_pos = assignment.a_positions   # the special fillers' starts
-    split = psi_split(w.values[a_pos - w.start], d, radius, seeds,
-                      assignment)
+    split = psi_split(w.values[a_pos - w.start], d, radius, seeds)
     out = spread_bits(w, assignment, split)
     del w, split   # not read again: gone before the suite's float copy
     beta0 = beta_for(d + 1)

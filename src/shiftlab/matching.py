@@ -115,15 +115,6 @@ class MatchingAssignment:
                           run_ranks=self.run_ranks[lo:hi],
                           run_tops=self.run_tops[lo:hi])
 
-    def largest_slot(self, keep: np.ndarray) -> int:
-        """The largest slot dealt to a rank the bool mask ``keep`` marks,
-        which is the largest partner count of those a's; 0 if none has a
-        partner."""
-        kept = keep[self.run_ranks]
-        counts = np.bincount(self.run_ranks[kept],
-                             weights=self.run_lengths[kept])
-        return int(counts.max()) if len(counts) else 0
-
     def check_capacity(self) -> None:
         starts, lens, ranks = self.run_starts, self.run_lengths, self.run_ranks
         if not len(lens):

@@ -222,9 +222,9 @@ def tuple_matrix(split, d: int) -> np.ndarray:
 
 def decode_tuples_oracle(u: np.ndarray, beta0: float,
                          out: np.ndarray) -> None:
-    """``factor._decode_tuples`` without the all-ones threshold: the column
-    loop over every row, ``out`` filled with ones and only the zeros
-    written and rescaled by 1/beta0."""
+    """The tuples of ``factor._decode_tuples`` slot by slot: a column loop
+    over every row and ``out.shape[1]`` slots, ``out`` filled with ones and
+    only the zeros written and rescaled by 1/beta0."""
     out.fill(1)
     uu, nxt = u.copy(), np.empty_like(u)
     zero = np.empty(len(u), dtype=bool)
@@ -238,6 +238,23 @@ def decode_tuples_oracle(u: np.ndarray, beta0: float,
             out[at, j] = 0
             nxt[at] = uu[at] / beta0
         uu, nxt = nxt, uu
+
+def decode_exact(u: float, beta0: float, dplus1: int) -> list:
+    """The zero slots of the sequential inverse CDF of
+    Bernoulli(1-beta0)^dplus1 at the double ``u``, run in exact rational
+    arithmetic on ``u`` and ``beta0`` as their doubles: the running
+    uniform is the integer ratio n / m, left unreduced, so no step pays
+    for a gcd."""
+    p, q = beta0.as_integer_ratio()
+    n, m = float(u).as_integer_ratio()
+    zeros = []
+    for j in range(dplus1):
+        if n * q < p * m:              # uu < beta0: a zero, uu / beta0
+            zeros.append(j)
+            n, m = n * q, m * p
+        else:                          # a one, (uu - beta0) / (1 - beta0)
+            n, m = n * q - p * m, m * (q - p)
+    return zeros
 
 # -- markers and measures -----------------------------------------------------
 

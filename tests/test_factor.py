@@ -1,9 +1,11 @@
 """Fair-bit extraction, the entropy-splitting code, and the full factor."""
+import bisect
 import hashlib
 import itertools
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +149,23 @@ def zeros_of(tuples: np.ndarray, width: int) -> list:
         tuples[:, :width] == 0))))
 
 
+def built_uniform(beta0: float, d: int, zeros: tuple) -> float:
+    """The double nearest the middle of the exact interval of uniforms
+    whose tuple of d+1 bits has its zeros at the slots ``zeros``.  The
+    interval is [lo, lo + length) with lo and length held as integers
+    over q^j after j slots, beta0 = p / q."""
+    p, q = beta0.as_integer_ratio()
+    lo, length = 0, 1
+    for j in range(d + 1):
+        lo *= q
+        if j in zeros:
+            length *= p
+        else:
+            lo += length * p
+            length *= q - p
+    return (2 * lo + length) / (2 * q ** (d + 1))   # correctly rounded
+
+
 def decoded(u: np.ndarray, beta0: float, width: int) -> list:
     rows, slots = _decode_tuples(u, beta0, width)
     assert rows.dtype == slots.dtype == np.int64
@@ -160,7 +179,6 @@ class TestPsiSplit:
         t2 = psi_split(z, 7, 16, SeedStream(7))
         for field in ("valid", "ranks", "slots"):
             assert np.array_equal(getattr(t1, field), getattr(t2, field))
-        assert t1.width == t2.width == 8
 
     def test_seed_changes_output(self):
         z = fair_stream(500, 3)
@@ -218,28 +236,126 @@ class TestPsiSplit:
 
     @pytest.mark.parametrize("d", [1, 7, 882, 1631, 5906])
     def test_decode_at_the_all_ones_threshold(self, d):
-        # 10^5 uniforms packed around 1 - (1 - beta0)^(d+1), where tuples
-        # stop holding zeros: 80 000 consecutive doubles, then an even
-        # spread up to the threshold t, t itself and its two neighbours
+        # 80 000 consecutive doubles around p = 1 - (1 - beta0)^(d+1),
+        # where tuples stop holding zeros.  In exact arithmetic, beta0 as
+        # its double, the doubles below P = 1 - (1 - beta0)^(d+1) hold a
+        # zero; the decoder's rows with a zero are the doubles below one
+        # cut within 2 doubles of that one (measured 0-1 off at each d
+        # here, where the column loop is 0-10 off)
         beta0 = beta_for(d + 1)
         p = -math.expm1((d + 1) * math.log1p(-beta0))
-        t = factor._all_ones_threshold(beta0, d + 1)
-        near = np.arange(-40_000, 40_000) + np.float64(p).view(np.int64)
-        u = np.concatenate([near.view(np.float64),
-                            np.linspace(p, t, 19_997),
-                            [np.nextafter(t, 0), t, np.nextafter(t, 1)]])
-        want = np.empty((len(u), d + 1), dtype=np.uint8)
-        oracles.decode_tuples_oracle(u, beta0, want)
-        has_zero = ~want.all(axis=1)
-        largest = u[has_zero].max()
-        # the boundary lies inside the consecutive run, below t
-        assert u[0] < largest < min(u[79_999], t)
-        assert decoded(u, beta0, d + 1) == zeros_of(want, d + 1)
+        u = (np.arange(-40_000, 40_000)
+             + np.float64(p).view(np.int64)).view(np.float64)
+        P = 1 - (1 - Fraction(beta0)) ** (d + 1)
+        exact = bisect.bisect_left(u, P, key=Fraction)
+        assert 0 < exact < len(u)
+        rows = np.unique(_decode_tuples(u, beta0, d + 1)[0])
+        assert rows.tolist() == list(range(len(rows)))
+        assert abs(len(rows) - exact) <= 2
+
+    @pytest.mark.parametrize("d, zero_slots", [
+        (1, [(0, 1)]),
+        (7, [(0, 1), (2, 5), (0, 3, 7), (1, 2, 3, 4), (0, 2, 4, 6, 7),
+             (1, 2, 3, 5, 6, 7)]),
+        (882, [(0, 1), (10, 500), (3, 400, 882), (0, 1, 2, 3),
+               (0, 1, 2, 3, 100, 700)]),
+    ])
+    def test_decode_rows_built_to_hold_zeros(self, d, zero_slots):
+        # each u is the double nearest the middle of the exact interval of
+        # uniforms whose tuple has its zeros at the given slots, so every
+        # running uniform lies mid-gap; u = 1 - 2^-53 holds none.  The
+        # zeros are those of the sequential inverse CDF run in exact
+        # arithmetic on the same doubles
+        beta0 = beta_for(d + 1)
+        u = np.array([built_uniform(beta0, d, z) for z in zero_slots]
+                     + [1.0 - 2.0 ** -53])
+        exact = [oracles.decode_exact(x, beta0, d + 1) for x in u]
+        assert exact == [list(z) for z in zero_slots] + [[]]
+        assert decoded(u, beta0, d + 1) == [
+            (row, slot) for row, slots in enumerate(exact) for slot in slots]
+
+    @pytest.mark.parametrize("d", [1, 7, 882, 5906])
+    def test_decode_goes_on_from_the_floor(self, d):
+        # a zero whose rescaled running uniform falls below 2^-53 goes on
+        # from 2^-53: u = 0, and from d = 882 on a u built for zeros at
+        # 0 .. 4 (below 1e-21, off the 2^-53 grid of the split code's
+        # uniforms), hold the zero at slot 0 and then the exact tuple of
+        # the uniform 2^-53.  At d = 1 and 7 that is every slot, as u = 0
+        # gives in exact arithmetic
+        beta0 = beta_for(d + 1)
+        floor = [0] + [1 + slot for slot in
+                       oracles.decode_exact(2.0 ** -53, beta0, d)]
+        if d <= 7:
+            assert floor == list(range(d + 1))
+        u = [0.0] + [built_uniform(beta0, d, (0, 1, 2, 3, 4, 700))] * (
+            d >= 882)
+        assert decoded(np.array(u), beta0, d + 1) == [
+            (row, slot) for row in range(len(u)) for slot in floor]
+
+    @pytest.mark.parametrize("d", [1, 7, 882, 5906])
+    def test_decode_near_the_gap_edges(self, d):
+        # 6 000 consecutive doubles around each of the first three gap
+        # edges 1 - (1 - beta0)^k, where the running uniform at a zero
+        # rounds to either side of [0, 1) and is clamped to
+        # [2^-53, 1 - 2^-53]; warnings are errors here, u = 0 and
+        # 1 - 2^-53 join them.  Each row's zeros rise within 0 .. d, no run
+        # of consecutive zeros outlasts the climb from 2^-53 to beta0, and
+        # in the first 24 slots at most 20 rows an edge differ from the
+        # exact inverse CDF (measured 0-14, the doubles nearest an edge)
+        beta0 = beta_for(d + 1)
+        edges = [-math.expm1(k * math.log1p(-beta0)) for k in (1, 2, 3)]
+        near = [(np.arange(-3000, 3000) + np.float64(e).view(np.int64)
+                 ).view(np.float64) for e in edges]
+        u = np.concatenate(near + [[0.0, 1 - 2 ** -53]])
+        rows, slots = _decode_tuples(u, beta0, d + 1)
+        order = np.lexsort((slots, rows))
+        rows, slots = rows[order], slots[order]
+        same = rows[1:] == rows[:-1]
+        assert np.all(slots[1:][same] > slots[:-1][same])
+        assert slots.min() >= 0 and slots.max() <= d
+        run = np.flatnonzero(~(same & (slots[1:] == slots[:-1] + 1)))
+        assert np.diff(run, prepend=-1).max() <= min(
+            d + 1, math.log(2.0 ** -53) / math.log(beta0) + 2)
+        width = min(24, d + 1)
+        got = [[] for _ in u]
+        for row, slot in zip(rows.tolist(), slots.tolist()):
+            if slot < width:
+                got[row].append(slot)
+        for edge in range(3):
+            at = range(6000 * edge, 6000 * (edge + 1))
+            assert sum(got[i] != oracles.decode_exact(float(u[i]), beta0,
+                                                      width)
+                       for i in at) <= 20
+
+    @pytest.mark.parametrize("d", [10 ** 13, 10 ** 15])
+    def test_decode_passes_stay_few_at_huge_capacity(self, d, monkeypatch):
+        # doubles around the gap edges 1 - (1 - beta0)^k at k = 1, 2, 3,
+        # (d+1)/2 and d, where rounding puts a zero's running uniform at or
+        # below 0: clamped to 2^-53 it climbs back above beta0 within a
+        # few zeros, so the passes (one np.log1p each) stay few although
+        # d + 1 slots are decoded.  Held at 0 it would hold a zero at each
+        # of the ~d slots left, a pass each
+        beta0 = beta_for(d + 1)
+        edges = [-math.expm1(k * math.log1p(-beta0))
+                 for k in (1, 2, 3, (d + 1) // 2, d)]
+        u = np.concatenate([(np.arange(-3000, 3000) + np.float64(e).view(
+            np.int64)).view(np.float64) for e in edges])
+        passes = []
+        log1p = np.log1p
+
+        def counted(x):
+            passes.append(len(x))
+            assert len(passes) <= 10, "the decoder makes more than 10 passes"
+            return log1p(x)
+
+        monkeypatch.setattr(np, "log1p", counted)
+        rows, slots = _decode_tuples(u, beta0, d + 1)
+        assert 2 <= len(passes) <= 10 and slots.max() <= d
+        assert np.bincount(rows).max() == len(passes) - 1
 
     @pytest.mark.parametrize("width", [1, 2, 442, 883])
     def test_decode_a_prefix_against_the_oracle(self, width):
-        # the zeros of the first M + 1 = width slots at d = 882, with the
-        # rows cut at that width's own all-ones threshold
+        # the zeros of the first width slots of the tuples at d = 882
         beta0 = beta_for(883)
         u = SeedStream(23).uniforms("u", 0, 30000)[:, 0]
         want = np.empty((len(u), 883), dtype=np.uint8)
@@ -250,38 +366,36 @@ class TestPsiSplit:
     def test_wide_tuples_decode_only_the_dealt_slots(self, d):
         # the capacities of mu:0.3,0.5 and of mu:0.3,0.6999 (at 1e5): the
         # K (d+1) bits, ~4.6 MB and ~21 GB here, are never held, only the
-        # zeros of the slots the matching deals to a valid tuple, which
-        # the full decode agrees on
+        # zeros of all d+1 slots; the column oracle agrees on the slots
+        # the matching deals to a valid tuple, 0 .. the largest partner
+        # count of a valid a
         w = Window(0, fair_stream(10 ** 5, 5))
         z = special_sequence(w)
         assignment = meshalkin_match(z, d)
         bits = w.values[z.values]
         tracemalloc.start()
         try:
-            split = psi_split(bits, d, 16, SeedStream(7), assignment)
+            split = psi_split(bits, d, 16, SeedStream(7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        width = assignment.largest_slot(split.valid) + 1
-        assert split.width == width < 3000
+        assert split.slots.max() <= d
+        kept = split.valid[assignment.run_ranks]
+        width = int(np.bincount(assignment.run_ranks[kept],
+                                weights=assignment.run_lengths[kept]
+                                ).max()) + 1
+        assert width < 3000
         u = _window_uniforms(bits, 16, SeedStream(7)._key(
             "|split-code").tobytes())
-        want = np.empty((len(u), 2 * width), dtype=np.uint8)
+        want = np.empty((len(u), width), dtype=np.uint8)
         oracles.decode_tuples_oracle(u, beta_for(d + 1), want)
-        got = sorted(zip((split.ranks - 16).tolist(), split.slots.tolist()))
+        got = sorted((r - 16, s) for r, s in zip(split.ranks.tolist(),
+                                                 split.slots.tolist())
+                     if s < width)
         assert got == zeros_of(want, width)
         if d == 5906:
             assert len(got) >= 3      # zeros to compare
-
-    def test_decode_refuses_a_threshold_that_decodes_to_a_zero(
-            self, monkeypatch):
-        beta0 = beta_for(883)
-        monkeypatch.setattr(factor, "_all_ones_threshold",
-                            lambda beta0, dplus1: 0.06)
-        u = SeedStream(19).uniforms("u", 0, 100)[:, 0]
-        with pytest.raises(AssertionError, match="all-ones threshold"):
-            _decode_tuples(u, beta0, 883)
 
     @pytest.mark.parametrize("radius, K", [
         (0, 1), (3, 7), (3, 8), (16, 33), (16, 500), (64, 129), (64, 3001)])
@@ -334,19 +448,6 @@ class TestSpreadBits:
         q = good_prob_lower(iid_binary(0.5).block(0, 20008), (0, 20000))
         out = run_stages(w, q=q)
         assert set(np.unique(out.values)) <= {-1, 0, 1}
-
-
-    def test_split_narrower_than_the_dealt_slots_is_refused(self):
-        # a split decoded for a capacity-8 matching holds slots 0 .. 8 at
-        # most, and the capacity-64 matching deals further slots
-        w = sample_window(iid_binary(0.5), (0, 20000), SeedStream(4))
-        z = special_sequence(w)
-        bits = w.values[z.values]
-        split = psi_split(bits, 64, 16, SeedStream(7), meshalkin_match(z, 8))
-        assert split.width <= 9
-        with pytest.raises(AssertionError, match="deals a slot beyond the "
-                           f"{split.width} the split code decoded"):
-            spread_bits(w, meshalkin_match(z, 64), split)
 
 
 class TestUniformitySuiteSmallInputs:

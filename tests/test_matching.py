@@ -1,7 +1,6 @@
 """Meshalkin matching: bracket scan against the round loop, walk radius,
 domination, AB extraction."""
 import itertools
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -471,23 +470,6 @@ class TestPartnerSlots:
             partner = match_oracle("".join(np.where(isa, "a", "b")), d)[0]
             assert (a_positions[ranks_of(assignment)] - start).tolist() == \
                 [partner[x] for x in sorted(partner)], trial
-
-    @given(st.text(alphabet="ab", max_size=80), st.integers(1, 12),
-           st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_largest_slot_is_the_largest_kept_partner_count(self, letters,
-                                                            d, data):
-        assignment = meshalkin_match(from_letters(-4, letters), d)
-        K = len(assignment.a_positions)
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=K,
-                                           max_size=K)), dtype=bool)
-        kept = set(assignment.a_positions[keep].tolist())
-        partners = Counter(a for b, a in zip(assignment.b_indices.tolist(),
-                                             assignment.a_indices.tolist())
-                           if a in kept)
-        assert assignment.largest_slot(keep) == \
-            max(partners.values(), default=0)
-        assert assignment.largest_slot(np.zeros(K, dtype=bool)) == 0
 
     def test_empty_assignment(self):
         assignment = meshalkin_match(from_letters(0, "abbb"), 2)

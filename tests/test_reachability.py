@@ -56,9 +56,9 @@ def _reached(tmp_path) -> set:
     # a window too short to leave any bit to test, a marginal with
     # negative mass, a lag read apart from the shared block; a window, a
     # measure check range, a sample count and a kmax beyond their caps; a
-    # capacity of ~2.7e7, whose split code decodes only the dealt slots
-    # and whose checks fail with reasons; and a report path that is an
-    # existing directory.
+    # capacity of ~2.7e7, whose split code decodes all its slots a zero
+    # at a time and whose checks fail with reasons; and a report path
+    # that is an existing directory.
     runs = [(["measure", "check", "--measure", spec, "--n", "200"], code)
             for spec, code in (("iid:0.3", 0), ("nu_c:0.1", 1),
                                ("mu:0.3,0.5", 1))]
