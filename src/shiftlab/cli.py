@@ -8,6 +8,7 @@ byte-reproducible.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -31,11 +32,11 @@ DEFAULT_SEED = 7
 # The option whose value a command's memory follows, its cap and the bytes
 # one unit of it costs at the command's peak (ru_maxrss; measure check with
 # any --k set), each cap at ~3.2 GB.  factor run and match run sample a
-# window of --n sites (at --n 2e7 factor run holds about 12 bytes a site
-# on iid:0.3, whose marginal block is one row, and 19 on mu:0.3,0.5,
-# whatever the capacity d; match run, which holds no per-b column, about 6
-# on iid:0.3 and 19 on mu:0.3,0.5, 16 of them the marginal block's);
-# measure check about 50 a unit of n; index scan about 48 a k at its cap
+# window of --n sites, whatever the capacity d: on iid:0.3, whose marginal
+# block is one row, factor run holds about 11.5 bytes a site at --n 2e7
+# and match run, which holds no per-b column, about 6; on mu:0.3,0.5 at
+# --n 1e7 both hold about 21, 16 of them the marginal block's.  measure
+# check holds about 50 a unit of n; index scan about 48 a k at its cap
 MAX_SITES = 50_000_000
 SITE_BYTES = 64
 MAX_MEASURE_N = 25_000_000
@@ -44,6 +45,38 @@ MAX_SAMPLES = 16_000_000
 SAMPLE_BYTES = 200
 MAX_KMAX = 6_400_000
 KMAX_BYTES = 500
+# glibc's allocator policy, set by ``main`` before it parses argv.  The
+# chunked loops allocate a few MB of numpy temporaries a piece and free
+# them.  glibc's dynamic thresholds (twice the largest mmapped chunk freed
+# so far) then hand the heap top back to the kernel, and the next piece
+# faults the same pages in again.  Fixed thresholds keep them: in fresh
+# processes the main phase of match run on nu_c:0.1 at --n 1e6 faulted
+# 9.5k pages, and 0.8k under this policy; measure check on mu:0.3,0.5,
+# 23.4k and 1.3k.  The thresholds, as measured:
+# - chunks from 16 MiB up are still mmapped, so a large window's arrays
+#   go back whole when freed.  At 32 MiB, factor run on iid:0.3 at --n 2e7
+#   peaked at 241 MiB against 218 (heap fragmentation of its 20 MB
+#   arrays); at 1 MiB, typeiii ratios' repeated arrays just above 1 MiB
+#   were mmapped on every allocation and its main phase ran 14.4 -> 16.9
+#   ms; at 8 MiB, factor run at --n 2e6 peaked 4 MiB higher;
+# - a free heap top is trimmed past 32 MiB: at 64 MiB that factor run at
+#   --n 2e7 peaked at 225 MiB, above the dynamic policy's 222.
+MMAP_THRESHOLD = 16 << 20
+TRIM_THRESHOLD = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3    # mallopt's parameters
+
+
+def _set_malloc_policy() -> None:
+    """Fix glibc's mmap and trim thresholds; does nothing where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 _CAPS = {   # command: (option, cap, bytes a unit, what holds them, unit)
     "factor": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
     "match": ("n", MAX_SITES, SITE_BYTES, "a window", "a site"),
@@ -116,39 +149,50 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 def _int_rows(fh, chunk) -> None:
     """Write the rows of ``chunk``, integer columns, formatted with numpy.
 
-    The rows are a ``(rows, slots)`` matrix of little-endian 4-byte words
-    whose NULs are then deleted.  A cell is one lead word (the newline
-    that ends the line before it, or the comma after the previous cell,
-    then a ``-`` as its last byte when negative) and one word per 4-digit
-    group of the chunk's widest magnitude in its column, read from
-    ``_digit_words``.  A narrower number's unused words are NULs, so the
-    bytes do not depend on where the chunks are cut.  Only scalar
+    The rows are a ``(rows, width)`` byte matrix whose NULs are then
+    deleted.  A cell is one lead byte (the newline that ends the line
+    before it, or the comma after the previous cell), then a ``-`` byte or
+    a NUL if its column holds a negative value in this chunk, then one
+    little-endian 4-byte word per 4-digit group of the chunk's widest
+    magnitude in its column, read from ``_digit_words`` and written
+    through a view at the word's unaligned offset.  A narrower number's
+    unused words are NULs, so the bytes do not depend on where the chunks
+    are cut.  Magnitudes below 2^32 are split in ``uint32``; only scalar
     divisions are used, which numpy does with multiply-shift."""
     last, upper = _digit_words()
     columns = [c.astype(np.int64, copy=False) for c in chunk]
-    layout, slots = [], 0                    # (lead slot, groups, signed)
+    rows = len(columns[0])
+    layout, width = [], 0            # (lead offset, groups, signed, most)
     for c in columns:
         lo, hi = int(c.min()), int(c.max())
-        groups = 1
-        while max(hi, -lo) >= 10 ** (4 * groups):
+        most, groups = max(hi, -lo), 1
+        while most >= 10 ** (4 * groups):
             groups += 1
-        layout.append((slots, groups, lo < 0))
-        slots += 1 + groups
-    buf = bytearray(4 * slots * len(columns[0]))
-    w = np.frombuffer(buf, "<u4").reshape(-1, slots)
-    minus = np.uint32(ord("-") << 24)
-    for i, (c, (lead, groups, signed)) in enumerate(zip(columns, layout)):
-        word = ord(",") if i else ord("\n")
-        w[:, lead] = word + minus * (c < 0) if signed else word
-        q = np.abs(c).view(np.uint64)             # int64 min -> 2^63
+        layout.append((width, groups, lo < 0, most))
+        width += 1 + (lo < 0) + 4 * groups
+    buf = bytearray(width * rows)
+    cells = np.frombuffer(buf, np.uint8).reshape(rows, width)
+    for i, (c, (lead, groups, signed, most)) in enumerate(zip(columns,
+                                                              layout)):
+        cells[:, lead] = ord(",") if i else ord("\n")
+        if signed:
+            cells[:, lead + 1] = (c < 0).view(np.uint8) * np.uint8(ord("-"))
+        q = (np.abs(c) if signed else c).view(np.uint64)  # min -> 2^63
+        if most < 2 ** 32:
+            q = q.astype(np.uint32)
+        # the cell's group words, as unaligned views with the row stride
+        first = lead + 1 + signed
+        words = [np.ndarray(rows, "<u4", buf, at, (width,))
+                 for at in range(first, first + 4 * groups, 4)]
+        # np.take, unlike fancy indexing, reads a uint32 index without a
+        # slow cast
         for t in range(groups - 1, 0, -1):
             hi = q // 10_000
             # 10 000 + (q mod 10 000) below a higher digit, else q
             g = np.minimum(q, q - hi * 10_000 + 10_000)
-            table = last if t == groups - 1 else upper
-            w[:, lead + 1 + t] = table[g.view(np.int64)]
+            words[t][:] = np.take(last if t == groups - 1 else upper, g)
             q = hi
-        w[:, lead + 1] = (last if groups == 1 else upper)[q.view(np.int64)]
+        words[0][:] = np.take(last if groups == 1 else upper, q)
     fh.write(buf.translate(None, b"\0"))
 
 
@@ -450,6 +494,7 @@ def _config_from_args(args: argparse.Namespace, file_values: dict):
 
 
 def main(argv: list[str] | None = None) -> int:
+    _set_malloc_policy()
     try:
         file_values = _read_config_file(argv)
         args = _build_parser(file_values).parse_args(argv)

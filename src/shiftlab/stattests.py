@@ -112,11 +112,15 @@ def block_chi_square(bits, block_len: int, p_one: float):
     return chi_square_pooled(counts, probs * nb)
 
 
-def frequency_zscore(bits, p_one: float) -> float:
-    """Standardized deviation of the empirical frequency of ones."""
+def frequency_zscore(bits, p_one: float) -> float | None:
+    """Standardized deviation of the empirical frequency of ones, or None
+    when the claimed law gives that frequency no spread (its standard
+    error is 0, as at p_one = 1.0)."""
     bits = np.asarray(bits)
     n = len(bits)
     se = math.sqrt(p_one * (1.0 - p_one) / n)
+    if se == 0.0:
+        return None
     return (float(bits.mean()) - p_one) / se
 
 
@@ -134,8 +138,12 @@ def uniformity_suite(bits, p_one: float) -> list[dict]:
         return [_failed(name, "no bits to test") for name in
                 ("frequency", "chi_square_3_blocks", "serial_correlation")]
     z = frequency_zscore(bits, p_one)
-    records = [{"name": "frequency", "statistic": z, "p_value": None,
-                "pass": bool(abs(z) <= FREQ_SIGMAS)}]
+    if z is None:
+        records = [_failed("frequency", f"claimed P(1) = {p_one!r} gives "
+                           "the frequency of ones no spread")]
+    else:
+        records = [{"name": "frequency", "statistic": z, "p_value": None,
+                    "pass": bool(abs(z) <= FREQ_SIGMAS)}]
     stat3, p3, dof3 = block_chi_square(bits, 3, p_one)
     if dof3 == 0:
         records.append(_failed("chi_square_3_blocks",

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -321,6 +322,23 @@ class TestFactorRun:
             "all bits are equal"
         assert (tmp_path / "factor_report.json").exists()
 
+    def test_claimed_law_without_spread_fails_its_frequency_check(
+            self, tmp_path, capsys):
+        # d = 2 680 729 015 984 571 gives beta0 ~ 6.5e-18, so the claimed
+        # P(1) = 1 - beta0 rounds to 1.0 and the frequency of ones has a
+        # standard error of 0: the check fails with its reason instead of
+        # dividing by it
+        code = run_cli(tmp_path, "factor", "run", "--measure",
+                       "mu:0.3,0.699999999999", "--n", "200000")
+        assert code == EXIT_CHECK_FAILED
+        by_name = {m["name"]: m
+                   for m in json.loads(capsys.readouterr().out)["metrics"]}
+        assert by_name["d"]["value"] == 2680729015984571
+        assert by_name["frequency"] == {
+            "name": "frequency", "statistic": None, "p_value": None,
+            "pass": False, "reason": "claimed P(1) = 1.0 gives the "
+                                     "frequency of ones no spread"}
+
     def test_peak_per_site_follows_n_not_d(self, tmp_path):
         # d is 882, 5 906 and 254 139 on these windows at n = 2e5 (as
         # reported), yet each run's traced peak stays within SITE_BYTES a
@@ -560,16 +578,20 @@ class TestWriteCsv:
         narrow = (np.arange(rows) % 256 - 128).astype(np.int8)
         unsigned = rng.integers(0, 2 ** 32 - 1, rows, dtype=np.uint32,
                                 endpoint=True)
+        # sixteen digits and a sign through the first BLOCK_ROWS rows, one
+        # digit after them: a chunk whose lead and group words narrow from
+        # the chunk before it leaves no byte of that chunk's in its rows
+        k = np.arange(rows)
+        shrinking = np.where(k < BLOCK_ROWS, -10 ** 15 - k, k % 10)
         # one digit through the first 2 * BLOCK_ROWS rows, sixteen and a
         # sign after them
-        k = np.arange(rows)
         growing = np.where(k < 2 * BLOCK_ROWS, k % 10, -10 ** 15 - k)
-        return wide, narrow, unsigned, growing
+        return wide, narrow, unsigned, shrinking, growing
 
     # 65536 and 65659 rows are 2 * BLOCK_ROWS and 2 * BLOCK_ROWS + 123
     @pytest.mark.parametrize("rows", [0, 1, 65536, 65659])
     def test_integer_rows(self, written, rows):
-        written(("w", "n", "u", "g"), self.int_columns(rows))
+        written(("w", "n", "u", "s", "g"), self.int_columns(rows))
 
     @pytest.mark.parametrize("rows", [0, 1, 65536, 65659])
     def test_single_column(self, written, rows):
@@ -1354,6 +1376,54 @@ class TestStartUp:
         assert self.fresh_python(
             "import shiftlab.cli as cli; "
             "print(cli._digit_words.cache_info().currsize)") == "0"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+class TestMallocPolicy:
+    """``main`` fixes glibc's mmap and trim thresholds, so the chunked
+    loops reuse the heap pages their pieces free instead of faulting them
+    in again.  Each run is a fresh interpreter, with no ``MALLOC_*``
+    setting or glibc tunable in its environment, that counts its minor
+    page faults around ``cli.main``."""
+
+    CHILD = ("import ctypes, resource, sys\n"
+             "from shiftlab import cli\n"
+             "if sys.argv.pop(1) == 'no-mallopt':\n"
+             "    ctypes.CDLL = lambda name: object()   # no mallopt\n"
+             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "print(code, after - before, file=sys.stderr)\n")
+    ARGV = ("measure", "check", "--measure", "mu:0.3,0.5", "--n", "200000")
+    # measured on glibc 2.36: 1 715 faults with the policy, 6 368 without
+    MAX_FAULTS = 3000
+
+    def run(self, cwd: Path, libc: str) -> tuple[int, dict]:
+        """(minor faults in main, {file name: bytes}) of one run in
+        ``cwd``, its files under ``cwd / "o"``."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        cwd.mkdir(exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, libc, *self.ARGV,
+             "--out-dir", "o"], cwd=cwd, capture_output=True, text=True,
+            env={**env, "PYTHONPATH": str(ROOT / "src")})
+        code, faults = map(int, proc.stderr.split()[-2:])
+        assert code == EXIT_OK, proc.stderr[-2000:]
+        return faults, {p.name: p.read_bytes()
+                        for p in (cwd / "o").iterdir()}
+
+    def test_main_phase_faults_few_pages(self, tmp_path):
+        faults, _ = self.run(tmp_path, "glibc")
+        assert faults <= self.MAX_FAULTS
+
+    def test_without_mallopt_the_outputs_stay_the_same(self, tmp_path):
+        _, outputs = self.run(tmp_path / "policy", "glibc")
+        bare_faults, bare = self.run(tmp_path / "bare", "no-mallopt")
+        assert bare == outputs
+        # the lookup failed, so glibc's dynamic thresholds ran
+        assert bare_faults > self.MAX_FAULTS
 
 
 class TestReportBytes:
